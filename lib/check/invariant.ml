@@ -57,6 +57,9 @@ let pair_vector ?(path = "pair_vector") v =
 
 let index_acc acc ~path idx =
   let open Hexa in
+  let pending = Index.pending_headers idx in
+  if pending > 0 then
+    add acc (V.v V.Index ~path "%d headers pending outside a bulk pass (not sealed)" pending);
   Index.iter
     (fun h v ->
       let vpath = Printf.sprintf "%s[%d]" path h in

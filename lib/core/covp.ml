@@ -32,30 +32,17 @@ let kind t = t.kind
 let dict t = t.dict
 let size t = t.size
 
-let get_or_create_list table key =
-  match Hashtbl.find_opt table key with
-  | Some l -> l
-  | None ->
-      let l = Sorted_ivec.create ~capacity:2 () in
-      Hashtbl.add table key l;
-      l
-
-let link index ~first ~second l =
-  let v = Index.get_or_create_vector index first in
-  ignore (Pair_vector.get_or_insert v second (fun () -> l));
-  Pair_vector.bump_total v 1
-
 let add_ids t ({ s; p; o } : Hexastore.id_triple) =
-  let o_list = get_or_create_list t.o_lists (Pair_key.make p s) in
+  let o_list = Index.get_or_create_list t.o_lists (Pair_key.make p s) in
   if not (Sorted_ivec.add o_list o) then false
   else begin
-    link t.pso ~first:p ~second:s o_list;
+    Index.link t.pso ~first:p ~second:s o_list;
     (match t.pos with
     | None -> ()
     | Some pos ->
-        let s_list = get_or_create_list t.s_lists (Pair_key.make p o) in
+        let s_list = Index.get_or_create_list t.s_lists (Pair_key.make p o) in
         ignore (Sorted_ivec.add s_list s);
-        link pos ~first:p ~second:o s_list);
+        Index.link pos ~first:p ~second:o s_list);
     t.size <- t.size + 1;
     true
   end
@@ -64,16 +51,6 @@ let mem_ids t ({ s; p; o } : Hexastore.id_triple) =
   match Hashtbl.find_opt t.o_lists (Pair_key.make p s) with
   | None -> false
   | Some l -> Sorted_ivec.mem l o
-
-let unlink index ~first ~second ~list_empty =
-  match Index.find_vector index first with
-  | None -> assert false
-  | Some v ->
-      Pair_vector.bump_total v (-1);
-      if list_empty then begin
-        ignore (Pair_vector.remove v second);
-        if Pair_vector.length v = 0 then ignore (Index.remove_header index first)
-      end
 
 let remove_ids t ({ s; p; o } : Hexastore.id_triple) =
   let key_ps = Pair_key.make p s in
@@ -84,7 +61,7 @@ let remove_ids t ({ s; p; o } : Hexastore.id_triple) =
       else begin
         let o_empty = Sorted_ivec.is_empty o_list in
         if o_empty then Hashtbl.remove t.o_lists key_ps;
-        unlink t.pso ~first:p ~second:s ~list_empty:o_empty;
+        Index.unlink t.pso ~first:p ~second:s ~list_empty:o_empty;
         (match t.pos with
         | None -> ()
         | Some pos ->
@@ -95,7 +72,7 @@ let remove_ids t ({ s; p; o } : Hexastore.id_triple) =
                 ignore (Sorted_ivec.remove s_list s);
                 let s_empty = Sorted_ivec.is_empty s_list in
                 if s_empty then Hashtbl.remove t.s_lists key_po;
-                unlink pos ~first:p ~second:o ~list_empty:s_empty));
+                Index.unlink pos ~first:p ~second:o ~list_empty:s_empty));
         t.size <- t.size - 1;
         true
       end
@@ -121,9 +98,9 @@ let add_bulk_ids t triples =
   let fresh_count = ref 0 in
   Array.iter
     (fun (tr : Hexastore.id_triple) ->
-      let o_list = get_or_create_list t.o_lists (Pair_key.make tr.p tr.s) in
+      let o_list = Index.get_or_create_list t.o_lists (Pair_key.make tr.p tr.s) in
       if Sorted_ivec.add o_list tr.o then begin
-        link t.pso ~first:tr.p ~second:tr.s o_list;
+        Index.link_bulk t.pso ~first:tr.p ~second:tr.s o_list;
         fresh := tr :: !fresh;
         incr fresh_count
       end)
@@ -135,10 +112,12 @@ let add_bulk_ids t triples =
       Array.sort cmp_pos fresh;
       Array.iter
         (fun (tr : Hexastore.id_triple) ->
-          let s_list = get_or_create_list t.s_lists (Pair_key.make tr.p tr.o) in
+          let s_list = Index.get_or_create_list t.s_lists (Pair_key.make tr.p tr.o) in
           ignore (Sorted_ivec.add s_list tr.s);
-          link pos ~first:tr.p ~second:tr.o s_list)
-        fresh);
+          Index.link_bulk pos ~first:tr.p ~second:tr.o s_list)
+        fresh;
+      Index.seal pos);
+  Index.seal t.pso;
   t.size <- t.size + !fresh_count;
   !fresh_count
 
@@ -149,6 +128,9 @@ let of_triples kind triples =
   let ids = Array.of_list (List.map (Dict.Term_dict.encode_triple t.dict) triples) in
   ignore (add_bulk_ids t ids);
   t
+
+let indices t =
+  (Ordering.Pso, t.pso) :: (match t.pos with None -> [] | Some pos -> [ (Ordering.Pos, pos) ])
 
 let properties t = Index.headers t.pso
 

@@ -47,6 +47,10 @@ val count : t -> Pattern.t -> int
 (** Exact but computed with the same access paths as {!lookup} — i.e. the
     property-unbound shapes pay the scan. *)
 
+val indices : t -> (Ordering.t * Index.t) list
+(** The store's own indices: [pso], plus [pos] under {!Covp2}.  For
+    audits and tests; callers must not mutate them. *)
+
 val properties : t -> Vectors.Sorted_ivec.t
 (** Ids of all properties that have a table. *)
 

@@ -83,9 +83,10 @@ val mem_ids : t -> id_triple -> bool
 (** O(log) membership via the shared o-list of (s, p). *)
 
 val add_bulk_ids : t -> id_triple array -> int
-(** Bulk load: sorts the batch once per list family so every index is
-    filled by monotone appends; near-linear on an empty store.  Returns
-    the number of triples actually new. *)
+(** Bulk load: sorts the batch once per list family so vectors and lists
+    fill by monotone appends, and each index merges the headers that
+    arrived out of order once, at the end ({!Index.seal}); near-linear
+    on an empty store.  Returns the number of triples actually new. *)
 
 val lookup : t -> Pattern.t -> id_triple Seq.t
 (** All matching triples, lazily, in the natural order of the index

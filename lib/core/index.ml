@@ -13,9 +13,14 @@
 type hashed = {
   headers : (int, Pair_vector.t) Hashtbl.t;
   sorted : Vectors.Sorted_ivec.t;
-      (* Header ids, maintained sorted on every add/remove so that
-         merge-scans over a whole ordering can stream headers without
-         re-sorting the hash keys (O(h log h)) per call. *)
+      (* Header ids, kept sorted so that merge-scans over a whole
+         ordering can stream headers without re-sorting the hash keys
+         (O(h log h)) per call. *)
+  mutable pending : int list;
+      (* Headers a bulk pass created below [sorted]'s maximum and has
+         not yet merged into it: the hashtable already holds them, and
+         {!seal} moves them into [sorted] in one pass.  Empty outside a
+         bulk pass — every read of [sorted] checks that. *)
 }
 
 type flat = {
@@ -31,7 +36,8 @@ type flat = {
 type t = Hashed of hashed | Flat of flat
 
 let create ?(initial_headers = 64) () =
-  Hashed { headers = Hashtbl.create initial_headers; sorted = Vectors.Sorted_ivec.create () }
+  Hashed
+    { headers = Hashtbl.create initial_headers; sorted = Vectors.Sorted_ivec.create (); pending = [] }
 
 let is_flat = function Flat _ -> true | Hashed _ -> false
 
@@ -62,7 +68,10 @@ let find_vector t h =
   | Hashed t -> Hashtbl.find_opt t.headers h
   | Flat f -> ( match flat_rank f h with Some r -> Some (flat_vector f r) | None -> None)
 
-let get_or_create_vector t h =
+(* A header above every sorted one is an O(1) append either way; only
+   a bulk pass defers the others, whose one-by-one insertion would each
+   move the whole tail of [sorted]. *)
+let create_vector ~defer t h =
   match t with
   | Flat _ -> frozen "get_or_create_vector"
   | Hashed t -> (
@@ -71,8 +80,45 @@ let get_or_create_vector t h =
       | None ->
           let v = Pair_vector.create () in
           Hashtbl.add t.headers h v;
-          ignore (Vectors.Sorted_ivec.add t.sorted h);
+          let n = Vectors.Sorted_ivec.length t.sorted in
+          if defer && n > 0 && h < Vectors.Sorted_ivec.get t.sorted (n - 1) then
+            t.pending <- h :: t.pending
+          else ignore (Vectors.Sorted_ivec.add t.sorted h);
           v)
+
+let get_or_create_vector t h = create_vector ~defer:false t h
+
+let seal = function
+  | Flat _ -> ()
+  | Hashed t ->
+      match t.pending with
+      | [] -> ()
+      | pending ->
+          let a = Array.of_list pending in
+          t.pending <- [];
+          Array.sort Int.compare a;
+          Vectors.Sorted_ivec.merge_sorted t.sorted a
+
+let pending_headers = function Flat _ -> 0 | Hashed t -> List.length t.pending
+
+let sealed op t =
+  match t.pending with [] -> () | _ -> invalid_arg ("Index." ^ op ^ ": unsealed bulk pass")
+
+let get_or_create_list table key =
+  match Hashtbl.find_opt table key with
+  | Some l -> l
+  | None ->
+      let l = Vectors.Sorted_ivec.create ~capacity:2 () in
+      Hashtbl.add table key l;
+      l
+
+let link_with ~defer index ~first ~second l =
+  let v = create_vector ~defer index first in
+  ignore (Pair_vector.get_or_insert v second (fun () -> l));
+  Pair_vector.bump_total v 1
+
+let link = link_with ~defer:false
+let link_bulk = link_with ~defer:true
 
 let find_list t first second =
   match t with
@@ -99,12 +145,23 @@ let remove_header t h =
   match t with
   | Flat _ -> frozen "remove_header"
   | Hashed t ->
+      sealed "remove_header" t;
       if Hashtbl.mem t.headers h then begin
         Hashtbl.remove t.headers h;
         ignore (Vectors.Sorted_ivec.remove t.sorted h);
         true
       end
       else false
+
+let unlink index ~first ~second ~list_empty =
+  match find_vector index first with
+  | None -> invalid_arg "Index.unlink: no such header"
+  | Some v ->
+      Pair_vector.bump_total v (-1);
+      if list_empty then begin
+        ignore (Pair_vector.remove v second);
+        if Pair_vector.length v = 0 then ignore (remove_header index first)
+      end
 
 let iter f t =
   match t with
@@ -116,15 +173,23 @@ let iter f t =
 
 let iter_sorted f t =
   match t with
-  | Hashed t -> Vectors.Sorted_ivec.iter (fun h -> f h (Hashtbl.find t.headers h)) t.sorted
+  | Hashed t ->
+      sealed "iter_sorted" t;
+      Vectors.Sorted_ivec.iter (fun h -> f h (Hashtbl.find t.headers h)) t.sorted
   | Flat _ -> iter f t (* flat iteration is already in ascending header order *)
 
 let headers t =
   match t with
-  | Hashed t -> Vectors.Sorted_ivec.copy t.sorted
+  | Hashed t ->
+      sealed "headers" t;
+      Vectors.Sorted_ivec.copy t.sorted
   | Flat f -> Vectors.Sorted_ivec.copy f.fheaders
 
-let headers_view = function Hashed t -> t.sorted | Flat f -> f.fheaders
+let headers_view = function
+  | Hashed t ->
+      sealed "headers_view" t;
+      t.sorted
+  | Flat f -> f.fheaders
 
 let total = function
   | Hashed t -> Hashtbl.fold (fun _ v acc -> acc + Pair_vector.total v) t.headers 0
@@ -225,6 +290,7 @@ let block_violations = function
 let check_invariant t =
   (match t with
   | Hashed h ->
+      assert (h.pending = []);
       Vectors.Sorted_ivec.check_invariant h.sorted;
       assert (Vectors.Sorted_ivec.length h.sorted = Hashtbl.length h.headers);
       Vectors.Sorted_ivec.iter (fun hd -> assert (Hashtbl.mem h.headers hd)) h.sorted

@@ -32,6 +32,40 @@ val find_vector : t -> int -> Pair_vector.t option
 (** Pair vector under a header. *)
 
 val get_or_create_vector : t -> int -> Pair_vector.t
+(** The vector under a header, created (and inserted into the sorted
+    header vector) when the header is new. *)
+
+val get_or_create_list :
+  (int, Vectors.Sorted_ivec.t) Hashtbl.t -> int -> Vectors.Sorted_ivec.t
+(** The terminal list under a {!Vectors.Pair_key} in a store's list
+    table, created empty when absent. *)
+
+val link : t -> first:int -> second:int -> Vectors.Sorted_ivec.t -> unit
+(** [link idx ~first ~second l] registers the shared terminal list [l]
+    under (first, second) and counts one more triple under [first]'s
+    vector — the point-insert path: a new header goes straight into the
+    sorted header vector. *)
+
+val link_bulk : t -> first:int -> second:int -> Vectors.Sorted_ivec.t -> unit
+(** {!link} for bulk passes: a new header below the current largest one
+    is only recorded as pending, and the pass must end with {!seal}.
+    Until then the sorted header reads ({!headers_view}, {!headers},
+    {!iter_sorted}, {!compress}) and {!remove_header} raise
+    [Invalid_argument]. *)
+
+val seal : t -> unit
+(** Merges the pending headers of a bulk pass into the sorted header
+    vector: one sort of the [k] pending ids plus one in-place merge,
+    O(h + k log k) per batch instead of O(h) per header. *)
+
+val pending_headers : t -> int
+(** Headers awaiting {!seal}; 0 outside a bulk pass. *)
+
+val unlink : t -> first:int -> second:int -> list_empty:bool -> unit
+(** Undo one triple's {!link}: count one triple fewer under [first]
+    and, when the shared list has gone empty, drop the (first, second)
+    entry and then the header if its vector emptied.
+    @raise Invalid_argument when [first] is not a header. *)
 
 val find_list : t -> int -> int -> Vectors.Sorted_ivec.t option
 (** [find_list idx first second] is the terminal list under
@@ -62,3 +96,5 @@ val memory_words : t -> int
     by the store. *)
 
 val check_invariant : t -> unit
+(** Sorted headers match the hashtable, no header is pending, and
+    every vector is sound. *)

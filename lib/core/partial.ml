@@ -56,6 +56,7 @@ let create ?dict ~orderings () =
   { dict; kept; indices; families; size = 0 }
 
 let orderings t = t.kept
+let indices t = t.indices
 let dict t = t.dict
 let size t = t.size
 
@@ -72,19 +73,6 @@ let assemble (r1, r2, r3) x1 x2 x3 : Dict.Term_dict.id_triple =
   set r3 x3;
   { s = !s; p = !p; o = !o }
 
-let get_or_create_list table key =
-  match Hashtbl.find_opt table key with
-  | Some l -> l
-  | None ->
-      let l = Sorted_ivec.create ~capacity:2 () in
-      Hashtbl.add table key l;
-      l
-
-let link index ~first ~second l =
-  let v = Index.get_or_create_vector index first in
-  ignore (Pair_vector.get_or_insert v second (fun () -> l));
-  Pair_vector.bump_total v 1
-
 (* Duplicate detection goes through the first materialised family: every
    family's lists characterise the triple set completely. *)
 let primary t = List.hd t.families
@@ -95,7 +83,7 @@ let mem_ids t tr =
   | None -> false
   | Some l -> Sorted_ivec.mem l (family_third tr f)
 
-let link_ordering t lists tr ord =
+let link_ordering ~link t lists tr ord =
   let f = family_of ord in
   let l = List.assq f lists in
   let r1, r2, _ = roles ord in
@@ -106,7 +94,7 @@ let add_ids t tr =
   (* Insert into every materialised family; the primary add doubles as
      the duplicate check. *)
   let pf, ptable = primary t in
-  let plist = get_or_create_list ptable (family_key tr pf) in
+  let plist = Index.get_or_create_list ptable (family_key tr pf) in
   if not (Sorted_ivec.add plist (family_third tr pf)) then false
   else begin
     let lists =
@@ -114,13 +102,13 @@ let add_ids t tr =
         (fun (f, table) ->
           if f = pf then (f, plist)
           else begin
-            let l = get_or_create_list table (family_key tr f) in
+            let l = Index.get_or_create_list table (family_key tr f) in
             ignore (Sorted_ivec.add l (family_third tr f));
             (f, l)
           end)
         t.families
     in
-    List.iter (fun (ord, _) -> link_ordering t lists tr ord) t.indices;
+    List.iter (fun (ord, _) -> link_ordering ~link:Index.link t lists tr ord) t.indices;
     t.size <- t.size + 1;
     true
   end
@@ -145,10 +133,11 @@ let add_bulk_ids t triples =
     Array.sort (cmp_for_family f) fresh_arr;
     Array.iter
       (fun tr ->
-        let l = get_or_create_list table (family_key tr f) in
+        let l = Index.get_or_create_list table (family_key tr f) in
         ignore (Sorted_ivec.add l (family_third tr f));
         List.iter
-          (fun (ord, _) -> if family_of ord = f then link_ordering t [ (f, l) ] tr ord)
+          (fun (ord, _) ->
+            if family_of ord = f then link_ordering ~link:Index.link_bulk t [ (f, l) ] tr ord)
           t.indices)
       fresh_arr
   in
@@ -156,10 +145,11 @@ let add_bulk_ids t triples =
   let _, ptable = primary t in
   Array.iter
     (fun tr ->
-      let l = get_or_create_list ptable (family_key tr pf) in
+      let l = Index.get_or_create_list ptable (family_key tr pf) in
       if Sorted_ivec.add l (family_third tr pf) then begin
         List.iter
-          (fun (ord, _) -> if family_of ord = pf then link_ordering t [ (pf, l) ] tr ord)
+          (fun (ord, _) ->
+            if family_of ord = pf then link_ordering ~link:Index.link_bulk t [ (pf, l) ] tr ord)
           t.indices;
         fresh := tr :: !fresh;
         incr fresh_count
@@ -167,6 +157,7 @@ let add_bulk_ids t triples =
     arr;
   let fresh = Array.of_list !fresh in
   List.iter (fun (f, table) -> if f <> pf then pass f table fresh) t.families;
+  List.iter (fun (_, idx) -> Index.seal idx) t.indices;
   t.size <- t.size + !fresh_count;
   !fresh_count
 

@@ -21,6 +21,10 @@ val create : ?dict:Dict.Term_dict.t -> orderings:Ordering.t list -> unit -> t
 
 val orderings : t -> Ordering.Set.t
 
+val indices : t -> (Ordering.t * Index.t) list
+(** The materialised orderings' indices, in {!Ordering.compare} order.
+    For audits and tests; callers must not mutate them. *)
+
 val dict : t -> Dict.Term_dict.t
 
 val size : t -> int

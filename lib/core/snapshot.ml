@@ -54,33 +54,40 @@ let write_varint sink n =
   in
   go n
 
+(* The loader reads everything after the magic in one block and
+   decodes it from memory; the checksum is one loop over the decoded
+   prefix, once the payload's end is known. *)
 type source = {
-  ic : in_channel;
-  mutable in_hash : int64;
+  buf : string;
+  mutable pos : int;
 }
 
 let read_byte src =
-  match input_char src.ic with
-  | c ->
-      src.in_hash <- fnv_update src.in_hash (Char.code c);
-      Char.code c
-  | exception End_of_file -> corrupt "truncated snapshot"
+  if src.pos >= String.length src.buf then corrupt "truncated snapshot";
+  let c = String.unsafe_get src.buf src.pos in
+  src.pos <- src.pos + 1;
+  Char.code c
 
 (* A corrupt length field must fail as [Corrupt], not as an attempted
    multi-gigabyte allocation: no declared size can exceed the bytes that
-   are actually left in the channel. *)
-let remaining src = in_channel_length src.ic - pos_in src.ic
+   are actually left. *)
+let remaining src = String.length src.buf - src.pos
 
 let check_size src n what =
   if n < 0 || n > remaining src then corrupt "declared %s exceeds snapshot size" what
 
 let read_string src n =
   check_size src n "string length";
-  let b = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.unsafe_set b i (Char.chr (read_byte src))
+  let s = String.sub src.buf src.pos n in
+  src.pos <- src.pos + n;
+  s
+
+let fnv_prefix s len =
+  let h = ref fnv_offset in
+  for i = 0 to len - 1 do
+    h := fnv_update !h (Char.code (String.unsafe_get s i))
   done;
-  Bytes.unsafe_to_string b
+  !h
 
 let read_varint src =
   let rec go shift acc =
@@ -146,7 +153,7 @@ let save h path =
 let load_channel ic =
   let got = try really_input_string ic (String.length magic) with End_of_file -> "" in
   if got <> magic && got <> magic_v1 then corrupt "bad magic (not a Hexastore snapshot)";
-  let src = { ic; in_hash = fnv_offset } in
+  let src = { buf = In_channel.input_all ic; pos = 0 } in
   (* Format 1 predates representation tags: such blobs are raw. *)
   let repr = if got = magic then repr_of_tag (read_byte src) else Vectors.Sorted_ivec.Raw in
   let dict = Dict.Term_dict.create () in
@@ -186,17 +193,12 @@ let load_channel ic =
     triples.(i) <- tr;
     prev := tr
   done;
-  let payload_hash = src.in_hash in
-  let stored =
-    try really_input_string ic 8 with End_of_file -> corrupt "missing checksum"
-  in
-  let stored_hash =
-    String.fold_left (fun acc c -> Int64.logor (Int64.shift_left acc 8) (Int64.of_int (Char.code c))) 0L stored
-  in
-  if stored_hash <> payload_hash then corrupt "checksum mismatch";
-  (match input_char ic with
-  | _ -> corrupt "trailing bytes after checksum"
-  | exception End_of_file -> ());
+  let payload_len = src.pos in
+  if remaining src < 8 then corrupt "missing checksum";
+  let stored_hash = String.get_int64_be src.buf payload_len in
+  if not (Int64.equal stored_hash (fnv_prefix src.buf payload_len)) then
+    corrupt "checksum mismatch";
+  if remaining src > 8 then corrupt "trailing bytes after checksum";
   let h = Hexastore.create ~dict ~repr () in
   let added = Hexastore.add_bulk_ids h triples in
   if added <> n_triples then corrupt "duplicate triples in snapshot";

@@ -4,17 +4,18 @@
     Hexastore"; this module is the persistence half of that: a compact
     binary image of the store — the dictionary plus the triple set,
     delta-varint encoded in (s, p, o) order — from which loading rebuilds
-    all six indices through the bulk path (the sorted stream makes every
-    insertion a monotone append).
+    all six indices through the bulk path.
 
-    Format (version 1):
+    Format (version 2; version-1 files, which lack the repr byte, still
+    load as raw stores):
     {v
-magic   "HEXSNAP1"
+magic   "HEXSNAP2"  ("HEXSNAP1" for version 1)
+repr    one byte: 0 raw, 1 packed, 2 delta_varint (absent in version 1)
 dict    varint count, then per id: varint length + N-Triples spelling
 triples varint count, then per triple (sorted s,p,o):
         varint Δs, varint Δp (absolute when Δs>0), varint Δo
         (absolute when Δs>0 or Δp>0)
-crc     FNV-1a 64-bit of everything after the magic
+crc     FNV-1a 64-bit of everything after the magic, big-endian
     v}
 
     Ids are positional: the dictionary section re-encodes terms in id

@@ -181,6 +181,41 @@ let remove v x =
       end
       else false
 
+(* Grow once (doubling, so the capacity ends where [k] successive
+   [add]s would leave it), then fill from the back: only the elements
+   above [a.(0)] move, each once. *)
+let merge_sorted v a =
+  match v with
+  | S _ -> frozen "merge_sorted"
+  | R r ->
+      let k = Array.length a in
+      for j = 1 to k - 1 do
+        if a.(j - 1) >= a.(j) then invalid_arg "Sorted_ivec.merge_sorted: not strictly increasing"
+      done;
+      let n = r.len in
+      let cap = ref (Array.length r.data) in
+      while !cap < n + k do
+        cap := max 8 (2 * !cap)
+      done;
+      if !cap > Array.length r.data then begin
+        let data = Array.make !cap 0 in
+        Array.blit r.data 0 data 0 n;
+        r.data <- data
+      end;
+      let data = r.data in
+      let i = ref (n - 1) in
+      for j = k - 1 downto 0 do
+        let x = Array.unsafe_get a j in
+        while !i >= 0 && Array.unsafe_get data !i > x do
+          Array.unsafe_set data (!i + j + 1) (Array.unsafe_get data !i);
+          decr i
+        done;
+        if !i >= 0 && Array.unsafe_get data !i = x then
+          invalid_arg "Sorted_ivec.merge_sorted: element already present";
+        Array.unsafe_set data (!i + j + 1) x
+      done;
+      r.len <- n + k
+
 let of_sorted_array a =
   let n = Array.length a in
   for i = 1 to n - 1 do

