@@ -1347,7 +1347,7 @@ let lubm_queries dict =
 (* ------------------------------------------------------------------- *)
 
 (* Each load workload's largest prefix rebuilt under every index
-   representation — raw, frame-of-reference bit-packed, delta+varint —
+   representation — raw and frame-of-reference bit-packed —
    over the same shared dictionary, so the same resolved query ids run
    against every arm.  Memory comes from the exact per-structure
    accounting; wall time covers the full workload query suites plus the
@@ -1373,7 +1373,7 @@ type repr_sweep = {
   rs_join : (string * float) list;  (* representation name, planned wall *)
 }
 
-let repr_kinds = Vectors.Sorted_ivec.[ Raw; Packed; Delta_varint ]
+let repr_kinds = Vectors.Sorted_ivec.[ Raw; Packed ]
 
 let repr_cache : repr_sweep option ref = ref None
 

@@ -250,7 +250,7 @@ let check_pool ~pr json =
 (* The PR-10 representation sweep: each load workload rebuilt under
    every index representation, plus the join figure's planned queries
    re-run per representation.  Required from PR 10 on.  The headline
-   bars are the PR's acceptance criteria: at least one compressed
+   bars are the PR's acceptance criteria: the compressed (packed)
    representation must shrink the measured store footprint by >= 2.5x
    on {e both} load workloads while keeping the join figure's aggregate
    wall time within 1.3x of Raw.  The wall bar is waived in smoke mode,
@@ -261,7 +261,7 @@ let check_repr ~pr ~mode json =
   | None | Some Telemetry.Json.Null ->
       if pr >= 10 then fail "repr section missing (required since PR 10)"
   | Some repr ->
-      let compressed = [ "packed"; "delta_varint" ] in
+      let compressed = [ "packed" ] in
       let all_reprs = "raw" :: compressed in
       let workload_names = [ "lubm"; "barton" ] in
       let workloads =
@@ -316,8 +316,8 @@ let check_repr ~pr ~mode json =
       in
       if qualifying = [] then
         fail
-          "repr: no compressed representation clears the bars (>= 2.5x memory reduction on \
-           both workloads, join wall within 1.3x of raw)"
+          "repr: the compressed representation does not clear the bars (>= 2.5x memory \
+           reduction on both workloads, join wall within 1.3x of raw)"
 
 let parse_file path =
   match Telemetry.Json.of_string (read_file path) with

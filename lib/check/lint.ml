@@ -50,11 +50,11 @@ let clock_exempt path =
    membership tests there bypass the planner's merge/hash operators. *)
 let query_scoped path = Filename.basename (Filename.dirname path) = "query"
 
-(* The codec modules are an implementation detail of the vectors layer:
+(* The codec module is an implementation detail of the vectors layer:
    everyone else reads compressed data through the Sorted_ivec
    stream/slice API, which is what lets a representation swap leave the
    planner, executor and snapshot code untouched. *)
-let pats_repr_codec = [ "Packed_ivec"; "Delta_ivec" ]
+let pats_repr_codec = [ "Packed_ivec" ]
 let vectors_scoped path = Filename.basename (Filename.dirname path) = "vectors"
 
 let allow_marker rule = "lint: allow " ^ rule_name rule

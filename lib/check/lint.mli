@@ -36,8 +36,8 @@
       reason.  This is the gate the ROADMAP concurrency item consumes:
       un-attested shared mutable state cannot reach a multi-domain
       executor unnoticed.
-    - {b repr-abstraction}: no mention of the compressed codec modules
-      ([Packed_ivec], [Delta_ivec]) outside a [vectors] directory —
+    - {b repr-abstraction}: no mention of the compressed codec module
+      ([Packed_ivec]) outside a [vectors] directory —
       every other layer reads compressed data through the
       [Sorted_ivec] stream/slice API, which is what lets a
       representation swap leave planner, executor and snapshots

@@ -618,13 +618,12 @@ let memory_words_with_dict t = memory_words t + Dict.Term_dict.memory_words t.di
 let compress t =
   if t.repr <> Sorted_ivec.Raw && not (is_flat t) then begin
     let before = memory_words t in
-    let kind = t.repr in
-    t.spo <- Index.compress ~kind t.spo;
-    t.sop <- Index.compress ~kind t.sop;
-    t.pso <- Index.compress ~kind t.pso;
-    t.pos <- Index.compress ~kind t.pos;
-    t.osp <- Index.compress ~kind t.osp;
-    t.ops <- Index.compress ~kind t.ops;
+    t.spo <- Index.compress t.spo;
+    t.sop <- Index.compress t.sop;
+    t.pso <- Index.compress t.pso;
+    t.pos <- Index.compress t.pos;
+    t.osp <- Index.compress t.osp;
+    t.ops <- Index.compress t.ops;
     t.o_lists <- Hashtbl.create 1;
     t.p_lists <- Hashtbl.create 1;
     t.s_lists <- Hashtbl.create 1;

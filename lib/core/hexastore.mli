@@ -28,10 +28,9 @@ val create : ?dict:Dict.Term_dict.t -> ?repr:Vectors.Sorted_ivec.kind -> unit ->
 (** A fresh empty store.  Pass [dict] to share a mapping table with
     another store (the benchmarks do this so Hexastore and the COVP
     baselines agree on ids).  [repr] selects the index representation:
-    [Raw] (mutable, the default) or a compressed kind that
-    {!add_bulk_ids} re-establishes after every bulk load.  When absent,
-    read from the [HEXASTORE_REPR] environment variable
-    ([raw]/[packed]/[delta_varint]).
+    [Raw] (mutable, the default) or [Packed], which {!add_bulk_ids}
+    re-establishes after every bulk load.  When absent, read from the
+    [HEXASTORE_REPR] environment variable ([raw]/[packed]).
     @raise Invalid_argument on an unknown [HEXASTORE_REPR] value. *)
 
 val dict : t -> Dict.Term_dict.t
@@ -42,9 +41,9 @@ val repr : t -> Vectors.Sorted_ivec.kind
 (** The configured target representation. *)
 
 val repr_name : t -> string
-(** The {e effective} representation right now: the configured kind's
-    name while the store is flat-compressed, ["raw"] otherwise (e.g.
-    after a point mutation inflated it). *)
+(** The {e effective} representation right now: ["packed"] while the
+    store is flat-compressed, ["raw"] otherwise (e.g. after a point
+    mutation inflated it). *)
 
 val is_flat : t -> bool
 (** Whether the six indices are currently flat compressed. *)

@@ -5,7 +5,7 @@
    The flat form exists because the store's memory is dominated by the
    per-object overhead of hundreds of thousands of tiny lists and
    vectors, not by element widths — flattening removes the objects,
-   the codecs then shrink the payload.  All reads go through
+   bit-packing then shrinks the payload.  All reads go through
    [Sorted_ivec] slices / [Pair_vector] views, so the query layers
    never see the difference; mutation of a flat index raises, and the
    store swaps representations wholesale instead. *)
@@ -27,10 +27,10 @@ type flat = {
   n_headers : int;
   fhdr_s : Vectors.Sorted_ivec.stream; (* h sorted header ids *)
   fheaders : Vectors.Sorted_ivec.t; (* whole-stream slice of fhdr_s *)
-  fkey_off : Vectors.Sorted_ivec.stream; (* h+1 offsets into fkeys (packed) *)
-  fkeys : Vectors.Sorted_ivec.stream; (* E second-level keys, one segment per header *)
-  flist_off : Vectors.Sorted_ivec.stream; (* E+1 offsets into fterms (packed) *)
-  fterms : Vectors.Sorted_ivec.stream; (* N terminal ids, one segment per (header,key) *)
+  fkey_off : Vectors.Sorted_ivec.stream; (* h+1 offsets into fkeys *)
+  fkeys : Vectors.Sorted_ivec.stream; (* E second-level keys, one sorted run per header *)
+  flist_off : Vectors.Sorted_ivec.stream; (* E+1 offsets into fterms *)
+  fterms : Vectors.Sorted_ivec.stream; (* N terminal ids, one sorted run per (header,key) *)
 }
 
 type t = Hashed of hashed | Flat of flat
@@ -213,11 +213,10 @@ let memory_words = function
       + Vectors.Sorted_ivec.stream_memory_words f.flist_off
       + Vectors.Sorted_ivec.stream_memory_words f.fterms
 
-(* Rebuild any index as a flat compressed one.  [kind] picks the codec
-   for the header/key/terminal streams; the two row-pointer streams are
-   always bit-packed so offset reads stay O(1). *)
-let compress ~kind t =
-  if kind = Vectors.Sorted_ivec.Raw then invalid_arg "Index.compress: kind must be compressed";
+(* Rebuild any index as a flat bit-packed one: header, key and
+   terminal streams plus the two row-pointer streams, all with O(1)
+   cell reads. *)
+let compress t =
   let h = header_count t in
   let e = ref 0 and n = ref 0 in
   iter
@@ -252,23 +251,17 @@ let compress ~kind t =
   key_off.(h) <- e;
   list_off.(e) <- n;
   assert (!hi = h && !ei = e && !ni = n);
-  let packed = Vectors.Sorted_ivec.Packed in
-  let fhdr_s =
-    Vectors.Sorted_ivec.stream_of_array kind ~segments:[| 0 |] (Array.sub hdrs 0 h)
-  in
+  let stream = Vectors.Sorted_ivec.stream_of_array in
+  let fhdr_s = stream (Array.sub hdrs 0 h) in
   Flat
     {
-    n_headers = h;
-    fhdr_s;
-    fheaders = Vectors.Sorted_ivec.slice fhdr_s ~off:0 ~len:h;
-    fkey_off = Vectors.Sorted_ivec.stream_of_array packed ~segments:[||] key_off;
-    fkeys =
-      Vectors.Sorted_ivec.stream_of_array kind ~segments:(Array.sub key_off 0 h)
-        (Array.sub keys 0 e);
-    flist_off = Vectors.Sorted_ivec.stream_of_array packed ~segments:[||] list_off;
-      fterms =
-        Vectors.Sorted_ivec.stream_of_array kind ~segments:(Array.sub list_off 0 e)
-          (Array.sub terms 0 n);
+      n_headers = h;
+      fhdr_s;
+      fheaders = Vectors.Sorted_ivec.slice fhdr_s ~off:0 ~len:h;
+      fkey_off = stream key_off;
+      fkeys = stream (Array.sub keys 0 e);
+      flist_off = stream list_off;
+      fterms = stream (Array.sub terms 0 n);
     }
 
 let block_violations = function

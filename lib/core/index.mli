@@ -11,14 +11,13 @@ type t
 val create : ?initial_headers:int -> unit -> t
 (** A fresh mutable (hashed) index. *)
 
-val compress : kind:Vectors.Sorted_ivec.kind -> t -> t
+val compress : t -> t
 (** Rebuild as a flat compressed index: headers, second-level keys and
-    terminal ids become three shared codec streams addressed by two
-    bit-packed row-pointer streams, and every lookup answers with
+    terminal ids become three shared bit-packed streams addressed by
+    two bit-packed row-pointer streams, and every lookup answers with
     zero-copy slices/views.  Flat indices are immutable — the mutating
     operations below raise [Invalid_argument]; the store swaps whole
-    representations instead ([Hexastore.compress]/[inflate]).
-    @raise Invalid_argument on [Raw]. *)
+    representations instead ([Hexastore.compress]/[inflate]). *)
 
 val is_flat : t -> bool
 

@@ -5,10 +5,11 @@ open Vectors
    stream: a zero-copy sorted key slice, the precomputed triple total,
    and a function materialising the j-th terminal-list slice on demand.
    Views are transient (constructed per lookup, never stored), so they
-   carry no mutation support. *)
+   carry no mutation support.  Both forms keep their keys in one
+   [Sorted_ivec.t], so every search goes through its kernels. *)
 type t =
   | Pv of {
-      keys : Dynarray_int.t;
+      keys : Sorted_ivec.t; (* raw *)
       mutable payloads : Sorted_ivec.t array; (* parallel to keys; slack beyond length *)
       mutable total_count : int;
     }
@@ -23,7 +24,7 @@ let dummy = Sorted_ivec.create ~capacity:1 ()
 let create ?(capacity = 4) () =
   Pv
     {
-      keys = Dynarray_int.create ~capacity ();
+      keys = Sorted_ivec.create ~capacity ();
       payloads = Array.make (max capacity 1) dummy;
       total_count = 0;
     }
@@ -32,139 +33,88 @@ let view ~keys ~total ~payload = View { vkeys = keys; vtotal = total; vpay = pay
 
 let frozen op = invalid_arg ("Pair_vector." ^ op ^ ": compressed view is immutable")
 
-let length = function Pv v -> Dynarray_int.length v.keys | View v -> Sorted_ivec.length v.vkeys
+let key_vector = function Pv v -> v.keys | View v -> v.vkeys
+
+let length v = Sorted_ivec.length (key_vector v)
 
 let total = function Pv v -> v.total_count | View v -> v.vtotal
 
 let bump_total v d =
   match v with Pv v -> v.total_count <- v.total_count + d | View _ -> frozen "bump_total"
 
-let unsafe_key v i =
-  match v with
-  | Pv v -> Dynarray_int.unsafe_get v.keys i
-  | View v -> Sorted_ivec.get v.vkeys i
+let key_at v i = Sorted_ivec.get (key_vector v) i
 
-let index_geq v x =
-  match v with
-  | View w -> Sorted_ivec.index_geq w.vkeys x
-  | Pv _ ->
-      let lo = ref 0 and hi = ref (length v) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if unsafe_key v mid < x then lo := mid + 1 else hi := mid
-      done;
-      !lo
+let index_geq v x = Sorted_ivec.index_geq (key_vector v) x
+
+let search_from v ~from x = Sorted_ivec.search_from (key_vector v) ~from x
 
 let payload v i = match v with Pv v -> v.payloads.(i) | View v -> v.vpay i
 
 let find v key =
   let i = index_geq v key in
-  if i < length v && unsafe_key v i = key then Some (payload v i) else None
-
-(* Galloping lower bound over the keys, resuming at [from] — the same
-   exponential bracket-then-bisect as {!Vectors.Sorted_ivec.search_from},
-   so a merge-scan's repeated seeks pay for distance covered, not log n
-   each. *)
-let search_from v ~from x =
-  match v with
-  | View w -> Sorted_ivec.search_from w.vkeys ~from x
-  | Pv _ ->
-      let n = length v in
-      let from = if from < 0 then 0 else from in
-      if from >= n then n
-      else if unsafe_key v from >= x then from
-      else begin
-        let step = ref 1 in
-        let lo = ref from in
-        while !lo + !step < n && unsafe_key v (!lo + !step) < x do
-          lo := !lo + !step;
-          step := !step * 2
-        done;
-        let hi = ref (min n (!lo + !step + 1)) in
-        incr lo;
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if unsafe_key v mid < x then lo := mid + 1 else hi := mid
-        done;
-        !lo
-      end
+  if i < length v && key_at v i = key then Some (payload v i) else None
 
 let get_or_insert v key mk =
   match v with
   | View _ -> frozen "get_or_insert"
   | Pv r ->
-      let n = Dynarray_int.length r.keys in
-      let ensure m =
-        if m > Array.length r.payloads then begin
-          let bigger = Array.make (max m (2 * Array.length r.payloads)) dummy in
-          Array.blit r.payloads 0 bigger 0 (Array.length r.payloads);
-          r.payloads <- bigger
-        end
-      in
-      if n = 0 || key > Dynarray_int.last r.keys then begin
-        (* Fast path: ascending arrival, plain append. *)
+      let n = Sorted_ivec.length r.keys in
+      (* Ascending arrivals (the bulk-load case) append without a search. *)
+      let i = if n = 0 || key > Sorted_ivec.get r.keys (n - 1) then n else index_geq v key in
+      if i < n && Sorted_ivec.get r.keys i = key then r.payloads.(i)
+      else begin
         let payload = mk () in
-        Dynarray_int.push r.keys key;
-        ensure (n + 1);
-        r.payloads.(n) <- payload;
+        Sorted_ivec.insert_at r.keys i key;
+        if n = Array.length r.payloads then begin
+          let bigger = Array.make (2 * n) dummy in
+          Array.blit r.payloads 0 bigger 0 n;
+          r.payloads <- bigger
+        end;
+        if i < n then Array.blit r.payloads i r.payloads (i + 1) (n - i);
+        r.payloads.(i) <- payload;
         payload
       end
-      else
-        let i = index_geq v key in
-        if i < n && Dynarray_int.unsafe_get r.keys i = key then r.payloads.(i)
-        else begin
-          let payload = mk () in
-          Dynarray_int.insert r.keys i key;
-          ensure (n + 1);
-          Array.blit r.payloads i r.payloads (i + 1) (n - i);
-          r.payloads.(i) <- payload;
-          payload
-        end
 
 let remove v key =
   match v with
   | View _ -> frozen "remove"
   | Pv r ->
       let i = index_geq v key in
-      if i < Dynarray_int.length r.keys && Dynarray_int.unsafe_get r.keys i = key then begin
-        let n = Dynarray_int.length r.keys in
-        Dynarray_int.remove r.keys i;
+      let n = Sorted_ivec.length r.keys in
+      if i < n && Sorted_ivec.get r.keys i = key then begin
+        Sorted_ivec.remove_at r.keys i;
         Array.blit r.payloads (i + 1) r.payloads i (n - i - 1);
         r.payloads.(n - 1) <- dummy;
         true
       end
       else false
 
-let key_at v i =
-  match v with Pv r -> Dynarray_int.get r.keys i | View w -> Sorted_ivec.get w.vkeys i
-
 let payload_at v i =
   if i < 0 || i >= length v then invalid_arg "Pair_vector.payload_at";
   payload v i
 
-let keys = function
-  | Pv r -> Sorted_ivec.of_sorted_array (Dynarray_int.to_array r.keys)
-  | View w -> Sorted_ivec.copy w.vkeys
+let keys v = Sorted_ivec.copy (key_vector v)
 
 let iter f v =
-  for i = 0 to length v - 1 do
-    f (unsafe_key v i) (payload v i)
+  let keys = key_vector v in
+  for i = 0 to Sorted_ivec.length keys - 1 do
+    f (Sorted_ivec.get keys i) (payload v i)
   done
 
 let to_seq v =
+  let keys = key_vector v in
   let rec aux i () =
-    if i >= length v then Seq.Nil else Seq.Cons ((unsafe_key v i, payload v i), aux (i + 1))
+    if i >= Sorted_ivec.length keys then Seq.Nil
+    else Seq.Cons ((Sorted_ivec.get keys i, payload v i), aux (i + 1))
   in
   aux 0
 
 let memory_words = function
-  | Pv r -> Dynarray_int.memory_words r.keys + Array.length r.payloads + 3
+  | Pv r -> Sorted_ivec.memory_words r.keys + Array.length r.payloads + 3
   | View _ -> 8 (* transient: variant block + slice + closure; never aggregated *)
 
 let check_invariant v =
-  for i = 1 to length v - 1 do
-    assert (unsafe_key v (i - 1) < unsafe_key v i)
-  done;
+  Sorted_ivec.check_invariant (key_vector v);
   let sum = ref 0 in
   iter (fun _ l -> sum := !sum + Sorted_ivec.length l) v;
   assert (!sum = total v)

@@ -7,8 +7,10 @@
     same element (§4.1), so they are stored by reference and this module
     never copies them.
 
-    Keys are kept strictly increasing; insertion is by binary search with
-    an O(1) amortised fast path for ascending (bulk-load) arrivals. *)
+    Keys are kept strictly increasing in one {!Vectors.Sorted_ivec.t}
+    (raw in the build form, a compressed slice in a {!view}), so every
+    key search is that module's; insertion is one binary search with an
+    O(1) amortised fast path for ascending (bulk-load) arrivals. *)
 
 type t
 
@@ -54,6 +56,10 @@ val payload_at : t -> int -> Vectors.Sorted_ivec.t
 val keys : t -> Vectors.Sorted_ivec.t
 (** A fresh sorted vector of the keys (copies; O(n)). *)
 
+val key_vector : t -> Vectors.Sorted_ivec.t
+(** The vector's own sorted keys — zero-copy, shared: callers must not
+    mutate it.  Merge joins seek into this directly. *)
+
 val iter : (int -> Vectors.Sorted_ivec.t -> unit) -> t -> unit
 (** In ascending key order. *)
 
@@ -62,8 +68,9 @@ val to_seq : t -> (int * Vectors.Sorted_ivec.t) Seq.t
 val index_geq : t -> int -> int
 
 val search_from : t -> from:int -> int -> int
-(** [search_from v ~from k] is the index of the smallest key [>= k] at
-    position [>= from] — a galloping lower bound, O(log gap).  The
+(** [search_from v ~from k] is {!Vectors.Sorted_ivec.search_from} over
+    the keys: the index of the smallest key [>= k] at position
+    [>= from], a galloping lower bound in O(log gap).  The
     resumable-cursor primitive behind the store's sorted merge scans. *)
 
 val memory_words : t -> int

@@ -6,19 +6,16 @@ let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
    — inside the checksum — recording the store's configured codec so a
    compressed store round-trips byte-identically (same tag out, same
    tag back in, recompression on load).  Format-1 blobs still load, as
-   raw stores. *)
+   raw stores; tag 2, written by a since-retired delta codec over the
+   same plain-triple payload, loads as packed. *)
 let magic = "HEXSNAP2"
 let magic_v1 = "HEXSNAP1"
 
-let repr_tag = function
-  | Vectors.Sorted_ivec.Raw -> 0
-  | Vectors.Sorted_ivec.Packed -> 1
-  | Vectors.Sorted_ivec.Delta_varint -> 2
+let repr_tag = function Vectors.Sorted_ivec.Raw -> 0 | Vectors.Sorted_ivec.Packed -> 1
 
 let repr_of_tag = function
   | 0 -> Vectors.Sorted_ivec.Raw
-  | 1 -> Vectors.Sorted_ivec.Packed
-  | 2 -> Vectors.Sorted_ivec.Delta_varint
+  | 1 | 2 -> Vectors.Sorted_ivec.Packed
   | b -> corrupt "unknown representation tag %d" b
 
 (* --- FNV-1a 64-bit, over the payload bytes ---------------------------- *)
@@ -29,34 +26,29 @@ let fnv_prime = 0x100000001b3L
 let fnv_update h byte =
   Int64.mul (Int64.logxor h (Int64.of_int (byte land 0xff))) fnv_prime
 
-(* --- checksummed byte sinks/sources ----------------------------------- *)
+let fnv_prefix s len =
+  let h = ref fnv_offset in
+  for i = 0 to len - 1 do
+    h := fnv_update !h (Char.code (String.unsafe_get s i))
+  done;
+  !h
 
-type sink = {
-  oc : out_channel;
-  mutable out_hash : int64;
-}
+(* --- payload encoding and decoding ------------------------------------ *)
 
-let write_byte sink b =
-  output_char sink.oc (Char.chr (b land 0xff));
-  sink.out_hash <- fnv_update sink.out_hash b
-
-let write_string sink s =
-  String.iter (fun c -> write_byte sink (Char.code c)) s
-
-let write_varint sink n =
+let write_varint buf n =
   if n < 0 then invalid_arg "Snapshot.write_varint: negative";
   let rec go n =
-    if n < 0x80 then write_byte sink n
+    if n < 0x80 then Buffer.add_uint8 buf n
     else begin
-      write_byte sink (0x80 lor (n land 0x7f));
+      Buffer.add_uint8 buf (0x80 lor (n land 0x7f));
       go (n lsr 7)
     end
   in
   go n
 
-(* The loader reads everything after the magic in one block and
-   decodes it from memory; the checksum is one loop over the decoded
-   prefix, once the payload's end is known. *)
+(* Both directions work on the payload in memory: the saver encodes it
+   into a buffer and the loader reads everything after the magic in one
+   block, so each side hashes it with one {!fnv_prefix} loop. *)
 type source = {
   buf : string;
   mutable pos : int;
@@ -82,13 +74,6 @@ let read_string src n =
   src.pos <- src.pos + n;
   s
 
-let fnv_prefix s len =
-  let h = ref fnv_offset in
-  for i = 0 to len - 1 do
-    h := fnv_update !h (Char.code (String.unsafe_get s i))
-  done;
-  !h
-
 let read_varint src =
   let rec go shift acc =
     if shift > 62 then corrupt "varint overflow";
@@ -101,18 +86,17 @@ let read_varint src =
 (* --- save -------------------------------------------------------------- *)
 
 let save_channel h oc =
-  let sink = { oc; out_hash = fnv_offset } in
-  output_string oc magic;
-  write_byte sink (repr_tag (Hexastore.repr h));
+  let buf = Buffer.create 4096 in
+  Buffer.add_uint8 buf (repr_tag (Hexastore.repr h));
   let dict = Hexastore.dict h in
   let n_terms = Dict.Term_dict.size dict in
-  write_varint sink n_terms;
+  write_varint buf n_terms;
   for id = 0 to n_terms - 1 do
     let spelling = Rdf.Term.to_string (Dict.Term_dict.decode_term dict id) in
-    write_varint sink (String.length spelling);
-    write_string sink spelling
+    write_varint buf (String.length spelling);
+    Buffer.add_string buf spelling
   done;
-  write_varint sink (Hexastore.size h);
+  write_varint buf (Hexastore.size h);
   (* The full scan streams in (s, p, o) order — exactly the delta-friendly
      order. *)
   let prev = ref { Dict.Term_dict.s = 0; p = 0; o = 0 } in
@@ -124,16 +108,16 @@ let save_channel h oc =
          let dp = tr.p - p_base in
          let o_base = if ds > 0 || dp > 0 || !first then 0 else !prev.o in
          let dob = tr.o - o_base in
-         write_varint sink ds;
-         write_varint sink dp;
-         write_varint sink dob;
+         write_varint buf ds;
+         write_varint buf dp;
+         write_varint buf dob;
          prev := tr;
          first := false);
   (* Trailer: the hash of everything after the magic, big-endian. *)
-  let hash = sink.out_hash in
-  for i = 7 downto 0 do
-    output_char oc (Char.chr (Int64.to_int (Int64.shift_right_logical hash (8 * i)) land 0xff))
-  done
+  let payload = Buffer.contents buf in
+  Buffer.add_int64_be buf (fnv_prefix payload (String.length payload));
+  output_string oc magic;
+  Buffer.output_buffer oc buf
 
 let save h path =
   let tmp = path ^ ".tmp" in

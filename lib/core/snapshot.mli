@@ -10,7 +10,8 @@
     load as raw stores):
     {v
 magic   "HEXSNAP2"  ("HEXSNAP1" for version 1)
-repr    one byte: 0 raw, 1 packed, 2 delta_varint (absent in version 1)
+repr    one byte: 0 raw, 1 packed (absent in version 1; 2, written by
+        the retired delta_varint codec, loads as packed)
 dict    varint count, then per id: varint length + N-Triples spelling
 triples varint count, then per triple (sorted s,p,o):
         varint Δs, varint Δp (absolute when Δs>0), varint Δo

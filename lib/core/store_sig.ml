@@ -47,8 +47,8 @@ module type S = sig
       stable under the one-writer protocol. *)
 
   val repr_name : t -> string
-  (** Effective index representation right now ("raw", "packed",
-      "delta_varint").  Baseline stores are always "raw". *)
+  (** Effective index representation right now ("raw" or "packed").
+      Baseline stores are always "raw". *)
 
   val memory_words : t -> int
 end

@@ -7,74 +7,42 @@ type constraint_ = {
 
 (* A sorted source of subject ids: either a terminal s-list or the key
    column of a pso pair-vector — accessed in place, never copied. *)
-type source =
-  | Ivec of Sorted_ivec.t
-  | Keys of Hexa.Pair_vector.t
-  | Empty
-
-let source_length = function
-  | Ivec v -> Sorted_ivec.length v
-  | Keys v -> Hexa.Pair_vector.length v
-  | Empty -> 0
-
-let source_get src i =
-  match src with
-  | Ivec v -> Sorted_ivec.get v i
-  | Keys v -> Hexa.Pair_vector.key_at v i
-  | Empty -> invalid_arg "Star.source_get"
-
-(* First index with value >= x, galloping forward from [from]. *)
-let seek src ~from x =
-  let n = source_length src in
-  let step = ref 1 in
-  let lo = ref from in
-  while !lo + !step < n && source_get src (!lo + !step) < x do
-    lo := !lo + !step;
-    step := !step * 2
-  done;
-  let hi = ref (min n (!lo + !step + 1)) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if source_get src mid < x then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
 let source_of h { p; o } =
-  if p < 0 then Empty
-  else
-    match o with
-    | Some o -> (
-        match Hexa.Hexastore.subjects_of_po h ~p ~o with Some l -> Ivec l | None -> Empty)
-    | None -> (
-        match Hexa.Index.find_vector (Hexa.Hexastore.pso h) p with
-        | Some v -> Keys v
-        | None -> Empty)
+  let found =
+    if p < 0 then None
+    else
+      match o with
+      | Some o -> Hexa.Hexastore.subjects_of_po h ~p ~o
+      | None ->
+          Option.map Hexa.Pair_vector.key_vector
+            (Hexa.Index.find_vector (Hexa.Hexastore.pso h) p)
+  in
+  match found with Some v -> v | None -> Sorted_ivec.create ~capacity:1 ()
 
 (* Leapfrog-style k-way intersection: drive from the smallest source and
    seek the others forward; every cursor is monotone. *)
 let intersect_sources sources =
-  match List.sort (fun a b -> compare (source_length a) (source_length b)) sources with
+  match List.sort (fun a b -> compare (Sorted_ivec.length a) (Sorted_ivec.length b)) sources with
   | [] -> None
   | smallest :: rest ->
-      let out = Sorted_ivec.create ~capacity:(max 1 (source_length smallest)) () in
+      let out = Sorted_ivec.create ~capacity:(max 1 (Sorted_ivec.length smallest)) () in
       let cursors = Array.of_list rest in
       let positions = Array.make (Array.length cursors) 0 in
-      let n0 = source_length smallest in
       (try
-         for i = 0 to n0 - 1 do
-           let x = source_get smallest i in
-           let ok = ref true in
-           Array.iteri
-             (fun k src ->
-               if !ok then begin
-                 let j = seek src ~from:positions.(k) x in
-                 positions.(k) <- j;
-                 if j >= source_length src then raise Exit;
-                 if source_get src j <> x then ok := false
-               end)
-             cursors;
-           if !ok then ignore (Sorted_ivec.add out x)
-         done
+         Sorted_ivec.iter
+           (fun x ->
+             let ok = ref true in
+             Array.iteri
+               (fun k src ->
+                 if !ok then begin
+                   let j = Sorted_ivec.search_from src ~from:positions.(k) x in
+                   positions.(k) <- j;
+                   if j >= Sorted_ivec.length src then raise Exit;
+                   if Sorted_ivec.get src j <> x then ok := false
+                 end)
+               cursors;
+             if !ok then ignore (Sorted_ivec.add out x))
+           smallest
        with Exit -> ());
       Some out
 
@@ -83,7 +51,7 @@ let subjects h constraints =
   | [] -> Hexa.Hexastore.subjects h
   | _ -> (
       let sources = List.map (source_of h) constraints in
-      if List.exists (fun s -> source_length s = 0) sources then Sorted_ivec.create ()
+      if List.exists Sorted_ivec.is_empty sources then Sorted_ivec.create ()
       else
         match intersect_sources sources with
         | Some out -> out

@@ -7,21 +7,17 @@
    raises — the store swaps whole representations instead (see
    [Hexastore.compress]/[inflate]). *)
 
-type kind = Raw | Packed | Delta_varint
+type kind = Raw | Packed
 
-let kind_name = function
-  | Raw -> "raw"
-  | Packed -> "packed"
-  | Delta_varint -> "delta_varint"
+let kind_name = function Raw -> "raw" | Packed -> "packed"
 
 let kind_of_name s =
   match String.lowercase_ascii (String.trim s) with
   | "raw" -> Some Raw
   | "packed" -> Some Packed
-  | "delta_varint" | "delta" -> Some Delta_varint
   | _ -> None
 
-type stream = Sp of Packed_ivec.t | Sd of Delta_ivec.t
+type stream = Packed_ivec.t
 
 type t =
   | R of { mutable data : int array; mutable len : int }
@@ -47,18 +43,14 @@ let length = function R r -> r.len | S s -> s.slen
 
 let is_empty v = length v = 0
 
-let kind_of = function
-  | R _ -> Raw
-  | S { base = Sp _; _ } -> Packed
-  | S { base = Sd _; _ } -> Delta_varint
+let kind_of = function R _ -> Raw | S _ -> Packed
 
 let is_compressed v = kind_of v <> Raw
 
 let unsafe_get v i =
   match v with
   | R r -> Array.unsafe_get r.data i
-  | S { base = Sp p; off; _ } -> Packed_ivec.get p (off + i)
-  | S { base = Sd d; off; _ } -> Delta_ivec.get d (off + i)
+  | S { base; off; _ } -> Packed_ivec.get base (off + i)
 
 let get v i =
   if i < 0 || i >= length v then
@@ -69,23 +61,17 @@ let min_elt v = if is_empty v then raise Not_found else unsafe_get v 0
 
 let max_elt v = if is_empty v then raise Not_found else unsafe_get v (length v - 1)
 
-(* Index of the first element >= x, i.e. the classic lower bound.  The
-   delta representation answers through its block-galloping seek (the
-   block-first side array prunes to a single block decode); raw and
-   bit-packed vectors binary-search with O(1) cell reads. *)
+(* Index of the first element >= x, i.e. the classic lower bound: a
+   binary search with O(1) cell reads on both representations. *)
 let index_geq v x =
   Telemetry.Metrics.incr m_bsearch;
-  match v with
-  | S { base = Sd d; off; slen } ->
-      Delta_ivec.search_range d ~lo:off ~hi:(off + slen) ~from:off x - off
-  | _ ->
-      let lo = ref 0 and hi = ref (length v) in
-      while !lo < !hi do
-        Telemetry.Metrics.incr m_bsearch_steps;
-        let mid = (!lo + !hi) / 2 in
-        if unsafe_get v mid < x then lo := mid + 1 else hi := mid
-      done;
-      !lo
+  let lo = ref 0 and hi = ref (length v) in
+  while !lo < !hi do
+    Telemetry.Metrics.incr m_bsearch_steps;
+    let mid = (!lo + !hi) / 2 in
+    if unsafe_get v mid < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let rank = index_geq
 
@@ -94,40 +80,30 @@ let rank = index_geq
    O(log(skip)) steps, then a binary search pins it down inside the
    bracket, so resuming from the previous hit makes a whole ascending
    probe sequence cost O(n_probes · log(gap)) instead of
-   O(n_probes · log n).  Over a delta-encoded slice the gallop runs on
-   uncompressed block-first values and decodes at most one block. *)
+   O(n_probes · log n).  This is the one galloping seek in the library:
+   pair vectors and star joins seek through it too. *)
 let search_from v ~from x =
   let n = length v in
   let from = if from < 0 then 0 else from in
   if from >= n then n
-  else
-    match v with
-    | S { base = Sd d; off; slen } ->
-        let r =
-          Delta_ivec.search_range d ~lo:off ~hi:(off + slen) ~from:(off + from) x - off
-        in
-        if !Telemetry.Config.enabled then Telemetry.Metrics.observe m_gallop_skip (r - from);
-        r
-    | _ ->
-        let step = ref 1 in
-        let lo = ref from in
-        if unsafe_get v !lo >= x then !lo
-        else begin
-          while !lo + !step < n && unsafe_get v (!lo + !step) < x do
-            lo := !lo + !step;
-            step := !step * 2
-          done;
-          let hi = ref (min n (!lo + !step + 1)) in
-          (* lo points at an element < x, so the answer is in (lo, hi]. *)
-          incr lo;
-          while !lo < !hi do
-            let mid = (!lo + !hi) / 2 in
-            if unsafe_get v mid < x then lo := mid + 1 else hi := mid
-          done;
-          if !Telemetry.Config.enabled then
-            Telemetry.Metrics.observe m_gallop_skip (!lo - from);
-          !lo
-        end
+  else if unsafe_get v from >= x then from
+  else begin
+    let step = ref 1 in
+    let lo = ref from in
+    while !lo + !step < n && unsafe_get v (!lo + !step) < x do
+      lo := !lo + !step;
+      step := !step * 2
+    done;
+    let hi = ref (min n (!lo + !step + 1)) in
+    (* lo points at an element < x, so the answer is in (lo, hi]. *)
+    incr lo;
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if unsafe_get v mid < x then lo := mid + 1 else hi := mid
+    done;
+    if !Telemetry.Config.enabled then Telemetry.Metrics.observe m_gallop_skip (!lo - from);
+    !lo
+  end
 
 let mem v x =
   let i = index_geq v x in
@@ -139,34 +115,42 @@ let find_geq v x =
 
 let frozen op = invalid_arg ("Sorted_ivec." ^ op ^ ": compressed vector is immutable")
 
+(* The shifting halves of [add]/[remove], for callers that already
+   hold the position from their own search. *)
+let insert_at v i x =
+  match v with
+  | S _ -> frozen "insert_at"
+  | R r ->
+      let n = r.len in
+      if i < 0 || i > n then invalid_arg "Sorted_ivec.insert_at: index out of bounds";
+      if n = Array.length r.data then begin
+        let data = Array.make (max 8 (2 * n)) 0 in
+        Array.blit r.data 0 data 0 n;
+        r.data <- data
+      end;
+      if i < n then Array.blit r.data i r.data (i + 1) (n - i);
+      Array.unsafe_set r.data i x;
+      r.len <- n + 1
+
+let remove_at v i =
+  match v with
+  | S _ -> frozen "remove_at"
+  | R r ->
+      if i < 0 || i >= r.len then invalid_arg "Sorted_ivec.remove_at: index out of bounds";
+      Array.blit r.data (i + 1) r.data i (r.len - i - 1);
+      r.len <- r.len - 1
+
 let add v x =
   match v with
   | S _ -> frozen "add"
   | R r ->
+      (* Ascending arrivals (the bulk-load case) append without a search. *)
       let n = r.len in
-      let grow () =
-        if n = Array.length r.data then begin
-          let data = Array.make (max 8 (2 * n)) 0 in
-          Array.blit r.data 0 data 0 n;
-          r.data <- data
-        end
-      in
-      if n = 0 || x > Array.unsafe_get r.data (n - 1) then begin
-        grow ();
-        Array.unsafe_set r.data n x;
-        r.len <- n + 1;
-        true
-      end
+      let i = if n = 0 || x > Array.unsafe_get r.data (n - 1) then n else index_geq v x in
+      if i < n && Array.unsafe_get r.data i = x then false
       else begin
-        let i = index_geq v x in
-        if i < n && Array.unsafe_get r.data i = x then false
-        else begin
-          grow ();
-          Array.blit r.data i r.data (i + 1) (n - i);
-          Array.unsafe_set r.data i x;
-          r.len <- n + 1;
-          true
-        end
+        insert_at v i x;
+        true
       end
 
 let remove v x =
@@ -175,8 +159,7 @@ let remove v x =
   | R r ->
       let i = index_geq v x in
       if i < r.len && Array.unsafe_get r.data i = x then begin
-        Array.blit r.data (i + 1) r.data i (r.len - i - 1);
-        r.len <- r.len - 1;
+        remove_at v i;
         true
       end
       else false
@@ -232,19 +215,12 @@ let iter f = function
       for i = 0 to r.len - 1 do
         f (Array.unsafe_get r.data i)
       done
-  | S { base = Sp p; off; slen } -> Packed_ivec.iter_range f p ~lo:off ~hi:(off + slen)
-  | S { base = Sd d; off; slen } -> Delta_ivec.iter_range f d ~lo:off ~hi:(off + slen)
+  | S { base; off; slen } -> Packed_ivec.iter_range f base ~lo:off ~hi:(off + slen)
 
 let iter_from f v x =
-  match v with
-  | S { base = Sd d; off; slen } ->
-      let start = Delta_ivec.search_range d ~lo:off ~hi:(off + slen) ~from:off x in
-      Delta_ivec.iter_range f d ~lo:start ~hi:(off + slen)
-  | _ ->
-      let n = length v in
-      for i = index_geq v x to n - 1 do
-        f (unsafe_get v i)
-      done
+  for i = index_geq v x to length v - 1 do
+    f (unsafe_get v i)
+  done
 
 let fold f acc v =
   let acc = ref acc in
@@ -266,23 +242,14 @@ let to_array v =
 
 let to_list v = Array.to_list (to_array v)
 
-let to_seq v =
-  match v with
-  | S { base = Sd d; off; slen } -> Delta_ivec.to_seq_range d ~lo:off ~hi:(off + slen)
-  | _ ->
-      let n = length v in
-      let rec aux i () = if i >= n then Seq.Nil else Seq.Cons (unsafe_get v i, aux (i + 1)) in
-      aux 0
+let seq_from v i =
+  let n = length v in
+  let rec aux i () = if i >= n then Seq.Nil else Seq.Cons (unsafe_get v i, aux (i + 1)) in
+  aux i
 
-let to_seq_from v x =
-  match v with
-  | S { base = Sd d; off; slen } ->
-      let start = Delta_ivec.search_range d ~lo:off ~hi:(off + slen) ~from:off x in
-      Delta_ivec.to_seq_range d ~lo:start ~hi:(off + slen)
-  | _ ->
-      let n = length v in
-      let rec aux i () = if i >= n then Seq.Nil else Seq.Cons (unsafe_get v i, aux (i + 1)) in
-      aux (index_geq v x)
+let to_seq v = seq_from v 0
+
+let to_seq_from v x = seq_from v (index_geq v x)
 
 let choose_arbitrary v = if is_empty v then None else Some (unsafe_get v 0)
 
@@ -342,17 +309,11 @@ let check_invariant v =
 (* Streams and slices                                                  *)
 (* ------------------------------------------------------------------- *)
 
-let stream_of_array kind ~segments a =
-  match kind with
-  | Raw -> invalid_arg "Sorted_ivec.stream_of_array: Raw has no stream form"
-  | Packed ->
-      ignore segments;
-      Sp (Packed_ivec.of_array a)
-  | Delta_varint -> Sd (Delta_ivec.of_array ~segments a)
+let stream_of_array = Packed_ivec.of_array
 
-let stream_length = function Sp p -> Packed_ivec.length p | Sd d -> Delta_ivec.length d
+let stream_length = Packed_ivec.length
 
-let stream_get s i = match s with Sp p -> Packed_ivec.get p i | Sd d -> Delta_ivec.get d i
+let stream_get = Packed_ivec.get
 
 let slice base ~off ~len =
   let n = stream_length base in
@@ -360,23 +321,17 @@ let slice base ~off ~len =
     invalid_arg (Printf.sprintf "Sorted_ivec.slice: [%d,%d) outside [0,%d)" off (off + len) n);
   S { base; off; slen = len }
 
-let stream_memory_words = function
-  | Sp p -> Packed_ivec.memory_words p
-  | Sd d -> Delta_ivec.memory_words d
+let stream_memory_words = Packed_ivec.memory_words
 
-let stream_validate = function Sp p -> Packed_ivec.validate p | Sd d -> Delta_ivec.validate d
+let stream_validate = Packed_ivec.validate
 
 let compress kind v =
-  match kind with
-  | Raw -> (
-      match v with
-      | R _ -> v
-      | S _ ->
-          let a = to_array v in
-          R { data = (if Array.length a = 0 then Array.make 1 0 else a); len = length v })
-  | Packed | Delta_varint ->
+  match (kind, v) with
+  | Raw, R _ -> v
+  | Raw, S _ -> copy v
+  | Packed, _ ->
       let a = to_array v in
-      slice (stream_of_array kind ~segments:[| 0 |] a) ~off:0 ~len:(Array.length a)
+      slice (stream_of_array a) ~off:0 ~len:(Array.length a)
 
 let block_violations = function
   | R _ -> []

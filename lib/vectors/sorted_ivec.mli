@@ -11,25 +11,25 @@
     O(1) amortised fast path when keys arrive in ascending order (the bulk
     loading case).
 
-    Since PR 10 a sorted vector is either that raw mutable form or an
-    immutable {e slice} of a shared compressed stream ({!Packed_ivec}
-    frame-of-reference bit-packing or {!Delta_ivec} delta+varint).
-    Every read — including the galloping {!search_from} the merge
-    kernels lean on — works on all three representations without
-    materialising arrays; mutations ({!add}, {!remove}, {!clear}) raise
-    [Invalid_argument] on compressed slices. *)
+    A sorted vector is either that raw mutable form or an immutable
+    {e slice} of a shared compressed stream ({!Packed_ivec}
+    frame-of-reference bit-packing, O(1) random access).  Every read —
+    including the galloping {!search_from} the merge kernels lean on —
+    works on both representations without materialising arrays;
+    mutations ({!add}, {!remove}, {!clear}, …) raise [Invalid_argument]
+    on compressed slices. *)
 
 type t
 
 (** Physical representation of a vector or stream. *)
-type kind = Raw | Packed | Delta_varint
+type kind = Raw | Packed
 
 val kind_name : kind -> string
-(** ["raw"], ["packed"], ["delta_varint"]. *)
+(** ["raw"], ["packed"]. *)
 
 val kind_of_name : string -> kind option
-(** Inverse of {!kind_name} (case-insensitive; ["delta"] also accepted).
-    This parses the [HEXASTORE_REPR] environment variable. *)
+(** Inverse of {!kind_name} (case-insensitive).  This parses the
+    [HEXASTORE_REPR] environment variable. *)
 
 val kind_of : t -> kind
 
@@ -82,8 +82,9 @@ val search_from : t -> from:int -> int -> int
     the distance advanced from [from].  Repeated ascending probes that
     resume from the previous hit therefore pay for the distance they
     cover, not for [log n] each: the resumable cursor behind the
-    executor's merge joins.  Observes the [vectors.gallop.skip]
-    histogram with the distance skipped. *)
+    executor's merge joins, and the only galloping seek in the library
+    ({!Hexa.Pair_vector} and the star joins seek through it).  Observes
+    the [vectors.gallop.skip] histogram with the distance skipped. *)
 
 val add : t -> int -> bool
 (** [add v x] inserts [x] keeping order; returns [false] if already
@@ -91,6 +92,16 @@ val add : t -> int -> bool
 
 val remove : t -> int -> bool
 (** [remove v x] deletes [x]; returns [false] if absent. *)
+
+val insert_at : t -> int -> int -> unit
+(** [insert_at v i x] shifts positions [i..] up one and stores [x] at
+    [i] — the second half of {!add}, for a caller that already found
+    [i] (e.g. with {!index_geq}) and knows [x] belongs there; order is
+    not re-checked.  @raise Invalid_argument unless [0 <= i <= length v]. *)
+
+val remove_at : t -> int -> unit
+(** [remove_at v i] deletes the element at position [i] — the second
+    half of {!remove}.  @raise Invalid_argument unless [0 <= i < length v]. *)
 
 val merge_sorted : t -> int array -> unit
 (** [merge_sorted v a] inserts the strictly increasing elements of [a],
@@ -138,29 +149,25 @@ val check_invariant : t -> unit
 
 (** {1 Compressed streams and slices}
 
-    A [stream] is one big encoded payload shared by many slices — the
-    flat index keeps four of them per ordering and exposes every
+    A [stream] is one big bit-packed payload shared by many slices — the
+    flat index keeps five of them per ordering and exposes every
     terminal list and key run as a 4-word slice header.  Streams are
     encoded once from a complete array and never mutated. *)
 
 type stream
 
-val stream_of_array : kind -> segments:int array -> int array -> stream
-(** Encodes [a] with the given codec.  [segments] lists the start
-    positions of the monotone runs concatenated in [a] (ascending); the
-    delta codec aligns its blocks on them so every run starts on a
-    block boundary (the bit-packed codec, being order-agnostic, ignores
-    them).  @raise Invalid_argument on [Raw], or if a delta block is
-    not strictly increasing. *)
+val stream_of_array : int array -> stream
+(** Bit-packs a copy of [a] (any order: frame-of-reference coding
+    assumes only a small per-block range). *)
 
 val stream_length : stream -> int
 
 val stream_get : stream -> int -> int
 
 val slice : stream -> off:int -> len:int -> t
-(** A zero-copy view of positions [off, off+len).  For the delta codec
-    the window must be one monotone segment (as declared to
-    {!stream_of_array}).  @raise Invalid_argument out of bounds. *)
+(** A zero-copy view of positions [off, off+len), which must be
+    strictly increasing for the sorted reads to hold.
+    @raise Invalid_argument out of bounds. *)
 
 val stream_memory_words : stream -> int
 (** Exact footprint of the encoded stream, headers included. *)
@@ -169,9 +176,9 @@ val stream_validate : stream -> string list
 (** Codec-level structural audit; empty means sound. *)
 
 val compress : kind -> t -> t
-(** [compress k v] re-encodes [v]'s elements as a standalone
-    single-segment vector of representation [k].  [Raw] materialises a
-    mutable copy (identity on already-raw vectors). *)
+(** [compress k v] re-encodes [v]'s elements as a standalone vector of
+    representation [k].  [Raw] materialises a mutable copy (identity on
+    already-raw vectors). *)
 
 val block_violations : t -> string list
 (** Per-block header violations of the vector's backing stream (empty

@@ -5,14 +5,14 @@
 
 let bad1 xs = Packed_ivec.of_array xs
 
-let bad2 v i = Vectors.Delta_ivec.get v i
+let bad2 v i = Vectors.Packed_ivec.get v i
 
 let ok1 xs = Packed_ivec.of_array xs (* lint: allow repr-abstraction *)
 
 (* lint: allow repr-abstraction *)
-let ok2 v i = Delta_ivec.get v i
+let ok2 v i = Packed_ivec.get v i
 
 let named = "Packed_ivec mentioned in a string literal is fine"
 
 let smuggled = "lint: allow repr-abstraction"
-let bad3 xs = Delta_ivec.of_array xs
+let bad3 xs = Packed_ivec.of_array xs

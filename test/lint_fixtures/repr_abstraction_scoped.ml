@@ -4,4 +4,4 @@
 
 let widths xs = Packed_ivec.of_array xs
 
-let gaps v i = Delta_ivec.get v i
+let cell v i = Packed_ivec.get v i

@@ -112,6 +112,65 @@ let test_pair_vector_remove () =
   check_int "one left" 1 (Pair_vector.length v);
   check_int "survivor" 2 (Pair_vector.key_at v 0)
 
+(* Every key search of a pair vector — [search_from] (with [from] below
+   0 and past the end too), [index_geq], [key_at], [find] — against a
+   sorted key list.  Key [k]'s payload is [[10 k]]. *)
+let pair_vector_matches v keys probes =
+  let a = Array.of_list keys in
+  let n = Array.length a in
+  let rec geq i x = if i >= n then n else if a.(i) >= x then i else geq (i + 1) x in
+  Pair_vector.length v = n
+  && List.for_all (fun i -> Pair_vector.key_at v i = a.(i)) (List.init n Fun.id)
+  && Sorted_ivec.to_list (Pair_vector.key_vector v) = keys
+  && List.for_all
+       (fun (x, from) ->
+         let from = from - 2 in
+         Pair_vector.index_geq v x = geq 0 x
+         && Pair_vector.search_from v ~from x = geq (max from 0) x
+         && Option.map Sorted_ivec.to_list (Pair_vector.find v x)
+            = if List.mem x keys then Some [ 10 * x ] else None)
+       probes
+
+let prop_pair_vector_search_oracle =
+  QCheck.Test.make ~name:"pair vector searches = sorted-list oracle, build form and flat view"
+    ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_bound 80) (pair bool (int_bound 60)))
+        (list_of_size Gen.(int_bound 30) (pair (int_range (-2) 64) (int_bound 70))))
+    (fun (ops, probes) ->
+      let v = Pair_vector.create () in
+      let model =
+        List.fold_left
+          (fun m (insert, k) ->
+            if insert then begin
+              if not (List.mem k m) then begin
+                ignore (Pair_vector.get_or_insert v k (fun () -> Sorted_ivec.of_list [ 10 * k ]));
+                Pair_vector.bump_total v 1
+              end;
+              List.sort_uniq compare (k :: m)
+            end
+            else begin
+              if List.mem k m then Pair_vector.bump_total v (-1);
+              ignore (Pair_vector.remove v k);
+              List.filter (( <> ) k) m
+            end)
+          [] ops
+      in
+      Pair_vector.check_invariant v;
+      let flat =
+        let idx = Index.create () in
+        List.iter (fun k -> Index.link idx ~first:0 ~second:k (Sorted_ivec.of_list [ 10 * k ])) model;
+        Index.compress idx
+      in
+      pair_vector_matches v model probes
+      &&
+      match Index.find_vector flat 0 with
+      | None -> model = []
+      | Some view ->
+          Sorted_ivec.is_compressed (Pair_vector.key_vector view)
+          && pair_vector_matches view model probes)
+
 (* ------------------------------------------------------------------ *)
 (* Hexastore: basics                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -605,6 +664,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_pair_vector_basic;
           Alcotest.test_case "totals" `Quick test_pair_vector_totals;
           Alcotest.test_case "remove" `Quick test_pair_vector_remove;
+          qt prop_pair_vector_search_oracle;
         ] );
       ( "hexastore",
         [

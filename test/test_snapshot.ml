@@ -320,6 +320,94 @@ let test_golden_v1_load () =
       let h2 = Snapshot.load path2 in
       check_bool "v1 -> v2 rewrite preserves contents" true (same_contents h h2))
 
+(* A HEXSNAP2 snapshot of the same store, built raw: magic, repr byte 0,
+   then the payload and trailer exactly as {!Snapshot.save} writes them.
+   Pins the current format byte for byte. *)
+let golden_v2_raw_bytes =
+  "HEXSNAP2\000U\027<http://example.org/Class0>\025<http://example.org/t\
+   ype>\023<http://example.org/s0>\003\"0\"\026<http://example.org/value\
+   >\027<http://example.org/Class1>\023<http://example.org/s1>\003\"7\"\
+   \027<http://example.org/Class2>\023<http://example.org/s2>\004\"14\"\
+   \023<http://example.org/s3>\004\"21\"\023<http://example.org/s4>\004\
+   \"28\"\023<http://example.org/s5>\004\"35\"\023<http://example.org/s6\
+   >\004\"42\"\023<http://example.org/s7>\004\"49\"\023<http://example.o\
+   rg/s8>\004\"56\"\023<http://example.org/s9>\004\"63\"\024<http://exam\
+   ple.org/s10>\004\"70\"\024<http://example.org/s11>\004\"77\"\024<http\
+   ://example.org/s12>\004\"84\"\024<http://example.org/s13>\004\"91\"\
+   \024<http://example.org/s14>\004\"98\"\024<http://example.org/s15>\
+   \005\"105\"\024<http://example.org/s16>\005\"112\"\024<http://example\
+   .org/s17>\005\"119\"\024<http://example.org/s18>\005\"126\"\024<http:\
+   //example.org/s19>\005\"133\"\024<http://example.org/s20>\005\"140\"\
+   \024<http://example.org/s21>\005\"147\"\024<http://example.org/s22>\
+   \005\"154\"\024<http://example.org/s23>\005\"161\"\024<http://example\
+   .org/s24>\005\"168\"\024<http://example.org/s25>\005\"175\"\024<http:\
+   //example.org/s26>\005\"182\"\024<http://example.org/s27>\005\"189\"\
+   \024<http://example.org/s28>\005\"196\"\024<http://example.org/s29>\
+   \005\"203\"\024<http://example.org/s30>\005\"210\"\024<http://example\
+   .org/s31>\005\"217\"\024<http://example.org/s32>\005\"224\"\024<http:\
+   //example.org/s33>\005\"231\"\024<http://example.org/s34>\005\"238\"\
+   \024<http://example.org/s35>\005\"245\"\024<http://example.org/s36>\
+   \005\"252\"\024<http://example.org/s37>\005\"259\"\024<http://example\
+   .org/s38>\005\"266\"\024<http://example.org/s39>\005\"273\"P\002\001\
+   \000\000\003\003\004\001\005\000\003\007\003\001\008\000\003\010\002\
+   \001\000\000\003\012\002\001\005\000\003\014\002\001\008\000\003\016\
+   \002\001\000\000\003\018\002\001\005\000\003\020\002\001\008\000\003\
+   \022\002\001\000\000\003\024\002\001\005\000\003\026\002\001\008\000\
+   \003\028\002\001\000\000\003\030\002\001\005\000\003 \002\001\008\000\
+   \003\"\002\001\000\000\003$\002\001\005\000\003&\002\001\008\000\003(\
+   \002\001\000\000\003*\002\001\005\000\003,\002\001\008\000\003.\002\
+   \001\000\000\0030\002\001\005\000\0032\002\001\008\000\0034\002\001\
+   \000\000\0036\002\001\005\000\0038\002\001\008\000\003:\002\001\000\
+   \000\003<\002\001\005\000\003>\002\001\008\000\003@\002\001\000\000\
+   \003B\002\001\005\000\003D\002\001\008\000\003F\002\001\000\000\003H\
+   \002\001\005\000\003J\002\001\008\000\003L\002\001\000\000\003N\002\
+   \001\005\000\003P\002\001\008\000\003R\002\001\000\000\003T\137x\233\
+   \169R\019\009\144"
+
+let raw_golden_store () =
+  let h = Hexastore.create ~repr:Vectors.Sorted_ivec.Raw () in
+  ignore (Hexastore.add_list h (golden_triples ()));
+  h
+
+let test_golden_v2_save () =
+  with_tmp @@ fun path ->
+  Snapshot.save (raw_golden_store ()) path;
+  check_bool "save reproduces the golden HEXSNAP2 bytes" true
+    (String.equal golden_v2_raw_bytes (file_contents path))
+
+(* FNV-1a 64 over [s], the snapshot trailer's hash. *)
+let fnv1a64 s =
+  String.fold_left
+    (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    0xcbf29ce484222325L s
+
+(* [golden_v2_raw_bytes] with its repr byte set to [tag] and the trailer
+   recomputed, so only the tag differs from a valid snapshot. *)
+let with_repr_tag tag =
+  let magic = "HEXSNAP2" in
+  let rest = String.length golden_v2_raw_bytes - String.length magic - 9 in
+  let payload =
+    String.make 1 (Char.chr tag) ^ String.sub golden_v2_raw_bytes (String.length magic + 1) rest
+  in
+  let trailer = Bytes.create 8 in
+  Bytes.set_int64_be trailer 0 (fnv1a64 payload);
+  magic ^ payload ^ Bytes.to_string trailer
+
+let test_legacy_delta_tag () =
+  (* Tag 2 was written by the retired delta_varint codec; the payload is
+     plain triples, so it loads as a packed store. *)
+  with_tmp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc (with_repr_tag 2));
+      let h = Snapshot.load path in
+      Alcotest.(check string) "tag 2 loads packed" "packed" (Hexastore.repr_name h);
+      Hexastore.check_invariant h;
+      check_bool "tag 2 contents (same ids)" true (same_contents (raw_golden_store ()) h));
+  with_tmp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc (with_repr_tag 3));
+      match Snapshot.load path with
+      | exception Snapshot.Corrupt _ -> ()
+      | _ -> Alcotest.fail "unknown repr tag 3 accepted")
+
 let compressed_sample kind =
   let h = Hexastore.create ~repr:kind () in
   List.iter (fun tr -> ignore (Hexastore.add h tr)) (golden_triples ());
@@ -346,7 +434,7 @@ let test_compressed_roundtrip_bytes () =
               Snapshot.save h' p2;
               check_bool (name ^ " re-save byte-identical") true
                 (String.equal (file_contents p1) (file_contents p2)))))
-    Vectors.Sorted_ivec.[ Packed; Delta_varint ]
+    [ Vectors.Sorted_ivec.Packed ]
 
 let test_codec_tag_in_checksum () =
   (* Corrupting the repr byte (right after the magic) must be caught. *)
@@ -389,6 +477,8 @@ let () =
       ( "repr",
         [
           Alcotest.test_case "golden_v1_load" `Quick test_golden_v1_load;
+          Alcotest.test_case "golden_v2_save" `Quick test_golden_v2_save;
+          Alcotest.test_case "legacy_delta_tag" `Quick test_legacy_delta_tag;
           Alcotest.test_case "compressed_roundtrip_bytes" `Quick
             test_compressed_roundtrip_bytes;
           Alcotest.test_case "codec_tag_checksummed" `Quick test_codec_tag_in_checksum;

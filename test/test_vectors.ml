@@ -152,6 +152,25 @@ let test_sivec_bounds () =
   Alcotest.check_raises "min empty" Not_found (fun () ->
       ignore (Sorted_ivec.min_elt (Sorted_ivec.create ())))
 
+(* The positional halves of add/remove: shift at a known index, grow
+   past the initial capacity, reject out-of-range positions. *)
+let test_sivec_insert_remove_at () =
+  let v = Sorted_ivec.create ~capacity:1 () in
+  Sorted_ivec.insert_at v 0 20;
+  Sorted_ivec.insert_at v 0 10;
+  Sorted_ivec.insert_at v 2 40;
+  Sorted_ivec.insert_at v 2 30;
+  check_int_list "inserted" [ 10; 20; 30; 40 ] (Sorted_ivec.to_list v);
+  Sorted_ivec.remove_at v 1;
+  Sorted_ivec.remove_at v 2;
+  check_int_list "removed" [ 10; 30 ] (Sorted_ivec.to_list v);
+  Alcotest.check_raises "insert past end"
+    (Invalid_argument "Sorted_ivec.insert_at: index out of bounds") (fun () ->
+      Sorted_ivec.insert_at v 3 50);
+  Alcotest.check_raises "remove at end"
+    (Invalid_argument "Sorted_ivec.remove_at: index out of bounds") (fun () ->
+      Sorted_ivec.remove_at v 2)
+
 let test_sivec_of_sorted_array () =
   let v = Sorted_ivec.of_sorted_array [| 1; 2; 3 |] in
   check_int "len" 3 (Sorted_ivec.length v);
@@ -561,7 +580,7 @@ let test_gallop_interleaved_runs () =
 (* Compressed codecs (PR 10)                                           *)
 (* ------------------------------------------------------------------ *)
 
-let compressed_kinds = Sorted_ivec.[ Packed; Delta_varint ]
+let compressed_kinds = Sorted_ivec.[ Packed ]
 let kname = Sorted_ivec.kind_name
 let check_string_list = Alcotest.(check (list string))
 
@@ -625,59 +644,41 @@ let test_codec_frozen () =
 let test_codec_stream_slices () =
   let runs = [ [ 5; 9; 12 ]; [ 1; 2; 3; 4 ]; List.init 200 (fun i -> 2 * i); [ 42 ] ] in
   let flat = Array.of_list (List.concat runs) in
-  let segments =
-    let acc = ref 0 in
-    Array.of_list
-      (List.map
-         (fun r ->
-           let s = !acc in
-           acc := s + List.length r;
-           s)
-         runs)
-  in
+  let s = Sorted_ivec.stream_of_array flat in
+  check_int "stream_length" (Array.length flat) (Sorted_ivec.stream_length s);
+  Array.iteri (fun i x -> check_int "stream_get" x (Sorted_ivec.stream_get s i)) flat;
+  check_string_list "stream_validate" [] (Sorted_ivec.stream_validate s);
+  let off = ref 0 in
   List.iter
-    (fun kind ->
-      let s = Sorted_ivec.stream_of_array kind ~segments flat in
-      check_int (kname kind ^ " stream_length") (Array.length flat) (Sorted_ivec.stream_length s);
-      Array.iteri (fun i x -> check_int (kname kind ^ " stream_get") x (Sorted_ivec.stream_get s i)) flat;
-      check_string_list (kname kind ^ " stream_validate") [] (Sorted_ivec.stream_validate s);
-      let off = ref 0 in
-      List.iter
-        (fun r ->
-          let len = List.length r in
-          let sl = Sorted_ivec.slice s ~off:!off ~len in
-          let raw = Sorted_ivec.of_list r in
-          check_int_list (kname kind ^ " slice") r (Sorted_ivec.to_list sl);
-          let hi = List.fold_left max 0 r + 2 in
-          for x = 0 to hi do
-            check_int (kname kind ^ " slice index_geq") (Sorted_ivec.index_geq raw x)
-              (Sorted_ivec.index_geq sl x);
-            for from = 0 to len do
-              check_int (kname kind ^ " slice search_from") (Sorted_ivec.search_from raw ~from x)
-                (Sorted_ivec.search_from sl ~from x)
-            done
-          done;
-          off := !off + len)
-        runs)
-    compressed_kinds
+    (fun r ->
+      let len = List.length r in
+      let sl = Sorted_ivec.slice s ~off:!off ~len in
+      let raw = Sorted_ivec.of_list r in
+      check_int_list "slice" r (Sorted_ivec.to_list sl);
+      let hi = List.fold_left max 0 r + 2 in
+      for x = 0 to hi do
+        check_int "slice index_geq" (Sorted_ivec.index_geq raw x) (Sorted_ivec.index_geq sl x);
+        for from = 0 to len do
+          check_int "slice search_from" (Sorted_ivec.search_from raw ~from x)
+            (Sorted_ivec.search_from sl ~from x)
+        done
+      done;
+      off := !off + len)
+    runs
 
-(* Segment-per-element streams: every delta block is a singleton, the
-   degenerate block shape. *)
+(* One-element slices of an unsorted stream: every run is a singleton,
+   the degenerate slice shape. *)
 let test_codec_singleton_segments () =
   let n = 150 in
   let flat = Array.init n (fun i -> ((i * 13) mod 7) + i) in
-  let segments = Array.init n (fun i -> i) in
-  List.iter
-    (fun kind ->
-      let s = Sorted_ivec.stream_of_array kind ~segments flat in
-      check_string_list (kname kind ^ " validate") [] (Sorted_ivec.stream_validate s);
-      Array.iteri
-        (fun i x ->
-          check_int (kname kind ^ " get") x (Sorted_ivec.stream_get s i);
-          let sl = Sorted_ivec.slice s ~off:i ~len:1 in
-          check_int_list (kname kind ^ " slice") [ x ] (Sorted_ivec.to_list sl))
-        flat)
-    compressed_kinds
+  let s = Sorted_ivec.stream_of_array flat in
+  check_string_list "validate" [] (Sorted_ivec.stream_validate s);
+  Array.iteri
+    (fun i x ->
+      check_int "get" x (Sorted_ivec.stream_get s i);
+      let sl = Sorted_ivec.slice s ~off:i ~len:1 in
+      check_int_list "slice" [ x ] (Sorted_ivec.to_list sl))
+    flat
 
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"codec encode∘decode = id, monotone blocks" ~count:300
@@ -765,6 +766,7 @@ let () =
           Alcotest.test_case "add_mem" `Quick test_sivec_add_mem;
           Alcotest.test_case "remove" `Quick test_sivec_remove;
           Alcotest.test_case "bounds" `Quick test_sivec_bounds;
+          Alcotest.test_case "insert_remove_at" `Quick test_sivec_insert_remove_at;
           Alcotest.test_case "of_sorted_array" `Quick test_sivec_of_sorted_array;
           Alcotest.test_case "iter_from" `Quick test_sivec_iter_from;
           Alcotest.test_case "subset" `Quick test_sivec_subset;
