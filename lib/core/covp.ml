@@ -77,23 +77,9 @@ let remove_ids t ({ s; p; o } : Hexastore.id_triple) =
         true
       end
 
-let cmp_pso (a : Hexastore.id_triple) (b : Hexastore.id_triple) =
-  let c = Int.compare a.p b.p in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.s b.s in
-    if c <> 0 then c else Int.compare a.o b.o
-
-let cmp_pos (a : Hexastore.id_triple) (b : Hexastore.id_triple) =
-  let c = Int.compare a.p b.p in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.o b.o in
-    if c <> 0 then c else Int.compare a.s b.s
-
 let add_bulk_ids t triples =
   let arr = Array.copy triples in
-  Array.sort cmp_pso arr;
+  Array.stable_sort (Ordering.compare_triples Pso) arr;
   let fresh = ref [] in
   let fresh_count = ref 0 in
   Array.iter
@@ -109,7 +95,7 @@ let add_bulk_ids t triples =
   | None -> ()
   | Some pos ->
       let fresh = Array.of_list !fresh in
-      Array.sort cmp_pos fresh;
+      Array.stable_sort (Ordering.compare_triples Pos) fresh;
       Array.iter
         (fun (tr : Hexastore.id_triple) ->
           let s_list = Index.get_or_create_list t.s_lists (Pair_key.make tr.p tr.o) in

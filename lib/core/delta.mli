@@ -4,13 +4,22 @@
     Hexastore's weak point: every triple does a binary insertion into
     sorted vectors in all six orderings, O(vector length) apiece.  This
     module stages mutations LSM-style instead: recent inserts and a
-    delete set live in small hash-backed buffers in front of an
-    immutable-ish base store, and every read merges
+    delete set live in two small buffers in front of an immutable-ish
+    base store, and every read merges
     [base ∪ inserts − deletes] lazily through the sorted-merge kernels
     in {!Vectors.Merge}, preserving each access pattern's natural index
     order.  When a buffer reaches its threshold the delta is drained
     into the six orderings through the base's sort-and-append bulk path
     ({!Hexastore.add_bulk_ids}) — amortized, not per-triple.
+
+    Each buffer is a triple-keyed membership table plus three term
+    tables that file every staged triple under its subject, its
+    predicate and its object.  A read with a bound position visits only
+    the smallest bucket among its bound terms, never the whole buffer.
+    A write touches only the membership table and logs the entry; the
+    next read on this delta files the logged entries under their terms
+    (and unfiles removed ones) before it looks.  That drain mutates the
+    buffers, so it is the one writer's job (see {!pin}).
 
     Coherence invariants, validated by [Check.Invariant.delta]:
     no buffered insert is present in the base; the delete set is a
@@ -88,12 +97,16 @@ val add_bulk_ids : t -> id_triple array -> int
 val lookup : t -> Pattern.t -> id_triple Seq.t
 (** Merged view: base ∪ buffered inserts − tombstones, lazily, in the
     same order {!Hexastore.lookup} serves the pattern's shape — callers
-    cannot tell a delta-fronted store from a flushed one.  Matching
-    buffer entries are snapshotted at call time. *)
+    cannot tell a delta-fronted store from a flushed one.  The matching
+    buffer entries come from the smallest bucket among the pattern's
+    bound terms (the whole buffer only for the all-wildcard pattern),
+    and are copied and sorted at call time. *)
 
 val count : t -> Pattern.t -> int
 (** Exact cardinality of {!lookup}: the base's O(log) count adjusted by
-    an O(pending) scan of the buffers. *)
+    each buffer's matches.  With one bound position that is one
+    bucket's live count, O(1); with two it is a walk of the smaller of
+    the two buckets; fully bound it is {!mem_ids}. *)
 
 val fold : (id_triple -> 'a -> 'a) -> t -> 'a -> 'a
 (** Over the merged view in (s, p, o) order. *)
@@ -127,12 +140,19 @@ val scan_split :
     the staged buffers, so its merged view is stable for as long as it
     is held: {!flush}, {!compact} and the auto-flush wait until every
     pin is released before mutating the base, and new pins wait out an
-    in-progress flush.  Readers must not mutate through a snapshot. *)
+    in-progress flush.  Readers must not mutate through a snapshot.
+
+    Reads on the live delta file pending entries under their terms,
+    which mutates its buffers: only the writer's domain may read the
+    live delta.  Other domains read a pinned view, whose buffer copies
+    are filed when it is made, so its reads write nothing and one view
+    may serve several domains (the [Query.Par] lanes) at once. *)
 
 val pin : t -> t * (unit -> unit)
 (** [pin t] is [(view, unpin)]: a read-only snapshot of the current
-    merged view plus the closure releasing it.  [unpin] is idempotent;
-    holding a pin blocks flushes, so release promptly. *)
+    merged view plus the closure releasing it.  Copying the buffers
+    costs O(pending).  [unpin] is idempotent; holding a pin blocks
+    flushes, so release promptly. *)
 
 val pins : t -> int
 (** Number of currently held pins (diagnostic; exact only while pinners
@@ -169,4 +189,10 @@ val find : t -> ?s:Rdf.Term.t -> ?p:Rdf.Term.t -> ?o:Rdf.Term.t -> unit -> Rdf.T
 val to_triples : t -> Rdf.Triple.t list
 
 val memory_words : t -> int
-(** Base footprint plus an estimate of the pending buffers. *)
+(** Base footprint plus the exact footprint of the pending buffers.  A
+    staged triple costs 21 words once filed (its triple record, its
+    entry, its membership binding and one list cell in each of its
+    three buckets; 15 while it waits to be filed); each distinct term
+    in a buffer costs 8 (a table binding and its bucket record); each
+    table adds its bucket array; a removed entry a bucket has not
+    dropped yet costs its cells until it is. *)

@@ -218,34 +218,13 @@ let remove_ids t { s; p; o } =
 
 (* --- bulk loading --------------------------------------------------- *)
 
-let cmp_spo (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.s b.s in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.p b.p in
-    if c <> 0 then c else Int.compare a.o b.o
-
-let cmp_sop (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.s b.s in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.o b.o in
-    if c <> 0 then c else Int.compare a.p b.p
-
-let cmp_pos (a : id_triple) (b : id_triple) =
-  let c = Int.compare a.p b.p in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.o b.o in
-    if c <> 0 then c else Int.compare a.s b.s
-
 let add_bulk_ids t triples =
   (* Pass A — sorted by (s, p, o): o-lists, spo, pso all receive keys in
      monotone order, so every insertion hits the O(1) append path on an
      initially-empty store.  Duplicates (within the batch or against the
      store) are detected here and excluded from the later passes. *)
   let arr = Array.copy triples in
-  Array.sort cmp_spo arr;
+  Array.stable_sort (Ordering.compare_triples Spo) arr;
   let fresh = ref [] in
   let fresh_count = ref 0 in
   Array.iter
@@ -260,7 +239,7 @@ let add_bulk_ids t triples =
     arr;
   let fresh = Array.of_list !fresh in
   (* Pass B — sorted by (s, o, p): p-lists, sop, osp. *)
-  Array.sort cmp_sop fresh;
+  Array.stable_sort (Ordering.compare_triples Sop) fresh;
   Array.iter
     (fun tr ->
       let p_list = Index.get_or_create_list t.p_lists (Pair_key.make tr.s tr.o) in
@@ -269,7 +248,7 @@ let add_bulk_ids t triples =
       Index.link_bulk t.osp ~first:tr.o ~second:tr.s p_list)
     fresh;
   (* Pass C — sorted by (p, o, s): s-lists, pos, ops. *)
-  Array.sort cmp_pos fresh;
+  Array.stable_sort (Ordering.compare_triples Pos) fresh;
   Array.iter
     (fun tr ->
       let s_list = Index.get_or_create_list t.s_lists (Pair_key.make tr.p tr.o) in

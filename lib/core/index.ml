@@ -96,7 +96,7 @@ let seal = function
       | pending ->
           let a = Array.of_list pending in
           t.pending <- [];
-          Array.sort Int.compare a;
+          Array.stable_sort Int.compare a;
           Vectors.Sorted_ivec.merge_sorted t.sorted a
 
 let pending_headers = function Flat _ -> 0 | Hashed t -> List.length t.pending

@@ -51,6 +51,59 @@ let twin = function
   | Pos -> Ops
   | Ops -> Pos
 
+(* One specialised comparator per ordering: the full triple compared in
+   the ordering's significance order, with no tuple allocation and no
+   polymorphic compare. *)
+let cmp_spo (a : Dict.Term_dict.id_triple) (b : Dict.Term_dict.id_triple) =
+  let c = Int.compare a.s b.s in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.p b.p in
+    if c <> 0 then c else Int.compare a.o b.o
+
+let cmp_sop (a : Dict.Term_dict.id_triple) (b : Dict.Term_dict.id_triple) =
+  let c = Int.compare a.s b.s in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.o b.o in
+    if c <> 0 then c else Int.compare a.p b.p
+
+let cmp_pso (a : Dict.Term_dict.id_triple) (b : Dict.Term_dict.id_triple) =
+  let c = Int.compare a.p b.p in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.s b.s in
+    if c <> 0 then c else Int.compare a.o b.o
+
+let cmp_pos (a : Dict.Term_dict.id_triple) (b : Dict.Term_dict.id_triple) =
+  let c = Int.compare a.p b.p in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.o b.o in
+    if c <> 0 then c else Int.compare a.s b.s
+
+let cmp_osp (a : Dict.Term_dict.id_triple) (b : Dict.Term_dict.id_triple) =
+  let c = Int.compare a.o b.o in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.s b.s in
+    if c <> 0 then c else Int.compare a.p b.p
+
+let cmp_ops (a : Dict.Term_dict.id_triple) (b : Dict.Term_dict.id_triple) =
+  let c = Int.compare a.o b.o in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.p b.p in
+    if c <> 0 then c else Int.compare a.s b.s
+
+let compare_triples = function
+  | Spo -> cmp_spo
+  | Sop -> cmp_sop
+  | Pso -> cmp_pso
+  | Pos -> cmp_pos
+  | Osp -> cmp_osp
+  | Ops -> cmp_ops
+
 let compare = Stdlib.compare
 
 let equal a b = a = b

@@ -33,6 +33,13 @@ val twin : t -> t
 (** The ordering sharing this one's terminal lists (§4.1):
     spo↔pso, sop↔osp, pos↔ops. *)
 
+val compare_triples : t -> Dict.Term_dict.id_triple -> Dict.Term_dict.id_triple -> int
+(** [compare_triples ord] ranks whole triples in [ord]'s significance
+    order, e.g. [compare_triples Pos] compares predicates, then objects,
+    then subjects — the order in which [ord]'s index enumerates them.
+    Each ordering gets its own specialised top-level comparator, so a
+    sort pays no tuple allocation or polymorphic compare. *)
+
 val compare : t -> t -> int
 
 val equal : t -> t -> bool

@@ -113,24 +113,22 @@ let add_ids t tr =
     true
   end
 
-let cmp_for_family f (a : Dict.Term_dict.id_triple) (b : Dict.Term_dict.id_triple) =
-  let key = function
-    | F_o -> fun (x : Dict.Term_dict.id_triple) -> (x.s, x.p, x.o)
-    | F_p -> fun x -> (x.s, x.o, x.p)
-    | F_s -> fun x -> (x.p, x.o, x.s)
-  in
-  compare (key f a) (key f b)
+(* The ordering whose sort order makes a family's list appends monotone. *)
+let cmp_for_family = function
+  | F_o -> Ordering.compare_triples Ordering.Spo
+  | F_p -> Ordering.compare_triples Ordering.Sop
+  | F_s -> Ordering.compare_triples Ordering.Pos
 
 let add_bulk_ids t triples =
   (* One sorted pass per materialised family (monotone appends), plus the
      orderings of that family; the primary pass also deduplicates. *)
   let pf, _ = primary t in
   let arr = Array.copy triples in
-  Array.sort (cmp_for_family pf) arr;
+  Array.stable_sort (cmp_for_family pf) arr;
   let fresh = ref [] in
   let fresh_count = ref 0 in
   let pass f table fresh_arr =
-    Array.sort (cmp_for_family f) fresh_arr;
+    Array.stable_sort (cmp_for_family f) fresh_arr;
     Array.iter
       (fun tr ->
         let l = Index.get_or_create_list table (family_key tr f) in

@@ -57,18 +57,21 @@ let test_store_lubm_bulk () =
   let h = Hexastore.of_triples triples in
   check_bool "store is non-trivial" true (Hexastore.size h > 1000);
   no_violations "bulk-loaded LUBM store" (C.store h);
-  (* Terminal-list sharing is also asserted directly, by physical
-     equality, for every spo pair — not just through the checker. *)
+  (* Terminal-list sharing is also asserted directly for every spo pair
+     — not just through the checker: physical equality on raw stores,
+     equal windows onto one stream on flat ones (which hand out a fresh
+     slice per lookup), as in [Hexastore.check_invariant]. *)
+  let same_list a b = if Hexastore.is_flat h then Sorted_ivec.equal a b else a == b in
   let shared = ref 0 in
   Index.iter
     (fun s v ->
       Pair_vector.iter
         (fun p ol ->
           (match Index.find_list (Hexastore.pso h) p s with
-          | Some ol' -> check_bool "o-list shared spo/pso" true (ol == ol')
+          | Some ol' -> check_bool "o-list shared spo/pso" true (same_list ol ol')
           | None -> Alcotest.fail "pso missing twin list");
           (match Hexastore.objects_of_sp h ~s ~p with
-          | Some ol' -> check_bool "o-list shared with accessor table" true (ol == ol')
+          | Some ol' -> check_bool "o-list shared with accessor table" true (same_list ol ol')
           | None -> Alcotest.fail "accessor table missing list");
           incr shared)
         v)
@@ -354,6 +357,198 @@ let prop_delta_differential_wide =
           QCheck.Test.fail_reportf "%s"
             (String.concat "\n" (List.map C.Diff.divergence_to_string ds)))
 
+(* The term-filed buffers over a tiny id universe (values 0..3 in every
+   position), so buckets collide and dead entries pile up until they are
+   dropped.  A step is one mutation, a burst of mutations with no read
+   between them (entries leave the buffer before they were ever filed),
+   a flush or a compaction.  Over a base bulk-loaded from the first
+   triples, removals tombstone and re-adds resurrect.  After every step
+   the delta must pass [Invariant.delta], and every merged read — sorted
+   scan on each free position, lookup and count — must equal the same
+   read on a store built from the reference set. *)
+module Tset = Set.Make (struct
+  type t = id3
+
+  let compare = compare
+end)
+
+type buffer_step =
+  | Mutate of bool * id3
+  | Burst of (bool * id3) list
+  | Flush_step
+  | Compact_step
+
+let arb_buffer_steps =
+  let open QCheck.Gen in
+  let tr = map3 t3 (int_bound 3) (int_bound 3) (int_bound 3) in
+  let mutation = pair bool tr in
+  let step =
+    frequency
+      [ (8, map (fun (a, t) -> Mutate (a, t)) mutation);
+        (3, map (fun l -> Burst l) (list_size (int_range 2 6) mutation));
+        (1, return Flush_step);
+        (1, return Compact_step) ]
+  in
+  let print_step = function
+    | Mutate (a, t) -> Printf.sprintf "%s(%d,%d,%d)" (if a then "+" else "-") t.s t.p t.o
+    | Burst l -> Printf.sprintf "burst of %d" (List.length l)
+    | Flush_step -> "flush"
+    | Compact_step -> "compact"
+  in
+  QCheck.make
+    ~print:(fun (base, steps) ->
+      Printf.sprintf "base %d triples; %s" (List.length base)
+        (String.concat "; " (List.map print_step steps)))
+    (pair (list_size (int_bound 12) tr) (list_size (int_range 1 40) step))
+
+(* Every pattern binding each position to nothing, 0 or 2. *)
+let tiny_patterns =
+  let vals = [ None; Some 0; Some 2 ] in
+  List.concat_map
+    (fun s -> List.concat_map (fun p -> List.map (fun o -> { Pattern.s; p; o }) vals) vals)
+    vals
+
+let buffer_reads_agree d model =
+  let clone = Hexastore.create () in
+  ignore (Hexastore.add_bulk_ids clone (Array.of_list (Tset.elements model)));
+  List.for_all
+    (fun (pat : Pattern.t) ->
+      let scans_agree pos =
+        Pattern.value_at pat pos <> None
+        ||
+        match (Delta.scan_sorted d pat pos, Hexastore.scan_sorted clone pat pos) with
+        | Some (_, seek), Some (_, seek') ->
+            List.for_all (fun k -> List.of_seq (seek k) = List.of_seq (seek' k)) [ 0; 2 ]
+        | None, None -> true
+        | _ -> false
+      in
+      List.of_seq (Delta.lookup d pat) = List.of_seq (Hexastore.lookup clone pat)
+      && Delta.count d pat = Hexastore.count clone pat
+      && List.for_all scans_agree [ Pattern.Subj; Pattern.Pred; Pattern.Obj ])
+    tiny_patterns
+
+let prop_delta_buffers =
+  QCheck.Test.make ~name:"term-filed buffers = reference set (tiny universe)" ~count:200
+    arb_buffer_steps (fun (base, steps) ->
+      let d = Delta.create ~insert_threshold:1000 ~delete_threshold:1000 () in
+      ignore (Delta.add_bulk_ids d (Array.of_list base));
+      let model = ref (Tset.of_list base) in
+      let mutate (add, tr) =
+        if add then ignore (Delta.add_ids d tr) else ignore (Delta.remove_ids d tr);
+        model := if add then Tset.add tr !model else Tset.remove tr !model
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Mutate (a, t) -> mutate (a, t)
+          | Burst l -> List.iter mutate l
+          | Flush_step -> Delta.flush d
+          | Compact_step -> Delta.compact d);
+          (match C.delta d with
+          | [] -> ()
+          | vs -> QCheck.Test.fail_reportf "%a" C.Violation.pp_report vs);
+          buffer_reads_agree d !model)
+        steps)
+
+(* A pin taken while the buffers hold entries not yet filed under their
+   terms: the view files its own copy, so later writes (and the drains
+   they cause on the live delta) never reach it, and two [Query.Par]
+   lanes reading that one view at once see the same answers. *)
+let test_delta_pin_unfiled () =
+  let d = Delta.create ~insert_threshold:10_000 ~delete_threshold:10_000 () in
+  ignore (Delta.add_bulk_ids d (Array.init 200 (fun i -> t3 (i mod 50) (i mod 3) (i mod 7))));
+  for i = 0 to 99 do
+    ignore (Delta.add_ids d (t3 (100 + i) (i mod 3) (i mod 7)));
+    if i mod 4 = 0 then ignore (Delta.remove_ids d (t3 (i mod 50) (i mod 3) (i mod 7)))
+  done;
+  let view, unpin = Delta.pin d in
+  Fun.protect ~finally:unpin (fun () ->
+      let pats = Pattern.wildcard :: List.init 7 (fun o -> Pattern.make ~o ()) in
+      let pats = pats @ List.init 3 (fun p -> Pattern.make ~p ~o:p ()) in
+      let answers () =
+        List.map (fun pat -> (List.of_seq (Delta.lookup view pat), Delta.count view pat)) pats
+      in
+      let before = answers () in
+      for i = 0 to 299 do
+        ignore (Delta.add_ids d (t3 (500 + i) (i mod 3) (i mod 7)));
+        if i mod 3 = 0 then ignore (Delta.remove_ids d (t3 (100 + (i / 3)) ((i / 3) mod 3) ((i / 3) mod 7)));
+        if i mod 50 = 0 then ignore (Delta.count d (Pattern.make ~o:0 ()))
+      done;
+      check_bool "view unchanged by later writes" true (answers () = before);
+      let lanes = Query.Par.with_domains 2 (fun () -> Query.Par.run [| answers; answers |]) in
+      check_bool "lane 0 = sequential" true (lanes.(0) = before);
+      check_bool "lane 1 = lane 0" true (lanes.(1) = lanes.(0)));
+  no_violations "live delta after the pin" (C.delta d)
+
+(* Dead entries must not outlive their use.  10k staged triples share one
+   predicate and one object, so all of them land in the same two
+   buckets: unstaging them one by one (a read after each) must drop the
+   dead entries, and churning a triple through the buffer next to a
+   live one — with and without reads between — must not grow it. *)
+let test_delta_memory_bound () =
+  let d = Delta.create ~insert_threshold:100_000 ~delete_threshold:100_000 () in
+  let empty = Delta.memory_words d in
+  let tr i = t3 (10 + i) 1 2 in
+  for i = 0 to 9_999 do
+    ignore (Delta.add_ids d (tr i))
+  done;
+  check_int "all staged" 10_000 (Delta.count d (Pattern.make ~p:1 ~o:2 ()));
+  for i = 0 to 9_999 do
+    ignore (Delta.remove_ids d (tr i));
+    ignore (Delta.count d (Pattern.make ~p:1 ()))
+  done;
+  check_int "all unstaged" 0 (Delta.pending_inserts d);
+  check_bool "unstaging returns to the empty footprint" true
+    (Delta.memory_words d - empty <= 64);
+  ignore (Delta.add_ids d (t3 0 1 2));
+  ignore (Delta.count d (Pattern.make ~p:1 ()));
+  let anchored = Delta.memory_words d in
+  for i = 0 to 9_999 do
+    ignore (Delta.add_ids d (tr i));
+    if i mod 2 = 0 then ignore (Delta.count d (Pattern.make ~o:2 ()));
+    ignore (Delta.remove_ids d (tr i));
+    if i mod 3 = 0 then ignore (Delta.count d (Pattern.make ~p:1 ~o:2 ()))
+  done;
+  ignore (Delta.count d (Pattern.make ~p:1 ()));
+  check_int "anchor still staged" 1 (Delta.count d (Pattern.make ~p:1 ~o:2 ()));
+  check_bool "churn next to a live entry stays bounded" true
+    (Delta.memory_words d - anchored <= 64);
+  for i = 0 to 9_999 do
+    ignore (Delta.add_ids d (tr i));
+    ignore (Delta.remove_ids d (tr i))
+  done;
+  check_bool "churn with no read between stays bounded" true
+    (Delta.memory_words d - anchored <= 64)
+
+(* [Delta.memory_words] counts the buffers exactly: staging grows it by
+   what the runtime reaches from the delta.  Ids stay raw (the dictionary
+   never changes) and the test keeps no reference to the staged triples,
+   so every word the staging adds is reachable only through the delta. *)
+let test_delta_memory_exact () =
+  let d = Delta.create ~insert_threshold:100_000 ~delete_threshold:100_000 () in
+  ignore (Delta.add_bulk_ids d (Array.init 64 (fun i -> t3 i (i mod 5) (i mod 9))));
+  let words () = (Delta.memory_words d, Obj.reachable_words (Obj.repr d)) in
+  let m0, r0 = words () in
+  let agree what =
+    let m, r = words () in
+    check_int what (r - r0) (m - m0)
+  in
+  for i = 0 to 299 do
+    ignore (Delta.add_ids d (t3 (100 + i) (i mod 4) (i mod 11)))
+  done;
+  agree "unfiled inserts";
+  ignore (Delta.count d (Pattern.make ~p:1 ()));
+  agree "filed inserts";
+  for i = 0 to 63 do
+    if i mod 2 = 0 then ignore (Delta.remove_ids d (t3 i (i mod 5) (i mod 9)))
+  done;
+  for i = 0 to 299 do
+    if i mod 3 <> 0 then ignore (Delta.remove_ids d (t3 (100 + i) (i mod 4) (i mod 11)))
+  done;
+  agree "tombstones and dead entries";
+  ignore (Delta.count d (Pattern.make ~o:3 ()));
+  agree "after the drain"
+
 (* ------------------------------------------------------------------ *)
 (* Debug assertion hooks                                               *)
 (* ------------------------------------------------------------------ *)
@@ -523,6 +718,10 @@ let () =
             test_delta_diff_deterministic;
           qt prop_delta_differential;
           qt prop_delta_differential_wide;
+          qt prop_delta_buffers;
+          Alcotest.test_case "pin with unfiled entries" `Quick test_delta_pin_unfiled;
+          Alcotest.test_case "dead entries are dropped" `Quick test_delta_memory_bound;
+          Alcotest.test_case "exact buffer accounting" `Quick test_delta_memory_exact;
         ] );
       ( "debug-hooks",
         [
