@@ -856,16 +856,20 @@ let abl_telemetry _env =
 
 (* profiling: the PR-7 observability section.  Flight-recorder overhead
    is the on/off wall-time ratio of a repeated BGP count with the
-   telemetry master gate off in both arms, so the only difference
-   between them is the recorder's per-query emissions (the acceptance
-   bar is < 5%).  One traced run under a zero slow-query threshold then
-   exercises the profiler end to end — slow-log capture with its
-   --analyze plan, an Events.Slow_query in the ring — and populates the
-   scan-size histogram whose p50/p95/p99 the artifact reports. *)
+   telemetry master gate off in both arms; the off arm runs with the
+   recorder's capacity at 0, so the only difference between them is the
+   recorder's per-query events (the acceptance bar is < 5%).  One traced
+   run under a zero slow-query threshold then exercises the profiler end
+   to end — a Trace.Slow_query entry with its --analyze plan — and
+   populates the scan-size histogram whose p50/p95/p99 the artifact
+   reports. *)
 let with_events flag f =
-  let saved = !Telemetry.Events.enabled in
-  Telemetry.Events.enabled := flag;
-  Fun.protect ~finally:(fun () -> Telemetry.Events.enabled := saved) f
+  if flag then f ()
+  else begin
+    let saved = Telemetry.Trace.capacity () in
+    Telemetry.Trace.set_capacity 0;
+    Fun.protect ~finally:(fun () -> Telemetry.Trace.set_capacity saved) f
+  end
 
 let profiling_json ~mode env =
   match List.rev (Lazy.force env.barton) with
@@ -895,29 +899,28 @@ let profiling_json ~mode env =
                 with_events events_on (fun () -> Harness.time ~warmup:2 ~repeats:7 loop))
           in
           let off_s, n_off = time_arm false in
-          let recorded_before = Telemetry.Events.recorded () in
+          let recorded_before = Telemetry.Trace.recorded () in
           let on_s, n_on = time_arm true in
-          let recorder_events = Telemetry.Events.recorded () - recorded_before in
+          let recorder_events = Telemetry.Trace.recorded () - recorded_before in
+          let recorder_dropped = Telemetry.Trace.dropped () in
           assert (n_off = n_on);
-          (* One fully-traced run: zero threshold forces a slow-log entry
-             (and its Slow_query ring event) for a query that also feeds
-             the scan-size histogram. *)
+          (* One fully-traced run: zero threshold forces a Slow_query
+             entry for a query that also feeds the scan-size histogram. *)
           let slow_before = Telemetry.Profile.slow_count () in
           let saved_threshold = Telemetry.Profile.slow_threshold_s () in
           let slow_entry =
             Telemetry.with_enabled true (fun () ->
-                with_events true (fun () ->
-                    Telemetry.Profile.set_threshold_s 0.;
-                    Fun.protect
-                      ~finally:(fun () -> Telemetry.Profile.set_threshold_s saved_threshold)
-                      (fun () ->
-                        let _, d = Telemetry.Profile.profiled body in
-                        Telemetry.Profile.note ~label:(Query.Exec.query_label q)
-                          ~plan:(fun () ->
-                            Format.asprintf "%a" Query.Exec.pp_explain
-                              (Query.Exec.explain ~analyze:true store q))
-                          d;
-                        d)))
+                Telemetry.Profile.set_threshold_s 0.;
+                Fun.protect
+                  ~finally:(fun () -> Telemetry.Profile.set_threshold_s saved_threshold)
+                  (fun () ->
+                    let _, d = Telemetry.Profile.profiled body in
+                    Telemetry.Profile.note ~label:(Query.Exec.query_label q)
+                      ~plan:(fun () ->
+                        Format.asprintf "%a" Query.Exec.pp_explain
+                          (Query.Exec.explain ~analyze:true store q))
+                      d;
+                    d))
           in
           let slow_logged = Telemetry.Profile.slow_count () - slow_before in
           let scan_h = Telemetry.Metrics.histogram "hexastore.scan.terminal_size" in
@@ -933,8 +936,8 @@ let profiling_json ~mode env =
                     ("events_on_seconds", Telemetry.Json.Float on_s);
                     ("overhead_ratio", Telemetry.Json.Float (on_s /. off_s));
                     ("events_recorded", Telemetry.Json.Int recorder_events);
-                    ("events_dropped", Telemetry.Json.Int (Telemetry.Events.dropped ()));
-                    ("ring_capacity", Telemetry.Json.Int (Telemetry.Events.capacity ()));
+                    ("events_dropped", Telemetry.Json.Int recorder_dropped);
+                    ("ring_capacity", Telemetry.Json.Int (Telemetry.Trace.capacity ()));
                   ] );
               ( "slow_query",
                 Telemetry.Json.Obj

@@ -203,7 +203,7 @@ let profile_cmd =
                     ("profile", Telemetry.Profile.delta_to_json delta);
                     ("plan", Query.Exec.explain_to_json plan);
                     ("slow_queries", Telemetry.Profile.slow_log_to_json ());
-                    ("events", Telemetry.Events.to_json ());
+                    ("events", Telemetry.Trace.to_json ());
                   ]))
         else begin
           let probes =
@@ -219,7 +219,7 @@ let profile_cmd =
           List.iter
             (fun (n, v) -> Format.printf "  %-48s %+d@." n v)
             delta.Telemetry.Profile.counters;
-          Format.printf "@.flight recorder:@.%a@." Telemetry.Events.pp ()
+          Format.printf "@.recorder:@.%a@." Telemetry.Trace.pp ()
         end)
   in
   Cmd.v

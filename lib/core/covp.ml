@@ -240,12 +240,11 @@ let count t pat =
   | Pattern.S | Pattern.So | Pattern.O -> Seq.length (lookup t pat)
   | Pattern.None_bound -> t.size
 
-let lists_memory table =
-  Hashtbl.fold (fun _ l acc -> acc + 2 + Sorted_ivec.memory_words l) table 16
-
+(* Covp1's [s_lists] stays empty but is allocated, so it counts too. *)
 let memory_words t =
-  Index.memory_words t.pso + lists_memory t.o_lists
-  + (match t.pos with None -> 0 | Some pos -> Index.memory_words pos + lists_memory t.s_lists)
+  Index.memory_words t.pso + Index.lists_memory_words t.o_lists
+  + Index.lists_memory_words t.s_lists
+  + match t.pos with None -> 0 | Some pos -> Index.memory_words pos
 
 let check_invariant t =
   Index.check_invariant t.pso;

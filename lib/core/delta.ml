@@ -419,7 +419,7 @@ let flush_with ?(auto = false) ~force_rebuild t =
         if rebuild then rebuild_base t batch else ignore (Hexastore.add_bulk_ids t.base batch);
         (pending, rebuild))
   in
-  Telemetry.Events.emit (Telemetry.Events.Delta_flush { pending; rebuild; auto });
+  Telemetry.Trace.emit (Telemetry.Trace.Delta_flush { pending; rebuild; auto });
   note_pending t;
   if timed then
     Telemetry.Metrics.observe m_flush_us
@@ -431,8 +431,8 @@ let flush t =
 
 let compact t =
   Telemetry.Metrics.incr m_compact;
-  Telemetry.Events.emit
-    (Telemetry.Events.Delta_compact
+  Telemetry.Trace.emit
+    (Telemetry.Trace.Delta_compact
        { pending = buffer_length t.inserts + buffer_length t.deletes });
   flush_with ~force_rebuild:true t
 

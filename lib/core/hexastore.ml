@@ -571,21 +571,13 @@ let objects t = Index.headers t.osp
 
 (* --- accounting ------------------------------------------------------- *)
 
-(* Exact accounting: the table's bucket array plus 4 words per entry
-   (bucket cons: block header, key, value, next) plus each list's own
-   footprint.  On flat stores the tables are empty husks and the
-   terminal payloads are counted inside the indices' streams. *)
-let lists_memory table =
-  let stats = Hashtbl.stats table in
-  Hashtbl.fold
-    (fun _ l acc -> acc + 4 + Sorted_ivec.memory_words l)
-    table
-    (stats.Hashtbl.num_buckets + 4)
-
+(* On flat stores the list tables are empty husks and the terminal
+   payloads are counted inside the indices' streams. *)
 let memory_words t =
   Index.memory_words t.spo + Index.memory_words t.sop + Index.memory_words t.pso
   + Index.memory_words t.pos + Index.memory_words t.osp + Index.memory_words t.ops
-  + lists_memory t.o_lists + lists_memory t.p_lists + lists_memory t.s_lists
+  + Index.lists_memory_words t.o_lists + Index.lists_memory_words t.p_lists
+  + Index.lists_memory_words t.s_lists
 
 let memory_words_with_dict t = memory_words t + Dict.Term_dict.memory_words t.dict
 

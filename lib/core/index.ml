@@ -112,6 +112,16 @@ let get_or_create_list table key =
       Hashtbl.add table key l;
       l
 
+(* Exact accounting: the table's record and bucket array plus 4 words
+   per entry (bucket cons: header, key, value, next) plus each list's
+   own footprint. *)
+let lists_memory_words table =
+  let stats = Hashtbl.stats table in
+  Hashtbl.fold
+    (fun _ l acc -> acc + 4 + Vectors.Sorted_ivec.memory_words l)
+    table
+    (stats.Hashtbl.num_buckets + 4)
+
 let link_with ~defer index ~first ~second l =
   let v = create_vector ~defer index first in
   ignore (Pair_vector.get_or_insert v second (fun () -> l));

@@ -39,6 +39,10 @@ val get_or_create_list :
 (** The terminal list under a {!Vectors.Pair_key} in a store's list
     table, created empty when absent. *)
 
+val lists_memory_words : (int, Vectors.Sorted_ivec.t) Hashtbl.t -> int
+(** Exact words held by a store's list table: its bucket array, one
+    4-word bucket per entry and every list. *)
+
 val link : t -> first:int -> second:int -> Vectors.Sorted_ivec.t -> unit
 (** [link idx ~first ~second l] registers the shared terminal list [l]
     under (first, second) and counts one more triple under [first]'s

@@ -240,17 +240,8 @@ let count t pat =
   | _ -> Seq.length (lookup t pat)
 
 let memory_words t =
-  (* Exact, matching [Hexastore.memory_words]: the bucket array plus a
-     4-word bucket entry (Cons header, key, data, next) per list. *)
-  let lists_memory table =
-    let stats = Hashtbl.stats table in
-    Hashtbl.fold
-      (fun _ l acc -> acc + 4 + Sorted_ivec.memory_words l)
-      table
-      (stats.Hashtbl.num_buckets + 4)
-  in
   List.fold_left (fun acc (_, idx) -> acc + Index.memory_words idx) 0 t.indices
-  + List.fold_left (fun acc (_, table) -> acc + lists_memory table) 0 t.families
+  + List.fold_left (fun acc (_, table) -> acc + Index.lists_memory_words table) 0 t.families
 
 let check_invariant t =
   List.iter

@@ -130,7 +130,7 @@ let save h path =
      Sys.remove tmp;
      raise e);
   Sys.rename tmp path;
-  Telemetry.Events.emit (Telemetry.Events.Snapshot_save { path; triples = Hexastore.size h })
+  Telemetry.Trace.emit (Telemetry.Trace.Snapshot_save { path; triples = Hexastore.size h })
 
 (* --- load -------------------------------------------------------------- *)
 
@@ -191,7 +191,7 @@ let load_channel ic =
 let load path =
   let ic = open_in_bin path in
   let h = Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> load_channel ic) in
-  Telemetry.Events.emit (Telemetry.Events.Snapshot_load { path; triples = Hexastore.size h });
+  Telemetry.Trace.emit (Telemetry.Trace.Snapshot_load { path; triples = Hexastore.size h });
   h
 
 (* Delta-fronted stores persist flush-on-save: the snapshot format only

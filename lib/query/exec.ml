@@ -270,13 +270,13 @@ let eval_plan store choices =
    to the sequential pipeline. *)
 let eval_bgp_parallel store (first : Planner.choice) rest parts pos =
   let tp = first.Planner.tp in
-  let label = Printf.sprintf "bgp(%d)" (1 + List.length rest) in
   let fanout achieved =
     (* Planned vs achieved ranges into the flight recorder: achieved = 0
        records a refused split (the sequential fallback), and the width
        says how many lanes the achieved ranges were spread over. *)
-    Telemetry.Events.emit
-      (Telemetry.Events.Par_fanout { label; planned = parts; achieved; width = Par.domains () })
+    Telemetry.Trace.emit
+      (Telemetry.Trace.Par_fanout
+         { patterns = 1 + List.length rest; planned = parts; achieved; width = Par.domains () })
   in
   let dict = Hexa.Store_sig.dict store in
   match (resolve dict Binding.empty tp.s, resolve dict Binding.empty tp.p, resolve dict Binding.empty tp.o) with
@@ -308,16 +308,18 @@ let eval_bgp_parallel store (first : Planner.choice) rest parts pos =
 
 let eval_bgp store tps =
   let choices = Planner.plan store tps in
-  Telemetry.Events.emit
-    (Telemetry.Events.Plan_choice
+  (* The detail is a thunk: the recorder renders it only when the entry
+     is printed or exported, never on the query path.  It holds just the
+     strategies, not the choices, so the ring keeps the plan's patterns
+     (and their terms) out of the major heap. *)
+  let strategies = List.map (fun (c : Planner.choice) -> c.Planner.strategy) choices in
+  Telemetry.Trace.emit
+    (Telemetry.Trace.Plan_choice
        {
-         label = Printf.sprintf "bgp(%d)" (List.length tps);
+         patterns = List.length tps;
          detail =
-           String.concat ";"
-             (List.map
-                (fun (c : Planner.choice) ->
-                  Format.asprintf "%a" Planner.pp_strategy c.Planner.strategy)
-                choices);
+           (fun () ->
+             String.concat ";" (List.map (Format.asprintf "%a" Planner.pp_strategy) strategies));
        });
   match choices with
   | ({ Planner.par = Some { Planner.par_parts; par_pos }; _ } as first) :: rest -> (
@@ -503,16 +505,16 @@ let root_op (q : Algebra.t) =
   | Order_by _ -> "order-by"
   | Slice _ -> "slice"
 
-let query_label q = Printf.sprintf "%s/%dtp" (root_op q) (pattern_count q)
+let query_label q = Telemetry.Trace.query_label ~op:(root_op q) ~patterns:(pattern_count q)
 
 (* Bracket an entry point with flight-recorder events; the end event
    (and its row count) is only emitted on normal return, so a crash
    shows up in the dump as an unmatched query.start. *)
 let recorded_entry q rows_of f =
-  let label = query_label q in
-  Telemetry.Events.emit (Telemetry.Events.Query_start { label });
+  let op = root_op q and patterns = pattern_count q in
+  Telemetry.Trace.emit (Telemetry.Trace.Query_start { op; patterns });
   let x = f () in
-  Telemetry.Events.emit (Telemetry.Events.Query_end { label; rows = rows_of x });
+  Telemetry.Trace.emit (Telemetry.Trace.Query_end { op; patterns; rows = rows_of x });
   x
 
 let run_seq store q = eval store q

@@ -15,7 +15,7 @@
 val query_label : Algebra.t -> string
 (** Compact flight-recorder label: the root operator plus total pattern
     count, e.g. ["project/2tp"].  The blocking entry points below
-    bracket themselves with [Events.Query_start]/[Query_end] under this
+    bracket themselves with [Trace.Query_start]/[Query_end] under this
     label (a crash therefore shows as an unmatched start in the dump). *)
 
 val run_seq : Hexa.Store_sig.boxed -> Algebra.t -> Binding.t Seq.t

@@ -1,12 +1,12 @@
 (* Standard exposition formats over the telemetry state:
 
    - Chrome trace-event JSON ("complete" [ph:"X"] events, microsecond
-     units) from the span buffer, loadable in chrome://tracing and
+     units) from the recorder's spans, loadable in chrome://tracing and
      Perfetto;
    - Prometheus text exposition (version 0.0.4) from the metrics
      registry, with histogram quantile estimates as a companion gauge
-     family and the flight-recorder / span-buffer ring accounting
-     appended as synthesised series. *)
+     family and the recorder's ring accounting appended as synthesised
+     series. *)
 
 (* --- Chrome trace-event JSON ------------------------------------------- *)
 
@@ -20,7 +20,7 @@
 
 let domain_ranks spans =
   let doms =
-    List.sort_uniq compare (List.map (fun (s : Trace.span) -> s.Trace.dom) spans)
+    List.sort_uniq compare (List.map (fun (s : Trace.entry) -> s.Trace.dom) spans)
   in
   fun dom ->
     let rec rank i = function
@@ -29,13 +29,13 @@ let domain_ranks spans =
     in
     rank 1 doms
 
-let span_to_trace_event ?(tid_of = fun _ -> 1) (s : Trace.span) =
+let span_to_trace_event ?(tid_of = fun _ -> 1) (s : Trace.entry) =
   Json.Obj
     [
-      ("name", Json.String s.Trace.name);
+      ("name", Json.String (Trace.name s));
       ("cat", Json.String "hexastore");
       ("ph", Json.String "X");
-      ("ts", Json.Float (s.Trace.start *. 1e6));
+      ("ts", Json.Float (s.Trace.at *. 1e6));
       ("dur", Json.Float (s.Trace.duration *. 1e6));
       ("pid", Json.Int 1);
       ("tid", Json.Int (tid_of s.Trace.dom));
@@ -60,7 +60,7 @@ let thread_name_event tid =
 
 let chrome_trace_of_spans spans =
   let tid_of = domain_ranks spans in
-  let tids = List.sort_uniq compare (List.map (fun (s : Trace.span) -> tid_of s.Trace.dom) spans) in
+  let tids = List.sort_uniq compare (List.map (fun (s : Trace.entry) -> tid_of s.Trace.dom) spans) in
   Json.Obj
     [
       ( "traceEvents",
@@ -130,14 +130,14 @@ let prometheus () =
           Buffer.add_string buf (Printf.sprintf "%s %s\n" n (float_repr (Metrics.gauge_value g)))
       | Metrics.Histogram h -> add_histogram buf name h)
     ();
-  (* Ring accounting for the flight recorder and the span buffer lives
-     outside the registry (the recorder runs even with telemetry off);
-     synthesise its series here so a scrape sees the drop counts. *)
+  (* The recorder's ring accounting lives outside the registry (events
+     are recorded even with telemetry off); synthesise its series here
+     so a scrape sees the drop counts. *)
   let synth ty n v =
     Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" n ty);
     Buffer.add_string buf (Printf.sprintf "%s %d\n" n v)
   in
-  synth "counter" "telemetry_events_recorded" (Events.recorded ());
-  synth "counter" "telemetry_events_dropped" (Events.dropped ());
-  synth "gauge" "telemetry_events_capacity" (Events.capacity ());
+  synth "counter" "telemetry_recorder_recorded" (Trace.recorded ());
+  synth "counter" "telemetry_recorder_dropped" (Trace.dropped ());
+  synth "gauge" "telemetry_recorder_capacity" (Trace.capacity ());
   Buffer.contents buf

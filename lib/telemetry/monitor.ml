@@ -1,7 +1,7 @@
 (* Pull-based monitoring over the metrics registry: capture a snapshot
-   of every registered metric (plus the flight-recorder / span-buffer
-   ring accounting), diff two snapshots into a rate-computed view, and
-   render it as text or JSON.
+   of every registered metric (plus the recorder's ring accounting),
+   diff two snapshots into a rate-computed view, and render it as text
+   or JSON.
 
    The monitor deliberately owns no state and spawns nothing: a watcher
    (the [hexastore top] CLI, a future serving endpoint) keeps the
@@ -26,9 +26,8 @@ type metric_sample =
 type sample = {
   taken_at : float;
   metrics : (string * metric_sample) list;
-  s_events_recorded : int;
-  s_events_dropped : int;
-  s_spans_dropped : int;
+  s_recorded : int;
+  s_dropped : int;
 }
 
 let sample_histogram h =
@@ -57,9 +56,8 @@ let sample () =
   {
     taken_at = Clock.now ();
     metrics;
-    s_events_recorded = Events.recorded ();
-    s_events_dropped = Events.dropped ();
-    s_spans_dropped = Trace.dropped ();
+    s_recorded = Trace.recorded ();
+    s_dropped = Trace.dropped ();
   }
 
 (* --- views -------------------------------------------------------------- *)
@@ -82,10 +80,9 @@ type view = {
   at : float;
   interval_s : float;
   rows : (string * row) list;
-  events_recorded : int;
-  events_rate : float;
-  events_dropped : int;
-  spans_dropped : int;
+  recorded : int;
+  recorded_rate : float;
+  dropped : int;
 }
 
 let per_second dt delta = if dt > 0. then float_of_int delta /. dt else 0.
@@ -120,10 +117,9 @@ let diff prev next =
     at = next.taken_at;
     interval_s = dt;
     rows;
-    events_recorded = next.s_events_recorded;
-    events_rate = per_second dt (next.s_events_recorded - prev.s_events_recorded);
-    events_dropped = next.s_events_dropped;
-    spans_dropped = next.s_spans_dropped;
+    recorded = next.s_recorded;
+    recorded_rate = per_second dt (next.s_recorded - prev.s_recorded);
+    dropped = next.s_dropped;
   }
 
 let watch () =
@@ -163,14 +159,13 @@ let view_to_json v =
       ("at", Json.Float v.at);
       ("interval_s", Json.Float v.interval_s);
       ("metrics", Json.Obj (List.map (fun (n, r) -> (n, row_to_json r)) v.rows));
-      ( "events",
+      ( "recorder",
         Json.Obj
           [
-            ("recorded", Json.Int v.events_recorded);
-            ("per_s", Json.Float v.events_rate);
-            ("dropped", Json.Int v.events_dropped);
+            ("recorded", Json.Int v.recorded);
+            ("per_s", Json.Float v.recorded_rate);
+            ("dropped", Json.Int v.dropped);
           ] );
-      ("spans_dropped", Json.Int v.spans_dropped);
     ]
 
 let pp_view ppf v =
@@ -212,5 +207,5 @@ let pp_view ppf v =
         Format.fprintf ppf "  %-42s %10d %9.1f %9.1f %9.1f %9.1f@," name count rate p50 p95 p99)
       hists
   end;
-  Format.fprintf ppf "events: recorded=%d (%.1f/s) dropped=%d; spans dropped=%d@]"
-    v.events_recorded v.events_rate v.events_dropped v.spans_dropped
+  Format.fprintf ppf "recorder: recorded=%d (%.1f/s) dropped=%d@]" v.recorded v.recorded_rate
+    v.dropped

@@ -2,10 +2,10 @@
 
     {!sample} captures every registered metric — counter and gauge
     values, histogram count/sum and p50/p95/p99 estimates — together
-    with the flight-recorder and span-buffer ring accounting.  {!diff}
-    turns two samples into a {!view}: counters and histogram counts
-    become per-second rates over the interval, gauges and quantiles are
-    reported at the newer sample.  {!watch} packages the
+    with the recorder's ring accounting.  {!diff} turns two samples
+    into a {!view}: counters and histogram counts become per-second
+    rates over the interval, gauges and quantiles are reported at the
+    newer sample.  {!watch} packages the
     keep-the-previous-sample loop for callers that poll on a cadence
     (the [hexastore top] CLI).
 
@@ -30,9 +30,8 @@ type metric_sample =
 type sample = {
   taken_at : float;  (** {!Clock.now} at capture *)
   metrics : (string * metric_sample) list;  (** name-sorted *)
-  s_events_recorded : int;
-  s_events_dropped : int;
-  s_spans_dropped : int;
+  s_recorded : int;  (** {!Trace.recorded} *)
+  s_dropped : int;  (** {!Trace.dropped} *)
 }
 
 val sample : unit -> sample
@@ -56,10 +55,9 @@ type view = {
   at : float;
   interval_s : float;
   rows : (string * row) list;  (** one row per metric in the newer sample *)
-  events_recorded : int;
-  events_rate : float;
-  events_dropped : int;
-  spans_dropped : int;
+  recorded : int;
+  recorded_rate : float;  (** recorder entries per second over the interval *)
+  dropped : int;
 }
 
 val diff : sample -> sample -> view

@@ -1,5 +1,6 @@
 (* Per-query profiling: snapshot/diff of the metrics registry plus GC
-   allocation counters, and the slow-query log fed from those diffs.
+   allocation counters, and the slow-query view over the recorder that
+   those diffs feed.
 
    The profiler does not know about query plans — callers (the CLI, the
    bench) render the EXPLAIN tree themselves and hand it over as a
@@ -14,12 +15,12 @@ type snapshot = {
   counters : (string * int) list; (* name-sorted, from Metrics.snapshot_counters *)
 }
 
-type delta = {
+type delta = Trace.delta = {
   wall_s : float;
   alloc_minor_words : float;
   alloc_major_words : float;
   alloc_words : float;
-  counters : (string * int) list; (* non-zero counter deltas, name-sorted *)
+  counters : (string * int) list;
 }
 
 (* Safe to call from any domain: [Metrics.snapshot_counters] walks the
@@ -81,32 +82,9 @@ let counter_total ?(prefix = "") d =
     (fun acc (name, v) -> if String.starts_with ~prefix name then acc + v else acc)
     0 d.counters
 
-let delta_to_json d =
-  Json.Obj
-    [
-      ("wall_s", Json.Float d.wall_s);
-      ("alloc_minor_words", Json.Float d.alloc_minor_words);
-      ("alloc_major_words", Json.Float d.alloc_major_words);
-      ("alloc_words", Json.Float d.alloc_words);
-      ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) d.counters));
-    ]
+let delta_to_json = Trace.delta_to_json
 
-let pp_delta ppf d =
-  Format.fprintf ppf "@[<v>wall=%.3fms alloc=%.0fw (minor=%.0f major=%.0f)" (d.wall_s *. 1e3)
-    d.alloc_words d.alloc_minor_words d.alloc_major_words;
-  List.iter (fun (n, v) -> Format.fprintf ppf "@,  %-48s %+d" n v) d.counters;
-  Format.fprintf ppf "@]"
-
-(* --- slow-query log ----------------------------------------------------- *)
-
-type slow_query = {
-  sq_label : string;
-  sq_at : float;
-  sq_delta : delta;
-  sq_plan : string;
-}
-
-let max_slow_entries = 128
+(* --- slow-query view ---------------------------------------------------- *)
 
 let default_threshold_s () =
   match Sys.getenv_opt "HEXASTORE_SLOW_MS" with
@@ -118,64 +96,36 @@ let default_threshold_s () =
    tests around whole runs.  Diagnostic routing only. *)
 let threshold_s = ref (default_threshold_s ())
 
-(* Serialises slow-log appends/rotations against concurrent noters on
-   other domains (and against a dump racing an append). *)
-let slow_lock = Mutex.create ()
-
-let slow_locked f =
-  Mutex.lock slow_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock slow_lock) f
-
-(* domain-safety: guarded — the bounded slow-query log (newest first);
-   appended and read under [slow_lock] so a rotation cannot race another
-   domain's append. *)
-let slow_log : slow_query list ref = ref []
-
-(* domain-safety: guarded — total slow queries observed, including
-   entries already rotated out of the bounded log; bumped under
-   [slow_lock] alongside the append it counts. *)
-let slow_total = ref 0
+(* domain-safety: atomic — threshold crossings since the last [clear],
+   including entries the ring has since overwritten; bumped lock-free by
+   whichever domain notes a slow query. *)
+let slow_total = Atomic.make 0
 
 let set_threshold_s s = threshold_s := s
 
 let slow_threshold_s () = !threshold_s
 
-let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
-
 let note ~label ~plan d =
   if d.wall_s >= !threshold_s then begin
-    let plan = plan () in
-    let entry = { sq_label = label; sq_at = Clock.now (); sq_delta = d; sq_plan = plan } in
-    slow_locked (fun () ->
-        incr slow_total;
-        slow_log := entry :: take (max_slow_entries - 1) !slow_log);
-    Events.emit (Events.Slow_query { label; wall_s = d.wall_s; plan })
+    Atomic.incr slow_total;
+    Trace.emit (Trace.Slow_query { label; plan = plan (); delta = d })
   end
 
-let slow_queries () = List.rev (slow_locked (fun () -> !slow_log))
+let slow_queries () =
+  List.filter
+    (fun (e : Trace.entry) -> match e.kind with Trace.Slow_query _ -> true | _ -> false)
+    (Trace.events ())
 
-let slow_count () = !slow_total
+let slow_count () = Atomic.get slow_total
 
-let clear_slow_log () =
-  slow_locked (fun () ->
-      slow_log := [];
-      slow_total := 0)
-
-let slow_query_to_json sq =
-  Json.Obj
-    [
-      ("label", Json.String sq.sq_label);
-      ("at", Json.Float sq.sq_at);
-      ("profile", delta_to_json sq.sq_delta);
-      ("plan", Json.String sq.sq_plan);
-    ]
+let clear () = Atomic.set slow_total 0
 
 let slow_log_to_json () =
   Json.Obj
     [
       ("threshold_s", if Float.is_finite !threshold_s then Json.Float !threshold_s else Json.Null);
-      ("total", Json.Int !slow_total);
-      ("entries", Json.List (List.map slow_query_to_json (slow_queries ())));
+      ("total", Json.Int (slow_count ()));
+      ("entries", Json.List (List.map Trace.entry_to_json (slow_queries ())));
     ]
 
 let pp_slow_log ppf () =
@@ -184,8 +134,11 @@ let pp_slow_log ppf () =
   | [] -> Format.fprintf ppf "(no slow queries)@,"
   | entries ->
       List.iter
-        (fun sq ->
-          Format.fprintf ppf "%s wall=%.3fms@,  @[<v>%a@]@," sq.sq_label
-            (sq.sq_delta.wall_s *. 1e3) Events.pp_block sq.sq_plan)
+        (fun (e : Trace.entry) ->
+          match e.kind with
+          | Trace.Slow_query { label; plan; delta } ->
+              Format.fprintf ppf "%s wall=%.3fms@,  @[<v>%a@]@," label (delta.wall_s *. 1e3)
+                Trace.pp_block plan
+          | _ -> ())
         entries);
   Format.fprintf ppf "@]"

@@ -1,4 +1,4 @@
-(** Per-query profiling and the slow-query log.
+(** Per-query profiling and the slow-query view.
 
     {!snapshot} captures the metrics registry (every counter, name
     sorted) together with the GC's allocation counters and the clock;
@@ -10,13 +10,14 @@
     feeds them: with [Telemetry.enabled] off the registry does not move
     and a delta degrades gracefully to wall time + GC words.
 
-    The {b slow-query log} keeps the last {!max_slow_entries} queries
-    whose wall time crossed {!slow_threshold_s} (default [infinity];
-    export [HEXASTORE_SLOW_MS] or call {!set_threshold_s}).  Each entry
-    retains the rendered [--analyze] plan — supplied lazily, so fast
-    queries never pay for it — and the counter deltas; crossing the
-    threshold also emits an {!Events.Slow_query} into the flight
-    recorder. *)
+    The {b slow-query view}: {!note} records a query whose wall time
+    crossed {!slow_threshold_s} (default [infinity]; export
+    [HEXASTORE_SLOW_MS] or call {!set_threshold_s}) as a
+    [Trace.Slow_query] entry carrying its rendered [--analyze] plan —
+    supplied lazily, so fast queries never pay for it — and its
+    {!delta}.  {!slow_queries} filters the recorder's dump, so slow
+    entries rotate out with the ring like every other entry;
+    {!slow_count} stays exact. *)
 
 type snapshot = {
   at : float;
@@ -26,7 +27,7 @@ type snapshot = {
   counters : (string * int) list;
 }
 
-type delta = {
+type delta = Trace.delta = {
   wall_s : float;
   alloc_minor_words : float;
   alloc_major_words : float;
@@ -49,37 +50,28 @@ val counter_total : ?prefix:string -> delta -> int
 
 val delta_to_json : delta -> Json.t
 
-val pp_delta : Format.formatter -> delta -> unit
-
-(** {2 Slow-query log} *)
-
-type slow_query = {
-  sq_label : string;
-  sq_at : float;
-  sq_delta : delta;
-  sq_plan : string;  (** rendered [--analyze] tree *)
-}
-
-val max_slow_entries : int
+(** {2 Slow-query view} *)
 
 val set_threshold_s : float -> unit
 
 val slow_threshold_s : unit -> float
 
 val note : label:string -> plan:(unit -> string) -> delta -> unit
-(** Log [delta] under [label] if it crossed the threshold; [plan] is
+(** Record [delta] under [label] if it crossed the threshold; [plan] is
     forced only then. *)
 
-val slow_queries : unit -> slow_query list
-(** Retained entries, oldest first. *)
+val slow_queries : unit -> Trace.entry list
+(** The [Slow_query] entries still in the recorder, oldest first. *)
 
 val slow_count : unit -> int
-(** Total threshold crossings, including rotated-out entries. *)
+(** Total threshold crossings since the last {!clear}, including
+    entries the ring has since overwritten. *)
 
-val clear_slow_log : unit -> unit
-
-val slow_query_to_json : slow_query -> Json.t
+val clear : unit -> unit
+(** Zero {!slow_count} (the entries themselves go with [Trace.clear]). *)
 
 val slow_log_to_json : unit -> Json.t
+(** [{"threshold_s", "total", "entries": [...]}], each entry as
+    {!Trace.entry_to_json} renders it (label, plan, profile, at, ...). *)
 
 val pp_slow_log : Format.formatter -> unit -> unit

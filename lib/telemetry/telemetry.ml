@@ -4,7 +4,6 @@ module Json = Json
 module Histogram = Histogram
 module Metrics = Metrics
 module Trace = Trace
-module Events = Events
 module Profile = Profile
 module Export = Export
 module Monitor = Monitor
@@ -19,20 +18,18 @@ let with_enabled flag f =
   Fun.protect ~finally:(fun () -> Config.enabled := saved) f
 
 let report ppf () =
-  Format.fprintf ppf "@[<v>%a@,@,slow queries:@,%a@,spans:@,%a@,events:@,%a@]" Metrics.pp_report
-    () Profile.pp_slow_log () Trace.pp () Events.pp ()
+  Format.fprintf ppf "@[<v>%a@,@,slow queries:@,%a@,recorder:@,%a@]" Metrics.pp_report ()
+    Profile.pp_slow_log () Trace.pp ()
 
 let to_json () =
   Json.Obj
     [
       ("metrics", Metrics.to_json ());
-      ("trace", Trace.to_json ());
-      ("events", Events.to_json ());
+      ("events", Trace.to_json ());
       ("slow_queries", Profile.slow_log_to_json ());
     ]
 
 let reset () =
   Metrics.reset_all ();
   Trace.clear ();
-  Events.clear ();
-  Profile.clear_slow_log ()
+  Profile.clear ()

@@ -1,56 +1,105 @@
-type span = {
-  name : string;
-  start : float;
-  duration : float;
-  depth : int;
-  id : int;
-  parent : int option;
-  dom : int;
+type delta = {
+  wall_s : float;
+  alloc_minor_words : float;
+  alloc_major_words : float;
+  alloc_words : float;
+  counters : (string * int) list; (* non-zero counter deltas, name-sorted *)
 }
 
-let max_spans = 8192
+type kind =
+  | Span of string
+  | Query_start of {
+      op : string;
+      patterns : int;
+    }
+  | Query_end of {
+      op : string;
+      patterns : int;
+      rows : int;
+    }
+  | Plan_choice of {
+      patterns : int;
+      detail : unit -> string;
+    }
+  | Delta_flush of {
+      pending : int;
+      rebuild : bool;
+      auto : bool;
+    }
+  | Delta_compact of { pending : int }
+  | Snapshot_save of {
+      path : string;
+      triples : int;
+    }
+  | Snapshot_load of {
+      path : string;
+      triples : int;
+    }
+  | Slow_query of {
+      label : string;
+      plan : string;
+      delta : delta;
+    }
+  | Par_fanout of {
+      patterns : int;
+      planned : int;
+      achieved : int;
+      width : int;
+    }
 
-(* The span buffer is sharded by domain: each domain records into the
-   slot indexed by its domain id mod [shard_count], so concurrent
-   emitters on a parallel query almost never contend.  Domain ids grow
-   without bound across spawns, so two domains *can* share a shard —
-   each shard therefore still carries its own mutex, making the shard a
-   contention optimisation rather than a correctness assumption.  The
-   capacity bound ([max_spans]) is per shard: a single-domain process
-   keeps exactly the historical semantics (all spans land in one
-   shard), while a multi-domain process gets up to
-   [shard_count * max_spans] buffered spans.  Dumps merge the shards by
-   a global completion sequence number, reproducing the exact
-   completion order a single buffer would have recorded.
+type entry = {
+  seq : int;
+  at : float;
+  dom : int;
+  id : int;
+  parent : int option;
+  depth : int;
+  duration : float;
+  kind : kind;
+}
+
+(* One ring per domain shard: each domain records into the slot indexed
+   by its domain id mod [shard_count], so concurrent recorders on a
+   parallel query almost never contend.  Domain ids grow without bound
+   across spawns, so two domains *can* share a shard — each shard
+   therefore still carries its own mutex, making the shard a contention
+   optimisation rather than a correctness assumption.  A ring keeps the
+   newest [capacity] entries of its shard; [recorded] counts every entry
+   offered since the last clear, so [recorded - retained] are the
+   overwrites.  Ring storage is allocated on a shard's first record.
+   Dumps merge the shards by a global sequence number, reproducing the
+   exact order a single buffer would have recorded.
 
    Span *identity* is not sharded: every span gets a process-unique id
    from a global atomic, and each domain tracks its innermost open span
-   in domain-local storage, so a span's [parent] and [depth] follow the
-   dynamic nesting on that domain.  Cross-domain edges — a pool task
+   in domain-local storage, so an entry's [parent] and [depth] follow
+   the dynamic nesting on that domain.  Cross-domain edges — a pool task
    belonging to the query that submitted it — are made explicit by
-   passing the submitting span's handle as [?parent]; the task's spans
-   then attach under the query span even though they complete on
-   another domain. *)
+   passing the submitting span's handle as [?parent]. *)
 
 let shard_count = 8
 
+let default_capacity = 8192
+
 type shard = {
   lock : Mutex.t;
-  mutable spans : (int * span) list;  (* newest first, tagged with completion seq *)
-  mutable buffered : int;
-  mutable dropped : int;
+  mutable ring : entry array;  (* [||] until first use; else length = capacity *)
+  mutable recorded : int;
 }
 
-(* domain-safety: domain-sharded — one buffer slot per domain (domain id
-   mod shard_count), each guarded by its own mutex for the collision
-   case; reads merge all shards by completion seq. *)
-let shards =
-  Array.init shard_count (fun _ ->
-      { lock = Mutex.create (); spans = []; buffered = 0; dropped = 0 })
+(* domain-safety: domain-sharded — one ring per domain (domain id mod
+   shard_count), each read and written under its own mutex for the
+   collision case; dumps merge all shards by seq. *)
+let shards = Array.init shard_count (fun _ -> { lock = Mutex.create (); ring = [||]; recorded = 0 })
 
-(* domain-safety: atomic — global completion sequence tag, fetched
-   lock-free by whichever domain finishes a span next; only orders the
-   merged dump. *)
+(* domain-safety: atomic — ring slots per shard, read by every recorder
+   and replaced by [set_capacity]; a recorder re-reads it under its
+   shard lock before sizing the ring. *)
+let capacity_cell = Atomic.make default_capacity
+
+(* domain-safety: atomic — global recording sequence tag, fetched
+   lock-free by whichever domain records next; only orders the merged
+   dump. *)
 let next_seq = Atomic.make 0
 
 (* domain-safety: atomic — process-unique span id source (ids start at
@@ -64,32 +113,37 @@ let next_id = Atomic.make 1
    own cell, written only by that domain, so nesting needs no lock. *)
 let current = Domain.DLS.new_key (fun () -> (0, 0))
 
-let my_shard () = shards.((Domain.self () :> int) mod shard_count)
+let dummy =
+  { seq = -1; at = 0.; dom = 0; id = 0; parent = None; depth = 0; duration = 0.; kind = Span "" }
 
-let locked sh f =
+(* The capacity is re-read under the shard lock, so a ring is always
+   sized to the current setting.  The critical section cannot raise, so
+   a bare lock/unlock pair is enough — no [Fun.protect] closure on the
+   recording path. *)
+let record ~at ~id ~parent ~depth ~duration kind =
+  let dom = (Domain.self () :> int) in
+  let sh = shards.(dom mod shard_count) in
   Mutex.lock sh.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sh.lock) f
+  let cap = Atomic.get capacity_cell in
+  if cap > 0 then begin
+    if Array.length sh.ring <> cap then begin
+      sh.ring <- Array.make cap dummy;
+      sh.recorded <- 0
+    end;
+    let seq = Atomic.fetch_and_add next_seq 1 in
+    sh.ring.(sh.recorded mod cap) <- { seq; at; dom; id; parent; depth; duration; kind };
+    sh.recorded <- sh.recorded + 1
+  end;
+  Mutex.unlock sh.lock
 
-(* Registry mirror of the drop tally, so a Prometheus scrape of the
-   registry sees span-buffer overflow without a separate dump. *)
-let c_dropped = Metrics.counter "telemetry.trace.dropped"
-
-let dropped () = Array.fold_left (fun acc sh -> acc + sh.dropped) 0 shards
-
-let record sh s =
-  let overflow =
-    locked sh (fun () ->
-        if sh.buffered >= max_spans then begin
-          sh.dropped <- sh.dropped + 1;
-          true
-        end
-        else begin
-          sh.spans <- (Atomic.fetch_and_add next_seq 1, s) :: sh.spans;
-          sh.buffered <- sh.buffered + 1;
-          false
-        end)
-  in
-  if overflow then Metrics.incr c_dropped
+(* At capacity 0 an event costs one atomic read: no clock read, no lock. *)
+let emit kind =
+  if Atomic.get capacity_cell > 0 then begin
+    let open_id, depth = Domain.DLS.get current in
+    record ~at:(Clock.now ()) ~id:0
+      ~parent:(if open_id = 0 then None else Some open_id)
+      ~depth ~duration:0. kind
+  end
 
 type handle = {
   h_name : string;
@@ -146,16 +200,7 @@ let exit_span h =
     h.h_closed <- true;
     let duration = Clock.now () -. h.h_start in
     Domain.DLS.set current h.h_saved;
-    record (my_shard ())
-      {
-        name = h.h_name;
-        start = h.h_start;
-        duration;
-        depth = h.h_depth;
-        id = h.h_id;
-        parent = h.h_parent;
-        dom = (Domain.self () :> int);
-      }
+    record ~at:h.h_start ~id:h.h_id ~parent:h.h_parent ~depth:h.h_depth ~duration (Span h.h_name)
   end
 
 let with_span ?parent name f =
@@ -172,51 +217,178 @@ let with_span_h ?parent name f =
     Fun.protect ~finally:(fun () -> exit_span h) (fun () -> f h)
   end
 
-let spans () =
-  let tagged =
-    Array.fold_left (fun acc sh -> locked sh (fun () -> sh.spans) :: acc) [] shards
-    |> List.concat
-  in
-  tagged
-  |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-  |> List.map snd
+let query_label ~op ~patterns = Printf.sprintf "%s/%dtp" op patterns
 
-let clear () =
+(* --- reading the rings -------------------------------------------------- *)
+
+let locked sh f =
+  Mutex.lock sh.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock sh.lock) f
+
+let retained sh = min sh.recorded (Array.length sh.ring)
+
+let dump () =
+  Array.fold_left
+    (fun acc sh ->
+      locked sh (fun () ->
+          let cap = Array.length sh.ring and kept = retained sh in
+          let first = sh.recorded - kept in
+          List.init kept (fun i -> sh.ring.((first + i) mod cap)))
+      :: acc)
+    [] shards
+  |> List.concat
+  |> List.sort (fun a b -> compare (a.seq : int) b.seq)
+
+let is_span e = match e.kind with Span _ -> true | _ -> false
+
+let spans () = List.filter is_span (dump ())
+
+let events () = List.filter (fun e -> not (is_span e)) (dump ())
+
+(* The tallies read each shard without its lock: single-word reads
+   cannot tear, and they are exact whenever recorders are quiescent. *)
+let recorded () = Array.fold_left (fun acc sh -> acc + sh.recorded) 0 shards
+
+let dropped () = Array.fold_left (fun acc sh -> acc + sh.recorded - retained sh) 0 shards
+
+let capacity () = Atomic.get capacity_cell
+
+let reset_shards () =
   Array.iter
     (fun sh ->
       locked sh (fun () ->
-          sh.spans <- [];
-          sh.buffered <- 0;
-          sh.dropped <- 0))
+          sh.ring <- [||];
+          sh.recorded <- 0))
     shards;
-  Atomic.set next_seq 0;
+  Atomic.set next_seq 0
+
+let clear () =
+  reset_shards ();
   Atomic.set next_id 1;
   Domain.DLS.set current (0, 0)
 
-let span_to_json s =
+let set_capacity n =
+  Atomic.set capacity_cell (max 0 n);
+  reset_shards ()
+
+(* --- rendering ---------------------------------------------------------- *)
+
+let kind_name = function
+  | Span _ -> "span"
+  | Query_start _ -> "query.start"
+  | Query_end _ -> "query.end"
+  | Plan_choice _ -> "plan.choice"
+  | Delta_flush _ -> "delta.flush"
+  | Delta_compact _ -> "delta.compact"
+  | Snapshot_save _ -> "snapshot.save"
+  | Snapshot_load _ -> "snapshot.load"
+  | Slow_query _ -> "query.slow"
+  | Par_fanout _ -> "par.fanout"
+
+let name e = match e.kind with Span n -> n | k -> kind_name k
+
+let bgp_label patterns = Printf.sprintf "bgp(%d)" patterns
+
+let delta_to_json d =
+  Json.Obj
+    [
+      ("wall_s", Json.Float d.wall_s);
+      ("alloc_minor_words", Json.Float d.alloc_minor_words);
+      ("alloc_major_words", Json.Float d.alloc_major_words);
+      ("alloc_words", Json.Float d.alloc_words);
+      ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) d.counters));
+    ]
+
+let kind_fields = function
+  | Span name -> [ ("name", Json.String name) ]
+  | Query_start { op; patterns } -> [ ("label", Json.String (query_label ~op ~patterns)) ]
+  | Query_end { op; patterns; rows } ->
+      [ ("label", Json.String (query_label ~op ~patterns)); ("rows", Json.Int rows) ]
+  | Plan_choice { patterns; detail } ->
+      [ ("label", Json.String (bgp_label patterns)); ("detail", Json.String (detail ())) ]
+  | Delta_flush { pending; rebuild; auto } ->
+      [ ("pending", Json.Int pending); ("rebuild", Json.Bool rebuild); ("auto", Json.Bool auto) ]
+  | Delta_compact { pending } -> [ ("pending", Json.Int pending) ]
+  | Snapshot_save { path; triples } | Snapshot_load { path; triples } ->
+      [ ("path", Json.String path); ("triples", Json.Int triples) ]
+  | Slow_query { label; plan; delta } ->
+      [
+        ("label", Json.String label);
+        ("wall_s", Json.Float delta.wall_s);
+        ("plan", Json.String plan);
+        ("profile", delta_to_json delta);
+      ]
+  | Par_fanout { patterns; planned; achieved; width } ->
+      [
+        ("label", Json.String (bgp_label patterns));
+        ("planned", Json.Int planned);
+        ("achieved", Json.Int achieved);
+        ("width", Json.Int width);
+      ]
+
+let entry_to_json e =
   Json.Obj
     ([
-       ("name", Json.String s.name);
-       ("start", Json.Float s.start);
-       ("duration_s", Json.Float s.duration);
-       ("depth", Json.Int s.depth);
-       ("id", Json.Int s.id);
+       ("seq", Json.Int e.seq);
+       ("at", Json.Float e.at);
+       ("dom", Json.Int e.dom);
+       ("kind", Json.String (kind_name e.kind));
+       ("id", Json.Int e.id);
      ]
-    @ (match s.parent with None -> [] | Some p -> [ ("parent", Json.Int p) ])
-    @ [ ("dom", Json.Int s.dom) ])
+    @ (match e.parent with None -> [] | Some p -> [ ("parent", Json.Int p) ])
+    @ [ ("depth", Json.Int e.depth); ("duration_s", Json.Float e.duration) ]
+    @ kind_fields e.kind)
 
 let to_json () =
   Json.Obj
     [
-      ("spans", Json.List (List.map span_to_json (spans ())));
+      ("capacity", Json.Int (capacity ()));
+      ("recorded", Json.Int (recorded ()));
       ("dropped", Json.Int (dropped ()));
+      ("events", Json.List (List.map entry_to_json (dump ())));
     ]
+
+(* Print a multi-line string verbatim inside a @[<v>] box (pp_print_text
+   would reflow the plan tree's indentation away). *)
+let pp_block ppf s =
+  let lines = String.split_on_char '\n' s in
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_cut ppf ())
+    Format.pp_print_string ppf lines
+
+let pp_kind ppf e =
+  match e.kind with
+  | Span name -> Format.fprintf ppf "span           %-40s %.6fs" name e.duration
+  | Query_start { op; patterns } ->
+      Format.fprintf ppf "query.start    %s" (query_label ~op ~patterns)
+  | Query_end { op; patterns; rows } ->
+      Format.fprintf ppf "query.end      %s rows=%d" (query_label ~op ~patterns) rows
+  | Plan_choice { patterns; detail } ->
+      Format.fprintf ppf "plan.choice    %s: %s" (bgp_label patterns) (detail ())
+  | Delta_flush { pending; rebuild; auto } ->
+      Format.fprintf ppf "delta.flush    pending=%d rebuild=%b auto=%b" pending rebuild auto
+  | Delta_compact { pending } -> Format.fprintf ppf "delta.compact  pending=%d" pending
+  | Snapshot_save { path; triples } ->
+      Format.fprintf ppf "snapshot.save  %s triples=%d" path triples
+  | Snapshot_load { path; triples } ->
+      Format.fprintf ppf "snapshot.load  %s triples=%d" path triples
+  | Slow_query { label; plan; delta } ->
+      Format.fprintf ppf "query.slow     %s wall=%.3fms@,  @[<v>%a@]" label
+        (delta.wall_s *. 1e3) pp_block plan
+  | Par_fanout { patterns; planned; achieved; width } ->
+      Format.fprintf ppf "par.fanout     %s planned=%d achieved=%d width=%d" (bgp_label patterns)
+        planned achieved width
 
 let pp ppf () =
   Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun (s : span) ->
-      Format.fprintf ppf "%s%-40s %.6fs@," (String.make (2 * s.depth) ' ') s.name s.duration)
-    (spans ());
-  if dropped () > 0 then Format.fprintf ppf "(%d spans dropped)@," (dropped ());
+  (match dump () with
+  | [] -> Format.fprintf ppf "(no entries)@,"
+  | first :: _ as entries ->
+      List.iter
+        (fun e ->
+          Format.fprintf ppf "[%8.6f] #%-5d d%-3d %s%a@," (e.at -. first.at) e.seq e.dom
+            (String.make (2 * e.depth) ' ')
+            pp_kind e)
+        entries);
+  if dropped () > 0 then Format.fprintf ppf "(%d entries dropped)@," (dropped ());
   Format.fprintf ppf "@]"

@@ -126,19 +126,14 @@ let test_parallel_query_observability () =
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  let saved_events = !Telemetry.Events.enabled in
   let saved_min = !Query.Planner.parallel_min_rows in
-  Telemetry.Events.enabled := true;
   Query.Planner.parallel_min_rows := 0;
   Fun.protect
     ~finally:(fun () ->
-      Telemetry.Events.enabled := saved_events;
       Query.Planner.parallel_min_rows := saved_min;
-      Telemetry.Events.clear ();
       Telemetry.Trace.clear ())
     (fun () ->
       Telemetry.with_enabled true (fun () ->
-          Telemetry.Events.clear ();
           Telemetry.Trace.clear ();
           Query.Par.with_domains 4 (fun () ->
               let store = Hexa.Store_sig.box_hexastore (make_hexastore ()) in
@@ -152,12 +147,12 @@ let test_parallel_query_observability () =
               ignore (Query.Exec.run store q);
               let fanout =
                 List.find_map
-                  (fun (e : Telemetry.Events.event) ->
+                  (fun (e : Telemetry.Trace.entry) ->
                     match e.kind with
-                    | Telemetry.Events.Par_fanout { planned; achieved; width; _ } ->
+                    | Telemetry.Trace.Par_fanout { planned; achieved; width; _ } ->
                         Some (planned, achieved, width)
                     | _ -> None)
-                  (Telemetry.Events.dump ())
+                  (Telemetry.Trace.events ())
               in
               let achieved =
                 match fanout with
@@ -170,18 +165,14 @@ let test_parallel_query_observability () =
               in
               let spans = Telemetry.Trace.spans () in
               let par_span =
-                List.find
-                  (fun (s : Telemetry.Trace.span) -> s.name = "exec.bgp.parallel")
-                  spans
+                List.find (fun s -> Telemetry.Trace.name s = "exec.bgp.parallel") spans
               in
               let ranges =
-                List.filter
-                  (fun (s : Telemetry.Trace.span) -> s.name = "exec.bgp.par_range")
-                  spans
+                List.filter (fun s -> Telemetry.Trace.name s = "exec.bgp.par_range") spans
               in
               check_int "one range span per achieved range" achieved (List.length ranges);
               List.iter
-                (fun (r : Telemetry.Trace.span) ->
+                (fun (r : Telemetry.Trace.entry) ->
                   check_bool "range span parented to the parallel span" true
                     (r.parent = Some par_span.id);
                   check_int "range span one level under its parent" (par_span.depth + 1)
@@ -312,18 +303,15 @@ let prop_parallel_equals_sequential =
 (* ------------------------------------------------------------------ *)
 
 let test_multi_domain_telemetry () =
-  let saved_events = !Telemetry.Events.enabled in
-  Telemetry.Events.enabled := true;
+  let saved_capacity = Telemetry.Trace.capacity () in
+  let capacity = 256 (* force overwrites *) in
   Fun.protect
     ~finally:(fun () ->
-      Telemetry.Events.enabled := saved_events;
-      Telemetry.Events.set_capacity 1024;
-      Telemetry.Events.clear ();
+      Telemetry.Trace.set_capacity saved_capacity;
       Telemetry.Trace.clear ())
     (fun () ->
       Telemetry.with_enabled true (fun () ->
-          Telemetry.Events.set_capacity 256 (* force overwrites *);
-          Telemetry.Events.clear ();
+          Telemetry.Trace.set_capacity capacity;
           Telemetry.Trace.clear ();
           let c = Telemetry.Metrics.counter "test.concurrent.emitters" in
           let h = Telemetry.Metrics.histogram "test.concurrent.latency" in
@@ -333,8 +321,8 @@ let test_multi_domain_telemetry () =
             for j = 1 to per_domain do
               Telemetry.Metrics.incr c;
               Telemetry.Metrics.observe h j;
-              Telemetry.Events.emit
-                (Telemetry.Events.Query_start { label = Printf.sprintf "d%d.%d" i j });
+              Telemetry.Trace.emit
+                (Telemetry.Trace.Query_start { op = Printf.sprintf "d%d" i; patterns = j });
               Telemetry.Trace.with_span "test.concurrent.span" (fun () -> ())
             done
           in
@@ -347,37 +335,31 @@ let test_multi_domain_telemetry () =
           check_int "histogram sum is exact"
             (domains * (per_domain * (per_domain + 1) / 2))
             (Telemetry.Histogram.sum h);
-          (* Ring accounting: every emission is recorded, and each one
-             is either resident in the dump or counted as dropped — no
-             event is silently lost. *)
-          check_int "every emission recorded" total (Telemetry.Events.recorded ());
-          let dump = Telemetry.Events.dump () in
-          check_int "resident + dropped = emitted" total
-            (List.length dump + Telemetry.Events.dropped ());
-          let seqs = List.map (fun (e : Telemetry.Events.event) -> e.seq) dump in
+          (* Ring accounting: every event and span is recorded, and each
+             one is either resident in the dump or counted as dropped —
+             nothing is silently lost. *)
+          check_int "every event and span recorded" (2 * total) (Telemetry.Trace.recorded ());
+          let dump = Telemetry.Trace.dump () in
+          check_int "resident + dropped = recorded" (2 * total)
+            (List.length dump + Telemetry.Trace.dropped ());
+          check_bool "each shard keeps at most its capacity" true
+            (List.length dump <= domains * capacity);
+          let seqs = List.map (fun (e : Telemetry.Trace.entry) -> e.seq) dump in
           check_bool "dump seqs strictly increasing" true
             (List.for_all2 ( < ) seqs (List.tl seqs @ [ max_int ]));
-          (* No torn events: every resident label is well-formed. *)
+          (* No torn entries: every resident payload is well-formed. *)
           List.iter
-            (fun (e : Telemetry.Events.event) ->
+            (fun (e : Telemetry.Trace.entry) ->
               match e.kind with
-              | Telemetry.Events.Query_start { label } ->
-                  check_bool ("intact label " ^ label) true
-                    (Scanf.sscanf_opt label "d%d.%d" (fun d j ->
-                         d >= 0 && d < domains && j >= 1 && j <= per_domain)
-                    = Some true)
-              | _ -> Alcotest.fail "unexpected event kind in ring")
-            dump;
-          (* Spans: per-shard buffers are far larger than the load, so
-             nothing drops and every span survives intact. *)
-          let spans = Telemetry.Trace.spans () in
-          check_int "all spans recorded" total (List.length spans);
-          check_int "no spans dropped" 0 (Telemetry.Trace.dropped ());
-          List.iter
-            (fun (s : Telemetry.Trace.span) ->
-              check_string "span name intact" "test.concurrent.span" s.name;
-              check_bool "span depth sane" true (s.depth >= 0 && s.duration >= 0.))
-            spans))
+              | Telemetry.Trace.Query_start { op; patterns } ->
+                  check_bool ("intact label " ^ op) true
+                    (Scanf.sscanf_opt op "d%d" (fun d -> d >= 0 && d < domains) = Some true
+                    && patterns >= 1 && patterns <= per_domain)
+              | Telemetry.Trace.Span name ->
+                  check_string "span name intact" "test.concurrent.span" name;
+                  check_bool "span depth sane" true (e.depth >= 0 && e.duration >= 0.)
+              | _ -> Alcotest.fail "unexpected entry kind in ring")
+            dump))
 
 (* ------------------------------------------------------------------ *)
 (* Delta pin / flush protocol                                          *)

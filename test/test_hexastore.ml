@@ -435,6 +435,34 @@ let test_covp_restriction () =
   Covp.restrict_properties c None;
   check_int "cleared" 3 (Covp.count c (Pattern.make ~s:1 ()))
 
+(* [memory_words] is exact for the list-table stores: on LUBM 2x2 each
+   agrees with the words actually reachable from the store (minus its
+   dictionary) to within 0.5%. *)
+let test_memory_matches_reachable () =
+  let dict = Dict.Term_dict.create () in
+  let cfg = Workloads.Lubm.config ~universities:2 ~departments_per_university:2 () in
+  let ids =
+    Array.of_list (List.map (Dict.Term_dict.encode_triple dict) (Workloads.Lubm.generate cfg))
+  in
+  let dict_words = Obj.reachable_words (Obj.repr dict) in
+  let agrees label store memory_words =
+    let reachable = Obj.reachable_words (Obj.repr store) - dict_words in
+    let ratio = float_of_int memory_words /. float_of_int reachable in
+    check_bool
+      (Printf.sprintf "%s: memory_words %d vs reachable %d (%.4f)" label memory_words reachable ratio)
+      true
+      (Float.abs (ratio -. 1.) <= 0.005)
+  in
+  List.iter
+    (fun (kind, label) ->
+      let c = Covp.create ~dict kind in
+      ignore (Covp.add_bulk_ids c ids);
+      agrees label c (Covp.memory_words c))
+    covp_kinds;
+  let p = Partial.create ~dict ~orderings:[ Ordering.Pso ] () in
+  ignore (Partial.add_bulk_ids p ids);
+  agrees "partial{pso}" p (Partial.memory_words p)
+
 let test_covp1_po_scan () =
   (* Covp1's subjects_of_po must fall back to scanning the table. *)
   let c = Covp.create Covp.Covp1 in
@@ -687,6 +715,8 @@ let () =
           Alcotest.test_case "bulk" `Quick test_covp_bulk;
           Alcotest.test_case "restriction" `Quick test_covp_restriction;
           Alcotest.test_case "covp1_po_scan" `Quick test_covp1_po_scan;
+          Alcotest.test_case "memory matches reachable words" `Quick
+            test_memory_matches_reachable;
         ] );
       ("store_sig", [ Alcotest.test_case "boxing" `Quick test_store_sig ]);
       ( "properties",

@@ -25,10 +25,22 @@ let lubm_boxed () = Hexa.Store_sig.box_hexastore (Lazy.force lubm_store)
 let parse text =
   (Query.Sparql.parse ~namespaces:(Rdf.Namespace.default ()) (sparql_prefix ^ text)).algebra
 
-let with_events flag f =
-  let saved = !Telemetry.Events.enabled in
-  Telemetry.Events.enabled := flag;
-  Fun.protect ~finally:(fun () -> Telemetry.Events.enabled := saved) f
+(* Run [f] with the recorder's ring capacity set to [n] (0 records
+   nothing), restoring the previous capacity — and emptying the rings —
+   afterwards. *)
+let with_capacity n f =
+  let saved = Telemetry.Trace.capacity () in
+  Telemetry.Trace.set_capacity n;
+  Fun.protect ~finally:(fun () -> Telemetry.Trace.set_capacity saved) f
+
+let slow_delta wall_s =
+  {
+    Telemetry.Trace.wall_s;
+    alloc_minor_words = 0.;
+    alloc_major_words = 0.;
+    alloc_words = 0.;
+    counters = [ ("hexastore.probe.spo", 2) ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
@@ -115,7 +127,7 @@ let test_disabled_counters_stay_zero () =
   check_int "counter untouched" 0 (Telemetry.Metrics.value c);
   check_int "histogram untouched" 0 (Telemetry.Histogram.count h);
   check_bool "no span recorded" true
-    (not (List.exists (fun s -> s.Telemetry.Trace.name = "test.disabled.span")
+    (not (List.exists (fun s -> Telemetry.Trace.name s = "test.disabled.span")
             (Telemetry.Trace.spans ())))
 
 let test_disabled_zero_allocation () =
@@ -172,8 +184,8 @@ let test_trace_spans () =
   let spans = Telemetry.Trace.spans () in
   check_int "two spans" 2 (List.length spans);
   let inner = List.nth spans 0 and outer = List.nth spans 1 in
-  check_string "inner completes first" "inner" inner.Telemetry.Trace.name;
-  check_string "outer completes last" "outer" outer.Telemetry.Trace.name;
+  check_string "inner completes first" "inner" (Telemetry.Trace.name inner);
+  check_string "outer completes last" "outer" (Telemetry.Trace.name outer);
   check_int "inner depth" 1 inner.Telemetry.Trace.depth;
   check_int "outer depth" 0 outer.Telemetry.Trace.depth;
   (* Ticking clock: outer start=0, inner start=1, inner end=2, outer
@@ -259,108 +271,121 @@ let test_json_deep_nesting () =
 (* ------------------------------------------------------------------ *)
 
 let test_events_ring () =
-  with_events true (fun () ->
-      Telemetry.Events.set_capacity 4;
-      Fun.protect
-        ~finally:(fun () -> Telemetry.Events.set_capacity 1024)
-        (fun () ->
-          check_int "resized" 4 (Telemetry.Events.capacity ());
-          check_int "empty after resize" 0 (Telemetry.Events.recorded ());
-          for i = 1 to 6 do
-            Telemetry.Events.emit
-              (Telemetry.Events.Query_start { label = Printf.sprintf "q%d" i })
-          done;
-          check_int "all emissions counted" 6 (Telemetry.Events.recorded ());
-          check_int "overwrites counted as drops" 2 (Telemetry.Events.dropped ());
-          let dump = Telemetry.Events.dump () in
-          check_int "ring retains capacity" 4 (List.length dump);
-          check_bool "oldest first, survivors are the newest" true
-            (List.map (fun (e : Telemetry.Events.event) -> e.seq) dump = [ 2; 3; 4; 5 ]);
-          (match (List.hd dump).Telemetry.Events.kind with
-          | Telemetry.Events.Query_start { label } -> check_string "labels intact" "q3" label
-          | _ -> Alcotest.fail "unexpected kind in dump");
-          Telemetry.Events.clear ();
-          check_int "clear empties" 0 (Telemetry.Events.recorded ());
-          check_int "clear resets drops" 0 (Telemetry.Events.dropped ());
-          check_int "dump empty after clear" 0 (List.length (Telemetry.Events.dump ()))))
+  with_capacity 4 (fun () ->
+      check_int "resized" 4 (Telemetry.Trace.capacity ());
+      check_int "empty after resize" 0 (Telemetry.Trace.recorded ());
+      for i = 1 to 6 do
+        Telemetry.Trace.emit (Telemetry.Trace.Query_start { op = "q"; patterns = i })
+      done;
+      check_int "all emissions counted" 6 (Telemetry.Trace.recorded ());
+      check_int "overwrites counted as drops" 2 (Telemetry.Trace.dropped ());
+      let dump = Telemetry.Trace.dump () in
+      check_int "ring retains capacity" 4 (List.length dump);
+      check_bool "oldest first, survivors are the newest" true
+        (List.map (fun (e : Telemetry.Trace.entry) -> e.seq) dump = [ 2; 3; 4; 5 ]);
+      (match (List.hd dump).Telemetry.Trace.kind with
+      | Telemetry.Trace.Query_start { op; patterns } ->
+          check_string "payload intact" "q/3tp" (Telemetry.Trace.query_label ~op ~patterns)
+      | _ -> Alcotest.fail "unexpected kind in dump");
+      Telemetry.Trace.clear ();
+      check_int "clear empties" 0 (Telemetry.Trace.recorded ());
+      check_int "clear resets drops" 0 (Telemetry.Trace.dropped ());
+      check_int "dump empty after clear" 0 (List.length (Telemetry.Trace.dump ())))
 
 let test_events_disabled () =
-  with_events false (fun () ->
-      let recorded = Telemetry.Events.recorded () in
+  (* Capacity 0 is the recorder's "off": nothing recorded, nothing
+     counted, and still no note_activity. *)
+  with_capacity 0 (fun () ->
       let activity = Telemetry.activity_count () in
-      Telemetry.Events.emit (Telemetry.Events.Query_start { label = "silenced" });
-      check_int "emit is a no-op when disabled" recorded (Telemetry.Events.recorded ());
-      check_int "recorder never touches note_activity" activity (Telemetry.activity_count ()))
+      Telemetry.Trace.emit (Telemetry.Trace.Query_start { op = "silenced"; patterns = 0 });
+      check_int "recorder never touches note_activity" activity (Telemetry.activity_count ());
+      Telemetry.with_enabled true (fun () -> Telemetry.Trace.with_span "silenced" ignore);
+      check_int "emit is a no-op at capacity 0" 0 (Telemetry.Trace.recorded ());
+      check_int "nothing retained" 0 (List.length (Telemetry.Trace.dump ())))
 
 let test_events_always_on () =
-  (* The recorder is the *always-on* layer: it records even while the
-     telemetry master gate is off. *)
+  (* The recorder is the *always-on* layer: it records events even while
+     the telemetry master gate is off (but no spans). *)
   check_bool "telemetry master gate is off" false !Telemetry.enabled;
-  with_events true (fun () ->
-      let before = Telemetry.Events.recorded () in
-      Telemetry.Events.emit (Telemetry.Events.Delta_compact { pending = 3 });
-      check_int "recorded with telemetry disabled" (before + 1) (Telemetry.Events.recorded ()))
+  let before = Telemetry.Trace.recorded () in
+  Telemetry.Trace.emit (Telemetry.Trace.Delta_compact { pending = 3 });
+  Telemetry.Trace.with_span "gated" ignore;
+  check_int "event recorded with telemetry disabled, span not" (before + 1)
+    (Telemetry.Trace.recorded ())
 
 let test_events_instrumentation () =
-  with_events true (fun () ->
-      Telemetry.Events.clear ();
-      let boxed = lubm_boxed () in
-      let q = parse "SELECT ?x WHERE { ?x rdf:type ub:Course . }" in
-      ignore (Query.Exec.count boxed q);
-      let kinds =
-        List.map
-          (fun (e : Telemetry.Events.event) -> Telemetry.Events.kind_name e.kind)
-          (Telemetry.Events.dump ())
-      in
-      check_bool "query boundaries and plan choice narrated" true
-        (kinds = [ "query.start"; "plan.choice"; "query.end" ]);
-      (match (List.nth (Telemetry.Events.dump ()) 2).Telemetry.Events.kind with
-      | Telemetry.Events.Query_end { label; rows } ->
-          check_string "label names root op and pattern count" "project/1tp" label;
-          check_bool "row count captured" true (rows > 0)
-      | _ -> Alcotest.fail "last event is not query.end");
-      (* Delta flushes narrate too. *)
-      Telemetry.Events.clear ();
-      let dl = Hexa.Delta.create () in
-      let dict = Hexa.Delta.dict dl in
-      ignore
-        (Hexa.Delta.add_ids dl
-           (Dict.Term_dict.encode_triple dict
-              (Rdf.Triple.make
-                 (Rdf.Term.iri "http://example.org/s")
-                 (Rdf.Term.iri "http://example.org/p")
-                 (Rdf.Term.iri "http://example.org/o"))));
-      Hexa.Delta.flush dl;
-      let flushes =
-        List.filter_map
-          (fun (e : Telemetry.Events.event) ->
-            match e.kind with
-            | Telemetry.Events.Delta_flush { pending; rebuild = _; auto } ->
-                Some (pending, auto)
-            | _ -> None)
-          (Telemetry.Events.dump ())
-      in
-      check_bool "explicit flush recorded with its backlog" true (flushes = [ (1, false) ]))
+  Telemetry.Trace.clear ();
+  let boxed = lubm_boxed () in
+  let q = parse "SELECT ?x WHERE { ?x rdf:type ub:Course . }" in
+  ignore (Query.Exec.count boxed q);
+  let events = Telemetry.Trace.events () in
+  let kinds =
+    List.map (fun (e : Telemetry.Trace.entry) -> Telemetry.Trace.kind_name e.kind) events
+  in
+  check_bool "query boundaries and plan choice narrated" true
+    (kinds = [ "query.start"; "plan.choice"; "query.end" ]);
+  (match (List.nth events 2).Telemetry.Trace.kind with
+  | Telemetry.Trace.Query_end { op; patterns; rows } ->
+      check_string "label names root op and pattern count" "project/1tp"
+        (Telemetry.Trace.query_label ~op ~patterns);
+      check_string "same label as Exec.query_label" (Query.Exec.query_label q)
+        (Telemetry.Trace.query_label ~op ~patterns);
+      check_bool "row count captured" true (rows > 0)
+  | _ -> Alcotest.fail "last event is not query.end");
+  (* The payloads render to the same text the recorder always printed. *)
+  let text = Format.asprintf "%a" Telemetry.Trace.pp () in
+  let has line =
+    List.exists
+      (fun l -> String.ends_with ~suffix:line l)
+      (String.split_on_char '\n' text)
+  in
+  check_bool "plan choice rendered at dump time" true (has "plan.choice    bgp(1): scan");
+  check_bool "query start rendered" true (has "query.start    project/1tp");
+  (* Delta flushes narrate too. *)
+  Telemetry.Trace.clear ();
+  let dl = Hexa.Delta.create () in
+  let dict = Hexa.Delta.dict dl in
+  ignore
+    (Hexa.Delta.add_ids dl
+       (Dict.Term_dict.encode_triple dict
+          (Rdf.Triple.make
+             (Rdf.Term.iri "http://example.org/s")
+             (Rdf.Term.iri "http://example.org/p")
+             (Rdf.Term.iri "http://example.org/o"))));
+  Hexa.Delta.flush dl;
+  let flushes =
+    List.filter_map
+      (fun (e : Telemetry.Trace.entry) ->
+        match e.kind with
+        | Telemetry.Trace.Delta_flush { pending; rebuild = _; auto } -> Some (pending, auto)
+        | _ -> None)
+      (Telemetry.Trace.events ())
+  in
+  check_bool "explicit flush recorded with its backlog" true (flushes = [ (1, false) ])
 
 let test_events_json_roundtrip () =
-  with_events true (fun () ->
-      Telemetry.Events.clear ();
-      Telemetry.Events.emit
-        (Telemetry.Events.Slow_query { label = "q"; wall_s = 0.25; plan = "project\n└─ bgp" });
-      Telemetry.Events.emit (Telemetry.Events.Snapshot_save { path = "/tmp/x.hx"; triples = 9 });
-      let json = Telemetry.Events.to_json () in
-      let s = Telemetry.Json.to_string json in
-      match Telemetry.Json.of_string s with
-      | Error msg -> Alcotest.failf "events JSON does not parse: %s" msg
-      | Ok j ->
-          check_string "stable re-encoding" s (Telemetry.Json.to_string j);
-          check_bool "accounting fields present" true
-            (List.for_all
-               (fun k -> Option.is_some (Telemetry.Json.member k j))
-               [ "capacity"; "recorded"; "dropped"; "events" ]);
-          (match Telemetry.Json.member "events" j with
-          | Some (Telemetry.Json.List evs) -> check_int "both events exported" 2 (List.length evs)
-          | _ -> Alcotest.fail "events is not a list"))
+  Telemetry.Trace.clear ();
+  Telemetry.Trace.emit
+    (Telemetry.Trace.Slow_query
+       { label = "q"; plan = "project\n└─ bgp"; delta = slow_delta 0.25 });
+  Telemetry.Trace.emit (Telemetry.Trace.Snapshot_save { path = "/tmp/x.hx"; triples = 9 });
+  let json = Telemetry.Trace.to_json () in
+  let s = Telemetry.Json.to_string json in
+  match Telemetry.Json.of_string s with
+  | Error msg -> Alcotest.failf "events JSON does not parse: %s" msg
+  | Ok j -> (
+      check_string "stable re-encoding" s (Telemetry.Json.to_string j);
+      check_bool "accounting fields present" true
+        (List.for_all
+           (fun k -> Option.is_some (Telemetry.Json.member k j))
+           [ "capacity"; "recorded"; "dropped"; "events" ]);
+      match Telemetry.Json.member "events" j with
+      | Some (Telemetry.Json.List (slow :: _ as evs)) ->
+          check_int "both events exported" 2 (List.length evs);
+          check_bool "slow entry carries its counter delta" true
+            (Telemetry.Json.path [ "profile"; "counters"; "hexastore.probe.spo" ] slow
+            = Some (Telemetry.Json.Int 2))
+      | _ -> Alcotest.fail "events is not a list")
 
 (* ------------------------------------------------------------------ *)
 (* Per-query profiler and the slow-query log                           *)
@@ -391,12 +416,13 @@ let test_profile_diff () =
         (List.length quiet.Telemetry.Profile.counters))
 
 let test_slow_query_log () =
-  Telemetry.Profile.clear_slow_log ();
+  Telemetry.Trace.clear ();
+  Telemetry.Profile.clear ();
   let saved = Telemetry.Profile.slow_threshold_s () in
   Fun.protect
     ~finally:(fun () ->
       Telemetry.Profile.set_threshold_s saved;
-      Telemetry.Profile.clear_slow_log ())
+      Telemetry.Profile.clear ())
     (fun () ->
       (* Above-threshold work is not logged and its plan never rendered. *)
       Telemetry.Profile.set_threshold_s 3600.;
@@ -409,58 +435,57 @@ let test_slow_query_log () =
         d;
       check_int "fast query not logged" 0 (Telemetry.Profile.slow_count ());
       check_bool "fast query's plan never forced" false !forced_fast;
-      (* Zero threshold logs everything and emits into the ring. *)
+      (* Zero threshold logs everything, as an entry in the recorder. *)
       Telemetry.Profile.set_threshold_s 0.;
-      with_events true (fun () ->
-          Telemetry.Events.clear ();
-          let _, d = Telemetry.Profile.profiled (fun () -> Sys.opaque_identity 1) in
-          Telemetry.Profile.note ~label:"slow" ~plan:(fun () -> "project\n└─ bgp") d;
-          check_int "slow query logged" 1 (Telemetry.Profile.slow_count ());
-          (match Telemetry.Profile.slow_queries () with
-          | [ sq ] ->
-              check_string "label retained" "slow" sq.Telemetry.Profile.sq_label;
-              check_string "analyze tree retained" "project\n└─ bgp"
-                sq.Telemetry.Profile.sq_plan
-          | l -> Alcotest.failf "expected 1 slow entry, got %d" (List.length l));
-          check_bool "threshold crossing lands in the flight recorder" true
-            (List.exists
-               (fun (e : Telemetry.Events.event) ->
-                 match e.kind with
-                 | Telemetry.Events.Slow_query { label; plan; _ } ->
-                     String.equal label "slow" && String.equal plan "project\n└─ bgp"
-                 | _ -> false)
-               (Telemetry.Events.dump ()));
-          (* The JSON view parses and carries the threshold. *)
-          let s = Telemetry.Json.to_string (Telemetry.Profile.slow_log_to_json ()) in
-          match Telemetry.Json.of_string s with
-          | Error msg -> Alcotest.failf "slow log JSON does not parse: %s" msg
-          | Ok j ->
-              check_bool "total exported" true
-                (match Telemetry.Json.member "total" j with
-                | Some (Telemetry.Json.Int 1) -> true
-                | _ -> false)))
+      let _, d = Telemetry.Profile.profiled (fun () -> Sys.opaque_identity 1) in
+      Telemetry.Profile.note ~label:"slow" ~plan:(fun () -> "project\n└─ bgp") d;
+      check_int "slow query logged" 1 (Telemetry.Profile.slow_count ());
+      (match Telemetry.Profile.slow_queries () with
+      | [ { kind = Telemetry.Trace.Slow_query { label; plan; delta }; _ } ] ->
+          check_string "label retained" "slow" label;
+          check_string "analyze tree retained" "project\n└─ bgp" plan;
+          check_bool "counter delta retained" true (delta == d)
+      | l -> Alcotest.failf "expected 1 slow entry, got %d" (List.length l));
+      check_int "the slow view is the recorder's slow entries" 1
+        (List.length
+           (List.filter
+              (fun (e : Telemetry.Trace.entry) -> Telemetry.Trace.kind_name e.kind = "query.slow")
+              (Telemetry.Trace.events ())));
+      (* The JSON view parses and carries the threshold. *)
+      let s = Telemetry.Json.to_string (Telemetry.Profile.slow_log_to_json ()) in
+      match Telemetry.Json.of_string s with
+      | Error msg -> Alcotest.failf "slow log JSON does not parse: %s" msg
+      | Ok j ->
+          check_bool "total exported" true
+            (match Telemetry.Json.member "total" j with
+            | Some (Telemetry.Json.Int 1) -> true
+            | _ -> false))
 
 let test_slow_log_rotation () =
-  Telemetry.Profile.clear_slow_log ();
+  (* Slow entries rotate with the ring like every other entry, while
+     the slow count stays exact. *)
+  Telemetry.Profile.clear ();
   let saved = Telemetry.Profile.slow_threshold_s () in
+  let capacity = 8 in
   Fun.protect
     ~finally:(fun () ->
       Telemetry.Profile.set_threshold_s saved;
-      Telemetry.Profile.clear_slow_log ())
+      Telemetry.Profile.clear ())
     (fun () ->
       Telemetry.Profile.set_threshold_s 0.;
-      with_events false (fun () ->
-          for i = 1 to Telemetry.Profile.max_slow_entries + 10 do
+      with_capacity capacity (fun () ->
+          for i = 1 to capacity + 10 do
             let _, d = Telemetry.Profile.profiled (fun () -> Sys.opaque_identity i) in
             Telemetry.Profile.note ~label:(Printf.sprintf "q%d" i) ~plan:(fun () -> "") d
-          done);
-      check_int "total counts rotated-out entries too"
-        (Telemetry.Profile.max_slow_entries + 10)
-        (Telemetry.Profile.slow_count ());
-      let entries = Telemetry.Profile.slow_queries () in
-      check_int "retention is bounded" Telemetry.Profile.max_slow_entries (List.length entries);
-      check_string "oldest retained entry is the first survivor" "q11"
-        (List.hd entries).Telemetry.Profile.sq_label)
+          done;
+          check_int "total counts rotated-out entries too" (capacity + 10)
+            (Telemetry.Profile.slow_count ());
+          let entries = Telemetry.Profile.slow_queries () in
+          check_int "retention is bounded by the ring" capacity (List.length entries);
+          match entries with
+          | { kind = Telemetry.Trace.Slow_query { label; _ }; _ } :: _ ->
+              check_string "oldest retained entry is the first survivor" "q11" label
+          | _ -> Alcotest.fail "no slow entry retained"))
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
@@ -549,9 +574,9 @@ let test_prometheus_exposition () =
        (fun q -> has_line (starts (Printf.sprintf "test_prom_sizes_quantile{quantile=\"%s\"}" q)))
        [ "0.5"; "0.95"; "0.99" ]);
   check_bool "ring accounting synthesised" true
-    (has_line (starts "telemetry_events_recorded ")
-    && has_line (starts "telemetry_events_dropped ")
-    && has_line (starts "telemetry_events_capacity "));
+    (has_line (starts "telemetry_recorder_recorded ")
+    && has_line (starts "telemetry_recorder_dropped ")
+    && has_line (starts "telemetry_recorder_capacity "));
   (* Cumulative buckets: counts along each _bucket series never decrease. *)
   let bucket_counts =
     List.filter_map
@@ -604,7 +629,7 @@ let test_cross_domain_parenting () =
             (Domain.spawn (fun () ->
                  Telemetry.Trace.with_span ~parent:h "worker" (fun () -> ()))));
       let spans = Telemetry.Trace.spans () in
-      let find name = List.find (fun (s : Telemetry.Trace.span) -> s.name = name) spans in
+      let find name = List.find (fun s -> Telemetry.Trace.name s = name) spans in
       let q = find "query" and w = find "worker" in
       check_int "worker depth is one under the query" (q.depth + 1) w.depth;
       check_bool "worker parent is the query span" true (w.parent = Some q.id);
@@ -630,34 +655,37 @@ let test_cross_domain_parenting () =
       | _ -> Alcotest.fail "no traceEvents")
 
 let test_events_dom_tag () =
-  with_events true (fun () ->
-      Telemetry.Events.clear ();
-      Telemetry.Events.emit (Telemetry.Events.Query_start { label = "here" });
-      Domain.join
-        (Domain.spawn (fun () ->
-             Telemetry.Events.emit (Telemetry.Events.Query_start { label = "there" })));
-      match Telemetry.Events.dump () with
-      | [ a; b ] ->
-          check_int "local event tagged with the emitting domain"
-            (Domain.self () :> int)
-            a.Telemetry.Events.dom;
-          check_bool "spawned domain's event tagged differently" true
-            (b.Telemetry.Events.dom <> a.Telemetry.Events.dom);
-          check_bool "dom is serialised" true
-            (Telemetry.Json.member "dom" (Telemetry.Events.event_to_json b) <> None)
-      | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs))
+  Telemetry.Trace.clear ();
+  Telemetry.Trace.emit (Telemetry.Trace.Query_start { op = "here"; patterns = 1 });
+  Domain.join
+    (Domain.spawn (fun () ->
+         Telemetry.Trace.emit (Telemetry.Trace.Query_start { op = "there"; patterns = 1 })));
+  match Telemetry.Trace.dump () with
+  | [ a; b ] ->
+      check_int "local event tagged with the emitting domain"
+        (Domain.self () :> int)
+        a.Telemetry.Trace.dom;
+      check_bool "spawned domain's event tagged differently" true
+        (b.Telemetry.Trace.dom <> a.Telemetry.Trace.dom);
+      check_bool "dom is serialised" true
+        (Telemetry.Json.member "dom" (Telemetry.Trace.entry_to_json b) <> None)
+  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
 
 let test_trace_dropped_counter () =
+  (* The ring keeps the newest spans; the overwritten oldest ones are
+     counted as drops and exported with the registry. *)
   Telemetry.with_enabled true (fun () ->
-      Telemetry.Trace.clear ();
-      let c = Telemetry.Metrics.counter "telemetry.trace.dropped" in
-      let before = Telemetry.Metrics.value c in
-      for _ = 1 to 8192 + 5 do
-        Telemetry.Trace.with_span "overflow" (fun () -> ())
-      done;
-      check_int "buffer-full spans counted locally" 5 (Telemetry.Trace.dropped ());
-      check_int "and mirrored into the registry" (before + 5) (Telemetry.Metrics.value c);
-      Telemetry.Trace.clear ())
+      with_capacity 16 (fun () ->
+          for _ = 1 to 16 + 5 do
+            Telemetry.Trace.with_span "overflow" (fun () -> ())
+          done;
+          check_int "ring-full spans counted" 5 (Telemetry.Trace.dropped ());
+          check_bool "the newest spans survive" true
+            (List.map (fun (e : Telemetry.Trace.entry) -> e.seq) (Telemetry.Trace.spans ())
+            = List.init 16 (fun i -> i + 5));
+          check_bool "and exported to a registry scrape" true
+            (List.mem "telemetry_recorder_dropped 5"
+               (String.split_on_char '\n' (Telemetry.Export.prometheus ())))))
 
 (* ------------------------------------------------------------------ *)
 (* Encoder round-trips (qcheck)                                        *)
@@ -706,47 +734,62 @@ let gen_event_kind =
     let s = string_printable in
     oneof
       [
-        map (fun label -> Telemetry.Events.Query_start { label }) s;
-        map2 (fun label rows -> Telemetry.Events.Query_end { label; rows }) s small_nat;
-        map2 (fun label detail -> Telemetry.Events.Plan_choice { label; detail }) s s;
+        map2 (fun op patterns -> Telemetry.Trace.Query_start { op; patterns }) s small_nat;
         map3
-          (fun pending rebuild auto -> Telemetry.Events.Delta_flush { pending; rebuild; auto })
+          (fun op patterns rows -> Telemetry.Trace.Query_end { op; patterns; rows })
+          s small_nat small_nat;
+        map2
+          (fun patterns detail -> Telemetry.Trace.Plan_choice { patterns; detail = (fun () -> detail) })
+          small_nat s;
+        map3
+          (fun pending rebuild auto -> Telemetry.Trace.Delta_flush { pending; rebuild; auto })
           small_nat bool bool;
-        map (fun pending -> Telemetry.Events.Delta_compact { pending }) small_nat;
-        map2 (fun path triples -> Telemetry.Events.Snapshot_save { path; triples }) s small_nat;
-        map2 (fun path triples -> Telemetry.Events.Snapshot_load { path; triples }) s small_nat;
+        map (fun pending -> Telemetry.Trace.Delta_compact { pending }) small_nat;
+        map2 (fun path triples -> Telemetry.Trace.Snapshot_save { path; triples }) s small_nat;
+        map2 (fun path triples -> Telemetry.Trace.Snapshot_load { path; triples }) s small_nat;
         map3
-          (fun label wall_s plan -> Telemetry.Events.Slow_query { label; wall_s; plan })
+          (fun label wall_s plan -> Telemetry.Trace.Slow_query { label; plan; delta = slow_delta wall_s })
           s (float_bound_exclusive 10.) s;
         map3
-          (fun label planned (achieved, width) ->
-            Telemetry.Events.Par_fanout { label; planned; achieved; width })
-          s small_nat
+          (fun patterns planned (achieved, width) ->
+            Telemetry.Trace.Par_fanout { patterns; planned; achieved; width })
+          small_nat small_nat
           (pair small_nat (int_bound 64));
       ])
 
 let gen_event =
   QCheck.Gen.(
     map3
-      (fun seq (at, dom) kind -> { Telemetry.Events.seq; at; dom; kind })
+      (fun seq (at, dom, parent) kind ->
+        {
+          Telemetry.Trace.seq;
+          at;
+          dom;
+          id = 0;
+          parent;
+          depth = (match parent with None -> 0 | Some _ -> 1);
+          duration = 0.;
+          kind;
+        })
       small_nat
-      (pair (float_bound_exclusive 1e6) (int_bound 8))
+      (triple (float_bound_exclusive 1e6) (int_bound 8)
+         (oneof [ return None; map (fun p -> Some (1 + p)) small_nat ]))
       gen_event_kind)
 
 let qcheck_event_reencode =
   QCheck.Test.make ~name:"flight-recorder events re-encode stably" ~count:500
     (QCheck.make
-       ~print:(fun e -> Telemetry.Json.to_string ~indent:2 (Telemetry.Events.event_to_json e))
+       ~print:(fun e -> Telemetry.Json.to_string ~indent:2 (Telemetry.Trace.entry_to_json e))
        gen_event)
-    (fun e -> reencodes_stably (Telemetry.Events.event_to_json e))
+    (fun e -> reencodes_stably (Telemetry.Trace.entry_to_json e))
 
 let qcheck_span_reencode =
   QCheck.Test.make ~name:"trace spans re-encode stably as Chrome events" ~count:500
     (QCheck.make
        QCheck.Gen.(
          map3
-           (fun name (start, duration) (depth, id, parent, dom) ->
-             { Telemetry.Trace.name; start; duration; depth; id; parent; dom })
+           (fun name (at, duration) (depth, id, parent, dom) ->
+             { Telemetry.Trace.seq = 0; at; dom; id; parent; depth; duration; kind = Span name })
            string_printable
            (pair (float_bound_exclusive 1e9) (float_bound_exclusive 10.))
            (map3
@@ -755,6 +798,256 @@ let qcheck_span_reencode =
               (pair small_nat (int_bound 8))
               (oneof [ return None; map (fun p -> Some (1 + p)) small_nat ]))))
     (fun sp -> reencodes_stably (Telemetry.Export.span_to_trace_event sp))
+
+(* ------------------------------------------------------------------ *)
+(* The recorder against a list model (qcheck)                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A worker domain that runs one job at a time for the driver, so a
+   random op sequence executes across domains in one deterministic
+   interleaving.  Span nesting is per domain, so each domain's enters
+   and exits must run on that domain. *)
+type worker = {
+  w_lock : Mutex.t;
+  w_cond : Condition.t;
+  mutable w_job : (unit -> unit) option;
+  mutable w_stop : bool;
+}
+
+let worker_loop w () =
+  Mutex.lock w.w_lock;
+  let rec loop () =
+    match w.w_job with
+    | Some job ->
+        Mutex.unlock w.w_lock;
+        job ();
+        Mutex.lock w.w_lock;
+        w.w_job <- None;
+        Condition.broadcast w.w_cond;
+        loop ()
+    | None when w.w_stop -> Mutex.unlock w.w_lock
+    | None ->
+        Condition.wait w.w_cond w.w_lock;
+        loop ()
+  in
+  loop ()
+
+let run_on w f =
+  let result = ref None in
+  Mutex.lock w.w_lock;
+  w.w_job <- Some (fun () -> result := Some (match f () with v -> Ok v | exception e -> Error e));
+  Condition.broadcast w.w_cond;
+  while Option.is_some w.w_job do
+    Condition.wait w.w_cond w.w_lock
+  done;
+  Mutex.unlock w.w_lock;
+  match !result with Some (Ok v) -> v | Some (Error e) -> raise e | None -> assert false
+
+let with_workers n f =
+  let ws =
+    List.init n (fun _ ->
+        let w =
+          { w_lock = Mutex.create (); w_cond = Condition.create (); w_job = None; w_stop = false }
+        in
+        (w, Domain.spawn (worker_loop w)))
+  in
+  let stop (w, d) =
+    Mutex.lock w.w_lock;
+    w.w_stop <- true;
+    Condition.broadcast w.w_cond;
+    Mutex.unlock w.w_lock;
+    Domain.join d
+  in
+  Fun.protect ~finally:(fun () -> List.iter stop ws) (fun () -> f (List.map fst ws))
+
+type ring_op =
+  | Enter of int  (** open a span on domain [i] *)
+  | Exit of int  (** close domain [i]'s innermost handle, if any *)
+  | Emit of int  (** an event on domain [i] *)
+  | Gate of bool  (** set the master gate *)
+  | Capacity of int
+  | Clear  (** on the driver domain *)
+
+let pp_ring_op = function
+  | Enter d -> Printf.sprintf "enter@%d" d
+  | Exit d -> Printf.sprintf "exit@%d" d
+  | Emit d -> Printf.sprintf "emit@%d" d
+  | Gate b -> Printf.sprintf "gate=%b" b
+  | Capacity n -> Printf.sprintf "capacity=%d" n
+  | Clear -> "clear"
+
+let gen_ring_case =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun domains ->
+    let dom = int_bound (domains - 1) in
+    let op =
+      frequency
+        [
+          (3, map (fun d -> Enter d) dom);
+          (3, map (fun d -> Exit d) dom);
+          (4, map (fun d -> Emit d) dom);
+          (1, map (fun b -> Gate b) bool);
+          (1, map (fun n -> Capacity n) (int_bound 5));
+          (1, return Clear);
+        ]
+    in
+    map2 (fun cap ops -> (domains, cap, ops)) (int_bound 5) (list_size (int_bound 40) op))
+
+(* A span open in the model: its id, depth and parent, and the
+   domain's [(innermost id, next depth)] before it opened. *)
+type model_span = Real of int * int * int option * (int * int) | Off
+
+(* One retained entry, as the model predicts it. *)
+type model_entry = {
+  m_seq : int;
+  m_dom : int;
+  m_id : int;
+  m_parent : int option;
+  m_depth : int;
+  m_span : bool;
+}
+
+(* Trace shards rings by domain id mod 8. *)
+let shard_of dom = dom mod 8
+
+let ring_matches_model (domains, cap0, ops) =
+  let saved_gate = !Telemetry.enabled and saved_cap = Telemetry.Trace.capacity () in
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.enabled := saved_gate;
+      Telemetry.Trace.set_capacity saved_cap;
+      Telemetry.Trace.clear ())
+    (fun () ->
+      with_workers (domains - 1) (fun workers ->
+          let run d f = if d = 0 then f () else run_on (List.nth workers (d - 1)) f in
+          let doms = Array.init domains (fun d -> run d (fun () -> (Domain.self () :> int))) in
+          Telemetry.enabled := false;
+          Telemetry.Trace.set_capacity cap0;
+          Telemetry.Trace.clear ();
+          (* The model. *)
+          let cap = ref cap0 and gate = ref false in
+          let entries = ref [] (* newest first *) and seq = ref 0 and next_id = ref 1 in
+          let cur = Array.make domains (0, 0) in
+          let model_stacks = Array.make domains [] and handles = Array.make domains [] in
+          let opened = ref [] in
+          let record d ~id ~parent ~depth ~span =
+            if !cap > 0 then begin
+              entries :=
+                { m_seq = !seq; m_dom = doms.(d); m_id = id; m_parent = parent; m_depth = depth; m_span = span }
+                :: !entries;
+              incr seq
+            end
+          in
+          let retained () =
+            (* The newest [cap] entries of each shard, oldest first. *)
+            List.filter
+              (fun e ->
+                List.length
+                  (List.filter
+                     (fun e' -> shard_of e'.m_dom = shard_of e.m_dom && e'.m_seq > e.m_seq)
+                     !entries)
+                < !cap)
+              (List.rev !entries)
+          in
+          let check step =
+            let dump = Telemetry.Trace.dump () in
+            let got =
+              List.map
+                (fun (e : Telemetry.Trace.entry) ->
+                  {
+                    m_seq = e.seq;
+                    m_dom = e.dom;
+                    m_id = e.id;
+                    m_parent = e.parent;
+                    m_depth = e.depth;
+                    m_span = (match e.kind with Telemetry.Trace.Span _ -> true | _ -> false);
+                  })
+                dump
+            in
+            let expected = retained () in
+            if got <> expected then
+              QCheck.Test.fail_reportf "after %s: dump has %d entries (seqs %s), model %d (seqs %s)"
+                step (List.length got)
+                (String.concat "," (List.map (fun e -> string_of_int e.m_seq) got))
+                (List.length expected)
+                (String.concat "," (List.map (fun e -> string_of_int e.m_seq) expected));
+            let recorded = Telemetry.Trace.recorded () and dropped = Telemetry.Trace.dropped () in
+            if recorded <> List.length !entries || recorded - List.length dump <> dropped then
+              QCheck.Test.fail_reportf "after %s: recorded=%d dropped=%d retained=%d, model recorded=%d"
+                step recorded dropped (List.length dump) (List.length !entries);
+            List.iter
+              (fun (e : Telemetry.Trace.entry) ->
+                match e.parent with
+                | Some p when not (List.mem p !opened) ->
+                    QCheck.Test.fail_reportf "after %s: parent %d was never opened" step p
+                | _ -> ())
+              dump
+          in
+          List.iteri
+            (fun i op ->
+              (match op with
+              | Enter d ->
+                  let h = run d (fun () -> Telemetry.Trace.enter_span "model") in
+                  handles.(d) <- h :: handles.(d);
+                  let span =
+                    if not !gate then Off
+                    else begin
+                      let open_id, depth = cur.(d) in
+                      let id = !next_id in
+                      incr next_id;
+                      opened := id :: !opened;
+                      cur.(d) <- (id, depth + 1);
+                      Real (id, depth, (if open_id = 0 then None else Some open_id), (open_id, depth))
+                    end
+                  in
+                  model_stacks.(d) <- span :: model_stacks.(d)
+              | Exit d -> (
+                  (match handles.(d) with
+                  | h :: rest ->
+                      run d (fun () -> Telemetry.Trace.exit_span h);
+                      handles.(d) <- rest
+                  | [] -> ());
+                  match model_stacks.(d) with
+                  | Real (id, depth, parent, saved) :: rest ->
+                      model_stacks.(d) <- rest;
+                      cur.(d) <- saved;
+                      record d ~id ~parent ~depth ~span:true
+                  | Off :: rest -> model_stacks.(d) <- rest
+                  | [] -> ())
+              | Emit d ->
+                  let activity = Telemetry.activity_count () in
+                  run d (fun () -> Telemetry.Trace.emit (Telemetry.Trace.Delta_compact { pending = i }));
+                  if Telemetry.activity_count () <> activity then
+                    QCheck.Test.fail_reportf "event %d moved activity_count" i;
+                  let open_id, depth = cur.(d) in
+                  record d ~id:0 ~parent:(if open_id = 0 then None else Some open_id) ~depth
+                    ~span:false
+              | Gate b ->
+                  Telemetry.enabled := b;
+                  gate := b
+              | Capacity n ->
+                  Telemetry.Trace.set_capacity n;
+                  cap := n;
+                  entries := [];
+                  seq := 0
+              | Clear ->
+                  Telemetry.Trace.clear ();
+                  entries := [];
+                  seq := 0;
+                  next_id := 1;
+                  cur.(0) <- (0, 0));
+              check (Printf.sprintf "op %d (%s)" i (pp_ring_op op)))
+            ops;
+          true))
+
+let qcheck_ring_model =
+  QCheck.Test.make ~name:"ring matches a list model" ~count:150
+    (QCheck.make
+       ~print:(fun (domains, cap, ops) ->
+         Printf.sprintf "domains=%d capacity=%d [%s]" domains cap
+           (String.concat "; " (List.map pp_ring_op ops)))
+       gen_ring_case)
+    ring_matches_model
 
 let qt = QCheck_alcotest.to_alcotest
 
@@ -833,7 +1126,7 @@ let test_explain_golden_analyze () =
        ub:FullProfessor . }"
   in
   let plan =
-    with_events false (fun () ->
+    with_capacity 0 (fun () ->
         Telemetry.Clock.with_source (Telemetry.Clock.ticking ~start:0. ~step:0.0005 ()) (fun () ->
             Query.Exec.explain ~analyze:true (lubm_boxed ()) q))
   in
@@ -981,6 +1274,7 @@ let () =
         [
           Alcotest.test_case "spans" `Quick test_trace_spans;
           Alcotest.test_case "dropped counter" `Quick test_trace_dropped_counter;
+          qt qcheck_ring_model;
         ] );
       ( "json",
         [
