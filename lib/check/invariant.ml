@@ -57,9 +57,15 @@ let pair_vector ?(path = "pair_vector") v =
 
 let index_acc acc ~path idx =
   let open Hexa in
-  let pending = Index.pending_headers idx in
-  if pending > 0 then
-    add acc (V.v V.Index ~path "%d headers pending outside a bulk pass (not sealed)" pending);
+  List.iter
+    (fun (what, pending) ->
+      if pending > 0 then
+        add acc (V.v V.Index ~path "%d %s pending outside a bulk pass (not sealed)" pending what))
+    [
+      ("headers", Index.pending_headers idx);
+      ("links", Index.pending_links idx);
+      ("drops", Index.pending_drops idx);
+    ];
   Index.iter
     (fun h v ->
       let vpath = Printf.sprintf "%s[%d]" path h in

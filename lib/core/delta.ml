@@ -15,7 +15,7 @@ let m_resurrect = Telemetry.Metrics.counter "hexastore.delta.insert.resurrected"
 let m_unbuffer = Telemetry.Metrics.counter "hexastore.delta.delete.unbuffered"
 let m_flush = Telemetry.Metrics.counter "hexastore.delta.flush.calls"
 let m_flush_auto = Telemetry.Metrics.counter "hexastore.delta.flush.auto"
-let m_flush_rebuild = Telemetry.Metrics.counter "hexastore.delta.flush.rebuild"
+let m_flush_rebuild = Telemetry.Metrics.counter "hexastore.delta.flush.rebuild" (* compactions *)
 let m_compact = Telemetry.Metrics.counter "hexastore.delta.compact.calls"
 let m_merged = Telemetry.Metrics.counter "hexastore.delta.lookup.merged"
 let g_pending_ins = Telemetry.Metrics.gauge "hexastore.delta.pending_inserts"
@@ -366,25 +366,23 @@ let note_pending t =
 
 (* --- flush ------------------------------------------------------------ *)
 
-(* A batch this large relative to the (post-delete) base triggers a full
-   rebuild: the whole merged set is re-loaded into a fresh store through
-   [add_bulk_ids]'s pure-append path, O((N + k) log (N + k)), instead of
-   k in-place binary insertions each moving O(vector) elements. *)
-let rebuild_factor = 8
-
-let drain_pending t =
-  let deletes = Hashtbl.fold (fun tr _ acc -> tr :: acc) t.deletes.members [] in
-  List.iter (fun tr -> ignore (Hexastore.remove_ids t.base tr)) deletes;
-  buffer_reset t.deletes;
-  let batch = Array.make (buffer_length t.inserts) { s = 0; p = 0; o = 0 } in
+(* Both buffers drain through the base's bulk passes: tombstones in one
+   [remove_bulk_ids], inserts in the [add_bulk_ids] that follows, so
+   every touched list, vector and header vector moves once per flush. *)
+let buffer_array b =
+  let batch = Array.make (buffer_length b) { s = 0; p = 0; o = 0 } in
   let i = ref 0 in
   Hashtbl.iter
     (fun tr _ ->
       batch.(!i) <- tr;
       incr i)
-    t.inserts.members;
-  buffer_reset t.inserts;
+    b.members;
+  buffer_reset b;
   batch
+
+let drain_pending t =
+  ignore (Hexastore.remove_bulk_ids t.base (buffer_array t.deletes));
+  buffer_array t.inserts
 
 let rebuild_base t batch =
   Telemetry.Metrics.incr m_flush_rebuild;
@@ -404,20 +402,19 @@ let rebuild_base t batch =
      by this delta) keep seeing the store's contents. *)
   Hexastore.replace_contents t.base ~from:fresh
 
-let flush_with ?(auto = false) ~force_rebuild t =
+(* [rebuild] only for {!compact}: the in-place bulk passes are not
+   slower than a rebuild at any batch size measured (DESIGN.md §9). *)
+let flush_with ?(auto = false) ~rebuild t =
   let timed = !Telemetry.Config.enabled in
   let started = if timed then Telemetry.Clock.now () else 0. in
-  let pending, rebuild =
+  let pending =
     with_base_frozen t (fun () ->
         let pending = buffer_length t.inserts + buffer_length t.deletes in
         Telemetry.Metrics.incr m_flush;
         Telemetry.Metrics.observe m_flush_batch pending;
         let batch = drain_pending t in
-        let rebuild =
-          force_rebuild || Array.length batch * rebuild_factor >= Hexastore.size t.base
-        in
         if rebuild then rebuild_base t batch else ignore (Hexastore.add_bulk_ids t.base batch);
-        (pending, rebuild))
+        pending)
   in
   Telemetry.Trace.emit (Telemetry.Trace.Delta_flush { pending; rebuild; auto });
   note_pending t;
@@ -427,14 +424,14 @@ let flush_with ?(auto = false) ~force_rebuild t =
 
 let flush t =
   if buffer_length t.inserts > 0 || buffer_length t.deletes > 0 then
-    flush_with ~force_rebuild:false t
+    flush_with ~rebuild:false t
 
 let compact t =
   Telemetry.Metrics.incr m_compact;
   Telemetry.Trace.emit
     (Telemetry.Trace.Delta_compact
        { pending = buffer_length t.inserts + buffer_length t.deletes });
-  flush_with ~force_rebuild:true t
+  flush_with ~rebuild:true t
 
 let maybe_auto_flush t =
   if
@@ -442,7 +439,7 @@ let maybe_auto_flush t =
     || buffer_length t.deletes >= t.delete_threshold
   then begin
     Telemetry.Metrics.incr m_flush_auto;
-    flush_with ~auto:true ~force_rebuild:false t
+    flush_with ~auto:true ~rebuild:false t
   end
 
 (* --- mutation --------------------------------------------------------- *)

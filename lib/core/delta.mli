@@ -9,8 +9,11 @@
     [base ∪ inserts − deletes] lazily through the sorted-merge kernels
     in {!Vectors.Merge}, preserving each access pattern's natural index
     order.  When a buffer reaches its threshold the delta is drained
-    into the six orderings through the base's sort-and-append bulk path
-    ({!Hexastore.add_bulk_ids}) — amortized, not per-triple.
+    into the six orderings through the base's sorted bulk passes —
+    {!Hexastore.remove_bulk_ids} for the tombstones, then
+    {!Hexastore.add_bulk_ids} for the inserts — so each touched list,
+    vector and header vector moves once per flush, not once per
+    triple.
 
     Each buffer is a triple-keyed membership table plus three term
     tables that file every staged triple under its subject, its
@@ -28,7 +31,8 @@
     Telemetry (all under [hexastore.delta.*]): buffered-mutation
     counters ([insert.buffered], [delete.buffered],
     [insert.resurrected], [delete.unbuffered]), flush counters
-    ([flush.calls], [flush.auto], [flush.rebuild], [compact.calls]),
+    ([flush.calls], [flush.auto], [flush.rebuild] — a {!compact}'s
+    rebuild, [compact.calls]),
     merged-read counter ([lookup.merged]), pending-size gauges
     ([pending_inserts], [pending_deletes]) and flush profiles
     ([flush_duration_us], [flush_batch]). *)
@@ -58,7 +62,7 @@ val of_base : ?insert_threshold:int -> ?delete_threshold:int -> Hexastore.t -> t
 val base : t -> Hexastore.t
 (** The base store.  Reading it directly bypasses pending mutations;
     call {!flush} first for a complete view.  The base's identity is
-    stable: rebuild-style flushes adopt the rebuilt contents in place
+    stable: a {!compact} adopts the rebuilt contents in place
     (via {!Hexastore.replace_contents}), so external aliases — e.g. a
     {!Dataset} graph fronted by this delta — stay valid. *)
 
@@ -166,15 +170,17 @@ val iter_pending_deletes : (id_triple -> unit) -> t -> unit
 (** {1 Draining} *)
 
 val flush : t -> unit
-(** Apply tombstones to the base, then drain buffered inserts through
-    the per-ordering sort-and-append bulk path.  A batch large relative
-    to the base (≥ 1/8) rebuilds the whole store through the
-    pure-append path instead of doing in-place insertions.  No-op when
-    both buffers are empty. *)
+(** Apply the tombstones to the base in one bulk removal, then drain
+    the buffered inserts in one bulk load: per batch, one compaction or
+    merge of each touched terminal list and pair vector and of each
+    index's header vector, in place whatever the batch's size.  A
+    packed base is inflated by the removal and recompressed once by the
+    load.  No-op when both buffers are empty. *)
 
 val compact : t -> unit
-(** {!flush} with the rebuild path forced: drains buffers and re-loads
-    the base into right-sized fresh vectors. *)
+(** {!flush} by a rebuild instead: drains the buffers and re-loads the
+    whole merged set into right-sized fresh vectors (the only path that
+    counts [flush.rebuild]). *)
 
 (** {1 Term-level API} *)
 

@@ -216,7 +216,49 @@ let remove_ids t { s; p; o } =
         true
       end
 
-(* --- bulk loading --------------------------------------------------- *)
+(* --- bulk passes ------------------------------------------------------ *)
+
+(* Calls [f lo hi] on each run [arr.(lo..hi-1)] of consecutive triples
+   that [same] groups together. *)
+let iter_runs same arr f =
+  let n = Array.length arr in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = ref (!lo + 1) in
+    while !hi < n && same arr.(!lo) arr.(!hi) do
+      incr hi
+    done;
+    f !lo !hi;
+    lo := !hi
+  done
+
+let same_sp a b = a.s = b.s && a.p = b.p
+let same_so a b = a.s = b.s && a.o = b.o
+let same_po a b = a.p = b.p && a.o = b.o
+
+(* Adds one run of a sorted pass — triples sharing the terminal list
+   [l], ascending on [third] — and calls [link l tr] on each triple [tr]
+   that [l] did not hold.  A run above every element of [l] (every run,
+   on a store loaded from empty) appends triple by triple; any other
+   run is merged in with one pass over [l].  [third] and [link] are
+   made once per pass, so a run allocates nothing on the append path. *)
+let add_run l arr lo hi third link =
+  if Sorted_ivec.is_empty l || third arr.(lo) > Sorted_ivec.max_elt l then
+    for i = lo to hi - 1 do
+      if Sorted_ivec.add l (third arr.(i)) then link l arr.(i)
+    done
+  else begin
+    let fresh = ref [] in
+    for i = hi - 1 downto lo do
+      let x = third arr.(i) in
+      if (i = lo || third arr.(i - 1) <> x) && not (Sorted_ivec.mem l x) then
+        fresh := arr.(i) :: !fresh
+    done;
+    Sorted_ivec.merge_sorted l (Array.of_list (List.map third !fresh));
+    List.iter (link l) !fresh
+  end
+
+let seal_all t = List.iter Index.seal [ t.spo; t.sop; t.pso; t.pos; t.osp; t.ops ]
 
 let add_bulk_ids t triples =
   (* Pass A — sorted by (s, p, o): o-lists, spo, pso all receive keys in
@@ -227,42 +269,111 @@ let add_bulk_ids t triples =
   Array.stable_sort (Ordering.compare_triples Spo) arr;
   let fresh = ref [] in
   let fresh_count = ref 0 in
-  Array.iter
-    (fun tr ->
-      let o_list = Index.get_or_create_list t.o_lists (Pair_key.make tr.s tr.p) in
-      if Sorted_ivec.add o_list tr.o then begin
-        Index.link_bulk t.spo ~first:tr.s ~second:tr.p o_list;
-        Index.link_bulk t.pso ~first:tr.p ~second:tr.s o_list;
-        fresh := tr :: !fresh;
-        incr fresh_count
-      end)
-    arr;
+  let link_sp o_list tr =
+    Index.link_bulk t.spo ~first:tr.s ~second:tr.p o_list;
+    Index.link_bulk t.pso ~first:tr.p ~second:tr.s o_list;
+    fresh := tr :: !fresh;
+    incr fresh_count
+  in
+  iter_runs same_sp arr (fun lo hi ->
+      let tr = arr.(lo) in
+      add_run
+        (Index.get_or_create_list t.o_lists (Pair_key.make tr.s tr.p))
+        arr lo hi (fun tr -> tr.o) link_sp);
   let fresh = Array.of_list !fresh in
-  (* Pass B — sorted by (s, o, p): p-lists, sop, osp. *)
+  (* Pass B — sorted by (s, o, p): p-lists, sop, osp.  Every triple is
+     new, so every p is new to its list. *)
   Array.stable_sort (Ordering.compare_triples Sop) fresh;
-  Array.iter
-    (fun tr ->
-      let p_list = Index.get_or_create_list t.p_lists (Pair_key.make tr.s tr.o) in
-      ignore (Sorted_ivec.add p_list tr.p);
-      Index.link_bulk t.sop ~first:tr.s ~second:tr.o p_list;
-      Index.link_bulk t.osp ~first:tr.o ~second:tr.s p_list)
-    fresh;
+  let link_so p_list tr =
+    Index.link_bulk t.sop ~first:tr.s ~second:tr.o p_list;
+    Index.link_bulk t.osp ~first:tr.o ~second:tr.s p_list
+  in
+  iter_runs same_so fresh (fun lo hi ->
+      let tr = fresh.(lo) in
+      add_run
+        (Index.get_or_create_list t.p_lists (Pair_key.make tr.s tr.o))
+        fresh lo hi (fun tr -> tr.p) link_so);
   (* Pass C — sorted by (p, o, s): s-lists, pos, ops. *)
   Array.stable_sort (Ordering.compare_triples Pos) fresh;
-  Array.iter
-    (fun tr ->
-      let s_list = Index.get_or_create_list t.s_lists (Pair_key.make tr.p tr.o) in
-      ignore (Sorted_ivec.add s_list tr.s);
-      Index.link_bulk t.pos ~first:tr.p ~second:tr.o s_list;
-      Index.link_bulk t.ops ~first:tr.o ~second:tr.p s_list)
-    fresh;
-  (* Passes B and C meet o headers interleaved (and any pass meets
-     headers below an existing store's): each index merges the ones it
-     deferred in one step, before anything can read its headers. *)
-  List.iter Index.seal [ t.spo; t.sop; t.pso; t.pos; t.osp; t.ops ];
+  let link_po s_list tr =
+    Index.link_bulk t.pos ~first:tr.p ~second:tr.o s_list;
+    Index.link_bulk t.ops ~first:tr.o ~second:tr.p s_list
+  in
+  iter_runs same_po fresh (fun lo hi ->
+      let tr = fresh.(lo) in
+      add_run
+        (Index.get_or_create_list t.s_lists (Pair_key.make tr.p tr.o))
+        fresh lo hi (fun tr -> tr.s) link_po);
+  (* Headers and second-level keys that arrived below an index's
+     largest ones (passes B and C meet o headers interleaved; any pass
+     meets keys below an existing store's): each index merges the ones
+     it deferred once per touched vector, before anything reads them. *)
+  seal_all t;
   t.size <- t.size + !fresh_count;
   note_mutation m_insert !fresh_count;
   !fresh_count
+
+(* Removes one run of a sorted pass from its terminal list [l], the
+   entry under [key] in [table], in one compaction, and calls [unlink]
+   with the run's first triple, the number removed and whether [l]
+   emptied. *)
+let remove_run table key l arr lo hi third unlink =
+  let removed = Sorted_ivec.remove_sorted l (Array.init (hi - lo) (fun j -> third arr.(lo + j))) in
+  if removed > 0 then begin
+    let list_empty = Sorted_ivec.is_empty l in
+    if list_empty then Hashtbl.remove table key;
+    unlink arr.(lo) ~removed ~list_empty
+  end
+
+let remove_bulk_ids t triples =
+  (* Pass A — sorted by (s, p, o): keeps the triples actually present
+     (once each), taking them out of the o-lists, spo and pso. *)
+  let arr = Array.copy triples in
+  Array.stable_sort (Ordering.compare_triples Spo) arr;
+  let gone = ref [] in
+  let gone_count = ref 0 in
+  iter_runs same_sp arr (fun lo hi ->
+      let key = Pair_key.make arr.(lo).s arr.(lo).p in
+      match Hashtbl.find_opt t.o_lists key with
+      | None -> ()
+      | Some o_list ->
+          for i = lo to hi - 1 do
+            let tr = arr.(i) in
+            if (i = lo || arr.(i - 1).o <> tr.o) && Sorted_ivec.mem o_list tr.o then begin
+              gone := tr :: !gone;
+              incr gone_count
+            end
+          done;
+          remove_run t.o_lists key o_list arr lo hi
+            (fun tr -> tr.o)
+            (fun tr ~removed ~list_empty ->
+              Index.unlink_bulk t.spo ~first:tr.s ~second:tr.p ~removed ~list_empty;
+              Index.unlink_bulk t.pso ~first:tr.p ~second:tr.s ~removed ~list_empty));
+  let gone = Array.of_list !gone in
+  (* Pass B — sorted by (s, o, p): p-lists, sop, osp. *)
+  Array.stable_sort (Ordering.compare_triples Sop) gone;
+  iter_runs same_so gone (fun lo hi ->
+      let key = Pair_key.make gone.(lo).s gone.(lo).o in
+      remove_run t.p_lists key (Hashtbl.find t.p_lists key) gone lo hi
+        (fun tr -> tr.p)
+        (fun tr ~removed ~list_empty ->
+          Index.unlink_bulk t.sop ~first:tr.s ~second:tr.o ~removed ~list_empty;
+          Index.unlink_bulk t.osp ~first:tr.o ~second:tr.s ~removed ~list_empty));
+  (* Pass C — sorted by (p, o, s): s-lists, pos, ops. *)
+  Array.stable_sort (Ordering.compare_triples Pos) gone;
+  iter_runs same_po gone (fun lo hi ->
+      let key = Pair_key.make gone.(lo).p gone.(lo).o in
+      remove_run t.s_lists key (Hashtbl.find t.s_lists key) gone lo hi
+        (fun tr -> tr.s)
+        (fun tr ~removed ~list_empty ->
+          Index.unlink_bulk t.pos ~first:tr.p ~second:tr.o ~removed ~list_empty;
+          Index.unlink_bulk t.ops ~first:tr.o ~second:tr.p ~removed ~list_empty));
+  (* Entries and headers the passes emptied leave their vectors in one
+     compaction per vector. *)
+  seal_all t;
+  t.size <- t.size - !gone_count;
+  note_mutation m_delete !gone_count;
+  !gone_count
 
 (* --- lookup ---------------------------------------------------------- *)
 
@@ -620,10 +731,11 @@ let inflate t =
   end
 
 (* Public mutation entry points: shadow the raw implementations above
-   with representation-aware wrappers.  Point mutations inflate first
-   and leave the store raw (recompressing per triple would be O(n));
-   bulk loads re-establish the configured representation at the end, so
-   a delta-layer flush lands compressed again. *)
+   with representation-aware wrappers.  Point mutations and bulk
+   removals inflate first and leave the store raw (recompressing per
+   triple would be O(n)); bulk loads re-establish the configured
+   representation at the end, so a delta-layer flush — bulk removal,
+   then bulk load — lands compressed again, recompressed once. *)
 let add_ids t tr =
   if is_flat t then inflate t;
   add_ids t tr
@@ -631,6 +743,13 @@ let add_ids t tr =
 let remove_ids t tr =
   if is_flat t then inflate t;
   remove_ids t tr
+
+let remove_bulk_ids t triples =
+  if Array.length triples = 0 then 0
+  else begin
+    if is_flat t then inflate t;
+    remove_bulk_ids t triples
+  end
 
 let add_bulk_ids t triples =
   if is_flat t then inflate t;

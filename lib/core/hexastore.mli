@@ -83,9 +83,21 @@ val mem_ids : t -> id_triple -> bool
 
 val add_bulk_ids : t -> id_triple array -> int
 (** Bulk load: sorts the batch once per list family so vectors and lists
-    fill by monotone appends, and each index merges the headers that
-    arrived out of order once, at the end ({!Index.seal}); near-linear
-    on an empty store.  Returns the number of triples actually new. *)
+    fill by monotone appends; near-linear on an empty store.  A run that
+    lands below a list's largest element is merged into it in one pass,
+    and each index merges the headers and second-level keys that arrived
+    out of order once per touched vector, at the end ({!Index.seal}).
+    Returns the number of triples actually new. *)
+
+val remove_bulk_ids : t -> id_triple array -> int
+(** Bulk removal, the mirror of {!add_bulk_ids}: one sorted pass per
+    list family, in which each terminal list loses its run in one
+    compaction ({!Vectors.Sorted_ivec.remove_sorted}), then one
+    compaction per vector and header vector the removals emptied
+    entries of ({!Index.seal}) — instead of one shift of each touched
+    tail per triple.  Absent triples and repeats are ignored.  A
+    flat-compressed store is inflated first, as by {!remove_ids}.
+    Returns the number of triples removed. *)
 
 val lookup : t -> Pattern.t -> id_triple Seq.t
 (** All matching triples, lazily, in the natural order of the index

@@ -10,6 +10,9 @@
    never see the difference; mutation of a flat index raises, and the
    store swaps representations wholesale instead. *)
 
+(* A second-level entry a bulk pass could not place in order. *)
+type link = { first : int; second : int; list : Vectors.Sorted_ivec.t }
+
 type hashed = {
   headers : (int, Pair_vector.t) Hashtbl.t;
   sorted : Vectors.Sorted_ivec.t;
@@ -21,6 +24,12 @@ type hashed = {
          not yet merged into it: the hashtable already holds them, and
          {!seal} moves them into [sorted] in one pass.  Empty outside a
          bulk pass — every read of [sorted] checks that. *)
+  mutable links : link list;
+      (* Second-level keys a bulk pass linked below their vector's
+         largest key, awaiting {!seal}'s one merge per vector. *)
+  mutable drops : (int * int) list;
+      (* (first, second) entries whose shared list a bulk removal
+         emptied, awaiting {!seal}'s one compaction per vector. *)
 }
 
 type flat = {
@@ -37,7 +46,13 @@ type t = Hashed of hashed | Flat of flat
 
 let create ?(initial_headers = 64) () =
   Hashed
-    { headers = Hashtbl.create initial_headers; sorted = Vectors.Sorted_ivec.create (); pending = [] }
+    {
+      headers = Hashtbl.create initial_headers;
+      sorted = Vectors.Sorted_ivec.create ();
+      pending = [];
+      links = [];
+      drops = [];
+    }
 
 let is_flat = function Flat _ -> true | Hashed _ -> false
 
@@ -88,21 +103,80 @@ let create_vector ~defer t h =
 
 let get_or_create_vector t h = create_vector ~defer:false t h
 
+(* Calls [f first lo hi] on each run [a.(lo..hi-1)] of one first
+   element in [a], sorted by [first_of]. *)
+let iter_groups first_of a f =
+  let n = Array.length a in
+  let lo = ref 0 in
+  while !lo < n do
+    let first = first_of a.(!lo) in
+    let hi = ref (!lo + 1) in
+    while !hi < n && first_of a.(!hi) = first do
+      incr hi
+    done;
+    f first !lo !hi;
+    lo := !hi
+  done
+
+let compare_pairs (a, b) (c, d) =
+  let r = Int.compare a c in
+  if r <> 0 then r else Int.compare b d
+
+(* One compaction per vector a removal pass emptied entries of, then
+   one compaction of the header vector for the vectors it emptied. *)
+let apply_drops t =
+  let a = Array.of_list t.drops in
+  t.drops <- [];
+  Array.stable_sort compare_pairs a;
+  let emptied = ref [] in
+  iter_groups fst a (fun first lo hi ->
+      let v = Hashtbl.find t.headers first in
+      ignore (Pair_vector.remove_sorted v (Array.init (hi - lo) (fun j -> snd a.(lo + j))));
+      if Pair_vector.length v = 0 then begin
+        Hashtbl.remove t.headers first;
+        emptied := first :: !emptied
+      end);
+  ignore (Vectors.Sorted_ivec.remove_sorted t.sorted (Array.of_list (List.rev !emptied)))
+
+let compare_links x y =
+  let r = Int.compare x.first y.first in
+  if r <> 0 then r else Int.compare x.second y.second
+
+(* One merge per vector that received out-of-order keys.  A key linked
+   more than once in the pass carries the same shared list each time,
+   so duplicates collapse to one entry. *)
+let apply_links t =
+  let a = Array.of_list t.links in
+  t.links <- [];
+  Array.stable_sort compare_links a;
+  let a =
+    Array.of_list (List.filteri (fun i l -> i = 0 || compare_links a.(i - 1) l <> 0) (Array.to_list a))
+  in
+  iter_groups (fun l -> l.first) a (fun first lo hi ->
+      Pair_vector.merge_sorted (Hashtbl.find t.headers first)
+        (Array.init (hi - lo) (fun j -> a.(lo + j).second))
+        (Array.init (hi - lo) (fun j -> a.(lo + j).list)))
+
 let seal = function
   | Flat _ -> ()
-  | Hashed t ->
+  | Hashed t -> (
+      if t.drops != [] then apply_drops t;
+      if t.links != [] then apply_links t;
       match t.pending with
       | [] -> ()
       | pending ->
           let a = Array.of_list pending in
           t.pending <- [];
           Array.stable_sort Int.compare a;
-          Vectors.Sorted_ivec.merge_sorted t.sorted a
+          Vectors.Sorted_ivec.merge_sorted t.sorted a)
 
 let pending_headers = function Flat _ -> 0 | Hashed t -> List.length t.pending
+let pending_links = function Flat _ -> 0 | Hashed t -> List.length t.links
+let pending_drops = function Flat _ -> 0 | Hashed t -> List.length t.drops
 
 let sealed op t =
-  match t.pending with [] -> () | _ -> invalid_arg ("Index." ^ op ^ ": unsealed bulk pass")
+  if t.pending != [] || t.links != [] || t.drops != [] then
+    invalid_arg ("Index." ^ op ^ ": unsealed bulk pass")
 
 let get_or_create_list table key =
   match Hashtbl.find_opt table key with
@@ -122,13 +196,28 @@ let lists_memory_words table =
     table
     (stats.Hashtbl.num_buckets + 4)
 
-let link_with ~defer index ~first ~second l =
-  let v = create_vector ~defer index first in
+let link index ~first ~second l =
+  let v = create_vector ~defer:false index first in
   ignore (Pair_vector.get_or_insert v second (fun () -> l));
   Pair_vector.bump_total v 1
 
-let link = link_with ~defer:false
-let link_bulk = link_with ~defer:true
+(* A key above the vector's largest is appended at once, as {!link}
+   would; one below it that the vector lacks is recorded for {!seal},
+   once per run of links to the same entry. *)
+let link_bulk index ~first ~second l =
+  match index with
+  | Flat _ -> frozen "link_bulk"
+  | Hashed t ->
+      if t.drops != [] then invalid_arg "Index.link_bulk: unsealed removal pass";
+      let v = create_vector ~defer:true index first in
+      let n = Pair_vector.length v in
+      let last = if n = 0 then min_int else Pair_vector.key_at v (n - 1) in
+      (if second > last then ignore (Pair_vector.get_or_insert v second (fun () -> l))
+       else if second < last && Option.is_none (Pair_vector.find v second) then
+         match t.links with
+         | { first = f; second = s'; _ } :: _ when f = first && s' = second -> ()
+         | links -> t.links <- { first; second; list = l } :: links);
+      Pair_vector.bump_total v 1
 
 let find_list t first second =
   match t with
@@ -172,6 +261,17 @@ let unlink index ~first ~second ~list_empty =
         ignore (Pair_vector.remove v second);
         if Pair_vector.length v = 0 then ignore (remove_header index first)
       end
+
+let unlink_bulk index ~first ~second ~removed ~list_empty =
+  match index with
+  | Flat _ -> frozen "unlink_bulk"
+  | Hashed t -> (
+      if t.pending != [] || t.links != [] then invalid_arg "Index.unlink_bulk: unsealed link pass";
+      match Hashtbl.find_opt t.headers first with
+      | None -> invalid_arg "Index.unlink_bulk: no such header"
+      | Some v ->
+          Pair_vector.bump_total v (-removed);
+          if list_empty then t.drops <- (first, second) :: t.drops)
 
 let iter f t =
   match t with
@@ -293,7 +393,7 @@ let block_violations = function
 let check_invariant t =
   (match t with
   | Hashed h ->
-      assert (h.pending = []);
+      assert (h.pending = [] && h.links = [] && h.drops = []);
       Vectors.Sorted_ivec.check_invariant h.sorted;
       assert (Vectors.Sorted_ivec.length h.sorted = Hashtbl.length h.headers);
       Vectors.Sorted_ivec.iter (fun hd -> assert (Hashtbl.mem h.headers hd)) h.sorted

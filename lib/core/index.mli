@@ -50,19 +50,43 @@ val link : t -> first:int -> second:int -> Vectors.Sorted_ivec.t -> unit
     sorted header vector. *)
 
 val link_bulk : t -> first:int -> second:int -> Vectors.Sorted_ivec.t -> unit
-(** {!link} for bulk passes: a new header below the current largest one
-    is only recorded as pending, and the pass must end with {!seal}.
-    Until then the sorted header reads ({!headers_view}, {!headers},
-    {!iter_sorted}, {!compress}) and {!remove_header} raise
-    [Invalid_argument]. *)
+(** {!link} for bulk passes.  A new header below the current largest
+    one is only recorded as pending, and so is a new second-level key
+    below its vector's largest key; keys above it are appended at once,
+    so a pass over an empty index records nothing.  The pass must end
+    with {!seal}.  Until then the sorted header reads ({!headers_view},
+    {!headers}, {!iter_sorted}, {!compress}) and {!remove_header} raise
+    [Invalid_argument], and the pending keys are missing from their
+    vectors.  @raise Invalid_argument while removals await {!seal}. *)
+
+val unlink_bulk : t -> first:int -> second:int -> removed:int -> list_empty:bool -> unit
+(** {!unlink} for bulk removal passes: counts [removed] triples fewer
+    under [first] and, when the shared list has gone empty, records the
+    (first, second) entry for {!seal} to drop, together with the header
+    if its vector empties.  Until then the same reads raise as during a
+    {!link_bulk} pass.
+    @raise Invalid_argument when [first] is not a header, or while
+    links await {!seal}. *)
 
 val seal : t -> unit
-(** Merges the pending headers of a bulk pass into the sorted header
-    vector: one sort of the [k] pending ids plus one in-place merge,
-    O(h + k log k) per batch instead of O(h) per header. *)
+(** Ends a bulk pass with one pass per touched vector: each vector
+    loses its recorded entries in one compaction ({!Pair_vector.remove_sorted}),
+    the header vector loses the emptied vectors' headers in another,
+    each vector merges its recorded keys in one
+    {!Pair_vector.merge_sorted}, and the header vector merges the
+    pending headers in one {!Vectors.Sorted_ivec.merge_sorted} — O(h +
+    k log k) per batch instead of O(h) per header.  No-op outside a
+    bulk pass. *)
 
 val pending_headers : t -> int
 (** Headers awaiting {!seal}; 0 outside a bulk pass. *)
+
+val pending_links : t -> int
+(** Second-level keys awaiting {!seal}'s merge; 0 outside a bulk pass. *)
+
+val pending_drops : t -> int
+(** Emptied (first, second) entries awaiting {!seal}'s compaction; 0
+    outside a bulk pass. *)
 
 val unlink : t -> first:int -> second:int -> list_empty:bool -> unit
 (** Undo one triple's {!link}: count one triple fewer under [first]
@@ -99,5 +123,5 @@ val memory_words : t -> int
     by the store. *)
 
 val check_invariant : t -> unit
-(** Sorted headers match the hashtable, no header is pending, and
-    every vector is sound. *)
+(** Sorted headers match the hashtable, no header, link or drop is
+    pending, and every vector is sound. *)

@@ -89,6 +89,71 @@ let remove v key =
       end
       else false
 
+(* Batch insert: one galloping pass ranks the new keys among the old
+   ones, one back-to-front pass moves each old payload at most once,
+   then the keys merge the same way inside [Sorted_ivec]. *)
+let merge_sorted v keys payloads =
+  match v with
+  | View _ -> frozen "merge_sorted"
+  | Pv r ->
+      let k = Array.length keys in
+      if Array.length payloads <> k then invalid_arg "Pair_vector.merge_sorted: length mismatch";
+      let n = Sorted_ivec.length r.keys in
+      let ranks = Array.make k 0 in
+      let from = ref 0 in
+      Array.iteri
+        (fun j key ->
+          from := Sorted_ivec.search_from r.keys ~from:!from key;
+          ranks.(j) <- !from)
+        keys;
+      (* Validates the keys (strictly increasing, all new) before any
+         payload moves. *)
+      Sorted_ivec.merge_sorted r.keys keys;
+      if n + k > Array.length r.payloads then begin
+        let bigger = Array.make (max (n + k) (2 * Array.length r.payloads)) dummy in
+        Array.blit r.payloads 0 bigger 0 n;
+        r.payloads <- bigger
+      end;
+      (* Plain stores, not one [Array.blit] per gap: most gaps hold a
+         few entries, where the blit's call costs more than the moves. *)
+      let dst = r.payloads in
+      let hi = ref n in
+      for j = k - 1 downto 0 do
+        let lo = Array.unsafe_get ranks j in
+        for i = !hi - 1 downto lo do
+          Array.unsafe_set dst (i + j + 1) (Array.unsafe_get dst i)
+        done;
+        Array.unsafe_set dst (lo + j) (Array.unsafe_get payloads j);
+        hi := lo
+      done
+
+(* Batch delete: one left-to-right compaction of the payloads over the
+   hits' positions, then the same compaction of the keys. *)
+let remove_sorted v keys =
+  match v with
+  | View _ -> frozen "remove_sorted"
+  | Pv r ->
+      for j = 1 to Array.length keys - 1 do
+        if keys.(j - 1) > keys.(j) then invalid_arg "Pair_vector.remove_sorted: not sorted"
+      done;
+      let n = Sorted_ivec.length r.keys in
+      let w = ref 0 and rd = ref 0 in
+      Array.iter
+        (fun key ->
+          let i = Sorted_ivec.search_from r.keys ~from:!rd key in
+          if i < n && Sorted_ivec.get r.keys i = key then begin
+            if !w < !rd then Array.blit r.payloads !rd r.payloads !w (i - !rd);
+            w := !w + (i - !rd);
+            rd := i + 1
+          end)
+        keys;
+      if !w < !rd then Array.blit r.payloads !rd r.payloads !w (n - !rd);
+      let left = !w + (n - !rd) in
+      Array.fill r.payloads left (n - left) dummy;
+      let removed = Sorted_ivec.remove_sorted r.keys keys in
+      assert (removed = n - left);
+      removed
+
 let payload_at v i =
   if i < 0 || i >= length v then invalid_arg "Pair_vector.payload_at";
   payload v i

@@ -25,8 +25,8 @@ val view :
     compressed index's lookup result.  [keys] is the (possibly
     compressed-slice) sorted key vector, [total] the triple count under
     it, and [payload j] materialises the [j]-th terminal-list slice.
-    Mutating operations ({!get_or_insert}, {!remove}, {!bump_total})
-    raise [Invalid_argument] on views. *)
+    Mutating operations ({!get_or_insert}, {!remove}, {!merge_sorted},
+    {!remove_sorted}, {!bump_total}) raise [Invalid_argument] on views. *)
 
 val length : t -> int
 (** Number of (key, list) entries. *)
@@ -49,6 +49,22 @@ val get_or_insert : t -> int -> (unit -> Vectors.Sorted_ivec.t) -> Vectors.Sorte
 
 val remove : t -> int -> bool
 (** Delete a key and its payload reference; [false] when absent. *)
+
+val merge_sorted : t -> int array -> Vectors.Sorted_ivec.t array -> unit
+(** [merge_sorted v keys payloads] inserts the strictly increasing new
+    [keys], each with the payload at the same position, in one pass
+    that moves every existing entry at most once — the batch form of
+    {!get_or_insert} for keys that arrive below existing ones.
+    @raise Invalid_argument if the arrays differ in length, [keys] is
+    not strictly increasing or one of them is already present (then [v]
+    is left unspecified). *)
+
+val remove_sorted : t -> int array -> int
+(** [remove_sorted v keys] deletes every key of the ascending array
+    [keys] that is present, with its payload reference, in one
+    compaction, and returns how many it deleted — the batch form of
+    {!remove}.  Like {!remove}, it leaves {!total} alone.
+    @raise Invalid_argument if [keys] is not ascending. *)
 
 val key_at : t -> int -> int
 val payload_at : t -> int -> Vectors.Sorted_ivec.t

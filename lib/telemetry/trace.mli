@@ -57,7 +57,7 @@ type kind =
     }
   | Delta_flush of {
       pending : int;
-      rebuild : bool;
+      rebuild : bool;  (** a compaction's full rebuild, not an in-place flush *)
       auto : bool;
     }
   | Delta_compact of { pending : int }

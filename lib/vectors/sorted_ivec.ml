@@ -115,6 +115,28 @@ let find_geq v x =
 
 let frozen op = invalid_arg ("Sorted_ivec." ^ op ^ ": compressed vector is immutable")
 
+(* Element moves on the raw form are typed [int] loops, not
+   [Array.blit]: on a major-heap array the runtime's blit cannot know
+   the cells hold no pointers and pays a write barrier per element,
+   about three times the loop's cost per moved int. *)
+let move_down (data : int array) ~src ~dst n =
+  for j = 0 to n - 1 do
+    Array.unsafe_set data (dst + j) (Array.unsafe_get data (src + j))
+  done
+
+let move_up (data : int array) ~src ~dst n =
+  for j = n - 1 downto 0 do
+    Array.unsafe_set data (dst + j) (Array.unsafe_get data (src + j))
+  done
+
+(* A copy of [data]'s first [n] cells in a fresh array of [cap]. *)
+let regrow (data : int array) n cap =
+  let bigger = Array.make cap 0 in
+  for j = 0 to n - 1 do
+    Array.unsafe_set bigger j (Array.unsafe_get data j)
+  done;
+  bigger
+
 (* The shifting halves of [add]/[remove], for callers that already
    hold the position from their own search. *)
 let insert_at v i x =
@@ -123,12 +145,8 @@ let insert_at v i x =
   | R r ->
       let n = r.len in
       if i < 0 || i > n then invalid_arg "Sorted_ivec.insert_at: index out of bounds";
-      if n = Array.length r.data then begin
-        let data = Array.make (max 8 (2 * n)) 0 in
-        Array.blit r.data 0 data 0 n;
-        r.data <- data
-      end;
-      if i < n then Array.blit r.data i r.data (i + 1) (n - i);
+      if n = Array.length r.data then r.data <- regrow r.data n (max 8 (2 * n));
+      move_up r.data ~src:i ~dst:(i + 1) (n - i);
       Array.unsafe_set r.data i x;
       r.len <- n + 1
 
@@ -137,7 +155,7 @@ let remove_at v i =
   | S _ -> frozen "remove_at"
   | R r ->
       if i < 0 || i >= r.len then invalid_arg "Sorted_ivec.remove_at: index out of bounds";
-      Array.blit r.data (i + 1) r.data i (r.len - i - 1);
+      move_down r.data ~src:(i + 1) ~dst:i (r.len - i - 1);
       r.len <- r.len - 1
 
 let add v x =
@@ -180,11 +198,7 @@ let merge_sorted v a =
       while !cap < n + k do
         cap := max 8 (2 * !cap)
       done;
-      if !cap > Array.length r.data then begin
-        let data = Array.make !cap 0 in
-        Array.blit r.data 0 data 0 n;
-        r.data <- data
-      end;
+      if !cap > Array.length r.data then r.data <- regrow r.data n !cap;
       let data = r.data in
       let i = ref (n - 1) in
       for j = k - 1 downto 0 do
@@ -198,6 +212,33 @@ let merge_sorted v a =
         Array.unsafe_set data (!i + j + 1) x
       done;
       r.len <- n + k
+
+(* One left-to-right compaction: each hit is found by a galloping seek
+   from the previous one, and each survivor above the first hit moves
+   down once, by the number of hits below it. *)
+let remove_sorted v a =
+  match v with
+  | S _ -> frozen "remove_sorted"
+  | R r ->
+      let k = Array.length a in
+      for j = 1 to k - 1 do
+        if a.(j - 1) > a.(j) then invalid_arg "Sorted_ivec.remove_sorted: not sorted"
+      done;
+      let n = r.len and data = r.data in
+      (* Cells [0, w) are final; [rd, n) are still to be kept or dropped. *)
+      let w = ref 0 and rd = ref 0 in
+      for j = 0 to k - 1 do
+        let x = Array.unsafe_get a j in
+        let i = search_from v ~from:!rd x in
+        if i < n && Array.unsafe_get data i = x then begin
+          if !w < !rd then move_down data ~src:!rd ~dst:!w (i - !rd);
+          w := !w + (i - !rd);
+          rd := i + 1
+        end
+      done;
+      if !w < !rd then move_down data ~src:!rd ~dst:!w (n - !rd);
+      r.len <- !w + (n - !rd);
+      n - r.len
 
 let of_sorted_array a =
   let n = Array.length a in

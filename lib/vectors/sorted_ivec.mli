@@ -9,7 +9,9 @@
     Mutation is by binary insertion — O(n) worst case, which mirrors the
     paper's observation that updates are the Hexastore's weak spot — with an
     O(1) amortised fast path when keys arrive in ascending order (the bulk
-    loading case).
+    loading case).  Batches of out-of-order keys go through one pass
+    instead: {!merge_sorted} inserts and {!remove_sorted} deletes a whole
+    sorted run while moving each element at most once.
 
     A sorted vector is either that raw mutable form or an immutable
     {e slice} of a shared compressed stream ({!Packed_ivec}
@@ -110,6 +112,14 @@ val merge_sorted : t -> int array -> unit
     {!add}s.  The batch form of {!add} for out-of-order keys.
     @raise Invalid_argument if [a] is not strictly increasing, or if an
     element of [a] is already in [v] (then [v] is left unspecified). *)
+
+val remove_sorted : t -> int array -> int
+(** [remove_sorted v a] deletes every element of the ascending array
+    [a] that is in [v] (absent elements and repeats are ignored) in one
+    in-place compaction, and returns how many it deleted: O(k log gap +
+    moved), where [moved] is the number of survivors above the first
+    hit, against one shift of the tail per {!remove}.  The batch form
+    of {!remove}.  @raise Invalid_argument if [a] is not ascending. *)
 
 val iter : (int -> unit) -> t -> unit
 

@@ -107,6 +107,38 @@ let test_detects_pending_header () =
   Index.unlink spo ~first:(-1) ~second:0 ~list_empty:true;
   no_violations "bogus entry removed" (C.store h)
 
+let test_detects_pending_link () =
+  let h = small_store () in
+  let spo = Hexastore.spo h in
+  let s = Sorted_ivec.get (Index.headers_view spo) 0 in
+  (* Second-level key -1 sorts below every existing one under [s], so a
+     bulk link defers it. *)
+  Index.link_bulk spo ~first:s ~second:(-1) (Sorted_ivec.singleton 0);
+  check_int "deferred" 1 (Index.pending_links spo);
+  some_violation "unsealed bulk link" (C.Invariant.index spo);
+  Index.seal spo;
+  no_violations "sealed" (C.Invariant.index spo);
+  Index.unlink spo ~first:s ~second:(-1) ~list_empty:true;
+  no_violations "bogus entry removed" (C.store h)
+
+let test_detects_pending_drop () =
+  let h = small_store () in
+  let spo = Hexastore.spo h in
+  let s = Sorted_ivec.get (Index.headers_view spo) 0 in
+  let v = Option.get (Index.find_vector spo s) in
+  let p = Pair_vector.key_at v 0 in
+  let l = Pair_vector.payload_at v 0 in
+  let n = Sorted_ivec.length l in
+  Index.unlink_bulk spo ~first:s ~second:p ~removed:n ~list_empty:true;
+  check_int "deferred" 1 (Index.pending_drops spo);
+  some_violation "unsealed bulk drop" (C.Invariant.index spo);
+  Index.seal spo;
+  no_violations "sealed" (C.Invariant.index spo);
+  check_bool "entry dropped" true (Option.is_none (Index.find_list spo s p));
+  Index.link spo ~first:s ~second:p l;
+  Pair_vector.bump_total (Option.get (Index.find_vector spo s)) (n - 1);
+  no_violations "entry restored" (C.store h)
+
 let test_detects_unshared_list () =
   let h = small_store () in
   (* Replace pso's reference with a value-equal copy: every count and
@@ -696,6 +728,8 @@ let () =
           Alcotest.test_case "detects total corruption" `Quick test_detects_total_corruption;
           Alcotest.test_case "detects bogus header" `Quick test_detects_bogus_header;
           Alcotest.test_case "detects pending header" `Quick test_detects_pending_header;
+          Alcotest.test_case "detects pending link" `Quick test_detects_pending_link;
+          Alcotest.test_case "detects pending drop" `Quick test_detects_pending_drop;
           Alcotest.test_case "detects unshared list" `Quick test_detects_unshared_list;
           Alcotest.test_case "dictionary bijectivity" `Quick test_dictionary_bijective;
           Alcotest.test_case "dataset coherence" `Quick test_dataset_coherent;

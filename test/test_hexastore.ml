@@ -595,11 +595,33 @@ let print_merge_case (base, extra, ords) =
     (String.concat "; " (List.map tr extra))
     (String.concat "; " (List.map Ordering.name ords))
 
+(* Every ordering's sorted headers, each header's vector total, keys
+   and terminal lists: the whole structure two stores must agree on. *)
+let dump indices =
+  List.map
+    (fun (ord, idx) ->
+      ( ord,
+        List.map
+          (fun h ->
+            let v = Option.get (Index.find_vector idx h) in
+            ( h,
+              Pair_vector.total v,
+              List.of_seq
+                (Seq.map (fun (k, l) -> (k, Sorted_ivec.to_list l)) (Pair_vector.to_seq v)) ))
+          (Sorted_ivec.to_list (Index.headers_view idx)) ))
+    indices
+
+let nothing_pending indices =
+  List.for_all
+    (fun (_, idx) ->
+      Index.pending_headers idx = 0 && Index.pending_links idx = 0 && Index.pending_drops idx = 0)
+    indices
+
 (* [remove = None] (the partial store has no delete): the removed
    triples are simply left out of the base, so their headers are absent
    rather than pruned. *)
-let prop_bulk_merge name ~make ~add ~remove ~bulk ~indices ~size ~check =
-  QCheck.Test.make ~name ~count:200 (QCheck.make ~print:print_merge_case gen_merge_case)
+let prop_bulk_merge ?(gen = gen_merge_case) name ~make ~add ~remove ~bulk ~indices ~size ~check =
+  QCheck.Test.make ~name ~count:200 (QCheck.make ~print:print_merge_case gen)
     (fun (base, extra, ords) ->
       let removed = List.filter_map (fun (drop, t) -> if drop then Some t else None) base in
       let batch = t3 1 1 1 :: t3 21 21 21 :: t3 39 39 39 :: (removed @ extra) in
@@ -615,12 +637,24 @@ let prop_bulk_merge name ~make ~add ~remove ~bulk ~indices ~size ~check =
       ignore (bulk bulk_t (Array.of_list batch));
       List.iter (fun tr -> ignore (add point_t tr)) batch;
       check bulk_t;
-      let headers t =
-        List.map (fun (ord, idx) -> (ord, Sorted_ivec.to_list (Index.headers_view idx))) (indices t)
-      in
-      List.for_all (fun (_, idx) -> Index.pending_headers idx = 0) (indices bulk_t)
+      nothing_pending (indices bulk_t)
       && size bulk_t = size point_t
-      && headers bulk_t = headers point_t)
+      && dump (indices bulk_t) = dump (indices point_t))
+
+(* Bulk adds into a populated store: base ids are the even ones in
+   [20, 26] and batch ids span [17, 27], so in every ordering the batch
+   brings second-level keys below and between the existing ones under
+   existing headers, and terminal ids below and between a list's
+   elements — the deferred links of [Index.link_bulk] and the merged
+   runs of [add_bulk_ids]. *)
+let gen_populated_case =
+  QCheck.Gen.(
+    let even = map (fun k -> 20 + (2 * k)) (int_bound 3) in
+    let near = int_range 17 27 in
+    triple
+      (list_size (int_range 1 60) (pair bool (map3 t3 even even even)))
+      (list_size (int_range 1 60) (map3 t3 near near near))
+      (map (List.sort_uniq Ordering.compare) (list_size (int_range 1 6) (oneofl Ordering.all))))
 
 let hexa_indices h =
   Hexastore.
@@ -650,6 +684,73 @@ let prop_bulk_merge_partial =
     ~make:(fun ords -> Partial.create ~orderings:ords ())
     ~add:Partial.add_ids ~remove:None ~bulk:Partial.add_bulk_ids ~indices:Partial.indices
     ~size:Partial.size ~check:Partial.check_invariant
+
+let prop_bulk_add_populated_hexa =
+  prop_bulk_merge ~gen:gen_populated_case
+    "bulk add into a populated store = point inserts (hexastore)"
+    ~make:(fun _ -> Hexastore.create ())
+    ~add:Hexastore.add_ids ~remove:(Some Hexastore.remove_ids) ~bulk:Hexastore.add_bulk_ids
+    ~indices:hexa_indices ~size:Hexastore.size ~check:Hexastore.check_invariant
+
+let prop_bulk_add_populated_covp =
+  prop_bulk_merge ~gen:gen_populated_case "bulk add into a populated store = point inserts (covp2)"
+    ~make:(fun _ -> Covp.create Covp.Covp2)
+    ~add:Covp.add_ids ~remove:(Some Covp.remove_ids) ~bulk:Covp.add_bulk_ids
+    ~indices:Covp.indices ~size:Covp.size ~check:Covp.check_invariant
+
+let prop_bulk_add_populated_partial =
+  prop_bulk_merge ~gen:gen_populated_case
+    "bulk add into a populated store = point inserts (partial)"
+    ~make:(fun ords -> Partial.create ~orderings:ords ())
+    ~add:Partial.add_ids ~remove:None ~bulk:Partial.add_bulk_ids ~indices:Partial.indices
+    ~size:Partial.size ~check:Partial.check_invariant
+
+(* Bulk removal against point removals from two copies of one store.
+   The batch holds a random subset of the base, triples the base lacks,
+   every triple of one subject and of one object (so whole headers and
+   their vectors empty), and the subset again as duplicates.  Half the
+   cases start packed, so the removal inflates first. *)
+let gen_remove_case =
+  QCheck.Gen.(
+    let id = int_bound 12 in
+    quad
+      (list_size (int_range 1 80) (pair bool (map3 t3 id id id)))
+      (list_size (int_bound 20) (map3 t3 (int_bound 14) (int_bound 14) (int_bound 14)))
+      (pair id id) bool)
+
+let print_remove_case (base, extra, (s_all, o_all), packed) =
+  let tr (t : id3) = Printf.sprintf "(%d,%d,%d)" t.s t.p t.o in
+  Printf.sprintf "base=[%s] extra=[%s] all s=%d all o=%d packed=%b"
+    (String.concat "; " (List.map (fun (pick, t) -> (if pick then "-" else "") ^ tr t) base))
+    (String.concat "; " (List.map tr extra))
+    s_all o_all packed
+
+let prop_bulk_remove =
+  QCheck.Test.make ~name:"bulk remove = point removes" ~count:300
+    (QCheck.make ~print:print_remove_case gen_remove_case)
+    (fun (base, extra, (s_all, o_all), packed) ->
+      let base_triples = Array.of_list (List.map snd base) in
+      let picked = List.filter_map (fun (pick, t) -> if pick then Some t else None) base in
+      let whole =
+        List.filter (fun (t : id3) -> t.s = s_all || t.o = o_all) (Array.to_list base_triples)
+      in
+      let batch = picked @ extra @ whole @ picked in
+      let prepare repr =
+        let h = Hexastore.create ~repr () in
+        ignore (Hexastore.add_bulk_ids h base_triples);
+        h
+      in
+      let bulk_h = prepare (if packed then Sorted_ivec.Packed else Sorted_ivec.Raw) in
+      let point_h = prepare Sorted_ivec.Raw in
+      let n = Hexastore.remove_bulk_ids bulk_h (Array.of_list batch) in
+      let m =
+        List.fold_left (fun m tr -> if Hexastore.remove_ids point_h tr then m + 1 else m) 0 batch
+      in
+      Hexastore.check_invariant bulk_h;
+      nothing_pending (hexa_indices bulk_h)
+      && n = m
+      && Hexastore.size bulk_h = Hexastore.size point_h
+      && dump (hexa_indices bulk_h) = dump (hexa_indices point_h))
 
 let prop_space_bound =
   QCheck.Test.make ~name:"entries per resource occurrence never exceed 5" ~count:150
@@ -728,6 +829,10 @@ let () =
           qt prop_bulk_merge_hexa;
           qt prop_bulk_merge_covp;
           qt prop_bulk_merge_partial;
+          qt prop_bulk_add_populated_hexa;
+          qt prop_bulk_add_populated_covp;
+          qt prop_bulk_add_populated_partial;
+          qt prop_bulk_remove;
           qt prop_space_bound;
           qt prop_lookup_sorted;
         ] );
