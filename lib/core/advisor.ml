@@ -58,32 +58,14 @@ let index_of h = function
   | Ordering.Osp -> Hexastore.osp h
   | Ordering.Ops -> Hexastore.ops h
 
-(* Words of one ordering's terminal lists, walked through its index (each
-   list visited once per ordering), mirroring the exact per-structure
-   accounting of [Hexastore.memory_words]: a 4-word bucket entry per
-   list plus the table's bucket array — stores seed their list tables at
-   1024 buckets and the stdlib Hashtbl doubles once the entry count
-   exceeds twice the bucket count. *)
-let family_list_words h ord =
-  let words = ref 0 and entries = ref 0 in
-  Index.iter
-    (fun _ v ->
-      Pair_vector.iter
-        (fun _ l ->
-          incr entries;
-          words := !words + 4 + Vectors.Sorted_ivec.memory_words l)
-        v)
-    (index_of h ord);
-  let rec buckets b = if !entries > 2 * b then buckets (2 * b) else b in
-  !words + buckets 1024 + 4
-
 let estimate_memory_words h keep =
   let kept = Ordering.Set.of_list keep in
   let index_words =
     Ordering.Set.fold (fun ord acc -> acc + Index.memory_words (index_of h ord)) kept 0
   in
   (* One copy of each kept family's lists, regardless of whether one or
-     both twins are kept. *)
+     both twins are kept, counted through the ordering that
+     [Hexastore.memory_words] counts it through. *)
   let families =
     Ordering.Set.fold
       (fun ord acc ->
@@ -97,7 +79,9 @@ let estimate_memory_words h keep =
       kept Ordering.Set.empty
   in
   let list_words =
-    Ordering.Set.fold (fun rep acc -> acc + family_list_words h rep) families 0
+    Ordering.Set.fold
+      (fun rep acc -> acc + Index.terminal_memory_words (index_of h rep))
+      families 0
   in
   index_words + list_words
 

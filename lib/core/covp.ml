@@ -4,13 +4,13 @@ type kind =
   | Covp1
   | Covp2
 
+(* The o-lists (p,s) are reached through [pso], the s-lists (p,o) of
+   COVP2 through [pos]. *)
 type t = {
   kind : kind;
   dict : Dict.Term_dict.t;
   pso : Index.t;                                  (* p -> subject vector -> o-list *)
-  o_lists : (int, Sorted_ivec.t) Hashtbl.t;       (* (p,s) -> objects *)
   pos : Index.t option;                           (* p -> object vector -> s-list; Covp2 *)
-  s_lists : (int, Sorted_ivec.t) Hashtbl.t;       (* (p,o) -> subjects; Covp2 *)
   mutable restriction : Sorted_ivec.t option;     (* the "28 properties" set *)
   mutable size : int;
 }
@@ -21,9 +21,7 @@ let create ?dict kind =
     kind;
     dict;
     pso = Index.create ();
-    o_lists = Hashtbl.create 1024;
     pos = (match kind with Covp1 -> None | Covp2 -> Some (Index.create ()));
-    s_lists = Hashtbl.create 1024;
     restriction = None;
     size = 0;
   }
@@ -33,79 +31,48 @@ let dict t = t.dict
 let size t = t.size
 
 let add_ids t ({ s; p; o } : Hexastore.id_triple) =
-  let o_list = Index.get_or_create_list t.o_lists (Pair_key.make p s) in
-  if not (Sorted_ivec.add o_list o) then false
-  else begin
-    Index.link t.pso ~first:p ~second:s o_list;
-    (match t.pos with
-    | None -> ()
-    | Some pos ->
-        let s_list = Index.get_or_create_list t.s_lists (Pair_key.make p o) in
-        ignore (Sorted_ivec.add s_list s);
-        Index.link pos ~first:p ~second:o s_list);
-    t.size <- t.size + 1;
-    true
-  end
+  Index.add_third t.pso ~first:p ~second:s o
+  && begin
+       Option.iter (fun pos -> ignore (Index.add_third pos ~first:p ~second:o s)) t.pos;
+       t.size <- t.size + 1;
+       true
+     end
 
 let mem_ids t ({ s; p; o } : Hexastore.id_triple) =
-  match Hashtbl.find_opt t.o_lists (Pair_key.make p s) with
+  match Index.find_list t.pso p s with
   | None -> false
   | Some l -> Sorted_ivec.mem l o
 
 let remove_ids t ({ s; p; o } : Hexastore.id_triple) =
-  let key_ps = Pair_key.make p s in
-  match Hashtbl.find_opt t.o_lists key_ps with
-  | None -> false
-  | Some o_list ->
-      if not (Sorted_ivec.remove o_list o) then false
-      else begin
-        let o_empty = Sorted_ivec.is_empty o_list in
-        if o_empty then Hashtbl.remove t.o_lists key_ps;
-        Index.unlink t.pso ~first:p ~second:s ~list_empty:o_empty;
-        (match t.pos with
-        | None -> ()
-        | Some pos ->
-            let key_po = Pair_key.make p o in
-            (match Hashtbl.find_opt t.s_lists key_po with
-            | None -> assert false
-            | Some s_list ->
-                ignore (Sorted_ivec.remove s_list s);
-                let s_empty = Sorted_ivec.is_empty s_list in
-                if s_empty then Hashtbl.remove t.s_lists key_po;
-                Index.unlink pos ~first:p ~second:o ~list_empty:s_empty));
-        t.size <- t.size - 1;
-        true
-      end
+  Index.remove_third t.pso ~first:p ~second:s o
+  && begin
+       Option.iter (fun pos -> assert (Index.remove_third pos ~first:p ~second:o s)) t.pos;
+       t.size <- t.size - 1;
+       true
+     end
 
 let add_bulk_ids t triples =
-  let arr = Array.copy triples in
-  Array.stable_sort (Ordering.compare_triples Pso) arr;
   let fresh = ref [] in
-  let fresh_count = ref 0 in
-  Array.iter
-    (fun (tr : Hexastore.id_triple) ->
-      let o_list = Index.get_or_create_list t.o_lists (Pair_key.make tr.p tr.s) in
-      if Sorted_ivec.add o_list tr.o then begin
-        Index.link_bulk t.pso ~first:tr.p ~second:tr.s o_list;
-        fresh := tr :: !fresh;
-        incr fresh_count
-      end)
-    arr;
+  Index.link_runs t.pso
+    ~first:(fun (tr : Hexastore.id_triple) -> tr.p)
+    ~second:(fun tr -> tr.s)
+    ~third:(fun tr -> tr.o)
+    (Ordering.sort_triples Pso triples)
+    ~fresh:(fun tr -> fresh := tr :: !fresh);
+  let fresh = Array.of_list !fresh in
   (match t.pos with
   | None -> ()
   | Some pos ->
-      let fresh = Array.of_list !fresh in
-      Array.stable_sort (Ordering.compare_triples Pos) fresh;
-      Array.iter
-        (fun (tr : Hexastore.id_triple) ->
-          let s_list = Index.get_or_create_list t.s_lists (Pair_key.make tr.p tr.o) in
-          ignore (Sorted_ivec.add s_list tr.s);
-          Index.link_bulk pos ~first:tr.p ~second:tr.o s_list)
-        fresh;
+      Index.link_runs pos
+        ~first:(fun (tr : Hexastore.id_triple) -> tr.p)
+        ~second:(fun tr -> tr.o)
+        ~third:(fun tr -> tr.s)
+        (Ordering.sort_triples Pos fresh)
+        ~fresh:(fun _ -> ());
       Index.seal pos);
   Index.seal t.pso;
-  t.size <- t.size + !fresh_count;
-  !fresh_count
+  t.size <- t.size + Array.length fresh;
+  Array.length fresh
 
 let add t triple = add_ids t (Dict.Term_dict.encode_triple t.dict triple)
 
@@ -131,7 +98,7 @@ let subject_vector t p = Index.find_vector t.pso p
 let object_vector t p =
   match t.pos with None -> None | Some pos -> Index.find_vector pos p
 
-let objects_of_sp t ~s ~p = Hashtbl.find_opt t.o_lists (Pair_key.make p s)
+let objects_of_sp t ~s ~p = Index.find_list t.pso p s
 
 let subjects_of_po t ~p ~o =
   match t.pos with
@@ -240,11 +207,10 @@ let count t pat =
   | Pattern.S | Pattern.So | Pattern.O -> Seq.length (lookup t pat)
   | Pattern.None_bound -> t.size
 
-(* Covp1's [s_lists] stays empty but is allocated, so it counts too. *)
 let memory_words t =
-  Index.memory_words t.pso + Index.lists_memory_words t.o_lists
-  + Index.lists_memory_words t.s_lists
-  + match t.pos with None -> 0 | Some pos -> Index.memory_words pos
+  List.fold_left
+    (fun acc (_, idx) -> acc + Index.memory_words idx + Index.terminal_memory_words idx)
+    0 (indices t)
 
 let check_invariant t =
   Index.check_invariant t.pso;

@@ -39,7 +39,10 @@ let note_mutation family n =
 
 (* The structural fields are mutable solely so {!replace_contents} can
    rebuild a store in place while aliases (datasets, delta layers) keep
-   pointing at the same [t]. *)
+   pointing at the same [t].  The three shared terminal-list families
+   are reached through the orderings that hold them: o-lists (s,p)
+   through [spo] (and [pso]), p-lists (s,o) through [sop] (and [osp]),
+   s-lists (p,o) through [pos] (and [ops]). *)
 type t = {
   dict : Dict.Term_dict.t;
   mutable spo : Index.t;
@@ -48,10 +51,6 @@ type t = {
   mutable pos : Index.t;
   mutable osp : Index.t;
   mutable ops : Index.t;
-  (* Shared terminal-list families, keyed by packed id pairs. *)
-  mutable o_lists : (int, Sorted_ivec.t) Hashtbl.t;  (* (s,p) -> objects;    spo & pso *)
-  mutable p_lists : (int, Sorted_ivec.t) Hashtbl.t;  (* (s,o) -> properties; sop & osp *)
-  mutable s_lists : (int, Sorted_ivec.t) Hashtbl.t;  (* (p,o) -> subjects;   pos & ops *)
   mutable size : int;
   mutable repr : Sorted_ivec.kind;
       (* Target representation: [Raw] stores stay mutable; a compressed
@@ -78,9 +77,6 @@ let create ?dict ?repr () =
     pos = Index.create ();
     osp = Index.create ();
     ops = Index.create ();
-    o_lists = Hashtbl.create 1024;
-    p_lists = Hashtbl.create 1024;
-    s_lists = Hashtbl.create 1024;
     size = 0;
     repr;
   }
@@ -93,11 +89,11 @@ let repr t = t.repr
 
 let repr_name t = if is_flat t then Sorted_ivec.kind_name t.repr else "raw"
 
-(* In-place structural adoption: [dst] takes over [src]'s indices and
-   terminal lists while keeping its own identity, so aliases to [dst]
-   (a dataset's graph table, a delta layer's base) observe the rebuilt
-   contents.  Both stores must share one dictionary — ids are only
-   meaningful relative to it. *)
+(* In-place structural adoption: [dst] takes over [src]'s indices (and
+   with them the terminal lists) while keeping its own identity, so
+   aliases to [dst] (a dataset's graph table, a delta layer's base)
+   observe the rebuilt contents.  Both stores must share one dictionary
+   — ids are only meaningful relative to it. *)
 let replace_contents dst ~from:src =
   if dst.dict != src.dict then
     invalid_arg "Hexastore.replace_contents: stores must share a dictionary";
@@ -107,9 +103,6 @@ let replace_contents dst ~from:src =
   dst.pos <- src.pos;
   dst.osp <- src.osp;
   dst.ops <- src.ops;
-  dst.o_lists <- src.o_lists;
-  dst.p_lists <- src.p_lists;
-  dst.s_lists <- src.s_lists;
   dst.size <- src.size;
   dst.repr <- src.repr
 
@@ -130,14 +123,12 @@ let ops t = note_ord Ordering.Ops; t.ops
    single flag read in normal operation. *)
 let debug_validate t { s; p; o } =
   Debug.note_validation ();
-  let check_list table key =
-    match Hashtbl.find_opt table key with
-    | Some l -> Sorted_ivec.check_invariant l
-    | None -> ()
+  let check_list index first second =
+    Option.iter Sorted_ivec.check_invariant (Index.find_list index first second)
   in
-  check_list t.o_lists (Pair_key.make s p);
-  check_list t.p_lists (Pair_key.make s o);
-  check_list t.s_lists (Pair_key.make p o);
+  check_list t.spo s p;
+  check_list t.sop s o;
+  check_list t.pos p o;
   let check_vector index first =
     match Index.find_vector index first with
     | Some v -> Pair_vector.check_invariant v
@@ -151,229 +142,127 @@ let debug_validate t { s; p; o } =
   check_vector t.ops o
 
 let add_ids t { s; p; o } =
-  let o_list = Index.get_or_create_list t.o_lists (Pair_key.make s p) in
-  if not (Sorted_ivec.add o_list o) then false
-  else begin
-    Index.link t.spo ~first:s ~second:p o_list;
-    Index.link t.pso ~first:p ~second:s o_list;
-    let p_list = Index.get_or_create_list t.p_lists (Pair_key.make s o) in
-    ignore (Sorted_ivec.add p_list p);
-    Index.link t.sop ~first:s ~second:o p_list;
-    Index.link t.osp ~first:o ~second:s p_list;
-    let s_list = Index.get_or_create_list t.s_lists (Pair_key.make p o) in
-    ignore (Sorted_ivec.add s_list s);
-    Index.link t.pos ~first:p ~second:o s_list;
-    Index.link t.ops ~first:o ~second:p s_list;
-    t.size <- t.size + 1;
-    note_mutation m_insert 1;
-    if !Debug.enabled then debug_validate t { s; p; o };
-    true
-  end
+  Index.add_third t.spo ~twin:t.pso ~first:s ~second:p o
+  && begin
+       let added_p = Index.add_third t.sop ~twin:t.osp ~first:s ~second:o p in
+       let added_s = Index.add_third t.pos ~twin:t.ops ~first:p ~second:o s in
+       assert (added_p && added_s);
+       t.size <- t.size + 1;
+       note_mutation m_insert 1;
+       if !Debug.enabled then debug_validate t { s; p; o };
+       true
+     end
 
 let mem_ids t { s; p; o } =
-  if is_flat t then
-    (* Flat stores keep no list tables — answer via the spo streams. *)
-    match Index.find_list t.spo s p with
-    | None -> false
-    | Some l -> Sorted_ivec.mem l o
-  else
-    match Hashtbl.find_opt t.o_lists (Pair_key.make s p) with
-    | None -> false
-    | Some l -> Sorted_ivec.mem l o
+  match Index.find_list t.spo s p with None -> false | Some l -> Sorted_ivec.mem l o
 
 let remove_ids t { s; p; o } =
-  let key_sp = Pair_key.make s p in
-  match Hashtbl.find_opt t.o_lists key_sp with
-  | None -> false
-  | Some o_list ->
-      if not (Sorted_ivec.remove o_list o) then false
-      else begin
-        let o_empty = Sorted_ivec.is_empty o_list in
-        if o_empty then Hashtbl.remove t.o_lists key_sp;
-        Index.unlink t.spo ~first:s ~second:p ~list_empty:o_empty;
-        Index.unlink t.pso ~first:p ~second:s ~list_empty:o_empty;
-        let key_so = Pair_key.make s o in
-        (match Hashtbl.find_opt t.p_lists key_so with
-        | None -> assert false
-        | Some p_list ->
-            ignore (Sorted_ivec.remove p_list p);
-            let p_empty = Sorted_ivec.is_empty p_list in
-            if p_empty then Hashtbl.remove t.p_lists key_so;
-            Index.unlink t.sop ~first:s ~second:o ~list_empty:p_empty;
-            Index.unlink t.osp ~first:o ~second:s ~list_empty:p_empty);
-        let key_po = Pair_key.make p o in
-        (match Hashtbl.find_opt t.s_lists key_po with
-        | None -> assert false
-        | Some s_list ->
-            ignore (Sorted_ivec.remove s_list s);
-            let s_empty = Sorted_ivec.is_empty s_list in
-            if s_empty then Hashtbl.remove t.s_lists key_po;
-            Index.unlink t.pos ~first:p ~second:o ~list_empty:s_empty;
-            Index.unlink t.ops ~first:o ~second:p ~list_empty:s_empty);
-        t.size <- t.size - 1;
-        note_mutation m_delete 1;
-        if !Debug.enabled then debug_validate t { s; p; o };
-        true
-      end
+  Index.remove_third t.spo ~twin:t.pso ~first:s ~second:p o
+  && begin
+       let removed_p = Index.remove_third t.sop ~twin:t.osp ~first:s ~second:o p in
+       let removed_s = Index.remove_third t.pos ~twin:t.ops ~first:p ~second:o s in
+       assert (removed_p && removed_s);
+       t.size <- t.size - 1;
+       note_mutation m_delete 1;
+       if !Debug.enabled then debug_validate t { s; p; o };
+       true
+     end
 
 (* --- bulk passes ------------------------------------------------------ *)
 
-(* Calls [f lo hi] on each run [arr.(lo..hi-1)] of consecutive triples
-   that [same] groups together. *)
-let iter_runs same arr f =
-  let n = Array.length arr in
-  let lo = ref 0 in
-  while !lo < n do
-    let hi = ref (!lo + 1) in
-    while !hi < n && same arr.(!lo) arr.(!hi) do
-      incr hi
-    done;
-    f !lo !hi;
-    lo := !hi
-  done
+let subj tr = tr.s
+let pred tr = tr.p
+let obj tr = tr.o
 
-let same_sp a b = a.s = b.s && a.p = b.p
-let same_so a b = a.s = b.s && a.o = b.o
-let same_po a b = a.p = b.p && a.o = b.o
-
-(* Adds one run of a sorted pass — triples sharing the terminal list
-   [l], ascending on [third] — and calls [link l tr] on each triple [tr]
-   that [l] did not hold.  A run above every element of [l] (every run,
-   on a store loaded from empty) appends triple by triple; any other
-   run is merged in with one pass over [l].  [third] and [link] are
-   made once per pass, so a run allocates nothing on the append path. *)
-let add_run l arr lo hi third link =
-  if Sorted_ivec.is_empty l || third arr.(lo) > Sorted_ivec.max_elt l then
-    for i = lo to hi - 1 do
-      if Sorted_ivec.add l (third arr.(i)) then link l arr.(i)
-    done
-  else begin
-    let fresh = ref [] in
-    for i = hi - 1 downto lo do
-      let x = third arr.(i) in
-      if (i = lo || third arr.(i - 1) <> x) && not (Sorted_ivec.mem l x) then
-        fresh := arr.(i) :: !fresh
-    done;
-    Sorted_ivec.merge_sorted l (Array.of_list (List.map third !fresh));
-    List.iter (link l) !fresh
-  end
+(* The build from empty: sort once and drop repeats, then each list
+   family is one more sort and one fill of its two orderings
+   ({!Index.of_sorted_columns}) — no table, no link, no growth. *)
+let fill t triples =
+  let sorted = Ordering.sort_triples Spo triples in
+  let n = ref 0 in
+  Array.iter
+    (fun tr ->
+      let repeat =
+        !n > 0
+        &&
+        let prev = sorted.(!n - 1) in
+        prev.s = tr.s && prev.p = tr.p && prev.o = tr.o
+      in
+      if not repeat then begin
+        sorted.(!n) <- tr;
+        incr n
+      end)
+    sorted;
+  let distinct = Array.sub sorted 0 !n in
+  let build a first second third =
+    Index.of_sorted_columns ~firsts:(Array.map first a) ~seconds:(Array.map second a)
+      ~thirds:(Array.map third a)
+  in
+  let spo, pso = build distinct subj pred obj in
+  let sop, osp = build (Ordering.sort_triples Sop distinct) subj obj pred in
+  let pos, ops = build (Ordering.sort_triples Pos distinct) pred obj subj in
+  t.spo <- spo;
+  t.sop <- sop;
+  t.pso <- pso;
+  t.pos <- pos;
+  t.osp <- osp;
+  t.ops <- ops;
+  t.size <- Array.length distinct;
+  Array.length distinct
 
 let seal_all t = List.iter Index.seal [ t.spo; t.sop; t.pso; t.pos; t.osp; t.ops ]
 
-let add_bulk_ids t triples =
-  (* Pass A — sorted by (s, p, o): o-lists, spo, pso all receive keys in
-     monotone order, so every insertion hits the O(1) append path on an
-     initially-empty store.  Duplicates (within the batch or against the
-     store) are detected here and excluded from the later passes. *)
-  let arr = Array.copy triples in
-  Array.stable_sort (Ordering.compare_triples Spo) arr;
+(* Into a populated store: one sorted pass per list family, each run
+   appended to or merged into its list, then each index merges the
+   headers and keys that arrived out of order once per touched vector
+   ({!Index.seal}). *)
+let merge t triples =
+  (* Pass A — (s, p, o): o-lists, spo, pso.  Triples already in the
+     store or repeated in the batch are left out of the later passes. *)
   let fresh = ref [] in
-  let fresh_count = ref 0 in
-  let link_sp o_list tr =
-    Index.link_bulk t.spo ~first:tr.s ~second:tr.p o_list;
-    Index.link_bulk t.pso ~first:tr.p ~second:tr.s o_list;
-    fresh := tr :: !fresh;
-    incr fresh_count
-  in
-  iter_runs same_sp arr (fun lo hi ->
-      let tr = arr.(lo) in
-      add_run
-        (Index.get_or_create_list t.o_lists (Pair_key.make tr.s tr.p))
-        arr lo hi (fun tr -> tr.o) link_sp);
+  Index.link_runs t.spo ~twin:t.pso ~first:subj ~second:pred ~third:obj
+    (Ordering.sort_triples Spo triples)
+    ~fresh:(fun tr -> fresh := tr :: !fresh);
   let fresh = Array.of_list !fresh in
-  (* Pass B — sorted by (s, o, p): p-lists, sop, osp.  Every triple is
-     new, so every p is new to its list. *)
-  Array.stable_sort (Ordering.compare_triples Sop) fresh;
-  let link_so p_list tr =
-    Index.link_bulk t.sop ~first:tr.s ~second:tr.o p_list;
-    Index.link_bulk t.osp ~first:tr.o ~second:tr.s p_list
-  in
-  iter_runs same_so fresh (fun lo hi ->
-      let tr = fresh.(lo) in
-      add_run
-        (Index.get_or_create_list t.p_lists (Pair_key.make tr.s tr.o))
-        fresh lo hi (fun tr -> tr.p) link_so);
-  (* Pass C — sorted by (p, o, s): s-lists, pos, ops. *)
-  Array.stable_sort (Ordering.compare_triples Pos) fresh;
-  let link_po s_list tr =
-    Index.link_bulk t.pos ~first:tr.p ~second:tr.o s_list;
-    Index.link_bulk t.ops ~first:tr.o ~second:tr.p s_list
-  in
-  iter_runs same_po fresh (fun lo hi ->
-      let tr = fresh.(lo) in
-      add_run
-        (Index.get_or_create_list t.s_lists (Pair_key.make tr.p tr.o))
-        fresh lo hi (fun tr -> tr.s) link_po);
-  (* Headers and second-level keys that arrived below an index's
-     largest ones (passes B and C meet o headers interleaved; any pass
-     meets keys below an existing store's): each index merges the ones
-     it deferred once per touched vector, before anything reads them. *)
+  (* Pass B — (s, o, p): p-lists, sop, osp; pass C — (p, o, s): s-lists,
+     pos, ops. *)
+  let ignore_fresh _ = () in
+  Index.link_runs t.sop ~twin:t.osp ~first:subj ~second:obj ~third:pred
+    (Ordering.sort_triples Sop fresh) ~fresh:ignore_fresh;
+  Index.link_runs t.pos ~twin:t.ops ~first:pred ~second:obj ~third:subj
+    (Ordering.sort_triples Pos fresh) ~fresh:ignore_fresh;
   seal_all t;
-  t.size <- t.size + !fresh_count;
-  note_mutation m_insert !fresh_count;
-  !fresh_count
+  t.size <- t.size + Array.length fresh;
+  Array.length fresh
 
-(* Removes one run of a sorted pass from its terminal list [l], the
-   entry under [key] in [table], in one compaction, and calls [unlink]
-   with the run's first triple, the number removed and whether [l]
-   emptied. *)
-let remove_run table key l arr lo hi third unlink =
-  let removed = Sorted_ivec.remove_sorted l (Array.init (hi - lo) (fun j -> third arr.(lo + j))) in
-  if removed > 0 then begin
-    let list_empty = Sorted_ivec.is_empty l in
-    if list_empty then Hashtbl.remove table key;
-    unlink arr.(lo) ~removed ~list_empty
-  end
+(* The store's emptiness picks the path: set-up and reopen fill, delta
+   flushes merge. *)
+let add_bulk_ids t triples =
+  let n = if t.size = 0 then fill t triples else merge t triples in
+  note_mutation m_insert n;
+  n
 
 let remove_bulk_ids t triples =
-  (* Pass A — sorted by (s, p, o): keeps the triples actually present
-     (once each), taking them out of the o-lists, spo and pso. *)
-  let arr = Array.copy triples in
-  Array.stable_sort (Ordering.compare_triples Spo) arr;
+  (* Pass A — (s, p, o): keeps the triples actually present (once each),
+     taking them out of the o-lists, spo and pso. *)
   let gone = ref [] in
-  let gone_count = ref 0 in
-  iter_runs same_sp arr (fun lo hi ->
-      let key = Pair_key.make arr.(lo).s arr.(lo).p in
-      match Hashtbl.find_opt t.o_lists key with
-      | None -> ()
-      | Some o_list ->
-          for i = lo to hi - 1 do
-            let tr = arr.(i) in
-            if (i = lo || arr.(i - 1).o <> tr.o) && Sorted_ivec.mem o_list tr.o then begin
-              gone := tr :: !gone;
-              incr gone_count
-            end
-          done;
-          remove_run t.o_lists key o_list arr lo hi
-            (fun tr -> tr.o)
-            (fun tr ~removed ~list_empty ->
-              Index.unlink_bulk t.spo ~first:tr.s ~second:tr.p ~removed ~list_empty;
-              Index.unlink_bulk t.pso ~first:tr.p ~second:tr.s ~removed ~list_empty));
+  Index.unlink_runs t.spo ~twin:t.pso ~first:subj ~second:pred ~third:obj
+    (Ordering.sort_triples Spo triples)
+    ~gone:(fun tr -> gone := tr :: !gone);
   let gone = Array.of_list !gone in
-  (* Pass B — sorted by (s, o, p): p-lists, sop, osp. *)
-  Array.stable_sort (Ordering.compare_triples Sop) gone;
-  iter_runs same_so gone (fun lo hi ->
-      let key = Pair_key.make gone.(lo).s gone.(lo).o in
-      remove_run t.p_lists key (Hashtbl.find t.p_lists key) gone lo hi
-        (fun tr -> tr.p)
-        (fun tr ~removed ~list_empty ->
-          Index.unlink_bulk t.sop ~first:tr.s ~second:tr.o ~removed ~list_empty;
-          Index.unlink_bulk t.osp ~first:tr.o ~second:tr.s ~removed ~list_empty));
-  (* Pass C — sorted by (p, o, s): s-lists, pos, ops. *)
-  Array.stable_sort (Ordering.compare_triples Pos) gone;
-  iter_runs same_po gone (fun lo hi ->
-      let key = Pair_key.make gone.(lo).p gone.(lo).o in
-      remove_run t.s_lists key (Hashtbl.find t.s_lists key) gone lo hi
-        (fun tr -> tr.s)
-        (fun tr ~removed ~list_empty ->
-          Index.unlink_bulk t.pos ~first:tr.p ~second:tr.o ~removed ~list_empty;
-          Index.unlink_bulk t.ops ~first:tr.o ~second:tr.p ~removed ~list_empty));
+  (* Pass B — (s, o, p): p-lists, sop, osp; pass C — (p, o, s): s-lists,
+     pos, ops. *)
+  let ignore_gone _ = () in
+  Index.unlink_runs t.sop ~twin:t.osp ~first:subj ~second:obj ~third:pred
+    (Ordering.sort_triples Sop gone) ~gone:ignore_gone;
+  Index.unlink_runs t.pos ~twin:t.ops ~first:pred ~second:obj ~third:subj
+    (Ordering.sort_triples Pos gone) ~gone:ignore_gone;
   (* Entries and headers the passes emptied leave their vectors in one
      compaction per vector. *)
   seal_all t;
-  t.size <- t.size - !gone_count;
-  note_mutation m_delete !gone_count;
-  !gone_count
+  t.size <- t.size - Array.length gone;
+  note_mutation m_delete (Array.length gone);
+  Array.length gone
 
 (* --- lookup ---------------------------------------------------------- *)
 
@@ -658,23 +547,11 @@ let probe_lists ord r =
   | _ -> ());
   r
 
-(* The paper-notation accessors read the shared tables directly on raw
-   stores; a flat store has no tables, so they take the two-level index
-   path (same lists, as slices of the terminal streams). *)
-let objects_of_sp t ~s ~p =
-  probe_lists Ordering.Spo
-    (if is_flat t then Index.find_list t.spo s p
-     else Hashtbl.find_opt t.o_lists (Pair_key.make s p))
-
-let properties_of_so t ~s ~o =
-  probe_lists Ordering.Sop
-    (if is_flat t then Index.find_list t.sop s o
-     else Hashtbl.find_opt t.p_lists (Pair_key.make s o))
-
-let subjects_of_po t ~p ~o =
-  probe_lists Ordering.Pos
-    (if is_flat t then Index.find_list t.pos p o
-     else Hashtbl.find_opt t.s_lists (Pair_key.make p o))
+(* The paper-notation accessors ask the ordering that owns each list
+   family, on raw and flat stores alike. *)
+let objects_of_sp t ~s ~p = probe_lists Ordering.Spo (Index.find_list t.spo s p)
+let properties_of_so t ~s ~o = probe_lists Ordering.Sop (Index.find_list t.sop s o)
+let subjects_of_po t ~p ~o = probe_lists Ordering.Pos (Index.find_list t.pos p o)
 
 let subjects t = Index.headers t.spo
 let properties t = Index.headers t.pso
@@ -682,21 +559,22 @@ let objects t = Index.headers t.osp
 
 (* --- accounting ------------------------------------------------------- *)
 
-(* On flat stores the list tables are empty husks and the terminal
-   payloads are counted inside the indices' streams. *)
+(* Each terminal list counted once, through the one ordering of its
+   family that reaches it; on flat stores the terminal payloads are
+   counted inside the indices' streams instead. *)
 let memory_words t =
   Index.memory_words t.spo + Index.memory_words t.sop + Index.memory_words t.pso
   + Index.memory_words t.pos + Index.memory_words t.osp + Index.memory_words t.ops
-  + Index.lists_memory_words t.o_lists + Index.lists_memory_words t.p_lists
-  + Index.lists_memory_words t.s_lists
+  + Index.terminal_memory_words t.spo + Index.terminal_memory_words t.sop
+  + Index.terminal_memory_words t.pos
 
 let memory_words_with_dict t = memory_words t + Dict.Term_dict.memory_words t.dict
 
 (* --- representation switching ----------------------------------------- *)
 
-(* Whole-store re-encode into six flat compressed indices.  The shared
-   list tables are dropped (their contents live on, concatenated inside
-   the terminal streams); point mutations revert via {!inflate}. *)
+(* Whole-store re-encode into six flat compressed indices: the terminal
+   lists live on, concatenated inside each ordering's terminal stream;
+   point mutations revert via {!inflate}. *)
 let compress t =
   if t.repr <> Sorted_ivec.Raw && not (is_flat t) then begin
     let before = memory_words t in
@@ -706,29 +584,12 @@ let compress t =
     t.pos <- Index.compress t.pos;
     t.osp <- Index.compress t.osp;
     t.ops <- Index.compress t.ops;
-    t.o_lists <- Hashtbl.create 1;
-    t.p_lists <- Hashtbl.create 1;
-    t.s_lists <- Hashtbl.create 1;
     Sorted_ivec.note_bytes_saved ((before - memory_words t) * 8)
   end
 
 (* Rebuild the mutable hashed form from the flat streams — the write
-   path's escape hatch. *)
-let inflate t =
-  if is_flat t then begin
-    let all = Array.of_seq (full_scan t) in
-    t.spo <- Index.create ();
-    t.sop <- Index.create ();
-    t.pso <- Index.create ();
-    t.pos <- Index.create ();
-    t.osp <- Index.create ();
-    t.ops <- Index.create ();
-    t.o_lists <- Hashtbl.create 1024;
-    t.p_lists <- Hashtbl.create 1024;
-    t.s_lists <- Hashtbl.create 1024;
-    t.size <- 0;
-    ignore (add_bulk_ids t all : int)
-  end
+   path's escape hatch — with the fill of a load from empty. *)
+let inflate t = if is_flat t then ignore (fill t (Array.of_seq (full_scan t)) : int)
 
 (* Public mutation entry points: shadow the raw implementations above
    with representation-aware wrappers.  Point mutations and bulk

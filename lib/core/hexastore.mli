@@ -79,15 +79,22 @@ val remove_ids : t -> id_triple -> bool
 (** Delete; [false] if absent.  Empty vectors and headers are pruned. *)
 
 val mem_ids : t -> id_triple -> bool
-(** O(log) membership via the shared o-list of (s, p). *)
+(** O(log) membership via the shared o-list of (s, p), found through
+    [spo]. *)
 
 val add_bulk_ids : t -> id_triple array -> int
-(** Bulk load: sorts the batch once per list family so vectors and lists
-    fill by monotone appends; near-linear on an empty store.  A run that
-    lands below a list's largest element is merged into it in one pass,
-    and each index merges the headers and second-level keys that arrived
-    out of order once per touched vector, at the end ({!Index.seal}).
-    Returns the number of triples actually new. *)
+(** Bulk load; the store's emptiness picks the path.  An empty store is
+    filled: the batch is sorted in linear time
+    ({!Ordering.sort_triples}) and de-duplicated once, and each list
+    family is one more sort and one {!Index.of_sorted_columns}, which
+    builds both of its orderings whole from exact-size lists and
+    vectors.  A populated store (a {!Delta} flush) takes one sorted pass
+    per list family ({!Index.link_runs}): a run that lands below a
+    list's largest element is merged into it in one pass, and each index
+    merges the headers and second-level keys that arrived out of order
+    once per touched vector, at the end ({!Index.seal}).  Returns the
+    number of triples actually new.
+    @raise Invalid_argument on a negative id. *)
 
 val remove_bulk_ids : t -> id_triple array -> int
 (** Bulk removal, the mirror of {!add_bulk_ids}: one sorted pass per
@@ -196,7 +203,8 @@ val to_triples : t -> Rdf.Triple.t list
 
 val memory_words : t -> int
 (** Structural footprint of the six indices plus the shared terminal
-    lists (counted once), excluding the dictionary. *)
+    lists, each counted once through [spo], [sop] or [pos]
+    ({!Index.terminal_memory_words}), excluding the dictionary. *)
 
 val memory_words_with_dict : t -> int
 

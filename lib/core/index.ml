@@ -103,19 +103,30 @@ let create_vector ~defer t h =
 
 let get_or_create_vector t h = create_vector ~defer:false t h
 
+(* The start of every maximal run of [0, n) whose neighbours satisfy
+   [same (i - 1) i], followed by [n]. *)
+let run_starts n same =
+  let is_start i = i = 0 || not (same (i - 1) i) in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if is_start i then incr count
+  done;
+  let starts = Array.make (!count + 1) n in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if is_start i then begin
+      starts.(!k) <- i;
+      incr k
+    end
+  done;
+  starts
+
 (* Calls [f first lo hi] on each run [a.(lo..hi-1)] of one first
    element in [a], sorted by [first_of]. *)
 let iter_groups first_of a f =
-  let n = Array.length a in
-  let lo = ref 0 in
-  while !lo < n do
-    let first = first_of a.(!lo) in
-    let hi = ref (!lo + 1) in
-    while !hi < n && first_of a.(!hi) = first do
-      incr hi
-    done;
-    f first !lo !hi;
-    lo := !hi
+  let starts = run_starts (Array.length a) (fun i j -> first_of a.(i) = first_of a.(j)) in
+  for r = 0 to Array.length starts - 2 do
+    f (first_of a.(starts.(r))) starts.(r) starts.(r + 1)
   done
 
 let compare_pairs (a, b) (c, d) =
@@ -178,24 +189,6 @@ let sealed op t =
   if t.pending != [] || t.links != [] || t.drops != [] then
     invalid_arg ("Index." ^ op ^ ": unsealed bulk pass")
 
-let get_or_create_list table key =
-  match Hashtbl.find_opt table key with
-  | Some l -> l
-  | None ->
-      let l = Vectors.Sorted_ivec.create ~capacity:2 () in
-      Hashtbl.add table key l;
-      l
-
-(* Exact accounting: the table's record and bucket array plus 4 words
-   per entry (bucket cons: header, key, value, next) plus each list's
-   own footprint. *)
-let lists_memory_words table =
-  let stats = Hashtbl.stats table in
-  Hashtbl.fold
-    (fun _ l acc -> acc + 4 + Vectors.Sorted_ivec.memory_words l)
-    table
-    (stats.Hashtbl.num_buckets + 4)
-
 let link index ~first ~second l =
   let v = create_vector ~defer:false index first in
   ignore (Pair_vector.get_or_insert v second (fun () -> l));
@@ -219,6 +212,53 @@ let link_bulk index ~first ~second l =
          | links -> t.links <- { first; second; list = l } :: links);
       Pair_vector.bump_total v 1
 
+(* --- build from empty --------------------------------------------------- *)
+
+(* A whole index from its (first, second, list) entries sorted on
+   (first, second): one exact-size pair vector per header run, a header
+   table sized for the headers and the sorted header vector.  Adopting
+   the key runs checks them strictly increasing, and the header vector
+   checks the headers. *)
+let of_entries firsts seconds lists =
+  let starts = run_starts (Array.length firsts) (fun i j -> firsts.(i) = firsts.(j)) in
+  let h = Array.length starts - 1 in
+  let headers = Hashtbl.create h in
+  for r = 0 to h - 1 do
+    let lo = starts.(r) and len = starts.(r + 1) - starts.(r) in
+    Hashtbl.add headers firsts.(lo)
+      (Pair_vector.of_sorted
+         ~keys:(Vectors.Sorted_ivec.adopt_sorted (Array.sub seconds lo len))
+         ~payloads:(Array.sub lists lo len))
+  done;
+  Hashed
+    {
+      headers;
+      sorted = Vectors.Sorted_ivec.adopt_sorted (Array.init h (fun r -> firsts.(starts.(r))));
+      pending = [];
+      links = [];
+      drops = [];
+    }
+
+let of_sorted_columns ~firsts ~seconds ~thirds =
+  let n = Array.length thirds in
+  if Array.length firsts <> n || Array.length seconds <> n then
+    invalid_arg "Index.of_sorted_columns: columns differ in length";
+  let starts =
+    run_starts n (fun i j -> firsts.(i) = firsts.(j) && seconds.(i) = seconds.(j))
+  in
+  let e = Array.length starts - 1 in
+  let ef = Array.init e (fun k -> firsts.(starts.(k))) in
+  let es = Array.init e (fun k -> seconds.(starts.(k))) in
+  let lists =
+    Array.init e (fun k ->
+        Vectors.Sorted_ivec.adopt_sorted (Array.sub thirds starts.(k) (starts.(k + 1) - starts.(k))))
+  in
+  (* The entries are sorted on (first, second); a stable sort on second
+     alone sorts them on (second, first), the twin's order. *)
+  let perm = Vectors.Radix.sort es (Array.init e Fun.id) in
+  let gather a = Array.map (fun k -> a.(k)) perm in
+  (of_entries ef es lists, of_entries (gather es) (gather ef) (gather lists))
+
 let find_list t first second =
   match t with
   | Hashed _ -> (
@@ -239,6 +279,52 @@ let find_list t first second =
             Some (Vectors.Sorted_ivec.slice f.fterms ~off:a ~len:(b - a))
           end
           else None)
+
+let list_or_new t first second =
+  match find_list t first second with
+  | Some l -> l
+  | None -> Vectors.Sorted_ivec.create ~capacity:2 ()
+
+let add_third t ?twin ~first ~second third =
+  let l = list_or_new t first second in
+  Vectors.Sorted_ivec.add l third
+  && begin
+       link t ~first ~second l;
+       Option.iter (fun tw -> link tw ~first:second ~second:first l) twin;
+       true
+     end
+
+let pair_runs ~first ~second a =
+  run_starts (Array.length a) (fun i j -> first a.(i) = first a.(j) && second a.(i) = second a.(j))
+
+(* A run landing above every element of its list appends element by
+   element; any other run is merged in with one pass over the list. *)
+let link_runs t ?twin ~first ~second ~third a ~fresh =
+  let link l x =
+    let f = first x and s = second x in
+    link_bulk t ~first:f ~second:s l;
+    Option.iter (fun tw -> link_bulk tw ~first:s ~second:f l) twin;
+    fresh x
+  in
+  let starts = pair_runs ~first ~second a in
+  for r = 0 to Array.length starts - 2 do
+    let lo = starts.(r) and hi = starts.(r + 1) in
+    let l = list_or_new t (first a.(lo)) (second a.(lo)) in
+    if Vectors.Sorted_ivec.is_empty l || third a.(lo) > Vectors.Sorted_ivec.max_elt l then
+      for i = lo to hi - 1 do
+        if Vectors.Sorted_ivec.add l (third a.(i)) then link l a.(i)
+      done
+    else begin
+      let added = ref [] in
+      for i = hi - 1 downto lo do
+        let x = third a.(i) in
+        if (i = lo || third a.(i - 1) <> x) && not (Vectors.Sorted_ivec.mem l x) then
+          added := a.(i) :: !added
+      done;
+      Vectors.Sorted_ivec.merge_sorted l (Array.of_list (List.map third !added));
+      List.iter (link l) !added
+    end
+  done
 
 let remove_header t h =
   match t with
@@ -272,6 +358,37 @@ let unlink_bulk index ~first ~second ~removed ~list_empty =
       | Some v ->
           Pair_vector.bump_total v (-removed);
           if list_empty then t.drops <- (first, second) :: t.drops)
+
+let remove_third t ?twin ~first ~second third =
+  match find_list t first second with
+  | Some l when Vectors.Sorted_ivec.remove l third ->
+      let list_empty = Vectors.Sorted_ivec.is_empty l in
+      unlink t ~first ~second ~list_empty;
+      Option.iter (fun tw -> unlink tw ~first:second ~second:first ~list_empty) twin;
+      true
+  | _ -> false
+
+let unlink_runs t ?twin ~first ~second ~third a ~gone =
+  let starts = pair_runs ~first ~second a in
+  for r = 0 to Array.length starts - 2 do
+    let lo = starts.(r) and hi = starts.(r + 1) in
+    let f = first a.(lo) and s = second a.(lo) in
+    match find_list t f s with
+    | None -> ()
+    | Some l ->
+        for i = lo to hi - 1 do
+          let x = third a.(i) in
+          if (i = lo || third a.(i - 1) <> x) && Vectors.Sorted_ivec.mem l x then gone a.(i)
+        done;
+        let removed =
+          Vectors.Sorted_ivec.remove_sorted l (Array.init (hi - lo) (fun j -> third a.(lo + j)))
+        in
+        if removed > 0 then begin
+          let list_empty = Vectors.Sorted_ivec.is_empty l in
+          unlink_bulk t ~first:f ~second:s ~removed ~list_empty;
+          Option.iter (fun tw -> unlink_bulk tw ~first:s ~second:f ~removed ~list_empty) twin
+        end
+  done
 
 let iter f t =
   match t with
@@ -322,6 +439,16 @@ let memory_words = function
       + Vectors.Sorted_ivec.stream_memory_words f.fkeys
       + Vectors.Sorted_ivec.stream_memory_words f.flist_off
       + Vectors.Sorted_ivec.stream_memory_words f.fterms
+
+let terminal_memory_words = function
+  | Flat _ -> 0
+  | Hashed t ->
+      Hashtbl.fold
+        (fun _ v acc ->
+          let words = ref acc in
+          Pair_vector.iter (fun _ l -> words := !words + Vectors.Sorted_ivec.memory_words l) v;
+          !words)
+        t.headers 0
 
 (* Rebuild any index as a flat bit-packed one: header, key and
    terminal streams plus the two row-pointer streams, all with O(1)

@@ -34,14 +34,19 @@ val get_or_create_vector : t -> int -> Pair_vector.t
 (** The vector under a header, created (and inserted into the sorted
     header vector) when the header is new. *)
 
-val get_or_create_list :
-  (int, Vectors.Sorted_ivec.t) Hashtbl.t -> int -> Vectors.Sorted_ivec.t
-(** The terminal list under a {!Vectors.Pair_key} in a store's list
-    table, created empty when absent. *)
-
-val lists_memory_words : (int, Vectors.Sorted_ivec.t) Hashtbl.t -> int
-(** Exact words held by a store's list table: its bucket array, one
-    4-word bucket per entry and every list. *)
+val of_sorted_columns : firsts:int array -> seconds:int array -> thirds:int array -> t * t
+(** The build from empty: [of_sorted_columns ~firsts ~seconds ~thirds]
+    takes distinct triples as three parallel columns sorted on (first,
+    second, third) and builds the ordering they describe together with
+    its twin, keyed (second, first), in one fill.  Each run of one
+    (first, second) becomes one exact-size terminal list that adopts
+    its slice of [thirds]; each header gets one exact-size pair vector;
+    the header table is sized for the headers and the sorted header
+    vector is built whole, so nothing is left pending.  The twin's
+    entries come from a stable counting sort ({!Vectors.Radix}) of the
+    same entries on second, and reach the same list objects.
+    @raise Invalid_argument if the columns differ in length or are not
+    sorted and distinct. *)
 
 val link : t -> first:int -> second:int -> Vectors.Sorted_ivec.t -> unit
 (** [link idx ~first ~second l] registers the shared terminal list [l]
@@ -52,8 +57,9 @@ val link : t -> first:int -> second:int -> Vectors.Sorted_ivec.t -> unit
 val link_bulk : t -> first:int -> second:int -> Vectors.Sorted_ivec.t -> unit
 (** {!link} for bulk passes.  A new header below the current largest
     one is only recorded as pending, and so is a new second-level key
-    below its vector's largest key; keys above it are appended at once,
-    so a pass over an empty index records nothing.  The pass must end
+    below its vector's largest key; keys above it are appended at once.
+    Stores loaded from empty do not link at all ({!of_sorted_columns});
+    this is the path of bulk loads into a populated store.  The pass must end
     with {!seal}.  Until then the sorted header reads ({!headers_view},
     {!headers}, {!iter_sorted}, {!compress}) and {!remove_header} raise
     [Invalid_argument], and the pending keys are missing from their
@@ -96,7 +102,57 @@ val unlink : t -> first:int -> second:int -> list_empty:bool -> unit
 
 val find_list : t -> int -> int -> Vectors.Sorted_ivec.t option
 (** [find_list idx first second] is the terminal list under
-    (first, second), if both levels exist. *)
+    (first, second), if both levels exist.  The one way a store reaches
+    a terminal list: it asks the ordering that owns it (a Hexastore's
+    [spo], [sop] or [pos], a COVP's [pso] or [pos]). *)
+
+val add_third : t -> ?twin:t -> first:int -> second:int -> int -> bool
+(** [add_third idx ?twin ~first ~second x] is the point insert of one
+    triple into a list family: [x] joins the terminal list under
+    (first, second) — a new list when there is none — which is
+    {!link}ed there and, keyed (second, first), in [twin].  [false]
+    (and nothing linked) when the list already held [x]. *)
+
+val remove_third : t -> ?twin:t -> first:int -> second:int -> int -> bool
+(** The point removal mirror of {!add_third}: [x] leaves the list under
+    (first, second), which is {!unlink}ed from the index and [twin] (the
+    entries dropped if it emptied).  [false] when the list lacks [x]. *)
+
+val link_runs :
+  t ->
+  ?twin:t ->
+  first:('a -> int) ->
+  second:('a -> int) ->
+  third:('a -> int) ->
+  'a array ->
+  fresh:('a -> unit) ->
+  unit
+(** One bulk pass of a list family by linking: a Hexastore's path into
+    a populated store, and every COVP and [Partial] bulk load.  [a] is
+    sorted on (first, second, third); each run of one (first, second)
+    goes into the terminal list under it (a new one when absent) — appended
+    when the run lands above the list's elements, merged in one pass
+    otherwise — and each element the list did not hold is linked
+    ({!link_bulk}) under (first, second) in the index and under
+    (second, first) in [twin], then passed to [fresh].  Repeated
+    elements count once.  The pass must end with {!seal} on both. *)
+
+val unlink_runs :
+  t ->
+  ?twin:t ->
+  first:('a -> int) ->
+  second:('a -> int) ->
+  third:('a -> int) ->
+  'a array ->
+  gone:('a -> unit) ->
+  unit
+(** The removal mirror of {!link_runs}: each run of one (first, second)
+    leaves the terminal list under it in one compaction
+    ({!Vectors.Sorted_ivec.remove_sorted}), and the entry is unlinked
+    ({!unlink_bulk}) from the index and, keyed (second, first), from
+    [twin].  Each element the list held is passed to [gone], once;
+    absent elements and repeats are ignored.  The pass must end with
+    {!seal} on both. *)
 
 val remove_header : t -> int -> bool
 
@@ -120,7 +176,13 @@ val total : t -> int
 
 val memory_words : t -> int
 (** Headers and vectors only — terminal list contents are accounted once
-    by the store. *)
+    by the store, through {!terminal_memory_words} of one ordering per
+    list family. *)
+
+val terminal_memory_words : t -> int
+(** Exact words of the terminal lists the index reaches, each counted
+    once.  0 on flat indices, whose terminal stream {!memory_words}
+    already counts. *)
 
 val check_invariant : t -> unit
 (** Sorted headers match the hashtable, no header, link or drop is

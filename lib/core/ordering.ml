@@ -104,6 +104,22 @@ let compare_triples = function
   | Osp -> cmp_osp
   | Ops -> cmp_ops
 
+(* LSD: the least significant position first, each pass a stable
+   counting sort of the permutation on one column. *)
+let sort_triples ord (a : Dict.Term_dict.id_triple array) =
+  let column = function
+    | Pattern.Subj -> Array.map (fun (tr : Dict.Term_dict.id_triple) -> tr.s) a
+    | Pattern.Pred -> Array.map (fun (tr : Dict.Term_dict.id_triple) -> tr.p) a
+    | Pattern.Obj -> Array.map (fun (tr : Dict.Term_dict.id_triple) -> tr.o) a
+  in
+  let perm =
+    List.fold_right
+      (fun pos perm -> Vectors.Radix.sort (column pos) perm)
+      (positions ord)
+      (Array.init (Array.length a) Fun.id)
+  in
+  Array.map (fun i -> a.(i)) perm
+
 let compare = Stdlib.compare
 
 let equal a b = a = b

@@ -40,6 +40,13 @@ val compare_triples : t -> Dict.Term_dict.id_triple -> Dict.Term_dict.id_triple 
     Each ordering gets its own specialised top-level comparator, so a
     sort pays no tuple allocation or polymorphic compare. *)
 
+val sort_triples : t -> Dict.Term_dict.id_triple array -> Dict.Term_dict.id_triple array
+(** [sort_triples ord a] is a fresh copy of [a] stably sorted in
+    [ord]'s significance order (the order of {!compare_triples}), in
+    linear time: a {!Vectors.Radix} counting sort per position, least
+    significant first.  The one triple sort of the store's bulk passes.
+    @raise Invalid_argument on a negative id. *)
+
 val compare : t -> t -> int
 
 val equal : t -> t -> bool

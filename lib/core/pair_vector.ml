@@ -29,6 +29,17 @@ let create ?(capacity = 4) () =
       total_count = 0;
     }
 
+let of_sorted ~keys ~payloads =
+  let n = Array.length payloads in
+  if Sorted_ivec.is_compressed keys || Sorted_ivec.length keys <> n || n = 0 then
+    invalid_arg "Pair_vector.of_sorted: keys and payloads must be raw, non-empty and parallel";
+  Pv
+    {
+      keys;
+      payloads;
+      total_count = Array.fold_left (fun acc l -> acc + Sorted_ivec.length l) 0 payloads;
+    }
+
 let view ~keys ~total ~payload = View { vkeys = keys; vtotal = total; vpay = payload }
 
 let frozen op = invalid_arg ("Pair_vector." ^ op ^ ": compressed view is immutable")

@@ -16,6 +16,13 @@ type t
 
 val create : ?capacity:int -> unit -> t
 
+val of_sorted : keys:Vectors.Sorted_ivec.t -> payloads:Vectors.Sorted_ivec.t array -> t
+(** A mutable vector over a complete sorted key vector and its parallel
+    payloads, both adopted as they are (exact size, no copy); the total
+    is the sum of the payload lengths.  The bulk build's constructor.
+    @raise Invalid_argument if [keys] is not raw, or the two differ in
+    length or are empty. *)
+
 val view :
   keys:Vectors.Sorted_ivec.t ->
   total:int ->

@@ -13,32 +13,19 @@ let roles = function
   | Ordering.Osp -> (Ro, Rs, Rp)
   | Ordering.Ops -> (Ro, Rp, Rs)
 
-(* Terminal-list family of an ordering: which element its lists hold. *)
-type family =
-  | F_o   (* o-lists keyed (s,p): spo, pso *)
-  | F_p   (* p-lists keyed (s,o): sop, osp *)
-  | F_s   (* s-lists keyed (p,o): pos, ops *)
-
-let family_of = function
-  | Ordering.Spo | Ordering.Pso -> F_o
-  | Ordering.Sop | Ordering.Osp -> F_p
-  | Ordering.Pos | Ordering.Ops -> F_s
-
-let family_key (tr : Dict.Term_dict.id_triple) = function
-  | F_o -> Pair_key.make tr.s tr.p
-  | F_p -> Pair_key.make tr.s tr.o
-  | F_s -> Pair_key.make tr.p tr.o
-
-let family_third (tr : Dict.Term_dict.id_triple) = function
-  | F_o -> tr.o
-  | F_p -> tr.p
-  | F_s -> tr.s
+(* A materialised terminal-list family: the kept ordering that leads
+   it reaches its lists, and its twin, when kept too, shares them. *)
+type family = {
+  lead : Ordering.t;
+  index : Index.t;
+  twin : Index.t option;
+}
 
 type t = {
   dict : Dict.Term_dict.t;
   kept : Ordering.Set.t;
   indices : (Ordering.t * Index.t) list;
-  families : (family * (int, Sorted_ivec.t) Hashtbl.t) list;
+  families : family list;
   mutable size : int;
 }
 
@@ -49,9 +36,14 @@ let create ?dict ~orderings () =
   let indices =
     List.map (fun ord -> (ord, Index.create ())) (Ordering.Set.elements kept)
   in
+  (* Of two kept twins, the smaller one leads the family. *)
   let families =
-    List.sort_uniq compare (List.map family_of (Ordering.Set.elements kept))
-    |> List.map (fun f -> (f, Hashtbl.create 1024))
+    List.filter_map
+      (fun (ord, index) ->
+        let twin = Ordering.twin ord in
+        if Ordering.Set.mem twin kept && Ordering.compare twin ord < 0 then None
+        else Some { lead = ord; index; twin = List.assoc_opt twin indices })
+      indices
   in
   { dict; kept; indices; families; size = 0 }
 
@@ -73,91 +65,49 @@ let assemble (r1, r2, r3) x1 x2 x3 : Dict.Term_dict.id_triple =
   set r3 x3;
   { s = !s; p = !p; o = !o }
 
-(* Duplicate detection goes through the first materialised family: every
-   family's lists characterise the triple set completely. *)
+(* Duplicate detection goes through the first family: every family's
+   lists characterise the triple set completely. *)
 let primary t = List.hd t.families
 
 let mem_ids t tr =
-  let f, table = primary t in
-  match Hashtbl.find_opt table (family_key tr f) with
+  let f = primary t in
+  let r1, r2, r3 = roles f.lead in
+  match Index.find_list f.index (get_role tr r1) (get_role tr r2) with
   | None -> false
-  | Some l -> Sorted_ivec.mem l (family_third tr f)
+  | Some l -> Sorted_ivec.mem l (get_role tr r3)
 
-let link_ordering ~link t lists tr ord =
-  let f = family_of ord in
-  let l = List.assq f lists in
-  let r1, r2, _ = roles ord in
-  let idx = List.assoc ord t.indices in
-  link idx ~first:(get_role tr r1) ~second:(get_role tr r2) l
+let add_to_family f tr =
+  let r1, r2, r3 = roles f.lead in
+  Index.add_third f.index ?twin:f.twin ~first:(get_role tr r1) ~second:(get_role tr r2)
+    (get_role tr r3)
 
 let add_ids t tr =
-  (* Insert into every materialised family; the primary add doubles as
-     the duplicate check. *)
-  let pf, ptable = primary t in
-  let plist = Index.get_or_create_list ptable (family_key tr pf) in
-  if not (Sorted_ivec.add plist (family_third tr pf)) then false
-  else begin
-    let lists =
-      List.map
-        (fun (f, table) ->
-          if f = pf then (f, plist)
-          else begin
-            let l = Index.get_or_create_list table (family_key tr f) in
-            ignore (Sorted_ivec.add l (family_third tr f));
-            (f, l)
-          end)
-        t.families
-    in
-    List.iter (fun (ord, _) -> link_ordering ~link:Index.link t lists tr ord) t.indices;
-    t.size <- t.size + 1;
-    true
-  end
-
-(* The ordering whose sort order makes a family's list appends monotone. *)
-let cmp_for_family = function
-  | F_o -> Ordering.compare_triples Ordering.Spo
-  | F_p -> Ordering.compare_triples Ordering.Sop
-  | F_s -> Ordering.compare_triples Ordering.Pos
+  (* The primary add doubles as the duplicate check. *)
+  add_to_family (primary t) tr
+  && begin
+       List.iter (fun f -> ignore (add_to_family f tr)) (List.tl t.families);
+       t.size <- t.size + 1;
+       true
+     end
 
 let add_bulk_ids t triples =
-  (* One sorted pass per materialised family (monotone appends), plus the
-     orderings of that family; the primary pass also deduplicates. *)
-  let pf, _ = primary t in
-  let arr = Array.copy triples in
-  Array.stable_sort (cmp_for_family pf) arr;
-  let fresh = ref [] in
-  let fresh_count = ref 0 in
-  let pass f table fresh_arr =
-    Array.stable_sort (cmp_for_family f) fresh_arr;
-    Array.iter
-      (fun tr ->
-        let l = Index.get_or_create_list table (family_key tr f) in
-        ignore (Sorted_ivec.add l (family_third tr f));
-        List.iter
-          (fun (ord, _) ->
-            if family_of ord = f then link_ordering ~link:Index.link_bulk t [ (f, l) ] tr ord)
-          t.indices)
-      fresh_arr
+  (* One sorted pass per family, in its lead ordering; the primary pass
+     also drops what the store or the batch already holds. *)
+  let pass f a ~fresh =
+    let r1, r2, r3 = roles f.lead in
+    Index.link_runs f.index ?twin:f.twin
+      ~first:(fun tr -> get_role tr r1)
+      ~second:(fun tr -> get_role tr r2)
+      ~third:(fun tr -> get_role tr r3)
+      (Ordering.sort_triples f.lead a) ~fresh
   in
-  (* Primary pass with dedup. *)
-  let _, ptable = primary t in
-  Array.iter
-    (fun tr ->
-      let l = Index.get_or_create_list ptable (family_key tr pf) in
-      if Sorted_ivec.add l (family_third tr pf) then begin
-        List.iter
-          (fun (ord, _) ->
-            if family_of ord = pf then link_ordering ~link:Index.link_bulk t [ (pf, l) ] tr ord)
-          t.indices;
-        fresh := tr :: !fresh;
-        incr fresh_count
-      end)
-    arr;
+  let fresh = ref [] in
+  pass (primary t) triples ~fresh:(fun tr -> fresh := tr :: !fresh);
   let fresh = Array.of_list !fresh in
-  List.iter (fun (f, table) -> if f <> pf then pass f table fresh) t.families;
+  List.iter (fun f -> pass f fresh ~fresh:ignore) (List.tl t.families);
   List.iter (fun (_, idx) -> Index.seal idx) t.indices;
-  t.size <- t.size + !fresh_count;
-  !fresh_count
+  t.size <- t.size + Array.length fresh;
+  Array.length fresh
 
 (* --- lookup ------------------------------------------------------------ *)
 
@@ -241,7 +191,7 @@ let count t pat =
 
 let memory_words t =
   List.fold_left (fun acc (_, idx) -> acc + Index.memory_words idx) 0 t.indices
-  + List.fold_left (fun acc (_, table) -> acc + Index.lists_memory_words table) 0 t.families
+  + List.fold_left (fun acc f -> acc + Index.terminal_memory_words f.index) 0 t.families
 
 let check_invariant t =
   List.iter

@@ -140,10 +140,11 @@ let load_channel ic =
   let src = { buf = In_channel.input_all ic; pos = 0 } in
   (* Format 1 predates representation tags: such blobs are raw. *)
   let repr = if got = magic then repr_of_tag (read_byte src) else Vectors.Sorted_ivec.Raw in
-  let dict = Dict.Term_dict.create () in
   let n_terms = read_varint src in
-  (* Each term costs at least 2 bytes (length varint + 1 char). *)
+  (* Each term costs at least 2 bytes (length varint + 1 char), so the
+     checked count also bounds the dictionary's initial size. *)
   check_size src (n_terms * 2) "term count";
+  let dict = Dict.Term_dict.create ~initial_size:n_terms () in
   for expected_id = 0 to n_terms - 1 do
     let len = read_varint src in
     let spelling = read_string src len in

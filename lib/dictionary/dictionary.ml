@@ -4,7 +4,7 @@ type t = {
   mutable next : int;
 }
 
-let max_ids = Vectors.Pair_key.max_id + 1
+let max_ids = 1 lsl 31
 
 let create ?(initial_size = 1024) () =
   {

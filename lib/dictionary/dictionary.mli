@@ -12,6 +12,9 @@
 
 type t
 
+val max_ids : int
+(** The id space: 2{^31} ids, [0 .. max_ids - 1]. *)
+
 val create : ?initial_size:int -> unit -> t
 
 val encode : t -> string -> int

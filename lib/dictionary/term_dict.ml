@@ -12,8 +12,11 @@ type t = {
   mutable terms : Rdf.Term.t array;  (* id -> term, grows with the dictionary *)
 }
 
-let create ?initial_size () =
-  { strings = Dictionary.create ?initial_size (); terms = Array.make 1024 (Rdf.Term.Iri "-") }
+let create ?(initial_size = 1024) () =
+  {
+    strings = Dictionary.create ~initial_size ();
+    terms = Array.make (max initial_size 1) (Rdf.Term.Iri "-");
+  }
 
 let key_of_term t = Rdf.Term.to_string t
 

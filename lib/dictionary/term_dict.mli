@@ -15,6 +15,9 @@ type id_triple = {
 }
 
 val create : ?initial_size:int -> unit -> t
+(** [initial_size] (default 1024) is the number of terms the mapping
+    table is sized for before it first grows; a snapshot load passes
+    its term count. *)
 
 val encode_term : t -> Rdf.Term.t -> int
 (** Id of the term, allocated on first sight. *)

@@ -240,12 +240,20 @@ let remove_sorted v a =
       r.len <- !w + (n - !rd);
       n - r.len
 
+let check_strictly_increasing op a =
+  for i = 1 to Array.length a - 1 do
+    if a.(i - 1) >= a.(i) then invalid_arg ("Sorted_ivec." ^ op ^ ": not strictly increasing")
+  done
+
 let of_sorted_array a =
+  check_strictly_increasing "of_sorted_array" a;
   let n = Array.length a in
-  for i = 1 to n - 1 do
-    if a.(i - 1) >= a.(i) then invalid_arg "Sorted_ivec.of_sorted_array: not strictly increasing"
-  done;
   R { data = (if n = 0 then Array.make 1 0 else Array.copy a); len = n }
+
+let adopt_sorted a =
+  check_strictly_increasing "adopt_sorted" a;
+  let n = Array.length a in
+  R { data = (if n = 0 then Array.make 1 0 else a); len = n }
 
 let of_list l =
   let a = Array.of_list (List.sort_uniq compare l) in

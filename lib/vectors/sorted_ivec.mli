@@ -46,6 +46,13 @@ val of_sorted_array : int array -> t
 (** [of_sorted_array a] adopts a copy of [a].
     @raise Invalid_argument if [a] is not strictly increasing. *)
 
+val adopt_sorted : int array -> t
+(** [adopt_sorted a] is {!of_sorted_array} without the copy: the vector
+    takes [a] over as its exact-size backing array, so the caller must
+    not touch [a] afterwards.  The bulk build's constructor for
+    terminal lists and key vectors.
+    @raise Invalid_argument if [a] is not strictly increasing. *)
+
 val of_list : int list -> t
 (** Builds from an arbitrary list (sorts and de-duplicates). *)
 

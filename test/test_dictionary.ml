@@ -32,6 +32,23 @@ let test_dict_decode_errors () =
   Alcotest.check_raises "negative id" (Invalid_argument "Dictionary.decode: unknown id -1")
     (fun () -> ignore (Dictionary.decode d (-1)))
 
+(* The id space is 31 bits: the snapshot format and every store index
+   assume ids in [0, 2^31). *)
+let test_dict_id_limit () = check_int "max_ids" (1 lsl 31) Dictionary.max_ids
+
+(* A term dictionary sized for fewer terms than it receives (a snapshot
+   load sizes it from its term count) still grows. *)
+let test_term_dict_initial_size () =
+  List.iter
+    (fun initial_size ->
+      let d = Term_dict.create ~initial_size () in
+      let terms = List.init 50 (fun i -> Rdf.Term.iri (Printf.sprintf "http://example.org/%d" i)) in
+      List.iteri (fun i t -> check_int "dense id" i (Term_dict.encode_term d t)) terms;
+      List.iteri
+        (fun i t -> check_bool "decodes" true (Rdf.Term.equal t (Term_dict.decode_term d i)))
+        terms)
+    [ 0; 1; 50 ]
+
 let test_dict_growth () =
   let d = Dictionary.create ~initial_size:2 () in
   for i = 0 to 9999 do
@@ -166,12 +183,14 @@ let () =
           Alcotest.test_case "decode_errors" `Quick test_dict_decode_errors;
           Alcotest.test_case "growth" `Quick test_dict_growth;
           Alcotest.test_case "iter_fold" `Quick test_dict_iter_fold;
+          Alcotest.test_case "id limit" `Quick test_dict_id_limit;
           qt prop_dict_roundtrip;
           qt prop_dict_injective;
         ] );
       ( "term_dict",
         [
           Alcotest.test_case "roundtrip" `Quick test_term_dict_roundtrip;
+          Alcotest.test_case "initial_size" `Quick test_term_dict_initial_size;
           Alcotest.test_case "kinds" `Quick test_term_dict_distinguishes_kinds;
           Alcotest.test_case "triples" `Quick test_term_dict_triples;
           Alcotest.test_case "find" `Quick test_term_dict_find;

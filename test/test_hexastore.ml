@@ -705,6 +705,102 @@ let prop_bulk_add_populated_partial =
     ~add:Partial.add_ids ~remove:None ~bulk:Partial.add_bulk_ids ~indices:Partial.indices
     ~size:Partial.size ~check:Partial.check_invariant
 
+(* A store bulk-loaded from empty is filled, not linked
+   ([Index.of_sorted_columns]).  The reference is point [add_ids] only.
+   Batches are small-id ones full of repeats (plus a repeat of their own
+   prefix), the empty batch, or a short batch of sparse ids up to the
+   top of the dictionary's id space; half the cases fill a packed store. *)
+let gen_fill_case =
+  QCheck.Gen.(
+    let small = map3 t3 (int_bound 12) (int_bound 6) (int_bound 12) in
+    let top = Dict.Dictionary.max_ids - 1 in
+    let sparse = map3 t3 (int_bound top) (int_bound top) (int_bound top) in
+    pair
+      (frequency
+         [
+           (6, map (fun l -> l @ List.filteri (fun i _ -> i < 10) l) (list_size (int_bound 150) small));
+           (1, return []);
+           (3, list_size (int_range 1 5) sparse);
+         ])
+      bool)
+
+let print_fill_case (batch, packed) =
+  Printf.sprintf "batch=[%s] packed=%b"
+    (String.concat "; " (List.map (fun (t : id3) -> Printf.sprintf "(%d,%d,%d)" t.s t.p t.o) batch))
+    packed
+
+let no_violations h =
+  match Check.store h with
+  | [] -> true
+  | vs -> QCheck.Test.fail_report (String.concat "; " (List.map Check.Violation.to_string vs))
+
+(* Every ordering's headers, totals, keys and lists, the six index totals
+   and [Check.store] (six-way agreement, physical list sharing). *)
+let prop_fill_build =
+  QCheck.Test.make ~name:"fill build = point inserts" ~count:300
+    (QCheck.make ~print:print_fill_case gen_fill_case)
+    (fun (batch, packed) ->
+      let filled = Hexastore.create ~repr:(if packed then Sorted_ivec.Packed else Sorted_ivec.Raw) () in
+      let n = Hexastore.add_bulk_ids filled (Array.of_list batch) in
+      let point = Hexastore.create ~repr:Sorted_ivec.Raw () in
+      let m = List.fold_left (fun m tr -> if Hexastore.add_ids point tr then m + 1 else m) 0 batch in
+      no_violations filled && n = m
+      && Hexastore.size filled = m
+      && List.for_all (fun (_, idx) -> Index.total idx = m) (hexa_indices filled)
+      && dump (hexa_indices filled) = dump (hexa_indices point))
+
+type op = Add of id3 | Remove of id3 | Add_bulk of id3 list | Remove_bulk of id3 list
+
+let print_op =
+  let tr (t : id3) = Printf.sprintf "(%d,%d,%d)" t.s t.p t.o in
+  let batch l = "[" ^ String.concat "; " (List.map tr l) ^ "]" in
+  function
+  | Add t -> "+" ^ tr t
+  | Remove t -> "-" ^ tr t
+  | Add_bulk l -> "+" ^ batch l
+  | Remove_bulk l -> "-" ^ batch l
+
+(* The exact-size lists, pair vectors and header vectors of a fill must
+   grow and shrink like any others: point and bulk adds and removes
+   after a fill, against the reference model, op by op. *)
+let prop_after_fill =
+  let tr = QCheck.Gen.(map3 t3 (int_bound 10) (int_bound 5) (int_bound 10)) in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 120) tr)
+        (list_size (int_bound 60)
+           (frequency
+              [
+                (4, map (fun t -> Add t) tr);
+                (4, map (fun t -> Remove t) tr);
+                (1, map (fun l -> Add_bulk l) (list_size (int_bound 20) tr));
+                (1, map (fun l -> Remove_bulk l) (list_size (int_bound 40) tr));
+              ])))
+  in
+  let print (base, ops) =
+    Printf.sprintf "base=%s ops=%s" (print_op (Add_bulk base)) (String.concat " " (List.map print_op ops))
+  in
+  QCheck.Test.make ~name:"after a fill build, point/bulk add/remove = Check.Model" ~count:300
+    (QCheck.make ~print gen)
+    (fun (base, ops) ->
+      let h = Hexastore.create ~repr:Sorted_ivec.Raw () in
+      let model = Check.Model.create () in
+      ignore (Hexastore.add_bulk_ids h (Array.of_list base));
+      List.iter (fun t -> ignore (Check.Model.add model t)) base;
+      let count f l = List.fold_left (fun n t -> if f model t then n + 1 else n) 0 l in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add t -> Hexastore.add_ids h t = Check.Model.add model t
+          | Remove t -> Hexastore.remove_ids h t = Check.Model.remove model t
+          | Add_bulk l -> Hexastore.add_bulk_ids h (Array.of_list l) = count Check.Model.add l
+          | Remove_bulk l -> Hexastore.remove_bulk_ids h (Array.of_list l) = count Check.Model.remove l)
+          && Hexastore.size h = Check.Model.size model)
+        ops
+      && no_violations h
+      && sorted_triples (Hexastore.lookup h Pattern.wildcard) = Check.Model.to_list model)
+
 (* Bulk removal against point removals from two copies of one store.
    The batch holds a random subset of the base, triples the base lacks,
    every triple of one subject and of one object (so whole headers and
@@ -827,6 +923,8 @@ let () =
           qt prop_covp2_equiv;
           qt prop_bulk_equiv;
           qt prop_bulk_merge_hexa;
+          qt prop_fill_build;
+          qt prop_after_fill;
           qt prop_bulk_merge_covp;
           qt prop_bulk_merge_partial;
           qt prop_bulk_add_populated_hexa;

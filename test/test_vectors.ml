@@ -639,8 +639,6 @@ let test_gallop_interleaved_runs () =
     [ 50; 100; 199; 250; 399; 650; 699; 701 ]
 
 (* ------------------------------------------------------------------ *)
-(* Pair_key                                                            *)
-(* ------------------------------------------------------------------ *)
 (* Compressed codecs (PR 10)                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -779,34 +777,32 @@ let prop_codec_search_oracle =
 
 (* ------------------------------------------------------------------ *)
 
-let test_pair_key_roundtrip () =
-  List.iter
-    (fun (a, b) ->
-      let k = Pair_key.make a b in
-      check_int "fst" a (Pair_key.fst k);
-      check_int "snd" b (Pair_key.snd k);
-      Alcotest.(check (pair int int)) "unpack" (a, b) (Pair_key.unpack k))
-    [ (0, 0); (1, 2); (Pair_key.max_id, Pair_key.max_id); (12345, 678910) ]
+(* ------------------------------------------------------------------ *)
+(* Radix                                                               *)
+(* ------------------------------------------------------------------ *)
 
-let test_pair_key_bounds () =
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Pair_key.make: id out of range (-1, 0)") (fun () ->
-      ignore (Pair_key.make (-1) 0));
-  Alcotest.check_raises "too large"
-    (Invalid_argument
-       (Printf.sprintf "Pair_key.make: id out of range (0, %d)" (Pair_key.max_id + 1)))
-    (fun () -> ignore (Pair_key.make 0 (Pair_key.max_id + 1)))
+(* The counting sort against the stdlib's stable sort, on keys from a
+   handful of values (many ties) up to sparse 31-bit ids, so batches
+   from one element to a few thousand take one pass or several. *)
+let prop_radix_stable =
+  QCheck.Test.make ~name:"radix sort = stable sort on keys" ~count:300
+    QCheck.(
+      pair (int_range 1 30)
+        (list_of_size Gen.(int_bound 3000) (int_bound max_int)))
+    (fun (bits, raw) ->
+      let keys = Array.of_list (List.map (fun k -> k land ((1 lsl bits) - 1)) raw) in
+      let n = Array.length keys in
+      (* A scrambled permutation (7919 is a prime above [n]), so ties
+         must keep an order that is not the index order. *)
+      let perm = Array.init n (fun i -> i * 7919 mod n) in
+      let expected =
+        List.stable_sort (fun a b -> Int.compare keys.(a) keys.(b)) (Array.to_list perm)
+      in
+      Array.to_list (Radix.sort keys perm) = expected)
 
-let prop_pair_key =
-  QCheck.Test.make ~name:"pair_key roundtrip" ~count:1000
-    QCheck.(pair (int_bound 1000000) (int_bound 1000000))
-    (fun (a, b) -> Pair_key.unpack (Pair_key.make a b) = (a, b))
-
-let prop_pair_key_injective =
-  QCheck.Test.make ~name:"pair_key injective" ~count:1000
-    QCheck.(pair (pair (int_bound 10000) (int_bound 10000)) (pair (int_bound 10000) (int_bound 10000)))
-    (fun ((a, b), (c, d)) ->
-      (a, b) = (c, d) || Pair_key.make a b <> Pair_key.make c d)
+let test_radix_negative () =
+  Alcotest.check_raises "negative" (Invalid_argument "Radix.sort: negative key") (fun () ->
+      ignore (Radix.sort [| 3; -1 |] [| 0; 1 |]))
 
 let qt = QCheck_alcotest.to_alcotest
 
@@ -882,11 +878,9 @@ let () =
           qt prop_codec_roundtrip;
           qt prop_codec_search_oracle;
         ] );
-      ( "pair_key",
+      ( "radix",
         [
-          Alcotest.test_case "roundtrip" `Quick test_pair_key_roundtrip;
-          Alcotest.test_case "bounds" `Quick test_pair_key_bounds;
-          qt prop_pair_key;
-          qt prop_pair_key_injective;
+          Alcotest.test_case "negative key" `Quick test_radix_negative;
+          qt prop_radix_stable;
         ] );
     ]
