@@ -8,6 +8,9 @@
       model-checker that executes random operation sequences against it
       and the real store, shrinking any disagreement to a minimal
       counterexample.
+    - {!Reference} — a naive evaluator for the whole query algebra over
+      a {!Model}, the oracle the executor's differential property is
+      checked against.
     - {!Concurrent} — the concurrency harness: parallel ≡ sequential
       differential execution and the writer-vs-readers delta stress
       runner behind [dune build @stress].
@@ -24,6 +27,7 @@ module Violation = Violation
 module Invariant = Invariant
 module Model = Model
 module Diff = Diff
+module Reference = Reference
 module Concurrent = Concurrent
 module Lexer = Lexer
 module Mutability = Mutability

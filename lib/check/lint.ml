@@ -8,6 +8,7 @@ type rule =
   | Catch_all
   | Raw_clock
   | Query_probe
+  | Query_resolve
   | Span_hygiene
   | Domain_unsafe_global
   | Repr_abstraction
@@ -19,6 +20,7 @@ let rule_name = function
   | Catch_all -> "catch-all"
   | Raw_clock -> "raw-clock"
   | Query_probe -> "query-probe"
+  | Query_resolve -> "query-resolve"
   | Span_hygiene -> "span-hygiene"
   | Domain_unsafe_global -> "domain-unsafe-global"
   | Repr_abstraction -> "repr-abstraction"
@@ -31,6 +33,9 @@ let pats_printf = [ "Printf.printf"; "Format.printf"; "print_endline" ]
 let pats_clock = [ "Unix.gettimeofday"; "Sys.time" ]
 let pat_obj_magic = "Obj.magic"
 let pat_query_probe = "Sorted_ivec.mem"
+
+let pats_query_resolve =
+  [ "Term_dict.find_term"; "Dict.Term_dict.find_term"; "Term.to_string"; "Rdf.Term.to_string" ]
 
 let pats_span =
   [
@@ -49,6 +54,12 @@ let clock_exempt path =
 (* The query-probe rule only applies to the query layer: point-probe
    membership tests there bypass the planner's merge/hash operators. *)
 let query_scoped path = Filename.basename (Filename.dirname path) = "query"
+
+(* Inside the query layer, constants resolve once, in the query
+   compiler, and cells decode once, in Results, from the spellings the
+   dictionary stores; every other module works on ids and slots. *)
+let resolve_exempt path =
+  List.mem (Filename.basename path) [ "compile.ml"; "compile.mli"; "results.ml"; "results.mli" ]
 
 (* The codec module is an implementation detail of the vectors layer:
    everyone else reads compressed data through the Sorted_ivec
@@ -69,7 +80,7 @@ let c_violations =
     (fun r -> (r, Telemetry.Metrics.counter ("check.lint.violations." ^ rule_name r)))
     [
       Missing_mli; Obj_magic; Printf_in_lib; Catch_all; Raw_clock; Query_probe;
-      Span_hygiene; Domain_unsafe_global; Repr_abstraction;
+      Query_resolve; Span_hygiene; Domain_unsafe_global; Repr_abstraction;
     ]
 
 let count_violation rule =
@@ -223,6 +234,19 @@ let scan_source ~path contents =
               (pat_query_probe
              ^ " is a point probe; query operators must join through the planner's \
                 merge/hash kernels (annotate the line to waive)"))
+    @ (if (not (query_scoped path)) || resolve_exempt path then []
+       else
+         let allowed = marker_lines t (allow_marker Query_resolve) in
+         path_hits t pats_query_resolve
+         |> List.filter (fun (_, (tok : L.token)) ->
+                not (List.mem tok.L.line allowed || List.mem (tok.L.line - 1) allowed))
+         |> List.concat_map (fun (p, tok) ->
+                of_hits Query_resolve
+                  (p
+                 ^ " resolves or spells a term outside the query compiler and Results; \
+                    resolve through Compile.term_id once per query, decode through \
+                    Results (annotate the line to waive)")
+                  [ tok ]))
     @ (if clock_exempt path then []
        else
          let allowed = marker_lines t (allow_marker Span_hygiene) in

@@ -22,6 +22,13 @@
       the planner's merge/hash join operators.  A deliberate probe is
       waived by putting [lint: allow query-probe] in a {e comment} on
       the same line or the line directly above.
+    - {b query-resolve}: no [Term_dict.find_term] or
+      [Rdf.Term.to_string] in files under a [query] directory, except
+      the query compiler ([compile.ml]) and [results.ml] — constants
+      resolve once per query and cells decode once, from the spellings
+      the dictionary stores; the operators in between work on ids and
+      slots.  Waived with [lint: allow query-resolve] in a comment on
+      the same line or the line directly above.
     - {b span-hygiene}: no manual [Trace.enter_span]/[Trace.exit_span]
       pairs in library code — an exception between the two leaks an open
       span and skews every enclosing depth; [Trace.with_span] closes on
@@ -62,6 +69,7 @@ type rule =
   | Catch_all
   | Raw_clock
   | Query_probe
+  | Query_resolve
   | Span_hygiene
   | Domain_unsafe_global
   | Repr_abstraction

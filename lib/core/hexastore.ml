@@ -323,6 +323,35 @@ let lookup t (pat : Pattern.t) =
       scan_header t.osp (fun s p -> { s; p; o }) o
   | Pattern.None_bound -> full_scan t
 
+(* [lookup] pushed instead of pulled: the same orderings in the same
+   order, with no sequence cells and no triple records. *)
+let iter t (pat : Pattern.t) f =
+  let shape = Pattern.shape pat in
+  note_probe shape;
+  let list l g =
+    match l with
+    | None -> ()
+    | Some l ->
+        Telemetry.Metrics.observe m_scan_len (Sorted_ivec.length l);
+        Sorted_ivec.iter g l
+  in
+  let header index h g =
+    match Index.find_vector index h with
+    | None -> ()
+    | Some v ->
+        Telemetry.Metrics.observe m_scan_len (Pair_vector.total v);
+        Pair_vector.iter (fun second l -> Sorted_ivec.iter (g second) l) v
+  in
+  match (shape, pat.s, pat.p, pat.o) with
+  | Pattern.All, Some s, Some p, Some o -> if mem_ids t { s; p; o } then f s p o
+  | Pattern.Sp, Some s, Some p, _ -> list (Index.find_list t.spo s p) (fun o -> f s p o)
+  | Pattern.So, Some s, _, Some o -> list (Index.find_list t.sop s o) (fun p -> f s p o)
+  | Pattern.Po, _, Some p, Some o -> list (Index.find_list t.pos p o) (fun s -> f s p o)
+  | Pattern.S, Some s, _, _ -> header t.spo s (fun p o -> f s p o)
+  | Pattern.P, _, Some p, _ -> header t.pso p (fun s o -> f s p o)
+  | Pattern.O, _, _, Some o -> header t.osp o (fun s p -> f s p o)
+  | _ -> Seq.iter (fun tr -> f tr.s tr.p tr.o) (full_scan t)
+
 let count t (pat : Pattern.t) =
   let shape = Pattern.shape pat in
   note_probe shape;
@@ -475,6 +504,69 @@ let scan_sorted t (pat : Pattern.t) (pos : Pattern.position) =
             assert false
       in
       Some (ord, seek)
+
+(* [f s p o] from a triple read in ordering [ord]'s arrangement. *)
+let emitter = function
+  | Ordering.Spo -> fun f a b c -> f a b c
+  | Ordering.Sop -> fun f a b c -> f a c b
+  | Ordering.Pso -> fun f a b c -> f b a c
+  | Ordering.Pos -> fun f a b c -> f c a b
+  | Ordering.Osp -> fun f a b c -> f b c a
+  | Ordering.Ops -> fun f a b c -> f c b a
+
+(* A galloping cursor over ascending probes: resumes from the last hit,
+   restarting when a probe goes backwards. *)
+let cursor search =
+  let last_k = ref min_int and last_i = ref 0 in
+  fun k ->
+    let from = if k < !last_k then 0 else !last_i in
+    let i = search ~from k in
+    last_k := k;
+    last_i := i;
+    i
+
+let seek_sorted t (pat : Pattern.t) (pos : Pattern.position) =
+  match serving_ordering pat pos with
+  | None -> None
+  | Some ord ->
+      note_ord ord;
+      let index = index_of t ord in
+      let emit = emitter ord in
+      let value q = Pattern.value_at pat q in
+      let run =
+        match List.map value (Ordering.positions ord) with
+        | [ Some first; Some second; None ] -> (
+            match Index.find_list index first second with
+            | None -> fun _ _ -> ()
+            | Some l ->
+                Telemetry.Metrics.observe m_scan_len (Sorted_ivec.length l);
+                let n = Sorted_ivec.length l and seek = cursor (Sorted_ivec.search_from l) in
+                fun k f ->
+                  let i = seek k in
+                  if i < n && Sorted_ivec.get l i = k then emit f first second k)
+        | [ Some first; None; None ] -> (
+            match Index.find_vector index first with
+            | None -> fun _ _ -> ()
+            | Some v ->
+                Telemetry.Metrics.observe m_scan_len (Pair_vector.total v);
+                let n = Pair_vector.length v and seek = cursor (Pair_vector.search_from v) in
+                fun k f ->
+                  let i = seek k in
+                  if i < n && Pair_vector.key_at v i = k then
+                    Sorted_ivec.iter (fun third -> emit f first k third) (Pair_vector.payload_at v i))
+        | [ None; None; None ] -> (
+            fun k f ->
+              match Index.find_vector index k with
+              | None -> ()
+              | Some v ->
+                  Pair_vector.iter
+                    (fun second l -> Sorted_ivec.iter (fun third -> emit f k second third) l)
+                    v)
+        | _ ->
+            (* serving_ordering guarantees bound-prefix shapes only. *)
+            assert false
+      in
+      Some (ord, run)
 
 (* --- range-splittable cursors ----------------------------------------- *)
 

@@ -111,6 +111,10 @@ val lookup : t -> Pattern.t -> id_triple Seq.t
     serving the pattern's shape.  Each of the 8 shapes is answered by the
     ordering that makes the access a header/vector/list traversal. *)
 
+val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
+(** [lookup] pushed: [f s p o] for every matching triple, in the same
+    order, allocating nothing per triple. *)
+
 val count : t -> Pattern.t -> int
 (** Exact cardinality of [lookup], in O(log) time for any shape (vector
     totals are maintained incrementally). *)
@@ -129,6 +133,15 @@ val scan_sorted : t -> Pattern.t -> Pattern.position -> (Ordering.t * (int -> id
     serves a constants-only pattern, so this returns [None] only when
     [pos] is itself bound.  Counts as one probe of the serving
     ordering. *)
+
+val seek_sorted :
+  t -> Pattern.t -> Pattern.position ->
+  (Ordering.t * (int -> (int -> int -> int -> unit) -> unit)) option
+(** [scan_sorted] as a push cursor for merge joins: [run k f] calls
+    [f s p o] for every match whose value at the position is [k].  Probe
+    keys ascending gallop forward from the last hit; a smaller key
+    restarts the search.  Served exactly when [scan_sorted] is, by the
+    same ordering. *)
 
 val scan_bounds : t -> Pattern.t -> Pattern.position -> parts:int -> int array
 (** [scan_bounds t pat pos ~parts] is the interior boundary keys that

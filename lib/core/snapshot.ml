@@ -92,7 +92,7 @@ let save_channel h oc =
   let n_terms = Dict.Term_dict.size dict in
   write_varint buf n_terms;
   for id = 0 to n_terms - 1 do
-    let spelling = Rdf.Term.to_string (Dict.Term_dict.decode_term dict id) in
+    let spelling = Dict.Term_dict.spelling dict id in
     write_varint buf (String.length spelling);
     Buffer.add_string buf spelling
   done;

@@ -22,6 +22,9 @@ module type S = sig
 
   val lookup : t -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
 
+  val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
+  (** [lookup] pushed: [f s p o] per match, in [lookup]'s order. *)
+
   val count : t -> Pattern.t -> int
   (** Exact cardinality of [lookup t pat]; may cost a scan on shapes the
       store has no index for. *)
@@ -31,6 +34,13 @@ module type S = sig
       position (see {!Hexastore.scan_sorted}).  [None] when the store
       cannot stream the matches sorted on that position — the planner
       then falls back to hash or nested-loop joins. *)
+
+  val seek_sorted :
+    t -> Pattern.t -> Pattern.position ->
+    (Ordering.t * (int -> (int -> int -> int -> unit) -> unit)) option
+  (** [scan_sorted] as a push cursor: [run k f] calls [f s p o] for the
+      matches whose value at the position is [k] (see
+      {!Hexastore.seek_sorted}).  Served exactly when [scan_sorted] is. *)
 
   val scan_split :
     t -> Pattern.t -> Pattern.position -> parts:int ->
@@ -53,6 +63,10 @@ module type S = sig
   val memory_words : t -> int
 end
 
+(* [iter] for stores without a push scan: walk their [lookup]. *)
+let push_lookup lookup t pat f =
+  Seq.iter (fun (tr : Dict.Term_dict.id_triple) -> f tr.s tr.p tr.o) (lookup t pat)
+
 module Hexastore_store : S with type t = Hexastore.t = struct
   type t = Hexastore.t
 
@@ -62,8 +76,10 @@ module Hexastore_store : S with type t = Hexastore.t = struct
   let add_ids = Hexastore.add_ids
   let add_bulk_ids = Hexastore.add_bulk_ids
   let lookup = Hexastore.lookup
+  let iter = Hexastore.iter
   let count = Hexastore.count
   let scan_sorted = Hexastore.scan_sorted
+  let seek_sorted = Hexastore.seek_sorted
   let scan_split = Hexastore.scan_split
 
   (* Queries never mutate, so with one writer paused there is nothing to
@@ -82,11 +98,13 @@ module Covp1_store : S with type t = Covp.t = struct
   let add_ids = Covp.add_ids
   let add_bulk_ids = Covp.add_bulk_ids
   let lookup = Covp.lookup
+  let iter = push_lookup lookup
   let count = Covp.count
 
   (* The COVP baselines keep only per-property tables; they cannot
      stream an arbitrary pattern sorted on a chosen position. *)
   let scan_sorted _ _ _ = None
+  let seek_sorted _ _ _ = None
   let scan_split _ _ _ ~parts:_ = None
   let pin _ = None
   let repr_name _ = "raw"
@@ -108,11 +126,13 @@ module Partial_store : S with type t = Partial.t = struct
   let add_ids = Partial.add_ids
   let add_bulk_ids = Partial.add_bulk_ids
   let lookup = Partial.lookup
+  let iter = push_lookup lookup
   let count = Partial.count
 
   (* A partial store may be missing the ordering a sorted scan needs;
      stay conservative and let the planner fall back. *)
   let scan_sorted _ _ _ = None
+  let seek_sorted _ _ _ = None
   let scan_split _ _ _ ~parts:_ = None
   let pin _ = None
   let repr_name _ = "raw"
@@ -128,8 +148,35 @@ module Delta_store : S with type t = Delta.t = struct
   let add_ids = Delta.add_ids
   let add_bulk_ids = Delta.add_bulk_ids
   let lookup = Delta.lookup
+  let iter = push_lookup lookup
   let count = Delta.count
   let scan_sorted = Delta.scan_sorted
+
+  (* Without pending writes the base's cursor is the merged view;
+     otherwise replay the merged sorted scan, built on the first probe. *)
+  let seek_sorted d pat pos =
+    let base = Hexastore.seek_sorted (Delta.base d) pat pos in
+    if Delta.pending_inserts d = 0 && Delta.pending_deletes d = 0 then base
+    else
+      Option.map
+        (fun (ord, _) ->
+          let seek = lazy (Option.map snd (Delta.scan_sorted d pat pos)) in
+          let value_at (tr : Dict.Term_dict.id_triple) =
+            match pos with Pattern.Subj -> tr.s | Pattern.Pred -> tr.p | Pattern.Obj -> tr.o
+          in
+          let run k f =
+            let rec go seq =
+              match seq () with
+              | Seq.Cons ((tr : Dict.Term_dict.id_triple), rest) when value_at tr = k ->
+                  f tr.s tr.p tr.o;
+                  go rest
+              | _ -> ()
+            in
+            Option.iter (fun seek -> go (seek k)) (Lazy.force seek)
+          in
+          (ord, run))
+        base
+
   let scan_split = Delta.scan_split
   let pin d = Some (Delta.pin d)
   let repr_name d = Hexastore.repr_name (Delta.base d)
@@ -155,8 +202,10 @@ let size (Boxed ((module M), store)) = M.size store
 let add_ids (Boxed ((module M), store)) tr = M.add_ids store tr
 let add_bulk_ids (Boxed ((module M), store)) trs = M.add_bulk_ids store trs
 let lookup (Boxed ((module M), store)) pat = M.lookup store pat
+let iter (Boxed ((module M), store)) pat f = M.iter store pat f
 let count (Boxed ((module M), store)) pat = M.count store pat
 let scan_sorted (Boxed ((module M), store)) pat pos = M.scan_sorted store pat pos
+let seek_sorted (Boxed ((module M), store)) pat pos = M.seek_sorted store pat pos
 let scan_split (Boxed ((module M), store)) pat pos ~parts = M.scan_split store pat pos ~parts
 
 let pin (Boxed ((module M), store) as b) =

@@ -22,6 +22,9 @@ module type S = sig
 
   val lookup : t -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
 
+  val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
+  (** [lookup] pushed: [f s p o] per match, in [lookup]'s order. *)
+
   val count : t -> Pattern.t -> int
   (** Exact cardinality of [lookup t pat]; may cost a scan on shapes the
       store has no index for. *)
@@ -34,6 +37,13 @@ module type S = sig
       planner then falls back to hash or nested-loop joins.  A Hexastore
       always serves it; the COVP baselines and the partial store never
       do; a delta layer merges its buffers into the base's scan. *)
+
+  val seek_sorted :
+    t -> Pattern.t -> Pattern.position ->
+    (Ordering.t * (int -> (int -> int -> int -> unit) -> unit)) option
+  (** [scan_sorted] as a push cursor: [run k f] calls [f s p o] for the
+      matches whose value at the position is [k] (see
+      {!Hexastore.seek_sorted}).  Served exactly when [scan_sorted] is. *)
 
   val scan_split :
     t -> Pattern.t -> Pattern.position -> parts:int ->
@@ -91,10 +101,15 @@ val size : boxed -> int
 val add_ids : boxed -> Dict.Term_dict.id_triple -> bool
 val add_bulk_ids : boxed -> Dict.Term_dict.id_triple array -> int
 val lookup : boxed -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
+val iter : boxed -> Pattern.t -> (int -> int -> int -> unit) -> unit
 val count : boxed -> Pattern.t -> int
 
 val scan_sorted :
   boxed -> Pattern.t -> Pattern.position -> (Ordering.t * (int -> Dict.Term_dict.id_triple Seq.t)) option
+
+val seek_sorted :
+  boxed -> Pattern.t -> Pattern.position ->
+  (Ordering.t * (int -> (int -> int -> int -> unit) -> unit)) option
 
 val scan_split :
   boxed -> Pattern.t -> Pattern.position -> parts:int ->

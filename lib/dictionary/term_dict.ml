@@ -42,6 +42,8 @@ let decode_term d id =
     invalid_arg (Printf.sprintf "Term_dict.decode_term: unknown id %d" id);
   d.terms.(id)
 
+let spelling d id = Dictionary.decode d.strings id
+
 let encode_triple d (t : Rdf.Triple.t) =
   { s = encode_term d t.s; p = encode_term d t.p; o = encode_term d t.o }
 

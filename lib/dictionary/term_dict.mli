@@ -28,6 +28,12 @@ val find_term : t -> Rdf.Term.t -> int option
 val decode_term : t -> int -> Rdf.Term.t
 (** @raise Invalid_argument on an unallocated id. *)
 
+val spelling : t -> int -> string
+(** The term's N-Triples spelling ({!Rdf.Term.to_string}), which is the
+    key the mapping table already stores: returned as is, without
+    decoding or allocating.
+    @raise Invalid_argument on an unallocated id. *)
+
 val encode_triple : t -> Rdf.Triple.t -> id_triple
 
 val find_triple : t -> Rdf.Triple.t -> id_triple option

@@ -1,9 +1,6 @@
-open Algebra
-
-(* Telemetry: per-operator produced-row counters (lazy operators count
-   rows as they stream), spans around the blocking materialisations and
-   the top-level entry points.  All hooks vanish to a flag read while
-   telemetry is off. *)
+(* Telemetry: per-operator produced-row counters, spans around the
+   blocking materialisations and the top-level entry points.  All hooks
+   vanish to a flag read while telemetry is off. *)
 let m_rows_scan = Telemetry.Metrics.counter "query.rows.scan"
 let m_rows_bgp = Telemetry.Metrics.counter "query.rows.bgp"
 let m_rows_join = Telemetry.Metrics.counter "query.rows.join"
@@ -24,241 +21,241 @@ let m_join_merge = Telemetry.Metrics.counter "query.join.merge"
 let m_join_hash = Telemetry.Metrics.counter "query.join.hash"
 let m_join_nested = Telemetry.Metrics.counter "query.join.nested"
 
-let counted c seq =
-  if !Telemetry.Config.enabled then
-    Seq.map
-      (fun x ->
-        Telemetry.Metrics.incr c;
-        x)
-      seq
-  else seq
+(* A row consumer.  Every operator pushes rows into the next one's sink;
+   a sink may write the row's unbound slots, but must restore them
+   before it returns, and must copy a row it keeps. *)
+type sink = int array -> unit
 
-(* --- value comparison ------------------------------------------------- *)
+let unbound = Binding.unbound
 
-let numeric_of_term = function
-  | Rdf.Term.Literal { value; datatype = Some dt; _ }
-    when dt = Rdf.Namespace.xsd "integer" || dt = Rdf.Namespace.xsd "decimal"
-         || dt = Rdf.Namespace.xsd "double" || dt = Rdf.Namespace.xsd "int"
-         || dt = Rdf.Namespace.xsd "long" ->
-      float_of_string_opt value
-  | _ -> None
+let counted c (k : sink) : sink =
+  if !Telemetry.Config.enabled then fun row ->
+    Telemetry.Metrics.incr c;
+    k row
+  else k
 
-let numeric_of_value dict = function
-  | Binding.Int n -> Some (float_of_int n)
-  | Binding.Id _ as v -> (
-      match Binding.term dict v with None -> None | Some t -> numeric_of_term t)
+(* --- value order ---------------------------------------------------------- *)
 
-let compare_values dict a b =
-  match (numeric_of_value dict a, numeric_of_value dict b) with
-  | Some x, Some y -> compare x y
-  | Some _, None -> -1
-  | None, Some _ -> 1
-  | None, None ->
-      compare (Binding.value_to_string dict a) (Binding.value_to_string dict b)
+(* The sort key of one cell: unbound first, then numbers (aggregate
+   integers and numeric literals) by value, then other terms by their
+   N-Triples spelling, read from the dictionary as stored. *)
+type key =
+  | Unbound
+  | Number of float
+  | Spelling of string
 
-(* --- filter evaluation ------------------------------------------------ *)
+let key_of dict x =
+  if x = unbound then Unbound
+  else if x < 0 then Number (float_of_int (-2 - x))
+  else if x >= Dict.Term_dict.size dict then Spelling (Binding.value_to_string dict (Binding.Id x))
+  else
+    match Compile.numeric (Dict.Term_dict.decode_term dict x) with
+    | Some f -> Number f
+    | None -> Spelling (Dict.Term_dict.spelling dict x)
+
+let compare_keys a b =
+  match (a, b) with
+  | Unbound, Unbound -> 0
+  | Unbound, _ -> -1
+  | _, Unbound -> 1
+  | Number x, Number y -> Float.compare x y
+  | Number _, Spelling _ -> -1
+  | Spelling _, Number _ -> 1
+  | Spelling x, Spelling y -> String.compare x y
+
+(* --- filters -------------------------------------------------------------- *)
 
 exception Filter_error
-(* SPARQL's "error" outcome: the solution is dropped. *)
+(* SPARQL's "error" outcome: the row is dropped. *)
 
-let value_of_atom dict binding = function
-  | Var v -> ( match Binding.get binding v with Some x -> x | None -> raise Filter_error)
-  | Term t -> (
-      match Dict.Term_dict.find_term dict t with
-      | Some id -> Binding.Id id
-      | None ->
-          (* A constant not in the dictionary can still be compared by
-             value; encode it transiently as its numeric/string form. *)
-          (match numeric_of_term t with
-          | Some f when Float.is_integer f -> Binding.Int (int_of_float f)
-          | _ -> raise Filter_error))
+(* An operand's cell, or [unbound] for a numeric constant the
+   dictionary does not hold. *)
+let cell row = function
+  | Compile.Var s ->
+      let x = row.(s) in
+      if x = unbound then raise Filter_error else x
+  | Compile.Const id -> id
+  | Compile.Num _ -> unbound
+  | Compile.Invalid -> raise Filter_error
 
-let rec eval_value dict binding = function
-  | E_atom a -> value_of_atom dict binding a
-  | _ -> raise Filter_error
+let operand_key dict o x = match o with Compile.Num f -> Number f | _ -> key_of dict x
 
-and eval_bool dict binding expr =
-  match expr with
-  | E_atom _ -> raise Filter_error
-  | E_bound v -> Binding.mem binding v
-  | E_not e -> not (eval_bool dict binding e)
-  | E_and (a, b) -> eval_bool dict binding a && eval_bool dict binding b
-  | E_or (a, b) -> eval_bool dict binding a || eval_bool dict binding b
-  | E_eq (a, b) -> cmp dict binding a b = 0
-  | E_neq (a, b) -> cmp dict binding a b <> 0
-  | E_lt (a, b) -> cmp dict binding a b < 0
-  | E_le (a, b) -> cmp dict binding a b <= 0
-  | E_gt (a, b) -> cmp dict binding a b > 0
-  | E_ge (a, b) -> cmp dict binding a b >= 0
+let compare_operands dict row a b =
+  let x = cell row a in
+  let y = cell row b in
+  (* One term is equal to itself whatever its spelling: skip decoding. *)
+  if x = y && x <> unbound then 0
+  else compare_keys (operand_key dict a x) (operand_key dict b y)
 
-and cmp dict binding a b =
-  compare_values dict (eval_value dict binding a) (eval_value dict binding b)
+let rec holds dict row = function
+  | Compile.Error -> raise Filter_error
+  | Compile.Bound s -> row.(s) <> unbound
+  | Compile.Not e -> not (holds dict row e)
+  | Compile.And (a, b) -> holds dict row a && holds dict row b
+  | Compile.Or (a, b) -> holds dict row a || holds dict row b
+  | Compile.Cmp (op, a, b) -> (
+      let c = compare_operands dict row a b in
+      match op with
+      | Compile.Eq -> c = 0
+      | Neq -> c <> 0
+      | Lt -> c < 0
+      | Le -> c <= 0
+      | Gt -> c > 0
+      | Ge -> c >= 0)
 
-let filter_pass dict binding expr =
-  match eval_bool dict binding expr with
-  | ok -> ok
-  | exception Filter_error -> false
+let passes dict row e = match holds dict row e with ok -> ok | exception Filter_error -> false
 
-(* --- BGP evaluation --------------------------------------------------- *)
+(* --- BGP steps -------------------------------------------------------------- *)
 
-(* Resolve a pattern position under the current solution.  [None] means
-   the whole pattern can match nothing (unknown constant). *)
-let resolve dict binding = function
-  | Term t -> (
-      match Dict.Term_dict.find_term dict t with None -> None | Some id -> Some (Some id))
-  | Var v -> (
-      match Binding.get binding v with
-      | Some (Binding.Id id) -> Some (Some id)
-      | Some (Binding.Int _) -> None  (* an aggregate value is not a term *)
-      | None -> Some None)
-
-let extend_with binding (tp : tp) (tr : Dict.Term_dict.id_triple) =
-  (* Bind this pattern's variables to the matched triple, rejecting
-     solutions where a repeated variable would take two values. *)
-  let step pos_atom value binding =
-    match binding with
-    | None -> None
-    | Some b -> (
-        match pos_atom with
-        | Term _ -> Some b
-        | Var v ->
-            if Binding.compatible b v (Binding.Id value) then
-              Some (Binding.bind b v (Binding.Id value))
-            else None)
+(* What one pattern position does with a matched triple's value,
+   decided once per step: [>= 0] writes that slot, [-1] ignores the
+   value (a constant, or a slot the lookup already bound), [<= -2]
+   checks it against slot [-2 - a] (a variable repeated in the
+   pattern). *)
+let actions (ctp : Compile.tp) bound =
+  let seen = ref [] in
+  let act = function
+    | Compile.Id _ | Compile.Absent -> -1
+    | Compile.Slot i ->
+        if List.mem i !seen then -2 - i
+        else begin
+          seen := i :: !seen;
+          if List.mem i bound then -1 else i
+        end
   in
-  Some binding |> step tp.s tr.s |> step tp.p tr.p |> step tp.o tr.o
+  let a_s = act ctp.s in
+  let a_p = act ctp.p in
+  let a_o = act ctp.o in
+  (a_s, a_p, a_o)
 
-let eval_tp store (tp : tp) binding =
-  let dict = Hexa.Store_sig.dict store in
-  match (resolve dict binding tp.s, resolve dict binding tp.p, resolve dict binding tp.o) with
-  | Some s, Some p, Some o ->
-      Hexa.Store_sig.lookup store { Hexa.Pattern.s; p; o }
-      |> Seq.filter_map (extend_with binding tp)
-      |> counted m_rows_scan
-  | _ -> Seq.empty
+let[@inline] apply row a v =
+  if a >= 0 then begin
+    row.(a) <- v;
+    true
+  end
+  else a = -1 || row.(-2 - a) = v
 
-(* --- joins ------------------------------------------------------------ *)
+let[@inline] bind row (a_s, a_p, a_o) s p o = apply row a_s s && apply row a_p p && apply row a_o o
 
-let merge_bindings a b =
-  let rec loop acc = function
-    | [] -> Some acc
-    | (v, x) :: rest ->
-        if Binding.compatible acc v x then loop (Binding.bind acc v x) rest else None
-  in
-  loop a (Binding.to_list b)
+let[@inline] bind_triple row acts (tr : Dict.Term_dict.id_triple) = bind row acts tr.s tr.p tr.o
 
-(* --- BGP join operators ------------------------------------------------ *)
+let no_rows : sink = fun _ -> ()
 
-(* Merge join: the accumulated bindings stream sorted on [var] (the
-   planner guarantees it — every step operator preserves the first
-   scan's order), and [Store_sig.scan_sorted] serves the pattern's
-   matches sorted on [var]'s position with galloping seeks.  The
-   equal-key run under the cursor is buffered once per distinct left
-   key so that duplicate left keys — the common case after an earlier
-   one-to-many step — replay the run without re-seeking the store. *)
-let eval_merge store (tp : tp) var pos sols =
-  let dict = Hexa.Store_sig.dict store in
-  match (resolve dict Binding.empty tp.s, resolve dict Binding.empty tp.p, resolve dict Binding.empty tp.o) with
-  | Some s, Some p, Some o -> (
-      match Hexa.Store_sig.scan_sorted store { Hexa.Pattern.s; p; o } pos with
+(* Index nested loop: probe the store once per row with the pattern's
+   constants plus the slots earlier steps bound. *)
+let nested store (ctp : Compile.tp) bound k =
+  match ctp.pattern with
+  | None -> no_rows
+  | Some base ->
+      let acts = actions ctp bound in
+      let input = function Compile.Slot i when List.mem i bound -> i | _ -> -1 in
+      let i_s = input ctp.s and i_p = input ctp.p and i_o = input ctp.o in
+      let k = counted m_rows_scan k in
+      fun row ->
+        let pat =
+          {
+            Hexa.Pattern.s = (if i_s < 0 then base.s else Some row.(i_s));
+            p = (if i_p < 0 then base.p else Some row.(i_p));
+            o = (if i_o < 0 then base.o else Some row.(i_o));
+          }
+        in
+        Hexa.Store_sig.iter store pat (fun s p o -> if bind row acts s p o then k row)
+
+(* Merge join: rows arrive sorted on slot [v] (the planner guarantees
+   it — every step keeps the first scan's order), and the store's sorted
+   cursor serves the pattern's matches for each key, galloping forward
+   from the previous one. *)
+let merge store (ctp : Compile.tp) bound v pos k =
+  match ctp.pattern with
+  | None -> no_rows
+  | Some pat -> (
+      match Hexa.Store_sig.seek_sorted store pat pos with
       | None ->
           (* The planner only picks merge when the store offered the
              scan; a concurrent store change could in principle retract
              it, so degrade to the nested loop rather than fail. *)
-          Seq.concat_map (eval_tp store tp) sols
-      | Some (_ord, seek) ->
-          let value_at (tr : Dict.Term_dict.id_triple) =
-            match pos with
-            | Hexa.Pattern.Subj -> tr.s
-            | Hexa.Pattern.Pred -> tr.p
-            | Hexa.Pattern.Obj -> tr.o
-          in
-          let collect_run k =
-            let rec aux acc seq =
-              match seq () with
-              | Seq.Cons (tr, tl) when value_at tr = k -> aux (tr :: acc) tl
-              | _ -> List.rev acc
-            in
-            aux [] (seek k)
-          in
-          let rec go sols last () =
-            match sols () with
-            | Seq.Nil -> Seq.Nil
-            | Seq.Cons (sol, rest) -> (
-                match Binding.get sol var with
-                | Some (Binding.Id k) ->
-                    let run =
-                      match last with
-                      | Some (k', run) when k' = k -> run
-                      | _ -> collect_run k
-                    in
-                    let matched = List.filter_map (extend_with sol tp) run in
-                    Seq.append (List.to_seq matched) (go rest (Some (k, run))) ()
-                | Some (Binding.Int _) | None ->
-                    (* A non-term value (aggregate) joins no triple. *)
-                    go rest last ())
-          in
-          counted m_rows_scan (go sols None))
-  | _ -> Seq.empty
+          nested store ctp bound k
+      | Some (_ord, run) ->
+          let acts = actions ctp bound in
+          let k = counted m_rows_scan k in
+          fun row ->
+            let key = row.(v) in
+            if key >= 0 then run key (fun s p o -> if bind row acts s p o then k row))
 
-(* Hash join: enumerate the pattern's matches once, independently of the
-   accumulated bindings, key them by the shared variables, then probe
-   per binding.  The build is deferred into the sequence so EXPLAIN
-   without ANALYZE never pays for it. *)
-let eval_hash store (tp : tp) shared sols =
-  let dict = Hexa.Store_sig.dict store in
-  match (resolve dict Binding.empty tp.s, resolve dict Binding.empty tp.p, resolve dict Binding.empty tp.o) with
-  | Some s, Some p, Some o ->
+(* Hash join: enumerate the pattern's matches once, independently of
+   the rows, keyed on the shared slots' values, then probe per row.  The
+   build waits for the first row, so EXPLAIN without ANALYZE never pays
+   for it. *)
+let hash store (ctp : Compile.tp) bound k =
+  match ctp.pattern with
+  | None -> no_rows
+  | Some pat ->
+      let acts = actions ctp bound in
+      let shared = List.filter (fun v -> List.mem v bound) ctp.Compile.slots in
+      let first_at v =
+        if ctp.s = Compile.Slot v then fun s _ _ -> s
+        else if ctp.p = Compile.Slot v then fun _ p _ -> p
+        else fun _ _ o -> o
+      in
+      let readers = List.map first_at shared in
+      let table = ref None in
       let build () =
         Telemetry.Trace.with_span "exec.bgp.hash_build" @@ fun () ->
-        let table = Hashtbl.create 256 in
-        Seq.iter
-          (fun tr ->
-            match extend_with Binding.empty tp tr with
-            | Some b -> Hashtbl.add table (List.map (Binding.get b) shared) b
-            | None -> ())
-          (Hexa.Store_sig.lookup store { Hexa.Pattern.s; p; o });
-        table
+        let t = Hashtbl.create 256 in
+        Hexa.Store_sig.iter store pat (fun s p o ->
+            Hashtbl.add t (List.map (fun read -> read s p o) readers) { Dict.Term_dict.s; p; o });
+        t
       in
-      let joined () =
-        let table = build () in
-        Seq.concat_map
-          (fun sol ->
-            let key = List.map (Binding.get sol) shared in
-            (* find_all returns most-recent-first; reverse back to build
-               (index) order so results stream deterministically. *)
-            List.to_seq (List.rev (Hashtbl.find_all table key))
-            |> Seq.filter_map (merge_bindings sol))
-          sols ()
-      in
-      counted m_rows_scan joined
-  | _ -> Seq.empty
+      let k = counted m_rows_scan k in
+      fun row ->
+        let t =
+          match !table with
+          | Some t -> t
+          | None ->
+              let t = build () in
+              table := Some t;
+              t
+        in
+        (* find_all returns most-recent-first; reverse back to build
+           (index) order so rows stream deterministically. *)
+        List.iter
+          (fun tr -> if bind_triple row acts tr then k row)
+          (List.rev (Hashtbl.find_all t (List.map (fun v -> row.(v)) shared)))
 
-let eval_choice store sols (c : Planner.choice) =
+let step store bound (c : Planner.choice) k =
+  let ctp = c.Planner.compiled in
   match c.Planner.strategy with
-  | Planner.Scan -> Seq.concat_map (eval_tp store c.Planner.tp) sols
+  | Planner.Scan -> nested store ctp bound k
   | Planner.Nested_loop ->
       Telemetry.Metrics.incr m_join_nested;
-      Seq.concat_map (eval_tp store c.Planner.tp) sols
-  | Planner.Merge_join { var; pos } ->
+      nested store ctp bound k
+  | Planner.Merge_join { pos; _ } -> (
       Telemetry.Metrics.incr m_join_merge;
-      eval_merge store c.Planner.tp var pos sols
-  | Planner.Hash_join { vars } ->
+      match Compile.atom_at ctp pos with
+      | Compile.Slot v -> merge store ctp bound v pos k
+      | Compile.Id _ | Compile.Absent -> nested store ctp bound k)
+  | Planner.Hash_join _ ->
       Telemetry.Metrics.incr m_join_hash;
-      eval_hash store c.Planner.tp vars sols
+      hash store ctp bound k
 
-(* Strategy-aware pipeline over an already-planned choice list; EXPLAIN
-   ANALYZE reuses this on plan prefixes so its per-operator cardinalities
-   come from exactly the executed operators. *)
-let eval_plan store choices =
-  List.fold_left (eval_choice store) (Seq.return Binding.empty) choices
+(* The step chain for planned choices, entered with a row in which
+   [bound] slots are set.  EXPLAIN ANALYZE runs it on plan prefixes, so
+   its per-scan cardinalities come from exactly the executed operators. *)
+let rec pipeline store bound choices k =
+  match choices with
+  | [] -> k
+  | (c : Planner.choice) :: rest ->
+      let next =
+        pipeline store (Planner.extend bound c.Planner.compiled) rest k
+      in
+      step store bound c next
 
 (* Domain-parallel BGP evaluation.  The driving scan is split into
    contiguous ranges on its sort position ([Store_sig.scan_split]); each
    range seeds the full downstream pipeline — merge/hash probes included
    — as one task on the [Par] pool, over a pinned view of the store so a
    concurrent delta writer cannot mutate what the lanes read.  Ranges
-   partition the scan in output order, and every step operator is
+   partition the scan in output order, and every step is
    left-order-preserving, so concatenating the per-domain runs in range
    order reproduces the sequential stream exactly (row counters stay
    exact; per-call counters like [query.join.*] and the hash build span
@@ -266,10 +263,9 @@ let eval_plan store choices =
    sequential path the fan-out is eager: all ranges run to completion
    even if the consumer stops early (LIMIT/ASK).
 
-   [None] means "could not fan out" (store refused the split): fall back
-   to the sequential pipeline. *)
-let eval_bgp_parallel store (first : Planner.choice) rest parts pos =
-  let tp = first.Planner.tp in
+   [false] means "could not fan out" (store refused the split): fall
+   back to the sequential pipeline. *)
+let bgp_parallel store width (first : Planner.choice) rest parts pos k =
   let fanout achieved =
     (* Planned vs achieved ranges into the flight recorder: achieved = 0
        records a refused split (the sequential fallback), and the width
@@ -278,36 +274,46 @@ let eval_bgp_parallel store (first : Planner.choice) rest parts pos =
       (Telemetry.Trace.Par_fanout
          { patterns = 1 + List.length rest; planned = parts; achieved; width = Par.domains () })
   in
-  let dict = Hexa.Store_sig.dict store in
-  match (resolve dict Binding.empty tp.s, resolve dict Binding.empty tp.p, resolve dict Binding.empty tp.o) with
-  | Some s, Some p, Some o -> (
+  let ctp = first.Planner.compiled in
+  match ctp.pattern with
+  | None -> true (* unknown constant: the pattern matches nothing *)
+  | Some pat -> (
       let view, unpin = Hexa.Store_sig.pin store in
-      Fun.protect ~finally:unpin (fun () ->
-          match Hexa.Store_sig.scan_split view { Hexa.Pattern.s; p; o } pos ~parts with
-          | None ->
-              fanout 0;
-              None
-          | Some (_ord, ranges) ->
-              fanout (Array.length ranges);
-              (* The fan-out span hands its handle to every range task,
-                 so the per-range spans (completing on pool domains)
-                 attach under the submitting query's trace tree instead
-                 of floating as per-domain roots. *)
-              Telemetry.Trace.with_span_h "exec.bgp.parallel" (fun parent ->
-                  let task range () =
-                    Telemetry.Trace.with_span ~parent "exec.bgp.par_range" (fun () ->
-                        let seed =
-                          Seq.filter_map (extend_with Binding.empty tp) range
-                          |> counted m_rows_scan
-                        in
-                        List.of_seq (List.fold_left (eval_choice view) seed rest))
-                  in
-                  let runs = Par.run (Array.map task ranges) in
-                  Some (List.to_seq (List.concat (Array.to_list runs))))))
-  | _ -> Some Seq.empty (* unknown constant: the pattern matches nothing *)
+      let runs =
+        Fun.protect ~finally:unpin (fun () ->
+            match Hexa.Store_sig.scan_split view pat pos ~parts with
+            | None ->
+                fanout 0;
+                None
+            | Some (_ord, ranges) ->
+                fanout (Array.length ranges);
+                (* The fan-out span hands its handle to every range task,
+                   so the per-range spans (completing on pool domains)
+                   attach under the submitting query's trace tree instead
+                   of floating as per-domain roots. *)
+                Telemetry.Trace.with_span_h "exec.bgp.parallel" (fun parent ->
+                    let acts = actions ctp [] in
+                    let task range () =
+                      Telemetry.Trace.with_span ~parent "exec.bgp.par_range" (fun () ->
+                          let out = ref [] in
+                          let sink =
+                            pipeline view ctp.Compile.slots rest (fun row ->
+                                out := Array.copy row :: !out)
+                          in
+                          let sink = counted m_rows_scan sink in
+                          let row = Array.make width unbound in
+                          Seq.iter (fun tr -> if bind_triple row acts tr then sink row) range;
+                          List.rev !out)
+                    in
+                    Some (Par.run (Array.map task ranges))))
+      in
+      match runs with
+      | None -> false
+      | Some runs ->
+          Array.iter (List.iter k) runs;
+          true)
 
-let eval_bgp store tps =
-  let choices = Planner.plan store tps in
+let eval_bgp store width choices k =
   (* The detail is a thunk: the recorder renders it only when the entry
      is printed or exported, never on the query path.  It holds just the
      strategies, not the choices, so the ring keeps the plan's patterns
@@ -316,167 +322,316 @@ let eval_bgp store tps =
   Telemetry.Trace.emit
     (Telemetry.Trace.Plan_choice
        {
-         patterns = List.length tps;
+         patterns = List.length choices;
          detail =
            (fun () ->
              String.concat ";" (List.map (Format.asprintf "%a" Planner.pp_strategy) strategies));
        });
+  let k = counted m_rows_bgp k in
+  let sequential () = pipeline store [] choices k (Array.make width unbound) in
   match choices with
-  | ({ Planner.par = Some { Planner.par_parts; par_pos }; _ } as first) :: rest -> (
-      match eval_bgp_parallel store first rest par_parts par_pos with
-      | Some rows -> rows
-      | None -> eval_plan store choices)
-  | _ -> eval_plan store choices
+  | ({ Planner.par = Some { Planner.par_parts; par_pos }; _ } as first) :: rest ->
+      if not (bgp_parallel store width first rest par_parts par_pos k) then sequential ()
+  | _ -> sequential ()
 
-(* --- grouping --------------------------------------------------------- *)
+(* --- algebra-level joins ------------------------------------------------------ *)
 
-module Key = struct
-  type t = Binding.value option list
+let union a b = List.sort_uniq compare (a @ b)
+let inter a b = List.filter (fun x -> List.mem x b) a
+let diff a b = List.filter (fun x -> not (List.mem x b)) a
 
-  let compare = compare
-end
-
-module Kmap = Map.Make (Key)
-
-let eval_group keys aggs solutions =
-  let groups =
-    List.fold_left
-      (fun m sol ->
-        let key = List.map (Binding.get sol) keys in
-        let bucket = match Kmap.find_opt key m with Some b -> b | None -> [] in
-        Kmap.add key (sol :: bucket) m)
-      Kmap.empty solutions
-  in
-  (* SPARQL: an empty solution multiset with aggregates yields one group. *)
-  let groups =
-    if Kmap.is_empty groups && keys = [] then Kmap.singleton [] [] else groups
-  in
-  Kmap.fold
-    (fun key bucket acc ->
-      let base =
-        List.fold_left2
-          (fun b v value ->
-            match value with None -> b | Some x -> Binding.bind b v x)
-          Binding.empty keys key
+(* The slots a node's rows always bind, and those they may bind. *)
+let rec scope (node : (Compile.tp list * Planner.choice list) Compile.t) =
+  match node with
+  | Compile.Bgp (ctps, _) ->
+      let s = List.sort_uniq compare (List.concat_map (fun (c : Compile.tp) -> c.slots) ctps) in
+      (s, s)
+  | Compile.Join (a, b) ->
+      let ca, ma = scope a and cb, mb = scope b in
+      (union ca cb, union ma mb)
+  | Compile.Left_join (a, b) ->
+      let ca, ma = scope a and _, mb = scope b in
+      (ca, union ma mb)
+  | Compile.Union (a, b) ->
+      let ca, ma = scope a and cb, mb = scope b in
+      (inter ca cb, union ma mb)
+  | Compile.Values (header, rows) ->
+      let all = Array.to_list header in
+      let always =
+        List.filteri (fun i _ -> List.for_all (fun row -> row.(i) <> unbound) rows) all
       in
-      let with_aggs =
-        List.fold_left
-          (fun b (out, agg) ->
-            let n =
-              match agg with
-              | Count_all -> List.length bucket
-              | Count_var v ->
-                  List.length (List.filter (fun sol -> Binding.mem sol v) bucket)
-              | Count_distinct v ->
-                  List.sort_uniq compare
-                    (List.filter_map (fun sol -> Binding.get sol v) bucket)
-                  |> List.length
-            in
-            Binding.bind b out (Binding.Int n))
-          base aggs
-      in
-      with_aggs :: acc)
-    groups []
-  |> List.rev
+      (List.sort_uniq compare always, List.sort_uniq compare all)
+  | Compile.Filter (_, q) | Compile.Distinct q | Compile.Order_by (_, q) | Compile.Slice (_, _, q)
+    ->
+      scope q
+  | Compile.Project (vs, q) ->
+      let c, m = scope q in
+      let kept = Array.to_list vs in
+      (inter c kept, inter m kept)
+  | Compile.Extend_group (keys, aggs, q) ->
+      let c, m = scope q in
+      let keys = Array.to_list keys and outs = List.map fst aggs in
+      (union (inter c keys) outs, union (inter m keys) outs)
 
-(* --- top-level evaluation --------------------------------------------- *)
+(* The slot a node's rows arrive sorted on, when one is known: a BGP's
+   driving-scan order, kept by every operator that streams its left
+   input in order. *)
+let rec sorted store (node : (Compile.tp list * Planner.choice list) Compile.t) =
+  match node with
+  | Compile.Bgp (_, choices) -> Planner.sorted_slot store choices
+  | Compile.Join (a, _) | Compile.Left_join (a, _) | Compile.Filter (_, a) | Compile.Distinct a
+  | Compile.Slice (_, _, a) ->
+      sorted store a
+  | Compile.Project (vs, a) -> (
+      match sorted store a with Some v when Array.mem v vs -> Some v | _ -> None)
+  | Compile.Union _ | Compile.Values _ | Compile.Extend_group _ | Compile.Order_by _ -> None
 
-let rec eval store (q : Algebra.t) : Binding.t Seq.t =
-  let dict = Hexa.Store_sig.dict store in
-  match q with
-  | Bgp tps -> counted m_rows_bgp (eval_bgp store tps)
-  | Join (a, b) ->
-      let right =
-        Telemetry.Trace.with_span "exec.join.build_right" (fun () -> List.of_seq (eval store b))
-      in
-      Seq.concat_map
-        (fun sa -> List.to_seq (List.filter_map (merge_bindings sa) right))
-        (eval store a)
-      |> counted m_rows_join
-  | Left_join (a, b) ->
-      let right =
-        Telemetry.Trace.with_span "exec.left_join.build_right" (fun () ->
-            List.of_seq (eval store b))
-      in
-      Seq.concat_map
-        (fun sa ->
-          match List.filter_map (merge_bindings sa) right with
-          | [] -> Seq.return sa
-          | merged -> List.to_seq merged)
-        (eval store a)
-      |> counted m_rows_left_join
-  | Union (a, b) -> counted m_rows_union (Seq.append (eval store a) (eval store b))
-  | Values (vs, rows) ->
-      (* Rows with a term unknown to the dictionary cannot join with any
-         data; they are dropped (documented subset behaviour). *)
-      List.to_seq rows
-      |> Seq.filter_map (fun row ->
-             let rec build b vars cells =
-               match (vars, cells) with
-               | [], [] -> Some b
-               | v :: vars, cell :: cells -> (
-                   match cell with
-                   | None -> build b vars cells
-                   | Some term -> (
-                       match Dict.Term_dict.find_term dict term with
-                       | Some id -> build (Binding.bind b v (Binding.Id id)) vars cells
-                       | None -> None))
-               | _ -> None
-             in
-             build Binding.empty vs row)
-      |> counted m_rows_values
-  | Filter (expr, q) ->
-      counted m_rows_filter (Seq.filter (fun sol -> filter_pass dict sol expr) (eval store q))
-  | Distinct q ->
+type ctx = {
+  store : Hexa.Store_sig.boxed;
+  dict : Dict.Term_dict.t;
+  width : int;
+}
+
+let rec eval ctx node (k : sink) =
+  match node with
+  | Compile.Bgp (_, choices) -> eval_bgp ctx.store ctx.width choices k
+  | Compile.Join (a, b) -> join ctx ~optional:false a b (counted m_rows_join k)
+  | Compile.Left_join (a, b) -> join ctx ~optional:true a b (counted m_rows_left_join k)
+  | Compile.Union (a, b) ->
+      let k = counted m_rows_union k in
+      eval ctx a k;
+      eval ctx b k
+  | Compile.Values (header, rows) ->
+      let k = counted m_rows_values k in
+      let row = Array.make ctx.width unbound in
+      List.iter
+        (fun cells ->
+          Array.iteri (fun i s -> row.(s) <- cells.(i)) header;
+          k row)
+        rows
+  | Compile.Filter (e, q) ->
+      let k = counted m_rows_filter k in
+      eval ctx q (fun row -> if passes ctx.dict row e then k row)
+  | Compile.Distinct q ->
+      let k = counted m_rows_distinct k in
       let seen = Hashtbl.create 64 in
-      Seq.filter
-        (fun sol ->
-          let key = Binding.to_list sol in
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.add seen key ();
-            true
+      eval ctx q (fun row ->
+          if not (Hashtbl.mem seen row) then begin
+            Hashtbl.add seen (Array.copy row) ();
+            k row
           end)
-        (eval store q)
-      |> counted m_rows_distinct
-  | Project (vs, q) ->
-      Seq.map
-        (fun sol ->
-          List.fold_left
-            (fun b v ->
-              match Binding.get sol v with None -> b | Some x -> Binding.bind b v x)
-            Binding.empty vs)
-        (eval store q)
-      |> counted m_rows_project
-  | Extend_group (keys, aggs, q) ->
-      Telemetry.Trace.with_span "exec.group" (fun () ->
-          List.to_seq (eval_group keys aggs (List.of_seq (eval store q))))
-      |> counted m_rows_group
-  | Order_by (orders, q) ->
-      let sols =
-        Telemetry.Trace.with_span "exec.order_by.collect" (fun () ->
-            List.of_seq (eval store q))
+  | Compile.Project (vs, q) ->
+      let k = counted m_rows_project k in
+      let keeps_all =
+        let rec from s = s = ctx.width || (Array.mem s vs && from (s + 1)) in
+        from 0
       in
-      let cmp a b =
-        let rec loop = function
-          | [] -> 0
-          | { key; descending } :: rest ->
-              let c =
-                match (Binding.get a key, Binding.get b key) with
-                | None, None -> 0
-                | None, Some _ -> -1
-                | Some _, None -> 1
-                | Some x, Some y -> compare_values dict x y
-              in
-              if c <> 0 then if descending then -c else c else loop rest
+      let dropped = if keeps_all then [] else diff (snd (scope q)) (Array.to_list vs) in
+      if dropped = [] then eval ctx q k
+      else
+        let dropped = Array.of_list dropped in
+        let saved = Array.make (Array.length dropped) unbound in
+        eval ctx q (fun row ->
+            Array.iteri
+              (fun j s ->
+                saved.(j) <- row.(s);
+                row.(s) <- unbound)
+              dropped;
+            k row;
+            Array.iteri (fun j s -> row.(s) <- saved.(j)) dropped)
+  | Compile.Extend_group (keys, aggs, q) -> group ctx keys aggs q (counted m_rows_group k)
+  | Compile.Order_by (orders, q) -> order_by ctx orders q (counted m_rows_order k)
+  | Compile.Slice (offset, limit, q) -> (
+      let k = counted m_rows_slice k in
+      let offset = max 0 (Option.value offset ~default:0) in
+      match limit with
+      | Some n when n <= 0 -> ()
+      | _ -> (
+          let exception Done in
+          let skipped = ref 0 and emitted = ref 0 in
+          match
+            eval ctx q (fun row ->
+                if !skipped < offset then incr skipped
+                else begin
+                  k row;
+                  incr emitted;
+                  match limit with Some n when !emitted >= n -> raise Done | _ -> ()
+                end)
+          with
+          | () -> ()
+          | exception Done -> ()))
+
+and collect ctx node =
+  let out = ref [] in
+  eval ctx node (fun row -> out := Array.copy row :: !out);
+  List.rev !out
+
+(* Join and OPTIONAL between algebra nodes.  The right side is built
+   once (rows copied out), then every left row probes it: by hash on the
+   slots both sides always bind, by merge when both sides arrive sorted
+   on one of those slots, and by a nested loop over every right row only
+   when no slot is shared for sure — a true cross product, or slots only
+   OPTIONAL parts may bind, which a per-pair check then compares.  A
+   matching right row fills the left row's unbound slots in place, which
+   are restored after the row is passed on. *)
+and join ctx ~optional a b k =
+  let ca, ma = scope a and cb, mb = scope b in
+  let key = inter ca cb and shared = inter ma mb in
+  let fill = Array.of_list (diff mb ca) in
+  let right =
+    Telemetry.Trace.with_span
+      (if optional then "exec.left_join.build_right" else "exec.join.build_right")
+      (fun () -> collect ctx b)
+  in
+  let saved = Array.make (Array.length fill) unbound in
+  (* Pass [row] merged with the right row [r] on, when they agree on the
+     shared slots the probe did not already match. *)
+  let emit checks row r =
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < Array.length checks do
+      let s = checks.(!i) in
+      let x = row.(s) and y = r.(s) in
+      if x <> unbound && y <> unbound && x <> y then ok := false;
+      incr i
+    done;
+    if !ok then begin
+      Array.iteri
+        (fun j s ->
+          saved.(j) <- row.(s);
+          if row.(s) = unbound then row.(s) <- r.(s))
+        fill;
+      k row;
+      Array.iteri (fun j s -> row.(s) <- saved.(j)) fill
+    end;
+    !ok
+  in
+  let probe matched_on candidates =
+    let checks = Array.of_list (diff shared matched_on) in
+    fun row ->
+      let matched = List.fold_left (fun m r -> emit checks row r || m) false (candidates row) in
+      if optional && not matched then k row
+  in
+  if right = [] && not optional then ()
+  else
+    match (sorted ctx.store a, sorted ctx.store b) with
+    | Some v, Some v' when v = v' && List.mem v key ->
+        (* Merge: both sides ascend on [v]; the cursor only moves
+           forward, and a run of equal right keys serves every left row
+           with that key. *)
+        let right = Array.of_list right in
+        let n = Array.length right in
+        let cursor = ref 0 in
+        let run row =
+          let x = row.(v) in
+          while !cursor < n && right.(!cursor).(v) < x do
+            incr cursor
+          done;
+          let rec from j = if j < n && right.(j).(v) = x then right.(j) :: from (j + 1) else [] in
+          from !cursor
         in
-        loop orders
-      in
-      counted m_rows_order (List.to_seq (List.stable_sort cmp sols))
-  | Slice (offset, limit, q) ->
-      let s = eval store q in
-      let s = match offset with None -> s | Some n -> Seq.drop n s in
-      counted m_rows_slice (match limit with None -> s | Some n -> Seq.take n s)
+        eval ctx a (probe [ v ] run)
+    | _ when key <> [] ->
+        let table = Hashtbl.create (max 16 (List.length right)) in
+        let key_of row = List.map (fun s -> row.(s)) key in
+        List.iter (fun r -> Hashtbl.add table (key_of r) r) right;
+        eval ctx a (probe key (fun row -> List.rev (Hashtbl.find_all table (key_of row))))
+    | _ -> eval ctx a (probe [] (fun _ -> right))
+
+(* Aggregates accumulate per group as rows stream past; only the
+   groups are kept, never the rows. *)
+and group ctx keys aggs q k =
+  let aggs = Array.of_list aggs in
+  let fresh () =
+    ( Array.make (Array.length aggs) 0,
+      Array.map
+        (function _, Compile.Count_distinct _ -> Some (Hashtbl.create 8) | _ -> None)
+        aggs )
+  in
+  let groups = Hashtbl.create 16 in
+  Telemetry.Trace.with_span "exec.group" (fun () ->
+      eval ctx q (fun row ->
+          let key = Array.fold_right (fun s acc -> row.(s) :: acc) keys [] in
+          let counts, seen =
+            match Hashtbl.find_opt groups key with
+            | Some acc -> acc
+            | None ->
+                let acc = fresh () in
+                Hashtbl.add groups key acc;
+                acc
+          in
+          Array.iteri
+            (fun i (_, agg) ->
+              match (agg, seen.(i)) with
+              | Compile.Count_all, _ -> counts.(i) <- counts.(i) + 1
+              | Compile.Count_var s, _ -> if row.(s) <> unbound then counts.(i) <- counts.(i) + 1
+              | Compile.Count_distinct s, Some set ->
+                  let x = row.(s) in
+                  if x <> unbound && not (Hashtbl.mem set x) then begin
+                    Hashtbl.add set x ();
+                    counts.(i) <- counts.(i) + 1
+                  end
+              | Compile.Count_distinct _, None -> ())
+            aggs));
+  (* SPARQL: an empty solution multiset with aggregates yields one group. *)
+  if Hashtbl.length groups = 0 && keys = [||] then Hashtbl.add groups [] (fresh ());
+  (* Groups come out in key order: unbound, then term ids, then
+     aggregate integers. *)
+  let rank x = if x = unbound then (0, 0) else if x >= 0 then (1, x) else (2, -2 - x) in
+  let sorted =
+    List.sort
+      (fun (a, _) (b, _) -> compare (List.map rank a) (List.map rank b))
+      (List.of_seq (Hashtbl.to_seq groups))
+  in
+  let row = Array.make ctx.width unbound in
+  List.iter
+    (fun (key, (counts, _)) ->
+      List.iteri (fun i x -> row.(keys.(i)) <- x) key;
+      Array.iteri (fun i (out, _) -> row.(out) <- Binding.encode (Binding.Int counts.(i))) aggs;
+      k row)
+    sorted
+
+(* ORDER BY computes each row's sort keys once, sorts the decorated
+   rows stably, then passes the rows on. *)
+and order_by ctx orders q k =
+  let rows = Telemetry.Trace.with_span "exec.order_by.collect" (fun () -> collect ctx q) in
+  let orders = Array.of_list orders in
+  let decorated =
+    Array.of_list
+      (List.map (fun row -> (Array.map (fun (s, _) -> key_of ctx.dict row.(s)) orders, row)) rows)
+  in
+  let cmp (ka, _) (kb, _) =
+    let rec loop i =
+      if i = Array.length orders then 0
+      else
+        let c = compare_keys ka.(i) kb.(i) in
+        if c <> 0 then if snd orders.(i) then -c else c else loop (i + 1)
+    in
+    loop 0
+  in
+  Array.stable_sort cmp decorated;
+  Array.iter (fun (_, row) -> k row) decorated
+
+(* --- entry points ------------------------------------------------------------ *)
+
+let plan store (c : Compile.query) =
+  Compile.map_bgp (fun ctps -> (ctps, Planner.plan_compiled store ctps)) c.Compile.tree
+
+(* Compile, plan and run a query into [k]; the schema of its rows. *)
+let evaluate store q k =
+  let dict = Hexa.Store_sig.dict store in
+  let c = Compile.compile dict q in
+  eval { store; dict; width = Array.length c.Compile.names } (plan store c) k;
+  c.Compile.names
+
+let solutions store q =
+  let out = ref [] in
+  let names = evaluate store q (fun row -> out := Array.copy row :: !out) in
+  List.rev_map (Binding.of_row names) !out
+
+let count_rows store q =
+  let n = ref 0 in
+  ignore (evaluate store q (fun _ -> incr n));
+  !n
 
 (* Flight-recorder labels: the root operator plus the total pattern
    count — compact enough for a ring slot, specific enough to find the
@@ -517,51 +672,57 @@ let recorded_entry q rows_of f =
   Telemetry.Trace.emit (Telemetry.Trace.Query_end { op; patterns; rows = rows_of x });
   x
 
-let run_seq store q = eval store q
+let run_seq store q () = List.to_seq (solutions store q) ()
 
 let run store q =
   recorded_entry q List.length (fun () ->
-      Telemetry.Trace.with_span "exec.run" (fun () -> List.of_seq (eval store q)))
+      Telemetry.Trace.with_span "exec.run" (fun () -> solutions store q))
 
 let ask store q =
   recorded_entry q
     (fun b -> if b then 1 else 0)
     (fun () ->
-      Telemetry.Trace.with_span "exec.ask" (fun () -> not (Seq.is_empty (eval store q))))
+      Telemetry.Trace.with_span "exec.ask" (fun () ->
+          let exception Found in
+          match evaluate store q (fun _ -> raise Found) with
+          | _ -> false
+          | exception Found -> true))
 
 let count store q =
   recorded_entry q Fun.id (fun () ->
-      Telemetry.Trace.with_span "exec.count" (fun () -> Seq.length (eval store q)))
+      Telemetry.Trace.with_span "exec.count" (fun () -> count_rows store q))
 
 let construct store ~template q =
   recorded_entry q List.length @@ fun () ->
   Telemetry.Trace.with_span "exec.construct" @@ fun () ->
   let dict = Hexa.Store_sig.dict store in
-  let term_of_atom sol = function
-    | Term t -> Some t
-    | Var v -> (
-        match Binding.get sol v with None -> None | Some value -> Binding.term dict value)
+  let out = ref Rdf.Triple.Set.empty in
+  let rows = ref [] in
+  let names = evaluate store q (fun row -> rows := Array.copy row :: !rows) in
+  let slot v =
+    let rec find i = if i = Array.length names then -1 else if names.(i) = v then i else find (i + 1) in
+    find 0
   in
-  let instantiate sol (tp : tp) =
-    match (term_of_atom sol tp.s, term_of_atom sol tp.p, term_of_atom sol tp.o) with
-    | Some s, Some p, Some o -> (
-        match Rdf.Triple.make s p o with
-        | triple -> Some triple
-        | exception Invalid_argument _ -> None)
-    | _ -> None
+  let term_of_atom row = function
+    | Algebra.Term t -> Some t
+    | Algebra.Var v -> (
+        match slot v with
+        | -1 -> None
+        | s -> Option.bind (Binding.decode row.(s)) (Binding.term dict))
   in
-  let out =
-    Seq.fold_left
-      (fun acc sol ->
-        List.fold_left
-          (fun acc tp ->
-            match instantiate sol tp with
-            | Some triple -> Rdf.Triple.Set.add triple acc
-            | None -> acc)
-          acc template)
-      Rdf.Triple.Set.empty (eval store q)
-  in
-  Rdf.Triple.Set.elements out
+  List.iter
+    (fun row ->
+      List.iter
+        (fun (tp : Algebra.tp) ->
+          match (term_of_atom row tp.s, term_of_atom row tp.p, term_of_atom row tp.o) with
+          | Some s, Some p, Some o -> (
+              match Rdf.Triple.make s p o with
+              | triple -> out := Rdf.Triple.Set.add triple !out
+              | exception Invalid_argument _ -> ())
+          | _ -> ())
+        template)
+    !rows;
+  Rdf.Triple.Set.elements !out
 
 (* --- EXPLAIN ---------------------------------------------------------- *)
 
@@ -615,19 +776,21 @@ let achieved_fanout store (c : Planner.choice) =
   match c.Planner.par with
   | None -> None
   | Some { Planner.par_parts; par_pos } -> (
-      let tp = c.Planner.tp in
-      let dict = Hexa.Store_sig.dict store in
-      match (resolve dict Binding.empty tp.s, resolve dict Binding.empty tp.p, resolve dict Binding.empty tp.o) with
-      | Some s, Some p, Some o ->
+      match c.Planner.compiled.pattern with
+      | Some pat ->
           let view, unpin = Hexa.Store_sig.pin store in
           Fun.protect ~finally:unpin (fun () ->
-              match
-                Hexa.Store_sig.scan_split view { Hexa.Pattern.s; p; o } par_pos
-                  ~parts:par_parts
-              with
+              match Hexa.Store_sig.scan_split view pat par_pos ~parts:par_parts with
               | None -> Some 0
               | Some (_ord, ranges) -> Some (Array.length ranges))
-      | _ -> Some 0)
+      | None -> Some 0)
+
+(* Rows out of the first steps of a planned BGP: the same step chain
+   the executor runs. *)
+let count_prefix store width prefix =
+  let n = ref 0 in
+  pipeline store [] prefix (fun _ -> incr n) (Array.make width unbound);
+  !n
 
 let rec explain_build ~analyze store (q : Algebra.t) : explain_node =
   (* ANALYZE evaluates each node's sub-plan independently (and plan
@@ -636,7 +799,7 @@ let rec explain_build ~analyze store (q : Algebra.t) : explain_node =
      operator.  Timings read the injectable {!Telemetry.Clock}. *)
   let node ?estimate ?selectivity op detail children =
     let actual_rows, time_s, probes, gc_words =
-      measure_eval ~analyze (fun () -> Seq.length (eval store q))
+      measure_eval ~analyze (fun () -> count_rows store q)
     in
     { op; detail; estimate; selectivity; actual_rows; time_s; probes; gc_words; children }
   in
@@ -644,12 +807,15 @@ let rec explain_build ~analyze store (q : Algebra.t) : explain_node =
   match q with
   | Bgp tps ->
       let choices = Planner.plan store tps in
+      let width =
+        1 + List.fold_left (fun m (c : Planner.choice) -> List.fold_left max m (c.Planner.compiled.Compile.slots)) (-1) choices
+      in
       let scans =
         List.mapi
           (fun i (c : Planner.choice) ->
             let prefix = List.filteri (fun j _ -> j <= i) choices in
             let actual_rows, time_s, probes, gc_words =
-              measure_eval ~analyze (fun () -> Seq.length (eval_plan store prefix))
+              measure_eval ~analyze (fun () -> count_prefix store width prefix)
             in
             {
               op = "scan";

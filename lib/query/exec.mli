@@ -1,16 +1,29 @@
 (** Query evaluation over any {!Hexa.Store_sig.boxed} store.
 
-    BGPs execute as a pipeline of lazily streaming join steps, one per
-    planned pattern ({!Planner.plan}), each under the strategy the
-    planner picked: merge joins leapfrog the accumulated bindings
-    against a store-served sorted scan with galloping seeks
-    ({!Hexa.Store_sig.scan_sorted}); hash joins buffer a small pattern's
-    matches keyed on the shared variables; nested-loop steps drive a
-    pattern lookup in the store's best index per solution.  Every
-    operator preserves its left input's order, which is what keeps the
-    merge strategy sound downstream of the first scan.  Executed steps
-    are tallied in the [query.join.merge]/[query.join.hash]/
-    [query.join.nested] counters. *)
+    A query runs in three steps.  {!Compile} gives each variable a
+    column slot and resolves each constant to its dictionary id once;
+    {!Planner.plan_compiled} orders every BGP; then the operators push
+    solutions as unboxed [int array] rows, one cell per slot (encoding
+    in {!Binding}), from operator to operator.  An operator binds the
+    slots it adds in place and restores them after passing the row on,
+    so rows are copied only where they are kept: the right side of a
+    join, DISTINCT's seen set, ORDER BY's input and the final result.
+
+    BGPs run as a chain of join steps, one per planned pattern, under
+    the strategy the planner picked: merge joins gallop the store's
+    sorted cursor ({!Hexa.Store_sig.seek_sorted}) along the rows' sort
+    order; hash joins buffer a small pattern's matches keyed on the
+    shared slots; nested-loop steps probe the store once per row.
+    Every step keeps its input's order, which is what keeps the merge
+    strategy sound downstream of the first scan.  Executed steps are
+    tallied in the [query.join.merge]/[query.join.hash]/
+    [query.join.nested] counters.
+
+    Algebra [Join] and [Left_join] build their right side once and
+    probe it per left row: a merge join when both sides arrive sorted on
+    a slot they always bind, a hash join on the slots both always bind
+    otherwise, and a nested loop only when no slot is surely shared.
+    Decoding to terms is left to {!Results}. *)
 
 val query_label : Algebra.t -> string
 (** Compact flight-recorder label: the root operator plus total pattern
@@ -19,9 +32,9 @@ val query_label : Algebra.t -> string
     label (a crash therefore shows as an unmatched start in the dump). *)
 
 val run_seq : Hexa.Store_sig.boxed -> Algebra.t -> Binding.t Seq.t
-(** Lazy evaluation; blocking operators (group, order) materialise
-    internally.  Unlike the blocking entry points, emits no
-    flight-recorder events (there is no completion point to record). *)
+(** {!run} deferred until the sequence is first forced, which evaluates
+    the whole query.  Unlike the blocking entry points, emits no
+    flight-recorder events. *)
 
 val run : Hexa.Store_sig.boxed -> Algebra.t -> Binding.t list
 
@@ -36,11 +49,6 @@ val construct :
     with an unbound variable, a literal subject or a non-IRI predicate
     are skipped (standard CONSTRUCT semantics); the result is sorted and
     de-duplicated. *)
-
-val compare_values : Dict.Term_dict.t -> Binding.value -> Binding.value -> int
-(** Value order used by filters and ORDER BY: numbers (aggregate ints and
-    numeric literals) compare numerically and sort before other terms,
-    which compare by their N-Triples spelling. *)
 
 (** {1 EXPLAIN}
 

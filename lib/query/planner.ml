@@ -15,18 +15,11 @@ let ord_index = function
   | Hexa.Ordering.Osp -> 4
   | Hexa.Ordering.Ops -> 5
 
-let id_of_atom dict = function
-  | Algebra.Var _ -> Some None  (* wildcard *)
-  | Algebra.Term t -> (
-      match Dict.Term_dict.find_term dict t with
-      | None -> None  (* unknown constant: the pattern can match nothing *)
-      | Some id -> Some (Some id))
+let estimate_compiled store (ctp : Compile.tp) =
+  match ctp.Compile.pattern with Some pat -> Hexa.Store_sig.count store pat | None -> 0
 
-let estimate store (tp : Algebra.tp) =
-  let dict = Hexa.Store_sig.dict store in
-  match (id_of_atom dict tp.s, id_of_atom dict tp.p, id_of_atom dict tp.o) with
-  | Some s, Some p, Some o -> Hexa.Store_sig.count store { Hexa.Pattern.s; p; o }
-  | _ -> 0
+let estimate store tp =
+  List.fold_left (fun _ ctp -> estimate_compiled store ctp) 0 (Compile.bgp (Hexa.Store_sig.dict store) [ tp ])
 
 type strategy =
   | Scan
@@ -52,6 +45,7 @@ type choice = {
   index : Hexa.Ordering.t;
   strategy : strategy;
   par : par_hint option;
+  compiled : Compile.tp;
 }
 
 (* domain-safety: test-only — ablation switch flipped by the benchmark
@@ -84,48 +78,40 @@ let pp_strategy ppf = function
       Format.fprintf ppf "hash(%s)" (String.concat "," (List.map (( ^ ) "?") vars))
 
 (* The shape a pattern will present at execution time, given the
-   variables bound by the choices before it: a position is bound if it
-   is a constant or a variable some earlier pattern binds. *)
-let runtime_shape bound (tp : Algebra.tp) =
+   slots bound by the choices before it: a position is bound if it is a
+   constant or a slot some earlier pattern binds. *)
+let runtime_shape bound (ctp : Compile.tp) =
   let b = function
-    | Algebra.Term _ -> Some 0
-    | Algebra.Var v -> if List.mem v bound then Some 0 else None
+    | Compile.Slot i -> if List.mem i bound then Some 0 else None
+    | Compile.Id _ | Compile.Absent -> Some 0
   in
-  Hexa.Pattern.shape { Hexa.Pattern.s = b tp.s; p = b tp.p; o = b tp.o }
+  Hexa.Pattern.shape { Hexa.Pattern.s = b ctp.s; p = b ctp.p; o = b ctp.o }
 
-(* The constants-only pattern of a tp: variables free, constants
-   resolved.  [None] when a constant is unknown to the dictionary (the
-   pattern matches nothing). *)
-let pattern_of_tp dict (tp : Algebra.tp) =
-  match (id_of_atom dict tp.s, id_of_atom dict tp.p, id_of_atom dict tp.o) with
-  | Some s, Some p, Some o -> Some { Hexa.Pattern.s; p; o }
-  | _ -> None
+let positions = [ Hexa.Pattern.Subj; Hexa.Pattern.Pred; Hexa.Pattern.Obj ]
 
-let atom_at (tp : Algebra.tp) = function
-  | Hexa.Pattern.Subj -> tp.s
-  | Hexa.Pattern.Pred -> tp.p
-  | Hexa.Pattern.Obj -> tp.o
-
-(* The position where variable [v] occurs in [tp], when it occurs at
+(* The position where slot [v] occurs in the pattern, when it occurs at
    exactly one position (a repeated variable needs post-filtering the
    merge kernel does not do). *)
-let sole_position_of v tp =
-  let occs =
-    List.filter
-      (fun pos -> atom_at tp pos = Algebra.Var v)
-      [ Hexa.Pattern.Subj; Hexa.Pattern.Pred; Hexa.Pattern.Obj ]
-  in
-  match occs with [ pos ] -> Some pos | _ -> None
+let sole_position_of v ctp =
+  match List.filter (fun pos -> Compile.atom_at ctp pos = Compile.Slot v) positions with
+  | [ pos ] -> Some pos
+  | _ -> None
 
-(* The variable a fresh scan of [tp] through [ord] streams sorted on:
-   the first priority position holding an unbound variable.  Every BGP
-   step operator is left-order-preserving, so whatever the first scan
-   establishes holds for the whole pipeline. *)
-let first_free_var ord tp bound =
+(* The variable's name, for EXPLAIN: read off the pattern as written. *)
+let name_of ctp v =
+  match List.find_opt (fun pos -> Compile.atom_at ctp pos = Compile.Slot v) positions with
+  | Some pos -> (
+      let src = ctp.Compile.src in
+      match (match pos with Hexa.Pattern.Subj -> src.s | Pred -> src.p | Obj -> src.o) with
+      | Algebra.Var name -> name
+      | Algebra.Term _ -> "")
+  | None -> ""
+
+let first_free_slot ord ctp bound =
   List.find_map
     (fun pos ->
-      match atom_at tp pos with
-      | Algebra.Var v when not (List.mem v bound) -> Some v
+      match Compile.atom_at ctp pos with
+      | Compile.Slot v when not (List.mem v bound) -> Some v
       | _ -> None)
     (Hexa.Ordering.positions ord)
 
@@ -135,98 +121,107 @@ let first_free_var ord tp bound =
    variable (splitting on the sort position keeps per-range output
    order, so the in-order merge of the per-domain runs reproduces the
    sequential stream exactly). *)
-let par_hint_for store dict ord (tp : Algebra.tp) est =
+let par_hint_for store ord (ctp : Compile.tp) est =
   let parts = Par.domains () in
   if parts <= 1 || est < !parallel_min_rows then None
   else
-    match first_free_var ord tp [] with
+    match first_free_slot ord ctp [] with
     | None -> None
     | Some v -> (
-        match (sole_position_of v tp, pattern_of_tp dict tp) with
-        | Some pos, Some pat
-          when Hexa.Store_sig.scan_sorted store pat pos <> None ->
+        match (sole_position_of v ctp, ctp.pattern) with
+        | Some pos, Some pat when Hexa.Store_sig.seek_sorted store pat pos <> None ->
             Some { par_parts = parts; par_pos = pos }
         | _ -> None)
 
-let plan store tps =
+(* [bound] plus the slots of one more pattern. *)
+let extend bound (ctp : Compile.tp) =
+  List.fold_left (fun acc v -> if List.mem v acc then acc else v :: acc) bound ctp.slots
+
+let plan_compiled store ctps =
   Telemetry.Metrics.incr m_plans;
-  let dict = Hexa.Store_sig.dict store in
   let n = Hexa.Store_sig.size store in
-  let numbered = List.mapi (fun i tp -> (i, tp, estimate store tp)) tps in
-  let shares_var bound tp =
-    List.exists (fun v -> List.mem v bound) (Algebra.vars_of_tp tp)
-  in
+  let numbered = List.mapi (fun i ctp -> (i, ctp, estimate_compiled store ctp)) ctps in
   let rec pick bound sorted_on remaining acc =
     match remaining with
     | [] -> List.rev acc
-    | _ ->
+    | first :: _ ->
         (* Prefer patterns connected to what is already bound; among those
-           (or among all, when none connects), the smallest estimate. *)
-        let connected = List.filter (fun (_, tp, _) -> shares_var bound tp) remaining in
-        let pool = if connected = [] then remaining else connected in
-        let best =
-          List.fold_left
-            (fun best ((i, _, est) as cand) ->
-              match best with
-              | None -> Some cand
-              | Some (bi, _, best_est) ->
-                  if est < best_est || (est = best_est && i < bi) then Some cand else best)
-            None pool
+           (or among all, when none connects), the smallest estimate,
+           ties to the earlier pattern. *)
+        let connected (_, (ctp : Compile.tp), _) = List.exists (fun v -> List.mem v bound) ctp.slots in
+        let best = ref first and best_connected = ref (connected first) in
+        List.iter
+          (fun ((i, _, est) as cand) ->
+            let c = connected cand in
+            let bi, _, best_est = !best in
+            if (c && not !best_connected)
+               || (c = !best_connected && (est < best_est || (est = best_est && i < bi)))
+            then begin
+              best := cand;
+              best_connected := c
+            end)
+          remaining;
+        let i, ctp, est = !best in
+        let nested_index = Hexa.Ordering.for_shape (runtime_shape bound ctp) in
+        let hash_or_nested shared =
+          if est > 0 && est <= hash_build_limit then
+            (Hash_join { vars = List.map (name_of ctp) shared }, nested_index)
+          else (Nested_loop, nested_index)
         in
-        (match best with
-        | None -> List.rev acc
-        | Some (i, tp, est) ->
-            let nested_index = Hexa.Ordering.for_shape (runtime_shape bound tp) in
-            let hash_or_nested shared =
-              if est > 0 && est <= hash_build_limit then
-                (Hash_join { vars = shared }, nested_index)
-              else (Nested_loop, nested_index)
-            in
-            let strategy, index =
-              if acc = [] then (Scan, nested_index)
-              else if !nested_loop_only then (Nested_loop, nested_index)
-              else
-                match List.filter (fun v -> List.mem v bound) (Algebra.vars_of_tp tp) with
-                | [] -> (Nested_loop, nested_index)
-                | [ v ] when sorted_on = Some v -> (
-                    (* Both sides stream sorted on [v]: the accumulated
-                       bindings by the first scan's order, the pattern by
-                       a store-served sorted scan — a merge join. *)
-                    match (sole_position_of v tp, pattern_of_tp dict tp) with
-                    | Some pos, Some pat
-                      when pat.Hexa.Pattern.s <> None || pat.p <> None
-                           || pat.o <> None -> (
-                        (* At least one constant must narrow the scan: a
-                           sorted scan of a fully-free pattern walks
-                           every header bucket — the nested loop's probe
-                           pattern with seek overhead on top — so merge
-                           never wins there. *)
-                        match Hexa.Store_sig.scan_sorted store pat pos with
-                        | Some (ord, _) -> (Merge_join { var = v; pos }, ord)
-                        | None -> hash_or_nested [ v ])
-                    | _ -> hash_or_nested [ v ])
-                | shared -> hash_or_nested shared
-            in
-            Telemetry.Metrics.incr m_scan_index.(ord_index index);
-            let par = if acc = [] then par_hint_for store dict index tp est else None in
-            let choice =
-              {
-                tp;
-                estimate = est;
-                selectivity = (if n = 0 then 0. else float_of_int est /. float_of_int n);
-                index;
-                strategy;
-                par;
-              }
-            in
-            let sorted_on =
-              if acc = [] then first_free_var index tp bound else sorted_on
-            in
-            let remaining = List.filter (fun (j, _, _) -> j <> i) remaining in
-            let bound = List.sort_uniq compare (bound @ Algebra.vars_of_tp tp) in
-            pick bound sorted_on remaining (choice :: acc))
+        let strategy, index =
+          if acc = [] then (Scan, nested_index)
+          else if !nested_loop_only then (Nested_loop, nested_index)
+          else
+            match List.filter (fun v -> List.mem v bound) ctp.slots with
+            | [] -> (Nested_loop, nested_index)
+            | [ v ] when sorted_on = Some v -> (
+                (* Both sides stream sorted on [v]: the accumulated rows
+                   by the first scan's order, the pattern by a
+                   store-served sorted scan — a merge join. *)
+                match (sole_position_of v ctp, ctp.pattern) with
+                | Some pos, Some pat
+                  when pat.Hexa.Pattern.s <> None || pat.p <> None || pat.o <> None -> (
+                    (* At least one constant must narrow the scan: a
+                       sorted scan of a fully-free pattern walks every
+                       header bucket — the nested loop's probe pattern
+                       with seek overhead on top — so merge never wins
+                       there. *)
+                    match Hexa.Store_sig.seek_sorted store pat pos with
+                    | Some (ord, _) -> (Merge_join { var = name_of ctp v; pos }, ord)
+                    | None -> hash_or_nested [ v ])
+                | _ -> hash_or_nested [ v ])
+            | shared -> hash_or_nested shared
+        in
+        Telemetry.Metrics.incr m_scan_index.(ord_index index);
+        let par = if acc = [] then par_hint_for store index ctp est else None in
+        let choice =
+          {
+            tp = ctp.src;
+            estimate = est;
+            selectivity = (if n = 0 then 0. else float_of_int est /. float_of_int n);
+            index;
+            strategy;
+            par;
+            compiled = ctp;
+          }
+        in
+        let sorted_on = if acc = [] then first_free_slot index ctp bound else sorted_on in
+        let remaining = List.filter (fun (j, _, _) -> j <> i) remaining in
+        pick (extend bound ctp) sorted_on remaining (choice :: acc)
   in
   pick [] None numbered []
+
+let sorted_slot store = function
+  | [] -> None
+  | first :: _ -> (
+      match first_free_slot first.index first.compiled [] with
+      | None -> None
+      | Some v -> (
+          match (sole_position_of v first.compiled, first.compiled.pattern) with
+          | Some pos, Some pat when Hexa.Store_sig.seek_sorted store pat pos <> None -> Some v
+          | _ -> None))
+
+let plan store tps = plan_compiled store (Compile.bgp (Hexa.Store_sig.dict store) tps)
 
 let order_bgp store tps = List.map (fun c -> c.tp) (plan store tps)
 

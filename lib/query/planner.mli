@@ -70,6 +70,7 @@ type choice = {
           merge join, the refined pattern's serving ordering otherwise *)
   strategy : strategy;
   par : par_hint option;  (** set only on the first (driving-scan) step *)
+  compiled : Compile.tp;  (** [tp] with its slots and resolved constants *)
 }
 
 val nested_loop_only : bool ref
@@ -93,7 +94,22 @@ val pp_strategy : Format.formatter -> strategy -> unit
 
 val plan : Hexa.Store_sig.boxed -> Algebra.tp list -> choice list
 (** Execution order for the patterns of a BGP, with the evidence behind
-    each pick.  Deterministic: ties break on the original position. *)
+    each pick.  Deterministic: ties break on the original position.
+    Compiles the patterns on their own ({!Compile.bgp}) and plans them. *)
+
+val plan_compiled : Hexa.Store_sig.boxed -> Compile.tp list -> choice list
+(** [plan] over patterns the query compiler already resolved: the
+    executor's entry, so no constant is looked up twice. *)
+
+val extend : int list -> Compile.tp -> int list
+(** A set of bound slots plus a pattern's slots. *)
+
+val sorted_slot : Hexa.Store_sig.boxed -> choice list -> int option
+(** The slot a planned BGP's rows arrive sorted on: the first free
+    variable of the driving scan, which every later step keeps in order.
+    [None] unless the store serves that scan sorted
+    ({!Hexa.Store_sig.scan_sorted}), the proof that its lookups stream in
+    the ordering's order. *)
 
 val order_bgp : Hexa.Store_sig.boxed -> Algebra.tp list -> Algebra.tp list
 (** [plan] without the evidence. *)

@@ -26,6 +26,13 @@ type token =
   | T_lparen
   | T_rparen
 
+(* Evaluation builds each property's [Rdf.Term.iri]; an IRI it would
+   reject is a syntax error here, not an exception there. *)
+let checked iri =
+  match Rdf.Term.iri iri with
+  | _ -> iri
+  | exception Invalid_argument m -> fail "%s" m
+
 let tokenize ns text =
   let n = String.length text in
   let toks = ref [] in
@@ -52,7 +59,7 @@ let tokenize ns text =
           incr j
         done;
         if !j >= n then fail "unterminated IRI";
-        toks := T_iri (String.sub text (!i + 1) (!j - !i - 1)) :: !toks;
+        toks := T_iri (checked (String.sub text (!i + 1) (!j - !i - 1))) :: !toks;
         i := !j + 1
     | c when is_pname_char c ->
         let start = !i in
@@ -68,7 +75,7 @@ let tokenize ns text =
           | exception Not_found -> fail "unbound prefix in %S" word
           | exception Invalid_argument _ -> fail "malformed prefixed name %S" word
         in
-        toks := T_iri iri :: !toks;
+        toks := T_iri (checked iri) :: !toks;
         i := !j
     | c -> fail "unexpected character %C" c)
   done;
@@ -145,7 +152,7 @@ let parse ?namespaces text =
 
 (* --- evaluation --------------------------------------------------------- *)
 
-let pid h iri = Dict.Term_dict.find_term (Hexa.Hexastore.dict h) (Rdf.Term.iri iri)
+let pid h iri = Compile.term_id (Hexa.Hexastore.dict h) (Rdf.Term.iri iri)
 
 (* Forward step over one property for a sorted frontier. *)
 let step_pred h p frontier =

@@ -1,10 +1,40 @@
-let cell dict sol col =
-  match Binding.get sol col with
-  | None -> ""
-  | Some v -> Binding.value_to_string dict v
+(* Rows view one shared schema: resolve the columns to slots once per
+   schema, not once per cell. *)
+let column_slots ~columns schema =
+  List.map
+    (fun col ->
+      let rec find i = if i = Array.length schema then -1 else if schema.(i) = col then i else find (i + 1) in
+      find 0)
+    columns
+
+(* Each cell is a fresh string: a copy of the spelling the dictionary
+   stores, so a table never aliases the dictionary's storage, and two
+   cells naming one term are two strings, as a decoder would build
+   them. *)
+let cell dict row slot =
+  let x = if slot < 0 then Binding.unbound else row.(slot) in
+  if x >= 0 && x < Dict.Term_dict.size dict then
+    let s = Dict.Term_dict.spelling dict x in
+    String.sub s 0 (String.length s)
+  else match Binding.decode x with None -> "" | Some v -> Binding.value_to_string dict v
+
+let rec cells dict row = function [] -> [] | slot :: rest -> cell dict row slot :: cells dict row rest
 
 let to_table dict ~columns solutions =
-  List.map (fun sol -> List.map (cell dict sol) columns) solutions
+  let cache = ref None in
+  List.map
+    (fun sol ->
+      let schema = Binding.schema sol in
+      let slots =
+        match !cache with
+        | Some (last, slots) when last == schema -> slots
+        | _ ->
+            let slots = column_slots ~columns schema in
+            cache := Some (schema, slots);
+            slots
+      in
+      cells dict (Binding.row sol) slots)
+    solutions
 
 let pp dict ~columns ppf solutions =
   let rows = to_table dict ~columns solutions in

@@ -255,12 +255,17 @@ let parse_prologue st =
   in
   loop ()
 
+(* [Rdf.Term.iri] rejects illegal characters with [Invalid_argument];
+   in query text that is a syntax error. *)
+let iri line s =
+  match Rdf.Term.iri s with t -> Algebra.Term t | exception Invalid_argument m -> fail line "%s" m
+
 let parse_term_atom st =
   let { tok; tline } = next st in
   match tok with
   | Var v -> Algebra.Var v
-  | Iriref raw -> Algebra.Term (Rdf.Term.iri (resolve_iri st raw))
-  | Pname p -> Algebra.Term (Rdf.Term.iri (expand_pname st tline p))
+  | Iriref raw -> iri tline (resolve_iri st raw)
+  | Pname p -> iri tline (expand_pname st tline p)
   | Tok_a -> Algebra.Term (Rdf.Term.iri Rdf.Namespace.rdf_type)
   | Integer s -> Algebra.Term (Rdf.Term.typed_literal s ~datatype:(Rdf.Namespace.xsd "integer"))
   | Decimal s -> Algebra.Term (Rdf.Term.typed_literal s ~datatype:(Rdf.Namespace.xsd "decimal"))
@@ -417,13 +422,31 @@ and parse_unary st =
       e
   | _ -> Algebra.E_atom (parse_term_atom st)
 
-(* group graph pattern *)
+(* Group graph pattern, folded left to right (SPARQL 1.1 §18.2.2): an
+   OPTIONAL left-joins everything before it, and what follows joins the
+   result.  Between two OPTIONALs join is associative and commutative,
+   so a segment's triple blocks gather into one BGP, which its VALUES
+   and nested groups then join.  FILTERs scope over the whole group. *)
 let rec parse_group st =
   expect st Lbrace "'{'";
+  let before = ref None in
   let tps = ref [] in
   let extra = ref [] in
-  let optionals = ref [] in
   let filters = ref [] in
+  let join a b = Algebra.Join (a, b) in
+  let close_segment () =
+    let segment =
+      match (!tps, List.rev !extra) with
+      | [], [] -> None
+      | [], g :: gs -> Some (List.fold_left join g gs)
+      | tps, extras -> Some (List.fold_left join (Algebra.Bgp tps) extras)
+    in
+    tps := [];
+    extra := [];
+    match (!before, segment) with
+    | Some g, Some s -> Some (join g s)
+    | g, None | None, g -> g
+  in
   let rec loop () =
     match peek_tok st with
     | Some Rbrace -> ignore (next st)
@@ -449,8 +472,8 @@ let rec parse_group st =
         loop ()
     | Some (Kw "OPTIONAL") ->
         ignore (next st);
-        let g = parse_group st in
-        optionals := g :: !optionals;
+        let left = Option.value (close_segment ()) ~default:(Algebra.Bgp []) in
+        before := Some (Algebra.Left_join (left, parse_group st));
         loop ()
     | Some Lbrace ->
         (* nested group, possibly a UNION chain *)
@@ -463,15 +486,7 @@ let rec parse_group st =
     | None -> fail st.last_line "unterminated group pattern"
   in
   loop ();
-  let base : Algebra.t =
-    match (!tps, List.rev !extra) with
-    | [], [] -> Algebra.Bgp []
-    | [], [ g ] -> g
-    | tps, extras -> List.fold_left (fun acc g -> Algebra.Join (acc, g)) (Algebra.Bgp tps) extras
-  in
-  let base =
-    List.fold_left (fun acc g -> Algebra.Left_join (acc, g)) base (List.rev !optionals)
-  in
+  let base = Option.value (close_segment ()) ~default:(Algebra.Bgp []) in
   List.fold_left (fun acc e -> Algebra.Filter (e, acc)) base (List.rev !filters)
 
 and parse_union_chain st =
@@ -554,6 +569,11 @@ type query = {
   template : Algebra.tp list option;
 }
 
+let count_of line what n =
+  match int_of_string_opt n with
+  | Some k when k >= 0 -> k
+  | _ -> fail line "%s needs a non-negative integer, got %s" what n
+
 let parse_modifiers st body proj_vars =
   (* GROUP BY / ORDER BY / LIMIT / OFFSET, in any sensible order. *)
   let group = ref [] and orders = ref [] and limit = ref None and offset = ref None in
@@ -604,15 +624,15 @@ let parse_modifiers st body proj_vars =
     | Some (Kw "LIMIT") -> (
         ignore (next st);
         match next st with
-        | { tok = Integer n; _ } ->
-            limit := Some (int_of_string n);
+        | { tok = Integer n; tline } ->
+            limit := Some (count_of tline "LIMIT" n);
             loop ()
         | { tline; _ } -> fail tline "expected integer after LIMIT")
     | Some (Kw "OFFSET") -> (
         ignore (next st);
         match next st with
-        | { tok = Integer n; _ } ->
-            offset := Some (int_of_string n);
+        | { tok = Integer n; tline } ->
+            offset := Some (count_of tline "OFFSET" n);
             loop ()
         | { tline; _ } -> fail tline "expected integer after OFFSET")
     | Some _ -> fail (cur_line st) "unexpected token after query body"

@@ -81,11 +81,11 @@ let of_bgp h (tps : Algebra.tp list) =
               | Algebra.Var _, _ -> None  (* property must be constant *)
               | Algebra.Term pt, o -> (
                   let pid =
-                    match Dict.Term_dict.find_term dict pt with Some id -> id | None -> -1
+                    match Compile.term_id dict pt with Some id -> id | None -> -1
                   in
                   match o with
                   | Algebra.Term ot -> (
-                      match Dict.Term_dict.find_term dict ot with
+                      match Compile.term_id dict ot with
                       | Some oid -> Some { p = pid; o = Some oid }
                       | None -> Some { p = -1; o = None })
                   | Algebra.Var ov ->

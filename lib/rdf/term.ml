@@ -91,7 +91,15 @@ let escape_literal s =
   Buffer.contents buf
 
 let to_string = function
-  | Iri s -> "<" ^ s ^ ">"
+  | Iri s ->
+      (* One allocation: this spelling is the dictionary key every
+         encode and every query constant looks up. *)
+      let n = String.length s in
+      let b = Bytes.create (n + 2) in
+      Bytes.set b 0 '<';
+      Bytes.blit_string s 0 b 1 n;
+      Bytes.set b (n + 1) '>';
+      Bytes.unsafe_to_string b
   | Blank l -> "_:" ^ l
   | Literal { value; lang = Some lang; _ } -> "\"" ^ escape_literal value ^ "\"@" ^ lang
   | Literal { value; datatype = Some dt; _ } -> "\"" ^ escape_literal value ^ "\"^^<" ^ dt ^ ">"

@@ -874,6 +874,49 @@ let prop_lookup_sorted =
           && ascending (fun (x : id3) -> x.p) (Hexastore.lookup h (Pattern.make ~s:tr.s ~o:tr.o ())))
         triples)
 
+(* The push cursors the executor drives ([iter], [seek_sorted]) replay
+   the pull ones ([lookup], [scan_sorted]) exactly, order included, on
+   a bulk-built store and on a delta view with pending writes. *)
+let prop_push_cursors =
+  QCheck.Test.make ~name:"iter = lookup and seek_sorted = scan_sorted, with and without a delta"
+    ~count:100
+    (QCheck.make QCheck.Gen.(pair (list_size (int_bound 60) gen_triple) (list_size (int_bound 12) gen_triple)))
+    (fun (base, pending) ->
+      let h = Hexastore.create () in
+      ignore (Hexastore.add_bulk_ids h (Array.of_list base));
+      let d = Delta.of_base (Hexastore.create ()) in
+      ignore (Delta.add_bulk_ids d (Array.of_list base));
+      List.iteri
+        (fun i tr -> ignore (if i mod 3 = 0 then Delta.remove_ids d tr else Delta.add_ids d tr))
+        (pending @ List.filteri (fun i _ -> i < 4) base);
+      let agree store =
+        List.for_all
+          (fun pat ->
+            let pushed = ref [] in
+            Store_sig.iter store pat (fun s p o -> pushed := t3 s p o :: !pushed);
+            List.rev !pushed = List.of_seq (Store_sig.lookup store pat)
+            && List.for_all
+                 (fun pos ->
+                   match (Store_sig.seek_sorted store pat pos, Store_sig.scan_sorted store pat pos) with
+                   | None, None -> true
+                   | Some (o1, run), Some (o2, seek) ->
+                       o1 = o2
+                       && List.for_all
+                            (fun k ->
+                              let pushed = ref [] in
+                              run k (fun s p o -> pushed := t3 s p o :: !pushed);
+                              let value (tr : id3) =
+                                match pos with Pattern.Subj -> tr.s | Pred -> tr.p | Obj -> tr.o
+                              in
+                              List.rev !pushed
+                              = List.of_seq (Seq.take_while (fun tr -> value tr = k) (seek k)))
+                            [ 0; 1; 1; 3; 4; 7; 2; 9; 10 ]
+                   | _ -> false)
+                 [ Pattern.Subj; Pattern.Pred; Pattern.Obj ])
+          (all_patterns 11)
+      in
+      agree (Store_sig.box_hexastore h) && agree (Store_sig.box_delta d))
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -933,5 +976,6 @@ let () =
           qt prop_bulk_remove;
           qt prop_space_bound;
           qt prop_lookup_sorted;
+          qt prop_push_cursors;
         ] );
     ]

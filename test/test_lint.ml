@@ -235,6 +235,28 @@ let test_fixture_dir_missing_mli () =
   in
   check_int "one missing-mli per fixture" (List.length (fixture_bases ())) (List.length missing)
 
+(* query-resolve is scoped to the query layer, minus its two exempt
+   modules, and the repository's own query layer passes it. *)
+let test_query_resolve_scope () =
+  let src = "let f dict t = Dict.Term_dict.find_term dict t\nlet g t = Rdf.Term.to_string t\n" in
+  let fired path =
+    List.length
+      (List.filter
+         (fun v -> snd (violation_key v) = "query-resolve")
+         (C.Lint.scan_source ~path src))
+  in
+  check_int "exec fires twice" 2 (fired "lib/query/exec.ml");
+  check_int "compiler exempt" 0 (fired "lib/query/compile.ml");
+  check_int "results exempt" 0 (fired "lib/query/results.ml");
+  check_int "other layers untouched" 0 (fired "lib/core/store_sig.ml");
+  let query_dir = Filename.concat (Filename.concat ".." "lib") "query" in
+  if Sys.file_exists query_dir then
+    check_int "lib/query is clean" 0
+      (List.length
+         (List.filter
+            (fun v -> snd (violation_key v) = "query-resolve")
+            (C.Lint.scan_dir query_dir)))
+
 (* ------------------------------------------------------------------ *)
 (* Mutability inventory                                                *)
 (* ------------------------------------------------------------------ *)
@@ -339,6 +361,7 @@ let () =
         [
           Alcotest.test_case "golden corpus" `Quick test_fixture_corpus;
           Alcotest.test_case "missing-mli over corpus" `Quick test_fixture_dir_missing_mli;
+          Alcotest.test_case "query-resolve scope" `Quick test_query_resolve_scope;
         ] );
       ( "mutability",
         [

@@ -657,6 +657,80 @@ let test_sparql_errors () =
   expect_error "SELECT ?x WHERE { ?x ?p ?o } GROUP ?x"; (* missing BY *)
   expect_error "SELECT ?x WHERE { ?x ?p ?o } LIMIT ?x"  (* bad limit *)
 
+(* Fuzz: any text gives a query or a typed parse error — never another
+   exception, deep nesting included.  Inputs are arbitrary bytes and
+   byte-level mutations (overwrite, insert, delete, duplicate a span) of
+   valid queries and paths. *)
+let sparql_corpus =
+  let deep n opening closing body = String.make n opening ^ body ^ String.make n closing in
+  [
+    "SELECT ?x WHERE { ?x <http://e/p> ?y . OPTIONAL { ?x <http://e/q> ?z } FILTER (?y != 3 && \
+     !BOUND(?z)) } ORDER BY DESC(?x) ?y LIMIT 5 OFFSET 1";
+    "PREFIX ex: <http://e/> BASE <http://b/> SELECT DISTINCT (COUNT(DISTINCT ?x) AS ?n) ?y WHERE \
+     { { ?x a ex:C ; ex:p \"v\"@en , \"w\"^^ex:dt } UNION { ?x <rel> -1.5 } VALUES (?x ?y) { \
+     (ex:a UNDEF) } } GROUP BY ?y";
+    "PREFIX ex: <http://e/> CONSTRUCT { ?x ex:q ?y . } WHERE { ?x ex:p ?y FILTER (?y >= true) }";
+    "ASK { ?s ?p \"a\\\"b\\n\" . VALUES ?s { <http://e/s> } }";
+    "SELECT * WHERE " ^ deep 300 '{' '}' "?s ?p ?o";
+    "SELECT ?x WHERE { ?x ?p ?o FILTER " ^ deep 300 '(' ')' "?x" ^ " }";
+  ]
+
+let ppath_corpus = [ "<http://e/p>/^ex:q*|(ex:r+)?"; String.make 200 '(' ^ "ex:p" ^ String.make 200 ')' ]
+
+let gen_mutant corpus =
+  let open QCheck.Gen in
+  let special = oneofl [ '{'; '}'; '('; ')'; '<'; '>'; '"'; '?'; ':'; '.'; ';'; ','; '\\'; '@'; '^'; ' ' ] in
+  let byte = frequency [ (1, char); (2, special) ] in
+  let mutate s =
+    let n = String.length s in
+    let* i = int_bound (max 0 n) and* len = int_range 1 8 and* c = byte in
+    let i = min i n in
+    let len = min len (n - i) in
+    oneofl
+      [
+        (if i < n then String.mapi (fun j x -> if j = i then c else x) s else s);
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i);
+        String.sub s 0 i ^ String.sub s (i + len) (n - i - len);
+        String.sub s 0 (i + len) ^ String.sub s i (n - i);
+      ]
+  in
+  let rec mutations k s = if k = 0 then return s else mutate s >>= mutations (k - 1) in
+  frequency
+    [
+      (1, string_size ~gen:char (int_bound 64));
+      (4, oneofl corpus >>= fun s -> int_range 1 4 >>= fun k -> mutations k s);
+    ]
+
+let prop_sparql_parse_total =
+  QCheck.Test.make ~name:"Sparql.parse: a query or Parse_error on any text" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") (gen_mutant sparql_corpus))
+    (fun text ->
+      match parse_ex text with
+      | _ -> true
+      | exception Sparql.Parse_error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e))
+
+let prop_ppath_parse_total =
+  let h = make_store () in
+  QCheck.Test.make ~name:"Ppath.parse: a path that evaluates, or Parse_error, on any text"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") (gen_mutant ppath_corpus))
+    (fun text ->
+      let ns = Rdf.Namespace.create () in
+      Rdf.Namespace.add ns ~prefix:"ex" ~iri:"http://example.org/";
+      match Ppath.eval_from h ~start:0 (Ppath.parse ~namespaces:ns text) with
+      | _ -> true
+      | exception Ppath.Parse_error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e))
+
+let test_sparql_illegal_iri () =
+  (match parse_ex "SELECT * WHERE { ?x ?p ?y OPTIONAL { ?x <http://e/<> ?z } }" with
+  | exception Sparql.Parse_error _ -> ()
+  | _ -> Alcotest.fail "an IRI holding '<' was accepted");
+  match Ppath.parse "<a b>/<http://e/p>" with
+  | exception Ppath.Parse_error _ -> ()
+  | _ -> Alcotest.fail "a path IRI holding a space was accepted"
+
 let test_sparql_error_line () =
   match parse_ex "SELECT ?x WHERE {\n ?x ?p\n}" with
   | exception Sparql.Parse_error (line, _) -> check_bool "line >= 2" true (line >= 2)
@@ -800,6 +874,222 @@ let prop_star_matches_exec =
       star = exec)
 
 (* ------------------------------------------------------------------ *)
+(* Algebra: executor = reference evaluator                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A graph with IRIs and integer literals, so filters and sort keys
+   meet both numeric and spelling comparisons. *)
+let algebra_triples =
+  let num n = Term.typed_literal (string_of_int n) ~datatype:(Namespace.xsd "integer") in
+  let t s p o = Triple.make (ex s) (ex p) o in
+  [
+    t "a" "p" (ex "b"); t "a" "p" (ex "c"); t "b" "p" (ex "c"); t "c" "p" (ex "a");
+    t "a" "q" (ex "d"); t "b" "q" (ex "d"); t "d" "q" (ex "a"); t "e" "r" (ex "a");
+    t "a" "v" (num 1); t "b" "v" (num 10); t "c" "v" (num 2); t "d" "v" (num 10);
+    t "b" "r" (ex "e"); t "c" "r" (ex "c");
+  ]
+
+(* Every store kind the executor runs over, raw and packed where the
+   kind has a representation: bulk-built Hexastores, a Delta view with
+   pending inserts and a tombstone over each base, the COVP baselines
+   and a partial store.  The last two run the packed Hexastore at width
+   2 and the raw delta view at width 4, every driving scan fanned out. *)
+let algebra_stores () =
+  let encode d = Array.of_list (List.map (Dict.Term_dict.encode_triple d) algebra_triples) in
+  let hexa repr =
+    let h = Hexa.Hexastore.create ~repr () in
+    ignore (Hexa.Hexastore.add_bulk_ids h (encode (Hexa.Hexastore.dict h)));
+    h
+  in
+  let delta repr =
+    let h = Hexa.Hexastore.create ~repr () in
+    let d = Hexa.Hexastore.dict h in
+    let decoy = Triple.make (ex "e") (ex "p") (ex "e") in
+    let base, pending = List.partition (fun tr -> Hashtbl.hash tr mod 3 <> 0) algebra_triples in
+    ignore
+      (Hexa.Hexastore.add_bulk_ids h
+         (Array.of_list (List.map (Dict.Term_dict.encode_triple d) (decoy :: base))));
+    let dl = Hexa.Delta.of_base h in
+    List.iter (fun tr -> ignore (Hexa.Delta.add dl tr)) pending;
+    ignore (Hexa.Delta.remove dl decoy);
+    dl
+  in
+  let partial = Hexa.Partial.create ~orderings:[ Hexa.Ordering.Pso; Hexa.Ordering.Osp ] () in
+  ignore (Hexa.Partial.add_bulk_ids partial (encode (Hexa.Partial.dict partial)));
+  let seq s = (s, 1) in
+  [
+    seq (Hexa.Store_sig.box_hexastore (hexa Vectors.Sorted_ivec.Raw));
+    seq (Hexa.Store_sig.box_hexastore (hexa Vectors.Sorted_ivec.Packed));
+    seq (Hexa.Store_sig.box_delta (delta Vectors.Sorted_ivec.Raw));
+    seq (Hexa.Store_sig.box_delta (delta Vectors.Sorted_ivec.Packed));
+    seq (Hexa.Store_sig.box_covp (Hexa.Covp.of_triples Hexa.Covp.Covp1 algebra_triples));
+    seq (Hexa.Store_sig.box_covp (Hexa.Covp.of_triples Hexa.Covp.Covp2 algebra_triples));
+    seq (Hexa.Store_sig.box_partial partial);
+    (Hexa.Store_sig.box_hexastore (hexa Vectors.Sorted_ivec.Packed), 2);
+    (Hexa.Store_sig.box_delta (delta Vectors.Sorted_ivec.Raw), 4);
+  ]
+
+let gen_algebra =
+  let open QCheck.Gen in
+  let vars = [ "x"; "y"; "z"; "w" ] in
+  let gen_var = oneofl vars in
+  let consts =
+    List.map ex [ "a"; "b"; "c"; "d"; "e"; "p"; "q"; "r"; "v"; "missing" ]
+    @ List.map
+        (fun n -> Term.typed_literal (string_of_int n) ~datatype:(Namespace.xsd "integer"))
+        [ 1; 2; 10; 7 ]
+  in
+  let gen_const = oneofl consts in
+  let gen_atom =
+    frequency [ (3, map (fun v -> Algebra.Var v) gen_var); (2, map (fun t -> Algebra.Term t) gen_const) ]
+  in
+  let gen_pred =
+    frequency
+      [ (1, map (fun v -> Algebra.Var v) gen_var);
+        (4, map (fun p -> Algebra.Term (ex p)) (oneofl [ "p"; "q"; "r"; "v" ])) ]
+  in
+  let gen_tp = map3 Algebra.tp gen_atom gen_pred gen_atom in
+  let gen_bgp = map (fun tps -> Algebra.Bgp tps) (list_size (int_range 0 3) gen_tp) in
+  (* Two sides that both stream sorted on one shared subject: the shape
+     the executor merge-joins. *)
+  let gen_star_side v =
+    map2
+      (fun p o -> Algebra.Bgp [ Algebra.tp (Algebra.Var v) (Algebra.Term (ex p)) o ])
+      (oneofl [ "p"; "q"; "r"; "v" ])
+      gen_atom
+  in
+  let gen_sorted_pair = gen_var >>= fun v -> pair (gen_star_side v) (gen_star_side v) in
+  let gen_values =
+    let* vs = map (List.sort_uniq compare) (list_size (int_range 1 2) gen_var) in
+    let cell = frequency [ (1, return None); (4, map Option.some gen_const) ] in
+    let* rows = list_size (int_range 0 3) (flatten_l (List.map (fun _ -> cell) vs)) in
+    return (Algebra.Values (vs, rows))
+  in
+  let rec gen_expr depth =
+    let operand = map (fun a -> Algebra.E_atom a) gen_atom in
+    let cmp =
+      let* a = operand and* b = operand in
+      oneofl
+        [ Algebra.E_eq (a, b); E_neq (a, b); E_lt (a, b); E_le (a, b); E_gt (a, b); E_ge (a, b) ]
+    in
+    if depth = 0 then frequency [ (4, cmp); (1, map (fun v -> Algebra.E_bound v) gen_var) ]
+    else
+      frequency
+        [
+          (3, cmp);
+          (1, map (fun v -> Algebra.E_bound v) gen_var);
+          (1, map (fun e -> Algebra.E_not e) (gen_expr (depth - 1)));
+          (1, map2 (fun a b -> Algebra.E_and (a, b)) (gen_expr (depth - 1)) (gen_expr (depth - 1)));
+          (1, map2 (fun a b -> Algebra.E_or (a, b)) (gen_expr (depth - 1)) (gen_expr (depth - 1)));
+        ]
+  in
+  let gen_agg =
+    oneofl [ Algebra.Count_all ]
+    |> fun all -> frequency [ (1, all); (1, map (fun v -> Algebra.Count_var v) gen_var);
+                              (1, map (fun v -> Algebra.Count_distinct v) gen_var) ]
+  in
+  let gen_orders = list_size (int_range 1 2) (map2 (fun key descending -> { Algebra.key; descending }) gen_var bool) in
+  let rec tree depth =
+    if depth = 0 then frequency [ (4, gen_bgp); (1, gen_values) ]
+    else
+      let sub = tree (depth - 1) in
+      frequency
+        [
+          (2, gen_bgp);
+          (1, gen_values);
+          (3, map2 (fun a b -> Algebra.Join (a, b)) sub sub);
+          (2, map3 (fun a b c -> Algebra.Join (Algebra.Union (a, b), c)) sub sub gen_bgp);
+          (3, map2 (fun a b -> Algebra.Left_join (a, b)) sub sub);
+          (2, map (fun (a, b) -> Algebra.Join (a, b)) gen_sorted_pair);
+          (2, map (fun (a, b) -> Algebra.Left_join (a, b)) gen_sorted_pair);
+          (2, map2 (fun a b -> Algebra.Union (a, b)) sub sub);
+          (2, map2 (fun e q -> Algebra.Filter (e, q)) (gen_expr 2) sub);
+          (1, map (fun q -> Algebra.Distinct q) sub);
+          (1, map2 (fun vs q -> Algebra.Project (List.sort_uniq compare vs, q)) (list_size (int_range 0 3) gen_var) sub);
+          ( 1,
+            map3
+              (fun keys aggs q ->
+                Algebra.Extend_group
+                  (List.sort_uniq compare keys, List.mapi (fun i a -> ([| "n"; "m" |].(i), a)) aggs, q))
+              (list_size (int_range 0 2) gen_var)
+              (list_size (int_range 0 2) gen_agg)
+              sub );
+          (1, map2 (fun o q -> Algebra.Order_by (o, q)) gen_orders sub);
+        ]
+  in
+  (* The root: a solution multiset, or a total order on every variable
+     (ties are then equal rows) under optional projection, DISTINCT and
+     a slice, so ordered answers compare as lists. *)
+  let* body = int_range 1 3 >>= tree in
+  let* ordered = bool in
+  if not ordered then return body
+  else
+    let* keys = shuffle_l [ "x"; "y"; "z"; "w"; "n"; "m" ] in
+    let* dirs = flatten_l (List.map (fun _ -> bool) keys) in
+    let q = Algebra.Order_by (List.map2 (fun key descending -> { Algebra.key; descending }) keys dirs, body) in
+    let* q = frequency [ (1, return q); (1, map (fun vs -> Algebra.Project (vs, q)) (list_size (int_range 1 3) gen_var)) ] in
+    let* q = frequency [ (2, return q); (1, return (Algebra.Distinct q)) ] in
+    frequency
+      [ (1, return q);
+        (2, map2 (fun off lim -> Algebra.Slice (off, lim, q)) (opt (int_bound 3)) (opt (int_bound 4))) ]
+
+(* The generator's total order: every variable a tree can bind is a
+   key.  A partial ORDER BY leaves ties in whatever order its input had,
+   so only this one compares as a list. *)
+let rec ordered_root = function
+  | Algebra.Order_by (orders, _) ->
+      List.sort compare (List.map (fun o -> o.Algebra.key) orders)
+      = [ "m"; "n"; "w"; "x"; "y"; "z" ]
+  | Algebra.Slice (_, _, q) | Algebra.Distinct q | Algebra.Project (_, q) -> ordered_root q
+  | _ -> false
+
+let model_of store =
+  let m = Check.Model.create () in
+  Seq.iter (fun tr -> ignore (Check.Model.add m tr)) (Hexa.Store_sig.lookup store Hexa.Pattern.wildcard);
+  m
+
+let prop_algebra_matches_reference =
+  QCheck.Test.make ~name:"executor = reference evaluator on random algebra trees (every store kind)"
+    ~count:1000
+    (QCheck.make ~print:(Format.asprintf "%a" Algebra.pp) gen_algebra)
+    (fun q ->
+      List.for_all
+        (fun (store, width) ->
+          let expected = Check.Reference.eval (Hexa.Store_sig.dict store) (model_of store) q in
+          let got =
+            Par.with_domains width (fun () ->
+                let saved = !Planner.parallel_min_rows in
+                if width > 1 then Planner.parallel_min_rows := 0;
+                Fun.protect
+                  ~finally:(fun () -> Planner.parallel_min_rows := saved)
+                  (fun () -> List.map Binding.to_list (Exec.run store q)))
+          in
+          let same =
+            if ordered_root q then got = expected
+            else List.sort compare got = List.sort compare expected
+          in
+          if not same then
+            QCheck.Test.fail_reportf "%s (width %d): executor %d rows, reference %d rows"
+              (Hexa.Store_sig.name store) width (List.length got) (List.length expected);
+          true)
+        (algebra_stores ()))
+
+(* The SPARQL 1.1 §18.2.2 translation: OPTIONAL applies to what precedes
+   it in the group, and a later triple block joins the result. *)
+let test_optional_keeps_its_place () =
+  let store =
+    Hexa.Store_sig.box_hexastore
+      (Hexa.Hexastore.of_triples
+         [ Triple.make (ex "a") (ex "p") (ex "b"); Triple.make (ex "a") (ex "q") (ex "c");
+           Triple.make (ex "d") (ex "r") (ex "e") ])
+  in
+  let q = parse_ex "SELECT * WHERE { ?x ex:p ?y OPTIONAL { ?x ex:q ?z } ?w ex:r ?z }" in
+  check_int "spec answer is empty" 0 (List.length (Exec.run store q.algebra));
+  let dict = Hexa.Store_sig.dict store in
+  check_int "reference agrees" 0
+    (List.length (Check.Reference.eval dict (model_of store) q.algebra))
+
+(* ------------------------------------------------------------------ *)
 (* Results                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -872,6 +1162,9 @@ let () =
           Alcotest.test_case "ask" `Quick test_sparql_ask;
           Alcotest.test_case "errors" `Quick test_sparql_errors;
           Alcotest.test_case "error_line" `Quick test_sparql_error_line;
+          Alcotest.test_case "illegal_iri" `Quick test_sparql_illegal_iri;
+          qt prop_sparql_parse_total;
+          qt prop_ppath_parse_total;
         ] );
       ( "path",
         [
@@ -884,6 +1177,11 @@ let () =
           Alcotest.test_case "edge_cases" `Quick test_star_edge_cases;
           Alcotest.test_case "of_bgp" `Quick test_star_of_bgp;
           qt prop_star_matches_exec;
+        ] );
+      ( "algebra",
+        [
+          Alcotest.test_case "optional_in_place" `Quick test_optional_keeps_its_place;
+          qt prop_algebra_matches_reference;
         ] );
       ("results", [ Alcotest.test_case "table" `Quick test_results_table ]);
     ]
