@@ -144,6 +144,8 @@ type stress_report = {
   ops : int;
   flushes : int;
   compactions : int;
+  level_merges : int;
+  migrations : int;
   queries : int;
   violations : Violation.t list;
 }
@@ -171,9 +173,12 @@ let stress cfg =
   let pred_terms = Array.init stress_preds (fun i -> iri "http://stress/p%d" i) in
   let nodes = Array.map (Dict.Term_dict.encode_term dict) node_terms in
   let preds = Array.map (Dict.Term_dict.encode_term dict) pred_terms in
-  let insert_threshold = max 16 (cfg.ops_per_round / 2) in
+  (* Small thresholds over a seeded base several times larger: writes
+     auto-flush into the sorted level while readers hold pins, and the
+     level migrates into the base once it outgrows an eighth of it. *)
+  let insert_threshold = max 4 (cfg.ops_per_round / 8) in
   let delta =
-    Hexa.Delta.create ~dict ~insert_threshold ~delete_threshold:(max 8 (insert_threshold / 2)) ()
+    Hexa.Delta.create ~dict ~insert_threshold ~delete_threshold:(max 3 (insert_threshold / 2)) ()
   in
   let boxed = Hexa.Store_sig.box_delta delta in
   let model = Model.create () in
@@ -186,7 +191,7 @@ let stress cfg =
     }
   in
   (* Seed the store so reader queries are non-empty from round one. *)
-  for _ = 1 to stress_nodes * stress_preds do
+  for _ = 1 to stress_nodes * stress_preds * 4 do
     let t = rand_triple rng in
     if Hexa.Delta.add_ids delta t then ignore (Model.add model t)
   done;
@@ -252,6 +257,8 @@ let stress cfg =
   in
   let reader_domains = List.init cfg.readers (fun i -> Domain.spawn (reader i)) in
   let ops = ref 0 and flushes = ref 0 and compactions = ref 0 in
+  let level_merges = ref 0 and migrations = ref 0 in
+  let pending () = Hexa.Delta.pending_inserts delta + Hexa.Delta.pending_deletes delta in
   let check_against_model where =
     add_viols (Invariant.delta delta);
     let merged = List.rev (Hexa.Delta.fold (fun t acc -> t :: acc) delta []) in
@@ -267,6 +274,7 @@ let stress cfg =
   for round = 1 to cfg.rounds do
     for _ = 1 to cfg.ops_per_round do
       incr ops;
+      let staged = pending () in
       let t = rand_triple rng in
       if Random.State.bool rng then begin
         let a = Hexa.Delta.add_ids delta t in
@@ -287,7 +295,12 @@ let stress cfg =
               Violation.v Query ~path:"stress.writer"
                 "remove_ids (%d,%d,%d) returned %b but the model said %b" t.s t.p t.o a b;
             ]
-      end
+      end;
+      (* One write moves the buffers by one entry, and both thresholds
+         are at least 3: emptied from two or more entries, they were
+         auto-flushed — into the level, or with it into the base. *)
+      if staged > 1 && pending () = 0 then
+        incr (if Hexa.Delta.level_size delta > 0 then level_merges else migrations)
     done;
     if round mod 3 = 0 then begin
       Hexa.Delta.compact delta;
@@ -301,6 +314,20 @@ let stress cfg =
   done;
   Atomic.set stop true;
   List.iter Domain.join reader_domains;
+  (* Every pin released, every pool task finished. *)
+  if Hexa.Delta.pins delta <> 0 then
+    add_viols
+      [
+        Violation.v Query ~path:"stress.pins" "%d pins still held after the readers joined"
+          (Hexa.Delta.pins delta);
+      ];
+  let pool = Query.Par.stats () in
+  if pool.Query.Par.queue_depth <> 0 || pool.Query.Par.in_flight <> 0 then
+    add_viols
+      [
+        Violation.v Query ~path:"stress.pool" "pool not drained: %d queued, %d in flight"
+          pool.Query.Par.queue_depth pool.Query.Par.in_flight;
+      ];
   Hexa.Delta.flush delta;
   incr flushes;
   check_against_model "stress.final";
@@ -310,6 +337,8 @@ let stress cfg =
     ops = !ops;
     flushes = !flushes;
     compactions = !compactions;
+    level_merges = !level_merges;
+    migrations = !migrations;
     queries = Atomic.get queries_run;
     violations = List.rev !viols;
   }

@@ -51,6 +51,8 @@ type stress_report = {
   ops : int;  (** mutations applied *)
   flushes : int;  (** explicit flushes (auto-flushes not counted) *)
   compactions : int;
+  level_merges : int;  (** auto-flushes that left the writes in the sorted level *)
+  migrations : int;  (** auto-flushes that moved the level into the base *)
   queries : int;  (** queries executed across all readers *)
   violations : Violation.t list;  (** empty = the run was correct *)
 }
@@ -60,9 +62,13 @@ val stress : stress_config -> stress_report
     mutations into a {!Hexa.Delta} (mirrored into {!Model}) and
     flushing — every third round compacting — between rounds, while the
     reader domains loop {!Hexa.Store_sig.pin} → {!snapshot_consistent} →
-    unpin.  After every flush the writer validates {!Invariant.delta}
-    and compares the merged contents against the model; mutation return
-    values are checked against the model op by op.  Violations are
-    capped at 100; the report's counters are exact.  Sets the pool width
+    unpin.  Thresholds of a few writes over a seeded base make the
+    writes auto-flush into the sorted level while pins are held, and
+    the level migrate into the base.  After every flush the writer
+    validates {!Invariant.delta} and compares the merged contents
+    against the model; mutation return values are checked against the
+    model op by op.  After the readers join, no pin may be held and the
+    pool must be drained.  Violations are capped at 100; the report's
+    counters are exact.  Sets the pool width
     and planner threshold for the duration (restored before
     returning). *)

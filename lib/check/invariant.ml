@@ -220,18 +220,63 @@ let delta d =
   store_acc acc base;
   term_dict_acc acc (Hexastore.dict base);
   let tr_path { Dict.Term_dict.s; p; o } = Printf.sprintf "(%d,%d,%d)" s p o in
-  (* Buffer coherence: inserts ∉ base, deletes ⊆ base, buffers disjoint. *)
+  (* The level: every ordering's run is a whole number of triplets,
+     strictly ascending in that ordering, and holds the same set; its
+     inserts are absent from the base, its tombstones present. *)
+  let triples_of (r : int array) =
+    List.init (Array.length r / 3) (fun i ->
+        { Dict.Term_dict.s = r.(3 * i); p = r.((3 * i) + 1); o = r.((3 * i) + 2) })
+  in
+  let level ~tombstones =
+    let what = if tombstones then "level tombstones" else "level inserts" in
+    let reference = List.sort compare (triples_of (Delta.level_run d ~tombstones Ordering.Spo)) in
+    List.iter
+      (fun ord ->
+        let path = Printf.sprintf "%s/%s" what (Ordering.name ord) in
+        let r = Delta.level_run d ~tombstones ord in
+        if Array.length r mod 3 <> 0 then
+          add acc (V.v V.Delta ~path "run of %d ints is not a whole number of triples" (Array.length r));
+        let trs = triples_of r in
+        let rec sorted i = function
+          | a :: (b :: _ as rest) ->
+              if Ordering.compare_triples ord a b >= 0 then
+                add acc (V.v V.Delta ~path "out of order at %d: %s then %s" i (tr_path a) (tr_path b));
+              sorted (i + 1) rest
+          | _ -> ()
+        in
+        sorted 1 trs;
+        if List.sort compare trs <> reference then
+          add acc (V.v V.Delta ~path "holds a different set than the spo run"))
+      Ordering.all;
+    List.iter
+      (fun tr ->
+        match (tombstones, Hexastore.mem_ids base tr) with
+        | false, true -> add acc (V.v V.Delta ~path:(tr_path tr) "level insert already present in base")
+        | true, false ->
+            add acc (V.v V.Delta ~path:(tr_path tr) "level tombstone for a triple the base does not hold")
+        | _ -> ())
+      reference;
+    reference
+  in
+  let level_ins = level ~tombstones:false and level_del = level ~tombstones:true in
+  (* Base ∪ level, before the buffers: the set the buffers stage against. *)
+  let settled = Hashtbl.create 64 in
+  ignore (Hexastore.fold (fun tr () -> Hashtbl.replace settled tr ()) base ());
+  List.iter (Hashtbl.remove settled) level_del;
+  List.iter (fun tr -> Hashtbl.replace settled tr ()) level_ins;
+  (* Buffer coherence: inserts ∉ base ∪ level, deletes ⊆ base ∪ level,
+     buffers disjoint. *)
   let deletes = Hashtbl.create 16 in
   Delta.iter_pending_deletes
     (fun tr ->
       Hashtbl.replace deletes tr ();
-      if not (Hexastore.mem_ids base tr) then
-        add acc (V.v V.Delta ~path:(tr_path tr) "tombstone for a triple the base does not hold"))
+      if not (Hashtbl.mem settled tr) then
+        add acc (V.v V.Delta ~path:(tr_path tr) "tombstone for a triple base ∪ level does not hold"))
     d;
   Delta.iter_pending_inserts
     (fun tr ->
-      if Hexastore.mem_ids base tr then
-        add acc (V.v V.Delta ~path:(tr_path tr) "buffered insert already present in base");
+      if Hashtbl.mem settled tr then
+        add acc (V.v V.Delta ~path:(tr_path tr) "buffered insert already present in base ∪ level");
       if Hashtbl.mem deletes tr then
         add acc (V.v V.Delta ~path:(tr_path tr) "triple buffered as both insert and delete"))
     d;
@@ -239,8 +284,7 @@ let delta d =
      triples, same per-shape order, same counts — to a clone that has the
      delta already applied the slow way. *)
   let clone = Hexastore.create ~dict:(Hexastore.dict base) () in
-  let base_triples = List.rev (Hexastore.fold (fun tr l -> tr :: l) base []) in
-  ignore (Hexastore.add_bulk_ids clone (Array.of_list base_triples));
+  ignore (Hexastore.add_bulk_ids clone (Array.of_seq (Hashtbl.to_seq_keys settled)));
   Delta.iter_pending_deletes (fun tr -> ignore (Hexastore.remove_ids clone tr)) d;
   Delta.iter_pending_inserts (fun tr -> ignore (Hexastore.add_ids clone tr)) d;
   if Delta.size d <> Hexastore.size clone then

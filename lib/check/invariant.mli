@@ -42,8 +42,11 @@ val store : Hexa.Hexastore.t -> Violation.t list
 
 val delta : Hexa.Delta.t -> Violation.t list
 (** The delta-layer coherence rules on top of the base store's full
-    {!store} check: no buffered insert already present in the base, the
-    delete set a subset of the base, the two buffers disjoint, and the
+    {!store} check: the level's inserts absent from the base and its
+    tombstones present; each of the level's orderings strictly sorted
+    and holding the same set; no buffered insert already present in
+    base ∪ level, the delete set a subset of it, the two buffers
+    disjoint; and the
     merged view observationally equal — triples, per-shape order, and
     counts — to a clone with the delta applied triple-by-triple.  The
     pattern cross-check runs the full wildcard plus all bound shapes of

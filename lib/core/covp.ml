@@ -115,79 +115,33 @@ let subjects_of_po t ~p ~o =
 
 (* --- lookup ----------------------------------------------------------- *)
 
-let seq_of_list_opt = function None -> Seq.empty | Some l -> Sorted_ivec.to_seq l
-
-(* Iterate the (restricted) property tables lazily. *)
-let scan_tables t f =
-  Seq.concat_map f (Sorted_ivec.to_seq (scan_properties t))
-
-let lookup t (pat : Pattern.t) : Hexastore.id_triple Seq.t =
-  match Pattern.shape pat with
-  | Pattern.All ->
-      let tr : Hexastore.id_triple =
-        { s = Option.get pat.s; p = Option.get pat.p; o = Option.get pat.o }
-      in
-      if mem_ids t tr then Seq.return tr else Seq.empty
-  | Pattern.Sp ->
-      let s = Option.get pat.s and p = Option.get pat.p in
-      Seq.map
-        (fun o : Hexastore.id_triple -> { s; p; o })
-        (seq_of_list_opt (objects_of_sp t ~s ~p))
-  | Pattern.P ->
-      let p = Option.get pat.p in
-      (match Index.find_vector t.pso p with
-      | None -> Seq.empty
-      | Some v ->
-          Seq.concat_map
-            (fun (s, ol) ->
-              Seq.map (fun o : Hexastore.id_triple -> { s; p; o }) (Sorted_ivec.to_seq ol))
-            (Pair_vector.to_seq v))
-  | Pattern.Po ->
-      let p = Option.get pat.p and o = Option.get pat.o in
-      Seq.map
-        (fun s : Hexastore.id_triple -> { s; p; o })
-        (seq_of_list_opt (subjects_of_po t ~p ~o))
-  | Pattern.S ->
-      (* Unbound property: consult every property table for this subject. *)
-      let s = Option.get pat.s in
-      scan_tables t (fun p ->
-          Seq.map
-            (fun o : Hexastore.id_triple -> { s; p; o })
-            (seq_of_list_opt (objects_of_sp t ~s ~p)))
-  | Pattern.So ->
-      let s = Option.get pat.s and o = Option.get pat.o in
-      scan_tables t (fun p ->
+(* Property-bound shapes are index lookups; property-unbound ones walk
+   the (restricted) property tables in property order. *)
+let iter t (pat : Pattern.t) f =
+  let list l g = match l with None -> () | Some l -> Sorted_ivec.iter g l in
+  let table p g = match Index.find_vector t.pso p with None -> () | Some v -> Pair_vector.iter g v in
+  let tables g = Sorted_ivec.iter g (scan_properties t) in
+  match (Pattern.shape pat, pat.s, pat.p, pat.o) with
+  | Pattern.All, Some s, Some p, Some o -> if mem_ids t { s; p; o } then f s p o
+  | Pattern.Sp, Some s, Some p, _ -> list (objects_of_sp t ~s ~p) (fun o -> f s p o)
+  | Pattern.P, _, Some p, _ -> table p (fun s ol -> Sorted_ivec.iter (fun o -> f s p o) ol)
+  | Pattern.Po, _, Some p, Some o -> list (subjects_of_po t ~p ~o) (fun s -> f s p o)
+  | Pattern.S, Some s, _, _ -> tables (fun p -> list (objects_of_sp t ~s ~p) (fun o -> f s p o))
+  | Pattern.So, Some s, _, Some o ->
+      tables (fun p ->
           match objects_of_sp t ~s ~p with
-          | Some ol when Sorted_ivec.mem ol o -> Seq.return ({ s; p; o } : Hexastore.id_triple)
-          | _ -> Seq.empty)
-  | Pattern.O ->
-      let o = Option.get pat.o in
-      (match t.pos with
-      | Some pos ->
-          scan_tables t (fun p ->
-              Seq.map
-                (fun s : Hexastore.id_triple -> { s; p; o })
-                (seq_of_list_opt (Index.find_list pos p o)))
-      | None ->
-          (* Covp1: full scan of each table, filtering on object. *)
-          scan_tables t (fun p ->
-              match Index.find_vector t.pso p with
-              | None -> Seq.empty
-              | Some v ->
-                  Seq.filter_map
-                    (fun (s, ol) ->
-                      if Sorted_ivec.mem ol o then Some ({ s; p; o } : Hexastore.id_triple)
-                      else None)
-                    (Pair_vector.to_seq v)))
-  | Pattern.None_bound ->
-      scan_tables t (fun p ->
-          match Index.find_vector t.pso p with
-          | None -> Seq.empty
-          | Some v ->
-              Seq.concat_map
-                (fun (s, ol) ->
-                  Seq.map (fun o : Hexastore.id_triple -> { s; p; o }) (Sorted_ivec.to_seq ol))
-                (Pair_vector.to_seq v))
+          | Some ol when Sorted_ivec.mem ol o -> f s p o
+          | _ -> ())
+  | Pattern.O, _, _, Some o -> (
+      match t.pos with
+      | Some pos -> tables (fun p -> list (Index.find_list pos p o) (fun s -> f s p o))
+      | None -> tables (fun p -> table p (fun s ol -> if Sorted_ivec.mem ol o then f s p o)))
+  | _ -> tables (fun p -> table p (fun s ol -> Sorted_ivec.iter (fun o -> f s p o) ol))
+
+let lookup t pat =
+  let acc = ref [] in
+  iter t pat (fun s p o -> acc := ({ s; p; o } : Hexastore.id_triple) :: !acc);
+  List.to_seq (List.rev !acc)
 
 let count t pat =
   match Pattern.shape pat with
@@ -204,7 +158,10 @@ let count t pat =
       match subjects_of_po t ~p:(Option.get pat.p) ~o:(Option.get pat.o) with
       | None -> 0
       | Some l -> Sorted_ivec.length l)
-  | Pattern.S | Pattern.So | Pattern.O -> Seq.length (lookup t pat)
+  | Pattern.S | Pattern.So | Pattern.O ->
+      let n = ref 0 in
+      iter t pat (fun _ _ _ -> incr n);
+      !n
   | Pattern.None_bound -> t.size
 
 let memory_words t =

@@ -36,12 +36,17 @@ val add_bulk_ids : t -> Hexastore.id_triple array -> int
 val add : t -> Rdf.Triple.t -> bool
 val of_triples : kind -> Rdf.Triple.t list -> t
 
+val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
+(** Pattern access with the architecture's native strategies, pushed:
+    [f s p o] per match, allocating nothing per triple.  Property-bound
+    shapes are index lookups; property-unbound shapes scan the (possibly
+    restricted, see {!restrict_properties}) property tables.  Results
+    within one property table come sorted; across tables they follow
+    property order. *)
+
 val lookup : t -> Pattern.t -> Hexastore.id_triple Seq.t
-(** Pattern access with the architecture's native strategies:
-    property-bound shapes are index lookups; property-unbound shapes scan
-    the (possibly restricted, see {!restrict_properties}) property tables.
-    Results within one property table come sorted; across tables they
-    follow property order. *)
+(** {!iter}'s matches, materialised, in the same order. *)
+
 
 val count : t -> Pattern.t -> int
 (** Exact but computed with the same access paths as {!lookup} — i.e. the

@@ -1,5 +1,3 @@
-open Vectors
-
 type id_triple = Dict.Term_dict.id_triple = {
   s : int;
   p : int;
@@ -20,17 +18,19 @@ let m_compact = Telemetry.Metrics.counter "hexastore.delta.compact.calls"
 let m_merged = Telemetry.Metrics.counter "hexastore.delta.lookup.merged"
 let g_pending_ins = Telemetry.Metrics.gauge "hexastore.delta.pending_inserts"
 let g_pending_del = Telemetry.Metrics.gauge "hexastore.delta.pending_deletes"
+let g_level = Telemetry.Metrics.gauge "hexastore.delta.level_triples"
 let m_flush_us = Telemetry.Metrics.histogram "hexastore.delta.flush_duration_us"
 let m_flush_batch = Telemetry.Metrics.histogram "hexastore.delta.flush_batch"
 
 (* Concurrency protocol (see DESIGN.md §13): one writer stages into the
    buffers and flushes; readers on other domains never touch the live
-   buffers — they [pin] a snapshot (frozen base + private buffer copies)
-   and release it when done.  [sync] backs that handshake: buffer
-   mutation and the pin's copy both hold [lock], and a flush (which
-   mutates the shared base the snapshots still read) waits under [cond]
-   until every pin is released, while new pins wait out an in-progress
-   flush. *)
+   buffers — they [pin] a snapshot (the shared base and level + private
+   buffer copies) and release it when done.  [sync] backs that
+   handshake: buffer mutation, the level swap and the pin's copy all
+   hold [lock], and a migration (which mutates the shared base the
+   snapshots still read) waits under [cond] until every pin is released,
+   while new pins wait out an in-progress migration.  A merge into the
+   level builds a new level and never waits. *)
 type sync = {
   lock : Mutex.t;
   cond : Condition.t;
@@ -238,8 +238,8 @@ let buffer_count b (pat : Pattern.t) =
           0 bk.entries
   end
 
-(* Matching entries, materialised and sorted at call time so a lazy
-   merged sequence never reads the mutable buffer. *)
+(* Matching entries, copied and sorted at call time so a merge never
+   reads the mutable buffer. *)
 let buffer_matching b cmp pat =
   if Hashtbl.length b.members = 0 then [||]
   else begin
@@ -294,12 +294,239 @@ let buffer_memory_words b =
   + (8 * (n + Hashtbl.length dead))
   + (3 * !cells)
 
+(* --- the sorted level ---------------------------------------------------- *)
+
+(* One set of triples sorted in one ordering: a flat array of (s, p, o)
+   triplets, entry [i] at [3i], [3i + 1] and [3i + 2]. *)
+type run = int array
+
+(* The level between the pending buffers and the base: [ins] holds
+   triples the base lacks, [del] tombstones for triples it holds.  A
+   level is never mutated — a merge builds the next one — so a pinned
+   view keeps the level it was made with by reference. *)
+type level = {
+  ins : sets;
+  del : sets;
+}
+
+(* One set of the level: sorted in spo, which membership tests read, and
+   in each other ordering a read has served from (see [run_in]).  A slot
+   is filled by the first domain to read it — pinned views share the
+   level — so it is atomic; every merge carries the filled ones forward. *)
+and sets =
+  | No_sets
+  | Sets of {
+      spo : run;
+      others : run option Atomic.t array;  (* indexed by [slot] *)
+    }
+
+let other_orderings = [| Ordering.Sop; Ordering.Pso; Ordering.Pos; Ordering.Osp; Ordering.Ops |]
+
+let slot = function
+  | Ordering.Sop -> 0
+  | Ordering.Pso -> 1
+  | Ordering.Pos -> 2
+  | Ordering.Osp -> 3
+  | Ordering.Ops -> 4
+  | Ordering.Spo ->
+      (* spo is the set's own run, never a slot. *)
+      assert false
+
+let empty_level = { ins = No_sets; del = No_sets }
+let spo_run = function No_sets -> [||] | Sets s -> s.spo
+let run_length (r : run) = Array.length r / 3
+let level_triples l = run_length (spo_run l.ins) + run_length (spo_run l.del)
+
+let[@inline] lex a1 b1 c1 a2 b2 c2 =
+  if a1 <> a2 then Int.compare a1 a2 else if b1 <> b2 then Int.compare b1 b2 else Int.compare c1 c2
+
+(* [(s1, p1, o1)] against [(s2, p2, o2)] in [ord]'s significance order. *)
+let compare_in ord s1 p1 o1 s2 p2 o2 =
+  match ord with
+  | Ordering.Spo -> lex s1 p1 o1 s2 p2 o2
+  | Ordering.Sop -> lex s1 o1 p1 s2 o2 p2
+  | Ordering.Pso -> lex p1 s1 o1 p2 s2 o2
+  | Ordering.Pos -> lex p1 o1 s1 p2 o2 s2
+  | Ordering.Osp -> lex o1 s1 p1 o2 s2 p2
+  | Ordering.Ops -> lex o1 p1 s1 o2 p2 s2
+
+let compare_at ord (r : run) i s p o =
+  let j = 3 * i in
+  compare_in ord r.(j) r.(j + 1) r.(j + 2) s p o
+
+(* First entry of [r] in [lo, hi) not below [(s, p, o)] — or, with
+   [~past:true], above it. *)
+let search ?(past = false) ord r ~lo ~hi s p o =
+  let bar = if past then 0 else -1 in
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if compare_at ord r mid s p o <= bar then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let run_mem ord r { s; p; o } =
+  let n = run_length r in
+  let i = search ord r ~lo:0 ~hi:n s p o in
+  i < n && compare_at ord r i s p o = 0
+
+let triples_of (r : run) =
+  Array.init (run_length r) (fun i -> { s = r.(3 * i); p = r.((3 * i) + 1); o = r.((3 * i) + 2) })
+
+let run_of (a : id_triple array) : run =
+  let r = Array.make (3 * Array.length a) 0 in
+  Array.iteri
+    (fun i tr ->
+      r.(3 * i) <- tr.s;
+      r.((3 * i) + 1) <- tr.p;
+      r.((3 * i) + 2) <- tr.o)
+    a;
+  r
+
+(* [sets] sorted in [ord]: a slot not filled yet is filled by one sort
+   of the spo run — once per set, since merges carry it forward. *)
+let run_in sets ord =
+  match sets with
+  | No_sets -> [||]
+  | Sets s when ord = Ordering.Spo -> s.spo
+  | Sets s -> (
+      let cell = s.others.(slot ord) in
+      match Atomic.get cell with
+      | Some r -> r
+      | None ->
+          let r = run_of (Ordering.sort_triples ord (triples_of s.spo)) in
+          if Atomic.compare_and_set cell None (Some r) then r
+          else Option.value (Atomic.get cell) ~default:r)
+
+(* [(r − sub) ∪ add], all three sorted in [ord]: [sub] is a subset of
+   [r] and [add] is disjoint from it, so one pass writes the result at
+   its exact size. *)
+let apply ord (r : run) ~(add : id_triple array) ~(sub : id_triple array) =
+  let n = run_length r and na = Array.length add and nd = Array.length sub in
+  if na = 0 && nd = 0 then r
+  else begin
+    let out = Array.make (3 * (n + na - nd)) 0 in
+    let w = ref 0 and i = ref 0 and j = ref 0 and k = ref 0 in
+    let put s p o =
+      out.(!w) <- s;
+      out.(!w + 1) <- p;
+      out.(!w + 2) <- o;
+      w := !w + 3
+    in
+    while !i < n || !j < na do
+      if !j < na && (!i >= n || compare_at ord r !i add.(!j).s add.(!j).p add.(!j).o > 0) then begin
+        put add.(!j).s add.(!j).p add.(!j).o;
+        incr j
+      end
+      else begin
+        let b = 3 * !i in
+        let s = r.(b) and p = r.(b + 1) and o = r.(b + 2) in
+        incr i;
+        if !k < nd && sub.(!k).s = s && sub.(!k).p = p && sub.(!k).o = o then incr k else put s p o
+      end
+    done;
+    out
+  end
+
+(* --- merge cursors ------------------------------------------------------ *)
+
+(* A forward cursor over the entries [i, hi) of a run. *)
+type cursor = {
+  run : run;
+  mutable i : int;
+  hi : int;
+}
+
+(* Read only: every loop checks [i < hi] before it moves [i]. *)
+let no_cursor = { run = [||]; i = 0; hi = 0 }
+
+(* The entries of [r] in [lo, hi) that match [pat], whose bound positions
+   lead [ord]: from the key with every free position below all ids to
+   the key with every free position above them, inclusive. *)
+let range ord r ~lo ~hi (pat : Pattern.t) =
+  if lo >= hi then no_cursor
+  else begin
+    let low = function Some v -> v | None -> -1 and high = function Some v -> v | None -> max_int in
+    let lo = search ord r ~lo ~hi (low pat.s) (low pat.p) (low pat.o) in
+    let hi = search ~past:true ord r ~lo ~hi (high pat.s) (high pat.p) (high pat.o) in
+    if lo >= hi then no_cursor else { run = r; i = lo; hi }
+  end
+
+let cursor ord r pat = range ord r ~lo:0 ~hi:(run_length r) pat
+let narrow ord c pat = range ord c.run ~lo:c.i ~hi:c.hi pat
+
+(* A pending buffer's matches, sorted in [ord].  Files the buffer's logs
+   first: the live delta's writer only. *)
+let pending_cursor b ord pat =
+  if buffer_length b = 0 then no_cursor
+  else
+    let r = run_of (buffer_matching b (Ordering.compare_triples ord) pat) in
+    if Array.length r = 0 then no_cursor else { run = r; i = 0; hi = run_length r }
+
+(* The four sources merged into the base's matches: level inserts and
+   tombstones, pending inserts and tombstones. *)
+type sources = {
+  ins : cursor;
+  del : cursor;
+  pins : cursor;
+  pdel : cursor;
+}
+
+let[@inline] ahead ord c s p o = c.i < c.hi && compare_at ord c.run c.i s p o < 0
+
+(* Moves [c] to the first entry not below [(s, p, o)]; [true] if that
+   entry is [(s, p, o)]. *)
+let hits ord c s p o =
+  while ahead ord c s p o do
+    c.i <- c.i + 1
+  done;
+  c.i < c.hi && compare_at ord c.run c.i s p o = 0
+
+(* One pass over the base's matches in [ord] with the level's and the
+   pending inserts merged in and the tombstones left out.  Every source
+   ascends in [ord], so each cursor only moves forward.  A base triple
+   may be tombstoned by the level or the buffer, a level insert only by
+   the buffer; a pending insert is never tombstoned, and it is the one
+   insert that can equal a base triple (one the level tombstoned). *)
+let push_merge ord base src f =
+  let spent c = c.i >= c.hi in
+  if spent src.ins && spent src.del && spent src.pins && spent src.pdel then base f
+  else begin
+    let rec inserts_below s p o =
+      let a = ahead ord src.ins s p o and b = ahead ord src.pins s p o in
+      if a || b then begin
+        let from_level =
+          a
+          && ((not b)
+             ||
+             let j = 3 * src.pins.i in
+             compare_at ord src.ins.run src.ins.i src.pins.run.(j) src.pins.run.(j + 1)
+               src.pins.run.(j + 2)
+             < 0)
+        in
+        let c = if from_level then src.ins else src.pins in
+        let j = 3 * c.i in
+        let s' = c.run.(j) and p' = c.run.(j + 1) and o' = c.run.(j + 2) in
+        c.i <- c.i + 1;
+        if not (from_level && hits ord src.pdel s' p' o') then f s' p' o';
+        inserts_below s p o
+      end
+    in
+    base (fun s p o ->
+        inserts_below s p o;
+        if not (hits ord src.del s p o || hits ord src.pdel s p o) then f s p o);
+    inserts_below max_int max_int max_int
+  end
+
 (* Invariants (checked by [Check.Invariant.delta]):
-   - no triple is in both [inserts] and the base store;
-   - [deletes] is a subset of the base store;
-   - [inserts] and [deletes] are disjoint (implied by the two above). *)
+   - the level's inserts are not in the base, its tombstones are;
+   - no pending insert is visible in base ∪ level (a pending insert of a
+     level-tombstoned triple resurrects it);
+   - every pending tombstone is visible in base ∪ level;
+   - the two buffers are disjoint (implied by the two above). *)
 type t = {
   base : Hexastore.t;
+  mutable level : level;
   inserts : buffer;
   deletes : buffer;
   mutable insert_threshold : int;
@@ -310,12 +537,20 @@ type t = {
 let default_insert_threshold = 4096
 let default_delete_threshold = 1024
 
+(* An auto-flush migrates the level into the base once the level would
+   hold more than an eighth of the base's triples.  An in-place bulk
+   flush of N/8 staged triples into LUBM 10×4 took 143–149 ms, against
+   25 ms at N/64 (DESIGN.md §9): below an eighth the level stays cheap
+   to merge and to read, and one migration replaces many base flushes. *)
+let level_fraction = 8
+
 let clamp_threshold n = max 1 n
 
 let of_base ?(insert_threshold = default_insert_threshold)
     ?(delete_threshold = default_delete_threshold) base =
   {
     base;
+    level = empty_level;
     inserts = buffer_create 64;
     deletes = buffer_create 16;
     insert_threshold = clamp_threshold insert_threshold;
@@ -349,6 +584,8 @@ let base t = t.base
 let dict t = Hexastore.dict t.base
 let pending_inserts t = buffer_length t.inserts
 let pending_deletes t = buffer_length t.deletes
+let level_size t = level_triples t.level
+let level_run t ~tombstones ord = run_in (if tombstones then t.level.del else t.level.ins) ord
 let insert_threshold t = t.insert_threshold
 let delete_threshold t = t.delete_threshold
 
@@ -356,33 +593,37 @@ let set_thresholds ?insert ?delete t =
   (match insert with Some n -> t.insert_threshold <- clamp_threshold n | None -> ());
   match delete with Some n -> t.delete_threshold <- clamp_threshold n | None -> ()
 
-let size t = Hexastore.size t.base + buffer_length t.inserts - buffer_length t.deletes
+let size t =
+  Hexastore.size t.base + run_length (spo_run t.level.ins) - run_length (spo_run t.level.del)
+  + buffer_length t.inserts - buffer_length t.deletes
+
+(* Nothing staged and nothing in the level: the base is the view. *)
+let quiet t =
+  buffer_length t.inserts = 0 && buffer_length t.deletes = 0 && t.level == empty_level
 
 let note_pending t =
   if !Telemetry.Config.enabled then begin
     Telemetry.Metrics.set g_pending_ins (float_of_int (buffer_length t.inserts));
-    Telemetry.Metrics.set g_pending_del (float_of_int (buffer_length t.deletes))
+    Telemetry.Metrics.set g_pending_del (float_of_int (buffer_length t.deletes));
+    Telemetry.Metrics.set g_level (float_of_int (level_size t))
   end
+
+(* In base ∪ level, before the buffers. *)
+let settled t tr =
+  run_mem Ordering.Spo (spo_run t.level.ins) tr
+  || (Hexastore.mem_ids t.base tr && not (run_mem Ordering.Spo (spo_run t.level.del) tr))
 
 (* --- flush ------------------------------------------------------------ *)
 
-(* Both buffers drain through the base's bulk passes: tombstones in one
-   [remove_bulk_ids], inserts in the [add_bulk_ids] that follows, so
-   every touched list, vector and header vector moves once per flush. *)
-let buffer_array b =
-  let batch = Array.make (buffer_length b) { s = 0; p = 0; o = 0 } in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun tr _ ->
-      batch.(!i) <- tr;
-      incr i)
-    b.members;
-  buffer_reset b;
-  batch
-
-let drain_pending t =
-  ignore (Hexastore.remove_bulk_ids t.base (buffer_array t.deletes));
-  buffer_array t.inserts
+let buffer_triples b =
+  let a = Array.make (buffer_length b) { s = 0; p = 0; o = 0 } in
+  ignore
+    (Hashtbl.fold
+       (fun tr _ i ->
+         a.(i) <- tr;
+         i + 1)
+       b.members 0);
+  a
 
 let rebuild_base t batch =
   Telemetry.Metrics.incr m_flush_rebuild;
@@ -402,36 +643,103 @@ let rebuild_base t batch =
      by this delta) keep seeing the store's contents. *)
   Hexastore.replace_contents t.base ~from:fresh
 
-(* [rebuild] only for {!compact}: the in-place bulk passes are not
-   slower than a rebuild at any batch size measured (DESIGN.md §9). *)
-let flush_with ?(auto = false) ~rebuild t =
+(* Every flush first folds the buffers into the next level.  A pending
+   insert either cancels a level tombstone or joins the level's inserts;
+   a pending tombstone either cancels a level insert or joins its
+   tombstones.  Each ordering of the next level is one pass over the
+   current one with the sorted batch merged in.  The level then stays in
+   front of the base, untouched by the flush, unless [migrate] is asked
+   for or the level outgrows [1 / level_fraction] of the base: then
+   (only then) the base is frozen and takes the level through its bulk
+   passes — tombstones in one [remove_bulk_ids], inserts in one
+   [add_bulk_ids] — or, for {!compact}, through a rebuild. *)
+let flush_with ?(auto = false) ~migrate ~rebuild t =
   let timed = !Telemetry.Config.enabled in
   let started = if timed then Telemetry.Clock.now () else 0. in
-  let pending =
-    with_base_frozen t (fun () ->
-        let pending = buffer_length t.inserts + buffer_length t.deletes in
-        Telemetry.Metrics.incr m_flush;
-        Telemetry.Metrics.observe m_flush_batch pending;
-        let batch = drain_pending t in
-        if rebuild then rebuild_base t batch else ignore (Hexastore.add_bulk_ids t.base batch);
-        pending)
+  let pending = buffer_length t.inserts + buffer_length t.deletes in
+  Telemetry.Metrics.incr m_flush;
+  Telemetry.Metrics.observe m_flush_batch pending;
+  let l = t.level in
+  (* Both buffers sorted in spo, each split by one pass along the spo
+     run of the level set it can cancel. *)
+  let split b (sets : sets) =
+    let a = Ordering.sort_triples Ordering.Spo (buffer_triples b) in
+    match sets with
+    | No_sets -> (a, [||])
+    | Sets { spo; _ } ->
+        let c = { run = spo; i = 0; hi = run_length spo } in
+        let hit = Array.map (fun (tr : id_triple) -> hits Ordering.Spo c tr.s tr.p tr.o) a in
+        let pick want =
+          let out = ref [] in
+          for j = Array.length a - 1 downto 0 do
+            if hit.(j) = want then out := a.(j) :: !out
+          done;
+          Array.of_list !out
+        in
+        (pick false, pick true)
   in
-  Telemetry.Trace.emit (Telemetry.Trace.Delta_flush { pending; rebuild; auto });
+  let ins_add, del_sub = split t.inserts l.del in
+  let del_add, ins_sub = split t.deletes l.ins in
+  let next_size =
+    level_triples l + Array.length ins_add - Array.length ins_sub + Array.length del_add
+    - Array.length del_sub
+  in
+  let migrate = migrate || next_size * level_fraction > Hexastore.size t.base in
+  let step ord r ~add ~sub =
+    apply ord r ~add:(Ordering.resort ~from:Ordering.Spo ord add)
+      ~sub:(Ordering.resort ~from:Ordering.Spo ord sub)
+  in
+  if migrate then begin
+    let ins = triples_of (step Ordering.Spo (spo_run l.ins) ~add:ins_add ~sub:ins_sub) in
+    let del = triples_of (step Ordering.Spo (spo_run l.del) ~add:del_add ~sub:del_sub) in
+    with_base_frozen t (fun () ->
+        t.level <- empty_level;
+        buffer_reset t.inserts;
+        buffer_reset t.deletes;
+        ignore (Hexastore.remove_bulk_ids t.base del);
+        if rebuild then rebuild_base t ins else ignore (Hexastore.add_bulk_ids t.base ins))
+  end
+  else begin
+    (* Each filled ordering of a set is one pass over it with the batch,
+       sorted in that ordering, merged in. *)
+    let next sets ~add ~sub =
+      if Array.length add = 0 && Array.length sub = 0 then sets
+      else
+        let spo = step Ordering.Spo (spo_run sets) ~add ~sub in
+        if Array.length spo = 0 then No_sets
+        else
+          let carried ord =
+            match sets with
+            | No_sets -> None
+            | Sets s -> Option.map (step ord ~add ~sub) (Atomic.get s.others.(slot ord))
+          in
+          Sets { spo; others = Array.map (fun ord -> Atomic.make (carried ord)) other_orderings }
+    in
+    let next =
+      if next_size = 0 then empty_level
+      else { ins = next l.ins ~add:ins_add ~sub:ins_sub; del = next l.del ~add:del_add ~sub:del_sub }
+    in
+    (* Pins copy the buffers under the lock: swap the level and empty
+       the buffers in one step. *)
+    with_lock t (fun () ->
+        t.level <- next;
+        buffer_reset t.inserts;
+        buffer_reset t.deletes)
+  end;
+  Telemetry.Trace.emit (Telemetry.Trace.Delta_flush { pending; rebuild; auto; migrate });
   note_pending t;
   if timed then
     Telemetry.Metrics.observe m_flush_us
       (int_of_float ((Telemetry.Clock.now () -. started) *. 1e6))
 
-let flush t =
-  if buffer_length t.inserts > 0 || buffer_length t.deletes > 0 then
-    flush_with ~rebuild:false t
+let flush t = if not (quiet t) then flush_with ~migrate:true ~rebuild:false t
 
 let compact t =
   Telemetry.Metrics.incr m_compact;
   Telemetry.Trace.emit
     (Telemetry.Trace.Delta_compact
        { pending = buffer_length t.inserts + buffer_length t.deletes });
-  flush_with ~rebuild:true t
+  flush_with ~migrate:true ~rebuild:true t
 
 let maybe_auto_flush t =
   if
@@ -439,7 +747,7 @@ let maybe_auto_flush t =
     || buffer_length t.deletes >= t.delete_threshold
   then begin
     Telemetry.Metrics.incr m_flush_auto;
-    flush_with ~auto:true ~rebuild:false t
+    flush_with ~auto:true ~migrate:false ~rebuild:false t
   end
 
 (* --- mutation --------------------------------------------------------- *)
@@ -452,10 +760,10 @@ let add_ids t tr =
   let outcome =
     with_lock t (fun () ->
         if buffer_mem t.inserts tr then `Noop
-        else if Hexastore.mem_ids t.base tr then
+        else if settled t tr then
           if unstage t.deletes tr then begin
             (* Resurrection: cancel the pending tombstone instead of
-               buffering an insert the base already holds. *)
+               buffering an insert base ∪ level already holds. *)
             Telemetry.Metrics.incr m_resurrect;
             `Staged
           end
@@ -479,11 +787,11 @@ let remove_ids t tr =
     with_lock t (fun () ->
         if unstage t.inserts tr then begin
           (* The triple only ever lived in the buffer: dropping the
-             buffered insert deletes it without touching the base. *)
+             buffered insert deletes it without touching the level. *)
           Telemetry.Metrics.incr m_unbuffer;
           `Staged
         end
-        else if Hexastore.mem_ids t.base tr && not (buffer_mem t.deletes tr) then begin
+        else if settled t tr && not (buffer_mem t.deletes tr) then begin
           stage t.deletes tr;
           Telemetry.Metrics.incr m_del_buf;
           `Buffered
@@ -499,8 +807,7 @@ let remove_ids t tr =
   outcome <> `Noop
 
 let mem_ids t tr =
-  buffer_mem t.inserts tr
-  || (Hexastore.mem_ids t.base tr && not (buffer_mem t.deletes tr))
+  buffer_mem t.inserts tr || (settled t tr && not (buffer_mem t.deletes tr))
 
 let add_bulk_ids t batch =
   (* Pending deletes must land first so a batch re-inserting a tombstoned
@@ -510,69 +817,119 @@ let add_bulk_ids t batch =
   flush t;
   with_base_frozen t (fun () -> Hexastore.add_bulk_ids t.base batch)
 
-(* --- merged lookup ---------------------------------------------------- *)
+(* --- merged reads ------------------------------------------------------ *)
 
-(* A pattern's matches agree on its bound positions, so comparing whole
-   triples in the serving ordering's significance order ranks them
-   exactly as the base scan emits them. *)
-let lookup t pat =
-  if buffer_length t.inserts = 0 && buffer_length t.deletes = 0 then Hexastore.lookup t.base pat
+let sources t ord pat =
+  {
+    ins = cursor ord (run_in t.level.ins ord) pat;
+    del = cursor ord (run_in t.level.del ord) pat;
+    pins = pending_cursor t.inserts ord pat;
+    pdel = pending_cursor t.deletes ord pat;
+  }
+
+(* A pattern's matches agree on its bound positions, which lead the
+   serving ordering, so every source ranks its matches exactly as the
+   base's scan of that ordering emits them. *)
+let iter t pat f =
+  if quiet t then Hexastore.iter t.base pat f
   else begin
     Telemetry.Metrics.incr m_merged;
-    let cmp = Ordering.compare_triples (Ordering.for_shape (Pattern.shape pat)) in
-    let base_seq = Hexastore.lookup t.base pat in
-    let dels = Array.to_seq (buffer_matching t.deletes cmp pat) in
-    let inss = Array.to_seq (buffer_matching t.inserts cmp pat) in
-    Merge.union_seq_by ~cmp (Merge.diff_seq_by ~cmp base_seq dels) inss
+    let ord = Ordering.for_shape (Pattern.shape pat) in
+    push_merge ord (Hexastore.iter t.base pat) (sources t ord pat) f
   end
+
+let collect t pat =
+  let acc = ref [] in
+  iter t pat (fun s p o -> acc := { s; p; o } :: !acc);
+  List.rev !acc
+
+let lookup t pat = if quiet t then Hexastore.lookup t.base pat else List.to_seq (collect t pat)
 
 let count t pat =
   match Pattern.shape pat with
   | Pattern.All ->
       let tr = { s = Option.get pat.s; p = Option.get pat.p; o = Option.get pat.o } in
       if mem_ids t tr then 1 else 0
-  | _ -> Hexastore.count t.base pat + buffer_count t.inserts pat - buffer_count t.deletes pat
+  | shape ->
+      let n = Hexastore.count t.base pat + buffer_count t.inserts pat - buffer_count t.deletes pat in
+      if t.level == empty_level then n
+      else
+        let ord = Ordering.for_shape shape in
+        let length c = c.hi - c.i in
+        n + length (cursor ord (run_in t.level.ins ord) pat)
+        - length (cursor ord (run_in t.level.del ord) pat)
 
-let fold f t acc = Seq.fold_left (fun acc tr -> f tr acc) acc (lookup t Pattern.wildcard)
+let fold f t acc =
+  let acc = ref acc in
+  iter t Pattern.wildcard (fun s p o -> acc := f { s; p; o } !acc);
+  !acc
 
-(* Merged sorted scans: the base's seekable scan stays the backbone;
-   buffered inserts are snapshot-sorted under the serving ordering's
-   comparator and merged in, tombstones filtered out (an order-preserving
-   filter, so the merged stream stays sorted on the scan position). *)
+let with_value (pat : Pattern.t) pos k =
+  match pos with
+  | Pattern.Subj -> { pat with s = Some k }
+  | Pattern.Pred -> { pat with p = Some k }
+  | Pattern.Obj -> { pat with o = Some k }
+
+(* The base's cursor with each probe's slice of the four sources merged
+   in: the slices of the pattern are found at the first probe (the
+   planner asks for cursors it never runs), and each probe narrows them
+   to its key by binary search, since the scan position follows the
+   bound ones in the serving ordering. *)
+let seek_sorted t pat pos =
+  match Hexastore.seek_sorted t.base pat pos with
+  | None -> None
+  | Some _ as plain when quiet t -> plain
+  | Some (ord, run) ->
+      let found = ref None in
+      let probe k f =
+        let src =
+          match !found with
+          | Some src -> src
+          | None ->
+              Telemetry.Metrics.incr m_merged;
+              let src = sources t ord pat in
+              found := Some src;
+              src
+        in
+        let key = with_value pat pos k in
+        let slice c = narrow ord c key in
+        push_merge ord (run k)
+          { ins = slice src.ins; del = slice src.del; pins = slice src.pins; pdel = slice src.pdel }
+          f
+      in
+      Some (ord, probe)
+
+(* The pull scan materialises the merge once, at the call; a seek is a
+   binary search into it.  Only the tests and {!scan_split} pull. *)
 let scan_sorted t pat pos =
   match Hexastore.scan_sorted t.base pat pos with
   | None -> None
+  | Some _ as plain when quiet t -> plain
   | Some (ord, base_seek) ->
-      if buffer_length t.inserts = 0 && buffer_length t.deletes = 0 then Some (ord, base_seek)
-      else begin
-        Telemetry.Metrics.incr m_merged;
-        let cmp = Ordering.compare_triples ord in
-        let value_of (tr : id_triple) =
-          match pos with Pattern.Subj -> tr.s | Pattern.Pred -> tr.p | Pattern.Obj -> tr.o
-        in
-        let ins = buffer_matching t.inserts cmp pat in
-        let n_ins = Array.length ins in
-        (* Matches agree on the bound positions (a prefix of the serving
-           ordering before [pos]), so [cmp] order is [pos]-value order:
-           a binary search by scan value finds the merge suffix. *)
-        let ins_from k =
-          let lo = ref 0 and hi = ref n_ins in
-          while !lo < !hi do
-            let mid = (!lo + !hi) / 2 in
-            if value_of ins.(mid) < k then lo := mid + 1 else hi := mid
-          done;
-          let rec aux i () = if i >= n_ins then Seq.Nil else Seq.Cons (ins.(i), aux (i + 1)) in
-          aux !lo
-        in
-        let seek k =
-          let base = Seq.filter (fun tr -> not (buffer_mem t.deletes tr)) (base_seek k) in
-          Merge.union_seq_by ~cmp base (ins_from k)
-        in
-        Some (ord, seek)
-      end
+      Telemetry.Metrics.incr m_merged;
+      let acc = ref [] in
+      push_merge ord
+        (fun f -> Seq.iter (fun tr -> f tr.s tr.p tr.o) (base_seek min_int))
+        (sources t ord pat)
+        (fun s p o -> acc := { s; p; o } :: !acc);
+      let merged = Array.of_list (List.rev !acc) in
+      let n = Array.length merged in
+      let value_of (tr : id_triple) =
+        match pos with Pattern.Subj -> tr.s | Pattern.Pred -> tr.p | Pattern.Obj -> tr.o
+      in
+      let seek k =
+        let lo = ref 0 and hi = ref n in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if value_of merged.(mid) < k then lo := mid + 1 else hi := mid
+        done;
+        let rec from i () = if i >= n then Seq.Nil else Seq.Cons (merged.(i), from (i + 1)) in
+        from !lo
+      in
+      Some (ord, seek)
 
-(* Splitting reuses the base's boundary keys: buffered inserts merge
-   into whichever range their scan value lands in, preserving both
+(* Splitting reuses the base's boundary keys: level and pending inserts
+   fall into whichever range their scan value lands in, preserving both
    contiguity and per-range sortedness, so concatenating the split still
    reproduces the unsplit merged stream exactly.  (Insert-heavy deltas
    can unbalance the parts; that costs speedup, never correctness.) *)
@@ -595,6 +952,7 @@ let pin t =
       let view =
         {
           base = t.base;
+          level = t.level;
           inserts = filed_copy t.inserts;
           deletes = filed_copy t.deletes;
           (* A snapshot is read-only by protocol; max out the thresholds
@@ -651,8 +1009,24 @@ let to_triples t =
 
 (* --- accounting ------------------------------------------------------- *)
 
-(* The delta record (7 words with header) plus both buffers, exactly
-   (see [buffer_memory_words]). *)
+(* A level is its record (3 words) and its two sets.  A non-empty set is
+   its block (3 words), its spo run (a header plus three words per
+   triple), its five slots (a 6-word array and a 2-word atomic each) and
+   each filled slot's option (2 words) and run. *)
+let level_memory_words (l : level) =
+  let run_words r = Array.length r + 1 in
+  let sets_words = function
+    | No_sets -> 0
+    | Sets s ->
+        Array.fold_left
+          (fun acc cell ->
+            acc + 2 + match Atomic.get cell with Some r -> 2 + run_words r | None -> 0)
+          (3 + run_words s.spo + 6) s.others
+  in
+  3 + sets_words l.ins + sets_words l.del
+
+(* The delta record (8 words with header), the level and both buffers,
+   exactly (see [buffer_memory_words]). *)
 let memory_words t =
-  Hexastore.memory_words t.base + 7 + buffer_memory_words t.inserts
+  Hexastore.memory_words t.base + 8 + level_memory_words t.level + buffer_memory_words t.inserts
   + buffer_memory_words t.deletes

@@ -3,17 +3,30 @@
     §4.2 of the paper concedes that incremental insertion is the
     Hexastore's weak point: every triple does a binary insertion into
     sorted vectors in all six orderings, O(vector length) apiece.  This
-    module stages mutations LSM-style instead: recent inserts and a
-    delete set live in two small buffers in front of an immutable-ish
-    base store, and every read merges
-    [base ∪ inserts − deletes] lazily through the sorted-merge kernels
-    in {!Vectors.Merge}, preserving each access pattern's natural index
-    order.  When a buffer reaches its threshold the delta is drained
-    into the six orderings through the base's sorted bulk passes —
-    {!Hexastore.remove_bulk_ids} for the tombstones, then
-    {!Hexastore.add_bulk_ids} for the inserts — so each touched list,
-    vector and header vector moves once per flush, not once per
-    triple.
+    module stages mutations LSM-style instead, in three tiers in front
+    of the base store:
+
+    - two small pending buffers, recent inserts and a delete set;
+    - one immutable sorted level: inserts the base lacks and tombstones
+      for triples it holds, each set kept as flat [int] arrays sorted in
+      spo and in each ordering a read has served from (no per-triple
+      records, no hash tables);
+    - the base, which only a migration mutates.
+
+    Every read is one push merge of the three: the base's own cursor,
+    with the level's range (found by binary search in the serving
+    ordering) and the pending matches merged in and the tombstones left
+    out, in the order {!Hexastore.iter} serves the pattern's shape.
+    When a buffer reaches its threshold, the auto-flush drains both
+    buffers into a new level: the batch is sorted in spo
+    ({!Ordering.sort_triples}), re-sorted for each other ordering the
+    level keeps ({!Ordering.resort}), and merged with the old level's
+    arrays.
+    The base is not touched, so no reader is waited for.  The level
+    moves into the base — {!Hexastore.remove_bulk_ids} for its
+    tombstones, then {!Hexastore.add_bulk_ids} for its inserts — only
+    when it would outgrow an eighth of the base, on {!flush} and on
+    {!compact}.  On a small base that is every auto-flush.
 
     Each buffer is a triple-keyed membership table plus three term
     tables that file every staged triple under its subject, its
@@ -24,18 +37,20 @@
     (and unfiles removed ones) before it looks.  That drain mutates the
     buffers, so it is the one writer's job (see {!pin}).
 
-    Coherence invariants, validated by [Check.Invariant.delta]:
-    no buffered insert is present in the base; the delete set is a
-    subset of the base; the two buffers are disjoint.
+    Coherence invariants, validated by [Check.Invariant.delta]: the
+    level's inserts are absent from the base and its tombstones present
+    in it; each of the level's orderings holds the same set, sorted; no
+    pending insert is visible in base ∪ level; every pending tombstone
+    is; the two buffers are disjoint.
 
     Telemetry (all under [hexastore.delta.*]): buffered-mutation
     counters ([insert.buffered], [delete.buffered],
     [insert.resurrected], [delete.unbuffered]), flush counters
-    ([flush.calls], [flush.auto], [flush.rebuild] — a {!compact}'s
-    rebuild, [compact.calls]),
-    merged-read counter ([lookup.merged]), pending-size gauges
-    ([pending_inserts], [pending_deletes]) and flush profiles
-    ([flush_duration_us], [flush_batch]). *)
+    ([flush.calls] — level merges and migrations alike, [flush.auto],
+    [flush.rebuild] — a {!compact}'s rebuild, [compact.calls]),
+    merged-read counter ([lookup.merged]), size gauges
+    ([pending_inserts], [pending_deletes], [level_triples]) and flush
+    profiles ([flush_duration_us], [flush_batch]). *)
 
 type t
 
@@ -60,18 +75,31 @@ val of_base : ?insert_threshold:int -> ?delete_threshold:int -> Hexastore.t -> t
 (** Front an existing store with an empty delta. *)
 
 val base : t -> Hexastore.t
-(** The base store.  Reading it directly bypasses pending mutations;
-    call {!flush} first for a complete view.  The base's identity is
+(** The base store.  Reading it directly bypasses the pending mutations
+    and the level; call {!flush} first for a complete view.  The base's identity is
     stable: a {!compact} adopts the rebuilt contents in place
     (via {!Hexastore.replace_contents}), so external aliases — e.g. a
     {!Dataset} graph fronted by this delta — stay valid. *)
 
 val dict : t -> Dict.Term_dict.t
 val size : t -> int
-(** Merged triple count: base + pending inserts − pending deletes. *)
+(** Merged triple count: base + level inserts − level tombstones +
+    pending inserts − pending deletes. *)
 
 val pending_inserts : t -> int
 val pending_deletes : t -> int
+
+val level_size : t -> int
+(** Triples in the level: its inserts plus its tombstones. *)
+
+val level_run : t -> tombstones:bool -> Ordering.t -> int array
+(** The level's inserts (or, with [~tombstones:true], its tombstones)
+    sorted in the given ordering, as one flat array of (s, p, o)
+    triplets: triple [i] is at [3i], [3i + 1] and [3i + 2].  An ordering
+    other than spo no read has asked for yet is sorted now and kept.
+    The array is the level's own, not a copy — for invariant checking
+    and tests; never mutate it. *)
+
 val insert_threshold : t -> int
 val delete_threshold : t -> int
 
@@ -84,43 +112,60 @@ val set_thresholds : ?insert:int -> ?delete:int -> t -> unit
 
 val add_ids : t -> id_triple -> bool
 (** Buffered insert; [false] if already visible in the merged view.
-    Re-adding a tombstoned base triple cancels the tombstone.  May
-    trigger an auto-flush. *)
+    Re-adding a triple with a pending tombstone cancels the tombstone.
+    May trigger an auto-flush. *)
 
 val remove_ids : t -> id_triple -> bool
 (** Buffered delete; [false] if absent from the merged view.  Removing a
-    buffered insert just drops it from the buffer; removing a base
-    triple records a tombstone.  May trigger an auto-flush. *)
+    buffered insert just drops it from the buffer; removing a triple of
+    the base or the level records a tombstone.  May trigger an
+    auto-flush. *)
 
 val mem_ids : t -> id_triple -> bool
 
 val add_bulk_ids : t -> id_triple array -> int
-(** Flushes pending mutations, then bulk-loads through the base's
+(** Flushes pending mutations and the level, then bulk-loads through the base's
     sort-and-append path.  Returns the number of triples actually new. *)
 
+val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
+(** Merged view, pushed: [f s p o] for every triple of
+    base ∪ inserts − tombstones matching the pattern, in the order
+    {!Hexastore.iter} serves the pattern's shape — callers cannot tell a
+    delta-fronted store from a flushed one.  One pass of the base's
+    cursor with the level's range and the pending matches merged in.
+    The matching buffer entries come from the smallest bucket among the
+    pattern's bound terms (the whole buffer only for the all-wildcard
+    pattern), and are copied and sorted at call time. *)
+
 val lookup : t -> Pattern.t -> id_triple Seq.t
-(** Merged view: base ∪ buffered inserts − tombstones, lazily, in the
-    same order {!Hexastore.lookup} serves the pattern's shape — callers
-    cannot tell a delta-fronted store from a flushed one.  The matching
-    buffer entries come from the smallest bucket among the pattern's
-    bound terms (the whole buffer only for the all-wildcard pattern),
-    and are copied and sorted at call time. *)
+(** {!iter}'s triples, materialised when anything is staged or in the
+    level (the base's lazy {!Hexastore.lookup} otherwise). *)
 
 val count : t -> Pattern.t -> int
 (** Exact cardinality of {!lookup}: the base's O(log) count adjusted by
-    each buffer's matches.  With one bound position that is one
-    bucket's live count, O(1); with two it is a walk of the smaller of
-    the two buckets; fully bound it is {!mem_ids}. *)
+    the level's two range lengths (binary searches) and each buffer's
+    matches.  With one bound position a buffer's share is one bucket's
+    live count, O(1); with two it is a walk of the smaller of the two
+    buckets; fully bound it is {!mem_ids}. *)
 
 val fold : (id_triple -> 'a -> 'a) -> t -> 'a -> 'a
 (** Over the merged view in (s, p, o) order. *)
 
+val seek_sorted :
+  t -> Pattern.t -> Pattern.position ->
+  (Ordering.t * (int -> (int -> int -> int -> unit) -> unit)) option
+(** Merged counterpart of {!Hexastore.seek_sorted}, so a delta-fronted
+    store stays merge-joinable under the same strategy rules as its
+    base: [run k f] is the base's probe for [k] push-merged with the
+    level's and the buffers' matches for [k].  Their ranges for the
+    pattern are found at the call; each probe narrows them by binary
+    search. *)
+
 val scan_sorted : t -> Pattern.t -> Pattern.position -> (Ordering.t * (int -> id_triple Seq.t)) option
-(** Merged counterpart of {!Hexastore.scan_sorted}: the base's seekable
-    sorted scan with snapshot-sorted buffered inserts merged in and
-    tombstones filtered out, still ascending on the scan position — so a
-    delta-fronted store stays merge-joinable under the same strategy
-    rules as its base. *)
+(** Merged counterpart of {!Hexastore.scan_sorted}, ascending on the
+    scan position.  With anything staged or in the level, the merged
+    scan is materialised at the call and a seek is a binary search into
+    it. *)
 
 val scan_bounds : t -> Pattern.t -> Pattern.position -> parts:int -> int array
 (** Interior boundary keys carving the merged scan into [parts]
@@ -155,8 +200,8 @@ val scan_split :
 val pin : t -> t * (unit -> unit)
 (** [pin t] is [(view, unpin)]: a read-only snapshot of the current
     merged view plus the closure releasing it.  Copying the buffers
-    costs O(pending).  [unpin] is idempotent; holding a pin blocks
-    flushes, so release promptly. *)
+    costs O(pending); the level is shared.  [unpin] is idempotent;
+    holding a pin blocks migrations, so release promptly. *)
 
 val pins : t -> int
 (** Number of currently held pins (diagnostic; exact only while pinners
@@ -170,16 +215,18 @@ val iter_pending_deletes : (id_triple -> unit) -> t -> unit
 (** {1 Draining} *)
 
 val flush : t -> unit
-(** Apply the tombstones to the base in one bulk removal, then drain
-    the buffered inserts in one bulk load: per batch, one compaction or
-    merge of each touched terminal list and pair vector and of each
-    index's header vector, in place whatever the batch's size.  A
-    packed base is inflated by the removal and recompressed once by the
-    load.  No-op when both buffers are empty. *)
+(** Fold the buffers into the level, then migrate the level into the
+    base: its tombstones in one bulk removal, its inserts in one bulk
+    load — per batch, one compaction or merge of each touched terminal
+    list and pair vector and of each index's header vector, in place
+    whatever the batch's size.  A packed base is inflated by the removal
+    and recompressed once by the load.  Afterwards the base holds the
+    whole merged view.  No-op when the buffers and the level are
+    empty. *)
 
 val compact : t -> unit
-(** {!flush} by a rebuild instead: drains the buffers and re-loads the
-    whole merged set into right-sized fresh vectors (the only path that
+(** {!flush} by a rebuild instead: drains the buffers and the level and
+    re-loads the whole merged set into right-sized fresh vectors (the only path that
     counts [flush.rebuild]). *)
 
 (** {1 Term-level API} *)
@@ -195,10 +242,13 @@ val find : t -> ?s:Rdf.Term.t -> ?p:Rdf.Term.t -> ?o:Rdf.Term.t -> unit -> Rdf.T
 val to_triples : t -> Rdf.Triple.t list
 
 val memory_words : t -> int
-(** Base footprint plus the exact footprint of the pending buffers.  A
-    staged triple costs 21 words once filed (its triple record, its
-    entry, its membership binding and one list cell in each of its
-    three buckets; 15 while it waits to be filed); each distinct term
+(** Base footprint plus the exact footprint of the level and the
+    pending buffers.  The level costs three words per triple for its
+    spo run and for each other ordering a read has filled, plus a
+    header per array, 19 words of record and slots per set and 2 per
+    filled slot.  A staged triple costs 21 words once filed (its triple
+    record, its entry, its membership binding and one list cell in each
+    of its three buckets; 15 while it waits to be filed); each distinct term
     in a buffer costs 8 (a table binding and its bucket record); each
     table adds its bucket array; a removed entry a bucket has not
     dropped yet costs its cells until it is. *)

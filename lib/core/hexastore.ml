@@ -505,15 +505,6 @@ let scan_sorted t (pat : Pattern.t) (pos : Pattern.position) =
       in
       Some (ord, seek)
 
-(* [f s p o] from a triple read in ordering [ord]'s arrangement. *)
-let emitter = function
-  | Ordering.Spo -> fun f a b c -> f a b c
-  | Ordering.Sop -> fun f a b c -> f a c b
-  | Ordering.Pso -> fun f a b c -> f b a c
-  | Ordering.Pos -> fun f a b c -> f c a b
-  | Ordering.Osp -> fun f a b c -> f b c a
-  | Ordering.Ops -> fun f a b c -> f c b a
-
 (* A galloping cursor over ascending probes: resumes from the last hit,
    restarting when a probe goes backwards. *)
 let cursor search =
@@ -531,7 +522,7 @@ let seek_sorted t (pat : Pattern.t) (pos : Pattern.position) =
   | Some ord ->
       note_ord ord;
       let index = index_of t ord in
-      let emit = emitter ord in
+      let emit = Ordering.emit ord in
       let value q = Pattern.value_at pat q in
       let run =
         match List.map value (Ordering.positions ord) with

@@ -43,6 +43,14 @@ let positions = function
   | Osp -> [ Pattern.Obj; Pattern.Subj; Pattern.Pred ]
   | Ops -> [ Pattern.Obj; Pattern.Pred; Pattern.Subj ]
 
+let emit = function
+  | Spo -> fun f a b c -> f a b c
+  | Sop -> fun f a b c -> f a c b
+  | Pso -> fun f a b c -> f b a c
+  | Pos -> fun f a b c -> f c a b
+  | Osp -> fun f a b c -> f b c a
+  | Ops -> fun f a b c -> f c b a
+
 let twin = function
   | Spo -> Pso
   | Pso -> Spo
@@ -106,19 +114,33 @@ let compare_triples = function
 
 (* LSD: the least significant position first, each pass a stable
    counting sort of the permutation on one column. *)
-let sort_triples ord (a : Dict.Term_dict.id_triple array) =
+(* A fresh copy of [a] stably sorted on each position of [passes] in
+   turn, so the last one ranks first. *)
+let sort_on passes (a : Dict.Term_dict.id_triple array) =
   let column = function
     | Pattern.Subj -> Array.map (fun (tr : Dict.Term_dict.id_triple) -> tr.s) a
     | Pattern.Pred -> Array.map (fun (tr : Dict.Term_dict.id_triple) -> tr.p) a
     | Pattern.Obj -> Array.map (fun (tr : Dict.Term_dict.id_triple) -> tr.o) a
   in
   let perm =
-    List.fold_right
-      (fun pos perm -> Vectors.Radix.sort (column pos) perm)
-      (positions ord)
+    List.fold_left
+      (fun perm pos -> Vectors.Radix.sort (column pos) perm)
       (Array.init (Array.length a) Fun.id)
+      passes
   in
   Array.map (fun i -> a.(i)) perm
+
+let sort_triples ord a = sort_on (List.rev (positions ord)) a
+
+(* A stable pass on [x] over an array sorted on (p, q, r) sorts it on
+   (x, then the other two in their (p, q, r) order); a pass on [y] and
+   then one on [x] sorts it on (x, y, _). *)
+let resort ~from ord a =
+  match positions ord with
+  | _ when ord = from || Array.length a < 2 -> a
+  | [ x; y; z ] when List.filter (( <> ) x) (positions from) = [ y; z ] -> sort_on [ x ] a
+  | x :: y :: _ -> sort_on [ y; x ] a
+  | _ -> sort_triples ord a
 
 let compare = Stdlib.compare
 

@@ -29,6 +29,11 @@ val positions : t -> Pattern.position list
 (** The three triple positions in this ordering's priority order,
     e.g. [positions Pos = [Pred; Obj; Subj]]. *)
 
+val emit : t -> (int -> int -> int -> 'a) -> int -> int -> int -> 'a
+(** [emit ord f a b c] is [f s p o] for the triple whose values in
+    [ord]'s priority order are [a], [b], [c] — how a push scan of an
+    ordering's index hands its triples on without building records. *)
+
 val twin : t -> t
 (** The ordering sharing this one's terminal lists (§4.1):
     spo↔pso, sop↔osp, pos↔ops. *)
@@ -46,6 +51,13 @@ val sort_triples : t -> Dict.Term_dict.id_triple array -> Dict.Term_dict.id_trip
     linear time: a {!Vectors.Radix} counting sort per position, least
     significant first.  The one triple sort of the store's bulk passes.
     @raise Invalid_argument on a negative id. *)
+
+val resort : from:t -> t -> Dict.Term_dict.id_triple array -> Dict.Term_dict.id_triple array
+(** [resort ~from ord a] is {!sort_triples}[ ord a] for an [a] already
+    sorted in [from], in at most two stable passes instead of three:
+    one on [ord]'s leading position when [ord] ranks the other two as
+    [from] does (e.g. spo to osp), two otherwise; [a] itself when
+    [ord = from].  Fresh otherwise. *)
 
 val compare : t -> t -> int
 

@@ -57,14 +57,6 @@ let get_role (tr : Dict.Term_dict.id_triple) = function
   | Rp -> tr.p
   | Ro -> tr.o
 
-let assemble (r1, r2, r3) x1 x2 x3 : Dict.Term_dict.id_triple =
-  let s = ref 0 and p = ref 0 and o = ref 0 in
-  let set r x = match r with Rs -> s := x | Rp -> p := x | Ro -> o := x in
-  set r1 x1;
-  set r2 x2;
-  set r3 x3;
-  { s = !s; p = !p; o = !o }
-
 (* Duplicate detection goes through the first family: every family's
    lists characterise the triple set completely. *)
 let primary t = List.hd t.families
@@ -147,33 +139,32 @@ let is_native t shape =
   | Pattern.All | Pattern.Sp -> Ordering.Set.mem (Ordering.twin (Ordering.for_shape shape)) t.kept
   | _ -> false
 
-let lookup t (pat : Pattern.t) : Dict.Term_dict.id_triple Seq.t =
+(* The kept ordering with the longest bound prefix, walked in its
+   order; a bound position past the prefix filters. *)
+let iter t (pat : Pattern.t) f =
   let ord, idx = best_ordering t pat in
-  let ((r1, r2, r3) as rs) = roles ord in
-  let v1 = pattern_role pat r1 and v2 = pattern_role pat r2 and v3 = pattern_role pat r3 in
-  let expand_entry x1 x2 l =
+  let r1, r2, r3 = roles ord in
+  let v2 = pattern_role pat r2 and v3 = pattern_role pat r3 in
+  let emit = Ordering.emit ord f in
+  let entry x1 x2 l =
     match v3 with
-    | Some x3 ->
-        if Sorted_ivec.mem l x3 then Seq.return (assemble rs x1 x2 x3) else Seq.empty
-    | None -> Seq.map (fun x3 -> assemble rs x1 x2 x3) (Sorted_ivec.to_seq l)
+    | Some x3 -> if Sorted_ivec.mem l x3 then emit x1 x2 x3
+    | None -> Sorted_ivec.iter (fun x3 -> emit x1 x2 x3) l
   in
-  let expand_vector x1 v =
-    match v2 with
-    | Some x2 -> (
-        match Pair_vector.find v x2 with None -> Seq.empty | Some l -> expand_entry x1 x2 l)
-    | None -> Seq.concat_map (fun (x2, l) -> expand_entry x1 x2 l) (Pair_vector.to_seq v)
+  let header x1 =
+    match (Index.find_vector idx x1, v2) with
+    | None, _ -> ()
+    | Some v, Some x2 -> Option.iter (entry x1 x2) (Pair_vector.find v x2)
+    | Some v, None -> Pair_vector.iter (entry x1) v
   in
-  match v1 with
-  | Some x1 -> (
-      match Index.find_vector idx x1 with None -> Seq.empty | Some v -> expand_vector x1 v)
-  | None ->
-      (* No bound position leads any kept ordering: filtered full scan. *)
-      Seq.concat_map
-        (fun x1 ->
-          match Index.find_vector idx x1 with
-          | None -> Seq.empty
-          | Some v -> expand_vector x1 v)
-        (Sorted_ivec.to_seq (Index.headers idx))
+  match pattern_role pat r1 with
+  | Some x1 -> header x1
+  | None -> Sorted_ivec.iter header (Index.headers_view idx)
+
+let lookup t pat =
+  let acc = ref [] in
+  iter t pat (fun s p o -> acc := ({ s; p; o } : Dict.Term_dict.id_triple) :: !acc);
+  List.to_seq (List.rev !acc)
 
 let count t pat =
   (* Exact shortcuts when the leading two positions are bound in a kept
@@ -187,7 +178,10 @@ let count t pat =
   | Some x1, None, None -> (
       match Index.find_vector idx x1 with None -> 0 | Some v -> Pair_vector.total v)
   | None, None, None -> t.size
-  | _ -> Seq.length (lookup t pat)
+  | _ ->
+      let n = ref 0 in
+      iter t pat (fun _ _ _ -> incr n);
+      !n
 
 let memory_words t =
   List.fold_left (fun acc (_, idx) -> acc + Index.memory_words idx) 0 t.indices

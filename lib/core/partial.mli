@@ -36,9 +36,13 @@ val add_bulk_ids : t -> Dict.Term_dict.id_triple array -> int
 val mem_ids : t -> Dict.Term_dict.id_triple -> bool
 (** O(log) through any present terminal-list family. *)
 
+val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
+(** [f s p o] per match, allocating nothing per triple.  Always
+    correct; cost depends on whether the shape's ordering (or a useful
+    substitute) is materialised. *)
+
 val lookup : t -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
-(** Always correct; cost depends on whether the shape's ordering (or a
-    useful substitute) is materialised. *)
+(** {!iter}'s matches, materialised, in the same order. *)
 
 val count : t -> Pattern.t -> int
 

@@ -63,10 +63,6 @@ module type S = sig
   val memory_words : t -> int
 end
 
-(* [iter] for stores without a push scan: walk their [lookup]. *)
-let push_lookup lookup t pat f =
-  Seq.iter (fun (tr : Dict.Term_dict.id_triple) -> f tr.s tr.p tr.o) (lookup t pat)
-
 module Hexastore_store : S with type t = Hexastore.t = struct
   type t = Hexastore.t
 
@@ -98,7 +94,7 @@ module Covp1_store : S with type t = Covp.t = struct
   let add_ids = Covp.add_ids
   let add_bulk_ids = Covp.add_bulk_ids
   let lookup = Covp.lookup
-  let iter = push_lookup lookup
+  let iter = Covp.iter
   let count = Covp.count
 
   (* The COVP baselines keep only per-property tables; they cannot
@@ -126,7 +122,7 @@ module Partial_store : S with type t = Partial.t = struct
   let add_ids = Partial.add_ids
   let add_bulk_ids = Partial.add_bulk_ids
   let lookup = Partial.lookup
-  let iter = push_lookup lookup
+  let iter = Partial.iter
   let count = Partial.count
 
   (* A partial store may be missing the ordering a sorted scan needs;
@@ -148,35 +144,10 @@ module Delta_store : S with type t = Delta.t = struct
   let add_ids = Delta.add_ids
   let add_bulk_ids = Delta.add_bulk_ids
   let lookup = Delta.lookup
-  let iter = push_lookup lookup
+  let iter = Delta.iter
   let count = Delta.count
   let scan_sorted = Delta.scan_sorted
-
-  (* Without pending writes the base's cursor is the merged view;
-     otherwise replay the merged sorted scan, built on the first probe. *)
-  let seek_sorted d pat pos =
-    let base = Hexastore.seek_sorted (Delta.base d) pat pos in
-    if Delta.pending_inserts d = 0 && Delta.pending_deletes d = 0 then base
-    else
-      Option.map
-        (fun (ord, _) ->
-          let seek = lazy (Option.map snd (Delta.scan_sorted d pat pos)) in
-          let value_at (tr : Dict.Term_dict.id_triple) =
-            match pos with Pattern.Subj -> tr.s | Pattern.Pred -> tr.p | Pattern.Obj -> tr.o
-          in
-          let run k f =
-            let rec go seq =
-              match seq () with
-              | Seq.Cons ((tr : Dict.Term_dict.id_triple), rest) when value_at tr = k ->
-                  f tr.s tr.p tr.o;
-                  go rest
-              | _ -> ()
-            in
-            Option.iter (fun seek -> go (seek k)) (Lazy.force seek)
-          in
-          (ord, run))
-        base
-
+  let seek_sorted = Delta.seek_sorted
   let scan_split = Delta.scan_split
   let pin d = Some (Delta.pin d)
   let repr_name d = Hexastore.repr_name (Delta.base d)

@@ -25,6 +25,7 @@ type kind =
       pending : int;
       rebuild : bool;
       auto : bool;
+      migrate : bool;
     }
   | Delta_compact of { pending : int }
   | Snapshot_save of {
@@ -306,8 +307,9 @@ let kind_fields = function
       [ ("label", Json.String (query_label ~op ~patterns)); ("rows", Json.Int rows) ]
   | Plan_choice { patterns; detail } ->
       [ ("label", Json.String (bgp_label patterns)); ("detail", Json.String (detail ())) ]
-  | Delta_flush { pending; rebuild; auto } ->
-      [ ("pending", Json.Int pending); ("rebuild", Json.Bool rebuild); ("auto", Json.Bool auto) ]
+  | Delta_flush { pending; rebuild; auto; migrate } ->
+      [ ("pending", Json.Int pending); ("rebuild", Json.Bool rebuild); ("auto", Json.Bool auto);
+        ("migrate", Json.Bool migrate) ]
   | Delta_compact { pending } -> [ ("pending", Json.Int pending) ]
   | Snapshot_save { path; triples } | Snapshot_load { path; triples } ->
       [ ("path", Json.String path); ("triples", Json.Int triples) ]
@@ -365,8 +367,9 @@ let pp_kind ppf e =
       Format.fprintf ppf "query.end      %s rows=%d" (query_label ~op ~patterns) rows
   | Plan_choice { patterns; detail } ->
       Format.fprintf ppf "plan.choice    %s: %s" (bgp_label patterns) (detail ())
-  | Delta_flush { pending; rebuild; auto } ->
-      Format.fprintf ppf "delta.flush    pending=%d rebuild=%b auto=%b" pending rebuild auto
+  | Delta_flush { pending; rebuild; auto; migrate } ->
+      Format.fprintf ppf "delta.flush    pending=%d rebuild=%b auto=%b migrate=%b" pending rebuild
+        auto migrate
   | Delta_compact { pending } -> Format.fprintf ppf "delta.compact  pending=%d" pending
   | Snapshot_save { path; triples } ->
       Format.fprintf ppf "snapshot.save  %s triples=%d" path triples

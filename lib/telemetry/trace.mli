@@ -59,6 +59,9 @@ type kind =
       pending : int;
       rebuild : bool;  (** a compaction's full rebuild, not an in-place flush *)
       auto : bool;
+      migrate : bool;
+          (** the level moved into the base; [false]: the buffers merged
+              into the level and the base was not touched *)
     }
   | Delta_compact of { pending : int }
   | Snapshot_save of {

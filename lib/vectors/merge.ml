@@ -202,63 +202,6 @@ let merge_join_gallop f a b =
   loop 0 0;
   note m_join ~input:(na + nb) ~output:!hits
 
-let rec intersect_seq sa sb () =
-  match (sa (), sb ()) with
-  | Seq.Nil, _ | _, Seq.Nil -> Seq.Nil
-  | Seq.Cons (x, sa'), Seq.Cons (y, sb') ->
-      if x = y then Seq.Cons (x, intersect_seq sa' sb')
-      else if x < y then intersect_seq sa' (fun () -> Seq.Cons (y, sb')) ()
-      else intersect_seq (fun () -> Seq.Cons (x, sa')) sb' ()
-
-let rec union_seq sa sb () =
-  match (sa (), sb ()) with
-  | Seq.Nil, rest | rest, Seq.Nil -> rest
-  | Seq.Cons (x, sa'), Seq.Cons (y, sb') ->
-      if x = y then Seq.Cons (x, union_seq sa' sb')
-      else if x < y then Seq.Cons (x, union_seq sa' (fun () -> Seq.Cons (y, sb')))
-      else Seq.Cons (y, union_seq (fun () -> Seq.Cons (x, sa')) sb')
-
-let rec diff_seq sa sb () =
-  match sa () with
-  | Seq.Nil -> Seq.Nil
-  | Seq.Cons (x, sa') -> (
-      match sb () with
-      | Seq.Nil -> Seq.Cons (x, sa')
-      | Seq.Cons (y, sb') ->
-          if x = y then diff_seq sa' sb' ()
-          else if x < y then Seq.Cons (x, diff_seq sa' (fun () -> Seq.Cons (y, sb')))
-          else diff_seq (fun () -> Seq.Cons (x, sa')) sb' ())
-
-let rec union_seq_by ~cmp sa sb () =
-  match (sa (), sb ()) with
-  | Seq.Nil, rest | rest, Seq.Nil -> rest
-  | Seq.Cons (x, sa'), Seq.Cons (y, sb') ->
-      let c = cmp x y in
-      if c = 0 then Seq.Cons (x, union_seq_by ~cmp sa' sb')
-      else if c < 0 then Seq.Cons (x, union_seq_by ~cmp sa' (fun () -> Seq.Cons (y, sb')))
-      else Seq.Cons (y, union_seq_by ~cmp (fun () -> Seq.Cons (x, sa')) sb')
-
-let rec diff_seq_by ~cmp sa sb () =
-  match sa () with
-  | Seq.Nil -> Seq.Nil
-  | Seq.Cons (x, sa') -> (
-      match sb () with
-      | Seq.Nil -> Seq.Cons (x, sa')
-      | Seq.Cons (y, sb') ->
-          let c = cmp x y in
-          if c = 0 then diff_seq_by ~cmp sa' sb' ()
-          else if c < 0 then Seq.Cons (x, diff_seq_by ~cmp sa' (fun () -> Seq.Cons (y, sb')))
-          else diff_seq_by ~cmp (fun () -> Seq.Cons (x, sa')) sb' ())
-
-let rec inter_seq_by ~cmp sa sb () =
-  match (sa (), sb ()) with
-  | Seq.Nil, _ | _, Seq.Nil -> Seq.Nil
-  | Seq.Cons (x, sa'), Seq.Cons (y, sb') ->
-      let c = cmp x y in
-      if c = 0 then Seq.Cons (x, inter_seq_by ~cmp sa' sb')
-      else if c < 0 then inter_seq_by ~cmp sa' (fun () -> Seq.Cons (y, sb')) ()
-      else inter_seq_by ~cmp (fun () -> Seq.Cons (x, sa')) sb' ()
-
 let is_strictly_ascending s =
   let rec loop prev s =
     match s () with

@@ -47,33 +47,6 @@ val merge_join_gallop : (int -> unit) -> Sorted_ivec.t -> Sorted_ivec.t -> unit
     so long mismatching runs cost O(log run) rather than O(run).  Same
     callback contract as {!merge_join}. *)
 
-val intersect_seq : int Seq.t -> int Seq.t -> int Seq.t
-(** Lazy merge intersection of two ascending sequences. *)
-
-val union_seq : int Seq.t -> int Seq.t -> int Seq.t
-(** Lazy merge union (duplicates collapsed) of two ascending sequences. *)
-
-val diff_seq : int Seq.t -> int Seq.t -> int Seq.t
-(** Lazy merge difference of two ascending sequences: elements of the
-    first not present in the second. *)
-
-val union_seq_by : cmp:('a -> 'a -> int) -> 'a Seq.t -> 'a Seq.t -> 'a Seq.t
-(** Lazy merge union of two sequences ascending under [cmp], duplicates
-    (elements comparing equal) collapsed, keeping the left occurrence.
-    The delta layer merges base-index scans with buffered inserts
-    through this kernel. *)
-
-val diff_seq_by : cmp:('a -> 'a -> int) -> 'a Seq.t -> 'a Seq.t -> 'a Seq.t
-(** Lazy merge difference under [cmp]: elements of the first sequence
-    with no equal element in the second.  The delta layer subtracts its
-    delete set from base-index scans through this kernel. *)
-
-val inter_seq_by : cmp:('a -> 'a -> int) -> 'a Seq.t -> 'a Seq.t -> 'a Seq.t
-(** Lazy merge intersection of two sequences ascending under [cmp]
-    (elements comparing equal are kept once, left occurrence wins).
-    The [Seq]-level counterpart of {!intersect} for operands that are
-    streamed rather than materialised — e.g. delta-layer merged views. *)
-
 val is_strictly_ascending : int Seq.t -> bool
 
 val of_unsorted : int list -> Sorted_ivec.t

@@ -1,5 +1,8 @@
-(* Digit width [w] = bit length of the batch length: the count array
-   has about [2n] cells, and ids below [n^d] sort in [d] passes.  The
+(* The batch length's bit length [b] sets how many passes the keys
+   need — ids below [2^(b·d)] sort in [d] passes — and the digit width
+   spreads the keys' own bits evenly over those passes, so the count
+   array has at most about [2n] cells and no more than the keys use
+   (a 40-value predicate column takes one pass over 64 counts).  The
    passes ping-pong between [perm] and one scratch array. *)
 let bit_length n =
   let rec go b = if n lsr b = 0 then b else go (b + 1) in
@@ -13,7 +16,9 @@ let sort keys perm =
     if k < 0 then invalid_arg "Radix.sort: negative key";
     if k > !top then top := k
   done;
-  let w = bit_length n in
+  let bits = bit_length !top in
+  let passes = (bits + bit_length n - 1) / bit_length n in
+  let w = (bits + passes - 1) / passes in
   let mask = (1 lsl w) - 1 in
   let count = Array.make (mask + 2) 0 in
   let src = ref perm and dst = ref (Array.make n 0) in

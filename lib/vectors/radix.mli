@@ -3,9 +3,10 @@
     The one sorting kernel behind the store's build from empty: the
     triple sorts of {!Hexa.Ordering.sort_triples} and the re-keying of
     a built ordering into its twin.  An LSD counting sort whose digit
-    width follows the batch length, so its count array is about as
-    long as the batch — never as long as the key range — and a key
-    below [2^(w·d)] takes [d] passes. *)
+    width follows the batch length, so its count array is at most about
+    as long as the batch — never as long as the key range — and a key
+    below [2^(w·d)] takes [d] passes; within that many passes the
+    width shrinks to what the largest key needs. *)
 
 val sort : int array -> int array -> int array
 (** [sort keys perm] is [perm]'s elements (indices into [keys]) stably

@@ -37,8 +37,9 @@ let () =
   let r = CC.stress c in
   if not !quiet then
     Printf.printf
-      "stress: readers=%d domains=%d seed=%d | %d ops, %d flushes, %d compactions, %d queries, %d violations\n"
+      "stress: readers=%d domains=%d seed=%d | %d ops, %d flushes, %d compactions, %d level merges, %d migrations, %d queries, %d violations\n"
       c.CC.readers c.CC.domains c.CC.seed r.CC.ops r.CC.flushes r.CC.compactions
+      r.CC.level_merges r.CC.migrations
       r.CC.queries
       (List.length r.CC.violations);
   if r.CC.violations <> [] then begin

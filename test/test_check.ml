@@ -582,6 +582,310 @@ let test_delta_memory_exact () =
   agree "after the drain"
 
 (* ------------------------------------------------------------------ *)
+(* The sorted level                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let base_triples d = List.rev (Hexastore.fold (fun tr acc -> tr :: acc) (Delta.base d) [])
+
+(* Over a base of 800 triples, an auto-flush merges its batch into the
+   level and leaves the base as it was; pending tombstones cancel level
+   inserts; the level migrates only once it would pass an eighth of the
+   base, and on [flush] and [compact]. *)
+let test_delta_level_migration () =
+  let d = Delta.of_base ~insert_threshold:8 ~delete_threshold:4 (Hexastore.create ()) in
+  ignore (Delta.add_bulk_ids d (Array.init 800 (fun i -> t3 i (i mod 7) (i mod 13))));
+  let before = base_triples d in
+  for i = 0 to 7 do
+    ignore (Delta.add_ids d (t3 (1000 + i) 1 1))
+  done;
+  check_int "auto-flush drained the buffer" 0 (Delta.pending_inserts d);
+  check_int "the level holds the batch" 8 (Delta.level_size d);
+  check_bool "the base is untouched" true (base_triples d = before);
+  List.iter
+    (fun tr -> check_bool "remove" true (Delta.remove_ids d tr))
+    [ t3 0 0 0; t3 1 1 1; t3 1000 1 1; t3 1001 1 1 ];
+  check_int "two tombstones in, two level inserts cancelled" 8 (Delta.level_size d);
+  check_bool "the base is still untouched" true (base_triples d = before);
+  check_bool "a level tombstone hides its base triple" false (Delta.mem_ids d (t3 0 0 0));
+  check_bool "resurrect a level-tombstoned triple" true (Delta.add_ids d (t3 0 0 0));
+  check_bool "resurrected" true (Delta.mem_ids d (t3 0 0 0));
+  check_int "merged size" 805 (Delta.size d);
+  no_violations "level after merges" (C.delta d);
+  (* Grow the level eight inserts at a time: it stays in front of the
+     base while it is at most an eighth of it, then migrates whole. *)
+  let migrated = ref false and i = ref 2000 in
+  while not !migrated do
+    let level = Delta.level_size d and pending = Delta.pending_inserts d in
+    ignore (Delta.add_ids d (t3 !i 2 2));
+    incr i;
+    if Delta.pending_inserts d = 0 then
+      if Delta.level_size d = 0 then begin
+        migrated := true;
+        check_bool "migrated only past an eighth" true ((level + pending + 1) * 8 > 800);
+        check_int "the base took the level" (Delta.size d) (Hexastore.size (Delta.base d))
+      end
+      else begin
+        check_bool "kept below an eighth" true (Delta.level_size d * 8 <= 800);
+        check_bool "a level merge leaves the base alone" true (base_triples d = before)
+      end
+  done;
+  no_violations "after the migration" (C.delta d);
+  for i = 0 to 7 do
+    ignore (Delta.add_ids d (t3 (5000 + i) 3 3))
+  done;
+  check_int "a new level" 8 (Delta.level_size d);
+  Delta.flush d;
+  check_int "flush migrates" 0 (Delta.level_size d);
+  check_int "base = merged view" (Delta.size d) (Hexastore.size (Delta.base d));
+  for i = 0 to 7 do
+    ignore (Delta.remove_ids d (t3 (5000 + i) 3 3))
+  done;
+  check_int "tombstones in the level" 8 (Delta.level_size d);
+  Delta.compact d;
+  check_int "compact migrates" 0 (Delta.level_size d);
+  check_int "base = merged view after compact" (Delta.size d) (Hexastore.size (Delta.base d));
+  no_violations "after flush and compact" (C.delta d)
+
+(* A delta with inserts and tombstones in its level, and its osp slot
+   filled by a read. *)
+let leveled_delta () =
+  let d = Delta.of_base ~insert_threshold:4 ~delete_threshold:2 (Hexastore.create ()) in
+  ignore (Delta.add_bulk_ids d (Array.init 200 (fun i -> t3 (i mod 40) (i mod 3) (i mod 17))));
+  List.iter (fun i -> ignore (Delta.add_ids d (t3 (100 + i) (i mod 3) (20 - i)))) [ 0; 1; 2; 3 ];
+  List.iter (fun i -> ignore (Delta.remove_ids d (t3 (i mod 40) (i mod 3) (i mod 17)))) [ 5; 6 ];
+  ignore (Delta.count d (Pattern.make ~o:3 ()));
+  check_int "level: four inserts, two tombstones" 6 (Delta.level_size d);
+  no_violations "clean level" (C.delta d);
+  d
+
+let test_delta_detects_level_corruption () =
+  let d = leveled_delta () in
+  let ins = Delta.level_run d ~tombstones:false Ordering.Spo in
+  ignore (Hexastore.add_ids (Delta.base d) (t3 ins.(0) ins.(1) ins.(2)));
+  some_violation "level insert already in the base" (C.delta d);
+  let d = leveled_delta () in
+  let osp = Delta.level_run d ~tombstones:false Ordering.Osp in
+  let last = Array.length osp - 3 in
+  for j = 0 to 2 do
+    let x = osp.(j) in
+    osp.(j) <- osp.(last + j);
+    osp.(last + j) <- x
+  done;
+  some_violation "unsorted level column" (C.delta d);
+  let d = leveled_delta () in
+  let del = Delta.level_run d ~tombstones:true Ordering.Spo in
+  ignore (Hexastore.remove_ids (Delta.base d) (t3 del.(0) del.(1) del.(2)));
+  some_violation "level tombstone without its base triple" (C.delta d)
+
+(* [Delta.memory_words] counts the level exactly too: its arrays, its
+   slots and the runs reads fill them with. *)
+let test_delta_level_memory_exact () =
+  let d = Delta.of_base ~insert_threshold:16 ~delete_threshold:8 (Hexastore.create ()) in
+  ignore (Delta.add_bulk_ids d (Array.init 400 (fun i -> t3 i (i mod 5) (i mod 9))));
+  let words () = (Delta.memory_words d, Obj.reachable_words (Obj.repr d)) in
+  let m0, r0 = words () in
+  let own () = Delta.memory_words d - Hexastore.memory_words (Delta.base d) in
+  let own0 = own () in
+  let agree what =
+    let m, r = words () in
+    check_int what (r - r0) (m - m0)
+  in
+  for i = 0 to 39 do
+    ignore (Delta.add_ids d (t3 (1000 + i) (i mod 4) (i mod 11)))
+  done;
+  check_bool "a level" true (Delta.level_size d > 0);
+  agree "level inserts, pending inserts";
+  ignore (Delta.count d (Pattern.make ~o:3 ()));
+  ignore (Delta.count d (Pattern.make ~p:1 ~o:3 ()));
+  agree "filled slots";
+  for i = 0 to 19 do
+    ignore (Delta.remove_ids d (t3 (2 * i) ((2 * i) mod 5) ((2 * i) mod 9)));
+    ignore (Delta.remove_ids d (t3 (1000 + i) (i mod 4) (i mod 11)))
+  done;
+  agree "tombstones and cancellations";
+  Delta.flush d;
+  check_int "migrated: nothing left but the base" own0 (own ())
+
+(* The level's differential: random writes, flushes, compactions and
+   pins on a delta with thresholds of 1 to 3 over a base of 30 to 60
+   triples, so auto-flushes merge into the level, cancel level entries
+   and migrate it, all often.  After every step each read path equals
+   [Check.Model]: [lookup] (contents and the serving ordering's order),
+   [iter], [count] and [mem]; [seek_sorted] probed in descending order;
+   [scan_split] at 1 to 4 parts.  A pin step hands the view to a second
+   domain, which reads it while the writer goes on writing (level
+   merges do not wait for it; a migration waits for its release). *)
+type level_step =
+  | Write of bool * id3
+  | Flush_level
+  | Compact_level
+  | Pin_across of (bool * id3) list
+
+let arb_level_steps =
+  let open QCheck.Gen in
+  let tr = map3 t3 (int_bound 4) (int_bound 2) (int_bound 4) in
+  let write = pair bool tr in
+  let step =
+    frequency
+      [ (12, map (fun (a, t) -> Write (a, t)) write);
+        (1, return Flush_level);
+        (1, return Compact_level);
+        (2, map (fun l -> Pin_across l) (list_size (int_range 1 8) write)) ]
+  in
+  let print_step = function
+    | Write (a, t) -> Printf.sprintf "%s(%d,%d,%d)" (if a then "+" else "-") t.s t.p t.o
+    | Flush_level -> "flush"
+    | Compact_level -> "compact"
+    | Pin_across l -> Printf.sprintf "pin across %d writes" (List.length l)
+  in
+  QCheck.make
+    ~print:(fun ((ti, td), base, steps) ->
+      Printf.sprintf "thresholds %d/%d; base %d triples; %s" ti td (List.length base)
+        (String.concat "; " (List.map print_step steps)))
+    (triple (pair (int_range 1 3) (int_range 1 3)) (list_size (int_range 30 60) tr)
+       (list_size (int_range 1 40) step))
+
+let level_patterns =
+  let vals = [ None; Some 0; Some 3 ] in
+  List.concat_map
+    (fun s -> List.concat_map (fun p -> List.map (fun o -> { Pattern.s; p; o }) vals) vals)
+    vals
+
+(* [None] when every read of [d] agrees with the model's [expected]
+   set, else what disagreed first. *)
+let level_reads_disagree d expected =
+  let matching pat = List.filter (Pattern.matches pat) expected in
+  let with_value (pat : Pattern.t) pos k =
+    match pos with
+    | Pattern.Subj -> { pat with s = Some k }
+    | Pattern.Pred -> { pat with p = Some k }
+    | Pattern.Obj -> { pat with o = Some k }
+  in
+  let in_order ord l = List.stable_sort (Ordering.compare_triples ord) l in
+  let failures =
+    List.concat_map
+      (fun (pat : Pattern.t) ->
+        let name what = Format.asprintf "%s %a" what Pattern.pp pat in
+        let want = in_order (Ordering.for_shape (Pattern.shape pat)) (matching pat) in
+        let pushed = ref [] in
+        Delta.iter d pat (fun s p o -> pushed := t3 s p o :: !pushed);
+        let free =
+          List.filter (fun pos -> Pattern.value_at pat pos = None) [ Pattern.Subj; Pattern.Pred; Pattern.Obj ]
+        in
+        let scans pos =
+          match (Delta.seek_sorted d pat pos, Delta.scan_split d pat pos ~parts:1) with
+          | Some (ord, run), Some (ord', _) when ord = ord' ->
+              let probes =
+                List.for_all
+                  (fun k ->
+                    let got = ref [] in
+                    run k (fun s p o -> got := t3 s p o :: !got);
+                    List.rev !got = in_order ord (matching (with_value pat pos k)))
+                  [ 4; 3; 2; 1; 0 ]
+              in
+              let splits =
+                List.for_all
+                  (fun parts ->
+                    match Delta.scan_split d pat pos ~parts with
+                    | None -> false
+                    | Some (o, ranges) ->
+                        o = ord
+                        && List.concat_map List.of_seq (Array.to_list ranges)
+                           = in_order ord (matching pat))
+                  [ 1; 2; 3; 4 ]
+              in
+              (if probes then [] else [ name "seek_sorted" ])
+              @ if splits then [] else [ name "scan_split" ]
+          | _ -> [ name "sorted scan offer" ]
+        in
+        (if List.of_seq (Delta.lookup d pat) = want then [] else [ name "lookup" ])
+        @ (if List.rev !pushed = want then [] else [ name "iter" ])
+        @ (if Delta.count d pat = List.length want then [] else [ name "count" ])
+        @ List.concat_map scans free)
+      level_patterns
+  in
+  (* Every triple of the generator's universe. *)
+  let universe =
+    List.concat_map
+      (fun s -> List.concat_map (fun p -> List.init 5 (fun o -> t3 s p o)) [ 0; 1; 2 ])
+      [ 0; 1; 2; 3; 4 ]
+  in
+  let mem_fail = List.exists (fun tr -> Delta.mem_ids d tr <> List.mem tr expected) universe in
+  match (failures, mem_fail) with [], false -> None | [], true -> Some "mem" | f :: _, _ -> Some f
+
+let prop_delta_level repr =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "sorted level = reference model (%s base)" (Sorted_ivec.kind_name repr))
+    ~count:100 arb_level_steps
+    (fun ((ti, td), base, steps) ->
+      let d = Delta.of_base ~insert_threshold:ti ~delete_threshold:td (Hexastore.create ~repr ()) in
+      ignore (Delta.add_bulk_ids d (Array.of_list base));
+      let model = C.Model.create () in
+      List.iter (fun tr -> ignore (C.Model.add model tr)) base;
+      let write (add, tr) =
+        let got = if add then Delta.add_ids d tr else Delta.remove_ids d tr in
+        let want = if add then C.Model.add model tr else C.Model.remove model tr in
+        if got <> want then QCheck.Test.fail_reportf "write returned %b, model %b" got want
+      in
+      let check what d expected =
+        match level_reads_disagree d expected with
+        | None -> ()
+        | Some f -> QCheck.Test.fail_reportf "%s: %s disagrees with the model" what f
+      in
+      List.iter
+        (fun step ->
+          (match step with
+          | Write (a, t) -> write (a, t)
+          | Flush_level -> Delta.flush d
+          | Compact_level -> Delta.compact d
+          | Pin_across writes ->
+              let view, unpin = Delta.pin d in
+              let expected = C.Model.to_list model in
+              let go = Atomic.make false in
+              let reader =
+                Domain.spawn (fun () ->
+                    while not (Atomic.get go) do
+                      Domain.cpu_relax ()
+                    done;
+                    Fun.protect ~finally:unpin (fun () -> level_reads_disagree view expected))
+              in
+              Atomic.set go true;
+              List.iter write writes;
+              (match Domain.join reader with
+              | None -> ()
+              | Some f -> QCheck.Test.fail_reportf "pinned view: %s moved under the pin" f);
+              if Delta.pins d <> 0 then QCheck.Test.fail_reportf "%d pins left" (Delta.pins d));
+          (match C.delta d with
+          | [] -> ()
+          | vs -> QCheck.Test.fail_reportf "%a" C.Violation.pp_report vs);
+          check "live delta" d (C.Model.to_list model))
+        steps;
+      true)
+
+(* The generator does reach every level event: merges, cancellations
+   and migrations, in the same run. *)
+let test_delta_level_events () =
+  let d = Delta.of_base ~insert_threshold:2 ~delete_threshold:2 (Hexastore.create ()) in
+  ignore (Delta.add_bulk_ids d (Array.init 48 (fun i -> t3 (i mod 5) (i mod 3) (i / 15))));
+  let merges = ref 0 and migrations = ref 0 and cancels = ref 0 in
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 400 do
+    let tr = t3 (Random.State.int rng 5) (Random.State.int rng 3) (Random.State.int rng 5) in
+    let level = Delta.level_size d and pending = Delta.pending_inserts d + Delta.pending_deletes d in
+    ignore (if Random.State.bool rng then Delta.add_ids d tr else Delta.remove_ids d tr);
+    if Delta.pending_inserts d + Delta.pending_deletes d < pending then
+      if Delta.level_size d = 0 then incr migrations
+      else begin
+        incr merges;
+        if Delta.level_size d < level + pending then incr cancels
+      end
+  done;
+  check_bool "level merges" true (!merges > 0);
+  check_bool "cancellations" true (!cancels > 0);
+  check_bool "migrations" true (!migrations > 0);
+  no_violations "after the run" (C.delta d)
+
+(* ------------------------------------------------------------------ *)
 (* Debug assertion hooks                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -756,6 +1060,12 @@ let () =
           Alcotest.test_case "pin with unfiled entries" `Quick test_delta_pin_unfiled;
           Alcotest.test_case "dead entries are dropped" `Quick test_delta_memory_bound;
           Alcotest.test_case "exact buffer accounting" `Quick test_delta_memory_exact;
+          Alcotest.test_case "level merges, then migrates past an eighth" `Quick test_delta_level_migration;
+          Alcotest.test_case "detects level corruption" `Quick test_delta_detects_level_corruption;
+          Alcotest.test_case "exact level accounting" `Quick test_delta_level_memory_exact;
+          Alcotest.test_case "level events all happen" `Quick test_delta_level_events;
+          qt (prop_delta_level Sorted_ivec.Raw);
+          qt (prop_delta_level Sorted_ivec.Packed);
         ] );
       ( "debug-hooks",
         [

@@ -408,6 +408,38 @@ let test_pin_blocks_flush () =
   check_int "drained" 0 (Hexa.Delta.pending_inserts d);
   check_int "base caught up" 2 (Hexa.Delta.size d)
 
+(* An auto-flush that merges into the level builds a new level and
+   leaves the base alone, so it goes ahead while a pin is held — on the
+   pinning domain itself — and the view keeps the level it was made
+   with.  One that migrates still waits for the release. *)
+let test_pin_spares_level_merge () =
+  let d = Hexa.Delta.create ~insert_threshold:4 ~delete_threshold:4 () in
+  let t i = Triple.make (node_term i) (pred_term 2) (node_term (i + 1)) in
+  ignore (Hexa.Delta.add_bulk_ids d (Array.init 200 (fun i ->
+      Dict.Term_dict.encode_triple (Hexa.Delta.dict d) (t i))));
+  let view, unpin = Hexa.Delta.pin d in
+  let before = List.of_seq (Hexa.Delta.lookup view Hexa.Pattern.wildcard) in
+  for i = 1000 to 1003 do
+    ignore (Hexa.Delta.add d (t i))
+  done;
+  check_int "merged into the level under the pin" 4 (Hexa.Delta.level_size d);
+  check_int "buffers drained" 0 (Hexa.Delta.pending_inserts d);
+  check_bool "the view is unchanged" true
+    (List.of_seq (Hexa.Delta.lookup view Hexa.Pattern.wildcard) = before);
+  let flushed = Atomic.make false in
+  let flusher =
+    Domain.spawn (fun () ->
+        Hexa.Delta.flush d;
+        Atomic.set flushed true)
+  in
+  Unix.sleepf 0.05;
+  check_bool "a migration waits for the pin" false (Atomic.get flushed);
+  unpin ();
+  Domain.join flusher;
+  check_int "migrated after release" 0 (Hexa.Delta.level_size d);
+  check_int "base caught up" 204 (Hexa.Hexastore.size (Hexa.Delta.base d));
+  check_int "pins balanced" 0 (Hexa.Delta.pins d)
+
 (* ------------------------------------------------------------------ *)
 (* Stress smoke (the @stress alias runs the CLI at 1/2/4 domains)      *)
 (* ------------------------------------------------------------------ *)
@@ -422,6 +454,8 @@ let test_stress_smoke () =
   check_int "ops applied" 120 r.CC.ops;
   check_int "one compaction (round 3)" 1 r.CC.compactions;
   check_bool "explicit flushes ran" true (r.CC.flushes >= 3);
+  check_bool "auto-flushes merged into the level under pins" true (r.CC.level_merges > 0);
+  check_bool "the level migrated" true (r.CC.migrations + r.CC.flushes + r.CC.compactions > 0);
   check_bool "readers actually queried" true (r.CC.queries > 0)
 
 let qt = QCheck_alcotest.to_alcotest
@@ -447,6 +481,7 @@ let () =
         [
           Alcotest.test_case "pin isolates a snapshot" `Quick test_pin_isolates_snapshot;
           Alcotest.test_case "pin blocks flush until release" `Quick test_pin_blocks_flush;
+          Alcotest.test_case "pin spares a level merge" `Quick test_pin_spares_level_merge;
         ] );
       ("stress", [ Alcotest.test_case "writer vs readers smoke" `Quick test_stress_smoke ]);
     ]

@@ -875,20 +875,36 @@ let prop_lookup_sorted =
         triples)
 
 (* The push cursors the executor drives ([iter], [seek_sorted]) replay
-   the pull ones ([lookup], [scan_sorted]) exactly, order included, on
-   a bulk-built store and on a delta view with pending writes. *)
+   the pull ones ([lookup], [scan_sorted]) exactly, order included: on a
+   bulk-built store, on both COVP baselines and a partial store, on a
+   delta with pending writes, and on a delta whose writes sit in its
+   sorted level (single-write thresholds over a base eight times larger
+   than the level keep each auto-flush in the level) with more pending
+   on top. *)
 let prop_push_cursors =
   QCheck.Test.make ~name:"iter = lookup and seek_sorted = scan_sorted, with and without a delta"
     ~count:100
     (QCheck.make QCheck.Gen.(pair (list_size (int_bound 60) gen_triple) (list_size (int_bound 12) gen_triple)))
     (fun (base, pending) ->
+      let writes = pending @ List.filteri (fun i _ -> i < 4) base in
+      let write d i tr = ignore (if i mod 3 = 0 then Delta.remove_ids d tr else Delta.add_ids d tr) in
       let h = Hexastore.create () in
       ignore (Hexastore.add_bulk_ids h (Array.of_list base));
       let d = Delta.of_base (Hexastore.create ()) in
       ignore (Delta.add_bulk_ids d (Array.of_list base));
-      List.iteri
-        (fun i tr -> ignore (if i mod 3 = 0 then Delta.remove_ids d tr else Delta.add_ids d tr))
-        (pending @ List.filteri (fun i _ -> i < 4) base);
+      List.iteri (write d) writes;
+      let leveled = Delta.of_base ~insert_threshold:1 ~delete_threshold:1 (Hexastore.create ()) in
+      ignore (Delta.add_bulk_ids leveled (Array.of_list base));
+      List.iteri (write leveled) writes;
+      Delta.set_thresholds ~insert:1000 ~delete:1000 leveled;
+      List.iteri (write leveled) (List.rev writes);
+      let covp kind =
+        let c = Covp.create kind in
+        ignore (Covp.add_bulk_ids c (Array.of_list base));
+        Store_sig.box_covp c
+      in
+      let partial = Partial.create ~orderings:[ Ordering.Pos; Ordering.Osp ] () in
+      ignore (Partial.add_bulk_ids partial (Array.of_list base));
       let agree store =
         List.for_all
           (fun pat ->
@@ -915,7 +931,11 @@ let prop_push_cursors =
                  [ Pattern.Subj; Pattern.Pred; Pattern.Obj ])
           (all_patterns 11)
       in
-      agree (Store_sig.box_hexastore h) && agree (Store_sig.box_delta d))
+      agree (Store_sig.box_hexastore h)
+      && agree (covp Covp.Covp1) && agree (covp Covp.Covp2)
+      && agree (Store_sig.box_partial partial)
+      && agree (Store_sig.box_delta d)
+      && agree (Store_sig.box_delta leveled))
 
 let qt = QCheck_alcotest.to_alcotest
 

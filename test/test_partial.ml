@@ -259,6 +259,22 @@ let prop_advisor_estimate_matches_partial =
       (* Allocation slack differs; require agreement within 40%. *)
       actual = 0 || abs (est - actual) * 10 <= actual * 4)
 
+(* Re-sorting an array already sorted in one ordering takes one or two
+   stable passes, and must land exactly where a full sort does —
+   duplicates included. *)
+let prop_resort =
+  QCheck.Test.make ~name:"resort from any ordering = sort_triples" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_bound 60) gen_triple))
+    (fun l ->
+      let a = Array.of_list l in
+      List.for_all
+        (fun from ->
+          let sorted = Ordering.sort_triples from a in
+          List.for_all
+            (fun ord -> Ordering.resort ~from ord sorted = Ordering.sort_triples ord a)
+            Ordering.all)
+        Ordering.all)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -269,6 +285,7 @@ let () =
           Alcotest.test_case "names" `Quick test_ordering_names;
           Alcotest.test_case "twins" `Quick test_ordering_twins;
           Alcotest.test_case "for_shape" `Quick test_ordering_for_shape;
+          qt prop_resort;
         ] );
       ( "partial",
         [

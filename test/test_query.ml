@@ -891,9 +891,11 @@ let algebra_triples =
 
 (* Every store kind the executor runs over, raw and packed where the
    kind has a representation: bulk-built Hexastores, a Delta view with
-   pending inserts and a tombstone over each base, the COVP baselines
-   and a partial store.  The last two run the packed Hexastore at width
-   2 and the raw delta view at width 4, every driving scan fanned out. *)
+   pending inserts and a tombstone over each base, a Delta with writes
+   in its sorted level too, the COVP baselines and a partial store.
+   The packed leveled delta and the packed Hexastore also run at width
+   2 and the raw delta view at width 4, every driving scan fanned
+   out. *)
 let algebra_stores () =
   let encode d = Array.of_list (List.map (Dict.Term_dict.encode_triple d) algebra_triples) in
   let hexa repr =
@@ -914,6 +916,28 @@ let algebra_stores () =
     ignore (Hexa.Delta.remove dl decoy);
     dl
   in
+  (* Writes in the sorted level as well as the buffers: 24 decoys pad
+     the base so a level of four stays below an eighth of it.  Two
+     decoy tombstones and two inserts auto-flush into the level; the
+     other decoys and inserts stay pending. *)
+  let leveled repr =
+    let h = Hexa.Hexastore.create ~repr () in
+    let d = Hexa.Hexastore.dict h in
+    let decoys = List.init 24 (fun i -> Triple.make (ex "e") (ex "p") (ex ("decoy" ^ string_of_int i))) in
+    let base, pending = List.partition (fun tr -> Hashtbl.hash tr mod 3 <> 0) algebra_triples in
+    ignore
+      (Hexa.Hexastore.add_bulk_ids h
+         (Array.of_list (List.map (Dict.Term_dict.encode_triple d) (decoys @ base))));
+    let dl = Hexa.Delta.of_base ~insert_threshold:1 ~delete_threshold:1 h in
+    let first l = List.filteri (fun i _ -> i < 2) l and rest l = List.filteri (fun i _ -> i >= 2) l in
+    List.iter (fun tr -> ignore (Hexa.Delta.remove dl tr)) (first decoys);
+    List.iter (fun tr -> ignore (Hexa.Delta.add dl tr)) (first pending);
+    assert (Hexa.Delta.level_size dl = 4);
+    Hexa.Delta.set_thresholds ~insert:1000 ~delete:1000 dl;
+    List.iter (fun tr -> ignore (Hexa.Delta.remove dl tr)) (rest decoys);
+    List.iter (fun tr -> ignore (Hexa.Delta.add dl tr)) (rest pending);
+    dl
+  in
   let partial = Hexa.Partial.create ~orderings:[ Hexa.Ordering.Pso; Hexa.Ordering.Osp ] () in
   ignore (Hexa.Partial.add_bulk_ids partial (encode (Hexa.Partial.dict partial)));
   let seq s = (s, 1) in
@@ -922,6 +946,8 @@ let algebra_stores () =
     seq (Hexa.Store_sig.box_hexastore (hexa Vectors.Sorted_ivec.Packed));
     seq (Hexa.Store_sig.box_delta (delta Vectors.Sorted_ivec.Raw));
     seq (Hexa.Store_sig.box_delta (delta Vectors.Sorted_ivec.Packed));
+    seq (Hexa.Store_sig.box_delta (leveled Vectors.Sorted_ivec.Raw));
+    (Hexa.Store_sig.box_delta (leveled Vectors.Sorted_ivec.Packed), 2);
     seq (Hexa.Store_sig.box_covp (Hexa.Covp.of_triples Hexa.Covp.Covp1 algebra_triples));
     seq (Hexa.Store_sig.box_covp (Hexa.Covp.of_triples Hexa.Covp.Covp2 algebra_triples));
     seq (Hexa.Store_sig.box_partial partial);

@@ -357,11 +357,13 @@ let test_events_instrumentation () =
     List.filter_map
       (fun (e : Telemetry.Trace.entry) ->
         match e.kind with
-        | Telemetry.Trace.Delta_flush { pending; rebuild = _; auto } -> Some (pending, auto)
+        | Telemetry.Trace.Delta_flush { pending; rebuild = _; auto; migrate } ->
+            Some (pending, auto, migrate)
         | _ -> None)
       (Telemetry.Trace.events ())
   in
-  check_bool "explicit flush recorded with its backlog" true (flushes = [ (1, false) ])
+  check_bool "explicit flush recorded with its backlog, migrated" true
+    (flushes = [ (1, false, true) ])
 
 let test_events_json_roundtrip () =
   Telemetry.Trace.clear ();
@@ -741,9 +743,10 @@ let gen_event_kind =
         map2
           (fun patterns detail -> Telemetry.Trace.Plan_choice { patterns; detail = (fun () -> detail) })
           small_nat s;
-        map3
-          (fun pending rebuild auto -> Telemetry.Trace.Delta_flush { pending; rebuild; auto })
-          small_nat bool bool;
+        map4
+          (fun pending rebuild auto migrate ->
+            Telemetry.Trace.Delta_flush { pending; rebuild; auto; migrate })
+          small_nat bool bool bool;
         map (fun pending -> Telemetry.Trace.Delta_compact { pending }) small_nat;
         map2 (fun path triples -> Telemetry.Trace.Snapshot_save { path; triples }) s small_nat;
         map2 (fun path triples -> Telemetry.Trace.Snapshot_load { path; triples }) s small_nat;

@@ -368,9 +368,6 @@ let test_merge_arrays () =
 
 let test_merge_seq () =
   let s l = List.to_seq l in
-  check_int_list "intersect_seq" [ 2; 4 ]
-    (List.of_seq (Merge.intersect_seq (s [ 1; 2; 3; 4 ]) (s [ 2; 4; 8 ])));
-  check_int_list "union_seq" [ 1; 2; 3 ] (List.of_seq (Merge.union_seq (s [ 1; 3 ]) (s [ 2; 3 ])));
   check_bool "ascending yes" true (Merge.is_strictly_ascending (s [ 1; 2; 9 ]));
   check_bool "ascending no" false (Merge.is_strictly_ascending (s [ 1; 1 ]))
 
@@ -418,9 +415,9 @@ let prop_union_many =
       let expected = List.fold_left (fun acc l -> Iset.union acc (Iset.of_list l)) Iset.empty lists in
       Sorted_ivec.to_list (Merge.union_many vs) = Iset.elements expected)
 
-(* List-based oracles for the remaining join kernels (satellite audit):
-   the callback join, the count-only intersection, and the lazy sequence
-   kernels must all agree with naive list filtering. *)
+(* List-based oracles for the remaining join kernels: the callback join
+   and the count-only intersection must agree with naive list
+   filtering. *)
 
 let oracle_inter xs ys =
   let sy = Iset.of_list ys in
@@ -441,17 +438,6 @@ let prop_intersect_count_oracle =
       Merge.intersect_count (Sorted_ivec.of_list xs) (Sorted_ivec.of_list ys)
       = List.length (oracle_inter xs ys))
 
-let prop_merge_seq_oracle =
-  QCheck.Test.make ~name:"intersect_seq/union_seq vs list oracles" ~count:500 set_ops_gen
-    (fun (xs, ys) ->
-      let sx = List.to_seq (Iset.elements (Iset.of_list xs))
-      and sy = List.to_seq (Iset.elements (Iset.of_list ys)) in
-      let sx' = List.to_seq (Iset.elements (Iset.of_list xs))
-      and sy' = List.to_seq (Iset.elements (Iset.of_list ys)) in
-      List.of_seq (Merge.intersect_seq sx sy) = oracle_inter xs ys
-      && List.of_seq (Merge.union_seq sx' sy')
-         = Iset.elements (Iset.union (Iset.of_list xs) (Iset.of_list ys)))
-
 let prop_merge_diff_oracle =
   QCheck.Test.make ~name:"diff = list filter oracle" ~count:500 set_ops_gen
     (fun (xs, ys) ->
@@ -459,72 +445,7 @@ let prop_merge_diff_oracle =
       Sorted_ivec.to_list (Merge.diff (Sorted_ivec.of_list xs) (Sorted_ivec.of_list ys))
       = List.filter (fun x -> not (Iset.mem x sy)) (Iset.elements (Iset.of_list xs)))
 
-(* The lazy delta-layer kernels: diff over int sequences, and the
-   polymorphic union/diff used to merge base scans with buffered
-   inserts and subtract tombstones. *)
-
 let dedup_sorted l = Iset.elements (Iset.of_list l)
-
-let prop_diff_seq_oracle =
-  QCheck.Test.make ~name:"diff_seq = Set.diff" ~count:500 set_ops_gen
-    (fun (xs, ys) ->
-      let sx = List.to_seq (dedup_sorted xs) and sy = List.to_seq (dedup_sorted ys) in
-      List.of_seq (Merge.diff_seq sx sy)
-      = Iset.elements (Iset.diff (Iset.of_list xs) (Iset.of_list ys)))
-
-(* Exercise the [~cmp] kernels with a non-trivial ordering: pairs under
-   reversed-lexicographic compare, mimicking the per-shape triple
-   comparators the delta layer feeds in. *)
-let pair_ops_gen =
-  QCheck.(
-    pair
-      (list (pair (int_bound 6) (int_bound 6)))
-      (list (pair (int_bound 6) (int_bound 6))))
-
-let cmp_rev (a1, a2) (b1, b2) =
-  match compare a2 b2 with 0 -> compare a1 b1 | c -> c
-
-module Pset = Set.Make (struct
-  type t = int * int
-
-  let compare = cmp_rev
-end)
-
-let prop_union_seq_by_oracle =
-  QCheck.Test.make ~name:"union_seq_by ~cmp = Set.union (custom order)" ~count:500
-    pair_ops_gen
-    (fun (xs, ys) ->
-      let sx = List.to_seq (Pset.elements (Pset.of_list xs))
-      and sy = List.to_seq (Pset.elements (Pset.of_list ys)) in
-      List.of_seq (Merge.union_seq_by ~cmp:cmp_rev sx sy)
-      = Pset.elements (Pset.union (Pset.of_list xs) (Pset.of_list ys)))
-
-let prop_diff_seq_by_oracle =
-  QCheck.Test.make ~name:"diff_seq_by ~cmp = Set.diff (custom order)" ~count:500
-    pair_ops_gen
-    (fun (xs, ys) ->
-      let sx = List.to_seq (Pset.elements (Pset.of_list xs))
-      and sy = List.to_seq (Pset.elements (Pset.of_list ys)) in
-      List.of_seq (Merge.diff_seq_by ~cmp:cmp_rev sx sy)
-      = Pset.elements (Pset.diff (Pset.of_list xs) (Pset.of_list ys)))
-
-let test_seq_by_laziness () =
-  (* The merged sequence must not force its inputs beyond what the
-     consumer demands — the delta layer relies on this to keep lookups
-     on huge stores cheap when only a prefix is read. *)
-  let forced = ref 0 in
-  let counting n : int Seq.t =
-    Seq.map
-      (fun i ->
-        incr forced;
-        i)
-      (Seq.init n (fun i -> i * 2))
-  in
-  let merged = Merge.union_seq_by ~cmp:compare (counting 1000) (counting 1000) in
-  (match merged () with
-  | Seq.Cons (x, _) -> check_int "first element" 0 x
-  | Seq.Nil -> Alcotest.fail "unexpected empty merge");
-  check_bool "inputs barely forced" true (!forced <= 4)
 
 (* ------------------------------------------------------------------ *)
 (* Galloping kernels (merge-join execution substrate)                  *)
@@ -579,15 +500,6 @@ let prop_merge_join_gallop_oracle =
         (fun x -> acc := x :: !acc)
         (Sorted_ivec.of_list xs) (Sorted_ivec.of_list ys);
       List.rev !acc = oracle_inter xs ys)
-
-let prop_inter_seq_by_oracle =
-  QCheck.Test.make ~name:"inter_seq_by ~cmp = Set.inter (custom order)" ~count:500
-    pair_ops_gen
-    (fun (xs, ys) ->
-      let sx = List.to_seq (Pset.elements (Pset.of_list xs))
-      and sy = List.to_seq (Pset.elements (Pset.of_list ys)) in
-      List.of_seq (Merge.inter_seq_by ~cmp:cmp_rev sx sy)
-      = Pset.elements (Pset.inter (Pset.of_list xs) (Pset.of_list ys)))
 
 (* Adversarial shapes for the galloping kernels: a tiny side against a
    huge one (the doubling bracket must overshoot and recover), in both
@@ -858,16 +770,10 @@ let () =
           qt prop_union_many;
           qt prop_merge_join_oracle;
           qt prop_intersect_count_oracle;
-          qt prop_merge_seq_oracle;
           qt prop_merge_diff_oracle;
-          Alcotest.test_case "seq_by_laziness" `Quick test_seq_by_laziness;
-          qt prop_diff_seq_oracle;
-          qt prop_union_seq_by_oracle;
-          qt prop_diff_seq_by_oracle;
           Alcotest.test_case "gallop_one_side_tiny" `Quick test_gallop_one_side_tiny;
           Alcotest.test_case "gallop_interleaved_runs" `Quick test_gallop_interleaved_runs;
           qt prop_merge_join_gallop_oracle;
-          qt prop_inter_seq_by_oracle;
         ] );
       ( "codec",
         [
