@@ -329,6 +329,52 @@ let abl_load _env =
          update_k)
     points
 
+(* abl-gc: what a loaded store costs every full major collection.  On
+   LUBM 10x4, the best of 7 [Gc.full_major] with the dictionary and the
+   id array alone live, then with a raw store, a packed store, and a
+   raw store after one point write (which inflates it to the hashed
+   form) live as well; a store's share is its time minus the dictionary
+   line.  No bar: the figure shows where marking time goes. *)
+let abl_gc _env =
+  let dict = Dict.Term_dict.create () in
+  let ids =
+    Array.of_seq
+      (Seq.map (Dict.Term_dict.encode_triple dict)
+         (Lubm.generate_seq (Lubm.config ~universities:10 ~departments_per_university:4 ~seed:1 ())))
+  in
+  let n = Array.length ids in
+  let full_major_s () =
+    Gc.full_major ();
+    let best = ref infinity in
+    for _ = 1 to 7 do
+      let t0 = Telemetry.Clock.now () in
+      Gc.full_major ();
+      best := Float.min !best (Telemetry.Clock.now () -. t0)
+    done;
+    !best
+  in
+  let with_store repr ~point_write =
+    let h = Hexa.Hexastore.create ~dict ~repr () in
+    ignore (Hexa.Hexastore.add_bulk_ids h ids);
+    if point_write then ignore (Hexa.Hexastore.remove_ids h ids.(0));
+    let s = full_major_s () in
+    ignore (Sys.opaque_identity h);
+    s
+  in
+  let point method_ seconds = { Harness.size = n; method_; seconds } in
+  let dict_s = full_major_s () in
+  let points =
+    [
+      point "dict" dict_s;
+      point "raw" (with_store Vectors.Sorted_ivec.Raw ~point_write:false);
+      point "packed" (with_store Vectors.Sorted_ivec.Packed ~point_write:false);
+      point "raw+point-write" (with_store Vectors.Sorted_ivec.Raw ~point_write:true);
+    ]
+  in
+  ignore (Sys.opaque_identity (dict, ids));
+  print_series ~figure:"abl-gc"
+    ~title:"Best of 7 full major collections, LUBM 10x4 (seconds): dictionary alone, + store" points
+
 (* abl-join-kernel: first-step pairwise join kernels on real s-lists —
    linear merge vs galloping vs hash probe (§4.2's merge-join claim). *)
 let abl_join_kernel env =
@@ -543,12 +589,16 @@ let abl_dict env =
    hypothetical unshared layout (each twin ordering owning its own copy
    of every terminal list). *)
 let abl_share env =
+  (* What twins owning copies of an owner's lists would add: each list's
+     own block on a hashed store, each list's elements on a flat one (a
+     terminal stream of the twin's own). *)
   let family idx =
+    let words l =
+      if Hexa.Index.is_flat idx then Vectors.Sorted_ivec.length l
+      else Vectors.Sorted_ivec.memory_words l
+    in
     let acc = ref 0 in
-    Hexa.Index.iter
-      (fun _ v ->
-        Hexa.Pair_vector.iter (fun _ l -> acc := !acc + Vectors.Sorted_ivec.memory_words l) v)
-      idx;
+    Hexa.Index.iter (fun _ v -> Hexa.Pair_vector.iter (fun _ l -> acc := !acc + words l) v) idx;
     !acc
   in
   let points =
@@ -1689,7 +1739,7 @@ let figures =
     ("fig3", fig3); ("fig4", fig4); ("fig5", fig5); ("fig6", fig6); ("fig7", fig7);
     ("fig8", fig8); ("fig9", fig9); ("fig10", fig10); ("fig11", fig11); ("fig12", fig12);
     ("fig13", fig13); ("fig14", fig14); ("fig15", fig15);
-    ("abl-load", abl_load); ("abl-join", abl_join); ("abl-join-kernel", abl_join_kernel);
+    ("abl-load", abl_load); ("abl-gc", abl_gc); ("abl-join", abl_join); ("abl-join-kernel", abl_join_kernel);
     ("abl-dict", abl_dict);
     ("abl-share", abl_share); ("abl-star", abl_star); ("abl-partial", abl_partial);
     ("abl-cyclic", abl_cyclic); ("abl-usage", abl_usage); ("abl-telemetry", abl_telemetry);

@@ -64,7 +64,6 @@ let index_acc acc ~path idx =
     [
       ("headers", Index.pending_headers idx);
       ("links", Index.pending_links idx);
-      ("drops", Index.pending_drops idx);
     ];
   Index.iter
     (fun h v ->
@@ -81,17 +80,47 @@ let index ?(path = "index") idx =
 
 (* --- the Hexastore ----------------------------------------------------- *)
 
-(* [expect_shared acc ~same canonical found] checks that a terminal list
-   reached through another ordering (or accessor table) matches the
-   canonical one — the §4.1 sharing invariant behind the 5x space bound.
-   On raw stores [same] is physical equality ([==]); on flat compressed
-   stores twin slices are distinct 4-word views over the same underlying
-   stream, so the check degrades to logical equality. *)
-let expect_shared acc ~path ~twin ~same canonical = function
+(* [expect_shared acc canonical found] checks that a terminal list
+   reached through another ordering (or accessor table) is the
+   canonical one — the §4.1 sharing invariant behind the 5x space bound:
+   the same mutable list on a hashed store, the same window of the same
+   stream on a flat one ({!Sorted_ivec.shares}). *)
+let expect_shared acc ~path ~twin canonical = function
   | None -> add acc (V.v V.Store ~path "terminal list missing from %s" twin)
   | Some l ->
-      if not (same l canonical) then
+      if not (Sorted_ivec.shares l canonical) then
         add acc (V.v V.Store ~path "terminal list in %s is a distinct copy, not shared" twin)
+
+(* Every entry of [twin] must reach, at the same offsets, the owner's
+   run for the same (first, second); equal entry counts then make the
+   twin's entries a bijection onto the owner's. *)
+let twins_acc acc ~path ~owner ~twin =
+  let open Hexa in
+  let entries idx =
+    let n = ref 0 in
+    Index.iter (fun _ v -> n := !n + Pair_vector.length v) idx;
+    !n
+  in
+  let no = entries owner and nt = entries twin in
+  if no <> nt then add acc (V.v V.Store ~path "owner has %d entries, twin %d" no nt);
+  Index.iter
+    (fun h v ->
+      Pair_vector.iter
+        (fun k l ->
+          let path = Printf.sprintf "%s[%d][%d]" path h k in
+          match Index.find_list owner k h with
+          | None -> add acc (V.v V.Store ~path "twin entry has no owner run (%d, %d)" k h)
+          | Some l' ->
+              if not (Sorted_ivec.shares l l') then
+                add acc
+                  (V.v V.Store ~path "twin entry does not slice the owner's run for (%d, %d)" k h))
+        v)
+    twin
+
+let twins ?(path = "twin") ~owner ~twin () =
+  let acc = ref [] in
+  twins_acc acc ~path ~owner ~twin;
+  finish acc
 
 let expect_member acc ~path ~twin elt = function
   | None -> add acc (V.v V.Store ~path "terminal list missing from %s" twin)
@@ -102,7 +131,6 @@ let expect_member acc ~path ~twin elt = function
 let store_acc acc h =
   let open Hexa in
   let size = Hexastore.size h in
-  let same = if Hexastore.is_flat h then Sorted_ivec.equal else ( == ) in
   let orderings =
     [
       ("spo", Hexastore.spo h);
@@ -120,17 +148,19 @@ let store_acc acc h =
       if total <> size then
         add acc (V.v V.Store ~path:name "index total %d disagrees with store size %d" total size))
     orderings;
-  (* Walk spo once; every triple must be reachable through the five other
-     orderings, and the three terminal lists must be physically shared
-     with their twins and with the direct accessor tables. *)
+  twins_acc acc ~path:"pso" ~owner:(Hexastore.spo h) ~twin:(Hexastore.pso h);
+  twins_acc acc ~path:"osp" ~owner:(Hexastore.sop h) ~twin:(Hexastore.osp h);
+  twins_acc acc ~path:"ops" ~owner:(Hexastore.pos h) ~twin:(Hexastore.ops h);
+  (* Walk spo once; every triple must be reachable through the owners of
+     the two other list families, and the three terminal lists must be
+     the ones the direct accessor tables hand out. *)
   let seen = ref 0 in
   Index.iter
     (fun s v ->
       Pair_vector.iter
         (fun p o_list ->
           let path = Printf.sprintf "spo[%d][%d]" s p in
-          expect_shared acc ~path ~same ~twin:"pso" o_list (Index.find_list (Hexastore.pso h) p s);
-          expect_shared acc ~path ~same ~twin:"objects_of_sp" o_list (Hexastore.objects_of_sp h ~s ~p);
+          expect_shared acc ~path ~twin:"objects_of_sp" o_list (Hexastore.objects_of_sp h ~s ~p);
           Sorted_ivec.iter
             (fun o ->
               incr seen;
@@ -139,17 +169,13 @@ let store_acc acc h =
               expect_member acc ~path ~twin:"sop" p p_list;
               (match p_list with
               | Some pl ->
-                  expect_shared acc ~path ~same ~twin:"osp" pl (Index.find_list (Hexastore.osp h) o s);
-                  expect_shared acc ~path ~same ~twin:"properties_of_so" pl
-                    (Hexastore.properties_of_so h ~s ~o)
+                  expect_shared acc ~path ~twin:"properties_of_so" pl (Hexastore.properties_of_so h ~s ~o)
               | None -> ());
               let s_list = Index.find_list (Hexastore.pos h) p o in
               expect_member acc ~path ~twin:"pos" s s_list;
               match s_list with
               | Some sl ->
-                  expect_shared acc ~path ~same ~twin:"ops" sl (Index.find_list (Hexastore.ops h) o p);
-                  expect_shared acc ~path ~same ~twin:"subjects_of_po" sl
-                    (Hexastore.subjects_of_po h ~p ~o)
+                  expect_shared acc ~path ~twin:"subjects_of_po" sl (Hexastore.subjects_of_po h ~p ~o)
               | None -> ())
             o_list)
         v)

@@ -12,8 +12,9 @@
     - {b Six-way agreement} (§4): the same triple set is reachable from
       every one of the six orderings — {!store}.
     - {b Terminal-list sharing} (§4.1, the 5× space bound): twin orderings
-      point at the {e same} list, asserted by physical equality ([==]) —
-      {!store}.
+      reach the {e same} list — one mutable list ([==]) on a hashed
+      store, the same window of the owner's stream on a flat one
+      ({!Vectors.Sorted_ivec.shares}) — {!twins}, {!store}.
     - {b Dictionary bijectivity} (§4.1's mapping table): term ↔ id is a
       bijection — {!dictionary}, {!term_dict}.
     - {b Dataset coherence}: every graph shares the dataset dictionary
@@ -34,10 +35,15 @@ val pair_vector : ?path:string -> Hexa.Pair_vector.t -> Violation.t list
 val index : ?path:string -> Hexa.Index.t -> Violation.t list
 (** Every header's pair vector valid and non-empty. *)
 
+val twins : ?path:string -> owner:Hexa.Index.t -> twin:Hexa.Index.t -> unit -> Violation.t list
+(** The sharing check of one twin pair: both hold as many entries, and
+    each twin entry (first, second) reaches the owner's terminal list for
+    (second, first) at the same offsets of the same stream. *)
+
 val store : Hexa.Hexastore.t -> Violation.t list
 (** The full Hexastore invariant: the six per-index checks, six-way
-    triple-set agreement, physical terminal-list sharing between twin
-    orderings (and with the direct accessor tables), per-index totals
+    triple-set agreement, {!twins} on the three twin pairs, the direct
+    accessor tables handing out the owners' lists, per-index totals
     equal to the store size, and dictionary bijectivity. *)
 
 val delta : Hexa.Delta.t -> Violation.t list

@@ -625,24 +625,6 @@ let buffer_triples b =
        b.members 0);
   a
 
-let rebuild_base t batch =
-  Telemetry.Metrics.incr m_flush_rebuild;
-  let n = Hexastore.size t.base in
-  let all = Array.make (n + Array.length batch) { s = 0; p = 0; o = 0 } in
-  let i = ref 0 in
-  ignore
-    (Hexastore.fold
-       (fun tr () ->
-         all.(!i) <- tr;
-         incr i)
-       t.base ());
-  Array.blit batch 0 all n (Array.length batch);
-  let fresh = Hexastore.create ~dict:(Hexastore.dict t.base) ~repr:(Hexastore.repr t.base) () in
-  ignore (Hexastore.add_bulk_ids fresh all);
-  (* Adopt in place so aliases to the base (e.g. a dataset graph fronted
-     by this delta) keep seeing the store's contents. *)
-  Hexastore.replace_contents t.base ~from:fresh
-
 (* Every flush first folds the buffers into the next level.  A pending
    insert either cancels a level tombstone or joins the level's inserts;
    a pending tombstone either cancels a level insert or joins its
@@ -650,9 +632,9 @@ let rebuild_base t batch =
    current one with the sorted batch merged in.  The level then stays in
    front of the base, untouched by the flush, unless [migrate] is asked
    for or the level outgrows [1 / level_fraction] of the base: then
-   (only then) the base is frozen and takes the level through its bulk
-   passes — tombstones in one [remove_bulk_ids], inserts in one
-   [add_bulk_ids] — or, for {!compact}, through a rebuild. *)
+   (only then) the base is frozen and takes the level's tombstones and
+   inserts in one rebuild ([Hexastore.apply_bulk_ids]), for {!flush}
+   and {!compact} alike. *)
 let flush_with ?(auto = false) ~migrate ~rebuild t =
   let timed = !Telemetry.Config.enabled in
   let started = if timed then Telemetry.Clock.now () else 0. in
@@ -696,8 +678,8 @@ let flush_with ?(auto = false) ~migrate ~rebuild t =
         t.level <- empty_level;
         buffer_reset t.inserts;
         buffer_reset t.deletes;
-        ignore (Hexastore.remove_bulk_ids t.base del);
-        if rebuild then rebuild_base t ins else ignore (Hexastore.add_bulk_ids t.base ins))
+        if rebuild then Telemetry.Metrics.incr m_flush_rebuild;
+        ignore (Hexastore.apply_bulk_ids t.base ~add:ins ~remove:del))
   end
   else begin
     (* Each filled ordering of a set is one pass over it with the batch,

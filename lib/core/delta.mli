@@ -23,8 +23,8 @@
     level keeps ({!Ordering.resort}), and merged with the old level's
     arrays.
     The base is not touched, so no reader is waited for.  The level
-    moves into the base — {!Hexastore.remove_bulk_ids} for its
-    tombstones, then {!Hexastore.add_bulk_ids} for its inserts — only
+    moves into the base — tombstones and inserts in one
+    {!Hexastore.apply_bulk_ids}, a single merge and flat rebuild — only
     when it would outgrow an eighth of the base, on {!flush} and on
     {!compact}.  On a small base that is every auto-flush.
 
@@ -77,9 +77,9 @@ val of_base : ?insert_threshold:int -> ?delete_threshold:int -> Hexastore.t -> t
 val base : t -> Hexastore.t
 (** The base store.  Reading it directly bypasses the pending mutations
     and the level; call {!flush} first for a complete view.  The base's identity is
-    stable: a {!compact} adopts the rebuilt contents in place
-    (via {!Hexastore.replace_contents}), so external aliases — e.g. a
-    {!Dataset} graph fronted by this delta — stay valid. *)
+    stable: a migration rebuilds it in place ({!Hexastore.apply_bulk_ids}),
+    so external aliases — e.g. a {!Dataset} graph fronted by this delta —
+    stay valid. *)
 
 val dict : t -> Dict.Term_dict.t
 val size : t -> int
@@ -216,18 +216,16 @@ val iter_pending_deletes : (id_triple -> unit) -> t -> unit
 
 val flush : t -> unit
 (** Fold the buffers into the level, then migrate the level into the
-    base: its tombstones in one bulk removal, its inserts in one bulk
-    load — per batch, one compaction or merge of each touched terminal
-    list and pair vector and of each index's header vector, in place
-    whatever the batch's size.  A packed base is inflated by the removal
-    and recompressed once by the load.  Afterwards the base holds the
+    base: one linear merge of the base's (s, p, o) scan with the level's
+    tombstones and inserts, then one flat rebuild of the base in its
+    codec ({!Hexastore.apply_bulk_ids}).  Afterwards the base holds the
     whole merged view.  No-op when the buffers and the level are
     empty. *)
 
 val compact : t -> unit
-(** {!flush} by a rebuild instead: drains the buffers and the level and
-    re-loads the whole merged set into right-sized fresh vectors (the only path that
-    counts [flush.rebuild]). *)
+(** {!flush}, counted as a compaction ([flush.rebuild],
+    [compact.calls]): since every migration rebuilds the base, the two
+    take the same path. *)
 
 (** {1 Term-level API} *)
 

@@ -37,12 +37,12 @@ let note_probe shape = note_ord (Ordering.for_shape shape)
 let note_mutation family n =
   if !Telemetry.Config.enabled then Array.iter (fun c -> Telemetry.Metrics.add c n) family
 
-(* The structural fields are mutable solely so {!replace_contents} can
-   rebuild a store in place while aliases (datasets, delta layers) keep
-   pointing at the same [t].  The three shared terminal-list families
-   are reached through the orderings that hold them: o-lists (s,p)
-   through [spo] (and [pso]), p-lists (s,o) through [sop] (and [osp]),
-   s-lists (p,o) through [pos] (and [ops]). *)
+(* The structural fields are mutable so that bulk writes and
+   representation switches rebuild a store in place while aliases
+   (datasets, delta layers) keep pointing at the same [t].  The three
+   shared terminal-list families are reached through the orderings that
+   hold them: o-lists (s,p) through [spo] (and [pso]), p-lists (s,o)
+   through [sop] (and [osp]), s-lists (p,o) through [pos] (and [ops]). *)
 type t = {
   dict : Dict.Term_dict.t;
   mutable spo : Index.t;
@@ -52,10 +52,10 @@ type t = {
   mutable osp : Index.t;
   mutable ops : Index.t;
   mutable size : int;
-  mutable repr : Sorted_ivec.kind;
-      (* Target representation: [Raw] stores stay mutable; a compressed
-         kind makes [add_bulk_ids] end with a whole-store [compress],
-         and point mutations [inflate] back to the mutable form. *)
+  repr : Sorted_ivec.kind;
+      (* The codec of the flat form's streams: [int array]s ([Raw]) or
+         bit-packed ([Packed]).  Bulk writes build the flat form; point
+         mutations [inflate] to the hashed form, whatever the codec. *)
 }
 
 let repr_of_env () =
@@ -88,23 +88,6 @@ let is_flat t = Index.is_flat t.spo
 let repr t = t.repr
 
 let repr_name t = if is_flat t then Sorted_ivec.kind_name t.repr else "raw"
-
-(* In-place structural adoption: [dst] takes over [src]'s indices (and
-   with them the terminal lists) while keeping its own identity, so
-   aliases to [dst] (a dataset's graph table, a delta layer's base)
-   observe the rebuilt contents.  Both stores must share one dictionary
-   — ids are only meaningful relative to it. *)
-let replace_contents dst ~from:src =
-  if dst.dict != src.dict then
-    invalid_arg "Hexastore.replace_contents: stores must share a dictionary";
-  dst.spo <- src.spo;
-  dst.sop <- src.sop;
-  dst.pso <- src.pso;
-  dst.pos <- src.pos;
-  dst.osp <- src.osp;
-  dst.ops <- src.ops;
-  dst.size <- src.size;
-  dst.repr <- src.repr
 
 let size t = t.size
 (* Handing out an index is counted as a probe of it: the benchmark
@@ -168,101 +151,150 @@ let remove_ids t { s; p; o } =
        true
      end
 
-(* --- bulk passes ------------------------------------------------------ *)
+(* --- bulk builds ------------------------------------------------------ *)
 
-let subj tr = tr.s
-let pred tr = tr.p
-let obj tr = tr.o
-
-(* The build from empty: sort once and drop repeats, then each list
-   family is one more sort and one fill of its two orderings
-   ({!Index.of_sorted_columns}) — no table, no link, no growth. *)
-let fill t triples =
-  let sorted = Ordering.sort_triples Spo triples in
-  let n = ref 0 in
-  Array.iter
-    (fun tr ->
-      let repeat =
-        !n > 0
-        &&
-        let prev = sorted.(!n - 1) in
-        prev.s = tr.s && prev.p = tr.p && prev.o = tr.o
-      in
-      if not repeat then begin
-        sorted.(!n) <- tr;
-        incr n
-      end)
-    sorted;
-  let distinct = Array.sub sorted 0 !n in
-  let build a first second third =
-    Index.of_sorted_columns ~firsts:(Array.map first a) ~seconds:(Array.map second a)
-      ~thirds:(Array.map third a)
+(* The flat build: three distinct columns sorted on (s, p, o) become the
+   six orderings, each list family one fill of its owner and twin
+   ({!Index.of_sorted_columns}).  The (s, o, p) and (p, o, s) families
+   are two stable counting-sort passes away from (s, p, o). *)
+let fill_columns t ~s ~p ~o =
+  let kind = t.repr and n = Array.length o in
+  let family order firsts seconds thirds =
+    let perm = List.fold_left (fun perm key -> Radix.sort key perm) (Array.init n Fun.id) order in
+    let gather a = Array.map (fun i -> a.(i)) perm in
+    Index.of_sorted_columns ~kind ~firsts:(gather firsts) ~seconds:(gather seconds)
+      ~thirds:(gather thirds) ()
   in
-  let spo, pso = build distinct subj pred obj in
-  let sop, osp = build (Ordering.sort_triples Sop distinct) subj obj pred in
-  let pos, ops = build (Ordering.sort_triples Pos distinct) pred obj subj in
+  let sop, osp = family [ o; s ] s o p in
+  let pos, ops = family [ o; p ] p o s in
+  let spo, pso = Index.of_sorted_columns ~kind ~firsts:s ~seconds:p ~thirds:o () in
   t.spo <- spo;
   t.sop <- sop;
   t.pso <- pso;
   t.pos <- pos;
   t.osp <- osp;
   t.ops <- ops;
-  t.size <- Array.length distinct;
-  Array.length distinct
+  t.size <- n
 
-let seal_all t = List.iter Index.seal [ t.spo; t.sop; t.pso; t.pos; t.osp; t.ops ]
+let of_sorted_columns ?dict ?repr ~s ~p ~o () =
+  let t = create ?dict ?repr () in
+  fill_columns t ~s ~p ~o;
+  t
 
-(* Into a populated store: one sorted pass per list family, each run
-   appended to or merged into its list, then each index merges the
-   headers and keys that arrived out of order once per touched vector
-   ({!Index.seal}). *)
-let merge t triples =
-  (* Pass A — (s, p, o): o-lists, spo, pso.  Triples already in the
-     store or repeated in the batch are left out of the later passes. *)
-  let fresh = ref [] in
-  Index.link_runs t.spo ~twin:t.pso ~first:subj ~second:pred ~third:obj
-    (Ordering.sort_triples Spo triples)
-    ~fresh:(fun tr -> fresh := tr :: !fresh);
-  let fresh = Array.of_list !fresh in
-  (* Pass B — (s, o, p): p-lists, sop, osp; pass C — (p, o, s): s-lists,
-     pos, ops. *)
-  let ignore_fresh _ = () in
-  Index.link_runs t.sop ~twin:t.osp ~first:subj ~second:obj ~third:pred
-    (Ordering.sort_triples Sop fresh) ~fresh:ignore_fresh;
-  Index.link_runs t.pos ~twin:t.ops ~first:pred ~second:obj ~third:subj
-    (Ordering.sort_triples Pos fresh) ~fresh:ignore_fresh;
-  seal_all t;
-  t.size <- t.size + Array.length fresh;
-  Array.length fresh
+(* A batch sorted on (s, p, o), repeats dropped. *)
+let sorted_distinct triples =
+  let sorted = Ordering.sort_triples Spo triples in
+  let n = ref 0 in
+  Array.iter
+    (fun tr ->
+      if !n = 0 || Ordering.compare_triples Spo sorted.(!n - 1) tr <> 0 then begin
+        sorted.(!n) <- tr;
+        incr n
+      end)
+    sorted;
+  Array.sub sorted 0 !n
 
-(* The store's emptiness picks the path: set-up and reopen fill, delta
-   flushes merge. *)
-let add_bulk_ids t triples =
-  let n = if t.size = 0 then fill t triples else merge t triples in
-  note_mutation m_insert n;
-  n
+let subj tr = tr.s
+let pred tr = tr.p
+let obj tr = tr.o
 
-let remove_bulk_ids t triples =
-  (* Pass A — (s, p, o): keeps the triples actually present (once each),
-     taking them out of the o-lists, spo and pso. *)
-  let gone = ref [] in
-  Index.unlink_runs t.spo ~twin:t.pso ~first:subj ~second:pred ~third:obj
-    (Ordering.sort_triples Spo triples)
-    ~gone:(fun tr -> gone := tr :: !gone);
-  let gone = Array.of_list !gone in
-  (* Pass B — (s, o, p): p-lists, sop, osp; pass C — (p, o, s): s-lists,
-     pos, ops. *)
-  let ignore_gone _ = () in
-  Index.unlink_runs t.sop ~twin:t.osp ~first:subj ~second:obj ~third:pred
-    (Ordering.sort_triples Sop gone) ~gone:ignore_gone;
-  Index.unlink_runs t.pos ~twin:t.ops ~first:pred ~second:obj ~third:subj
-    (Ordering.sort_triples Pos gone) ~gone:ignore_gone;
-  (* Entries and headers the passes emptied leave their vectors in one
-     compaction per vector. *)
-  seal_all t;
-  t.size <- t.size - Array.length gone;
-  note_mutation m_delete (Array.length gone);
-  Array.length gone
+(* One list family's owner rebuilt: its (first, second, third) scan,
+   with [add] (triples it lacks) merged in and [remove] (triples it
+   holds) left out — both sorted on (s, p, o) — then one fill of the
+   owner and its twin. *)
+let refill t owner ord ~add ~remove =
+  let first, second, third =
+    match ord with
+    | Ordering.Spo -> (subj, pred, obj)
+    | Ordering.Sop -> (subj, obj, pred)
+    | _ -> (pred, obj, subj)
+  in
+  let add = Ordering.resort ~from:Spo ord add and remove = Ordering.resort ~from:Spo ord remove in
+  let na = Array.length add and nr = Array.length remove in
+  let m = t.size + na - nr in
+  let a = Array.make m 0 and b = Array.make m 0 and c = Array.make m 0 in
+  let w = ref 0 and j = ref 0 and k = ref 0 in
+  let emit x y z =
+    a.(!w) <- x;
+    b.(!w) <- y;
+    c.(!w) <- z;
+    incr w
+  in
+  let emit_add () =
+    let tr = add.(!j) in
+    emit (first tr) (second tr) (third tr);
+    incr j
+  in
+  Index.iter_triples owner (fun x y z ->
+      let below tr =
+        let r = Int.compare (first tr) x in
+        if r <> 0 then r < 0
+        else
+          let r = Int.compare (second tr) y in
+          if r <> 0 then r < 0 else third tr < z
+      in
+      while !j < na && below add.(!j) do
+        emit_add ()
+      done;
+      let gone = !k < nr && (let tr = remove.(!k) in first tr = x && second tr = y && third tr = z) in
+      if gone then incr k else emit x y z);
+  while !j < na do
+    emit_add ()
+  done;
+  assert (!w = m && !k = nr);
+  Index.of_sorted_columns ~kind:t.repr ~firsts:a ~seconds:b ~thirds:c ()
+
+(* The flat store (t \ remove) ∪ add, for [add] absent from [t] and
+   [remove] present, both sorted on (s, p, o): each list family is one
+   merge of its owner's scan with the batches and one fill. *)
+let rebuild t ~add ~remove =
+  if t.size = 0 then
+    (* From empty, the counting sorts run on columns, not on records. *)
+    fill_columns t ~s:(Array.map subj add) ~p:(Array.map pred add) ~o:(Array.map obj add)
+  else begin
+    let spo, pso = refill t t.spo Spo ~add ~remove in
+    let sop, osp = refill t t.sop Sop ~add ~remove in
+    let pos, ops = refill t t.pos Pos ~add ~remove in
+    t.spo <- spo;
+    t.sop <- sop;
+    t.pso <- pso;
+    t.pos <- pos;
+    t.osp <- osp;
+    t.ops <- ops;
+    t.size <- t.size + Array.length add - Array.length remove
+  end
+
+(* The batches' effect is decided up front by membership: a triple of
+   [remove] in the store leaves it (unless [add] has it too, then it
+   counts as removed and added back), a triple of [add] not in the
+   store joins it.  Nothing is rebuilt when nothing changes in a flat
+   store. *)
+let apply_bulk_ids t ~add ~remove =
+  if Array.length add = 0 && Array.length remove = 0 then (0, 0)
+  else begin
+    let add = sorted_distinct add and remove = sorted_distinct remove in
+    let in_add tr =
+      let lo = ref 0 and hi = ref (Array.length add) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if Ordering.compare_triples Spo add.(mid) tr < 0 then lo := mid + 1 else hi := mid
+      done;
+      !lo < Array.length add && Ordering.compare_triples Spo add.(!lo) tr = 0
+    in
+    let present = List.filter (mem_ids t) (Array.to_list remove) in
+    let readded, gone = List.partition in_add present in
+    let fresh = Array.of_list (List.filter (fun tr -> not (mem_ids t tr)) (Array.to_list add)) in
+    if Array.length fresh > 0 || gone <> [] || not (is_flat t) then
+      rebuild t ~add:fresh ~remove:(Array.of_list gone);
+    let added = Array.length fresh + List.length readded and removed = List.length present in
+    note_mutation m_insert added;
+    note_mutation m_delete removed;
+    (added, removed)
+  end
+
+let add_bulk_ids t triples = fst (apply_bulk_ids t ~add:triples ~remove:[||])
+
+let remove_bulk_ids t triples = snd (apply_bulk_ids t ~add:[||] ~remove:triples)
 
 (* --- lookup ---------------------------------------------------------- *)
 
@@ -350,7 +382,7 @@ let iter t (pat : Pattern.t) f =
   | Pattern.S, Some s, _, _ -> header t.spo s (fun p o -> f s p o)
   | Pattern.P, _, Some p, _ -> header t.pso p (fun s o -> f s p o)
   | Pattern.O, _, _, Some o -> header t.osp o (fun s p -> f s p o)
-  | _ -> Seq.iter (fun tr -> f tr.s tr.p tr.o) (full_scan t)
+  | _ -> Index.iter_triples t.spo f
 
 let count t (pat : Pattern.t) =
   let shape = Pattern.shape pat in
@@ -385,7 +417,10 @@ let count t (pat : Pattern.t) =
       | Some v -> Pair_vector.total v)
   | Pattern.None_bound -> t.size
 
-let fold f t acc = Seq.fold_left (fun acc tr -> f tr acc) acc (full_scan t)
+let fold f t acc =
+  let acc = ref acc in
+  Index.iter_triples t.spo (fun s p o -> acc := f { s; p; o } !acc);
+  !acc
 
 (* --- sorted merge scans ---------------------------------------------- *)
 
@@ -655,31 +690,32 @@ let memory_words_with_dict t = memory_words t + Dict.Term_dict.memory_words t.di
 
 (* --- representation switching ----------------------------------------- *)
 
-(* Whole-store re-encode into six flat compressed indices: the terminal
-   lists live on, concatenated inside each ordering's terminal stream;
-   point mutations revert via {!inflate}. *)
+(* A hashed store (point-written) back to the flat form, refilled from
+   its own scan. *)
 let compress t =
-  if t.repr <> Sorted_ivec.Raw && not (is_flat t) then begin
+  if not (is_flat t) then begin
     let before = memory_words t in
-    t.spo <- Index.compress t.spo;
-    t.sop <- Index.compress t.sop;
-    t.pso <- Index.compress t.pso;
-    t.pos <- Index.compress t.pos;
-    t.osp <- Index.compress t.osp;
-    t.ops <- Index.compress t.ops;
+    rebuild t ~add:[||] ~remove:[||];
     Sorted_ivec.note_bytes_saved ((before - memory_words t) * 8)
   end
 
-(* Rebuild the mutable hashed form from the flat streams — the write
-   path's escape hatch — with the fill of a load from empty. *)
-let inflate t = if is_flat t then ignore (fill t (Array.of_seq (full_scan t)) : int)
+(* The hashed form from the flat one — the point-write path's escape
+   hatch: each twin pair thaws around one mutable list per entry. *)
+let inflate t =
+  if is_flat t then begin
+    let spo, pso = Index.thaw ~owner:t.spo ~twin:t.pso in
+    let sop, osp = Index.thaw ~owner:t.sop ~twin:t.osp in
+    let pos, ops = Index.thaw ~owner:t.pos ~twin:t.ops in
+    t.spo <- spo;
+    t.sop <- sop;
+    t.pso <- pso;
+    t.pos <- pos;
+    t.osp <- osp;
+    t.ops <- ops
+  end
 
-(* Public mutation entry points: shadow the raw implementations above
-   with representation-aware wrappers.  Point mutations and bulk
-   removals inflate first and leave the store raw (recompressing per
-   triple would be O(n)); bulk loads re-establish the configured
-   representation at the end, so a delta-layer flush — bulk removal,
-   then bulk load — lands compressed again, recompressed once. *)
+(* Point mutations on a flat store inflate it first and leave it hashed
+   (refilling per triple would be O(n)); bulk writes rebuild it flat. *)
 let add_ids t tr =
   if is_flat t then inflate t;
   add_ids t tr
@@ -687,19 +723,6 @@ let add_ids t tr =
 let remove_ids t tr =
   if is_flat t then inflate t;
   remove_ids t tr
-
-let remove_bulk_ids t triples =
-  if Array.length triples = 0 then 0
-  else begin
-    if is_flat t then inflate t;
-    remove_bulk_ids t triples
-  end
-
-let add_bulk_ids t triples =
-  if is_flat t then inflate t;
-  let n = add_bulk_ids t triples in
-  if t.repr <> Sorted_ivec.Raw then compress t;
-  n
 
 (* --- term-level API --------------------------------------------------- *)
 
@@ -748,10 +771,10 @@ let to_triples t =
 (* --- invariants ------------------------------------------------------- *)
 
 let check_invariant t =
-  (* Twin orderings share terminal lists physically on raw stores; a
-     flat store materialises fresh slice headers per lookup, so sharing
-     there means equal windows onto one stream — logical equality. *)
-  let same_list a b = if is_flat t then Sorted_ivec.equal a b else a == b in
+  (* Twin orderings share terminal lists physically: one mutable list
+     on a hashed store, one window of the owner's stream on a flat one
+     (which hands out a fresh slice header per lookup). *)
+  let same_list = Sorted_ivec.shares in
   Index.check_invariant t.spo;
   Index.check_invariant t.sop;
   Index.check_invariant t.pso;

@@ -12,6 +12,16 @@
     All vectors and lists are sorted, so every first-step pairwise join a
     query needs is a linear merge-join (§4.2).
 
+    A store is {e flat} after every bulk write ({!add_bulk_ids},
+    {!remove_bulk_ids}, {!apply_bulk_ids}, {!of_sorted_columns}, a
+    snapshot load, a {!Delta} migration): six immutable CSR orderings
+    ({!Index.of_sorted_columns}) whose streams are [int array]s ([Raw])
+    or bit-packed ([Packed]), and where each twin reads its terminal
+    lists from its owner's stream.  A point write ({!add_ids},
+    {!remove_ids}) first {!inflate}s a flat store to the {e hashed}
+    form — header tables of mutable pair vectors and lists — and the
+    store stays hashed until the next bulk write or {!compress}.
+
     The store owns a {!Dict.Term_dict.t} mapping table; both an id-level
     API (used by the query engine and benchmarks) and a term-level API
     (used by applications) are provided. *)
@@ -27,10 +37,10 @@ type id_triple = Dict.Term_dict.id_triple = {
 val create : ?dict:Dict.Term_dict.t -> ?repr:Vectors.Sorted_ivec.kind -> unit -> t
 (** A fresh empty store.  Pass [dict] to share a mapping table with
     another store (the benchmarks do this so Hexastore and the COVP
-    baselines agree on ids).  [repr] selects the index representation:
-    [Raw] (mutable, the default) or [Packed], which {!add_bulk_ids}
-    re-establishes after every bulk load.  When absent, read from the
-    [HEXASTORE_REPR] environment variable ([raw]/[packed]).
+    baselines agree on ids).  [repr] selects the codec of the flat
+    form's streams: [Raw] [int array]s (the default) or [Packed].  When
+    absent, read from the [HEXASTORE_REPR] environment variable
+    ([raw]/[packed]).  The store starts hashed and empty.
     @raise Invalid_argument on an unknown [HEXASTORE_REPR] value. *)
 
 val dict : t -> Dict.Term_dict.t
@@ -38,73 +48,79 @@ val dict : t -> Dict.Term_dict.t
 (** {1 Representation} *)
 
 val repr : t -> Vectors.Sorted_ivec.kind
-(** The configured target representation. *)
+(** The configured codec. *)
 
 val repr_name : t -> string
 (** The {e effective} representation right now: ["packed"] while the
-    store is flat-compressed, ["raw"] otherwise (e.g. after a point
-    mutation inflated it). *)
+    store is flat and packed, ["raw"] otherwise (flat raw, or hashed,
+    e.g. after a point mutation inflated it). *)
 
 val is_flat : t -> bool
-(** Whether the six indices are currently flat compressed. *)
+(** Whether the six indices are currently flat. *)
 
 val compress : t -> unit
-(** Re-encode the whole store into flat compressed indices of the
-    configured kind (no-op when [repr] is [Raw] or already flat).
-    Reads keep working unchanged through slices/views; point mutations
-    transparently {!inflate} first.  Adds the recovered bytes to the
+(** Rebuild a hashed store flat in its codec, from its own (s, p, o)
+    scan (no-op when already flat).  Adds the recovered bytes to the
     [vectors.repr.bytes_saved] counter. *)
 
 val inflate : t -> unit
-(** Rebuild the mutable hashed representation from a flat store (no-op
-    when already raw). *)
+(** Rebuild the mutable hashed form from a flat store (no-op when
+    already hashed): each twin pair gets one mutable list per terminal
+    run, shared by both orderings.  Point mutations call it first. *)
 
 val size : t -> int
 (** Number of distinct triples. *)
-
-val replace_contents : t -> from:t -> unit
-(** [replace_contents dst ~from:src] makes [dst] adopt [src]'s indices,
-    terminal lists and size in place, preserving [dst]'s identity so any
-    alias to it (a {!Dataset} graph slot, a {!Delta} base) observes the
-    new contents.  Used by the delta layer's rebuild-style flush.
-    @raise Invalid_argument if the two stores do not share a dictionary. *)
 
 (** {1 Id-level API} *)
 
 val add_ids : t -> id_triple -> bool
 (** Insert; [false] if already present.  Touches all six indices — §4.2's
-    noted update cost. *)
+    noted update cost.  A flat store is {!inflate}d first. *)
 
 val remove_ids : t -> id_triple -> bool
-(** Delete; [false] if absent.  Empty vectors and headers are pruned. *)
+(** Delete; [false] if absent.  Empty vectors and headers are pruned.  A
+    flat store is {!inflate}d first. *)
 
 val mem_ids : t -> id_triple -> bool
 (** O(log) membership via the shared o-list of (s, p), found through
     [spo]. *)
 
-val add_bulk_ids : t -> id_triple array -> int
-(** Bulk load; the store's emptiness picks the path.  An empty store is
-    filled: the batch is sorted in linear time
-    ({!Ordering.sort_triples}) and de-duplicated once, and each list
-    family is one more sort and one {!Index.of_sorted_columns}, which
-    builds both of its orderings whole from exact-size lists and
-    vectors.  A populated store (a {!Delta} flush) takes one sorted pass
-    per list family ({!Index.link_runs}): a run that lands below a
-    list's largest element is merged into it in one pass, and each index
-    merges the headers and second-level keys that arrived out of order
-    once per touched vector, at the end ({!Index.seal}).  Returns the
-    number of triples actually new.
+val of_sorted_columns :
+  ?dict:Dict.Term_dict.t ->
+  ?repr:Vectors.Sorted_ivec.kind ->
+  s:int array ->
+  p:int array ->
+  o:int array ->
+  unit ->
+  t
+(** A flat store over distinct triples given as three parallel columns
+    sorted on (s, p, o) — a snapshot load's path: no triple records, no
+    sort of the (s, p, o) family, no de-duplication.  The (s, o, p) and
+    (p, o, s) families are two counting-sort passes each
+    ({!Vectors.Radix}).  The [Raw] codec adopts [o] as the o-list
+    stream: the caller must not touch it afterwards.
+    @raise Invalid_argument if the columns differ in length, hold a
+    negative id or are not strictly ascending. *)
+
+val apply_bulk_ids : t -> add:id_triple array -> remove:id_triple array -> int * int
+(** [apply_bulk_ids t ~add ~remove] makes [t] hold (t \ remove) ∪ add in
+    one rebuild: both batches are sorted in linear time
+    ({!Ordering.sort_triples}) and de-duplicated, merged with the
+    store's (s, p, o) scan in one linear pass, and the result refills
+    the store flat ({!of_sorted_columns}'s fill).  Returns how many
+    triples were new and how many were removed (a triple in both
+    batches and in [t] counts once in each).  Nothing is rebuilt when
+    both batches are empty, nor when nothing changed and the store is
+    already flat.  A {!Delta} migration is one call.
     @raise Invalid_argument on a negative id. *)
 
+val add_bulk_ids : t -> id_triple array -> int
+(** [apply_bulk_ids] with nothing to remove: the number of triples
+    actually new.  On an empty store this is the load from empty. *)
+
 val remove_bulk_ids : t -> id_triple array -> int
-(** Bulk removal, the mirror of {!add_bulk_ids}: one sorted pass per
-    list family, in which each terminal list loses its run in one
-    compaction ({!Vectors.Sorted_ivec.remove_sorted}), then one
-    compaction per vector and header vector the removals emptied
-    entries of ({!Index.seal}) — instead of one shift of each touched
-    tail per triple.  Absent triples and repeats are ignored.  A
-    flat-compressed store is inflated first, as by {!remove_ids}.
-    Returns the number of triples removed. *)
+(** [apply_bulk_ids] with nothing to add: the number of triples
+    removed.  Absent triples and repeats are ignored. *)
 
 val lookup : t -> Pattern.t -> id_triple Seq.t
 (** All matching triples, lazily, in the natural order of the index
@@ -120,7 +136,8 @@ val count : t -> Pattern.t -> int
     totals are maintained incrementally). *)
 
 val fold : (id_triple -> 'a -> 'a) -> t -> 'a -> 'a
-(** Over all triples in (s, p, o) order. *)
+(** Over all triples in (s, p, o) order ({!Index.iter_triples} of
+    [spo]). *)
 
 val scan_sorted : t -> Pattern.t -> Pattern.position -> (Ordering.t * (int -> id_triple Seq.t)) option
 (** [scan_sorted t pat pos] is the seekable sorted scan behind the
@@ -215,13 +232,15 @@ val to_triples : t -> Rdf.Triple.t list
 (** {1 Accounting and invariants} *)
 
 val memory_words : t -> int
-(** Structural footprint of the six indices plus the shared terminal
-    lists, each counted once through [spo], [sop] or [pos]
-    ({!Index.terminal_memory_words}), excluding the dictionary. *)
+(** Exact structural footprint of the six indices plus the shared
+    terminal lists, each counted once — through [spo], [sop] or [pos]
+    ({!Index.terminal_memory_words}) on a hashed store, inside those
+    owners' streams on a flat one — excluding the dictionary. *)
 
 val memory_words_with_dict : t -> int
 
 val check_invariant : t -> unit
 (** Asserts: all vectors/lists sorted; the six indices describe the same
     triple set; totals consistent; terminal lists physically shared
-    ([==]) between twin orderings.  Test/debug helper — O(size). *)
+    between twin orderings ({!Vectors.Sorted_ivec.shares}).  Test/debug
+    helper — O(size). *)

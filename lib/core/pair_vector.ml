@@ -1,8 +1,7 @@
 open Vectors
 
-(* The mutable build form [Pv] is the historical keys-plus-payload-array
-   layout.  [View] is the flat compressed index's window onto its key
-   stream: a zero-copy sorted key slice, the precomputed triple total,
+(* The mutable form [Pv] is the keys-plus-payload-array layout of a
+   hashed index.  [View] is a flat index's window onto its key stream: a zero-copy sorted key slice, the precomputed triple total,
    and a function materialising the j-th terminal-list slice on demand.
    Views are transient (constructed per lookup, never stored), so they
    carry no mutation support.  Both forms keep their keys in one
@@ -138,33 +137,6 @@ let merge_sorted v keys payloads =
         hi := lo
       done
 
-(* Batch delete: one left-to-right compaction of the payloads over the
-   hits' positions, then the same compaction of the keys. *)
-let remove_sorted v keys =
-  match v with
-  | View _ -> frozen "remove_sorted"
-  | Pv r ->
-      for j = 1 to Array.length keys - 1 do
-        if keys.(j - 1) > keys.(j) then invalid_arg "Pair_vector.remove_sorted: not sorted"
-      done;
-      let n = Sorted_ivec.length r.keys in
-      let w = ref 0 and rd = ref 0 in
-      Array.iter
-        (fun key ->
-          let i = Sorted_ivec.search_from r.keys ~from:!rd key in
-          if i < n && Sorted_ivec.get r.keys i = key then begin
-            if !w < !rd then Array.blit r.payloads !rd r.payloads !w (i - !rd);
-            w := !w + (i - !rd);
-            rd := i + 1
-          end)
-        keys;
-      if !w < !rd then Array.blit r.payloads !rd r.payloads !w (n - !rd);
-      let left = !w + (n - !rd) in
-      Array.fill r.payloads left (n - left) dummy;
-      let removed = Sorted_ivec.remove_sorted r.keys keys in
-      assert (removed = n - left);
-      removed
-
 let payload_at v i =
   if i < 0 || i >= length v then invalid_arg "Pair_vector.payload_at";
   payload v i
@@ -186,7 +158,10 @@ let to_seq v =
   aux 0
 
 let memory_words = function
-  | Pv r -> Sorted_ivec.memory_words r.keys + Array.length r.payloads + 3
+  | Pv r ->
+      (* The [Pv] block (header and three fields), then the payload
+         array with its header. *)
+      Sorted_ivec.memory_words r.keys + 4 + Array.length r.payloads + 1
   | View _ -> 8 (* transient: variant block + slice + closure; never aggregated *)
 
 let check_invariant v =

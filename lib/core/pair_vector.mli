@@ -8,7 +8,7 @@
     never copies them.
 
     Keys are kept strictly increasing in one {!Vectors.Sorted_ivec.t}
-    (raw in the build form, a compressed slice in a {!view}), so every
+    (mutable in the hashed form, a slice in a {!view}), so every
     key search is that module's; insertion is one binary search with an
     O(1) amortised fast path for ascending (bulk-load) arrivals. *)
 
@@ -19,7 +19,8 @@ val create : ?capacity:int -> unit -> t
 val of_sorted : keys:Vectors.Sorted_ivec.t -> payloads:Vectors.Sorted_ivec.t array -> t
 (** A mutable vector over a complete sorted key vector and its parallel
     payloads, both adopted as they are (exact size, no copy); the total
-    is the sum of the payload lengths.  The bulk build's constructor.
+    is the sum of the payload lengths.  The hashed form's constructor
+    when a flat index thaws ({!Index.thaw}).
     @raise Invalid_argument if [keys] is not raw, or the two differ in
     length or are empty. *)
 
@@ -29,11 +30,11 @@ val view :
   payload:(int -> Vectors.Sorted_ivec.t) ->
   t
 (** An immutable pair vector over precomputed parts — the flat
-    compressed index's lookup result.  [keys] is the (possibly
-    compressed-slice) sorted key vector, [total] the triple count under
-    it, and [payload j] materialises the [j]-th terminal-list slice.
+    index's lookup result.  [keys] is the sorted key vector (a slice of
+    the key stream), [total] the triple count under it, and [payload j]
+    materialises the [j]-th terminal-list slice.
     Mutating operations ({!get_or_insert}, {!remove}, {!merge_sorted},
-    {!remove_sorted}, {!bump_total}) raise [Invalid_argument] on views. *)
+    {!bump_total}) raise [Invalid_argument] on views. *)
 
 val length : t -> int
 (** Number of (key, list) entries. *)
@@ -65,13 +66,6 @@ val merge_sorted : t -> int array -> Vectors.Sorted_ivec.t array -> unit
     @raise Invalid_argument if the arrays differ in length, [keys] is
     not strictly increasing or one of them is already present (then [v]
     is left unspecified). *)
-
-val remove_sorted : t -> int array -> int
-(** [remove_sorted v keys] deletes every key of the ascending array
-    [keys] that is present, with its payload reference, in one
-    compaction, and returns how many it deleted — the batch form of
-    {!remove}.  Like {!remove}, it leaves {!total} alone.
-    @raise Invalid_argument if [keys] is not ascending. *)
 
 val key_at : t -> int -> int
 val payload_at : t -> int -> Vectors.Sorted_ivec.t

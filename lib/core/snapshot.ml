@@ -68,17 +68,25 @@ let remaining src = String.length src.buf - src.pos
 let check_size src n what =
   if n < 0 || n > remaining src then corrupt "declared %s exceeds snapshot size" what
 
+(* [n] items of at least [each] bytes: divided, not multiplied, so a
+   huge count cannot wrap around to a small product. *)
+let check_count src n ~each what =
+  if n < 0 || n > remaining src / each then corrupt "declared %s exceeds snapshot size" what
+
 let read_string src n =
   check_size src n "string length";
   let s = String.sub src.buf src.pos n in
   src.pos <- src.pos + n;
   s
 
+(* Every field is a non-negative int: a varint whose bits reach the
+   sign bit is corrupt, so no decoded delta can step backwards. *)
 let read_varint src =
   let rec go shift acc =
     if shift > 62 then corrupt "varint overflow";
     let b = read_byte src in
     let acc = acc lor ((b land 0x7f) lsl shift) in
+    if acc < 0 then corrupt "varint overflow";
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in
   go 0 0
@@ -97,22 +105,21 @@ let save_channel h oc =
     Buffer.add_string buf spelling
   done;
   write_varint buf (Hexastore.size h);
-  (* The full scan streams in (s, p, o) order — exactly the delta-friendly
-     order. *)
-  let prev = ref { Dict.Term_dict.s = 0; p = 0; o = 0 } in
-  let first = ref true in
-  Hexastore.lookup h Pattern.wildcard
-  |> Seq.iter (fun (tr : Dict.Term_dict.id_triple) ->
-         let ds = if !first then tr.s else tr.s - !prev.s in
-         let p_base = if ds > 0 || !first then 0 else !prev.p in
-         let dp = tr.p - p_base in
-         let o_base = if ds > 0 || dp > 0 || !first then 0 else !prev.o in
-         let dob = tr.o - o_base in
-         write_varint buf ds;
-         write_varint buf dp;
-         write_varint buf dob;
-         prev := tr;
-         first := false);
+  (* The full scan is pushed in (s, p, o) order — exactly the
+     delta-friendly order — with no record per triple.  Before the
+     first triple the previous one reads (0, 0, 0), so the first
+     triple's deltas are its absolute ids. *)
+  let ps = ref 0 and pp = ref 0 and po = ref 0 in
+  Hexastore.iter h Pattern.wildcard (fun s p o ->
+      let ds = s - !ps in
+      let dp = if ds > 0 then p else p - !pp in
+      let dob = if ds > 0 || dp > 0 then o else o - !po in
+      write_varint buf ds;
+      write_varint buf dp;
+      write_varint buf dob;
+      ps := s;
+      pp := p;
+      po := o);
   (* Trailer: the hash of everything after the magic, big-endian. *)
   let payload = Buffer.contents buf in
   Buffer.add_int64_be buf (fnv_prefix payload (String.length payload));
@@ -143,7 +150,7 @@ let load_channel ic =
   let n_terms = read_varint src in
   (* Each term costs at least 2 bytes (length varint + 1 char), so the
      checked count also bounds the dictionary's initial size. *)
-  check_size src (n_terms * 2) "term count";
+  check_count src n_terms ~each:2 "term count";
   let dict = Dict.Term_dict.create ~initial_size:n_terms () in
   for expected_id = 0 to n_terms - 1 do
     let len = read_varint src in
@@ -157,26 +164,28 @@ let load_channel ic =
   done;
   let n_triples = read_varint src in
   (* Each triple costs at least 3 varint bytes. *)
-  check_size src (n_triples * 3) "triple count";
-  let triples =
-    if n_triples = 0 then [||]
-    else Array.make n_triples { Dict.Term_dict.s = 0; p = 0; o = 0 }
-  in
-  let prev = ref { Dict.Term_dict.s = 0; p = 0; o = 0 } in
+  check_count src n_triples ~each:3 "triple count";
+  (* Straight into (s, p, o) columns.  Deltas are non-negative, so the
+     triples can only ascend; an all-zero delta after the first triple
+     is the one way to repeat one, and the only order check needed. *)
+  let s = Array.make n_triples 0 and p = Array.make n_triples 0 and o = Array.make n_triples 0 in
+  let ps = ref 0 and pp = ref 0 and po = ref 0 in
   for i = 0 to n_triples - 1 do
     let ds = read_varint src in
     let dp = read_varint src in
     let dob = read_varint src in
-    let s = if i = 0 then ds else !prev.s + ds in
-    let p_base = if ds > 0 || i = 0 then 0 else !prev.p in
-    let p = p_base + dp in
-    let o_base = if ds > 0 || dp > 0 || i = 0 then 0 else !prev.o in
-    let o = o_base + dob in
-    if s >= n_terms || p >= n_terms || o >= n_terms then
+    if i > 0 && ds = 0 && dp = 0 && dob = 0 then corrupt "triple %d repeats its predecessor" i;
+    let ts = !ps + ds in
+    let tp = if ds > 0 then dp else !pp + dp in
+    let t_o = if ds > 0 || dp > 0 then dob else !po + dob in
+    if ts >= n_terms || tp >= n_terms || t_o >= n_terms || ts < 0 || tp < 0 || t_o < 0 then
       corrupt "triple %d references unknown id" i;
-    let tr = { Dict.Term_dict.s; p; o } in
-    triples.(i) <- tr;
-    prev := tr
+    s.(i) <- ts;
+    p.(i) <- tp;
+    o.(i) <- t_o;
+    ps := ts;
+    pp := tp;
+    po := t_o
   done;
   let payload_len = src.pos in
   if remaining src < 8 then corrupt "missing checksum";
@@ -184,10 +193,7 @@ let load_channel ic =
   if not (Int64.equal stored_hash (fnv_prefix src.buf payload_len)) then
     corrupt "checksum mismatch";
   if remaining src > 8 then corrupt "trailing bytes after checksum";
-  let h = Hexastore.create ~dict ~repr () in
-  let added = Hexastore.add_bulk_ids h triples in
-  if added <> n_triples then corrupt "duplicate triples in snapshot";
-  h
+  Hexastore.of_sorted_columns ~dict ~repr ~s ~p ~o ()
 
 let load path =
   let ic = open_in_bin path in

@@ -3,8 +3,10 @@
     The paper's future work (§7) plans "a fully operational disk-based
     Hexastore"; this module is the persistence half of that: a compact
     binary image of the store — the dictionary plus the triple set,
-    delta-varint encoded in (s, p, o) order — from which loading rebuilds
-    all six indices through the bulk path.
+    delta-varint encoded in (s, p, o) order.  Loading decodes the triples
+    straight into (s, p, o) columns and builds the six flat indices from
+    them ({!Hexastore.of_sorted_columns}); saving pushes the (s, p, o)
+    scan through the encoder without a record per triple.
 
     Format (version 2; version-1 files, which lack the repr byte, still
     load as raw stores):
@@ -30,7 +32,12 @@ val save : Hexastore.t -> string -> unit
     place). *)
 
 val load : string -> Hexastore.t
-(** Rebuild a store from a snapshot.
+(** Rebuild a store from a snapshot, flat in the image's codec.  Every
+    field is checked as it is decoded — varints non-negative, counts
+    within the bytes left, ids below the term count, each triple above
+    its predecessor (an all-zero delta is the one way to repeat one) —
+    and then the checksum, so a malformed image raises {!Corrupt} and
+    never reaches the build.
     @raise Corrupt on any malformed input.
     @raise Sys_error when the file cannot be read. *)
 

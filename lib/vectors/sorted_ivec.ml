@@ -1,11 +1,12 @@
-(* A sorted vector is either a raw mutable array (the build/write form,
+(* A sorted vector is either a raw mutable array (the point-write form,
    byte-compatible in layout and cost with the old Dynarray-backed
-   implementation) or an immutable slice [off, off+slen) of a shared
-   compressed stream.  Slices are views: they own no payload, so a
-   flat compressed index can expose its hundred-thousand terminal
-   lists as 4-word headers over four big streams.  Mutating a slice
-   raises — the store swaps whole representations instead (see
-   [Hexastore.compress]/[inflate]). *)
+   implementation) or an immutable slice of a shared stream: a window
+   [off, off+len) of a plain [int array] ([A], the raw codec) or of a
+   bit-packed payload ([S], the packed codec).  Slices are views: they
+   own no payload, so a flat index can expose its hundred-thousand
+   terminal lists as 4-word headers over a few big streams.  Mutating a
+   slice raises — the store swaps whole representations instead (see
+   [Hexastore.inflate]). *)
 
 type kind = Raw | Packed
 
@@ -17,11 +18,12 @@ let kind_of_name s =
   | "packed" -> Some Packed
   | _ -> None
 
-type stream = Packed_ivec.t
+type stream = Ints of int array | Bits of Packed_ivec.t
 
 type t =
   | R of { mutable data : int array; mutable len : int }
-  | S of { base : stream; off : int; slen : int }
+  | A of { arr : int array; aoff : int; alen : int }
+  | S of { base : Packed_ivec.t; off : int; slen : int }
 
 (* Telemetry: one counter per binary-search call, one per comparison
    step.  Both are single-flag-read no-ops while telemetry is off.
@@ -39,17 +41,18 @@ let create ?(capacity = 8) () = R { data = Array.make (max capacity 1) 0; len = 
 
 let singleton x = R { data = [| x |]; len = 1 }
 
-let length = function R r -> r.len | S s -> s.slen
+let length = function R r -> r.len | A a -> a.alen | S s -> s.slen
 
 let is_empty v = length v = 0
 
-let kind_of = function R _ -> Raw | S _ -> Packed
+let kind_of = function R _ | A _ -> Raw | S _ -> Packed
 
 let is_compressed v = kind_of v <> Raw
 
 let unsafe_get v i =
   match v with
   | R r -> Array.unsafe_get r.data i
+  | A { arr; aoff; _ } -> Array.unsafe_get arr (aoff + i)
   | S { base; off; _ } -> Packed_ivec.get base (off + i)
 
 let get v i =
@@ -113,7 +116,9 @@ let find_geq v x =
   let i = index_geq v x in
   if i < length v then Some (unsafe_get v i) else None
 
-let frozen op = invalid_arg ("Sorted_ivec." ^ op ^ ": compressed vector is immutable")
+let frozen v op =
+  let what = match v with S _ -> "compressed vector" | _ -> "slice" in
+  invalid_arg ("Sorted_ivec." ^ op ^ ": " ^ what ^ " is immutable")
 
 (* Element moves on the raw form are typed [int] loops, not
    [Array.blit]: on a major-heap array the runtime's blit cannot know
@@ -141,7 +146,7 @@ let regrow (data : int array) n cap =
    hold the position from their own search. *)
 let insert_at v i x =
   match v with
-  | S _ -> frozen "insert_at"
+  | (S _ | A _) as v -> frozen v "insert_at"
   | R r ->
       let n = r.len in
       if i < 0 || i > n then invalid_arg "Sorted_ivec.insert_at: index out of bounds";
@@ -152,7 +157,7 @@ let insert_at v i x =
 
 let remove_at v i =
   match v with
-  | S _ -> frozen "remove_at"
+  | (S _ | A _) as v -> frozen v "remove_at"
   | R r ->
       if i < 0 || i >= r.len then invalid_arg "Sorted_ivec.remove_at: index out of bounds";
       move_down r.data ~src:(i + 1) ~dst:i (r.len - i - 1);
@@ -160,7 +165,7 @@ let remove_at v i =
 
 let add v x =
   match v with
-  | S _ -> frozen "add"
+  | (S _ | A _) as v -> frozen v "add"
   | R r ->
       (* Ascending arrivals (the bulk-load case) append without a search. *)
       let n = r.len in
@@ -173,7 +178,7 @@ let add v x =
 
 let remove v x =
   match v with
-  | S _ -> frozen "remove"
+  | (S _ | A _) as v -> frozen v "remove"
   | R r ->
       let i = index_geq v x in
       if i < r.len && Array.unsafe_get r.data i = x then begin
@@ -187,7 +192,7 @@ let remove v x =
    above [a.(0)] move, each once. *)
 let merge_sorted v a =
   match v with
-  | S _ -> frozen "merge_sorted"
+  | (S _ | A _) as v -> frozen v "merge_sorted"
   | R r ->
       let k = Array.length a in
       for j = 1 to k - 1 do
@@ -213,33 +218,6 @@ let merge_sorted v a =
       done;
       r.len <- n + k
 
-(* One left-to-right compaction: each hit is found by a galloping seek
-   from the previous one, and each survivor above the first hit moves
-   down once, by the number of hits below it. *)
-let remove_sorted v a =
-  match v with
-  | S _ -> frozen "remove_sorted"
-  | R r ->
-      let k = Array.length a in
-      for j = 1 to k - 1 do
-        if a.(j - 1) > a.(j) then invalid_arg "Sorted_ivec.remove_sorted: not sorted"
-      done;
-      let n = r.len and data = r.data in
-      (* Cells [0, w) are final; [rd, n) are still to be kept or dropped. *)
-      let w = ref 0 and rd = ref 0 in
-      for j = 0 to k - 1 do
-        let x = Array.unsafe_get a j in
-        let i = search_from v ~from:!rd x in
-        if i < n && Array.unsafe_get data i = x then begin
-          if !w < !rd then move_down data ~src:!rd ~dst:!w (i - !rd);
-          w := !w + (i - !rd);
-          rd := i + 1
-        end
-      done;
-      if !w < !rd then move_down data ~src:!rd ~dst:!w (n - !rd);
-      r.len <- !w + (n - !rd);
-      n - r.len
-
 let check_strictly_increasing op a =
   for i = 1 to Array.length a - 1 do
     if a.(i - 1) >= a.(i) then invalid_arg ("Sorted_ivec." ^ op ^ ": not strictly increasing")
@@ -264,6 +242,10 @@ let iter f = function
       for i = 0 to r.len - 1 do
         f (Array.unsafe_get r.data i)
       done
+  | A { arr; aoff; alen } ->
+      for i = aoff to aoff + alen - 1 do
+        f (Array.unsafe_get arr i)
+      done
   | S { base; off; slen } -> Packed_ivec.iter_range f base ~lo:off ~hi:(off + slen)
 
 let iter_from f v x =
@@ -279,6 +261,7 @@ let fold f acc v =
 let to_array v =
   match v with
   | R r -> Array.sub r.data 0 r.len
+  | A a -> Array.sub a.arr a.aoff a.alen
   | S _ ->
       let a = Array.make (length v) 0 in
       let i = ref 0 in
@@ -334,15 +317,22 @@ let equal a b =
 let copy v =
   match v with
   | R r -> R { data = Array.copy r.data; len = r.len }
-  | S _ ->
+  | A _ | S _ ->
       let a = to_array v in
       R { data = (if Array.length a = 0 then Array.make 1 0 else a); len = length v }
 
-let clear = function R r -> r.len <- 0 | S _ -> frozen "clear"
+let clear = function R r -> r.len <- 0 | (A _ | S _) as v -> frozen v "clear"
 
 let memory_words = function
   | R r -> Array.length r.data + 1 + 3
-  | S _ -> 4 (* header + base pointer + off + slen; the stream is owned elsewhere *)
+  | A _ | S _ -> 4 (* header + base pointer + off + len; the stream is owned elsewhere *)
+
+let shares a b =
+  match (a, b) with
+  | R _, R _ -> a == b
+  | A x, A y -> x.arr == y.arr && x.aoff = y.aoff && x.alen = y.alen
+  | S x, S y -> x.base == y.base && x.off = y.off && x.slen = y.slen
+  | _ -> false
 
 let pp ppf v =
   Format.fprintf ppf "[|%a|]"
@@ -358,30 +348,38 @@ let check_invariant v =
 (* Streams and slices                                                  *)
 (* ------------------------------------------------------------------- *)
 
-let stream_of_array = Packed_ivec.of_array
+let stream_of_array ?(kind = Packed) a =
+  match kind with Raw -> Ints a | Packed -> Bits (Packed_ivec.of_array a)
 
-let stream_length = Packed_ivec.length
+let stream_length = function Ints a -> Array.length a | Bits b -> Packed_ivec.length b
 
-let stream_get = Packed_ivec.get
+let stream_get s i =
+  match s with Ints a -> a.(i) | Bits b -> Packed_ivec.get b i
 
-let slice base ~off ~len =
-  let n = stream_length base in
+let slice s ~off ~len =
+  let n = stream_length s in
   if off < 0 || len < 0 || off + len > n then
     invalid_arg (Printf.sprintf "Sorted_ivec.slice: [%d,%d) outside [0,%d)" off (off + len) n);
-  S { base; off; slen = len }
+  match s with
+  | Ints arr -> A { arr; aoff = off; alen = len }
+  | Bits base -> S { base; off; slen = len }
 
-let stream_memory_words = Packed_ivec.memory_words
+(* The constructor block, then the payload: the array with its header,
+   or the packed encoding. *)
+let stream_memory_words = function
+  | Ints a -> 2 + Array.length a + 1
+  | Bits b -> 2 + Packed_ivec.memory_words b
 
-let stream_validate = Packed_ivec.validate
+let stream_validate = function Ints _ -> [] | Bits b -> Packed_ivec.validate b
 
 let compress kind v =
   match (kind, v) with
   | Raw, R _ -> v
-  | Raw, S _ -> copy v
+  | Raw, _ -> copy v
   | Packed, _ ->
       let a = to_array v in
       slice (stream_of_array a) ~off:0 ~len:(Array.length a)
 
 let block_violations = function
-  | R _ -> []
-  | S { base; _ } -> stream_validate base
+  | R _ | A _ -> []
+  | S { base; _ } -> Packed_ivec.validate base

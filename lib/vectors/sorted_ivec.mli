@@ -8,18 +8,18 @@
 
     Mutation is by binary insertion — O(n) worst case, which mirrors the
     paper's observation that updates are the Hexastore's weak spot — with an
-    O(1) amortised fast path when keys arrive in ascending order (the bulk
-    loading case).  Batches of out-of-order keys go through one pass
-    instead: {!merge_sorted} inserts and {!remove_sorted} deletes a whole
-    sorted run while moving each element at most once.
+    O(1) amortised fast path when keys arrive in ascending order.  A batch
+    of out-of-order keys goes through one pass instead: {!merge_sorted}
+    inserts a whole sorted run while moving each element at most once.
 
-    A sorted vector is either that raw mutable form or an immutable
-    {e slice} of a shared compressed stream ({!Packed_ivec}
-    frame-of-reference bit-packing, O(1) random access).  Every read —
+    A sorted vector is either that mutable form or an immutable {e
+    slice} of a shared {!stream}: a window of a plain [int array] (the
+    [Raw] codec) or of a {!Packed_ivec} frame-of-reference bit-packed
+    payload (the [Packed] codec, O(1) random access).  Every read —
     including the galloping {!search_from} the merge kernels lean on —
-    works on both representations without materialising arrays;
-    mutations ({!add}, {!remove}, {!clear}, …) raise [Invalid_argument]
-    on compressed slices. *)
+    works on all three forms without materialising arrays; mutations
+    ({!add}, {!remove}, {!clear}, …) raise [Invalid_argument] on
+    slices. *)
 
 type t
 
@@ -36,7 +36,8 @@ val kind_of_name : string -> kind option
 val kind_of : t -> kind
 
 val is_compressed : t -> bool
-(** [kind_of v <> Raw]. *)
+(** [kind_of v <> Raw]: a slice of a packed stream.  Raw slices and
+    the mutable form are [Raw]. *)
 
 val create : ?capacity:int -> unit -> t
 
@@ -120,14 +121,6 @@ val merge_sorted : t -> int array -> unit
     @raise Invalid_argument if [a] is not strictly increasing, or if an
     element of [a] is already in [v] (then [v] is left unspecified). *)
 
-val remove_sorted : t -> int array -> int
-(** [remove_sorted v a] deletes every element of the ascending array
-    [a] that is in [v] (absent elements and repeats are ignored) in one
-    in-place compaction, and returns how many it deleted: O(k log gap +
-    moved), where [moved] is the number of survivors above the first
-    hit, against one shift of the tail per {!remove}.  The batch form
-    of {!remove}.  @raise Invalid_argument if [a] is not ascending. *)
-
 val iter : (int -> unit) -> t -> unit
 
 val iter_from : (int -> unit) -> t -> int -> unit
@@ -158,28 +151,37 @@ val clear : t -> unit
 
 val memory_words : t -> int
 
+val shares : t -> t -> bool
+(** [shares a b]: [a] and [b] are the same storage — one mutable vector
+    ([==]), or slices of the same stream ([==]) at the same offset and
+    length.  The §4.1 sharing test of twin orderings. *)
+
 val pp : Format.formatter -> t -> unit
 
 val check_invariant : t -> unit
 (** Asserts strict ascending order; test helper.
     @raise Assert_failure when the invariant is broken. *)
 
-(** {1 Compressed streams and slices}
+(** {1 Streams and slices}
 
-    A [stream] is one big bit-packed payload shared by many slices — the
-    flat index keeps five of them per ordering and exposes every
-    terminal list and key run as a 4-word slice header.  Streams are
-    encoded once from a complete array and never mutated. *)
+    A [stream] is one big immutable payload shared by many slices — the
+    flat index keeps a few of them per ordering and exposes every
+    terminal list and key run as a 4-word slice header.  A raw stream
+    is the [int array] itself; a packed one is bit-packed once from a
+    complete array.  Streams are never mutated. *)
 
 type stream
 
-val stream_of_array : int array -> stream
-(** Bit-packs a copy of [a] (any order: frame-of-reference coding
-    assumes only a small per-block range). *)
+val stream_of_array : ?kind:kind -> int array -> stream
+(** [stream_of_array ~kind a]: [Packed] (the default) bit-packs a copy
+    of [a] (any order: frame-of-reference coding assumes only a small
+    per-block range); [Raw] adopts [a] itself, which the caller must
+    not touch afterwards. *)
 
 val stream_length : stream -> int
 
 val stream_get : stream -> int -> int
+(** @raise Invalid_argument out of bounds. *)
 
 val slice : stream -> off:int -> len:int -> t
 (** A zero-copy view of positions [off, off+len), which must be
@@ -187,10 +189,11 @@ val slice : stream -> off:int -> len:int -> t
     @raise Invalid_argument out of bounds. *)
 
 val stream_memory_words : stream -> int
-(** Exact footprint of the encoded stream, headers included. *)
+(** Exact footprint of the stream, its payload and headers included. *)
 
 val stream_validate : stream -> string list
-(** Codec-level structural audit; empty means sound. *)
+(** Codec-level structural audit; empty means sound (always, for raw
+    streams). *)
 
 val compress : kind -> t -> t
 (** [compress k v] re-encodes [v]'s elements as a standalone vector of

@@ -121,24 +121,6 @@ let test_detects_pending_link () =
   Index.unlink spo ~first:s ~second:(-1) ~list_empty:true;
   no_violations "bogus entry removed" (C.store h)
 
-let test_detects_pending_drop () =
-  let h = small_store () in
-  let spo = Hexastore.spo h in
-  let s = Sorted_ivec.get (Index.headers_view spo) 0 in
-  let v = Option.get (Index.find_vector spo s) in
-  let p = Pair_vector.key_at v 0 in
-  let l = Pair_vector.payload_at v 0 in
-  let n = Sorted_ivec.length l in
-  Index.unlink_bulk spo ~first:s ~second:p ~removed:n ~list_empty:true;
-  check_int "deferred" 1 (Index.pending_drops spo);
-  some_violation "unsealed bulk drop" (C.Invariant.index spo);
-  Index.seal spo;
-  no_violations "sealed" (C.Invariant.index spo);
-  check_bool "entry dropped" true (Option.is_none (Index.find_list spo s p));
-  Index.link spo ~first:s ~second:p l;
-  Pair_vector.bump_total (Option.get (Index.find_vector spo s)) (n - 1);
-  no_violations "entry restored" (C.store h)
-
 let test_detects_unshared_list () =
   let h = small_store () in
   (* Replace pso's reference with a value-equal copy: every count and
@@ -155,6 +137,76 @@ let test_detects_unshared_list () =
           ignore (Pair_vector.remove v 0);
           ignore (Pair_vector.get_or_insert v 0 (fun () -> copy))));
   some_violation "copied (unshared) terminal list" (C.store h)
+
+(* Flat twins share their owner's runs by entry number: seeded
+   corruptions of a bulk-loaded store's columns, on both codecs.  A
+   twin entry shifted onto the neighbouring owner entry (its offsets
+   move off its own run), a twin entry pointing at another header's
+   run, and an unsorted owner run must each be reported. *)
+let test_detects_flat_twin_corruption () =
+  let triples =
+    Array.of_list
+      (List.concat_map
+         (fun s -> List.map (fun p -> t3 s p ((s * p) mod 7)) [ 1; 2; 3 ])
+         [ 0; 1; 2; 3; 4; 5 ])
+  in
+  List.iter
+    (fun repr ->
+      let name = Sorted_ivec.kind_name repr in
+      let h = Hexastore.create ~repr () in
+      ignore (Hexastore.add_bulk_ids h (Array.append triples [| t3 0 1 5; t3 0 1 6 |]));
+      check_bool (name ^ " store is flat") true (Hexastore.is_flat h);
+      no_violations (name ^ " flat store") (C.store h);
+      let owner = Hexastore.spo h and twin = Hexastore.pso h in
+      no_violations (name ^ " flat twin") (C.Invariant.twins ~owner ~twin ());
+      let corrupt_entry f =
+        Index.map_streams (fun what a -> if what = "entry" then f a else a) twin
+      in
+      let shifted =
+        corrupt_entry (fun a ->
+            let a = Array.copy a in
+            a.(0) <- a.(0) + 1;
+            a)
+      in
+      some_violation (name ^ " twin entry shifted off its run")
+        (C.Invariant.twins ~owner ~twin:shifted ());
+      let crossed =
+        corrupt_entry (fun a ->
+            let a = Array.copy a in
+            let n = Array.length a in
+            let x = a.(0) in
+            a.(0) <- a.(n - 1);
+            a.(n - 1) <- x;
+            a)
+      in
+      some_violation (name ^ " twin entry at another key's run")
+        (C.Invariant.twins ~owner ~twin:crossed ());
+      (* The first owner run of two or more elements, found by its
+         offset in the terminal stream; then two of its elements swap. *)
+      let off = ref (-1) and seen = ref 0 in
+      Index.iter_sorted
+        (fun _ v ->
+          Pair_vector.iter
+            (fun _ l ->
+              if !off < 0 && Sorted_ivec.length l >= 2 then off := !seen;
+              seen := !seen + Sorted_ivec.length l)
+            v)
+        owner;
+      let unsorted =
+        Index.map_streams
+          (fun what a ->
+            if what = "terms" then begin
+              let a = Array.copy a in
+              let x = a.(!off) in
+              a.(!off) <- a.(!off + 1);
+              a.(!off + 1) <- x;
+              a
+            end
+            else a)
+          owner
+      in
+      some_violation (name ^ " unsorted owner run") (C.Invariant.index unsorted))
+    [ Sorted_ivec.Raw; Sorted_ivec.Packed ]
 
 let test_dictionary_bijective () =
   let d = Dict.Dictionary.create () in
@@ -1033,8 +1085,8 @@ let () =
           Alcotest.test_case "detects bogus header" `Quick test_detects_bogus_header;
           Alcotest.test_case "detects pending header" `Quick test_detects_pending_header;
           Alcotest.test_case "detects pending link" `Quick test_detects_pending_link;
-          Alcotest.test_case "detects pending drop" `Quick test_detects_pending_drop;
           Alcotest.test_case "detects unshared list" `Quick test_detects_unshared_list;
+          Alcotest.test_case "detects flat twin corruption" `Quick test_detects_flat_twin_corruption;
           Alcotest.test_case "dictionary bijectivity" `Quick test_dictionary_bijective;
           Alcotest.test_case "dataset coherence" `Quick test_dataset_coherent;
           Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;

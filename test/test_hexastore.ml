@@ -159,9 +159,11 @@ let prop_pair_vector_search_oracle =
       in
       Pair_vector.check_invariant v;
       let flat =
-        let idx = Index.create () in
-        List.iter (fun k -> Index.link idx ~first:0 ~second:k (Sorted_ivec.of_list [ 10 * k ])) model;
-        Index.compress idx
+        let keys = Array.of_list model in
+        fst
+          (Index.of_sorted_columns ~kind:Sorted_ivec.Packed
+             ~firsts:(Array.map (fun _ -> 0) keys)
+             ~seconds:keys ~thirds:(Array.map (fun k -> 10 * k) keys) ())
       in
       pair_vector_matches v model probes
       &&
@@ -435,9 +437,10 @@ let test_covp_restriction () =
   Covp.restrict_properties c None;
   check_int "cleared" 3 (Covp.count c (Pattern.make ~s:1 ()))
 
-(* [memory_words] is exact for the list-table stores: on LUBM 2x2 each
-   agrees with the words actually reachable from the store (minus its
-   dictionary) to within 0.5%. *)
+(* [memory_words] is exact: on LUBM 2x2 each store agrees with the
+   words actually reachable from it (minus its dictionary) to within
+   0.5% — the list-table stores, and Hexastores bulk-loaded flat (raw
+   and packed) and point-written (hashed). *)
 let test_memory_matches_reachable () =
   let dict = Dict.Term_dict.create () in
   let cfg = Workloads.Lubm.config ~universities:2 ~departments_per_university:2 () in
@@ -461,7 +464,19 @@ let test_memory_matches_reachable () =
     covp_kinds;
   let p = Partial.create ~dict ~orderings:[ Ordering.Pso ] () in
   ignore (Partial.add_bulk_ids p ids);
-  agrees "partial{pso}" p (Partial.memory_words p)
+  agrees "partial{pso}" p (Partial.memory_words p);
+  List.iter
+    (fun (repr, label) ->
+      let h = Hexastore.create ~dict ~repr () in
+      ignore (Hexastore.add_bulk_ids h ids);
+      check_bool (label ^ " is flat") true (Hexastore.is_flat h);
+      agrees label h (Hexastore.memory_words h))
+    [ (Sorted_ivec.Raw, "hexastore raw (flat)"); (Sorted_ivec.Packed, "hexastore packed (flat)") ];
+  let h = Hexastore.create ~dict ~repr:Sorted_ivec.Raw () in
+  ignore (Hexastore.add_bulk_ids h ids);
+  ignore (Hexastore.remove_ids h ids.(0));
+  check_bool "a point write inflates" false (Hexastore.is_flat h);
+  agrees "hexastore (inflated)" h (Hexastore.memory_words h)
 
 let test_covp1_po_scan () =
   (* Covp1's subjects_of_po must fall back to scanning the table. *)
@@ -614,7 +629,7 @@ let dump indices =
 let nothing_pending indices =
   List.for_all
     (fun (_, idx) ->
-      Index.pending_headers idx = 0 && Index.pending_links idx = 0 && Index.pending_drops idx = 0)
+      Index.pending_headers idx = 0 && Index.pending_links idx = 0)
     indices
 
 (* [remove = None] (the partial store has no delete): the removed

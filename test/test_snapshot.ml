@@ -393,6 +393,102 @@ let with_repr_tag tag =
   Bytes.set_int64_be trailer 0 (fnv1a64 payload);
   magic ^ payload ^ Bytes.to_string trailer
 
+(* --- decoder fuzz ---------------------------------------------------------- *)
+
+(* [payload] sealed as a HEXSNAP2 image: magic, payload, recomputed
+   trailer — so every mutation below reaches the decoder instead of
+   stopping at the checksum. *)
+let sealed payload =
+  let trailer = Bytes.create 8 in
+  Bytes.set_int64_be trailer 0 (fnv1a64 payload);
+  "HEXSNAP2" ^ payload ^ Bytes.to_string trailer
+
+let load_string data =
+  with_tmp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc data);
+      Snapshot.load path)
+
+(* A decoded image is either refused with [Corrupt] or a store that
+   passes the whole invariant catalogue; any other exception
+   (Invalid_argument, an out-of-bounds read) fails. *)
+let corrupt_or_sound data =
+  match load_string data with
+  | exception Snapshot.Corrupt _ -> true
+  | h -> (
+      match Check.store h with
+      | [] -> true
+      | vs -> QCheck.Test.fail_report (String.concat "; " (List.map Check.Violation.to_string vs)))
+
+let image_of_triples triples =
+  let h = Hexastore.create () in
+  List.iter
+    (fun (tr : id3) ->
+      let term k n = Rdf.Term.iri (Printf.sprintf "http://x/%c%d" k n) in
+      ignore (Hexastore.add h (Rdf.Triple.make (term 's' tr.s) (term 'p' tr.p) (term 'o' tr.o))))
+    triples;
+  with_tmp (fun path ->
+      Snapshot.save h path;
+      file_contents path)
+
+(* Byte mutations of a valid image's payload, trailer recomputed.  Half
+   the mutations land in the triple section at the payload's end, the
+   rest anywhere; a mutation may also cut the payload short. *)
+let prop_fuzz_payload =
+  QCheck.Test.make ~name:"payload mutations with a valid checksum: Corrupt or a sound store"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 1 40) gen_triple)
+           (list_size (int_range 1 4) (triple bool nat (int_bound 255)))
+           (opt nat)))
+    (fun (triples, mutations, cut) ->
+      let image = image_of_triples triples in
+      let payload = Bytes.of_string (String.sub image 8 (String.length image - 16)) in
+      let n = Bytes.length payload in
+      List.iter
+        (fun (tail, k, byte) ->
+          let at = if tail then n - 1 - (k mod min n (3 * List.length triples + 3)) else k mod n in
+          Bytes.set payload at (Char.chr byte))
+        mutations;
+      let payload = Bytes.to_string payload in
+      let payload = match cut with Some c -> String.sub payload 0 (c mod n) | None -> payload in
+      corrupt_or_sound (sealed payload))
+
+let varint n =
+  let b = Buffer.create 4 in
+  let rec go n =
+    if n < 0x80 then Buffer.add_uint8 b n
+    else begin
+      Buffer.add_uint8 b (0x80 lor (n land 0x7f));
+      go (n lsr 7)
+    end
+  in
+  go n;
+  Buffer.contents b
+
+(* A raw-tagged payload over three terms, then [triples], the triple
+   section's bytes as they are. *)
+let three_terms triples =
+  let term t = varint (String.length t) ^ t in
+  "\000" ^ varint 3 ^ term "<http://x/a>" ^ term "<http://x/b>" ^ term "<http://x/c>" ^ triples
+
+let test_decoder_cases () =
+  let refused what data =
+    match load_string data with
+    | exception Snapshot.Corrupt _ -> ()
+    | _ -> Alcotest.failf "%s: accepted" what
+  in
+  let v l = String.concat "" (List.map varint l) in
+  check_int "well-formed control" 2
+    (Hexastore.size (load_string (sealed (three_terms (v [ 2; 0; 1; 1; 0; 0; 1 ])))));
+  refused "all-zero triple delta" (sealed (three_terms (v [ 2; 0; 1; 1; 0; 0; 0 ])));
+  refused "id at the term count" (sealed (three_terms (v [ 1; 0; 1; 3 ])));
+  refused "id past the term count" (sealed (three_terms (v [ 2; 0; 1; 2; 0; 0; 1000 ])));
+  refused "truncated varint" (sealed (three_terms (v [ 1; 0; 1 ] ^ "\x80")));
+  refused "varint past the sign bit" (sealed (three_terms (v [ 1; 0; 1 ] ^ String.make 9 '\xff' ^ "\x01")));
+  refused "triple count past the bytes left" (sealed (three_terms (varint (1 lsl 61))))
+
 let test_legacy_delta_tag () =
   (* Tag 2 was written by the retired delta_varint codec; the payload is
      plain triples, so it loads as a packed store. *)
@@ -473,6 +569,8 @@ let () =
           Alcotest.test_case "bitflip" `Quick test_corruption_bitflip;
           Alcotest.test_case "trailing" `Quick test_corruption_trailing_garbage;
           qt prop_fuzz_never_crashes;
+          qt prop_fuzz_payload;
+          Alcotest.test_case "decoder_cases" `Quick test_decoder_cases;
         ] );
       ( "repr",
         [

@@ -273,20 +273,6 @@ let prop_sivec_ascending_adds_fast_path =
       Sorted_ivec.check_invariant v;
       Sorted_ivec.to_list v = sorted)
 
-(* [remove_sorted] against a list filter: removal batches repeat
-   elements, miss the vector, and run past either end of it. *)
-let prop_sivec_remove_sorted_oracle =
-  QCheck.Test.make ~name:"remove_sorted = list filter oracle" ~count:500
-    QCheck.(pair (list (int_bound 60)) (list (int_bound 70)))
-    (fun (xs, ys) ->
-      let v = Sorted_ivec.of_list xs in
-      let ys = List.sort compare ys in
-      let expected = List.filter (fun x -> not (List.mem x ys)) (Iset.elements (Iset.of_list xs)) in
-      let removed = Sorted_ivec.remove_sorted v (Array.of_list ys) in
-      Sorted_ivec.check_invariant v;
-      removed = Iset.cardinal (Iset.of_list xs) - List.length expected
-      && Sorted_ivec.to_list v = expected)
-
 let prop_sivec_merge_sorted_oracle =
   QCheck.Test.make ~name:"merge_sorted = sorted union oracle" ~count:500
     QCheck.(pair (list (int_bound 60)) (list (int_bound 70)))
@@ -297,7 +283,7 @@ let prop_sivec_merge_sorted_oracle =
       Sorted_ivec.check_invariant v;
       Sorted_ivec.to_list v = Iset.elements (Iset.union (Iset.of_list xs) (Iset.of_list ys)))
 
-(* The two pair-vector batch operations against a sorted association
+(* The pair-vector batch insert against a sorted association
    list.  Each payload is the singleton list of its key, so a payload
    that moved apart from its key shows in the pairs. *)
 let pair_vector_of keys =
@@ -323,19 +309,6 @@ let prop_pair_vector_merge_sorted_oracle =
       Hexa.Pair_vector.check_invariant v;
       pairs v
       = List.map (fun k -> (k, [ k ])) (Iset.elements (Iset.union (Iset.of_list xs) (Iset.of_list ys))))
-
-let prop_pair_vector_remove_sorted_oracle =
-  QCheck.Test.make ~name:"pair_vector remove_sorted = association filter oracle" ~count:500
-    QCheck.(pair (list (int_bound 60)) (list (int_bound 70)))
-    (fun (xs, ys) ->
-      let v = pair_vector_of xs in
-      let ys = List.sort compare ys in
-      let kept = List.filter (fun k -> not (List.mem k ys)) (Iset.elements (Iset.of_list xs)) in
-      let removed = Hexa.Pair_vector.remove_sorted v (Array.of_list ys) in
-      Hexa.Pair_vector.bump_total v (-removed);
-      Hexa.Pair_vector.check_invariant v;
-      removed = Iset.cardinal (Iset.of_list xs) - List.length kept
-      && pairs v = List.map (fun k -> (k, [ k ])) kept)
 
 (* ------------------------------------------------------------------ *)
 (* Merge                                                               *)
@@ -748,10 +721,8 @@ let () =
           qt prop_sivec_set_model;
           qt prop_sivec_ascending_adds_fast_path;
           qt prop_search_from_oracle;
-          qt prop_sivec_remove_sorted_oracle;
           qt prop_sivec_merge_sorted_oracle;
           qt prop_pair_vector_merge_sorted_oracle;
-          qt prop_pair_vector_remove_sorted_oracle;
         ] );
       ( "merge",
         [
