@@ -168,7 +168,7 @@ let stress cfg =
     }
   in
   let dict = Dict.Term_dict.create () in
-  let iri fmt = Format.kasprintf (fun s -> Rdf.Term.Iri s) fmt in
+  let iri fmt = Format.kasprintf Rdf.Term.iri fmt in
   let node_terms = Array.init stress_nodes (fun i -> iri "http://stress/n%d" i) in
   let pred_terms = Array.init stress_preds (fun i -> iri "http://stress/p%d" i) in
   let nodes = Array.map (Dict.Term_dict.encode_term dict) node_terms in

@@ -35,7 +35,14 @@ let pat_obj_magic = "Obj.magic"
 let pat_query_probe = "Sorted_ivec.mem"
 
 let pats_query_resolve =
-  [ "Term_dict.find_term"; "Dict.Term_dict.find_term"; "Term.to_string"; "Rdf.Term.to_string" ]
+  [
+    "Term_dict.find_term";
+    "Dict.Term_dict.find_term";
+    "Term_dict.decode_term";
+    "Dict.Term_dict.decode_term";
+    "Term.to_string";
+    "Rdf.Term.to_string";
+  ]
 
 let pats_span =
   [
@@ -243,9 +250,9 @@ let scan_source ~path contents =
          |> List.concat_map (fun (p, tok) ->
                 of_hits Query_resolve
                   (p
-                 ^ " resolves or spells a term outside the query compiler and Results; \
-                    resolve through Compile.term_id once per query, decode through \
-                    Results (annotate the line to waive)")
+                 ^ " resolves, spells or parses a term outside the query compiler and \
+                    Results; resolve through Compile.term_id once per query, decode \
+                    through Results (annotate the line to waive)")
                   [ tok ]))
     @ (if clock_exempt path then []
        else

@@ -22,7 +22,8 @@
       the planner's merge/hash join operators.  A deliberate probe is
       waived by putting [lint: allow query-probe] in a {e comment} on
       the same line or the line directly above.
-    - {b query-resolve}: no [Term_dict.find_term] or
+    - {b query-resolve}: no [Term_dict.find_term],
+      [Term_dict.decode_term] (a parse per call) or
       [Rdf.Term.to_string] in files under a [query] directory, except
       the query compiler ([compile.ml]) and [results.ml] — constants
       resolve once per query and cells decode once, from the spellings

@@ -360,28 +360,17 @@ let lookup t (pat : Pattern.t) =
 let iter t (pat : Pattern.t) f =
   let shape = Pattern.shape pat in
   note_probe shape;
-  let list l g =
-    match l with
-    | None -> ()
-    | Some l ->
-        Telemetry.Metrics.observe m_scan_len (Sorted_ivec.length l);
-        Sorted_ivec.iter g l
-  in
-  let header index h g =
-    match Index.find_vector index h with
-    | None -> ()
-    | Some v ->
-        Telemetry.Metrics.observe m_scan_len (Pair_vector.total v);
-        Pair_vector.iter (fun second l -> Sorted_ivec.iter (g second) l) v
-  in
+  (* A scan observes its length only when it found something, as
+     [lookup] does. *)
+  let scanned n = if n > 0 then Telemetry.Metrics.observe m_scan_len n in
   match (shape, pat.s, pat.p, pat.o) with
   | Pattern.All, Some s, Some p, Some o -> if mem_ids t { s; p; o } then f s p o
-  | Pattern.Sp, Some s, Some p, _ -> list (Index.find_list t.spo s p) (fun o -> f s p o)
-  | Pattern.So, Some s, _, Some o -> list (Index.find_list t.sop s o) (fun p -> f s p o)
-  | Pattern.Po, _, Some p, Some o -> list (Index.find_list t.pos p o) (fun s -> f s p o)
-  | Pattern.S, Some s, _, _ -> header t.spo s (fun p o -> f s p o)
-  | Pattern.P, _, Some p, _ -> header t.pso p (fun s o -> f s p o)
-  | Pattern.O, _, _, Some o -> header t.osp o (fun s p -> f s p o)
+  | Pattern.Sp, Some s, Some p, _ -> scanned (Index.iter_list t.spo s p (fun o -> f s p o))
+  | Pattern.So, Some s, _, Some o -> scanned (Index.iter_list t.sop s o (fun p -> f s p o))
+  | Pattern.Po, _, Some p, Some o -> scanned (Index.iter_list t.pos p o (fun s -> f s p o))
+  | Pattern.S, Some s, _, _ -> scanned (Index.iter_header t.spo s (fun p o -> f s p o))
+  | Pattern.P, _, Some p, _ -> scanned (Index.iter_header t.pso p (fun s o -> f s p o))
+  | Pattern.O, _, _, Some o -> scanned (Index.iter_header t.osp o (fun s p -> f s p o))
   | _ -> Index.iter_triples t.spo f
 
 let count t (pat : Pattern.t) =
@@ -391,30 +380,12 @@ let count t (pat : Pattern.t) =
   | Pattern.All ->
       if mem_ids t { s = Option.get pat.s; p = Option.get pat.p; o = Option.get pat.o } then 1
       else 0
-  | Pattern.Sp -> (
-      match Index.find_list t.spo (Option.get pat.s) (Option.get pat.p) with
-      | None -> 0
-      | Some l -> Sorted_ivec.length l)
-  | Pattern.So -> (
-      match Index.find_list t.sop (Option.get pat.s) (Option.get pat.o) with
-      | None -> 0
-      | Some l -> Sorted_ivec.length l)
-  | Pattern.Po -> (
-      match Index.find_list t.pos (Option.get pat.p) (Option.get pat.o) with
-      | None -> 0
-      | Some l -> Sorted_ivec.length l)
-  | Pattern.S -> (
-      match Index.find_vector t.spo (Option.get pat.s) with
-      | None -> 0
-      | Some v -> Pair_vector.total v)
-  | Pattern.P -> (
-      match Index.find_vector t.pso (Option.get pat.p) with
-      | None -> 0
-      | Some v -> Pair_vector.total v)
-  | Pattern.O -> (
-      match Index.find_vector t.osp (Option.get pat.o) with
-      | None -> 0
-      | Some v -> Pair_vector.total v)
+  | Pattern.Sp -> Index.list_length t.spo (Option.get pat.s) (Option.get pat.p)
+  | Pattern.So -> Index.list_length t.sop (Option.get pat.s) (Option.get pat.o)
+  | Pattern.Po -> Index.list_length t.pos (Option.get pat.p) (Option.get pat.o)
+  | Pattern.S -> Index.header_triples t.spo (Option.get pat.s)
+  | Pattern.P -> Index.header_triples t.pso (Option.get pat.p)
+  | Pattern.O -> Index.header_triples t.osp (Option.get pat.o)
   | Pattern.None_bound -> t.size
 
 let fold f t acc =

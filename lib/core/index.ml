@@ -71,10 +71,12 @@ let frozen op = invalid_arg ("Index." ^ op ^ ": flat index is immutable")
 
 let get = Sv.stream_get
 
-(* The terminal run of the [k]-th entry: its own on an owner, the
-   owner's entry it names on a twin. *)
+(* The owner entry whose terminal run the [k]-th entry reads: itself on
+   an owner, the one it names on a twin. *)
+let owner_entry f k = match f.twin with None -> k | Some tw -> get tw.entry k
+
 let list_at f k =
-  let e = match f.twin with None -> k | Some tw -> get tw.entry k in
+  let e = owner_entry f k in
   let a = get f.list_off e in
   Sv.slice f.terms ~off:a ~len:(get f.list_off (e + 1) - a)
 
@@ -106,22 +108,86 @@ let find_vector t h =
       let r = flat_rank f h in
       if r >= 0 then Some (flat_vector f r) else None
 
+(* The entry number of (first, second), or -1: offset reads around
+   one binary search of the header's key run, nothing allocated. *)
+let flat_entry f first second =
+  let r = flat_rank f first in
+  if r < 0 then -1
+  else
+    let k1 = get f.key_off (r + 1) in
+    let k = Sv.stream_index_geq f.keys ~lo:(get f.key_off r) ~hi:k1 second in
+    if k < k1 && get f.keys k = second then k else -1
+
 let find_list t first second =
   match t with
   | Hashed t -> (
       match Hashtbl.find_opt t.headers first with
       | None -> None
       | Some v -> Pair_vector.find v second)
-  | Flat f -> (
-      (* Straight to the terminal slice: offset reads around the key
-         binary search, no intermediate view. *)
-      let r = flat_rank f first in
-      if r < 0 then None
+  | Flat f ->
+      let k = flat_entry f first second in
+      if k < 0 then None else Some (list_at f k)
+
+(* Flat arms push from the columns, as {!iter_triples} does: no view,
+   slice, option or closure per probe or per entry. *)
+let iter_list t first second g =
+  match t with
+  | Hashed _ -> (
+      match find_list t first second with
+      | None -> 0
+      | Some l ->
+          Sv.iter g l;
+          Sv.length l)
+  | Flat f ->
+      let k = flat_entry f first second in
+      if k < 0 then 0
+      else begin
+        let e = owner_entry f k in
+        let a = get f.list_off e and b = get f.list_off (e + 1) in
+        for i = a to b - 1 do
+          g (get f.terms i)
+        done;
+        b - a
+      end
+
+let iter_header t h g =
+  match t with
+  | Hashed t -> (
+      match Hashtbl.find_opt t.headers h with
+      | None -> 0
+      | Some v ->
+          Pair_vector.iter (fun second l -> Sv.iter (fun x -> g second x) l) v;
+          Pair_vector.total v)
+  | Flat f ->
+      let r = flat_rank f h in
+      if r < 0 then 0
+      else begin
+        for k = get f.key_off r to get f.key_off (r + 1) - 1 do
+          let second = get f.keys k in
+          let e = owner_entry f k in
+          for i = get f.list_off e to get f.list_off (e + 1) - 1 do
+            g second (get f.terms i)
+          done
+        done;
+        header_total f r
+      end
+
+let list_length t first second =
+  match t with
+  | Hashed _ -> ( match find_list t first second with None -> 0 | Some l -> Sv.length l)
+  | Flat f ->
+      let k = flat_entry f first second in
+      if k < 0 then 0
       else
-        let k0 = get f.key_off r and k1 = get f.key_off (r + 1) in
-        let keys = Sv.slice f.keys ~off:k0 ~len:(k1 - k0) in
-        let j = Sv.index_geq keys second in
-        if j < k1 - k0 && Sv.get keys j = second then Some (list_at f (k0 + j)) else None)
+        let e = owner_entry f k in
+        get f.list_off (e + 1) - get f.list_off e
+
+let header_triples t h =
+  match t with
+  | Hashed t -> ( match Hashtbl.find_opt t.headers h with None -> 0 | Some v -> Pair_vector.total v)
+  | Flat f ->
+      let r = flat_rank f h in
+      if r < 0 then 0 else header_total f r
 
 (* --- the hashed form's writes ------------------------------------------- *)
 
@@ -427,7 +493,7 @@ let iter_triples t f =
         let first = get fl.hdr_s r in
         for k = get fl.key_off r to get fl.key_off (r + 1) - 1 do
           let second = get fl.keys k in
-          let e = match fl.twin with None -> k | Some tw -> get tw.entry k in
+          let e = owner_entry fl k in
           for i = get fl.list_off e to get fl.list_off (e + 1) - 1 do
             f first second (get fl.terms i)
           done

@@ -107,6 +107,26 @@ val find_list : t -> int -> int -> Vectors.Sorted_ivec.t option
     a terminal list: it asks the ordering that owns it (a Hexastore's
     [spo], [sop] or [pos], a COVP's [pso] or [pos]). *)
 
+val iter_list : t -> int -> int -> (int -> unit) -> int
+(** [iter_list idx first second g] pushes the terminal list under
+    (first, second) through [g], ascending, and returns its length (0
+    when absent).  On a flat index a loop over the columns: no slice,
+    option or closure is built. *)
+
+val iter_header : t -> int -> (int -> int -> unit) -> int
+(** [iter_header idx h g] calls [g second third] for every triple under
+    header [h], ascending, and returns their number (0 when [h] is no
+    header).  On a flat index a loop over the columns, like
+    {!iter_triples}: no view, slice or closure per entry. *)
+
+val list_length : t -> int -> int -> int
+(** Length of the terminal list under (first, second); 0 when absent.
+    Allocates nothing on a flat index. *)
+
+val header_triples : t -> int -> int
+(** Triples under header [h] ({!Pair_vector.total}); 0 when [h] is no
+    header.  Allocates nothing on a flat index. *)
+
 val add_third : t -> ?twin:t -> first:int -> second:int -> int -> bool
 (** [add_third idx ?twin ~first ~second x] is the point insert of one
     triple into a list family: [x] joins the terminal list under

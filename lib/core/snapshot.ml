@@ -155,11 +155,12 @@ let load_channel ic =
   for expected_id = 0 to n_terms - 1 do
     let len = read_varint src in
     let spelling = read_string src len in
-    let term =
-      try Rdf.Ntriples.parse_term spelling
-      with Rdf.Ntriples.Parse_error (_, msg) -> corrupt "bad term %d: %s" expected_id msg
+    (* Checked, not parsed: a canonical spelling is its own key, and
+       only canonical spellings re-save byte for byte. *)
+    let id =
+      try Dict.Term_dict.encode_spelling dict spelling
+      with Invalid_argument msg -> corrupt "bad term %d: %s" expected_id msg
     in
-    let id = Dict.Term_dict.encode_term dict term in
     if id <> expected_id then corrupt "duplicate term spelling at id %d" expected_id
   done;
   let n_triples = read_varint src in

@@ -14,15 +14,17 @@
 magic   "HEXSNAP2"  ("HEXSNAP1" for version 1)
 repr    one byte: 0 raw, 1 packed (absent in version 1; 2, written by
         the retired delta_varint codec, loads as packed)
-dict    varint count, then per id: varint length + N-Triples spelling
+dict    varint count, then per id: varint length + canonical
+        N-Triples spelling (the dictionary's own key)
 triples varint count, then per triple (sorted s,p,o):
         varint Δs, varint Δp (absolute when Δs>0), varint Δo
         (absolute when Δs>0 or Δp>0)
 crc     FNV-1a 64-bit of everything after the magic, big-endian
     v}
 
-    Ids are positional: the dictionary section re-encodes terms in id
-    order, so a loaded store assigns identical ids. *)
+    Ids are positional: the dictionary section lists spellings in id
+    order, so a loaded store assigns identical ids.  The spellings go
+    into the dictionary as they are, checked but not parsed. *)
 
 exception Corrupt of string
 (** Bad magic, truncation, checksum mismatch, or undecodable content. *)
@@ -34,7 +36,9 @@ val save : Hexastore.t -> string -> unit
 val load : string -> Hexastore.t
 (** Rebuild a store from a snapshot, flat in the image's codec.  Every
     field is checked as it is decoded — varints non-negative, counts
-    within the bytes left, ids below the term count, each triple above
+    within the bytes left, every spelling canonical
+    ({!Rdf.Ntriples.is_term_spelling}) and distinct, ids below the term
+    count, each triple above
     its predecessor (an all-zero delta is the one way to repeat one) —
     and then the checksum, so a malformed image raises {!Corrupt} and
     never reaches the build.

@@ -1,9 +1,12 @@
 (** Dictionary encoding over RDF terms.
 
-    The store-facing layer of the mapping table: encodes whole
-    {!Rdf.Term.t} values (not just their strings) so that an IRI, a blank
-    node and a literal with the same spelling get distinct ids, and encodes
-    triples to id-triples ready for the six indices. *)
+    The store-facing layer of the mapping table (§4.1): an id maps to
+    its term's canonical N-Triples spelling ({!Rdf.Term.to_string}),
+    and the spellings are the whole table — no parsed term is kept.
+    Spelling keys give an IRI, a blank node and a literal with the same
+    text distinct ids; {!decode_term} parses the stored spelling on
+    demand, and {!spelling} hands it out as is.  Triples encode to
+    id-triples ready for the six indices. *)
 
 type t
 
@@ -25,13 +28,22 @@ val encode_term : t -> Rdf.Term.t -> int
 val find_term : t -> Rdf.Term.t -> int option
 (** Lookup without allocation. *)
 
+val encode_spelling : t -> string -> int
+(** [encode_spelling d s] is {!encode_term} of the term [s] spells,
+    without parsing it: the id of [s], allocated on first sight.  A
+    snapshot load fills the table this way.
+    @raise Invalid_argument unless [s] is a canonical spelling
+    ({!Rdf.Ntriples.is_term_spelling}). *)
+
 val decode_term : t -> int -> Rdf.Term.t
-(** @raise Invalid_argument on an unallocated id. *)
+(** Parses the stored spelling: an allocation per call, so hot paths
+    read {!spelling} instead.
+    @raise Invalid_argument on an unallocated id. *)
 
 val spelling : t -> int -> string
-(** The term's N-Triples spelling ({!Rdf.Term.to_string}), which is the
-    key the mapping table already stores: returned as is, without
-    decoding or allocating.
+(** The term's canonical N-Triples spelling ({!Rdf.Term.to_string}),
+    which is what the mapping table stores: returned as is, without
+    parsing or allocating.
     @raise Invalid_argument on an unallocated id. *)
 
 val encode_triple : t -> Rdf.Triple.t -> id_triple

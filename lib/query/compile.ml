@@ -90,6 +90,19 @@ let numeric = function
       float_of_string_opt value
   | _ -> None
 
+(* A stored spelling is canonical, so it ends in ["^^<dt>"] exactly
+   when its datatype is [dt]: only those spellings are parsed. *)
+let numeric_suffixes = List.map (fun dt -> "\"^^<" ^ dt ^ ">") numeric_types
+
+let rec has_suffix s = function
+  | [] -> false
+  | suffix :: rest -> String.ends_with ~suffix s || has_suffix s rest
+
+let numeric_spelling s =
+  if String.length s > 0 && s.[0] = '"' && has_suffix s numeric_suffixes then
+    numeric (Rdf.Ntriples.parse_term s)
+  else None
+
 (* Filters compare numbers by value, so an integral numeric constant
    stays comparable even when no triple mentions it. *)
 let compile_operand dict slots = function

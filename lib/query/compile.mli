@@ -90,4 +90,10 @@ val numeric : Rdf.Term.t -> float option
 (** The value of a literal typed [xsd:integer], [decimal], [double],
     [int] or [long]; filters and ORDER BY compare such terms as numbers. *)
 
+val numeric_spelling : string -> float option
+(** {!numeric} of the term a canonical spelling spells
+    ({!Dict.Term_dict.spelling}), parsing only a spelling typed with one
+    of those datatypes: IRIs, blank nodes and other literals are
+    classified from the string alone. *)
+
 val atom_at : tp -> Hexa.Pattern.position -> atom

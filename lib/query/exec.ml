@@ -49,9 +49,8 @@ let key_of dict x =
   else if x < 0 then Number (float_of_int (-2 - x))
   else if x >= Dict.Term_dict.size dict then Spelling (Binding.value_to_string dict (Binding.Id x))
   else
-    match Compile.numeric (Dict.Term_dict.decode_term dict x) with
-    | Some f -> Number f
-    | None -> Spelling (Dict.Term_dict.spelling dict x)
+    let s = Dict.Term_dict.spelling dict x in
+    match Compile.numeric_spelling s with Some f -> Number f | None -> Spelling s
 
 let compare_keys a b =
   match (a, b) with

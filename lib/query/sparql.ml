@@ -260,6 +260,11 @@ let parse_prologue st =
 let iri line s =
   match Rdf.Term.iri s with t -> Algebra.Term t | exception Invalid_argument m -> fail line "%s" m
 
+let typed_literal line value dt =
+  match Rdf.Term.literal ~datatype:dt value with
+  | t -> Algebra.Term t
+  | exception Invalid_argument m -> fail line "%s" m
+
 let parse_term_atom st =
   let { tok; tline } = next st in
   match tok with
@@ -280,8 +285,8 @@ let parse_term_atom st =
           ignore (next st);
           let { tok; tline } = next st in
           match tok with
-          | Iriref raw -> Algebra.Term (Rdf.Term.literal ~datatype:(resolve_iri st raw) value)
-          | Pname p -> Algebra.Term (Rdf.Term.literal ~datatype:(expand_pname st tline p) value)
+          | Iriref raw -> typed_literal tline value (resolve_iri st raw)
+          | Pname p -> typed_literal tline value (expand_pname st tline p)
           | _ -> fail tline "expected datatype IRI")
       | _ -> Algebra.Term (Rdf.Term.string_literal value))
   | _ -> fail tline "expected a term or variable"

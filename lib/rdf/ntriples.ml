@@ -201,6 +201,69 @@ let parse_term text =
   | Some ch -> fail 0 "trailing garbage %C after term" ch);
   term
 
+(* The canonical spellings, checked without allocating: exactly the
+   strings [s] with [Term.to_string (parse_term s) = s].  An IRI or a
+   datatype holds no character [Term.iri] rejects; a label holds label
+   characters; a language tag is lowercase (the parsers lowercase it);
+   a literal's value escapes exactly the five characters
+   [Term.escape_literal] escapes, and nothing else.  Each loop is top
+   level and tests its characters inline: no closure, no call per
+   character. *)
+let rec iri_chars s i stop =
+  i >= stop
+  ||
+  match String.unsafe_get s i with
+  | ' ' | '\t' | '\n' | '\r' | '<' | '>' | '\\' -> false
+  | _ -> iri_chars s (i + 1) stop
+
+let rec label_chars s i =
+  i >= String.length s
+  ||
+  match String.unsafe_get s i with
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> label_chars s (i + 1)
+  | _ -> false
+
+let rec tag_chars s i =
+  i >= String.length s
+  || match String.unsafe_get s i with 'a' .. 'z' | '0' .. '9' | '-' -> tag_chars s (i + 1) | _ -> false
+
+(* [s.[lo]] opens an IRI that ends the string. *)
+let is_iri_spelling s lo =
+  let n = String.length s in
+  n - lo >= 3
+  && s.[lo] = '<'
+  && s.[n - 1] = '>'
+  && iri_chars s (lo + 1) (n - 1)
+
+(* Past a literal's closing quote at [i - 1]: nothing, a tag or a
+   datatype. *)
+let is_suffix s i =
+  let n = String.length s in
+  i = n
+  || (s.[i] = '@' && i + 1 < n && tag_chars s (i + 1))
+  || (i + 1 < n && s.[i] = '^' && s.[i + 1] = '^' && is_iri_spelling s (i + 2))
+
+let rec is_value s i =
+  i < String.length s
+  &&
+  match String.unsafe_get s i with
+  | '"' -> is_suffix s (i + 1)
+  | '\\' -> (
+      i + 1 < String.length s
+      && match s.[i + 1] with '\\' | '"' | 'n' | 'r' | 't' -> is_value s (i + 2) | _ -> false)
+  | '\n' | '\r' | '\t' -> false
+  | _ -> is_value s (i + 1)
+
+let is_term_spelling s =
+  let n = String.length s in
+  n > 0
+  &&
+  match s.[0] with
+  | '<' -> is_iri_spelling s 0
+  | '_' -> n > 2 && s.[1] = ':' && label_chars s 2
+  | '"' -> is_value s 1
+  | _ -> false
+
 let parse_line ?(line = 0) text =
   let c = { text; pos = 0; line } in
   skip_ws c;

@@ -42,6 +42,12 @@ val parse_term : string -> Term.t
     ["literal"@lang], ["literal"^^<dt>]) — the inverse of
     {!Term.to_string}.  @raise Parse_error on malformed input. *)
 
+val is_term_spelling : string -> bool
+(** [is_term_spelling s] holds exactly when [s] is the canonical
+    spelling of a term: [Term.to_string (parse_term s) = s].  A scan
+    that allocates nothing — the check a snapshot load runs on every
+    dictionary entry instead of a parse. *)
+
 val unescape : string -> string
 (** Resolve N-Triples string escapes.
     @raise Parse_error (line 0) on malformed escapes. *)

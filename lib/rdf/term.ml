@@ -11,15 +11,23 @@ type t =
 
 let xsd_integer = "http://www.w3.org/2001/XMLSchema#integer"
 
-let iri s =
-  if s = "" then invalid_arg "Term.iri: empty";
+(* Every constructor keeps a term's N-Triples spelling canonical:
+   [Ntriples.parse_term (to_string t) = t], which is what lets the
+   dictionary store spellings alone.  An IRI therefore carries no raw
+   backslash (the parser would read it as an escape), and a language
+   tag is stored lowercased, as the parsers store it. *)
+let check_iri what s =
+  if s = "" then invalid_arg (what ^ ": empty");
   String.iter
     (fun c ->
       match c with
-      | ' ' | '\t' | '\n' | '\r' | '<' | '>' ->
-          invalid_arg (Printf.sprintf "Term.iri: illegal character %C in %S" c s)
+      | ' ' | '\t' | '\n' | '\r' | '<' | '>' | '\\' ->
+          invalid_arg (Printf.sprintf "%s: illegal character %C in %S" what c s)
       | _ -> ())
-    s;
+    s
+
+let iri s =
+  check_iri "Term.iri" s;
   Iri s
 
 let is_label_char c =
@@ -33,14 +41,26 @@ let blank s =
     s;
   Blank s
 
+let is_lang_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '-'
+
+let lang_tag l =
+  if l = "" || not (String.for_all is_lang_char l) then
+    invalid_arg (Printf.sprintf "Term.literal: illegal language tag %S" l);
+  String.lowercase_ascii l
+
 let literal ?lang ?datatype value =
   match (lang, datatype) with
   | Some _, Some _ -> invalid_arg "Term.literal: both lang and datatype given"
-  | _ -> Literal { value; lang; datatype }
+  | Some l, None -> Literal { value; lang = Some (lang_tag l); datatype = None }
+  | None, Some dt ->
+      check_iri "Term.literal datatype" dt;
+      Literal { value; lang = None; datatype }
+  | None, None -> Literal { value; lang = None; datatype = None }
 
 let string_literal value = Literal { value; lang = None; datatype = None }
-let typed_literal value ~datatype = Literal { value; lang = None; datatype = Some datatype }
-let int_literal n = typed_literal (string_of_int n) ~datatype:xsd_integer
+let typed_literal value ~datatype = literal ~datatype value
+let int_literal n = Literal { value = string_of_int n; lang = None; datatype = Some xsd_integer }
 
 let is_iri = function Iri _ -> true | Blank _ | Literal _ -> false
 let is_blank = function Blank _ -> true | Iri _ | Literal _ -> false

@@ -12,24 +12,32 @@ type literal = private {
   datatype : string option;  (** datatype IRI *)
 }
 
-type t =
+(** Private, like {!literal}: terms are built only through the
+    constructors below, which keep {!to_string} canonical — parsing a
+    term's spelling ({!Ntriples.parse_term}) gives the term back. *)
+type t = private
   | Iri of string
   | Blank of string  (** blank node label, without the [_:] prefix *)
   | Literal of literal
 
 val iri : string -> t
-(** @raise Invalid_argument on the empty string or embedded whitespace/[<>]. *)
+(** @raise Invalid_argument on the empty string, embedded whitespace,
+    [<], [>] or a backslash (which a parser would read as an escape). *)
 
 val blank : string -> t
 (** @raise Invalid_argument on an empty or non [A-Za-z0-9_.-] label. *)
 
 val literal : ?lang:string -> ?datatype:string -> string -> t
-(** @raise Invalid_argument when both [lang] and [datatype] are given. *)
+(** [lang] is stored lowercased, as the parsers store it.
+    @raise Invalid_argument when both [lang] and [datatype] are given,
+    on a language tag that is empty or has a character outside
+    [[A-Za-z0-9-]], and on a datatype that {!iri} rejects. *)
 
 val string_literal : string -> t
 (** Plain literal with neither language nor datatype. *)
 
 val typed_literal : string -> datatype:string -> t
+(** @raise Invalid_argument on a datatype that {!iri} rejects. *)
 
 val int_literal : int -> t
 (** Literal typed [xsd:integer]. *)

@@ -215,8 +215,20 @@ let expand_pname st line pname =
   | exception Not_found -> fail line "unbound prefix in %S" pname
   | exception Invalid_argument _ -> fail line "malformed prefixed name %S" pname
 
+(* IRIs may use \u escapes, as in N-Triples; what is left must pass
+   [Term.iri], which takes no raw backslash. *)
+let iri_of_ref st line raw =
+  if String.contains raw '\\' then
+    match Ntriples.unescape raw with
+    | iri -> resolve_iri st iri
+    | exception Ntriples.Parse_error (_, msg) -> fail line "%s" msg
+  else resolve_iri st raw
+
 let term_of_iriref st line raw =
-  try Term.iri (resolve_iri st raw) with Invalid_argument msg -> fail line "%s" msg
+  try Term.iri (iri_of_ref st line raw) with Invalid_argument msg -> fail line "%s" msg
+
+let typed_literal line value dt =
+  try Term.literal ~datatype:dt value with Invalid_argument msg -> fail line "%s" msg
 
 let parse_verb st =
   let { tok; tline } = next st in
@@ -244,8 +256,8 @@ let parse_object st =
           ignore (next st);
           let { tok; tline } = next st in
           match tok with
-          | Iriref raw -> Term.literal ~datatype:(resolve_iri st raw) value
-          | Pname p -> Term.literal ~datatype:(expand_pname st tline p) value
+          | Iriref raw -> typed_literal tline value (iri_of_ref st tline raw)
+          | Pname p -> typed_literal tline value (expand_pname st tline p)
           | _ -> fail tline "expected datatype IRI after ^^")
       | _ -> Term.string_literal value)
   | _ -> fail tline "expected object"

@@ -78,6 +78,17 @@ let index_geq v x =
 
 let rank = index_geq
 
+let stream_index_geq s ~lo ~hi x =
+  Telemetry.Metrics.incr m_bsearch;
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    Telemetry.Metrics.incr m_bsearch_steps;
+    let mid = (!lo + !hi) / 2 in
+    let v = match s with Ints a -> a.(mid) | Bits b -> Packed_ivec.get b mid in
+    if v < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 (* Exponential (galloping) search for the first element >= x, starting
    at index [from].  The doubling phase brackets the answer in
    O(log(skip)) steps, then a binary search pins it down inside the

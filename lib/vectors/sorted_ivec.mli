@@ -183,6 +183,13 @@ val stream_length : stream -> int
 val stream_get : stream -> int -> int
 (** @raise Invalid_argument out of bounds. *)
 
+val stream_index_geq : stream -> lo:int -> hi:int -> int -> int
+(** [stream_index_geq s ~lo ~hi x] is {!index_geq} over positions
+    [lo, hi) of [s], which must be ascending there: the index of the
+    first element [>= x], or [hi].  No slice is built; it counts as one
+    binary search.
+    @raise Invalid_argument when a probed position is out of bounds. *)
+
 val slice : stream -> off:int -> len:int -> t
 (** A zero-copy view of positions [off, off+len), which must be
     strictly increasing for the sorted reads to hold.

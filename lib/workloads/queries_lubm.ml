@@ -42,14 +42,11 @@ let empty_sv = SV.create ~capacity:1 ()
    competitor's native access path. *)
 let related_to store o =
   match store with
-  | Stores.Hexa h -> (
+  | Stores.Hexa h ->
       (* Direct osp lookup: subject vector with property lists. *)
-      match Index.find_vector (Hexastore.osp h) o with
-      | None -> []
-      | Some v ->
-          let out = ref [] in
-          Pair_vector.iter (fun s pl -> SV.iter (fun p -> out := (s, p) :: !out) pl) v;
-          List.sort compare !out)
+      let out = ref [] in
+      ignore (Index.iter_header (Hexastore.osp h) o (fun s p -> out := (s, p) :: !out));
+      List.sort compare !out
   | Stores.Covp c ->
       let out = ref [] in
       SV.iter
@@ -82,14 +79,11 @@ let lq3 store ids =
   let x = ids.assoc_prof10 in
   let outgoing =
     match store with
-    | Stores.Hexa h -> (
+    | Stores.Hexa h ->
         (* One spo lookup. *)
-        match Index.find_vector (Hexastore.spo h) x with
-        | None -> []
-        | Some v ->
-            let out = ref [] in
-            Pair_vector.iter (fun p ol -> SV.iter (fun o -> out := (p, o) :: !out) ol) v;
-            List.sort compare !out)
+        let out = ref [] in
+        ignore (Index.iter_header (Hexastore.spo h) x (fun p o -> out := (p, o) :: !out));
+        List.sort compare !out
     | Stores.Covp c ->
         (* Both COVP variants: probe every property table by subject. *)
         let out = ref [] in

@@ -14,3 +14,10 @@ let ok2 t = Term.to_string t
 let mentioned = "Rdf.Term.to_string is fine inside a string"
 let smuggled = "lint: allow query-resolve"
 let bad3 dict t = Term_dict.find_term dict t
+
+(* A term parse per call is as bad as a lookup. *)
+let bad4 dict id = Dict.Term_dict.decode_term dict id
+let bad5 dict id = Term_dict.decode_term dict id
+
+(* lint: allow query-resolve *)
+let ok3 dict id = Term_dict.decode_term dict id

@@ -3,3 +3,4 @@
 
 let term_id = Dict.Term_dict.find_term
 let key t = Rdf.Term.to_string t
+let term = Dict.Term_dict.decode_term

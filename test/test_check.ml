@@ -218,18 +218,18 @@ let test_dictionary_bijective () =
   List.iter
     (fun t -> ignore (Dict.Term_dict.encode_term td t))
     [
-      Rdf.Term.Iri "http://example.org/x";
+      Rdf.Term.iri "http://example.org/x";
       Rdf.Term.string_literal "x";
-      Rdf.Term.Blank "x";
-      Rdf.Term.Iri "http://example.org/x";
+      Rdf.Term.blank "x";
+      Rdf.Term.iri "http://example.org/x";
     ];
   check_int "spelling-colliding terms get distinct ids" 3 (Dict.Term_dict.size td);
   no_violations "term dictionary" (C.Invariant.term_dict td)
 
 let test_dataset_coherent () =
   let d = Dataset.create () in
-  let g = Rdf.Term.Iri "http://example.org/g" in
-  let tr s p o = Rdf.Triple.make (Rdf.Term.Iri s) (Rdf.Term.Iri p) (Rdf.Term.Iri o) in
+  let g = Rdf.Term.iri "http://example.org/g" in
+  let tr s p o = Rdf.Triple.make (Rdf.Term.iri s) (Rdf.Term.iri p) (Rdf.Term.iri o) in
   ignore (Dataset.add d (tr "s" "p" "o"));
   ignore (Dataset.add d ~graph:g (tr "s" "p" "o"));
   ignore (Dataset.add d ~graph:g (tr "s2" "p" "o2"));
@@ -245,7 +245,7 @@ let test_snapshot_roundtrip () =
     (fun t ->
       ignore
         (Hexastore.add h
-           (Rdf.Triple.make (Rdf.Term.Iri t) (Rdf.Term.Iri "p") (Rdf.Term.string_literal t))))
+           (Rdf.Triple.make (Rdf.Term.iri t) (Rdf.Term.iri "p") (Rdf.Term.string_literal t))))
     [ "a"; "b"; "c" ];
   no_violations "snapshot round-trip (terms)" (C.Invariant.snapshot_roundtrip h);
   let cfg = Workloads.Lubm.config ~universities:1 ~departments_per_university:1 () in

@@ -890,7 +890,8 @@ let prop_lookup_sorted =
         triples)
 
 (* The push cursors the executor drives ([iter], [seek_sorted]) replay
-   the pull ones ([lookup], [scan_sorted]) exactly, order included: on a
+   the pull ones ([lookup], [scan_sorted]) exactly, order included, and
+   [count] counts what they push: on a
    bulk-built store, on both COVP baselines and a partial store, on a
    delta with pending writes, and on a delta whose writes sit in its
    sorted level (single-write thresholds over a base eight times larger
@@ -926,6 +927,7 @@ let prop_push_cursors =
             let pushed = ref [] in
             Store_sig.iter store pat (fun s p o -> pushed := t3 s p o :: !pushed);
             List.rev !pushed = List.of_seq (Store_sig.lookup store pat)
+            && Store_sig.count store pat = List.length !pushed
             && List.for_all
                  (fun pos ->
                    match (Store_sig.seek_sorted store pat pos, Store_sig.scan_sorted store pat pos) with

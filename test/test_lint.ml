@@ -238,14 +238,17 @@ let test_fixture_dir_missing_mli () =
 (* query-resolve is scoped to the query layer, minus its two exempt
    modules, and the repository's own query layer passes it. *)
 let test_query_resolve_scope () =
-  let src = "let f dict t = Dict.Term_dict.find_term dict t\nlet g t = Rdf.Term.to_string t\n" in
+  let src =
+    "let f dict t = Dict.Term_dict.find_term dict t\nlet g t = Rdf.Term.to_string t\n\
+     let h dict id = Dict.Term_dict.decode_term dict id\n"
+  in
   let fired path =
     List.length
       (List.filter
          (fun v -> snd (violation_key v) = "query-resolve")
          (C.Lint.scan_source ~path src))
   in
-  check_int "exec fires twice" 2 (fired "lib/query/exec.ml");
+  check_int "exec fires three times" 3 (fired "lib/query/exec.ml");
   check_int "compiler exempt" 0 (fired "lib/query/compile.ml");
   check_int "results exempt" 0 (fired "lib/query/results.ml");
   check_int "other layers untouched" 0 (fired "lib/core/store_sig.ml");

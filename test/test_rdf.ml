@@ -14,7 +14,7 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 
 let test_term_constructors () =
-  Alcotest.check term "iri" (Term.Iri "http://x/a") (Term.iri "http://x/a");
+  Alcotest.check term "iri" (Term.iri "http://x/a") (Term.iri "http://x/a");
   Alcotest.check_raises "empty iri" (Invalid_argument "Term.iri: empty") (fun () ->
       ignore (Term.iri ""));
   (try
@@ -30,6 +30,36 @@ let test_term_constructors () =
      ignore (Term.literal ~lang:"en" ~datatype:"http://x/dt" "v");
      Alcotest.fail "lang+datatype accepted"
    with Invalid_argument _ -> ())
+
+(* Terms the constructors used to build with spellings that do not
+   round-trip: an upper-case tag re-read lower-cased, IRIs whose
+   backslash re-read as an escape, and tags or datatypes a parser
+   refuses. *)
+let test_term_canonical () =
+  Alcotest.check term "tag lowercased" (Term.literal ~lang:"en" "x") (Term.literal ~lang:"EN" "x");
+  check_string "tag spelling" "\"x\"@en-us" (Term.to_string (Term.literal ~lang:"En-US" "x"));
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | t -> Alcotest.failf "%s: built %s" what (Term.to_string t)
+  in
+  refused "iri with \\u0041" (fun () -> Term.iri "http://e/a\\u0041");
+  refused "iri with a backslash" (fun () -> Term.iri "http://e/a\\b");
+  refused "empty tag" (fun () -> Term.literal ~lang:"" "x");
+  refused "tag with a space" (fun () -> Term.literal ~lang:"e n" "x");
+  refused "datatype with a space" (fun () -> Term.literal ~datatype:"a b" "x");
+  refused "empty datatype" (fun () -> Term.typed_literal "x" ~datatype:"");
+  (* An escape that spells a backslash is no IRI either. *)
+  (try
+     ignore (Ntriples.parse_term "<http://e/a\\u005Cb>");
+     Alcotest.fail "escaped backslash in an IRI accepted"
+   with Ntriples.Parse_error _ -> ());
+  Alcotest.check term "escaped IRI" (Term.iri "http://e/aA") (Ntriples.parse_term "<http://e/a\\u0041>");
+  check_bool "escaped IRI is not canonical" false (Ntriples.is_term_spelling "<http://e/a\\u0041>");
+  (* Turtle resolves the same escapes instead of keeping a backslash. *)
+  match Turtle.parse_string "<http://e/s> <http://e/p> <http://e/a\\u0041> ." with
+  | [ tr ] -> Alcotest.check term "turtle escaped IRI" (Term.iri "http://e/aA") (Triple.object_ tr)
+  | _ -> Alcotest.fail "turtle: one triple expected"
 
 let test_term_predicates () =
   check_bool "is_iri" true (Term.is_iri (Term.iri "http://x/a"));
@@ -251,6 +281,75 @@ let prop_term_roundtrip =
       | t' -> Term.equal t t'
       | exception Ntriples.Parse_error (_, msg) ->
           QCheck.Test.fail_reportf "%S failed to reparse: %s" (Term.to_string t) msg)
+
+(* Canonical spellings.  Strings drawn from the characters that matter
+   to the N-Triples term grammar, and single-character edits of real
+   spellings, so both sides of the equivalence come up often. *)
+let spelling_chars = "<>\"\\@^_:.-aAzEn0u \t\n"
+
+let gen_spelling_char = QCheck.Gen.(map (String.get spelling_chars) (int_bound (String.length spelling_chars - 1)))
+
+let gen_mutated_spelling =
+  let open QCheck.Gen in
+  let edit s =
+    map3
+      (fun op at c ->
+        let n = String.length s in
+        let at = if n = 0 then 0 else at mod (n + 1) in
+        match op with
+        | 0 -> String.sub s 0 at ^ String.make 1 c ^ String.sub s at (n - at)
+        | 1 when at < n -> String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+        | _ when at < n -> String.sub s 0 at ^ String.make 1 c ^ String.sub s (at + 1) (n - at - 1)
+        | _ -> s)
+      (int_bound 2) nat gen_spelling_char
+  in
+  gen_term >>= fun t ->
+  int_bound 2 >>= fun k ->
+  let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+  go k (Term.to_string t)
+
+let gen_spelling =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, string_size ~gen:gen_spelling_char (int_bound 10));
+        (3, gen_mutated_spelling);
+        (1, string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 12));
+      ])
+
+let respells s = match Ntriples.parse_term s with t -> Term.to_string t = s | exception Ntriples.Parse_error _ -> false
+
+let prop_is_term_spelling =
+  QCheck.Test.make ~name:"is_term_spelling s = (to_string (parse_term s) = s)" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_spelling)
+    (fun s -> Ntriples.is_term_spelling s = respells s)
+
+(* Constructor arguments from the same characters: whatever a
+   constructor accepts spells canonically and parses back to itself. *)
+let prop_constructed_roundtrip =
+  let args = QCheck.Gen.(string_size ~gen:gen_spelling_char (int_range 0 6)) in
+  QCheck.Test.make ~name:"constructed terms: parse_term (to_string t) = t" ~count:2000
+    (QCheck.make
+       ~print:(fun (k, a, b) -> Printf.sprintf "constructor %d %S %S" k a b)
+       QCheck.Gen.(triple (int_bound 4) args args))
+    (fun (k, a, b) ->
+      let build () =
+        match k with
+        | 0 -> Term.iri a
+        | 1 -> Term.blank a
+        | 2 -> Term.literal ~lang:a b
+        | 3 -> Term.literal ~datatype:a b
+        | _ -> Term.string_literal b
+      in
+      match build () with
+      | exception Invalid_argument _ -> true
+      | t -> (
+          let s = Term.to_string t in
+          Ntriples.is_term_spelling s
+          &&
+          match Ntriples.parse_term s with
+          | t' -> Term.equal t t'
+          | exception Ntriples.Parse_error (_, msg) -> QCheck.Test.fail_reportf "%S: %s" s msg))
 
 let arbitrary_triples = QCheck.make ~print:(fun l -> Ntriples.print_string l) QCheck.Gen.(list_size (int_bound 30) gen_triple)
 
@@ -479,6 +578,7 @@ let () =
       ( "term",
         [
           Alcotest.test_case "constructors" `Quick test_term_constructors;
+          Alcotest.test_case "canonical" `Quick test_term_canonical;
           Alcotest.test_case "predicates" `Quick test_term_predicates;
           Alcotest.test_case "order" `Quick test_term_order;
           Alcotest.test_case "to_string" `Quick test_term_to_string;
@@ -505,6 +605,8 @@ let () =
           Alcotest.test_case "file_io" `Quick test_nt_file_io;
           Alcotest.test_case "parse_term" `Quick test_ntriples_parse_term;
           qt prop_term_roundtrip;
+          qt prop_is_term_spelling;
+          qt prop_constructed_roundtrip;
           qt prop_nt_roundtrip;
           qt prop_ntriples_fuzz;
         ] );

@@ -469,9 +469,11 @@ let varint n =
 
 (* A raw-tagged payload over three terms, then [triples], the triple
    section's bytes as they are. *)
-let three_terms triples =
+let with_terms terms triples =
   let term t = varint (String.length t) ^ t in
-  "\000" ^ varint 3 ^ term "<http://x/a>" ^ term "<http://x/b>" ^ term "<http://x/c>" ^ triples
+  "\000" ^ varint (List.length terms) ^ String.concat "" (List.map term terms) ^ triples
+
+let three_terms = with_terms [ "<http://x/a>"; "<http://x/b>"; "<http://x/c>" ]
 
 let test_decoder_cases () =
   let refused what data =
@@ -487,7 +489,30 @@ let test_decoder_cases () =
   refused "id past the term count" (sealed (three_terms (v [ 2; 0; 1; 2; 0; 0; 1000 ])));
   refused "truncated varint" (sealed (three_terms (v [ 1; 0; 1 ] ^ "\x80")));
   refused "varint past the sign bit" (sealed (three_terms (v [ 1; 0; 1 ] ^ String.make 9 '\xff' ^ "\x01")));
-  refused "triple count past the bytes left" (sealed (three_terms (varint (1 lsl 61))))
+  refused "triple count past the bytes left" (sealed (three_terms (varint (1 lsl 61))));
+  (* The dictionary holds canonical spellings only: one that parses but
+     re-spells differently, one that does not parse, and a repeat. *)
+  let no_triples = varint 0 in
+  check_int "canonical spellings load" 4
+    (Dict.Term_dict.size
+       (Hexastore.dict
+          (load_string (sealed (with_terms [ "\"x\"@en"; "<aA>"; "_:b"; "\"1\"^^<a>" ] no_triples)))));
+  List.iter
+    (fun spelling -> refused spelling (sealed (with_terms [ spelling ] no_triples)))
+    [ "\"x\"@EN"; "<a\\u0041>"; "\"x\"^^<a b>"; "_:"; "<>"; " <a>"; "\"a\\u0041\""; "" ];
+  refused "<aA> after <a\\u0041>" (sealed (with_terms [ "<aA>"; "<a\\u0041>" ] no_triples));
+  refused "repeated spelling" (sealed (with_terms [ "<aA>"; "<b>"; "<aA>" ] no_triples))
+
+(* An upper-case language tag is stored lower-cased, as a reload
+   spells it, so the term a store was given is found after a reload.
+   (The terms whose snapshots could not reload are refused when built:
+   test_rdf's "canonical" case.) *)
+let test_constructed_terms_reload () =
+  let open Rdf in
+  let tr = Triple.make (Term.iri "http://e/s") (Term.iri "http://e/p") (Term.literal ~lang:"EN" "x") in
+  with_tmp (fun path ->
+      Snapshot.save (Hexastore.of_triples [ tr ]) path;
+      check_bool "@EN term found after reload" true (Hexastore.mem (Snapshot.load path) tr))
 
 let test_legacy_delta_tag () =
   (* Tag 2 was written by the retired delta_varint codec; the payload is
@@ -571,6 +596,7 @@ let () =
           qt prop_fuzz_never_crashes;
           qt prop_fuzz_payload;
           Alcotest.test_case "decoder_cases" `Quick test_decoder_cases;
+          Alcotest.test_case "constructed_terms_reload" `Quick test_constructed_terms_reload;
         ] );
       ( "repr",
         [
