@@ -221,18 +221,22 @@ let fig15 env =
 (* Ablations                                                            *)
 (* ------------------------------------------------------------------- *)
 
-(* abl-load: two write scenarios.
+(* abl-load: two write scenarios.  A bare Hexastore's point write is a
+   rebuild of the whole store, so every per-triple series goes through
+   a Delta, the one per-triple write path.
 
-   Full loads from empty: bulk (3-sort monotone appends) vs incremental
-   (per-triple binary insertion) vs delta-staged (buffered batches
-   drained through the bulk path, every auto-flush plus the final flush
-   included — the fully amortized cost of staging a whole load).
+   Full loads from empty: bulk (one fill) vs incremental (per-triple
+   Delta writes, every auto-flush and migration included, no final
+   flush) vs delta (the same plus the final flush — the fully amortized
+   cost of staging a whole load).
 
    Small-batch updates onto an existing base of each sweep size:
-   per-triple insertion pays six-index maintenance immediately, while
-   delta staging accepts the batch into the write buffer — readable at
-   once through the merged view — and defers index maintenance to the
-   next flush, whose amortized price the full-load delta series shows. *)
+   update-pertriple writes the batch triple by triple and flushes it
+   into the base, paying the index maintenance at once, while
+   update-delta only accepts the batch into the write buffer — readable
+   at once through the merged view — and defers index maintenance to
+   the next flush, whose amortized price the full-load delta series
+   shows. *)
 let abl_load _env =
   let dict = Dict.Term_dict.create () in
   let triples =
@@ -266,8 +270,8 @@ let abl_load _env =
         in
         let incr_s, _ =
           Harness.time ~warmup:0 ~repeats:3 (fun () ->
-              let h = Hexa.Hexastore.create ~dict () in
-              Array.iter (fun tr -> ignore (Hexa.Hexastore.add_ids h tr)) prefix;
+              let dl = Hexa.Delta.create ~dict () in
+              Array.iter (fun tr -> ignore (Hexa.Delta.add_ids dl tr)) prefix;
               n)
         in
         let delta_s, _ =
@@ -296,9 +300,10 @@ let abl_load _env =
         in
         let upd_triple_s =
           best_of_3 (fun () ->
-              let h = fresh_base () in
+              let dl = Hexa.Delta.of_base (fresh_base ()) in
               let t0 = Telemetry.Clock.now () in
-              Array.iter (fun tr -> ignore (Hexa.Hexastore.add_ids h tr)) updates;
+              Array.iter (fun tr -> ignore (Hexa.Delta.add_ids dl tr)) updates;
+              Hexa.Delta.flush dl;
               Telemetry.Clock.now () -. t0)
         in
         let upd_delta_s =
@@ -331,10 +336,9 @@ let abl_load _env =
 
 (* abl-gc: what a loaded store costs every full major collection.  On
    LUBM 10x4, the best of 7 [Gc.full_major] with the dictionary and the
-   id array alone live, then with a raw store, a packed store, and a
-   raw store after one point write (which inflates it to the hashed
-   form) live as well; a store's share is its time minus the dictionary
-   line.  No bar: the figure shows where marking time goes. *)
+   id array alone live, then with a raw store and a packed store live
+   as well; a store's share is its time minus the dictionary line.  No
+   bar: the figure shows where marking time goes. *)
 let abl_gc _env =
   let dict = Dict.Term_dict.create () in
   let ids =
@@ -353,10 +357,9 @@ let abl_gc _env =
     done;
     !best
   in
-  let with_store repr ~point_write =
+  let with_store repr =
     let h = Hexa.Hexastore.create ~dict ~repr () in
     ignore (Hexa.Hexastore.add_bulk_ids h ids);
-    if point_write then ignore (Hexa.Hexastore.remove_ids h ids.(0));
     let s = full_major_s () in
     ignore (Sys.opaque_identity h);
     s
@@ -366,9 +369,8 @@ let abl_gc _env =
   let points =
     [
       point "dict" dict_s;
-      point "raw" (with_store Vectors.Sorted_ivec.Raw ~point_write:false);
-      point "packed" (with_store Vectors.Sorted_ivec.Packed ~point_write:false);
-      point "raw+point-write" (with_store Vectors.Sorted_ivec.Raw ~point_write:true);
+      point "raw" (with_store Vectors.Sorted_ivec.Raw);
+      point "packed" (with_store Vectors.Sorted_ivec.Packed);
     ]
   in
   ignore (Sys.opaque_identity (dict, ids));
@@ -589,18 +591,6 @@ let abl_dict env =
    hypothetical unshared layout (each twin ordering owning its own copy
    of every terminal list). *)
 let abl_share env =
-  (* What twins owning copies of an owner's lists would add: each list's
-     own block on a hashed store, each list's elements on a flat one (a
-     terminal stream of the twin's own). *)
-  let family idx =
-    let words l =
-      if Hexa.Index.is_flat idx then Vectors.Sorted_ivec.length l
-      else Vectors.Sorted_ivec.memory_words l
-    in
-    let acc = ref 0 in
-    Hexa.Index.iter (fun _ v -> Hexa.Pair_vector.iter (fun _ l -> acc := !acc + words l) v) idx;
-    !acc
-  in
   let points =
     List.concat_map
       (fun { Harness.n_triples; stores; _ } ->
@@ -608,11 +598,9 @@ let abl_share env =
           (function
             | Stores.Hexa h ->
                 let shared = Hexa.Hexastore.memory_words h in
-                let extra =
-                  family (Hexa.Hexastore.spo h)
-                  + family (Hexa.Hexastore.sop h)
-                  + family (Hexa.Hexastore.pos h)
-                in
+                (* Twins owning copies of their owners' lists would
+                   each add a terminal stream of one cell per triple. *)
+                let extra = 3 * Hexa.Hexastore.size h in
                 [
                   {
                     Harness.size = n_triples;

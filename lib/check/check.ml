@@ -10,4 +10,3 @@ module Lint = Lint
 
 let store = Invariant.store
 let delta = Invariant.delta
-let debug = Hexa.Debug.enabled

@@ -17,11 +17,7 @@
     - {!Lexer}/{!Mutability}/{!Lint} — the static-analysis pass behind
       [dune build @lint]: a positioned OCaml tokenizer, the
       mutable-state inventory backing [DOMAIN_SAFETY.md], and the rule
-      engine (including the [domain-unsafe-global] attestation gate).
-
-    [debug] re-exports {!Hexa.Debug.enabled}: setting it to [true] makes
-    [Hexastore.add_ids]/[remove_ids] re-validate every vector and list
-    they touch (off by default; also enabled by [HEXASTORE_DEBUG=1]). *)
+      engine (including the [domain-unsafe-global] attestation gate). *)
 
 module Violation = Violation
 module Invariant = Invariant
@@ -43,7 +39,3 @@ val delta : Hexa.Delta.t -> Violation.t list
     plus the delta coherence rules (buffers disjoint from base and each
     other, tombstones subset of base, merged view equal to a flushed
     clone).  Empty list = healthy delta-fronted store. *)
-
-val debug : bool ref
-(** The {!Hexa.Debug.enabled} flag gating the insert/delete assertion
-    hooks. *)

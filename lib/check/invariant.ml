@@ -57,14 +57,6 @@ let pair_vector ?(path = "pair_vector") v =
 
 let index_acc acc ~path idx =
   let open Hexa in
-  List.iter
-    (fun (what, pending) ->
-      if pending > 0 then
-        add acc (V.v V.Index ~path "%d %s pending outside a bulk pass (not sealed)" pending what))
-    [
-      ("headers", Index.pending_headers idx);
-      ("links", Index.pending_links idx);
-    ];
   Index.iter
     (fun h v ->
       let vpath = Printf.sprintf "%s[%d]" path h in
@@ -83,8 +75,7 @@ let index ?(path = "index") idx =
 (* [expect_shared acc canonical found] checks that a terminal list
    reached through another ordering (or accessor table) is the
    canonical one — the §4.1 sharing invariant behind the 5x space bound:
-   the same mutable list on a hashed store, the same window of the same
-   stream on a flat one ({!Sorted_ivec.shares}). *)
+   the same window of the same stream ({!Sorted_ivec.shares}). *)
 let expect_shared acc ~path ~twin canonical = function
   | None -> add acc (V.v V.Store ~path "terminal list missing from %s" twin)
   | Some l ->
@@ -307,12 +298,13 @@ let delta d =
         add acc (V.v V.Delta ~path:(tr_path tr) "triple buffered as both insert and delete"))
     d;
   (* Merged-view fidelity: the delta must be observationally equal — same
-     triples, same per-shape order, same counts — to a clone that has the
-     delta already applied the slow way. *)
+     triples, same per-shape order, same counts — to a clone loaded from
+     empty with the final set (settled − deletes + inserts) in one bulk
+     write, a path that shares nothing with the delta's own refills. *)
+  Hashtbl.iter (fun tr () -> Hashtbl.remove settled tr) deletes;
+  Delta.iter_pending_inserts (fun tr -> Hashtbl.replace settled tr ()) d;
   let clone = Hexastore.create ~dict:(Hexastore.dict base) () in
   ignore (Hexastore.add_bulk_ids clone (Array.of_seq (Hashtbl.to_seq_keys settled)));
-  Delta.iter_pending_deletes (fun tr -> ignore (Hexastore.remove_ids clone tr)) d;
-  Delta.iter_pending_inserts (fun tr -> ignore (Hexastore.add_ids clone tr)) d;
   if Delta.size d <> Hexastore.size clone then
     add acc
       (V.v V.Delta ~path:"size" "merged size %d disagrees with flushed clone %d" (Delta.size d)

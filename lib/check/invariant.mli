@@ -12,8 +12,7 @@
     - {b Six-way agreement} (§4): the same triple set is reachable from
       every one of the six orderings — {!store}.
     - {b Terminal-list sharing} (§4.1, the 5× space bound): twin orderings
-      reach the {e same} list — one mutable list ([==]) on a hashed
-      store, the same window of the owner's stream on a flat one
+      reach the {e same} list — the same window of the owner's stream
       ({!Vectors.Sorted_ivec.shares}) — {!twins}, {!store}.
     - {b Dictionary bijectivity} (§4.1's mapping table): term ↔ id is a
       bijection — {!dictionary}, {!term_dict}.
@@ -54,7 +53,8 @@ val delta : Hexa.Delta.t -> Violation.t list
     base ∪ level, the delete set a subset of it, the two buffers
     disjoint; and the
     merged view observationally equal — triples, per-shape order, and
-    counts — to a clone with the delta applied triple-by-triple.  The
+    counts — to a clone loaded from empty with the merged triple set in
+    one bulk write.  The
     pattern cross-check runs the full wildcard plus all bound shapes of
     a capped sample of merged triples. *)
 

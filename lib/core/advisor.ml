@@ -58,32 +58,20 @@ let index_of h = function
   | Ordering.Osp -> Hexastore.osp h
   | Ordering.Ops -> Hexastore.ops h
 
+(* Each kept family as a [Partial] store builds it: its lead ordering
+   as an owner, holding the terminal stream, and its twin when that is
+   kept too.  A lead that is a Hexastore twin ([pso], [osp], [ops])
+   costs about what its owner does (same entries, same terminal
+   stream), so the owner stands in for it. *)
 let estimate_memory_words h keep =
   let kept = Ordering.Set.of_list keep in
-  let index_words =
-    Ordering.Set.fold (fun ord acc -> acc + Index.memory_words (index_of h ord)) kept 0
-  in
-  (* One copy of each kept family's lists, regardless of whether one or
-     both twins are kept, counted through the ordering that
-     [Hexastore.memory_words] counts it through. *)
-  let families =
-    Ordering.Set.fold
-      (fun ord acc ->
-        let representative =
-          match ord with
-          | Ordering.Spo | Ordering.Pso -> Ordering.Spo
-          | Ordering.Sop | Ordering.Osp -> Ordering.Sop
-          | Ordering.Pos | Ordering.Ops -> Ordering.Pos
-        in
-        Ordering.Set.add representative acc)
-      kept Ordering.Set.empty
-  in
-  let list_words =
-    Ordering.Set.fold
-      (fun rep acc -> acc + Index.terminal_memory_words (index_of h rep))
-      families 0
-  in
-  index_words + list_words
+  Ordering.Set.fold
+    (fun ord acc ->
+      let owner = match ord with Ordering.Pso -> Ordering.Spo | Osp -> Sop | Ops -> Pos | o -> o in
+      (* A twin kept with its owner stays a twin. *)
+      let as_kept = if Ordering.Set.mem owner kept then ord else owner in
+      acc + Index.memory_words (index_of h as_kept))
+    kept 0
 
 let savings_fraction h keep =
   let full = Hexastore.memory_words h in

@@ -31,8 +31,8 @@ val recommend : workload -> recommendation
 
 val estimate_memory_words : Hexastore.t -> Ordering.t list -> int
 (** Structural words a {!Partial} store keeping exactly these orderings
-    would use for this store's data: the kept indices' headers/vectors
-    plus each kept family's terminal lists (counted once per family). *)
+    would use for this store's data: each kept family's owner, which
+    holds its terminal stream once, plus its twin when kept. *)
 
 val savings_fraction : Hexastore.t -> Ordering.t list -> float
 (** [1 - estimate/full]; 0 when everything is kept. *)

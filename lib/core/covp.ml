@@ -5,12 +5,13 @@ type kind =
   | Covp2
 
 (* The o-lists (p,s) are reached through [pso], the s-lists (p,o) of
-   COVP2 through [pos]. *)
+   COVP2 through [pos]; each is the owner of its list family, and
+   neither keeps a twin. *)
 type t = {
   kind : kind;
   dict : Dict.Term_dict.t;
-  pso : Index.t;                                  (* p -> subject vector -> o-list *)
-  pos : Index.t option;                           (* p -> object vector -> s-list; Covp2 *)
+  mutable pso : Index.t;                          (* p -> subject vector -> o-list *)
+  mutable pos : Index.t option;                   (* p -> object vector -> s-list; Covp2 *)
   mutable restriction : Sorted_ivec.t option;     (* the "28 properties" set *)
   mutable size : int;
 }
@@ -20,8 +21,8 @@ let create ?dict kind =
   {
     kind;
     dict;
-    pso = Index.create ();
-    pos = (match kind with Covp1 -> None | Covp2 -> Some (Index.create ()));
+    pso = fst (Index.empty ());
+    pos = (match kind with Covp1 -> None | Covp2 -> Some (fst (Index.empty ())));
     restriction = None;
     size = 0;
   }
@@ -30,49 +31,38 @@ let kind t = t.kind
 let dict t = t.dict
 let size t = t.size
 
-let add_ids t ({ s; p; o } : Hexastore.id_triple) =
-  Index.add_third t.pso ~first:p ~second:s o
-  && begin
-       Option.iter (fun pos -> ignore (Index.add_third pos ~first:p ~second:o s)) t.pos;
-       t.size <- t.size + 1;
-       true
-     end
-
 let mem_ids t ({ s; p; o } : Hexastore.id_triple) =
   match Index.find_list t.pso p s with
   | None -> false
   | Some l -> Sorted_ivec.mem l o
 
-let remove_ids t ({ s; p; o } : Hexastore.id_triple) =
-  Index.remove_third t.pso ~first:p ~second:s o
-  && begin
-       Option.iter (fun pos -> assert (Index.remove_third pos ~first:p ~second:o s)) t.pos;
-       t.size <- t.size - 1;
-       true
-     end
+(* Each property table is static (Compressed Vertical Partitioning): a
+   write rebuilds the kept families, each one merge and one fill, with
+   [add] absent and [remove] present, both sorted on (s, p, o). *)
+let rebuild t ~add ~remove =
+  if Array.length add > 0 || Array.length remove > 0 then begin
+    t.pso <- fst (Index.refill t.pso Pso ~add ~remove);
+    t.pos <- Option.map (fun pos -> fst (Index.refill pos Pos ~add ~remove)) t.pos;
+    t.size <- t.size + Array.length add - Array.length remove
+  end
+
+(* The distinct triples of [triples], sorted on (s, p, o), that the
+   store holds ([keep]) or lacks. *)
+let select t keep triples =
+  let a = Ordering.sort_distinct Spo triples in
+  Array.of_list (List.filter (fun tr -> mem_ids t tr = keep) (Array.to_list a))
 
 let add_bulk_ids t triples =
-  let fresh = ref [] in
-  Index.link_runs t.pso
-    ~first:(fun (tr : Hexastore.id_triple) -> tr.p)
-    ~second:(fun tr -> tr.s)
-    ~third:(fun tr -> tr.o)
-    (Ordering.sort_triples Pso triples)
-    ~fresh:(fun tr -> fresh := tr :: !fresh);
-  let fresh = Array.of_list !fresh in
-  (match t.pos with
-  | None -> ()
-  | Some pos ->
-      Index.link_runs pos
-        ~first:(fun (tr : Hexastore.id_triple) -> tr.p)
-        ~second:(fun tr -> tr.o)
-        ~third:(fun tr -> tr.s)
-        (Ordering.sort_triples Pos fresh)
-        ~fresh:(fun _ -> ());
-      Index.seal pos);
-  Index.seal t.pso;
-  t.size <- t.size + Array.length fresh;
+  let fresh = select t false triples in
+  rebuild t ~add:fresh ~remove:[||];
   Array.length fresh
+
+let add_ids t tr = add_bulk_ids t [| tr |] = 1
+
+let remove_ids t tr =
+  let gone = select t true [| tr |] in
+  rebuild t ~add:[||] ~remove:gone;
+  Array.length gone = 1
 
 let add t triple = add_ids t (Dict.Term_dict.encode_triple t.dict triple)
 
@@ -164,10 +154,7 @@ let count t pat =
       !n
   | Pattern.None_bound -> t.size
 
-let memory_words t =
-  List.fold_left
-    (fun acc (_, idx) -> acc + Index.memory_words idx + Index.terminal_memory_words idx)
-    0 (indices t)
+let memory_words t = List.fold_left (fun acc (_, idx) -> acc + Index.memory_words idx) 0 (indices t)
 
 let check_invariant t =
   Index.check_invariant t.pso;

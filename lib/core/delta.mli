@@ -1,10 +1,11 @@
 (** Write-optimized delta layer over a {!Hexastore}.
 
     §4.2 of the paper concedes that incremental insertion is the
-    Hexastore's weak point: every triple does a binary insertion into
-    sorted vectors in all six orderings, O(vector length) apiece.  This
-    module stages mutations LSM-style instead, in three tiers in front
-    of the base store:
+    Hexastore's weak point: every triple touches sorted vectors in all
+    six orderings.  Here a bare store's point write rebuilds its
+    orderings ({!Hexastore.add_ids}), so this module is the one
+    per-triple write path: it stages mutations LSM-style, in three
+    tiers in front of the base store:
 
     - two small pending buffers, recent inserts and a delete set;
     - one immutable sorted level: inserts the base lacks and tombstones

@@ -37,12 +37,12 @@ let note_probe shape = note_ord (Ordering.for_shape shape)
 let note_mutation family n =
   if !Telemetry.Config.enabled then Array.iter (fun c -> Telemetry.Metrics.add c n) family
 
-(* The structural fields are mutable so that bulk writes and
-   representation switches rebuild a store in place while aliases
-   (datasets, delta layers) keep pointing at the same [t].  The three
-   shared terminal-list families are reached through the orderings that
-   hold them: o-lists (s,p) through [spo] (and [pso]), p-lists (s,o)
-   through [sop] (and [osp]), s-lists (p,o) through [pos] (and [ops]). *)
+(* The structural fields are mutable so that bulk writes rebuild a
+   store in place while aliases (datasets, delta layers) keep pointing
+   at the same [t].  The three shared terminal-list families are reached
+   through the orderings that own them: o-lists (s,p) through [spo]
+   (and its twin [pso]), p-lists (s,o) through [sop] (and [osp]),
+   s-lists (p,o) through [pos] (and [ops]). *)
 type t = {
   dict : Dict.Term_dict.t;
   mutable spo : Index.t;
@@ -53,9 +53,8 @@ type t = {
   mutable ops : Index.t;
   mutable size : int;
   repr : Sorted_ivec.kind;
-      (* The codec of the flat form's streams: [int array]s ([Raw]) or
-         bit-packed ([Packed]).  Bulk writes build the flat form; point
-         mutations [inflate] to the hashed form, whatever the codec. *)
+      (* The codec of the orderings' streams: [int array]s ([Raw]) or
+         bit-packed ([Packed]). *)
 }
 
 let repr_of_env () =
@@ -66,28 +65,21 @@ let repr_of_env () =
       | Some k -> k
       | None -> invalid_arg (Printf.sprintf "HEXASTORE_REPR: unknown representation %S" s))
 
+(* One list family: its owner and the owner's twin. *)
+let family (owner, twin) = (owner, Lazy.force twin)
+
 let create ?dict ?repr () =
   let dict = match dict with Some d -> d | None -> Dict.Term_dict.create () in
   let repr = match repr with Some r -> r | None -> repr_of_env () in
-  {
-    dict;
-    spo = Index.create ();
-    sop = Index.create ();
-    pso = Index.create ();
-    pos = Index.create ();
-    osp = Index.create ();
-    ops = Index.create ();
-    size = 0;
-    repr;
-  }
+  let empty () = family (Index.empty ~kind:repr ()) in
+  let spo, pso = empty () and sop, osp = empty () and pos, ops = empty () in
+  { dict; spo; sop; pso; pos; osp; ops; size = 0; repr }
 
 let dict t = t.dict
 
-let is_flat t = Index.is_flat t.spo
-
 let repr t = t.repr
 
-let repr_name t = if is_flat t then Sorted_ivec.kind_name t.repr else "raw"
+let repr_name t = Sorted_ivec.kind_name t.repr
 
 let size t = t.size
 (* Handing out an index is counted as a probe of it: the benchmark
@@ -101,73 +93,12 @@ let pos t = note_ord Ordering.Pos; t.pos
 let osp t = note_ord Ordering.Osp; t.osp
 let ops t = note_ord Ordering.Ops; t.ops
 
-(* Debug-only hook (see {!Debug}): after a mutation, re-validate every
-   vector and list it touched.  Gated on [Debug.enabled] so the cost is a
-   single flag read in normal operation. *)
-let debug_validate t { s; p; o } =
-  Debug.note_validation ();
-  let check_list index first second =
-    Option.iter Sorted_ivec.check_invariant (Index.find_list index first second)
-  in
-  check_list t.spo s p;
-  check_list t.sop s o;
-  check_list t.pos p o;
-  let check_vector index first =
-    match Index.find_vector index first with
-    | Some v -> Pair_vector.check_invariant v
-    | None -> ()
-  in
-  check_vector t.spo s;
-  check_vector t.sop s;
-  check_vector t.pso p;
-  check_vector t.pos p;
-  check_vector t.osp o;
-  check_vector t.ops o
-
-let add_ids t { s; p; o } =
-  Index.add_third t.spo ~twin:t.pso ~first:s ~second:p o
-  && begin
-       let added_p = Index.add_third t.sop ~twin:t.osp ~first:s ~second:o p in
-       let added_s = Index.add_third t.pos ~twin:t.ops ~first:p ~second:o s in
-       assert (added_p && added_s);
-       t.size <- t.size + 1;
-       note_mutation m_insert 1;
-       if !Debug.enabled then debug_validate t { s; p; o };
-       true
-     end
-
 let mem_ids t { s; p; o } =
   match Index.find_list t.spo s p with None -> false | Some l -> Sorted_ivec.mem l o
 
-let remove_ids t { s; p; o } =
-  Index.remove_third t.spo ~twin:t.pso ~first:s ~second:p o
-  && begin
-       let removed_p = Index.remove_third t.sop ~twin:t.osp ~first:s ~second:o p in
-       let removed_s = Index.remove_third t.pos ~twin:t.ops ~first:p ~second:o s in
-       assert (removed_p && removed_s);
-       t.size <- t.size - 1;
-       note_mutation m_delete 1;
-       if !Debug.enabled then debug_validate t { s; p; o };
-       true
-     end
-
 (* --- bulk builds ------------------------------------------------------ *)
 
-(* The flat build: three distinct columns sorted on (s, p, o) become the
-   six orderings, each list family one fill of its owner and twin
-   ({!Index.of_sorted_columns}).  The (s, o, p) and (p, o, s) families
-   are two stable counting-sort passes away from (s, p, o). *)
-let fill_columns t ~s ~p ~o =
-  let kind = t.repr and n = Array.length o in
-  let family order firsts seconds thirds =
-    let perm = List.fold_left (fun perm key -> Radix.sort key perm) (Array.init n Fun.id) order in
-    let gather a = Array.map (fun i -> a.(i)) perm in
-    Index.of_sorted_columns ~kind ~firsts:(gather firsts) ~seconds:(gather seconds)
-      ~thirds:(gather thirds) ()
-  in
-  let sop, osp = family [ o; s ] s o p in
-  let pos, ops = family [ o; p ] p o s in
-  let spo, pso = Index.of_sorted_columns ~kind ~firsts:s ~seconds:p ~thirds:o () in
+let install t (spo, pso) (sop, osp) (pos, ops) n =
   t.spo <- spo;
   t.sop <- sop;
   t.pso <- pso;
@@ -176,103 +107,52 @@ let fill_columns t ~s ~p ~o =
   t.ops <- ops;
   t.size <- n
 
+(* The fill from empty: three distinct columns sorted on (s, p, o)
+   become the six orderings, each list family one fill of its owner and
+   twin ({!Index.of_sorted_columns}).  The (s, o, p) and
+   (p, o, s) families are two stable counting-sort passes away from
+   (s, p, o). *)
+let fill_columns t ~s ~p ~o =
+  let kind = t.repr and n = Array.length o in
+  let fill order firsts seconds thirds =
+    let perm = List.fold_left (fun perm key -> Radix.sort key perm) (Array.init n Fun.id) order in
+    let gather a = Array.map (fun i -> a.(i)) perm in
+    family
+      (Index.of_sorted_columns ~kind ~firsts:(gather firsts) ~seconds:(gather seconds)
+         ~thirds:(gather thirds) ())
+  in
+  let sop = fill [ o; s ] s o p and pos = fill [ o; p ] p o s in
+  install t (family (Index.of_sorted_columns ~kind ~firsts:s ~seconds:p ~thirds:o ())) sop pos n
+
 let of_sorted_columns ?dict ?repr ~s ~p ~o () =
   let t = create ?dict ?repr () in
   fill_columns t ~s ~p ~o;
   t
 
-(* A batch sorted on (s, p, o), repeats dropped. *)
-let sorted_distinct triples =
-  let sorted = Ordering.sort_triples Spo triples in
-  let n = ref 0 in
-  Array.iter
-    (fun tr ->
-      if !n = 0 || Ordering.compare_triples Spo sorted.(!n - 1) tr <> 0 then begin
-        sorted.(!n) <- tr;
-        incr n
-      end)
-    sorted;
-  Array.sub sorted 0 !n
-
-let subj tr = tr.s
-let pred tr = tr.p
-let obj tr = tr.o
-
-(* One list family's owner rebuilt: its (first, second, third) scan,
-   with [add] (triples it lacks) merged in and [remove] (triples it
-   holds) left out — both sorted on (s, p, o) — then one fill of the
-   owner and its twin. *)
-let refill t owner ord ~add ~remove =
-  let first, second, third =
-    match ord with
-    | Ordering.Spo -> (subj, pred, obj)
-    | Ordering.Sop -> (subj, obj, pred)
-    | _ -> (pred, obj, subj)
-  in
-  let add = Ordering.resort ~from:Spo ord add and remove = Ordering.resort ~from:Spo ord remove in
-  let na = Array.length add and nr = Array.length remove in
-  let m = t.size + na - nr in
-  let a = Array.make m 0 and b = Array.make m 0 and c = Array.make m 0 in
-  let w = ref 0 and j = ref 0 and k = ref 0 in
-  let emit x y z =
-    a.(!w) <- x;
-    b.(!w) <- y;
-    c.(!w) <- z;
-    incr w
-  in
-  let emit_add () =
-    let tr = add.(!j) in
-    emit (first tr) (second tr) (third tr);
-    incr j
-  in
-  Index.iter_triples owner (fun x y z ->
-      let below tr =
-        let r = Int.compare (first tr) x in
-        if r <> 0 then r < 0
-        else
-          let r = Int.compare (second tr) y in
-          if r <> 0 then r < 0 else third tr < z
-      in
-      while !j < na && below add.(!j) do
-        emit_add ()
-      done;
-      let gone = !k < nr && (let tr = remove.(!k) in first tr = x && second tr = y && third tr = z) in
-      if gone then incr k else emit x y z);
-  while !j < na do
-    emit_add ()
-  done;
-  assert (!w = m && !k = nr);
-  Index.of_sorted_columns ~kind:t.repr ~firsts:a ~seconds:b ~thirds:c ()
-
-(* The flat store (t \ remove) ∪ add, for [add] absent from [t] and
-   [remove] present, both sorted on (s, p, o): each list family is one
-   merge of its owner's scan with the batches and one fill. *)
+(* The store (t \ remove) ∪ add, for [add] absent from [t] and [remove]
+   present, both sorted on (s, p, o): from empty, the counting sorts run
+   on columns, not on records; otherwise each list family is one merge
+   of its owner's scan with the batches and one fill
+   ({!Index.refill}). *)
 let rebuild t ~add ~remove =
   if t.size = 0 then
-    (* From empty, the counting sorts run on columns, not on records. *)
-    fill_columns t ~s:(Array.map subj add) ~p:(Array.map pred add) ~o:(Array.map obj add)
-  else begin
-    let spo, pso = refill t t.spo Spo ~add ~remove in
-    let sop, osp = refill t t.sop Sop ~add ~remove in
-    let pos, ops = refill t t.pos Pos ~add ~remove in
-    t.spo <- spo;
-    t.sop <- sop;
-    t.pso <- pso;
-    t.pos <- pos;
-    t.osp <- osp;
-    t.ops <- ops;
-    t.size <- t.size + Array.length add - Array.length remove
-  end
+    fill_columns t
+      ~s:(Array.map (fun tr -> tr.s) add)
+      ~p:(Array.map (fun tr -> tr.p) add)
+      ~o:(Array.map (fun tr -> tr.o) add)
+  else
+    let refill owner ord = family (Index.refill owner ord ~add ~remove) in
+    install t (refill t.spo Spo) (refill t.sop Sop) (refill t.pos Pos)
+      (t.size + Array.length add - Array.length remove)
 
 (* The batches' effect is decided up front by membership: a triple of
    [remove] in the store leaves it (unless [add] has it too, then it
    counts as removed and added back), a triple of [add] not in the
-   store joins it.  Nothing is rebuilt when nothing changes in a flat
-   store. *)
+   store joins it.  Nothing is rebuilt when nothing changes. *)
 let apply_bulk_ids t ~add ~remove =
   if Array.length add = 0 && Array.length remove = 0 then (0, 0)
   else begin
-    let add = sorted_distinct add and remove = sorted_distinct remove in
+    let add = Ordering.sort_distinct Spo add and remove = Ordering.sort_distinct Spo remove in
     let in_add tr =
       let lo = ref 0 and hi = ref (Array.length add) in
       while !lo < !hi do
@@ -284,8 +164,7 @@ let apply_bulk_ids t ~add ~remove =
     let present = List.filter (mem_ids t) (Array.to_list remove) in
     let readded, gone = List.partition in_add present in
     let fresh = Array.of_list (List.filter (fun tr -> not (mem_ids t tr)) (Array.to_list add)) in
-    if Array.length fresh > 0 || gone <> [] || not (is_flat t) then
-      rebuild t ~add:fresh ~remove:(Array.of_list gone);
+    if Array.length fresh > 0 || gone <> [] then rebuild t ~add:fresh ~remove:(Array.of_list gone);
     let added = Array.length fresh + List.length readded and removed = List.length present in
     note_mutation m_insert added;
     note_mutation m_delete removed;
@@ -295,6 +174,10 @@ let apply_bulk_ids t ~add ~remove =
 let add_bulk_ids t triples = fst (apply_bulk_ids t ~add:triples ~remove:[||])
 
 let remove_bulk_ids t triples = snd (apply_bulk_ids t ~add:[||] ~remove:triples)
+
+let add_ids t tr = add_bulk_ids t [| tr |] = 1
+
+let remove_ids t tr = remove_bulk_ids t [| tr |] = 1
 
 (* --- lookup ---------------------------------------------------------- *)
 
@@ -637,7 +520,7 @@ let probe_lists ord r =
   r
 
 (* The paper-notation accessors ask the ordering that owns each list
-   family, on raw and flat stores alike. *)
+   family. *)
 let objects_of_sp t ~s ~p = probe_lists Ordering.Spo (Index.find_list t.spo s p)
 let properties_of_so t ~s ~o = probe_lists Ordering.Sop (Index.find_list t.sop s o)
 let subjects_of_po t ~p ~o = probe_lists Ordering.Pos (Index.find_list t.pos p o)
@@ -648,64 +531,23 @@ let objects t = Index.headers t.osp
 
 (* --- accounting ------------------------------------------------------- *)
 
-(* Each terminal list counted once, through the one ordering of its
-   family that reaches it; on flat stores the terminal payloads are
-   counted inside the indices' streams instead. *)
+(* Each terminal stream is counted once, inside the owner that holds it. *)
 let memory_words t =
   Index.memory_words t.spo + Index.memory_words t.sop + Index.memory_words t.pso
   + Index.memory_words t.pos + Index.memory_words t.osp + Index.memory_words t.ops
-  + Index.terminal_memory_words t.spo + Index.terminal_memory_words t.sop
-  + Index.terminal_memory_words t.pos
 
 let memory_words_with_dict t = memory_words t + Dict.Term_dict.memory_words t.dict
-
-(* --- representation switching ----------------------------------------- *)
-
-(* A hashed store (point-written) back to the flat form, refilled from
-   its own scan. *)
-let compress t =
-  if not (is_flat t) then begin
-    let before = memory_words t in
-    rebuild t ~add:[||] ~remove:[||];
-    Sorted_ivec.note_bytes_saved ((before - memory_words t) * 8)
-  end
-
-(* The hashed form from the flat one — the point-write path's escape
-   hatch: each twin pair thaws around one mutable list per entry. *)
-let inflate t =
-  if is_flat t then begin
-    let spo, pso = Index.thaw ~owner:t.spo ~twin:t.pso in
-    let sop, osp = Index.thaw ~owner:t.sop ~twin:t.osp in
-    let pos, ops = Index.thaw ~owner:t.pos ~twin:t.ops in
-    t.spo <- spo;
-    t.sop <- sop;
-    t.pso <- pso;
-    t.pos <- pos;
-    t.osp <- osp;
-    t.ops <- ops
-  end
-
-(* Point mutations on a flat store inflate it first and leave it hashed
-   (refilling per triple would be O(n)); bulk writes rebuild it flat. *)
-let add_ids t tr =
-  if is_flat t then inflate t;
-  add_ids t tr
-
-let remove_ids t tr =
-  if is_flat t then inflate t;
-  remove_ids t tr
 
 (* --- term-level API --------------------------------------------------- *)
 
 let add t triple = add_ids t (Dict.Term_dict.encode_triple t.dict triple)
 
 let add_list t triples =
-  List.fold_left (fun n triple -> if add t triple then n + 1 else n) 0 triples
+  add_bulk_ids t (Array.of_list (List.map (Dict.Term_dict.encode_triple t.dict) triples))
 
 let of_triples triples =
   let t = create () in
-  let ids = Array.of_list (List.map (Dict.Term_dict.encode_triple t.dict) triples) in
-  ignore (add_bulk_ids t ids);
+  ignore (add_list t triples);
   t
 
 let remove t triple =
@@ -742,9 +584,8 @@ let to_triples t =
 (* --- invariants ------------------------------------------------------- *)
 
 let check_invariant t =
-  (* Twin orderings share terminal lists physically: one mutable list
-     on a hashed store, one window of the owner's stream on a flat one
-     (which hands out a fresh slice header per lookup). *)
+  (* Twin orderings share terminal lists physically: one window of the
+     owner's stream (each lookup hands out a fresh slice header). *)
   let same_list = Sorted_ivec.shares in
   Index.check_invariant t.spo;
   Index.check_invariant t.sop;

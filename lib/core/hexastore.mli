@@ -12,15 +12,13 @@
     All vectors and lists are sorted, so every first-step pairwise join a
     query needs is a linear merge-join (§4.2).
 
-    A store is {e flat} after every bulk write ({!add_bulk_ids},
-    {!remove_bulk_ids}, {!apply_bulk_ids}, {!of_sorted_columns}, a
-    snapshot load, a {!Delta} migration): six immutable CSR orderings
-    ({!Index.of_sorted_columns}) whose streams are [int array]s ([Raw])
-    or bit-packed ([Packed]), and where each twin reads its terminal
-    lists from its owner's stream.  A point write ({!add_ids},
-    {!remove_ids}) first {!inflate}s a flat store to the {e hashed}
-    form — header tables of mutable pair vectors and lists — and the
-    store stays hashed until the next bulk write or {!compress}.
+    The six orderings are immutable CSRs ({!Index.of_sorted_columns})
+    whose streams are [int array]s ([Raw]) or bit-packed ([Packed]),
+    and each twin reads its terminal lists from its owner's stream.
+    Every write ({!apply_bulk_ids} and the functions built on it, a
+    snapshot load, a {!Delta} migration) builds new orderings in one
+    fill per list family; a point write is a one-triple bulk write, a
+    rebuild of O(n).  Repeated point writes belong to {!Delta}.
 
     The store owns a {!Dict.Term_dict.t} mapping table; both an id-level
     API (used by the query engine and benchmarks) and a term-level API
@@ -37,10 +35,10 @@ type id_triple = Dict.Term_dict.id_triple = {
 val create : ?dict:Dict.Term_dict.t -> ?repr:Vectors.Sorted_ivec.kind -> unit -> t
 (** A fresh empty store.  Pass [dict] to share a mapping table with
     another store (the benchmarks do this so Hexastore and the COVP
-    baselines agree on ids).  [repr] selects the codec of the flat
-    form's streams: [Raw] [int array]s (the default) or [Packed].  When
+    baselines agree on ids).  [repr] selects the codec of the
+    orderings' streams: [Raw] [int array]s (the default) or [Packed].  When
     absent, read from the [HEXASTORE_REPR] environment variable
-    ([raw]/[packed]).  The store starts hashed and empty.
+    ([raw]/[packed]).
     @raise Invalid_argument on an unknown [HEXASTORE_REPR] value. *)
 
 val dict : t -> Dict.Term_dict.t
@@ -51,22 +49,7 @@ val repr : t -> Vectors.Sorted_ivec.kind
 (** The configured codec. *)
 
 val repr_name : t -> string
-(** The {e effective} representation right now: ["packed"] while the
-    store is flat and packed, ["raw"] otherwise (flat raw, or hashed,
-    e.g. after a point mutation inflated it). *)
-
-val is_flat : t -> bool
-(** Whether the six indices are currently flat. *)
-
-val compress : t -> unit
-(** Rebuild a hashed store flat in its codec, from its own (s, p, o)
-    scan (no-op when already flat).  Adds the recovered bytes to the
-    [vectors.repr.bytes_saved] counter. *)
-
-val inflate : t -> unit
-(** Rebuild the mutable hashed form from a flat store (no-op when
-    already hashed): each twin pair gets one mutable list per terminal
-    run, shared by both orderings.  Point mutations call it first. *)
+(** [Vectors.Sorted_ivec.kind_name] of {!repr}: ["raw"] or ["packed"]. *)
 
 val size : t -> int
 (** Number of distinct triples. *)
@@ -74,12 +57,13 @@ val size : t -> int
 (** {1 Id-level API} *)
 
 val add_ids : t -> id_triple -> bool
-(** Insert; [false] if already present.  Touches all six indices — §4.2's
-    noted update cost.  A flat store is {!inflate}d first. *)
+(** Insert; [false] if already present.  A one-triple {!add_bulk_ids}:
+    all six orderings are rebuilt, O(n) — §4.2's noted update cost, in
+    full.  Stage repeated point writes in a {!Delta}. *)
 
 val remove_ids : t -> id_triple -> bool
-(** Delete; [false] if absent.  Empty vectors and headers are pruned.  A
-    flat store is {!inflate}d first. *)
+(** Delete; [false] if absent.  A one-triple {!remove_bulk_ids}: a
+    rebuild of O(n), like {!add_ids}. *)
 
 val mem_ids : t -> id_triple -> bool
 (** O(log) membership via the shared o-list of (s, p), found through
@@ -93,7 +77,7 @@ val of_sorted_columns :
   o:int array ->
   unit ->
   t
-(** A flat store over distinct triples given as three parallel columns
+(** A store over distinct triples given as three parallel columns
     sorted on (s, p, o) — a snapshot load's path: no triple records, no
     sort of the (s, p, o) family, no de-duplication.  The (s, o, p) and
     (p, o, s) families are two counting-sort passes each
@@ -105,13 +89,12 @@ val of_sorted_columns :
 val apply_bulk_ids : t -> add:id_triple array -> remove:id_triple array -> int * int
 (** [apply_bulk_ids t ~add ~remove] makes [t] hold (t \ remove) ∪ add in
     one rebuild: both batches are sorted in linear time
-    ({!Ordering.sort_triples}) and de-duplicated, merged with the
-    store's (s, p, o) scan in one linear pass, and the result refills
-    the store flat ({!of_sorted_columns}'s fill).  Returns how many
-    triples were new and how many were removed (a triple in both
-    batches and in [t] counts once in each).  Nothing is rebuilt when
-    both batches are empty, nor when nothing changed and the store is
-    already flat.  A {!Delta} migration is one call.
+    ({!Ordering.sort_distinct}), and each list family merges its
+    owner's scan with them in one linear pass and one fill
+    ({!Index.refill}; from empty, {!of_sorted_columns}'s fill).  Returns
+    how many triples were new and how many were removed (a triple in
+    both batches and in [t] counts once in each).  Nothing is rebuilt
+    when nothing changes.  A {!Delta} migration is one call.
     @raise Invalid_argument on a negative id. *)
 
 val add_bulk_ids : t -> id_triple array -> int
@@ -214,7 +197,8 @@ val objects : t -> Vectors.Sorted_ivec.t
 
 val add : t -> Rdf.Triple.t -> bool
 val add_list : t -> Rdf.Triple.t list -> int
-(** Returns the number of new triples. *)
+(** One {!add_bulk_ids} of the encoded triples: the number of new
+    triples. *)
 
 val of_triples : Rdf.Triple.t list -> t
 val remove : t -> Rdf.Triple.t -> bool
@@ -232,10 +216,9 @@ val to_triples : t -> Rdf.Triple.t list
 (** {1 Accounting and invariants} *)
 
 val memory_words : t -> int
-(** Exact structural footprint of the six indices plus the shared
-    terminal lists, each counted once — through [spo], [sop] or [pos]
-    ({!Index.terminal_memory_words}) on a hashed store, inside those
-    owners' streams on a flat one — excluding the dictionary. *)
+(** Exact structural footprint of the six indices, each shared terminal
+    stream counted once, inside the owner ([spo], [sop] or [pos]) that
+    holds it; the dictionary is excluded. *)
 
 val memory_words_with_dict : t -> int
 

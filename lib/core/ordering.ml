@@ -132,6 +132,18 @@ let sort_on passes (a : Dict.Term_dict.id_triple array) =
 
 let sort_triples ord a = sort_on (List.rev (positions ord)) a
 
+let sort_distinct ord triples =
+  let sorted = sort_triples ord triples and cmp = compare_triples ord in
+  let n = ref 0 in
+  Array.iter
+    (fun tr ->
+      if !n = 0 || cmp sorted.(!n - 1) tr <> 0 then begin
+        sorted.(!n) <- tr;
+        incr n
+      end)
+    sorted;
+  Array.sub sorted 0 !n
+
 (* A stable pass on [x] over an array sorted on (p, q, r) sorts it on
    (x, then the other two in their (p, q, r) order); a pass on [y] and
    then one on [x] sorts it on (x, y, _). *)

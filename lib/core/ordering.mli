@@ -52,6 +52,10 @@ val sort_triples : t -> Dict.Term_dict.id_triple array -> Dict.Term_dict.id_trip
     significant first.  The one triple sort of the store's bulk passes.
     @raise Invalid_argument on a negative id. *)
 
+val sort_distinct : t -> Dict.Term_dict.id_triple array -> Dict.Term_dict.id_triple array
+(** {!sort_triples} with repeats dropped: the batch form every bulk
+    write starts from. *)
+
 val resort : from:t -> t -> Dict.Term_dict.id_triple array -> Dict.Term_dict.id_triple array
 (** [resort ~from ord a] is {!sort_triples}[ ord a] for an [a] already
     sorted in [from], in at most two stable passes instead of three:

@@ -14,7 +14,7 @@ let roles = function
   | Ordering.Ops -> (Ro, Rp, Rs)
 
 (* A materialised terminal-list family: the kept ordering that leads
-   it reaches its lists, and its twin, when kept too, shares them. *)
+   it owns the lists, and its twin, when kept too, shares them. *)
 type family = {
   lead : Ordering.t;
   index : Index.t;
@@ -24,28 +24,38 @@ type family = {
 type t = {
   dict : Dict.Term_dict.t;
   kept : Ordering.Set.t;
-  indices : (Ordering.t * Index.t) list;
-  families : family list;
+  mutable families : family list;
+  mutable indices : (Ordering.t * Index.t) list;
   mutable size : int;
 }
+
+(* A family around its lead's fill, with the twin built when the store
+   keeps it. *)
+let family kept lead (index, twin) =
+  { lead; index; twin = (if Ordering.Set.mem (Ordering.twin lead) kept then Some (Lazy.force twin) else None) }
+
+let indices_of families =
+  List.sort
+    (fun (a, _) (b, _) -> Ordering.compare a b)
+    (List.concat_map
+       (fun f ->
+         (f.lead, f.index) :: Option.fold ~none:[] ~some:(fun tw -> [ (Ordering.twin f.lead, tw) ]) f.twin)
+       families)
 
 let create ?dict ~orderings () =
   if orderings = [] then invalid_arg "Partial.create: at least one ordering required";
   let dict = match dict with Some d -> d | None -> Dict.Term_dict.create () in
   let kept = Ordering.Set.of_list orderings in
-  let indices =
-    List.map (fun ord -> (ord, Index.create ())) (Ordering.Set.elements kept)
-  in
   (* Of two kept twins, the smaller one leads the family. *)
   let families =
     List.filter_map
-      (fun (ord, index) ->
+      (fun ord ->
         let twin = Ordering.twin ord in
         if Ordering.Set.mem twin kept && Ordering.compare twin ord < 0 then None
-        else Some { lead = ord; index; twin = List.assoc_opt twin indices })
-      indices
+        else Some (family kept ord (Index.empty ())))
+      (Ordering.Set.elements kept)
   in
-  { dict; kept; indices; families; size = 0 }
+  { dict; kept; families; indices = indices_of families; size = 0 }
 
 let orderings t = t.kept
 let indices t = t.indices
@@ -57,49 +67,28 @@ let get_role (tr : Dict.Term_dict.id_triple) = function
   | Rp -> tr.p
   | Ro -> tr.o
 
-(* Duplicate detection goes through the first family: every family's
-   lists characterise the triple set completely. *)
-let primary t = List.hd t.families
-
+(* Membership goes through the first family: every family's lists
+   characterise the triple set completely. *)
 let mem_ids t tr =
-  let f = primary t in
+  let f = List.hd t.families in
   let r1, r2, r3 = roles f.lead in
   match Index.find_list f.index (get_role tr r1) (get_role tr r2) with
   | None -> false
   | Some l -> Sorted_ivec.mem l (get_role tr r3)
 
-let add_to_family f tr =
-  let r1, r2, r3 = roles f.lead in
-  Index.add_third f.index ?twin:f.twin ~first:(get_role tr r1) ~second:(get_role tr r2)
-    (get_role tr r3)
-
-let add_ids t tr =
-  (* The primary add doubles as the duplicate check. *)
-  add_to_family (primary t) tr
-  && begin
-       List.iter (fun f -> ignore (add_to_family f tr)) (List.tl t.families);
-       t.size <- t.size + 1;
-       true
-     end
-
+(* One merge and one fill per family, in its lead ordering. *)
 let add_bulk_ids t triples =
-  (* One sorted pass per family, in its lead ordering; the primary pass
-     also drops what the store or the batch already holds. *)
-  let pass f a ~fresh =
-    let r1, r2, r3 = roles f.lead in
-    Index.link_runs f.index ?twin:f.twin
-      ~first:(fun tr -> get_role tr r1)
-      ~second:(fun tr -> get_role tr r2)
-      ~third:(fun tr -> get_role tr r3)
-      (Ordering.sort_triples f.lead a) ~fresh
-  in
-  let fresh = ref [] in
-  pass (primary t) triples ~fresh:(fun tr -> fresh := tr :: !fresh);
-  let fresh = Array.of_list !fresh in
-  List.iter (fun f -> pass f fresh ~fresh:ignore) (List.tl t.families);
-  List.iter (fun (_, idx) -> Index.seal idx) t.indices;
-  t.size <- t.size + Array.length fresh;
+  let fresh = Ordering.sort_distinct Spo triples in
+  let fresh = Array.of_list (List.filter (fun tr -> not (mem_ids t tr)) (Array.to_list fresh)) in
+  if Array.length fresh > 0 then begin
+    t.families <-
+      List.map (fun f -> family t.kept f.lead (Index.refill f.index f.lead ~add:fresh ~remove:[||])) t.families;
+    t.indices <- indices_of t.families;
+    t.size <- t.size + Array.length fresh
+  end;
   Array.length fresh
+
+let add_ids t tr = add_bulk_ids t [| tr |] = 1
 
 (* --- lookup ------------------------------------------------------------ *)
 
@@ -183,9 +172,7 @@ let count t pat =
       iter t pat (fun _ _ _ -> incr n);
       !n
 
-let memory_words t =
-  List.fold_left (fun acc (_, idx) -> acc + Index.memory_words idx) 0 t.indices
-  + List.fold_left (fun acc f -> acc + Index.terminal_memory_words f.index) 0 t.families
+let memory_words t = List.fold_left (fun acc (_, idx) -> acc + Index.memory_words idx) 0 t.indices
 
 let check_invariant t =
   List.iter

@@ -16,8 +16,6 @@ module type S = sig
 
   val size : t -> int
 
-  val add_ids : t -> Dict.Term_dict.id_triple -> bool
-
   val add_bulk_ids : t -> Dict.Term_dict.id_triple array -> int
 
   val lookup : t -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
@@ -57,7 +55,7 @@ module type S = sig
       stable under the one-writer protocol. *)
 
   val repr_name : t -> string
-  (** Effective index representation right now ("raw" or "packed").
+  (** The codec of the store's index streams, "raw" or "packed".
       Baseline stores are always "raw". *)
 
   val memory_words : t -> int
@@ -69,7 +67,6 @@ module Hexastore_store : S with type t = Hexastore.t = struct
   let name = "Hexastore"
   let dict = Hexastore.dict
   let size = Hexastore.size
-  let add_ids = Hexastore.add_ids
   let add_bulk_ids = Hexastore.add_bulk_ids
   let lookup = Hexastore.lookup
   let iter = Hexastore.iter
@@ -91,7 +88,6 @@ module Covp1_store : S with type t = Covp.t = struct
   let name = "COVP1"
   let dict = Covp.dict
   let size = Covp.size
-  let add_ids = Covp.add_ids
   let add_bulk_ids = Covp.add_bulk_ids
   let lookup = Covp.lookup
   let iter = Covp.iter
@@ -119,7 +115,6 @@ module Partial_store : S with type t = Partial.t = struct
   let name = "Partial"
   let dict = Partial.dict
   let size = Partial.size
-  let add_ids = Partial.add_ids
   let add_bulk_ids = Partial.add_bulk_ids
   let lookup = Partial.lookup
   let iter = Partial.iter
@@ -141,7 +136,6 @@ module Delta_store : S with type t = Delta.t = struct
   let name = "Hexastore+delta"
   let dict = Delta.dict
   let size = Delta.size
-  let add_ids = Delta.add_ids
   let add_bulk_ids = Delta.add_bulk_ids
   let lookup = Delta.lookup
   let iter = Delta.iter
@@ -170,7 +164,6 @@ let box_covp c =
 let name (Boxed ((module M), _)) = M.name
 let dict (Boxed ((module M), store)) = M.dict store
 let size (Boxed ((module M), store)) = M.size store
-let add_ids (Boxed ((module M), store)) tr = M.add_ids store tr
 let add_bulk_ids (Boxed ((module M), store)) trs = M.add_bulk_ids store trs
 let lookup (Boxed ((module M), store)) pat = M.lookup store pat
 let iter (Boxed ((module M), store)) pat f = M.iter store pat f
@@ -186,9 +179,6 @@ let pin (Boxed ((module M), store) as b) =
 
 let repr_name (Boxed ((module M), store)) = M.repr_name store
 let memory_words (Boxed ((module M), store)) = M.memory_words store
-
-let add_triple b triple =
-  add_ids b (Dict.Term_dict.encode_triple (dict b) triple)
 
 let load_triples b triples =
   let ids = Array.of_list (List.map (Dict.Term_dict.encode_triple (dict b)) triples) in

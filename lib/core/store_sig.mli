@@ -16,8 +16,6 @@ module type S = sig
 
   val size : t -> int
 
-  val add_ids : t -> Dict.Term_dict.id_triple -> bool
-
   val add_bulk_ids : t -> Dict.Term_dict.id_triple array -> int
 
   val lookup : t -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
@@ -62,7 +60,7 @@ module type S = sig
       stable under the one-writer protocol. *)
 
   val repr_name : t -> string
-  (** Effective index representation right now ("raw" or "packed"; see
+  (** The codec of the store's index streams, "raw" or "packed" (see
       {!Hexastore.repr_name}).  Baseline stores are always "raw". *)
 
   val memory_words : t -> int
@@ -98,7 +96,6 @@ val box_covp : Covp.t -> boxed
 val name : boxed -> string
 val dict : boxed -> Dict.Term_dict.t
 val size : boxed -> int
-val add_ids : boxed -> Dict.Term_dict.id_triple -> bool
 val add_bulk_ids : boxed -> Dict.Term_dict.id_triple array -> int
 val lookup : boxed -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
 val iter : boxed -> Pattern.t -> (int -> int -> int -> unit) -> unit
@@ -123,9 +120,6 @@ val pin : boxed -> boxed * (unit -> unit)
 val repr_name : boxed -> string
 
 val memory_words : boxed -> int
-
-val add_triple : boxed -> Rdf.Triple.t -> bool
-(** Encode through the box's dictionary, then insert. *)
 
 val load_triples : boxed -> Rdf.Triple.t list -> int
 (** Bulk-encode and bulk-load; returns the number of new triples. *)

@@ -13,8 +13,8 @@ val enabled : bool ref
 
 val activity_count : unit -> int
 (** Number of metric/trace mutations that have actually executed since
-    process start.  Mirrors [Debug.validation_count]: lets tests prove
-    the hooks are off by default without inspecting every metric. *)
+    process start: lets tests prove the hooks are off by default without
+    inspecting every metric. *)
 
 val note_activity : unit -> unit
 (** Called by the metric primitives when a mutation runs; exposed for the

@@ -1,12 +1,10 @@
-(* A sorted vector is either a raw mutable array (the point-write form,
-   byte-compatible in layout and cost with the old Dynarray-backed
-   implementation) or an immutable slice of a shared stream: a window
-   [off, off+len) of a plain [int array] ([A], the raw codec) or of a
-   bit-packed payload ([S], the packed codec).  Slices are views: they
-   own no payload, so a flat index can expose its hundred-thousand
-   terminal lists as 4-word headers over a few big streams.  Mutating a
-   slice raises — the store swaps whole representations instead (see
-   [Hexastore.inflate]). *)
+(* A sorted vector is either a raw mutable array (what the query layer's
+   merges and path closures build their results in) or an immutable
+   slice of a shared stream: a window [off, off+len) of a plain
+   [int array] ([A], the raw codec) or of a bit-packed payload ([S],
+   the packed codec).  Slices are views: they own no payload, so an
+   index can expose its hundred-thousand terminal lists as 4-word
+   headers over a few big streams.  Mutating a slice raises. *)
 
 type kind = Raw | Packed
 
@@ -28,14 +26,10 @@ type t =
 (* Telemetry: one counter per binary-search call, one per comparison
    step.  Both are single-flag-read no-ops while telemetry is off.
    [m_gallop_skip] records, per galloping seek, how many elements the
-   seek jumped over — large values mean the gallop is earning its keep.
-   [m_bytes_saved] totals bytes recovered by store compression. *)
+   seek jumped over — large values mean the gallop is earning its keep. *)
 let m_bsearch = Telemetry.Metrics.counter "vectors.bsearch.probes"
 let m_bsearch_steps = Telemetry.Metrics.counter "vectors.bsearch.steps"
 let m_gallop_skip = Telemetry.Metrics.histogram "vectors.gallop.skip"
-let m_bytes_saved = Telemetry.Metrics.counter "vectors.repr.bytes_saved"
-
-let note_bytes_saved n = Telemetry.Metrics.add m_bytes_saved n
 
 let create ?(capacity = 8) () = R { data = Array.make (max capacity 1) 0; len = 0 }
 
@@ -197,37 +191,6 @@ let remove v x =
         true
       end
       else false
-
-(* Grow once (doubling, so the capacity ends where [k] successive
-   [add]s would leave it), then fill from the back: only the elements
-   above [a.(0)] move, each once. *)
-let merge_sorted v a =
-  match v with
-  | (S _ | A _) as v -> frozen v "merge_sorted"
-  | R r ->
-      let k = Array.length a in
-      for j = 1 to k - 1 do
-        if a.(j - 1) >= a.(j) then invalid_arg "Sorted_ivec.merge_sorted: not strictly increasing"
-      done;
-      let n = r.len in
-      let cap = ref (Array.length r.data) in
-      while !cap < n + k do
-        cap := max 8 (2 * !cap)
-      done;
-      if !cap > Array.length r.data then r.data <- regrow r.data n !cap;
-      let data = r.data in
-      let i = ref (n - 1) in
-      for j = k - 1 downto 0 do
-        let x = Array.unsafe_get a j in
-        while !i >= 0 && Array.unsafe_get data !i > x do
-          Array.unsafe_set data (!i + j + 1) (Array.unsafe_get data !i);
-          decr i
-        done;
-        if !i >= 0 && Array.unsafe_get data !i = x then
-          invalid_arg "Sorted_ivec.merge_sorted: element already present";
-        Array.unsafe_set data (!i + j + 1) x
-      done;
-      r.len <- n + k
 
 let check_strictly_increasing op a =
   for i = 1 to Array.length a - 1 do

@@ -6,11 +6,10 @@
     [Sorted_ivec.t] is simultaneously an ordered set and a merge-join
     operand.
 
-    Mutation is by binary insertion — O(n) worst case, which mirrors the
-    paper's observation that updates are the Hexastore's weak spot — with an
-    O(1) amortised fast path when keys arrive in ascending order.  A batch
-    of out-of-order keys goes through one pass instead: {!merge_sorted}
-    inserts a whole sorted run while moving each element at most once.
+    Mutation is by binary insertion — O(n) worst case — with an O(1)
+    amortised fast path when keys arrive in ascending order.  Stores
+    never mutate their lists; the query layer builds its results this
+    way.
 
     A sorted vector is either that mutable form or an immutable {e
     slice} of a shared {!stream}: a window of a plain [int array] (the
@@ -113,14 +112,6 @@ val remove_at : t -> int -> unit
 (** [remove_at v i] deletes the element at position [i] — the second
     half of {!remove}.  @raise Invalid_argument unless [0 <= i < length v]. *)
 
-val merge_sorted : t -> int array -> unit
-(** [merge_sorted v a] inserts the strictly increasing elements of [a],
-    none of them in [v], in place: O(k + moved) where [moved] is the
-    number of elements of [v] above [a.(0)], against O(k · n) for [k]
-    {!add}s.  The batch form of {!add} for out-of-order keys.
-    @raise Invalid_argument if [a] is not strictly increasing, or if an
-    element of [a] is already in [v] (then [v] is left unspecified). *)
-
 val iter : (int -> unit) -> t -> unit
 
 val iter_from : (int -> unit) -> t -> int -> unit
@@ -210,7 +201,3 @@ val compress : kind -> t -> t
 val block_violations : t -> string list
 (** Per-block header violations of the vector's backing stream (empty
     for raw vectors) — the codec leg of [Check.Invariant.sorted_ivec]. *)
-
-val note_bytes_saved : int -> unit
-(** Adds to the [vectors.repr.bytes_saved] counter (store compression
-    reports its before/after delta here). *)

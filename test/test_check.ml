@@ -1,6 +1,6 @@
 (* Tests for the correctness tooling layer (lib/check): the per-layer
    invariant validators, the differential model-checker against the naive
-   reference store, the debug assertion hooks, and the source lint. *)
+   reference store, and the source lint. *)
 
 open Hexa
 module C = Check
@@ -58,10 +58,10 @@ let test_store_lubm_bulk () =
   check_bool "store is non-trivial" true (Hexastore.size h > 1000);
   no_violations "bulk-loaded LUBM store" (C.store h);
   (* Terminal-list sharing is also asserted directly for every spo pair
-     — not just through the checker: physical equality on raw stores,
-     equal windows onto one stream on flat ones (which hand out a fresh
-     slice per lookup), as in [Hexastore.check_invariant]. *)
-  let same_list a b = if Hexastore.is_flat h then Sorted_ivec.equal a b else a == b in
+     — not just through the checker: the same window onto one stream
+     (each lookup hands out a fresh slice), as in
+     [Hexastore.check_invariant]. *)
+  let same_list = Sorted_ivec.shares in
   let shared = ref 0 in
   Index.iter
     (fun s v ->
@@ -78,65 +78,44 @@ let test_store_lubm_bulk () =
     (Hexastore.spo h);
   check_bool "visited many shared lists" true (!shared > 100)
 
+(* The seeded corruptions below rewrite one column of an ordering
+   ([Index.map_streams]) and audit the result on its own. *)
+let corrupt what f idx = Index.map_streams (fun name a -> if name = what then f (Array.copy a) else a) idx
+
 let test_detects_total_corruption () =
-  let h = small_store () in
-  match Index.find_vector (Hexastore.spo h) 0 with
-  | None -> Alcotest.fail "header 0 missing"
-  | Some v ->
-      Pair_vector.bump_total v 2;
-      some_violation "bumped total" (C.store h);
-      Pair_vector.bump_total v (-2);
-      no_violations "restored total" (C.store h)
+  let pso = Hexastore.pso (small_store ()) in
+  no_violations "pso" (C.Invariant.index pso);
+  (* A twin keeps its per-header triple counts in [tot_off]. *)
+  let bumped =
+    corrupt "tot_off"
+      (fun a ->
+        a.(1) <- a.(1) + 2;
+        a)
+      pso
+  in
+  some_violation "bumped total" (C.Invariant.index bumped)
 
 let test_detects_bogus_header () =
-  let h = small_store () in
-  ignore (Index.get_or_create_vector (Hexastore.spo h) 999);
-  some_violation "empty vector under fresh header" (C.store h);
-  ignore (Index.remove_header (Hexastore.spo h) 999);
-  no_violations "header removed" (C.store h)
-
-let test_detects_pending_header () =
-  let h = small_store () in
-  let spo = Hexastore.spo h in
-  (* Header -1 sorts below every existing one, so a bulk link defers it. *)
-  Index.link_bulk spo ~first:(-1) ~second:0 (Sorted_ivec.singleton 0);
-  check_int "deferred" 1 (Index.pending_headers spo);
-  some_violation "unsealed bulk header" (C.Invariant.index spo);
-  Index.seal spo;
-  no_violations "sealed" (C.Invariant.index spo);
-  Index.unlink spo ~first:(-1) ~second:0 ~list_empty:true;
-  no_violations "bogus entry removed" (C.store h)
-
-let test_detects_pending_link () =
-  let h = small_store () in
-  let spo = Hexastore.spo h in
-  let s = Sorted_ivec.get (Index.headers_view spo) 0 in
-  (* Second-level key -1 sorts below every existing one under [s], so a
-     bulk link defers it. *)
-  Index.link_bulk spo ~first:s ~second:(-1) (Sorted_ivec.singleton 0);
-  check_int "deferred" 1 (Index.pending_links spo);
-  some_violation "unsealed bulk link" (C.Invariant.index spo);
-  Index.seal spo;
-  no_violations "sealed" (C.Invariant.index spo);
-  Index.unlink spo ~first:s ~second:(-1) ~list_empty:true;
-  no_violations "bogus entry removed" (C.store h)
+  let spo = Hexastore.spo (small_store ()) in
+  (* The first header's key run made empty: its keys pass to the next. *)
+  let emptied =
+    corrupt "key_off"
+      (fun a ->
+        a.(1) <- a.(0);
+        a)
+      spo
+  in
+  some_violation "empty vector under a header" (C.Invariant.index emptied)
 
 let test_detects_unshared_list () =
   let h = small_store () in
-  (* Replace pso's reference with a value-equal copy: every count and
-     query still answers correctly, but the 5x space bound is silently
-     gone.  Only the physical-equality check can see this. *)
-  let pso = Hexastore.pso h in
-  (match Index.find_vector pso 1 with
-  | None -> Alcotest.fail "pso header 1 missing"
-  | Some v -> (
-      match Pair_vector.find v 0 with
-      | None -> Alcotest.fail "pso (1,0) missing"
-      | Some l ->
-          let copy = Sorted_ivec.copy l in
-          ignore (Pair_vector.remove v 0);
-          ignore (Pair_vector.get_or_insert v 0 (fun () -> copy))));
-  some_violation "copied (unshared) terminal list" (C.store h)
+  (* A twin over a value-equal copy of its owner: every count and query
+     still answers correctly, but the 5x space bound is silently gone.
+     Only the sharing check can see this. *)
+  let owner = Hexastore.spo h and twin = Hexastore.pso h in
+  no_violations "twin of its own owner" (C.Invariant.twins ~owner ~twin ());
+  let copy = Index.map_streams (fun _ a -> a) owner in
+  some_violation "twin reading another copy of the lists" (C.Invariant.twins ~owner:copy ~twin ())
 
 (* Flat twins share their owner's runs by entry number: seeded
    corruptions of a bulk-loaded store's columns, on both codecs.  A
@@ -155,7 +134,6 @@ let test_detects_flat_twin_corruption () =
       let name = Sorted_ivec.kind_name repr in
       let h = Hexastore.create ~repr () in
       ignore (Hexastore.add_bulk_ids h (Array.append triples [| t3 0 1 5; t3 0 1 6 |]));
-      check_bool (name ^ " store is flat") true (Hexastore.is_flat h);
       no_violations (name ^ " flat store") (C.store h);
       let owner = Hexastore.spo h and twin = Hexastore.pso h in
       no_violations (name ^ " flat twin") (C.Invariant.twins ~owner ~twin ());
@@ -184,7 +162,7 @@ let test_detects_flat_twin_corruption () =
       (* The first owner run of two or more elements, found by its
          offset in the terminal stream; then two of its elements swap. *)
       let off = ref (-1) and seen = ref 0 in
-      Index.iter_sorted
+      Index.iter
         (fun _ v ->
           Pair_vector.iter
             (fun _ l ->
@@ -938,33 +916,6 @@ let test_delta_level_events () =
   no_violations "after the run" (C.delta d)
 
 (* ------------------------------------------------------------------ *)
-(* Debug assertion hooks                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_debug_off_by_default () =
-  check_bool "Check.debug starts false" false !C.debug;
-  let before = Debug.validation_count () in
-  let h = small_store () in
-  ignore (Hexastore.remove_ids h (t3 0 1 2));
-  check_int "no validations ran with the guard off" before (Debug.validation_count ())
-
-let test_debug_hooks_fire () =
-  let before = Debug.validation_count () in
-  C.debug := true;
-  Fun.protect
-    ~finally:(fun () -> C.debug := false)
-    (fun () ->
-      let h = Hexastore.create () in
-      ignore (Hexastore.add_ids h (t3 1 2 3));
-      ignore (Hexastore.add_ids h (t3 1 2 4));
-      ignore (Hexastore.remove_ids h (t3 1 2 3));
-      (* Failed mutations (duplicate insert, absent delete) skip the hook. *)
-      ignore (Hexastore.add_ids h (t3 1 2 4));
-      ignore (Hexastore.remove_ids h (t3 9 9 9));
-      check_int "one validation per successful mutation" (before + 3)
-        (Debug.validation_count ()))
-
-(* ------------------------------------------------------------------ *)
 (* Lint                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1083,8 +1034,6 @@ let () =
           Alcotest.test_case "bulk-loaded LUBM store" `Quick test_store_lubm_bulk;
           Alcotest.test_case "detects total corruption" `Quick test_detects_total_corruption;
           Alcotest.test_case "detects bogus header" `Quick test_detects_bogus_header;
-          Alcotest.test_case "detects pending header" `Quick test_detects_pending_header;
-          Alcotest.test_case "detects pending link" `Quick test_detects_pending_link;
           Alcotest.test_case "detects unshared list" `Quick test_detects_unshared_list;
           Alcotest.test_case "detects flat twin corruption" `Quick test_detects_flat_twin_corruption;
           Alcotest.test_case "dictionary bijectivity" `Quick test_dictionary_bijective;
@@ -1118,11 +1067,6 @@ let () =
           Alcotest.test_case "level events all happen" `Quick test_delta_level_events;
           qt (prop_delta_level Sorted_ivec.Raw);
           qt (prop_delta_level Sorted_ivec.Packed);
-        ] );
-      ( "debug-hooks",
-        [
-          Alcotest.test_case "off by default" `Quick test_debug_off_by_default;
-          Alcotest.test_case "fire when enabled" `Quick test_debug_hooks_fire;
         ] );
       ( "lint",
         [

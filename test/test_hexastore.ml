@@ -73,44 +73,34 @@ let test_pattern_matches () =
 (* Pair_vector                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A pair vector is a view of an index's columns: keys [ks] under one
+   header, key [k]'s list [[10 k; 10 k + 1]]. *)
+let view_of ?(kind = Sorted_ivec.Raw) ks =
+  let keys = Array.of_list (List.concat_map (fun k -> [ k; k ]) ks) in
+  let idx, _ =
+    Index.of_sorted_columns ~kind ~firsts:(Array.map (fun _ -> 0) keys) ~seconds:keys
+      ~thirds:(Array.mapi (fun i k -> (10 * k) + (i mod 2)) keys)
+      ()
+  in
+  Index.find_vector idx 0
+
 let test_pair_vector_basic () =
-  let v = Pair_vector.create () in
-  check_int "empty" 0 (Pair_vector.length v);
-  let l5 = Pair_vector.get_or_insert v 5 (fun () -> Sorted_ivec.of_list [ 50 ]) in
-  Pair_vector.bump_total v 1;
-  let l1 = Pair_vector.get_or_insert v 1 (fun () -> Sorted_ivec.of_list [ 10 ]) in
-  Pair_vector.bump_total v 1;
-  let l9 = Pair_vector.get_or_insert v 9 (fun () -> Sorted_ivec.of_list [ 90 ]) in
-  Pair_vector.bump_total v 1;
+  let v = Option.get (view_of [ 1; 5; 9 ]) in
   check_int "three keys" 3 (Pair_vector.length v);
   check_int "sorted key order" 1 (Pair_vector.key_at v 0);
   check_int "sorted key order" 5 (Pair_vector.key_at v 1);
   check_int "sorted key order" 9 (Pair_vector.key_at v 2);
-  (* get_or_insert on existing key returns the existing payload ref. *)
-  let l5' = Pair_vector.get_or_insert v 5 (fun () -> Alcotest.fail "mk called for existing key") in
-  check_bool "same ref" true (l5 == l5');
-  check_bool "find" true (Pair_vector.find v 1 = Some l1);
+  check_bool "find" true
+    (Option.map Sorted_ivec.to_list (Pair_vector.find v 1) = Some [ 10; 11 ]);
   check_bool "find miss" true (Pair_vector.find v 7 = None);
-  check_bool "payload_at" true (Pair_vector.payload_at v 2 == l9);
-  Pair_vector.check_invariant v
+  Alcotest.(check (list int)) "payload_at" [ 90; 91 ] (Sorted_ivec.to_list (Pair_vector.payload_at v 2));
+  Pair_vector.check_invariant v;
+  check_bool "no header, no view" true (view_of [] = None)
 
 let test_pair_vector_totals () =
-  let v = Pair_vector.create () in
-  ignore (Pair_vector.get_or_insert v 1 (fun () -> Sorted_ivec.of_list [ 10; 11 ]));
-  Pair_vector.bump_total v 2;
-  check_int "total" 2 (Pair_vector.total v);
-  Pair_vector.check_invariant v;
-  Pair_vector.bump_total v (-1);
-  check_int "bumped down" 1 (Pair_vector.total v)
-
-let test_pair_vector_remove () =
-  let v = Pair_vector.create () in
-  ignore (Pair_vector.get_or_insert v 1 (fun () -> Sorted_ivec.create ()));
-  ignore (Pair_vector.get_or_insert v 2 (fun () -> Sorted_ivec.create ()));
-  check_bool "remove" true (Pair_vector.remove v 1);
-  check_bool "remove gone" false (Pair_vector.remove v 1);
-  check_int "one left" 1 (Pair_vector.length v);
-  check_int "survivor" 2 (Pair_vector.key_at v 0)
+  let v = Option.get (view_of [ 1; 2 ]) in
+  check_int "total" 4 (Pair_vector.total v);
+  Pair_vector.check_invariant v
 
 (* Every key search of a pair vector — [search_from] (with [from] below
    0 and past the end too), [index_geq], [key_at], [find] — against a
@@ -132,46 +122,28 @@ let pair_vector_matches v keys probes =
        probes
 
 let prop_pair_vector_search_oracle =
-  QCheck.Test.make ~name:"pair vector searches = sorted-list oracle, build form and flat view"
+  QCheck.Test.make ~name:"pair vector searches = sorted-list oracle, raw and packed views"
     ~count:300
     QCheck.(
       pair
-        (list_of_size Gen.(int_bound 80) (pair bool (int_bound 60)))
+        (list_of_size Gen.(int_bound 80) (int_bound 60))
         (list_of_size Gen.(int_bound 30) (pair (int_range (-2) 64) (int_bound 70))))
-    (fun (ops, probes) ->
-      let v = Pair_vector.create () in
-      let model =
-        List.fold_left
-          (fun m (insert, k) ->
-            if insert then begin
-              if not (List.mem k m) then begin
-                ignore (Pair_vector.get_or_insert v k (fun () -> Sorted_ivec.of_list [ 10 * k ]));
-                Pair_vector.bump_total v 1
-              end;
-              List.sort_uniq compare (k :: m)
-            end
-            else begin
-              if List.mem k m then Pair_vector.bump_total v (-1);
-              ignore (Pair_vector.remove v k);
-              List.filter (( <> ) k) m
-            end)
-          [] ops
-      in
-      Pair_vector.check_invariant v;
-      let flat =
-        let keys = Array.of_list model in
-        fst
-          (Index.of_sorted_columns ~kind:Sorted_ivec.Packed
-             ~firsts:(Array.map (fun _ -> 0) keys)
-             ~seconds:keys ~thirds:(Array.map (fun k -> 10 * k) keys) ())
-      in
-      pair_vector_matches v model probes
-      &&
-      match Index.find_vector flat 0 with
-      | None -> model = []
-      | Some view ->
-          Sorted_ivec.is_compressed (Pair_vector.key_vector view)
-          && pair_vector_matches view model probes)
+    (fun (keys, probes) ->
+      let keys = List.sort_uniq compare keys in
+      List.for_all
+        (fun kind ->
+          let flat, _ =
+            let keys = Array.of_list keys in
+            Index.of_sorted_columns ~kind
+              ~firsts:(Array.map (fun _ -> 0) keys)
+              ~seconds:keys ~thirds:(Array.map (fun k -> 10 * k) keys) ()
+          in
+          match Index.find_vector flat 0 with
+          | None -> keys = []
+          | Some view ->
+              Sorted_ivec.kind_of (Pair_vector.key_vector view) = kind
+              && pair_vector_matches view keys probes)
+        [ Sorted_ivec.Raw; Sorted_ivec.Packed ])
 
 (* ------------------------------------------------------------------ *)
 (* Hexastore: basics                                                   *)
@@ -222,23 +194,25 @@ let test_hexa_accessors () =
   Alcotest.(check (list int)) "objects" [ 3; 4 ] (Sorted_ivec.to_list (Hexastore.objects h))
 
 let test_hexa_sharing () =
-  (* §4.1: twin orderings share terminal lists *physically*. *)
+  (* §4.1: twin orderings share terminal lists *physically*: the same
+     window of the owner's stream ([Sorted_ivec.shares]; each lookup
+     hands out a fresh slice header). *)
   let h = Hexastore.create () in
   List.iter (fun tr -> ignore (Hexastore.add_ids h tr)) [ t3 1 2 3; t3 1 2 4; t3 5 2 3 ];
   let l1 = Index.find_list (Hexastore.spo h) 1 2 in
   let l2 = Index.find_list (Hexastore.pso h) 2 1 in
   (match (l1, l2) with
-  | Some a, Some b -> check_bool "spo/pso share o-lists" true (a == b)
+  | Some a, Some b -> check_bool "spo/pso share o-lists" true (Sorted_ivec.shares a b)
   | _ -> Alcotest.fail "missing lists");
   let l3 = Index.find_list (Hexastore.sop h) 1 3 in
   let l4 = Index.find_list (Hexastore.osp h) 3 1 in
   (match (l3, l4) with
-  | Some a, Some b -> check_bool "sop/osp share p-lists" true (a == b)
+  | Some a, Some b -> check_bool "sop/osp share p-lists" true (Sorted_ivec.shares a b)
   | _ -> Alcotest.fail "missing lists");
   let l5 = Index.find_list (Hexastore.pos h) 2 3 in
   let l6 = Index.find_list (Hexastore.ops h) 3 2 in
   (match (l5, l6) with
-  | Some a, Some b -> check_bool "pos/ops share s-lists" true (a == b)
+  | Some a, Some b -> check_bool "pos/ops share s-lists" true (Sorted_ivec.shares a b)
   | _ -> Alcotest.fail "missing lists")
 
 let test_hexa_remove () =
@@ -439,8 +413,8 @@ let test_covp_restriction () =
 
 (* [memory_words] is exact: on LUBM 2x2 each store agrees with the
    words actually reachable from it (minus its dictionary) to within
-   0.5% — the list-table stores, and Hexastores bulk-loaded flat (raw
-   and packed) and point-written (hashed). *)
+   0.5% — the COVP and partial stores, and Hexastores bulk-loaded (raw
+   and packed) and then point-written. *)
 let test_memory_matches_reachable () =
   let dict = Dict.Term_dict.create () in
   let cfg = Workloads.Lubm.config ~universities:2 ~departments_per_university:2 () in
@@ -469,14 +443,10 @@ let test_memory_matches_reachable () =
     (fun (repr, label) ->
       let h = Hexastore.create ~dict ~repr () in
       ignore (Hexastore.add_bulk_ids h ids);
-      check_bool (label ^ " is flat") true (Hexastore.is_flat h);
-      agrees label h (Hexastore.memory_words h))
-    [ (Sorted_ivec.Raw, "hexastore raw (flat)"); (Sorted_ivec.Packed, "hexastore packed (flat)") ];
-  let h = Hexastore.create ~dict ~repr:Sorted_ivec.Raw () in
-  ignore (Hexastore.add_bulk_ids h ids);
-  ignore (Hexastore.remove_ids h ids.(0));
-  check_bool "a point write inflates" false (Hexastore.is_flat h);
-  agrees "hexastore (inflated)" h (Hexastore.memory_words h)
+      agrees label h (Hexastore.memory_words h);
+      check_bool (label ^ " point write") true (Hexastore.remove_ids h ids.(0));
+      agrees (label ^ " after a point write") h (Hexastore.memory_words h))
+    [ (Sorted_ivec.Raw, "hexastore raw"); (Sorted_ivec.Packed, "hexastore packed") ]
 
 let test_covp1_po_scan () =
   (* Covp1's subjects_of_po must fall back to scanning the table. *)
@@ -587,13 +557,14 @@ let prop_bulk_equiv =
       sorted_triples (Hexastore.lookup h1 Pattern.wildcard)
       = sorted_triples (Hexastore.lookup h2 Pattern.wildcard))
 
-(* Bulk passes defer headers that arrive below an index's largest one
-   and merge them in once at the end ([Index.seal]).  Base ids are even
-   and in [10, 30]; batch ids span [0, 40] and the batch always carries
+(* A bulk pass merges its batch with each family's scan in one pass
+   ([Index.refill]), wherever the batch's headers land.  Base ids are
+   even and in [10, 30]; batch ids span [0, 40] and the batch always carries
    one all-below, one in-between (odd) and one all-above triple, so it
    brings headers on every side of the base's.  It also re-adds the
    triples removed from the base, whose headers the removal pruned.  The
-   bulk-loaded store must match the same triples added one by one. *)
+   bulk-loaded store must match the same triples added one by one (each
+   a one-triple rebuild). *)
 let gen_merge_case =
   QCheck.Gen.(
     let even = map (fun k -> 10 + (2 * k)) (int_bound 10) in
@@ -626,12 +597,6 @@ let dump indices =
           (Sorted_ivec.to_list (Index.headers_view idx)) ))
     indices
 
-let nothing_pending indices =
-  List.for_all
-    (fun (_, idx) ->
-      Index.pending_headers idx = 0 && Index.pending_links idx = 0)
-    indices
-
 (* [remove = None] (the partial store has no delete): the removed
    triples are simply left out of the base, so their headers are absent
    rather than pruned. *)
@@ -652,16 +617,14 @@ let prop_bulk_merge ?(gen = gen_merge_case) name ~make ~add ~remove ~bulk ~indic
       ignore (bulk bulk_t (Array.of_list batch));
       List.iter (fun tr -> ignore (add point_t tr)) batch;
       check bulk_t;
-      nothing_pending (indices bulk_t)
-      && size bulk_t = size point_t
+      size bulk_t = size point_t
       && dump (indices bulk_t) = dump (indices point_t))
 
 (* Bulk adds into a populated store: base ids are the even ones in
    [20, 26] and batch ids span [17, 27], so in every ordering the batch
    brings second-level keys below and between the existing ones under
    existing headers, and terminal ids below and between a list's
-   elements — the deferred links of [Index.link_bulk] and the merged
-   runs of [add_bulk_ids]. *)
+   elements, all through the one merge of [Index.refill]. *)
 let gen_populated_case =
   QCheck.Gen.(
     let even = map (fun k -> 20 + (2 * k)) (int_bound 3) in
@@ -720,8 +683,39 @@ let prop_bulk_add_populated_partial =
     ~add:Partial.add_ids ~remove:None ~bulk:Partial.add_bulk_ids ~indices:Partial.indices
     ~size:Partial.size ~check:Partial.check_invariant
 
-(* A store bulk-loaded from empty is filled, not linked
-   ([Index.of_sorted_columns]).  The reference is point [add_ids] only.
+(* A second bulk batch merges with what the first one built: COVP1,
+   COVP2 and partial stores loaded in two batches (overlapping, with
+   repeats) hold the same indices as when loaded in one. *)
+let test_two_batches () =
+  let data = Array.init 400 (fun i -> t3 (i * 7 mod 23) (i mod 6) (i * 5 mod 31)) in
+  let first = Array.sub data 0 250 and second = Array.sub data 150 250 in
+  let case label ~make ~bulk ~indices ~size ~check =
+    let once = make () and twice = make () in
+    let n = bulk once data in
+    let n1 = bulk twice first in
+    let n2 = bulk twice second in
+    check twice;
+    check_int (label ^ " new triples") n (n1 + n2);
+    check_int (label ^ " size") (size once) (size twice);
+    check_bool (label ^ " same indices") true (dump (indices once) = dump (indices twice))
+  in
+  List.iter
+    (fun (kind, label) ->
+      case label
+        ~make:(fun () -> Covp.create kind)
+        ~bulk:Covp.add_bulk_ids ~indices:Covp.indices ~size:Covp.size ~check:Covp.check_invariant)
+    covp_kinds;
+  List.iter
+    (fun ords ->
+      case
+        ("partial " ^ String.concat "," (List.map Ordering.name ords))
+        ~make:(fun () -> Partial.create ~orderings:ords ())
+        ~bulk:Partial.add_bulk_ids ~indices:Partial.indices ~size:Partial.size
+        ~check:Partial.check_invariant)
+    [ [ Ordering.Pso ]; [ Ordering.Spo; Ordering.Pso; Ordering.Ops ]; Ordering.all ]
+
+(* A store bulk-loaded from empty is filled from columns
+   ([Index.of_sorted_columns]), not merged ([Index.refill]).  The reference is point [add_ids] only.
    Batches are small-id ones full of repeats (plus a repeat of their own
    prefix), the empty batch, or a short batch of sparse ids up to the
    top of the dictionary's id space; half the cases fill a packed store. *)
@@ -775,9 +769,8 @@ let print_op =
   | Add_bulk l -> "+" ^ batch l
   | Remove_bulk l -> "-" ^ batch l
 
-(* The exact-size lists, pair vectors and header vectors of a fill must
-   grow and shrink like any others: point and bulk adds and removes
-   after a fill, against the reference model, op by op. *)
+(* Point and bulk adds and removes after a fill, each a rebuild,
+   against the reference model, op by op. *)
 let prop_after_fill =
   let tr = QCheck.Gen.(map3 t3 (int_bound 10) (int_bound 5) (int_bound 10)) in
   let gen =
@@ -820,7 +813,7 @@ let prop_after_fill =
    The batch holds a random subset of the base, triples the base lacks,
    every triple of one subject and of one object (so whole headers and
    their vectors empty), and the subset again as duplicates.  Half the
-   cases start packed, so the removal inflates first. *)
+   cases remove from a packed store. *)
 let gen_remove_case =
   QCheck.Gen.(
     let id = int_bound 12 in
@@ -858,8 +851,7 @@ let prop_bulk_remove =
         List.fold_left (fun m tr -> if Hexastore.remove_ids point_h tr then m + 1 else m) 0 batch
       in
       Hexastore.check_invariant bulk_h;
-      nothing_pending (hexa_indices bulk_h)
-      && n = m
+      n = m
       && Hexastore.size bulk_h = Hexastore.size point_h
       && dump (hexa_indices bulk_h) = dump (hexa_indices point_h))
 
@@ -968,7 +960,6 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_pair_vector_basic;
           Alcotest.test_case "totals" `Quick test_pair_vector_totals;
-          Alcotest.test_case "remove" `Quick test_pair_vector_remove;
           qt prop_pair_vector_search_oracle;
         ] );
       ( "hexastore",
@@ -990,6 +981,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_covp_basics;
           Alcotest.test_case "matches_hexastore" `Quick test_covp_matches_hexastore;
           Alcotest.test_case "bulk" `Quick test_covp_bulk;
+          Alcotest.test_case "two bulk batches = one" `Quick test_two_batches;
           Alcotest.test_case "restriction" `Quick test_covp_restriction;
           Alcotest.test_case "covp1_po_scan" `Quick test_covp1_po_scan;
           Alcotest.test_case "memory matches reachable words" `Quick

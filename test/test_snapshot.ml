@@ -531,8 +531,7 @@ let test_legacy_delta_tag () =
 
 let compressed_sample kind =
   let h = Hexastore.create ~repr:kind () in
-  List.iter (fun tr -> ignore (Hexastore.add h tr)) (golden_triples ());
-  Hexastore.compress h;
+  ignore (Hexastore.add_list h (golden_triples ()));
   h
 
 let test_compressed_roundtrip_bytes () =

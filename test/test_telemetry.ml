@@ -1079,10 +1079,7 @@ let test_explain_golden_repr () =
   let compressed =
     let cfg = Workloads.Lubm.config ~universities:1 ~departments_per_university:1 () in
     let h = Hexa.Hexastore.create ~repr:Vectors.Sorted_ivec.Packed () in
-    List.iter
-      (fun tr -> ignore (Hexa.Hexastore.add h tr))
-      (Workloads.Lubm.generate cfg);
-    Hexa.Hexastore.compress h;
+    ignore (Hexa.Hexastore.add_list h (Workloads.Lubm.generate cfg));
     Hexa.Store_sig.box_hexastore h
   in
   let plan =

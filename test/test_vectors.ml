@@ -273,43 +273,6 @@ let prop_sivec_ascending_adds_fast_path =
       Sorted_ivec.check_invariant v;
       Sorted_ivec.to_list v = sorted)
 
-let prop_sivec_merge_sorted_oracle =
-  QCheck.Test.make ~name:"merge_sorted = sorted union oracle" ~count:500
-    QCheck.(pair (list (int_bound 60)) (list (int_bound 70)))
-    (fun (xs, ys) ->
-      let v = Sorted_ivec.of_list xs in
-      let news = Iset.elements (Iset.diff (Iset.of_list ys) (Iset.of_list xs)) in
-      Sorted_ivec.merge_sorted v (Array.of_list news);
-      Sorted_ivec.check_invariant v;
-      Sorted_ivec.to_list v = Iset.elements (Iset.union (Iset.of_list xs) (Iset.of_list ys)))
-
-(* The pair-vector batch insert against a sorted association
-   list.  Each payload is the singleton list of its key, so a payload
-   that moved apart from its key shows in the pairs. *)
-let pair_vector_of keys =
-  let v = Hexa.Pair_vector.create () in
-  List.iter
-    (fun k ->
-      ignore (Hexa.Pair_vector.get_or_insert v k (fun () -> Sorted_ivec.singleton k));
-      Hexa.Pair_vector.bump_total v 1)
-    (List.sort_uniq compare keys);
-  v
-
-let pairs v =
-  List.of_seq (Seq.map (fun (k, l) -> (k, Sorted_ivec.to_list l)) (Hexa.Pair_vector.to_seq v))
-
-let prop_pair_vector_merge_sorted_oracle =
-  QCheck.Test.make ~name:"pair_vector merge_sorted = sorted association oracle" ~count:500
-    QCheck.(pair (list (int_bound 60)) (list (int_bound 70)))
-    (fun (xs, ys) ->
-      let v = pair_vector_of xs in
-      let news = Array.of_list (Iset.elements (Iset.diff (Iset.of_list ys) (Iset.of_list xs))) in
-      Hexa.Pair_vector.merge_sorted v news (Array.map Sorted_ivec.singleton news);
-      Hexa.Pair_vector.bump_total v (Array.length news);
-      Hexa.Pair_vector.check_invariant v;
-      pairs v
-      = List.map (fun k -> (k, [ k ])) (Iset.elements (Iset.union (Iset.of_list xs) (Iset.of_list ys))))
-
 (* ------------------------------------------------------------------ *)
 (* Merge                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -721,8 +684,6 @@ let () =
           qt prop_sivec_set_model;
           qt prop_sivec_ascending_adds_fast_path;
           qt prop_search_from_oracle;
-          qt prop_sivec_merge_sorted_oracle;
-          qt prop_pair_vector_merge_sorted_oracle;
         ] );
       ( "merge",
         [
