@@ -674,6 +674,15 @@ let abl_star env =
             ]
       | _ -> ())
 
+(* Every match of [pat], enumerated through the store's push read and
+   counted. *)
+let matches iter store pat =
+  let n = ref 0 in
+  iter store pat (fun _ _ _ -> incr n);
+  !n
+
+let all_triples h = Array.of_list (Hexa.Hexastore.fold List.cons h [])
+
 (* abl-partial: the §6 index-selection direction — memory and query cost
    of a workload-recommended partial store against the full sextuple
    store, on the LUBM data. *)
@@ -693,8 +702,7 @@ let abl_partial env =
           in
           let r = Hexa.Advisor.recommend workload in
           let partial = Hexa.Partial.create ~dict ~orderings:r.keep () in
-          let all = Array.of_seq (Hexa.Hexastore.lookup full (Hexa.Pattern.wildcard)) in
-          ignore (Hexa.Partial.add_bulk_ids partial all);
+          ignore (Hexa.Partial.add_bulk_ids partial (all_triples full));
           let points =
             [
               {
@@ -711,10 +719,10 @@ let abl_partial env =
           in
           let timing name pat =
             let f_s, _ =
-              Harness.time ~repeats:3 (fun () -> Seq.length (Hexa.Hexastore.lookup full pat))
+              Harness.time ~repeats:3 (fun () -> matches Hexa.Hexastore.iter full pat)
             in
             let p_s, _ =
-              Harness.time ~repeats:3 (fun () -> Seq.length (Hexa.Partial.lookup partial pat))
+              Harness.time ~repeats:3 (fun () -> matches Hexa.Partial.iter partial pat)
             in
             [
               { Harness.size = n_triples; method_ = name ^ "-full"; seconds = f_s };
@@ -753,14 +761,13 @@ let abl_cyclic env =
             Hexa.Partial.create ~dict
               ~orderings:[ Hexa.Ordering.Spo; Hexa.Ordering.Pos; Hexa.Ordering.Osp ] ()
           in
-          let all = Array.of_seq (Hexa.Hexastore.lookup full Hexa.Pattern.wildcard) in
-          ignore (Hexa.Partial.add_bulk_ids cyclic all);
+          ignore (Hexa.Partial.add_bulk_ids cyclic (all_triples full));
           let probe name pat =
             let h_s, n_h =
-              Harness.time ~repeats:3 (fun () -> Seq.length (Hexa.Hexastore.lookup full pat))
+              Harness.time ~repeats:3 (fun () -> matches Hexa.Hexastore.iter full pat)
             in
             let c_s, n_c =
-              Harness.time ~repeats:3 (fun () -> Seq.length (Hexa.Partial.lookup cyclic pat))
+              Harness.time ~repeats:3 (fun () -> matches Hexa.Partial.iter cyclic pat)
             in
             assert (n_h = n_c);
             [
@@ -781,9 +788,8 @@ let abl_cyclic env =
           in
           let sorted_subjects_cyclic () =
             let acc = Vectors.Dynarray_int.create () in
-            Seq.iter
-              (fun (tr : Dict.Term_dict.id_triple) -> Vectors.Dynarray_int.push acc tr.s)
-              (Hexa.Partial.lookup cyclic (Hexa.Pattern.make ~p:type_p ()));
+            Hexa.Partial.iter cyclic (Hexa.Pattern.make ~p:type_p ()) (fun s _ _ ->
+                Vectors.Dynarray_int.push acc s);
             Vectors.Dynarray_int.sort_uniq acc;
             Vectors.Dynarray_int.length acc
           in

@@ -2,10 +2,11 @@
    materialised path tables.
 
    Builds a collaboration graph — people, advisors, employers, cities —
-   and follows multi-hop chains such as advisor/worksFor/locatedIn using
-   the Hexastore's pso+pos pair, where the first join is a pure
-   merge-join and each further hop needs a single sort (§4.3's point
-   about avoiding the O(n^2) materialisation of all path expressions).
+   and follows multi-hop chains such as advisor/worksFor/locatedIn as
+   property paths (Query.Ppath): each hop reads the sorted o-lists of
+   the frontier's nodes and builds the next frontier with a single sort
+   (§4.3's point about avoiding the O(n^2) materialisation of all path
+   expressions).
 
    Run with:  dune exec examples/path_queries.exe *)
 
@@ -37,12 +38,15 @@ let () =
   let dict = Hexa.Hexastore.dict h in
   Format.printf "Collaboration graph: %d triples.@.@." (Hexa.Hexastore.size h);
 
-  let pid name = Option.get (Dict.Term_dict.find_term dict (p name)) in
+  let ns = Rdf.Namespace.create () in
+  Rdf.Namespace.add ns ~prefix:"so" ~iri:"http://social.example.org/ns#";
+  let path expr = Query.Ppath.parse ~namespaces:ns expr in
+  (* A fixed chain p1/.../pn is a sequence of properties. *)
+  let chain names = path (String.concat "/" (List.map (( ^ ) "so:") names)) in
   let show_chain names =
-    let path = List.map pid names in
-    let seconds, pairs = Harness.time ~repeats:3 (fun () -> Query.Path.follow h path) in
+    let seconds, pairs = Harness.time ~repeats:3 (fun () -> Query.Ppath.pairs h (chain names)) in
     Format.printf "%-34s %6d pairs, %d joins, %8.3f ms@."
-      (String.concat "/" names) (List.length pairs) (Query.Path.join_steps path)
+      (String.concat "/" names) (List.length pairs) (List.length names - 1)
       (seconds *. 1000.)
   in
 
@@ -56,7 +60,7 @@ let () =
   (* From a single person: where do the people along my advisor chain
      work, and in which cities? *)
   let start = Option.get (Dict.Term_dict.find_term dict (person 4_999)) in
-  let reachable = Query.Path.follow_from h ~start [ pid "advisor"; pid "worksFor"; pid "locatedIn" ] in
+  let reachable = Query.Ppath.eval_from h ~start (chain [ "advisor"; "worksFor"; "locatedIn" ]) in
   Format.printf "--- person/4999's advisor's employer is located in:@.";
   Vectors.Sorted_ivec.iter
     (fun id -> Format.printf "  %s@." (Rdf.Term.to_string (Dict.Term_dict.decode_term dict id)))
@@ -65,9 +69,6 @@ let () =
 
   (* Full property-path expressions: closures, alternatives, inverses —
      evaluated by frontier search over pso/pos, never materialised. *)
-  let ns = Rdf.Namespace.create () in
-  Rdf.Namespace.add ns ~prefix:"so" ~iri:"http://social.example.org/ns#";
-  let path expr = Query.Ppath.parse ~namespaces:ns expr in
   Format.printf "--- Property-path expressions from person/4999@.";
   List.iter
     (fun expr ->

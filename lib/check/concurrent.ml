@@ -43,7 +43,7 @@ let canon_exec vars sols =
 
 let brute_force store tps =
   let dict = Hexa.Store_sig.dict store in
-  let triples = List.of_seq (Hexa.Store_sig.lookup store Hexa.Pattern.wildcard) in
+  let triples = Model.pushed (Hexa.Store_sig.iter store Hexa.Pattern.wildcard) in
   let atom_matches b atom id =
     match atom with
     | Query.Algebra.Term t -> (

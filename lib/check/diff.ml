@@ -53,7 +53,7 @@ let run ?(validate = true) ops =
           if rh <> rm then
             report step op (Printf.sprintf "delete returned %b, model returned %b" rh rm)
       | Query pat ->
-          let rh = List.sort Model.compare_spo (List.of_seq (Hexastore.lookup h pat)) in
+          let rh = List.sort Model.compare_spo (Model.pushed (Hexastore.iter h pat)) in
           let rm = Model.lookup m pat in
           if rh <> rm then
             report step op
@@ -104,7 +104,7 @@ let run_delta ?(validate = true) ?insert_threshold ?delete_threshold ops =
           if rd <> rm then
             report step op (Printf.sprintf "delete returned %b, model returned %b" rd rm)
       | Query pat ->
-          let rd = List.sort Model.compare_spo (List.of_seq (Delta.lookup d pat)) in
+          let rd = List.sort Model.compare_spo (Model.pushed (Delta.iter d pat)) in
           let rm = Model.lookup m pat in
           if rd <> rm then
             report step op

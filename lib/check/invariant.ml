@@ -311,8 +311,8 @@ let delta d =
          (Hexastore.size clone));
   let check_pattern pat =
     let path = Format.asprintf "pattern %a" Pattern.pp pat in
-    let merged = List.of_seq (Delta.lookup d pat) in
-    let flushed = List.of_seq (Hexastore.lookup clone pat) in
+    let merged = Model.pushed (Delta.iter d pat) in
+    let flushed = Model.pushed (Hexastore.iter clone pat) in
     if merged <> flushed then
       add acc
         (V.v V.Delta ~path "merged view disagrees with flushed clone (%d vs %d triples, or order)"

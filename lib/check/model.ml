@@ -54,3 +54,8 @@ let lookup t pat = List.filter (Hexa.Pattern.matches pat) t.triples
 let count t pat = List.length (lookup t pat)
 
 let to_list t = t.triples
+
+let pushed read =
+  let acc = ref [] in
+  read (fun s p o -> acc := { s; p; o } :: !acc);
+  List.rev !acc

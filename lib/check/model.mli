@@ -28,3 +28,8 @@ val count : t -> Hexa.Pattern.t -> int
 
 val to_list : t -> Dict.Term_dict.id_triple list
 (** All triples in (s, p, o) order. *)
+
+val pushed : ((int -> int -> int -> unit) -> unit) -> Dict.Term_dict.id_triple list
+(** [pushed read] is the triples a push read hands out, in its order —
+    e.g. [pushed (Hexa.Hexastore.iter h pat)] — for comparing a store's
+    reads with {!lookup}. *)

@@ -128,11 +128,6 @@ let iter t (pat : Pattern.t) f =
       | None -> tables (fun p -> table p (fun s ol -> if Sorted_ivec.mem ol o then f s p o)))
   | _ -> tables (fun p -> table p (fun s ol -> Sorted_ivec.iter (fun o -> f s p o) ol))
 
-let lookup t pat =
-  let acc = ref [] in
-  iter t pat (fun s p o -> acc := ({ s; p; o } : Hexastore.id_triple) :: !acc);
-  List.to_seq (List.rev !acc)
-
 let count t pat =
   match Pattern.shape pat with
   | Pattern.All -> if mem_ids t { s = Option.get pat.s; p = Option.get pat.p; o = Option.get pat.o } then 1 else 0

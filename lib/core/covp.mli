@@ -44,12 +44,8 @@ val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
     within one property table come sorted; across tables they follow
     property order. *)
 
-val lookup : t -> Pattern.t -> Hexastore.id_triple Seq.t
-(** {!iter}'s matches, materialised, in the same order. *)
-
-
 val count : t -> Pattern.t -> int
-(** Exact but computed with the same access paths as {!lookup} — i.e. the
+(** Exact but computed with the same access paths as {!iter} — i.e. the
     property-unbound shapes pay the scan. *)
 
 val indices : t -> (Ordering.t * Index.t) list

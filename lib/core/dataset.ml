@@ -50,26 +50,20 @@ let remove t ?graph triple =
 let size t =
   Hashtbl.fold (fun _ h acc -> acc + Hexastore.size h) t.named (Hexastore.size t.default)
 
-let lookup t ?graph pat =
+let lookup t ?graph pat f =
   match graph with
-  | None -> Hexastore.lookup t.default pat
-  | Some name -> (
-      match Hashtbl.find_opt t.named name with
-      | None -> Seq.empty
-      | Some h -> Hexastore.lookup h pat)
+  | None -> Hexastore.iter t.default pat f
+  | Some name -> Option.iter (fun h -> Hexastore.iter h pat f) (Hashtbl.find_opt t.named name)
 
-let lookup_all t pat =
-  let tagged name h = Seq.map (fun tr -> (name, tr)) (Hexastore.lookup h pat) in
-  let named = graph_names t in
-  List.fold_left
-    (fun acc name -> Seq.append acc (tagged (Some name) (Hashtbl.find t.named name)))
-    (tagged None t.default) named
+let lookup_all t pat f =
+  Hexastore.iter t.default pat (f None);
+  List.iter
+    (fun name -> Hexastore.iter (Hashtbl.find t.named name) pat (f (Some name)))
+    (graph_names t)
 
 let union_store t =
   let out = Hexastore.create ~dict:t.dict () in
-  let load h =
-    ignore (Hexastore.add_bulk_ids out (Array.of_seq (Hexastore.lookup h Pattern.wildcard)))
-  in
+  let load h = ignore (Hexastore.add_bulk_ids out (Array.of_list (Hexastore.fold List.cons h []))) in
   load t.default;
   Hashtbl.iter (fun _ h -> load h) t.named;
   out

@@ -39,14 +39,16 @@ val size : t -> int
 (** Total statements across all graphs (a triple present in two graphs
     counts twice, as in SPARQL datasets). *)
 
-val lookup :
-  t -> ?graph:Rdf.Term.t -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
-(** Pattern access against one graph (default graph when omitted). *)
+val lookup : t -> ?graph:Rdf.Term.t -> Pattern.t -> (int -> int -> int -> unit) -> unit
+(** [lookup t ?graph pat f] calls [f s p o] for every match in one graph
+    (the default graph when omitted; nothing for an unknown name), in
+    {!Hexastore.iter}'s order. *)
 
-val lookup_all : t -> Pattern.t -> (Rdf.Term.t option * Dict.Term_dict.id_triple) Seq.t
-(** Across every graph, tagging each match with its graph name
-    ([None] = default graph) — the quad-level access of [§2.2.2]'s
-    schemes, answered by per-graph sextuple indices. *)
+val lookup_all : t -> Pattern.t -> (Rdf.Term.t option -> int -> int -> int -> unit) -> unit
+(** Across every graph: [f graph s p o] per match, [graph] the match's
+    graph name ([None] = default graph), the default graph first and
+    then the named ones in {!graph_names} order — the quad-level access
+    of [§2.2.2]'s schemes, answered by per-graph sextuple indices. *)
 
 val union_store : t -> Hexastore.t
 (** A fresh Hexastore over the union of all graphs (the RDF merge),

@@ -440,20 +440,25 @@ type cursor = {
 (* Read only: every loop checks [i < hi] before it moves [i]. *)
 let no_cursor = { run = [||]; i = 0; hi = 0 }
 
-(* The entries of [r] in [lo, hi) that match [pat], whose bound positions
-   lead [ord]: from the key with every free position below all ids to
-   the key with every free position above them, inclusive. *)
-let range ord r ~lo ~hi (pat : Pattern.t) =
+(* The entries of [r] in [lo, hi) from the key [(s1, p1, o1)] up to the
+   key [(s2, p2, o2)] of [ord], both inclusive. *)
+let between ord r ~lo ~hi s1 p1 o1 s2 p2 o2 =
   if lo >= hi then no_cursor
   else begin
-    let low = function Some v -> v | None -> -1 and high = function Some v -> v | None -> max_int in
-    let lo = search ord r ~lo ~hi (low pat.s) (low pat.p) (low pat.o) in
-    let hi = search ~past:true ord r ~lo ~hi (high pat.s) (high pat.p) (high pat.o) in
+    let lo = search ord r ~lo ~hi s1 p1 o1 in
+    let hi = search ~past:true ord r ~lo ~hi s2 p2 o2 in
     if lo >= hi then no_cursor else { run = r; i = lo; hi }
   end
 
-let cursor ord r pat = range ord r ~lo:0 ~hi:(run_length r) pat
-let narrow ord c pat = range ord c.run ~lo:c.i ~hi:c.hi pat
+let low = function Some v -> v | None -> -1
+let high = function Some v -> v | None -> max_int
+
+(* The entries of [r] that match [pat], whose bound positions lead
+   [ord]: from the key with every free position below all ids to the key
+   with every free position above them. *)
+let cursor ord r (pat : Pattern.t) =
+  between ord r ~lo:0 ~hi:(run_length r) (low pat.s) (low pat.p) (low pat.o) (high pat.s)
+    (high pat.p) (high pat.o)
 
 (* A pending buffer's matches, sorted in [ord].  Files the buffer's logs
    first: the live delta's writer only. *)
@@ -820,13 +825,6 @@ let iter t pat f =
     push_merge ord (Hexastore.iter t.base pat) (sources t ord pat) f
   end
 
-let collect t pat =
-  let acc = ref [] in
-  iter t pat (fun s p o -> acc := { s; p; o } :: !acc);
-  List.rev !acc
-
-let lookup t pat = if quiet t then Hexastore.lookup t.base pat else List.to_seq (collect t pat)
-
 let count t pat =
   match Pattern.shape pat with
   | Pattern.All ->
@@ -846,24 +844,21 @@ let fold f t acc =
   iter t Pattern.wildcard (fun s p o -> acc := f { s; p; o } !acc);
   !acc
 
-let with_value (pat : Pattern.t) pos k =
-  match pos with
-  | Pattern.Subj -> { pat with s = Some k }
-  | Pattern.Pred -> { pat with p = Some k }
-  | Pattern.Obj -> { pat with o = Some k }
-
-(* The base's cursor with each probe's slice of the four sources merged
-   in: the slices of the pattern are found at the first probe (the
-   planner asks for cursors it never runs), and each probe narrows them
-   to its key by binary search, since the scan position follows the
-   bound ones in the serving ordering. *)
-let seek_sorted t pat pos =
+(* The base's range cursor with each run's slice of the four sources
+   merged in: the sources' ranges for the pattern are found at the first
+   run (the planner asks for cursors it never runs), and each run
+   narrows them to its key range by binary search, since the scan
+   position follows the bound ones in the serving ordering. *)
+let seek_sorted t (pat : Pattern.t) pos =
   match Hexastore.seek_sorted t.base pat pos with
   | None -> None
   | Some _ as plain when quiet t -> plain
   | Some (ord, run) ->
       let found = ref None in
-      let probe k f =
+      (* A run's lowest and highest keys: [pos] at the range's ends, the
+         other free positions below and above all ids. *)
+      let key at v q = if q = pos then v else at (Pattern.value_at pat q) in
+      let probe lo hi f =
         let src =
           match !found with
           | Some src -> src
@@ -873,55 +868,24 @@ let seek_sorted t pat pos =
               found := Some src;
               src
         in
-        let key = with_value pat pos k in
-        let slice c = narrow ord c key in
-        push_merge ord (run k)
-          { ins = slice src.ins; del = slice src.del; pins = slice src.pins; pdel = slice src.pdel }
-          f
+        if lo < hi then begin
+          let s1 = key low lo Pattern.Subj and p1 = key low lo Pattern.Pred
+          and o1 = key low lo Pattern.Obj in
+          let s2 = key high (hi - 1) Pattern.Subj and p2 = key high (hi - 1) Pattern.Pred
+          and o2 = key high (hi - 1) Pattern.Obj in
+          let slice c = between ord c.run ~lo:c.i ~hi:c.hi s1 p1 o1 s2 p2 o2 in
+          push_merge ord (run lo hi)
+            { ins = slice src.ins; del = slice src.del; pins = slice src.pins; pdel = slice src.pdel }
+            f
+        end
       in
       Some (ord, probe)
 
-(* The pull scan materialises the merge once, at the call; a seek is a
-   binary search into it.  Only the tests and {!scan_split} pull. *)
-let scan_sorted t pat pos =
-  match Hexastore.scan_sorted t.base pat pos with
-  | None -> None
-  | Some _ as plain when quiet t -> plain
-  | Some (ord, base_seek) ->
-      Telemetry.Metrics.incr m_merged;
-      let acc = ref [] in
-      push_merge ord
-        (fun f -> Seq.iter (fun tr -> f tr.s tr.p tr.o) (base_seek min_int))
-        (sources t ord pat)
-        (fun s p o -> acc := { s; p; o } :: !acc);
-      let merged = Array.of_list (List.rev !acc) in
-      let n = Array.length merged in
-      let value_of (tr : id_triple) =
-        match pos with Pattern.Subj -> tr.s | Pattern.Pred -> tr.p | Pattern.Obj -> tr.o
-      in
-      let seek k =
-        let lo = ref 0 and hi = ref n in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if value_of merged.(mid) < k then lo := mid + 1 else hi := mid
-        done;
-        let rec from i () = if i >= n then Seq.Nil else Seq.Cons (merged.(i), from (i + 1)) in
-        from !lo
-      in
-      Some (ord, seek)
-
-(* Splitting reuses the base's boundary keys: level and pending inserts
-   fall into whichever range their scan value lands in, preserving both
-   contiguity and per-range sortedness, so concatenating the split still
-   reproduces the unsplit merged stream exactly.  (Insert-heavy deltas
-   can unbalance the parts; that costs speedup, never correctness.) *)
+(* The base's boundary keys: level and pending inserts fall into
+   whichever range their scan value lands in, so the ranges stay
+   contiguous and sorted.  (Insert-heavy deltas can unbalance the parts;
+   that costs speedup, never correctness.) *)
 let scan_bounds t pat pos ~parts = Hexastore.scan_bounds t.base pat pos ~parts
-
-let scan_split t pat pos ~parts =
-  match scan_sorted t pat pos with
-  | None -> None
-  | Some (ord, seek) ->
-      Some (ord, Hexastore.split_cursor pos (scan_bounds t pat pos ~parts) seek)
 
 (* --- snapshot pinning -------------------------------------------------- *)
 
@@ -974,20 +938,9 @@ let mem t triple =
   | None -> false
   | Some ids -> mem_ids t ids
 
-let find t ?s ?p ?o () =
-  let d = dict t in
-  let resolve = function
-    | None -> Some None
-    | Some term -> (
-        match Dict.Term_dict.find_term d term with None -> None | Some id -> Some (Some id))
-  in
-  match (resolve s, resolve p, resolve o) with
-  | Some s, Some p, Some o ->
-      Seq.map (Dict.Term_dict.decode_triple d) (lookup t { Pattern.s; p; o })
-  | _ -> Seq.empty
+let find t = Hexastore.find_via (dict t) (iter t)
 
-let to_triples t =
-  List.of_seq (Seq.map (Dict.Term_dict.decode_triple (dict t)) (lookup t Pattern.wildcard))
+let to_triples t = List.rev (fold (fun tr acc -> Dict.Term_dict.decode_triple (dict t) tr :: acc) t [])
 
 (* --- accounting ------------------------------------------------------- *)
 

@@ -138,12 +138,8 @@ val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
     pattern's bound terms (the whole buffer only for the all-wildcard
     pattern), and are copied and sorted at call time. *)
 
-val lookup : t -> Pattern.t -> id_triple Seq.t
-(** {!iter}'s triples, materialised when anything is staged or in the
-    level (the base's lazy {!Hexastore.lookup} otherwise). *)
-
 val count : t -> Pattern.t -> int
-(** Exact cardinality of {!lookup}: the base's O(log) count adjusted by
+(** Exact number of triples {!iter} pushes: the base's O(log) count adjusted by
     the level's two range lengths (binary searches) and each buffer's
     matches.  With one bound position a buffer's share is one bucket's
     live count, O(1); with two it is a walk of the smaller of the two
@@ -154,33 +150,21 @@ val fold : (id_triple -> 'a -> 'a) -> t -> 'a -> 'a
 
 val seek_sorted :
   t -> Pattern.t -> Pattern.position ->
-  (Ordering.t * (int -> (int -> int -> int -> unit) -> unit)) option
+  (Ordering.t * (int -> int -> (int -> int -> int -> unit) -> unit)) option
 (** Merged counterpart of {!Hexastore.seek_sorted}, so a delta-fronted
-    store stays merge-joinable under the same strategy rules as its
-    base: [run k f] is the base's probe for [k] push-merged with the
-    level's and the buffers' matches for [k].  Their ranges for the
-    pattern are found at the call; each probe narrows them by binary
-    search. *)
-
-val scan_sorted : t -> Pattern.t -> Pattern.position -> (Ordering.t * (int -> id_triple Seq.t)) option
-(** Merged counterpart of {!Hexastore.scan_sorted}, ascending on the
-    scan position.  With anything staged or in the level, the merged
-    scan is materialised at the call and a seek is a binary search into
-    it. *)
+    store stays merge-joinable and splittable under the same rules as
+    its base: [run lo hi f] is the base's run over [[lo, hi)]
+    push-merged with the level's and the buffers' matches in that key
+    range.  Their ranges for the pattern are found at the first run;
+    each run narrows them by binary search.  Nothing is materialised
+    beyond the buffers' matching entries. *)
 
 val scan_bounds : t -> Pattern.t -> Pattern.position -> parts:int -> int array
 (** Interior boundary keys carving the merged scan into [parts]
     contiguous ranges; taken from the base's serving structure (see
     {!Hexastore.scan_bounds}), so insert-heavy deltas may yield
-    unbalanced — never incorrect — parts. *)
-
-val scan_split :
-  t -> Pattern.t -> Pattern.position -> parts:int ->
-  (Ordering.t * id_triple Seq.t array) option
-(** {!scan_sorted} partitioned into up to [parts] contiguous ranges.
-    Every seek runs eagerly during the call, so on a pinned snapshot the
-    returned ranges are safe to force from distinct domains.  [None]
-    exactly when {!scan_sorted} is. *)
+    unbalanced — never incorrect — parts.  On a pinned view, one
+    {!seek_sorted} cursor per range may run on its own domain. *)
 
 (** {1 Snapshot pinning}
 

@@ -179,72 +179,15 @@ let add_ids t tr = add_bulk_ids t [| tr |] = 1
 
 let remove_ids t tr = remove_bulk_ids t [| tr |] = 1
 
-(* --- lookup ---------------------------------------------------------- *)
+(* --- reads ------------------------------------------------------------ *)
 
-let seq_of_list_opt = function None -> Seq.empty | Some l -> Sorted_ivec.to_seq l
-
-(* Expand one header's pair vector into triples, [build second third]. *)
-let seq_of_vector build v =
-  Seq.concat_map
-    (fun (second, l) -> Seq.map (fun third -> build second third) (Sorted_ivec.to_seq l))
-    (Pair_vector.to_seq v)
-
-let seq_of_header index build h =
-  match Index.find_vector index h with
-  | None -> Seq.empty
-  | Some v -> seq_of_vector build v
-
-let full_scan t =
-  Seq.concat_map
-    (fun s -> seq_of_header t.spo (fun p o -> { s; p; o }) s)
-    (Sorted_ivec.to_seq (Index.headers t.spo))
-
-let scan_list_opt l =
-  (match l with
-  | Some l -> Telemetry.Metrics.observe m_scan_len (Sorted_ivec.length l)
-  | None -> ());
-  seq_of_list_opt l
-
-let scan_header index build h =
-  (match Index.find_vector index h with
-  | Some v -> Telemetry.Metrics.observe m_scan_len (Pair_vector.total v)
-  | None -> ());
-  seq_of_header index build h
-
-let lookup t (pat : Pattern.t) =
-  let shape = Pattern.shape pat in
-  note_probe shape;
-  match shape with
-  | Pattern.All ->
-      let tr = { s = Option.get pat.s; p = Option.get pat.p; o = Option.get pat.o } in
-      if mem_ids t tr then Seq.return tr else Seq.empty
-  | Pattern.Sp ->
-      let s = Option.get pat.s and p = Option.get pat.p in
-      Seq.map (fun o -> { s; p; o }) (scan_list_opt (Index.find_list t.spo s p))
-  | Pattern.So ->
-      let s = Option.get pat.s and o = Option.get pat.o in
-      Seq.map (fun p -> { s; p; o }) (scan_list_opt (Index.find_list t.sop s o))
-  | Pattern.Po ->
-      let p = Option.get pat.p and o = Option.get pat.o in
-      Seq.map (fun s -> { s; p; o }) (scan_list_opt (Index.find_list t.pos p o))
-  | Pattern.S ->
-      let s = Option.get pat.s in
-      scan_header t.spo (fun p o -> { s; p; o }) s
-  | Pattern.P ->
-      let p = Option.get pat.p in
-      scan_header t.pso (fun s o -> { s; p; o }) p
-  | Pattern.O ->
-      let o = Option.get pat.o in
-      scan_header t.osp (fun s p -> { s; p; o }) o
-  | Pattern.None_bound -> full_scan t
-
-(* [lookup] pushed instead of pulled: the same orderings in the same
-   order, with no sequence cells and no triple records. *)
+(* Each of the 8 shapes is served by the ordering that makes the access
+   a header/vector/list traversal, pushed straight from its columns: no
+   sequence cells and no triple records. *)
 let iter t (pat : Pattern.t) f =
   let shape = Pattern.shape pat in
   note_probe shape;
-  (* A scan observes its length only when it found something, as
-     [lookup] does. *)
+  (* A scan observes its length only when it found something. *)
   let scanned n = if n > 0 then Telemetry.Metrics.observe m_scan_len n in
   match (shape, pat.s, pat.p, pat.o) with
   | Pattern.All, Some s, Some p, Some o -> if mem_ids t { s; p; o } then f s p o
@@ -286,15 +229,6 @@ let index_of t = function
   | Ordering.Osp -> t.osp
   | Ordering.Ops -> t.ops
 
-(* Triple from an ordering's (first, second, third) priority values. *)
-let builder = function
-  | Ordering.Spo -> fun a b c -> { s = a; p = b; o = c }
-  | Ordering.Sop -> fun a b c -> { s = a; p = c; o = b }
-  | Ordering.Pso -> fun a b c -> { s = b; p = a; o = c }
-  | Ordering.Pos -> fun a b c -> { s = c; p = a; o = b }
-  | Ordering.Osp -> fun a b c -> { s = b; p = c; o = a }
-  | Ordering.Ops -> fun a b c -> { s = c; p = b; o = a }
-
 (* The ordering that lists [pat]'s bound positions first (in some
    order), then [pos], then only free positions — i.e. the ordering
    under which [pat]'s matches stream sorted on the value at [pos].
@@ -313,87 +247,6 @@ let serving_ordering (pat : Pattern.t) (pos : Pattern.position) =
         check (Ordering.positions ord))
       Ordering.all
 
-(* A seek function over a sorted terminal list: [seek k] streams the
-   suffix of elements [>= k].  The cursor resumes from the last hit
-   (galloping), resetting defensively when a re-traversed sequence seeks
-   backwards. *)
-let seek_list l of_elt =
-  let n = Sorted_ivec.length l in
-  let last_k = ref min_int and last_i = ref 0 in
-  fun k ->
-    let from = if k < !last_k then 0 else !last_i in
-    let i = Sorted_ivec.search_from l ~from k in
-    last_k := k;
-    last_i := i;
-    let rec aux i () =
-      if i >= n then Seq.Nil else Seq.Cons (of_elt (Sorted_ivec.get l i), aux (i + 1))
-    in
-    aux i
-
-let scan_sorted t (pat : Pattern.t) (pos : Pattern.position) =
-  match serving_ordering pat pos with
-  | None -> None
-  | Some ord ->
-      note_ord ord;
-      let index = index_of t ord in
-      let build = builder ord in
-      let value q = Pattern.value_at pat q in
-      let seek =
-        match List.map value (Ordering.positions ord) with
-        | [ Some first; Some second; None ] -> (
-            (* Both prefix levels bound: the matches are one shared
-               terminal list, keyed directly by the scan position. *)
-            match Index.find_list index first second with
-            | None -> fun _ -> Seq.empty
-            | Some l ->
-                Telemetry.Metrics.observe m_scan_len (Sorted_ivec.length l);
-                seek_list l (fun third -> build first second third))
-        | [ Some first; None; None ] -> (
-            (* One bound level: seek over the header's pair vector keys,
-               expanding each payload list lazily. *)
-            match Index.find_vector index first with
-            | None -> fun _ -> Seq.empty
-            | Some v ->
-                Telemetry.Metrics.observe m_scan_len (Pair_vector.total v);
-                let n = Pair_vector.length v in
-                let last_k = ref min_int and last_i = ref 0 in
-                fun k ->
-                  let from = if k < !last_k then 0 else !last_i in
-                  let i = Pair_vector.search_from v ~from k in
-                  last_k := k;
-                  last_i := i;
-                  let rec aux i () =
-                    if i >= n then Seq.Nil
-                    else
-                      let second = Pair_vector.key_at v i in
-                      let l = Pair_vector.payload_at v i in
-                      Seq.append
-                        (Seq.map (fun third -> build first second third) (Sorted_ivec.to_seq l))
-                        (aux (i + 1))
-                        ()
-                  in
-                  aux i)
-        | [ None; None; None ] ->
-            (* Fully free: seek over the maintained sorted header vector,
-               expanding each header's whole subtree lazily. *)
-            let hs = Index.headers_view index in
-            let expand first =
-              match Index.find_vector index first with
-              | None -> Seq.empty
-              | Some v ->
-                  Seq.concat_map
-                    (fun (second, l) ->
-                      Seq.map (fun third -> build first second third) (Sorted_ivec.to_seq l))
-                    (Pair_vector.to_seq v)
-            in
-            let seek_headers = seek_list hs (fun h -> h) in
-            fun k -> Seq.concat_map expand (seek_headers k)
-        | _ ->
-            (* serving_ordering guarantees bound-prefix shapes only. *)
-            assert false
-      in
-      Some (ord, seek)
-
 (* A galloping cursor over ascending probes: resumes from the last hit,
    restarting when a probe goes backwards. *)
 let cursor search =
@@ -405,6 +258,11 @@ let cursor search =
     last_i := i;
     i
 
+(* Each run pushes the matches in [[lo, hi)] at the scan position: one
+   gallop to [lo] from the previous run's start, then a walk of the
+   serving structure up to [hi].  The walk reads each key once and stops
+   after key [hi - 1] (keys ascend strictly), so a merge-join probe
+   [run k (k + 1)] reads no key past its hit and allocates nothing. *)
 let seek_sorted t (pat : Pattern.t) (pos : Pattern.position) =
   match serving_ordering pat pos with
   | None -> None
@@ -416,39 +274,71 @@ let seek_sorted t (pat : Pattern.t) (pos : Pattern.position) =
       let run =
         match List.map value (Ordering.positions ord) with
         | [ Some first; Some second; None ] -> (
+            (* Both prefix levels bound: the matches are one shared
+               terminal list, keyed directly by the scan position. *)
             match Index.find_list index first second with
-            | None -> fun _ _ -> ()
+            | None -> fun _ _ _ -> ()
             | Some l ->
                 Telemetry.Metrics.observe m_scan_len (Sorted_ivec.length l);
                 let n = Sorted_ivec.length l and seek = cursor (Sorted_ivec.search_from l) in
-                fun k f ->
-                  let i = seek k in
-                  if i < n && Sorted_ivec.get l i = k then emit f first second k)
+                fun lo hi f ->
+                  let i = ref (seek lo) in
+                  while !i < n do
+                    let third = Sorted_ivec.get l !i in
+                    if third < hi then begin
+                      emit f first second third;
+                      i := if third >= hi - 1 then n else !i + 1
+                    end
+                    else i := n
+                  done)
         | [ Some first; None; None ] -> (
+            (* One bound level: the header's pair-vector keys, each with
+               its whole terminal list. *)
             match Index.find_vector index first with
-            | None -> fun _ _ -> ()
+            | None -> fun _ _ _ -> ()
             | Some v ->
                 Telemetry.Metrics.observe m_scan_len (Pair_vector.total v);
                 let n = Pair_vector.length v and seek = cursor (Pair_vector.search_from v) in
-                fun k f ->
-                  let i = seek k in
-                  if i < n && Pair_vector.key_at v i = k then
-                    Sorted_ivec.iter (fun third -> emit f first k third) (Pair_vector.payload_at v i))
-        | [ None; None; None ] -> (
-            fun k f ->
-              match Index.find_vector index k with
-              | None -> ()
-              | Some v ->
-                  Pair_vector.iter
-                    (fun second l -> Sorted_ivec.iter (fun third -> emit f k second third) l)
-                    v)
+                fun lo hi f ->
+                  let i = ref (seek lo) in
+                  while !i < n do
+                    let second = Pair_vector.key_at v !i in
+                    if second < hi then begin
+                      Sorted_ivec.iter
+                        (fun third -> emit f first second third)
+                        (Pair_vector.payload_at v !i);
+                      i := if second >= hi - 1 then n else !i + 1
+                    end
+                    else i := n
+                  done)
+        | [ None; None; None ] ->
+            (* Fully free: the sorted headers, each with its whole
+               subtree.  A single key is one header lookup. *)
+            let hs = Index.headers_view index in
+            let n = Sorted_ivec.length hs and seek = cursor (Sorted_ivec.search_from hs) in
+            let header f first =
+              ignore (Index.iter_header index first (fun second third -> emit f first second third))
+            in
+            fun lo hi f ->
+              if lo >= 0 && hi = lo + 1 then header f lo
+              else begin
+                let i = ref (seek lo) in
+                while !i < n do
+                  let first = Sorted_ivec.get hs !i in
+                  if first < hi then begin
+                    header f first;
+                    i := if first >= hi - 1 then n else !i + 1
+                  end
+                  else i := n
+                done
+              end
         | _ ->
             (* serving_ordering guarantees bound-prefix shapes only. *)
             assert false
       in
       Some (ord, run)
 
-(* --- range-splittable cursors ----------------------------------------- *)
+(* --- range boundaries --------------------------------------------------- *)
 
 (* Interior boundary keys that carve [pat]'s sorted scan on [pos] into
    [parts] contiguous key ranges.  Boundaries are taken at quantile
@@ -483,31 +373,6 @@ let scan_bounds t (pat : Pattern.t) (pos : Pattern.position) ~parts =
       | _ ->
           (* serving_ordering guarantees bound-prefix shapes only. *)
           assert false)
-
-(* Carve a seek cursor into contiguous per-range sequences at the given
-   interior boundaries: range 0 holds keys below [bounds.(0)], range i
-   the keys in [bounds.(i-1), bounds.(i)), the last range everything
-   from the final boundary up.  All seeks run eagerly here, in ascending
-   order (reusing the cursor's gallop state); the returned sequences
-   share no mutable state afterwards, so distinct ranges are safe to
-   force from distinct domains.  Concatenating the ranges in order
-   reproduces the unsplit [seek min_int] stream exactly. *)
-let split_cursor (pos : Pattern.position) bounds seek =
-  let value_of (tr : id_triple) =
-    match pos with Pattern.Subj -> tr.s | Pattern.Pred -> tr.p | Pattern.Obj -> tr.o
-  in
-  let k = Array.length bounds in
-  let parts = Array.make (k + 1) Seq.empty in
-  for i = 0 to k do
-    let s = if i = 0 then seek min_int else seek bounds.(i - 1) in
-    parts.(i) <- (if i = k then s else Seq.take_while (fun tr -> value_of tr < bounds.(i)) s)
-  done;
-  parts
-
-let scan_split t pat pos ~parts =
-  match scan_sorted t pat pos with
-  | None -> None
-  | Some (ord, seek) -> Some (ord, split_cursor pos (scan_bounds t pat pos ~parts) seek)
 
 (* --- direct accessors ------------------------------------------------ *)
 
@@ -560,26 +425,30 @@ let mem t triple =
   | None -> false
   | Some ids -> mem_ids t ids
 
-let pattern_of_terms t ?s ?p ?o () =
-  let find = Dict.Term_dict.find_term t.dict in
+let pattern_of_terms dict ?s ?p ?o () =
   let resolve = function
     | None -> Some None  (* wildcard *)
-    | Some term -> ( match find term with None -> None | Some id -> Some (Some id))
+    | Some term -> (
+        match Dict.Term_dict.find_term dict term with None -> None | Some id -> Some (Some id))
   in
   match (resolve s, resolve p, resolve o) with
   | Some s, Some p, Some o -> Some { Pattern.s; p; o }
   | _ -> None  (* some term is unknown: nothing can match *)
 
-let find t ?s ?p ?o () =
-  match pattern_of_terms t ?s ?p ?o () with
+let find_via dict iter ?s ?p ?o () =
+  match pattern_of_terms dict ?s ?p ?o () with
   | None -> Seq.empty
-  | Some pat -> Seq.map (Dict.Term_dict.decode_triple t.dict) (lookup t pat)
+  | Some pat ->
+      let acc = ref [] in
+      iter pat (fun s p o -> acc := Dict.Term_dict.decode_triple dict { s; p; o } :: !acc);
+      List.to_seq (List.rev !acc)
+
+let find t = find_via t.dict (iter t)
 
 let count_terms t ?s ?p ?o () =
-  match pattern_of_terms t ?s ?p ?o () with None -> 0 | Some pat -> count t pat
+  match pattern_of_terms t.dict ?s ?p ?o () with None -> 0 | Some pat -> count t pat
 
-let to_triples t =
-  List.of_seq (Seq.map (Dict.Term_dict.decode_triple t.dict) (full_scan t))
+let to_triples t = List.rev (fold (fun tr acc -> Dict.Term_dict.decode_triple t.dict tr :: acc) t [])
 
 (* --- invariants ------------------------------------------------------- *)
 

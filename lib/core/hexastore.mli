@@ -105,69 +105,46 @@ val remove_bulk_ids : t -> id_triple array -> int
 (** [apply_bulk_ids] with nothing to add: the number of triples
     removed.  Absent triples and repeats are ignored. *)
 
-val lookup : t -> Pattern.t -> id_triple Seq.t
-(** All matching triples, lazily, in the natural order of the index
-    serving the pattern's shape.  Each of the 8 shapes is answered by the
-    ordering that makes the access a header/vector/list traversal. *)
-
 val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
-(** [lookup] pushed: [f s p o] for every matching triple, in the same
-    order, allocating nothing per triple. *)
+(** [iter t pat f] calls [f s p o] for every triple matching [pat],
+    allocating nothing per triple.  Each of the 8 shapes is answered by
+    the ordering that makes the access a header/vector/list traversal
+    ({!Ordering.for_shape}), and the matches come in that ordering's
+    order. *)
 
 val count : t -> Pattern.t -> int
-(** Exact cardinality of [lookup], in O(log) time for any shape (vector
-    totals are maintained incrementally). *)
+(** Exact number of triples {!iter} pushes, in O(log) time for any
+    shape (vector totals are kept in the index). *)
 
 val fold : (id_triple -> 'a -> 'a) -> t -> 'a -> 'a
 (** Over all triples in (s, p, o) order ({!Index.iter_triples} of
     [spo]). *)
 
-val scan_sorted : t -> Pattern.t -> Pattern.position -> (Ordering.t * (int -> id_triple Seq.t)) option
-(** [scan_sorted t pat pos] is the seekable sorted scan behind the
-    executor's merge joins: when [pos] is free in [pat], returns the
-    ordering serving it plus a seek function — [seek k] streams the
-    matching triples whose value at [pos] is [>= k], ascending on that
-    value.  Seeks gallop forward from the previous hit
-    ({!Vectors.Sorted_ivec.search_from}), so an ascending probe sequence
-    costs the distance it covers.  On a Hexastore some ordering always
-    serves a constants-only pattern, so this returns [None] only when
-    [pos] is itself bound.  Counts as one probe of the serving
-    ordering. *)
-
 val seek_sorted :
   t -> Pattern.t -> Pattern.position ->
-  (Ordering.t * (int -> (int -> int -> int -> unit) -> unit)) option
-(** [scan_sorted] as a push cursor for merge joins: [run k f] calls
-    [f s p o] for every match whose value at the position is [k].  Probe
-    keys ascending gallop forward from the last hit; a smaller key
-    restarts the search.  Served exactly when [scan_sorted] is, by the
-    same ordering. *)
+  (Ordering.t * (int -> int -> (int -> int -> int -> unit) -> unit)) option
+(** [seek_sorted t pat pos] is the sorted range cursor behind the
+    executor's merge joins and parallel scans: when [pos] is free in
+    [pat], the ordering that lists [pat]'s bound positions first, then
+    [pos], plus [run].  [run lo hi f] calls [f s p o] for every match
+    whose value at [pos] lies in [[lo, hi)], ascending on that value
+    (in the ordering's order).  Each run gallops from the previous
+    run's start ({!Vectors.Sorted_ivec.search_from}), so ascending
+    ranges cost the distance they cover; a lower [lo] restarts the
+    search.  A merge-join probe for key [k] is [run k (k + 1)], and
+    [run min_int max_int] is the whole scan.  On a Hexastore some
+    ordering always serves a constants-only pattern, so this is [None]
+    only when [pos] is itself bound.  Counts as one probe of the
+    serving ordering. *)
 
 val scan_bounds : t -> Pattern.t -> Pattern.position -> parts:int -> int array
 (** [scan_bounds t pat pos ~parts] is the interior boundary keys that
-    carve [scan_sorted t pat pos]'s stream into [parts] contiguous,
+    carve [seek_sorted t pat pos]'s whole scan into [parts] contiguous,
     roughly size-balanced key ranges: a non-decreasing array of at most
-    [parts - 1] values at [pos].  Empty when the pattern has no serving
-    ordering, no matches, or [parts <= 1]. *)
-
-val split_cursor :
-  Pattern.position -> int array -> (int -> id_triple Seq.t) -> id_triple Seq.t array
-(** [split_cursor pos bounds seek] carves a {!scan_sorted} seek cursor
-    at the given interior boundaries: range [i] holds the matches whose
-    value at [pos] lies in [[bounds.(i-1), bounds.(i))] (unbounded at
-    the array's ends).  All seeks run eagerly during the call; the
-    returned sequences share no mutable cursor state, so distinct
-    ranges can be forced from distinct domains.  Concatenating the
-    ranges in order reproduces the unsplit [seek min_int] stream
-    exactly.  Shared so {!Delta} can split its merged cursors the same
-    way. *)
-
-val scan_split :
-  t -> Pattern.t -> Pattern.position -> parts:int ->
-  (Ordering.t * id_triple Seq.t array) option
-(** [scan_split t pat pos ~parts] is {!scan_sorted} partitioned into up
-    to [parts] contiguous ranges via {!scan_bounds}/{!split_cursor}.
-    [None] exactly when {!scan_sorted} is. *)
+    [parts - 1] values at [pos].  Range [i] is
+    [run bounds.(i-1) bounds.(i)], with [min_int] and [max_int] at the
+    two ends.  Empty when the pattern has no serving ordering, no
+    matches, or [parts <= 1]. *)
 
 (** {1 Direct vector/list accessors (the paper's notation)} *)
 
@@ -204,9 +181,23 @@ val of_triples : Rdf.Triple.t list -> t
 val remove : t -> Rdf.Triple.t -> bool
 val mem : t -> Rdf.Triple.t -> bool
 
+val pattern_of_terms :
+  Dict.Term_dict.t -> ?s:Rdf.Term.t -> ?p:Rdf.Term.t -> ?o:Rdf.Term.t -> unit -> Pattern.t option
+(** The id pattern of a term-level lookup, an absent term a wildcard;
+    [None] when a given term is unknown to the dictionary (nothing can
+    match, and no id is allocated). *)
+
+val find_via :
+  Dict.Term_dict.t -> (Pattern.t -> (int -> int -> int -> unit) -> unit) ->
+  ?s:Rdf.Term.t -> ?p:Rdf.Term.t -> ?o:Rdf.Term.t -> unit -> Rdf.Triple.t Seq.t
+(** [find_via dict iter] is the term-level lookup of any store whose
+    push read is [iter]: the matches of {!pattern_of_terms}, decoded in
+    [iter]'s order.  Shared by {!find}, [Delta.find] and
+    [Store_sig.find]. *)
+
 val find : t -> ?s:Rdf.Term.t -> ?p:Rdf.Term.t -> ?o:Rdf.Term.t -> unit -> Rdf.Triple.t Seq.t
-(** Term-level pattern lookup.  A term unknown to the dictionary yields
-    the empty sequence (and does not allocate an id). *)
+(** [find_via] over {!iter}.  A term unknown to the dictionary yields
+    the empty sequence. *)
 
 val count_terms : t -> ?s:Rdf.Term.t -> ?p:Rdf.Term.t -> ?o:Rdf.Term.t -> unit -> int
 

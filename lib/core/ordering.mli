@@ -22,7 +22,7 @@ val name : t -> string
 val of_name : string -> t option
 
 (** Which ordering serves each access shape natively (the one
-    {!Hexastore.lookup} uses). *)
+    {!Hexastore.iter} uses). *)
 val for_shape : Pattern.shape -> t
 
 val positions : t -> Pattern.position list

@@ -40,11 +40,6 @@ let iter f v =
     f (key_at v i) (v.payload i)
   done
 
-let to_seq v =
-  let n = length v in
-  let rec aux i () = if i >= n then Seq.Nil else Seq.Cons ((key_at v i, v.payload i), aux (i + 1)) in
-  aux 0
-
 let check_invariant v =
   Sorted_ivec.check_invariant v.keys;
   let sum = ref 0 in

@@ -46,8 +46,6 @@ val key_vector : t -> Vectors.Sorted_ivec.t
 val iter : (int -> Vectors.Sorted_ivec.t -> unit) -> t -> unit
 (** In ascending key order. *)
 
-val to_seq : t -> (int * Vectors.Sorted_ivec.t) Seq.t
-
 val index_geq : t -> int -> int
 
 val search_from : t -> from:int -> int -> int

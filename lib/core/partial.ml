@@ -150,11 +150,6 @@ let iter t (pat : Pattern.t) f =
   | Some x1 -> header x1
   | None -> Sorted_ivec.iter header (Index.headers_view idx)
 
-let lookup t pat =
-  let acc = ref [] in
-  iter t pat (fun s p o -> acc := ({ s; p; o } : Dict.Term_dict.id_triple) :: !acc);
-  List.to_seq (List.rev !acc)
-
 let count t pat =
   (* Exact shortcuts when the leading two positions are bound in a kept
      ordering; otherwise count the stream. *)

@@ -41,9 +41,6 @@ val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
     correct; cost depends on whether the shape's ordering (or a useful
     substitute) is materialised. *)
 
-val lookup : t -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
-(** {!iter}'s matches, materialised, in the same order. *)
-
 val count : t -> Pattern.t -> int
 
 val is_native : t -> Pattern.shape -> bool

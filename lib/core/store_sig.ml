@@ -1,10 +1,16 @@
 (** The common store interface.
 
     The query engine, the harness and parts of the test suite are generic
-    over "something that can answer triple patterns".  The Hexastore and
-    both COVP baselines implement this signature; first-class modules
-    ({!boxed}) let callers hold a heterogeneous store without functorising
-    the world. *)
+    over "something that can answer triple patterns".  The Hexastore, the
+    COVP baselines, the partial store and the delta layer implement this
+    signature; first-class modules ({!boxed}) let callers hold a
+    heterogeneous store without functorising the world.
+
+    Reads are pushed, never pulled: a store is read through {!S.iter}
+    (every match), {!S.count}, and the sorted range cursor
+    {!S.seek_sorted} with {!S.scan_bounds} to carve its scan into
+    ranges — the one mechanism behind scans, merge joins and parallel
+    fan-out. *)
 
 module type S = sig
   type t
@@ -18,35 +24,27 @@ module type S = sig
 
   val add_bulk_ids : t -> Dict.Term_dict.id_triple array -> int
 
-  val lookup : t -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
-
   val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
-  (** [lookup] pushed: [f s p o] per match, in [lookup]'s order. *)
+  (** [iter t pat f] calls [f s p o] for every match of [pat]. *)
 
   val count : t -> Pattern.t -> int
-  (** Exact cardinality of [lookup t pat]; may cost a scan on shapes the
-      store has no index for. *)
-
-  val scan_sorted : t -> Pattern.t -> Pattern.position -> (Ordering.t * (int -> Dict.Term_dict.id_triple Seq.t)) option
-  (** Seekable sorted scan of a constants-only pattern keyed on one free
-      position (see {!Hexastore.scan_sorted}).  [None] when the store
-      cannot stream the matches sorted on that position — the planner
-      then falls back to hash or nested-loop joins. *)
+  (** Exact number of matches {!iter} pushes; may cost a scan on
+      shapes the store has no index for. *)
 
   val seek_sorted :
     t -> Pattern.t -> Pattern.position ->
-    (Ordering.t * (int -> (int -> int -> int -> unit) -> unit)) option
-  (** [scan_sorted] as a push cursor: [run k f] calls [f s p o] for the
-      matches whose value at the position is [k] (see
-      {!Hexastore.seek_sorted}).  Served exactly when [scan_sorted] is. *)
+    (Ordering.t * (int -> int -> (int -> int -> int -> unit) -> unit)) option
+  (** Sorted range cursor over a constants-only pattern keyed on one
+      free position (see {!Hexastore.seek_sorted}): [run lo hi f] calls
+      [f s p o] for the matches whose value at the position lies in
+      [[lo, hi)], ascending on that value.  [None] when the store cannot
+      serve the matches in that order — the planner then falls back to
+      hash or nested-loop joins and the executor does not split. *)
 
-  val scan_split :
-    t -> Pattern.t -> Pattern.position -> parts:int ->
-    (Ordering.t * Dict.Term_dict.id_triple Seq.t array) option
-  (** [scan_sorted] partitioned into up to [parts] contiguous ranges
-      whose in-order concatenation reproduces the unsplit stream exactly
-      (see {!Hexastore.scan_split}).  [None] when the store cannot split
-      — the executor then runs the scan sequentially. *)
+  val scan_bounds : t -> Pattern.t -> Pattern.position -> parts:int -> int array
+  (** Interior boundary keys carving [seek_sorted]'s whole scan into up
+      to [parts] contiguous ranges (see {!Hexastore.scan_bounds});
+      empty when the store does not serve the scan. *)
 
   val pin : t -> (t * (unit -> unit)) option
   (** Snapshot isolation hook: [Some (view, unpin)] when the store
@@ -68,12 +66,10 @@ module Hexastore_store : S with type t = Hexastore.t = struct
   let dict = Hexastore.dict
   let size = Hexastore.size
   let add_bulk_ids = Hexastore.add_bulk_ids
-  let lookup = Hexastore.lookup
   let iter = Hexastore.iter
   let count = Hexastore.count
-  let scan_sorted = Hexastore.scan_sorted
   let seek_sorted = Hexastore.seek_sorted
-  let scan_split = Hexastore.scan_split
+  let scan_bounds = Hexastore.scan_bounds
 
   (* Queries never mutate, so with one writer paused there is nothing to
      isolate from: the live store is its own stable view. *)
@@ -89,15 +85,13 @@ module Covp1_store : S with type t = Covp.t = struct
   let dict = Covp.dict
   let size = Covp.size
   let add_bulk_ids = Covp.add_bulk_ids
-  let lookup = Covp.lookup
   let iter = Covp.iter
   let count = Covp.count
 
   (* The COVP baselines keep only per-property tables; they cannot
      stream an arbitrary pattern sorted on a chosen position. *)
-  let scan_sorted _ _ _ = None
   let seek_sorted _ _ _ = None
-  let scan_split _ _ _ ~parts:_ = None
+  let scan_bounds _ _ _ ~parts:_ = [||]
   let pin _ = None
   let repr_name _ = "raw"
   let memory_words = Covp.memory_words
@@ -116,15 +110,13 @@ module Partial_store : S with type t = Partial.t = struct
   let dict = Partial.dict
   let size = Partial.size
   let add_bulk_ids = Partial.add_bulk_ids
-  let lookup = Partial.lookup
   let iter = Partial.iter
   let count = Partial.count
 
   (* A partial store may be missing the ordering a sorted scan needs;
      stay conservative and let the planner fall back. *)
-  let scan_sorted _ _ _ = None
   let seek_sorted _ _ _ = None
-  let scan_split _ _ _ ~parts:_ = None
+  let scan_bounds _ _ _ ~parts:_ = [||]
   let pin _ = None
   let repr_name _ = "raw"
   let memory_words = Partial.memory_words
@@ -137,12 +129,10 @@ module Delta_store : S with type t = Delta.t = struct
   let dict = Delta.dict
   let size = Delta.size
   let add_bulk_ids = Delta.add_bulk_ids
-  let lookup = Delta.lookup
   let iter = Delta.iter
   let count = Delta.count
-  let scan_sorted = Delta.scan_sorted
   let seek_sorted = Delta.seek_sorted
-  let scan_split = Delta.scan_split
+  let scan_bounds = Delta.scan_bounds
   let pin d = Some (Delta.pin d)
   let repr_name d = Hexastore.repr_name (Delta.base d)
   let memory_words = Delta.memory_words
@@ -165,12 +155,10 @@ let name (Boxed ((module M), _)) = M.name
 let dict (Boxed ((module M), store)) = M.dict store
 let size (Boxed ((module M), store)) = M.size store
 let add_bulk_ids (Boxed ((module M), store)) trs = M.add_bulk_ids store trs
-let lookup (Boxed ((module M), store)) pat = M.lookup store pat
 let iter (Boxed ((module M), store)) pat f = M.iter store pat f
 let count (Boxed ((module M), store)) pat = M.count store pat
-let scan_sorted (Boxed ((module M), store)) pat pos = M.scan_sorted store pat pos
 let seek_sorted (Boxed ((module M), store)) pat pos = M.seek_sorted store pat pos
-let scan_split (Boxed ((module M), store)) pat pos ~parts = M.scan_split store pat pos ~parts
+let scan_bounds (Boxed ((module M), store)) pat pos ~parts = M.scan_bounds store pat pos ~parts
 
 let pin (Boxed ((module M), store) as b) =
   match M.pin store with
@@ -184,14 +172,4 @@ let load_triples b triples =
   let ids = Array.of_list (List.map (Dict.Term_dict.encode_triple (dict b)) triples) in
   add_bulk_ids b ids
 
-let find b ?s ?p ?o () =
-  let d = dict b in
-  let resolve = function
-    | None -> Some None
-    | Some term -> (
-        match Dict.Term_dict.find_term d term with None -> None | Some id -> Some (Some id))
-  in
-  match (resolve s, resolve p, resolve o) with
-  | Some s, Some p, Some o ->
-      Seq.map (Dict.Term_dict.decode_triple d) (lookup b { Pattern.s; p; o })
-  | _ -> Seq.empty
+let find b = Hexastore.find_via (dict b) (iter b)

@@ -1,10 +1,16 @@
 (** The common store interface.
 
     The query engine, the harness and parts of the test suite are generic
-    over "something that can answer triple patterns".  The Hexastore and
-    both COVP baselines implement this signature; first-class modules
-    ({!boxed}) let callers hold a heterogeneous store without functorising
-    the world. *)
+    over "something that can answer triple patterns".  The Hexastore, the
+    COVP baselines, the partial store and the delta layer implement this
+    signature; first-class modules ({!boxed}) let callers hold a
+    heterogeneous store without functorising the world.
+
+    Reads are pushed, never pulled: a store is read through {!S.iter}
+    (every match), {!S.count}, and the sorted range cursor
+    {!S.seek_sorted} with {!S.scan_bounds} to carve its scan into
+    ranges — the one mechanism behind scans, merge joins and parallel
+    fan-out. *)
 
 module type S = sig
   type t
@@ -18,40 +24,27 @@ module type S = sig
 
   val add_bulk_ids : t -> Dict.Term_dict.id_triple array -> int
 
-  val lookup : t -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
-
   val iter : t -> Pattern.t -> (int -> int -> int -> unit) -> unit
-  (** [lookup] pushed: [f s p o] per match, in [lookup]'s order. *)
+  (** [iter t pat f] calls [f s p o] for every match of [pat]. *)
 
   val count : t -> Pattern.t -> int
-  (** Exact cardinality of [lookup t pat]; may cost a scan on shapes the
-      store has no index for. *)
-
-  val scan_sorted : t -> Pattern.t -> Pattern.position -> (Ordering.t * (int -> Dict.Term_dict.id_triple Seq.t)) option
-  (** Seekable sorted scan of a constants-only pattern keyed on one free
-      position (see {!Hexastore.scan_sorted}): [seek k] streams matches
-      whose value at the position is [>= k], ascending on that value.
-      [None] when the store cannot serve the matches in that order — the
-      planner then falls back to hash or nested-loop joins.  A Hexastore
-      always serves it; the COVP baselines and the partial store never
-      do; a delta layer merges its buffers into the base's scan. *)
+  (** Exact number of matches {!iter} pushes; may cost a scan on
+      shapes the store has no index for. *)
 
   val seek_sorted :
     t -> Pattern.t -> Pattern.position ->
-    (Ordering.t * (int -> (int -> int -> int -> unit) -> unit)) option
-  (** [scan_sorted] as a push cursor: [run k f] calls [f s p o] for the
-      matches whose value at the position is [k] (see
-      {!Hexastore.seek_sorted}).  Served exactly when [scan_sorted] is. *)
+    (Ordering.t * (int -> int -> (int -> int -> int -> unit) -> unit)) option
+  (** Sorted range cursor over a constants-only pattern keyed on one
+      free position (see {!Hexastore.seek_sorted}): [run lo hi f] calls
+      [f s p o] for the matches whose value at the position lies in
+      [[lo, hi)], ascending on that value.  [None] when the store cannot
+      serve the matches in that order — the planner then falls back to
+      hash or nested-loop joins and the executor does not split. *)
 
-  val scan_split :
-    t -> Pattern.t -> Pattern.position -> parts:int ->
-    (Ordering.t * Dict.Term_dict.id_triple Seq.t array) option
-  (** [scan_sorted] partitioned into up to [parts] contiguous ranges
-      whose in-order concatenation reproduces the unsplit stream exactly
-      (see {!Hexastore.scan_split}); every seek runs eagerly during the
-      call, so the ranges are safe to force from distinct domains.
-      [None] when the store cannot split — the executor then runs the
-      scan sequentially. *)
+  val scan_bounds : t -> Pattern.t -> Pattern.position -> parts:int -> int array
+  (** Interior boundary keys carving [seek_sorted]'s whole scan into up
+      to [parts] contiguous ranges (see {!Hexastore.scan_bounds});
+      empty when the store does not serve the scan. *)
 
   val pin : t -> (t * (unit -> unit)) option
   (** Snapshot isolation hook: [Some (view, unpin)] when the store
@@ -60,8 +53,8 @@ module type S = sig
       stable under the one-writer protocol. *)
 
   val repr_name : t -> string
-  (** The codec of the store's index streams, "raw" or "packed" (see
-      {!Hexastore.repr_name}).  Baseline stores are always "raw". *)
+  (** The codec of the store's index streams, "raw" or "packed".
+      Baseline stores are always "raw". *)
 
   val memory_words : t -> int
 end
@@ -97,20 +90,14 @@ val name : boxed -> string
 val dict : boxed -> Dict.Term_dict.t
 val size : boxed -> int
 val add_bulk_ids : boxed -> Dict.Term_dict.id_triple array -> int
-val lookup : boxed -> Pattern.t -> Dict.Term_dict.id_triple Seq.t
 val iter : boxed -> Pattern.t -> (int -> int -> int -> unit) -> unit
 val count : boxed -> Pattern.t -> int
 
-val scan_sorted :
-  boxed -> Pattern.t -> Pattern.position -> (Ordering.t * (int -> Dict.Term_dict.id_triple Seq.t)) option
-
 val seek_sorted :
   boxed -> Pattern.t -> Pattern.position ->
-  (Ordering.t * (int -> (int -> int -> int -> unit) -> unit)) option
+  (Ordering.t * (int -> int -> (int -> int -> int -> unit) -> unit)) option
 
-val scan_split :
-  boxed -> Pattern.t -> Pattern.position -> parts:int ->
-  (Ordering.t * Dict.Term_dict.id_triple Seq.t array) option
+val scan_bounds : boxed -> Pattern.t -> Pattern.position -> parts:int -> int array
 
 val pin : boxed -> boxed * (unit -> unit)
 (** [pin b] is [(view, unpin)]: a stable read view of [b] plus its

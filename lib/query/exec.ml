@@ -179,7 +179,7 @@ let merge store (ctp : Compile.tp) bound v pos k =
           let k = counted m_rows_scan k in
           fun row ->
             let key = row.(v) in
-            if key >= 0 then run key (fun s p o -> if bind row acts s p o then k row))
+            if key >= 0 then run key (key + 1) (fun s p o -> if bind row acts s p o then k row))
 
 (* Hash join: enumerate the pattern's matches once, independently of
    the rows, keyed on the shared slots' values, then probe per row.  The
@@ -249,20 +249,30 @@ let rec pipeline store bound choices k =
       in
       step store bound c next
 
+(* The interior boundaries that split [pat]'s sorted scan on [pos] of
+   the pinned [view] into at most [parts] ranges ([Store_sig.scan_bounds]);
+   [None] when the store serves no sorted scan there. *)
+let split_bounds view pat pos parts =
+  match Hexa.Store_sig.seek_sorted view pat pos with
+  | None -> None
+  | Some _ -> Some (Hexa.Store_sig.scan_bounds view pat pos ~parts)
+
 (* Domain-parallel BGP evaluation.  The driving scan is split into
-   contiguous ranges on its sort position ([Store_sig.scan_split]); each
-   range seeds the full downstream pipeline — merge/hash probes included
-   — as one task on the [Par] pool, over a pinned view of the store so a
-   concurrent delta writer cannot mutate what the lanes read.  Ranges
+   contiguous key ranges on its sort position ([split_bounds]); each
+   range opens its own sorted cursor on a pinned view of the store (so a
+   concurrent delta writer cannot mutate what the lanes read) and runs
+   it straight into its own copy of the full downstream pipeline —
+   merge/hash probes included — as one task on the [Par] pool.  Ranges
    partition the scan in output order, and every step is
-   left-order-preserving, so concatenating the per-domain runs in range
+   left-order-preserving, so concatenating the per-range rows in range
    order reproduces the sequential stream exactly (row counters stay
    exact; per-call counters like [query.join.*] and the hash build span
-   inflate by the part count — see DESIGN.md §13).  Unlike the
-   sequential path the fan-out is eager: all ranges run to completion
-   even if the consumer stops early (LIMIT/ASK).
+   inflate by the part count — see DESIGN.md §13).  The rows are
+   collected per range because the caller's sink is not domain-safe.
+   Unlike the sequential path the fan-out is eager: all ranges run to
+   completion even if the consumer stops early (LIMIT/ASK).
 
-   [false] means "could not fan out" (store refused the split): fall
+   [false] means "could not fan out" (no sorted scan to split): fall
    back to the sequential pipeline. *)
 let bgp_parallel store width (first : Planner.choice) rest parts pos k =
   let fanout achieved =
@@ -280,19 +290,20 @@ let bgp_parallel store width (first : Planner.choice) rest parts pos k =
       let view, unpin = Hexa.Store_sig.pin store in
       let runs =
         Fun.protect ~finally:unpin (fun () ->
-            match Hexa.Store_sig.scan_split view pat pos ~parts with
+            match split_bounds view pat pos parts with
             | None ->
                 fanout 0;
                 None
-            | Some (_ord, ranges) ->
-                fanout (Array.length ranges);
+            | Some bounds ->
+                let n = Array.length bounds in
+                fanout (n + 1);
                 (* The fan-out span hands its handle to every range task,
                    so the per-range spans (completing on pool domains)
                    attach under the submitting query's trace tree instead
                    of floating as per-domain roots. *)
                 Telemetry.Trace.with_span_h "exec.bgp.parallel" (fun parent ->
                     let acts = actions ctp [] in
-                    let task range () =
+                    let task i () =
                       Telemetry.Trace.with_span ~parent "exec.bgp.par_range" (fun () ->
                           let out = ref [] in
                           let sink =
@@ -301,10 +312,15 @@ let bgp_parallel store width (first : Planner.choice) rest parts pos k =
                           in
                           let sink = counted m_rows_scan sink in
                           let row = Array.make width unbound in
-                          Seq.iter (fun tr -> if bind_triple row acts tr then sink row) range;
+                          let lo = if i = 0 then min_int else bounds.(i - 1)
+                          and hi = if i = n then max_int else bounds.(i) in
+                          (match Hexa.Store_sig.seek_sorted view pat pos with
+                          | Some (_ord, run) ->
+                              run lo hi (fun s p o -> if bind row acts s p o then sink row)
+                          | None -> ());
                           List.rev !out)
                     in
-                    Some (Par.run (Array.map task ranges))))
+                    Some (Par.run (Array.init (n + 1) task))))
       in
       match runs with
       | None -> false
@@ -671,8 +687,6 @@ let recorded_entry q rows_of f =
   Telemetry.Trace.emit (Telemetry.Trace.Query_end { op; patterns; rows = rows_of x });
   x
 
-let run_seq store q () = List.to_seq (solutions store q) ()
-
 let run store q =
   recorded_entry q List.length (fun () ->
       Telemetry.Trace.with_span "exec.run" (fun () -> solutions store q))
@@ -768,8 +782,8 @@ let measure_eval ~analyze thunk =
   end
 
 (* ANALYZE companion to the planner's [par=N] hint: how many ranges the
-   store would actually split the driving scan into, via the same
-   pinned-view [scan_split] the parallel path takes.  [Some 0] means
+   executor would actually run the driving scan as, from the same
+   pinned-view [split_bounds] the parallel path takes.  [Some 0] means
    the split would be refused at execution (sequential fallback). *)
 let achieved_fanout store (c : Planner.choice) =
   match c.Planner.par with
@@ -779,9 +793,9 @@ let achieved_fanout store (c : Planner.choice) =
       | Some pat ->
           let view, unpin = Hexa.Store_sig.pin store in
           Fun.protect ~finally:unpin (fun () ->
-              match Hexa.Store_sig.scan_split view pat par_pos ~parts:par_parts with
+              match split_bounds view pat par_pos par_parts with
               | None -> Some 0
-              | Some (_ord, ranges) -> Some (Array.length ranges))
+              | Some bounds -> Some (Array.length bounds + 1))
       | None -> Some 0)
 
 (* Rows out of the first steps of a planned BGP: the same step chain

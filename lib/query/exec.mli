@@ -31,11 +31,6 @@ val query_label : Algebra.t -> string
     bracket themselves with [Trace.Query_start]/[Query_end] under this
     label (a crash therefore shows as an unmatched start in the dump). *)
 
-val run_seq : Hexa.Store_sig.boxed -> Algebra.t -> Binding.t Seq.t
-(** {!run} deferred until the sequence is first forced, which evaluates
-    the whole query.  Unlike the blocking entry points, emits no
-    flight-recorder events. *)
-
 val run : Hexa.Store_sig.boxed -> Algebra.t -> Binding.t list
 
 val ask : Hexa.Store_sig.boxed -> Algebra.t -> bool

@@ -39,8 +39,8 @@ val run : (unit -> 'a) array -> 'a array
     concurrent or nested [run] calls cannot deadlock.  If a thunk
     raises, the batch still completes and the first-slot exception is
     re-raised in the caller.  Thunks must be safe to run on any domain:
-    for store scans that means eagerly-seeked {!Hexa.Store_sig.scan_split}
-    ranges over a pinned view. *)
+    for store scans that means one {!Hexa.Store_sig.seek_sorted} cursor
+    per thunk over a pinned view. *)
 
 val pool_size : unit -> int
 (** Lanes currently backing {!run}: spawned workers + the caller.  1

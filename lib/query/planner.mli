@@ -14,7 +14,7 @@
     - {!Merge_join} when the accumulated bindings stream sorted on the
       single shared variable (all step operators preserve the first
       scan's order) {e and} the store can serve the pattern's matches
-      sorted on that variable's position ({!Hexa.Store_sig.scan_sorted}).
+      sorted on that variable's position ({!Hexa.Store_sig.seek_sorted}).
       A Hexastore — and a delta view over one — always can; the COVP
       baselines never can.
     - {!Hash_join} when variables are shared but the sorted-merge
@@ -50,8 +50,8 @@ type strategy =
 
 (** Fan-out hint on a BGP's driving scan: the executor splits the scan
     into [par_parts] contiguous ranges on the value at [par_pos]
-    ({!Hexa.Store_sig.scan_split}) and runs the downstream pipeline per
-    range on the {!Par} domain pool, concatenating the per-range runs in
+    ({!Hexa.Store_sig.scan_bounds}) and runs the downstream pipeline per
+    range, each on its own sorted cursor, on the {!Par} domain pool, concatenating the per-range runs in
     order.  Planned only when {!Par.domains}[ () > 1], the estimate
     clears {!parallel_min_rows}, and the store can serve a sorted scan
     on the pattern's first free variable. *)
@@ -108,7 +108,7 @@ val sorted_slot : Hexa.Store_sig.boxed -> choice list -> int option
 (** The slot a planned BGP's rows arrive sorted on: the first free
     variable of the driving scan, which every later step keeps in order.
     [None] unless the store serves that scan sorted
-    ({!Hexa.Store_sig.scan_sorted}), the proof that its lookups stream in
+    ({!Hexa.Store_sig.seek_sorted}), the proof that its reads stream in
     the ordering's order. *)
 
 val order_bgp : Hexa.Store_sig.boxed -> Algebra.tp list -> Algebra.tp list

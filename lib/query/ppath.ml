@@ -154,32 +154,24 @@ let parse ?namespaces text =
 
 let pid h iri = Compile.term_id (Hexa.Hexastore.dict h) (Rdf.Term.iri iri)
 
-(* Forward step over one property for a sorted frontier. *)
-let step_pred h p frontier =
-  let out = Sorted_ivec.create () in
-  (match pid h p with
-  | None -> ()
+(* One step over property [p] for a sorted frontier: [next p node]
+   is the nodes one edge away.  The reached nodes are collected, then
+   sorted and de-duplicated once, not inserted one by one. *)
+let step_over h p frontier next =
+  match pid h p with
+  | None -> Sorted_ivec.create ()
   | Some p ->
+      let out = Dynarray_int.create () in
       Sorted_ivec.iter
-        (fun node ->
-          match Hexa.Hexastore.objects_of_sp h ~s:node ~p with
-          | None -> ()
-          | Some ol -> Sorted_ivec.iter (fun o -> ignore (Sorted_ivec.add out o)) ol)
-        frontier);
-  out
+        (fun node -> Option.iter (Sorted_ivec.iter (Dynarray_int.push out)) (next p node))
+        frontier;
+      Dynarray_int.sort_uniq out;
+      Sorted_ivec.of_sorted_array (Dynarray_int.to_array out)
+
+let step_pred h p frontier = step_over h p frontier (fun p s -> Hexa.Hexastore.objects_of_sp h ~s ~p)
 
 let step_pred_inv h p frontier =
-  let out = Sorted_ivec.create () in
-  (match pid h p with
-  | None -> ()
-  | Some p ->
-      Sorted_ivec.iter
-        (fun node ->
-          match Hexa.Hexastore.subjects_of_po h ~p ~o:node with
-          | None -> ()
-          | Some sl -> Sorted_ivec.iter (fun s -> ignore (Sorted_ivec.add out s)) sl)
-        frontier);
-  out
+  step_over h p frontier (fun p o -> Hexa.Hexastore.subjects_of_po h ~p ~o)
 
 (* Reachable set of a frontier through a path; [inverted] flips edge
    direction (for eval_into). *)

@@ -1,11 +1,14 @@
 (** Property-path expressions (SPARQL 1.1 style) over a Hexastore.
 
-    Generalises {!Path}'s fixed chains to the full path algebra —
-    sequence, alternative, inverse, optional, and the transitive
-    closures [+] and [*] that §4.3 frames as the RDF instance of the
-    transitive-closure problem.  Closures are evaluated on demand by
-    frontier search over the store's sorted indices ([pso] forward,
-    [pos] backward), never by materialising path tables.
+    §4.3's path expressions: a fixed property chain p{_1}/…/p{_n} is a
+    [Seq] of [Pred]s, whose (start, end) pairs are {!pairs} and whose
+    reachable set from one node is {!eval_from}.  The full path algebra
+    adds alternative, inverse, optional, and the transitive closures
+    [+] and [*] that §4.3 frames as the RDF instance of the
+    transitive-closure problem.  Every step reads the store's sorted
+    indices (o-lists of (s, p) forward, s-lists of (p, o) backward) and
+    builds each frontier with one sort, and closures are evaluated on
+    demand by frontier search, never by materialising path tables.
 
     Surface syntax accepted by {!parse} (binding tightest to loosest:
     grouping, [^], postfix [+ * ?], [/], [|]):

@@ -17,7 +17,7 @@
     are dropped (they could never join with stored data).
 
     Not covered: [DESCRIBE], property paths
-    (see {!Path} for the §4.3 evaluator), subqueries, [VALUES]. *)
+    (see {!Ppath} for the §4.3 evaluator), subqueries, [VALUES]. *)
 
 exception Parse_error of int * string
 (** Line-numbered syntax error (1-based). *)

@@ -248,15 +248,6 @@ let to_array v =
 
 let to_list v = Array.to_list (to_array v)
 
-let seq_from v i =
-  let n = length v in
-  let rec aux i () = if i >= n then Seq.Nil else Seq.Cons (unsafe_get v i, aux (i + 1)) in
-  aux i
-
-let to_seq v = seq_from v 0
-
-let to_seq_from v x = seq_from v (index_geq v x)
-
 let choose_arbitrary v = if is_empty v then None else Some (unsafe_get v 0)
 
 let subset a b =

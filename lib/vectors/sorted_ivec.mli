@@ -123,11 +123,6 @@ val to_list : t -> int list
 
 val to_array : t -> int array
 
-val to_seq : t -> int Seq.t
-
-val to_seq_from : t -> int -> int Seq.t
-(** Elements [>= x] in ascending order. *)
-
 val choose_arbitrary : t -> int option
 (** Some element, or [None] on empty (the smallest, in fact). *)
 

@@ -425,9 +425,9 @@ let prop_delta_differential_wide =
    between them (entries leave the buffer before they were ever filed),
    a flush or a compaction.  Over a base bulk-loaded from the first
    triples, removals tombstone and re-adds resurrect.  After every step
-   the delta must pass [Invariant.delta], and every merged read — sorted
-   scan on each free position, lookup and count — must equal the same
-   read on a store built from the reference set. *)
+   the delta must pass [Invariant.delta], and every merged read — [iter],
+   ranged [seek_sorted] runs on each free position and [count] — must
+   equal [Check.Model] over the reference set, order included. *)
 module Tset = Set.Make (struct
   type t = id3
 
@@ -471,21 +471,26 @@ let tiny_patterns =
     vals
 
 let buffer_reads_agree d model =
-  let clone = Hexastore.create () in
-  ignore (Hexastore.add_bulk_ids clone (Array.of_list (Tset.elements model)));
+  let m = C.Model.create () in
+  Tset.iter (fun tr -> ignore (C.Model.add m tr)) model;
   List.for_all
     (fun (pat : Pattern.t) ->
+      let want ord = List.sort (Ordering.compare_triples ord) (C.Model.lookup m pat) in
       let scans_agree pos =
         Pattern.value_at pat pos <> None
         ||
-        match (Delta.scan_sorted d pat pos, Hexastore.scan_sorted clone pat pos) with
-        | Some (_, seek), Some (_, seek') ->
-            List.for_all (fun k -> List.of_seq (seek k) = List.of_seq (seek' k)) [ 0; 2 ]
-        | None, None -> true
-        | _ -> false
+        match Delta.seek_sorted d pat pos with
+        | Some (ord, run) ->
+            let value (tr : id3) = match pos with Pattern.Subj -> tr.s | Pred -> tr.p | Obj -> tr.o in
+            List.for_all
+              (fun (lo, hi) ->
+                C.Model.pushed (run lo hi)
+                = List.filter (fun tr -> lo <= value tr && value tr < hi) (want ord))
+              [ (0, 1); (2, 3); (0, max_int); (min_int, max_int) ]
+        | None -> false
       in
-      List.of_seq (Delta.lookup d pat) = List.of_seq (Hexastore.lookup clone pat)
-      && Delta.count d pat = Hexastore.count clone pat
+      C.Model.pushed (Delta.iter d pat) = want (Ordering.for_shape (Pattern.shape pat))
+      && Delta.count d pat = List.length (C.Model.lookup m pat)
       && List.for_all scans_agree [ Pattern.Subj; Pattern.Pred; Pattern.Obj ])
     tiny_patterns
 
@@ -528,7 +533,7 @@ let test_delta_pin_unfiled () =
       let pats = Pattern.wildcard :: List.init 7 (fun o -> Pattern.make ~o ()) in
       let pats = pats @ List.init 3 (fun p -> Pattern.make ~p ~o:p ()) in
       let answers () =
-        List.map (fun pat -> (List.of_seq (Delta.lookup view pat), Delta.count view pat)) pats
+        List.map (fun pat -> (C.Model.pushed (Delta.iter view pat), Delta.count view pat)) pats
       in
       let before = answers () in
       for i = 0 to 299 do
@@ -740,9 +745,10 @@ let test_delta_level_memory_exact () =
    pins on a delta with thresholds of 1 to 3 over a base of 30 to 60
    triples, so auto-flushes merge into the level, cancel level entries
    and migrate it, all often.  After every step each read path equals
-   [Check.Model]: [lookup] (contents and the serving ordering's order),
-   [iter], [count] and [mem]; [seek_sorted] probed in descending order;
-   [scan_split] at 1 to 4 parts.  A pin step hands the view to a second
+   [Check.Model]: [iter] (contents and the serving ordering's order),
+   [count] and [mem]; [seek_sorted] probed for single keys in
+   descending order; the ranges of [scan_bounds] at 1 to 4 parts, each
+   run on its own cursor, concatenated.  A pin step hands the view to a second
    domain, which reads it while the writer goes on writing (level
    merges do not wait for it; a migration waits for its release). *)
 type level_step =
@@ -803,33 +809,38 @@ let level_reads_disagree d expected =
           List.filter (fun pos -> Pattern.value_at pat pos = None) [ Pattern.Subj; Pattern.Pred; Pattern.Obj ]
         in
         let scans pos =
-          match (Delta.seek_sorted d pat pos, Delta.scan_split d pat pos ~parts:1) with
-          | Some (ord, run), Some (ord', _) when ord = ord' ->
+          match Delta.seek_sorted d pat pos with
+          | Some (ord, run) ->
               let probes =
                 List.for_all
                   (fun k ->
-                    let got = ref [] in
-                    run k (fun s p o -> got := t3 s p o :: !got);
-                    List.rev !got = in_order ord (matching (with_value pat pos k)))
+                    C.Model.pushed (run k (k + 1)) = in_order ord (matching (with_value pat pos k)))
                   [ 4; 3; 2; 1; 0 ]
               in
+              (* One cursor per range, as the executor's parallel tasks
+                 open them. *)
               let splits =
                 List.for_all
                   (fun parts ->
-                    match Delta.scan_split d pat pos ~parts with
-                    | None -> false
-                    | Some (o, ranges) ->
-                        o = ord
-                        && List.concat_map List.of_seq (Array.to_list ranges)
-                           = in_order ord (matching pat))
+                    let bounds = Delta.scan_bounds d pat pos ~parts in
+                    let n = Array.length bounds in
+                    let range i =
+                      match Delta.seek_sorted d pat pos with
+                      | None -> []
+                      | Some (_, run) ->
+                          C.Model.pushed
+                            (run
+                               (if i = 0 then min_int else bounds.(i - 1))
+                               (if i = n then max_int else bounds.(i)))
+                    in
+                    n < parts && List.concat (List.init (n + 1) range) = in_order ord (matching pat))
                   [ 1; 2; 3; 4 ]
               in
               (if probes then [] else [ name "seek_sorted" ])
-              @ if splits then [] else [ name "scan_split" ]
-          | _ -> [ name "sorted scan offer" ]
+              @ if splits then [] else [ name "scan_bounds ranges" ]
+          | None -> [ name "sorted scan offer" ]
         in
-        (if List.of_seq (Delta.lookup d pat) = want then [] else [ name "lookup" ])
-        @ (if List.rev !pushed = want then [] else [ name "iter" ])
+        (if List.rev !pushed = want then [] else [ name "iter" ])
         @ (if Delta.count d pat = List.length want then [] else [ name "count" ])
         @ List.concat_map scans free)
       level_patterns

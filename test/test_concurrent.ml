@@ -196,11 +196,14 @@ let test_with_domains_restores () =
 (* Split-scan ≡ unsplit scan (satellite 3)                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Interprets the generated case against one store's scan API: encode
+(* Interprets the generated case against one store's read API: encode
    the bound terms through its dictionary, pick a free position, and
-   demand that concatenating the k split ranges reproduces the unsplit
-   cursor exactly — same serving ordering, same triples, same order. *)
-let split_matches ~dict ~scan_sorted ~scan_split (mask, (si, pi, oi), posidx, parts) =
+   demand that the ranges [scan_bounds] carves, each run on its own
+   [seek_sorted] cursor and concatenated, reproduce the whole-scan run
+   [run min_int max_int] exactly, and that the whole scan is the
+   pattern's matches among all the store's triples ([iter] of the
+   wildcard, into [Check.Model]) sorted in the serving ordering. *)
+let split_matches ~dict ~seek_sorted ~scan_bounds ~iter (mask, (si, pi, oi), posidx, parts) =
   let bound bit term = if mask land bit = bit then Some term else None in
   let enc = function
     | None -> None
@@ -222,17 +225,27 @@ let split_matches ~dict ~scan_sorted ~scan_split (mask, (si, pi, oi), posidx, pa
       [ (Hexa.Pattern.Subj, 1); (Hexa.Pattern.Pred, 2); (Hexa.Pattern.Obj, 4) ]
   in
   let pos = List.nth free (posidx mod List.length free) in
-  match scan_split pat pos ~parts with
-  | None -> scan_sorted pat pos = None
-  | Some (ord, ranges) -> (
-      match scan_sorted pat pos with
-      | None -> false
-      | Some (ord', seek) ->
-          ord = ord'
-          && Array.length ranges >= 1
-          && Array.length ranges <= parts
-          && List.concat_map List.of_seq (Array.to_list ranges)
-             = List.of_seq (seek min_int))
+  let run lo hi =
+    match seek_sorted pat pos with
+    | None -> []
+    | Some (_, run) -> Check.Model.pushed (run lo hi)
+  in
+  match seek_sorted pat pos with
+  | None -> false
+  | Some (ord, _) ->
+      let bounds = scan_bounds pat pos ~parts in
+      let n = Array.length bounds in
+      let ranges =
+        List.init (n + 1) (fun i ->
+            run (if i = 0 then min_int else bounds.(i - 1)) (if i = n then max_int else bounds.(i)))
+      in
+      let whole = run min_int max_int in
+      let model =
+        let m = Check.Model.create () in
+        iter Hexa.Pattern.wildcard (fun s p o -> ignore (Check.Model.add m { Dict.Term_dict.s; p; o }));
+        List.sort (Hexa.Ordering.compare_triples ord) (Check.Model.lookup m pat)
+      in
+      n < parts && List.concat ranges = whole && whole = model
 
 let split_store = lazy (make_hexastore ())
 let split_delta = lazy (make_delta ())
@@ -243,7 +256,7 @@ let gen_split_case =
       (fun (mask, ids, posidx, parts) -> (mask, ids, posidx, parts))
       (quad (int_bound 6) (* all shapes except fully bound *)
          (triple (int_bound (num_nodes - 1)) (int_bound (num_preds - 1)) (int_bound (num_nodes - 1)))
-         (int_bound 2) (int_range 1 7)))
+         (int_bound 2) (int_range 1 4)))
 
 let prop_split_concat =
   QCheck.Test.make
@@ -256,12 +269,10 @@ let prop_split_concat =
     (fun case ->
       let h = Lazy.force split_store in
       let d = Lazy.force split_delta in
-      split_matches ~dict:(Hexa.Hexastore.dict h)
-        ~scan_sorted:(Hexa.Hexastore.scan_sorted h)
-        ~scan_split:(Hexa.Hexastore.scan_split h) case
-      && split_matches ~dict:(Hexa.Delta.dict d)
-           ~scan_sorted:(Hexa.Delta.scan_sorted d)
-           ~scan_split:(Hexa.Delta.scan_split d) case)
+      split_matches ~dict:(Hexa.Hexastore.dict h) ~seek_sorted:(Hexa.Hexastore.seek_sorted h)
+        ~scan_bounds:(Hexa.Hexastore.scan_bounds h) ~iter:(Hexa.Hexastore.iter h) case
+      && split_matches ~dict:(Hexa.Delta.dict d) ~seek_sorted:(Hexa.Delta.seek_sorted d)
+           ~scan_bounds:(Hexa.Delta.scan_bounds d) ~iter:(Hexa.Delta.iter d) case)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel ≡ sequential differential (tentpole)                       *)
@@ -418,14 +429,14 @@ let test_pin_spares_level_merge () =
   ignore (Hexa.Delta.add_bulk_ids d (Array.init 200 (fun i ->
       Dict.Term_dict.encode_triple (Hexa.Delta.dict d) (t i))));
   let view, unpin = Hexa.Delta.pin d in
-  let before = List.of_seq (Hexa.Delta.lookup view Hexa.Pattern.wildcard) in
+  let before = Check.Model.pushed (Hexa.Delta.iter view Hexa.Pattern.wildcard) in
   for i = 1000 to 1003 do
     ignore (Hexa.Delta.add d (t i))
   done;
   check_int "merged into the level under the pin" 4 (Hexa.Delta.level_size d);
   check_int "buffers drained" 0 (Hexa.Delta.pending_inserts d);
   check_bool "the view is unchanged" true
-    (List.of_seq (Hexa.Delta.lookup view Hexa.Pattern.wildcard) = before);
+    (Check.Model.pushed (Hexa.Delta.iter view Hexa.Pattern.wildcard) = before);
   let flushed = Atomic.make false in
   let flusher =
     Domain.spawn (fun () ->

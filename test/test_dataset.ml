@@ -35,7 +35,7 @@ let test_shared_dictionary () =
   (* "a" got one id, visible identically from every graph. *)
   let id = Option.get (Dict.Term_dict.find_term (Dataset.dict d) (ex "a")) in
   let in_graph ?graph () =
-    List.of_seq (Dataset.lookup d ?graph (Pattern.make ~s:id ()))
+    Check.Model.pushed (Dataset.lookup d ?graph (Pattern.make ~s:id ()))
   in
   check_int "a in default" 1 (List.length (in_graph ()));
   check_int "a in g1" 1 (List.length (in_graph ~graph:g1 ()));
@@ -45,7 +45,9 @@ let test_shared_dictionary () =
 let test_lookup_all_tags_graphs () =
   let d = sample () in
   let id = Option.get (Dict.Term_dict.find_term (Dataset.dict d) (ex "a")) in
-  let hits = List.of_seq (Dataset.lookup_all d (Pattern.make ~s:id ())) in
+  let hits = ref [] in
+  Dataset.lookup_all d (Pattern.make ~s:id ()) (fun g s p o -> hits := (g, (s, p, o)) :: !hits);
+  let hits = List.rev !hits in
   check_int "three graphs match" 3 (List.length hits);
   let tags = List.sort compare (List.map (fun (g, _) -> Option.map Term.to_string g) hits) in
   Alcotest.(check (list (option string))) "tags"
@@ -116,7 +118,7 @@ let test_delta_fronted_graph () =
   check_int "dataset sees flushed updates" 5 (Dataset.size d);
   check_bool "dataset lookup finds flushed triple" true
     (let id = Option.get (Dict.Term_dict.find_term (Dataset.dict d) (ex "n1")) in
-     Dataset.lookup d ~graph:g1 (Pattern.make ~s:id ()) () <> Seq.Nil);
+     Check.Model.pushed (Dataset.lookup d ~graph:g1 (Pattern.make ~s:id ())) <> []);
   no_violations "dataset coherent after flush" (C.Invariant.dataset d);
   (* Compact forces the rebuild path; the graph's identity must survive
      so the dataset observes the rebuilt contents through its alias. *)
@@ -226,9 +228,9 @@ let prop_dataset_quad_ops =
             |> List.sort compare
           in
           let actual =
-            Dataset.lookup d ?graph:(graph_of gi) (Pattern.make ())
-            |> Seq.map (Dict.Term_dict.decode_triple (Dataset.dict d))
-            |> List.of_seq |> List.sort compare
+            Check.Model.pushed (Dataset.lookup d ?graph:(graph_of gi) (Pattern.make ()))
+            |> List.map (Dict.Term_dict.decode_triple (Dataset.dict d))
+            |> List.sort compare
           in
           if expected <> actual then
             QCheck.Test.fail_reportf "graph %d: %d expected vs %d actual" gi

@@ -21,7 +21,8 @@ module T3set = Set.Make (T3)
 
 let t3 s p o = { s; p; o }
 
-let sorted_triples seq = List.sort T3.compare (List.of_seq seq)
+(* A push read's triples ([Hexastore.iter h pat] and the like), sorted. *)
+let sorted_triples read = List.sort T3.compare (Check.Model.pushed read)
 
 let triple_list =
   Alcotest.testable
@@ -167,7 +168,7 @@ let test_hexa_all_patterns_figure1 () =
   List.iter
     (fun pat ->
       let expected = T3set.elements (T3set.filter (Pattern.matches pat) model) in
-      let got = sorted_triples (Hexastore.lookup h pat) in
+      let got = sorted_triples (Hexastore.iter h pat) in
       Alcotest.check triple_list (Format.asprintf "lookup %a" Pattern.pp pat) expected got;
       check_int
         (Format.asprintf "count %a" Pattern.pp pat)
@@ -254,8 +255,8 @@ let test_hexa_bulk_equals_incremental () =
   check_int "bulk reports new count" (Hexastore.size h1) added;
   Hexastore.check_invariant h2;
   Alcotest.check triple_list "same contents"
-    (sorted_triples (Hexastore.lookup h1 Pattern.wildcard))
-    (sorted_triples (Hexastore.lookup h2 Pattern.wildcard));
+    (sorted_triples (Hexastore.iter h1 Pattern.wildcard))
+    (sorted_triples (Hexastore.iter h2 Pattern.wildcard));
   (* Bulk into a non-empty store deduplicates against existing content. *)
   check_int "re-bulk adds nothing" 0 (Hexastore.add_bulk_ids h2 data)
 
@@ -322,7 +323,7 @@ let test_hexa_soak () =
   Hexastore.check_invariant h;
   Alcotest.check triple_list "final contents"
     (T3set.elements !model)
-    (sorted_triples (Hexastore.lookup h Pattern.wildcard))
+    (sorted_triples (Hexastore.iter h Pattern.wildcard))
 
 let test_stats () =
   let h = Hexastore.create () in
@@ -375,8 +376,8 @@ let test_covp_matches_hexastore () =
         (fun pat ->
           Alcotest.check triple_list
             (Format.asprintf "%s lookup %a" label Pattern.pp pat)
-            (sorted_triples (Hexastore.lookup h pat))
-            (sorted_triples (Covp.lookup c pat));
+            (sorted_triples (Hexastore.iter h pat))
+            (sorted_triples (Covp.iter c pat));
           check_int
             (Format.asprintf "%s count %a" label Pattern.pp pat)
             (Hexastore.count h pat) (Covp.count c pat))
@@ -395,8 +396,8 @@ let test_covp_bulk () =
       check_int (label ^ " bulk count") (Covp.size c1) added;
       Covp.check_invariant c2;
       Alcotest.check triple_list (label ^ " same contents")
-        (sorted_triples (Covp.lookup c1 Pattern.wildcard))
-        (sorted_triples (Covp.lookup c2 Pattern.wildcard)))
+        (sorted_triples (Covp.iter c1 Pattern.wildcard))
+        (sorted_triples (Covp.iter c2 Pattern.wildcard)))
     covp_kinds
 
 let test_covp_restriction () =
@@ -471,7 +472,7 @@ let test_store_sig () =
   let b = Store_sig.box_hexastore h in
   Alcotest.(check string) "name" "Hexastore" (Store_sig.name b);
   check_int "size" 1 (Store_sig.size b);
-  check_int "lookup" 1 (Seq.length (Store_sig.lookup b Pattern.wildcard));
+  check_int "iter" 1 (List.length (Check.Model.pushed (Store_sig.iter b Pattern.wildcard)));
   check_int "count" 1 (Store_sig.count b (Pattern.make ~s:1 ()));
   let c = Covp.create Covp.Covp1 in
   Alcotest.(check string) "covp1 name" "COVP1" (Store_sig.name (Store_sig.box_covp c));
@@ -516,7 +517,7 @@ let prop_hexa_model =
       && List.for_all
            (fun pat ->
              let expected = T3set.elements (T3set.filter (Pattern.matches pat) model) in
-             sorted_triples (Hexastore.lookup h pat) = expected
+             sorted_triples (Hexastore.iter h pat) = expected
              && Hexastore.count h pat = List.length expected)
            (all_patterns 11))
 
@@ -538,7 +539,7 @@ let prop_covp_equiv kind name =
       Covp.size c = Hexastore.size h
       && List.for_all
            (fun pat ->
-             sorted_triples (Covp.lookup c pat) = sorted_triples (Hexastore.lookup h pat)
+             sorted_triples (Covp.iter c pat) = sorted_triples (Hexastore.iter h pat)
              && Covp.count c pat = Hexastore.count h pat)
            (all_patterns 11))
 
@@ -554,8 +555,8 @@ let prop_bulk_equiv =
       let h2 = Hexastore.create () in
       ignore (Hexastore.add_bulk_ids h2 (Array.of_list triples));
       Hexastore.check_invariant h2;
-      sorted_triples (Hexastore.lookup h1 Pattern.wildcard)
-      = sorted_triples (Hexastore.lookup h2 Pattern.wildcard))
+      sorted_triples (Hexastore.iter h1 Pattern.wildcard)
+      = sorted_triples (Hexastore.iter h2 Pattern.wildcard))
 
 (* A bulk pass merges its batch with each family's scan in one pass
    ([Index.refill]), wherever the batch's headers land.  Base ids are
@@ -564,7 +565,8 @@ let prop_bulk_equiv =
    brings headers on every side of the base's.  It also re-adds the
    triples removed from the base, whose headers the removal pruned.  The
    bulk-loaded store must match the same triples added one by one (each
-   a one-triple rebuild). *)
+   a one-triple rebuild), and every ordering it keeps must match
+   [Check.Model], which shares no code with either. *)
 let gen_merge_case =
   QCheck.Gen.(
     let even = map (fun k -> 10 + (2 * k)) (int_bound 10) in
@@ -590,11 +592,20 @@ let dump indices =
         List.map
           (fun h ->
             let v = Option.get (Index.find_vector idx h) in
-            ( h,
-              Pair_vector.total v,
-              List.of_seq
-                (Seq.map (fun (k, l) -> (k, Sorted_ivec.to_list l)) (Pair_vector.to_seq v)) ))
+            let entries = ref [] in
+            Pair_vector.iter (fun k l -> entries := (k, Sorted_ivec.to_list l) :: !entries) v;
+            (h, Pair_vector.total v, List.rev !entries))
           (Sorted_ivec.to_list (Index.headers_view idx)) ))
+    indices
+
+(* Every kept ordering, read back in its own order, holds exactly the
+   model's triples sorted in that ordering: an oracle that shares no
+   code with [Index.refill] or the fill. *)
+let orderings_match indices model =
+  List.for_all
+    (fun (ord, idx) ->
+      Check.Model.pushed (fun f -> Index.iter_triples idx (Ordering.emit ord f))
+      = List.sort (Ordering.compare_triples ord) (Check.Model.to_list model))
     indices
 
 (* [remove = None] (the partial store has no delete): the removed
@@ -616,9 +627,17 @@ let prop_bulk_merge ?(gen = gen_merge_case) name ~make ~add ~remove ~bulk ~indic
       let bulk_t = prepare () and point_t = prepare () in
       ignore (bulk bulk_t (Array.of_list batch));
       List.iter (fun tr -> ignore (add point_t tr)) batch;
+      let model = Check.Model.create () in
+      List.iter
+        (fun (drop, tr) ->
+          if not (drop && Option.is_none remove) then ignore (Check.Model.add model tr))
+        base;
+      if Option.is_some remove then List.iter (fun tr -> ignore (Check.Model.remove model tr)) removed;
+      List.iter (fun tr -> ignore (Check.Model.add model tr)) batch;
       check bulk_t;
       size bulk_t = size point_t
-      && dump (indices bulk_t) = dump (indices point_t))
+      && dump (indices bulk_t) = dump (indices point_t)
+      && orderings_match (indices bulk_t) model)
 
 (* Bulk adds into a populated store: base ids are the even ones in
    [20, 26] and batch ids span [17, 27], so in every ordering the batch
@@ -744,7 +763,8 @@ let no_violations h =
   | vs -> QCheck.Test.fail_report (String.concat "; " (List.map Check.Violation.to_string vs))
 
 (* Every ordering's headers, totals, keys and lists, the six index totals
-   and [Check.store] (six-way agreement, physical list sharing). *)
+   and [Check.store] (six-way agreement, physical list sharing), and
+   every ordering against [Check.Model]. *)
 let prop_fill_build =
   QCheck.Test.make ~name:"fill build = point inserts" ~count:300
     (QCheck.make ~print:print_fill_case gen_fill_case)
@@ -753,10 +773,13 @@ let prop_fill_build =
       let n = Hexastore.add_bulk_ids filled (Array.of_list batch) in
       let point = Hexastore.create ~repr:Sorted_ivec.Raw () in
       let m = List.fold_left (fun m tr -> if Hexastore.add_ids point tr then m + 1 else m) 0 batch in
+      let model = Check.Model.create () in
+      List.iter (fun tr -> ignore (Check.Model.add model tr)) batch;
       no_violations filled && n = m
       && Hexastore.size filled = m
       && List.for_all (fun (_, idx) -> Index.total idx = m) (hexa_indices filled)
-      && dump (hexa_indices filled) = dump (hexa_indices point))
+      && dump (hexa_indices filled) = dump (hexa_indices point)
+      && orderings_match (hexa_indices filled) model)
 
 type op = Add of id3 | Remove of id3 | Add_bulk of id3 list | Remove_bulk of id3 list
 
@@ -807,7 +830,7 @@ let prop_after_fill =
           && Hexastore.size h = Check.Model.size model)
         ops
       && no_violations h
-      && sorted_triples (Hexastore.lookup h Pattern.wildcard) = Check.Model.to_list model)
+      && sorted_triples (Hexastore.iter h Pattern.wildcard) = Check.Model.to_list model)
 
 (* Bulk removal against point removals from two copies of one store.
    The batch holds a random subset of the base, triples the base lacks,
@@ -869,28 +892,32 @@ let prop_lookup_sorted =
     (fun triples ->
       let h = Hexastore.create () in
       List.iter (fun tr -> ignore (Hexastore.add_ids h tr)) triples;
-      let ascending proj seq =
-        let l = List.map proj (List.of_seq seq) in
+      let ascending proj pat =
+        let l = List.map proj (Check.Model.pushed (Hexastore.iter h pat)) in
         List.sort compare l = l
       in
       (* o-lists for (s,p) arrive sorted; s-lists for (p,o) arrive sorted. *)
       List.for_all
         (fun (tr : id3) ->
-          ascending (fun (x : id3) -> x.o) (Hexastore.lookup h (Pattern.make ~s:tr.s ~p:tr.p ()))
-          && ascending (fun (x : id3) -> x.s) (Hexastore.lookup h (Pattern.make ~p:tr.p ~o:tr.o ()))
-          && ascending (fun (x : id3) -> x.p) (Hexastore.lookup h (Pattern.make ~s:tr.s ~o:tr.o ())))
+          ascending (fun (x : id3) -> x.o) (Pattern.make ~s:tr.s ~p:tr.p ())
+          && ascending (fun (x : id3) -> x.s) (Pattern.make ~p:tr.p ~o:tr.o ())
+          && ascending (fun (x : id3) -> x.p) (Pattern.make ~s:tr.s ~o:tr.o ()))
         triples)
 
-(* The push cursors the executor drives ([iter], [seek_sorted]) replay
-   the pull ones ([lookup], [scan_sorted]) exactly, order included, and
-   [count] counts what they push: on a
-   bulk-built store, on both COVP baselines and a partial store, on a
+(* The push reads the executor drives ([iter], the ranged
+   [seek_sorted]) against [Check.Model], order included, and [count]
+   against what [iter] pushes: on a bulk-built store, on both COVP
+   baselines and a partial store (whose [iter] order is their own, so
+   only the set is compared, and which serve no sorted cursor), on a
    delta with pending writes, and on a delta whose writes sit in its
    sorted level (single-write thresholds over a base eight times larger
    than the level keep each auto-flush in the level) with more pending
-   on top. *)
+   on top.  One cursor serves every run of a pattern and position in
+   turn — unit ranges ascending, one step back, then wider and empty
+   ranges and the whole scan — so its gallop both resumes and
+   restarts. *)
 let prop_push_cursors =
-  QCheck.Test.make ~name:"iter = lookup and seek_sorted = scan_sorted, with and without a delta"
+  QCheck.Test.make ~name:"iter and ranged seek_sorted = model"
     ~count:100
     (QCheck.make QCheck.Gen.(pair (list_size (int_bound 60) gen_triple) (list_size (int_bound 12) gen_triple)))
     (fun (base, pending) ->
@@ -906,6 +933,15 @@ let prop_push_cursors =
       List.iteri (write leveled) writes;
       Delta.set_thresholds ~insert:1000 ~delete:1000 leveled;
       List.iteri (write leveled) (List.rev writes);
+      let model rounds =
+        let m = Check.Model.create () in
+        List.iter (fun tr -> ignore (Check.Model.add m tr)) base;
+        List.iter
+          (List.iteri (fun i tr ->
+               ignore (if i mod 3 = 0 then Check.Model.remove m tr else Check.Model.add m tr)))
+          rounds;
+        m
+      in
       let covp kind =
         let c = Covp.create kind in
         ignore (Covp.add_bulk_ids c (Array.of_list base));
@@ -913,38 +949,42 @@ let prop_push_cursors =
       in
       let partial = Partial.create ~orderings:[ Ordering.Pos; Ordering.Osp ] () in
       ignore (Partial.add_bulk_ids partial (Array.of_list base));
-      let agree store =
+      let agree ~sorted store m =
         List.for_all
           (fun pat ->
-            let pushed = ref [] in
-            Store_sig.iter store pat (fun s p o -> pushed := t3 s p o :: !pushed);
-            List.rev !pushed = List.of_seq (Store_sig.lookup store pat)
-            && Store_sig.count store pat = List.length !pushed
+            let want ord = List.sort (Ordering.compare_triples ord) (Check.Model.lookup m pat) in
+            let pushed = Check.Model.pushed (Store_sig.iter store pat) in
+            (if sorted then pushed = want (Ordering.for_shape (Pattern.shape pat))
+             else List.sort Check.Model.compare_spo pushed = Check.Model.lookup m pat)
+            && Store_sig.count store pat = List.length pushed
             && List.for_all
                  (fun pos ->
-                   match (Store_sig.seek_sorted store pat pos, Store_sig.scan_sorted store pat pos) with
-                   | None, None -> true
-                   | Some (o1, run), Some (o2, seek) ->
-                       o1 = o2
-                       && List.for_all
-                            (fun k ->
-                              let pushed = ref [] in
-                              run k (fun s p o -> pushed := t3 s p o :: !pushed);
-                              let value (tr : id3) =
-                                match pos with Pattern.Subj -> tr.s | Pred -> tr.p | Obj -> tr.o
-                              in
-                              List.rev !pushed
-                              = List.of_seq (Seq.take_while (fun tr -> value tr = k) (seek k)))
-                            [ 0; 1; 1; 3; 4; 7; 2; 9; 10 ]
-                   | _ -> false)
+                   match Store_sig.seek_sorted store pat pos with
+                   | None -> not sorted || Pattern.value_at pat pos <> None
+                   | Some (ord, run) ->
+                       let value (tr : id3) =
+                         match pos with Pattern.Subj -> tr.s | Pred -> tr.p | Obj -> tr.o
+                       in
+                       let want = want ord in
+                       let agrees (lo, hi) =
+                         Check.Model.pushed (run lo hi)
+                         = List.filter (fun tr -> lo <= value tr && value tr < hi) want
+                       in
+                       sorted
+                       && Pattern.value_at pat pos = None
+                       && List.for_all agrees
+                            (List.map (fun k -> (k, k + 1)) [ 0; 1; 1; 3; 4; 7; 2; 9; 10 ]
+                            @ [ (min_int, 2); (2, 5); (5, 5); (4, max_int); (min_int, max_int) ]))
                  [ Pattern.Subj; Pattern.Pred; Pattern.Obj ])
           (all_patterns 11)
       in
-      agree (Store_sig.box_hexastore h)
-      && agree (covp Covp.Covp1) && agree (covp Covp.Covp2)
-      && agree (Store_sig.box_partial partial)
-      && agree (Store_sig.box_delta d)
-      && agree (Store_sig.box_delta leveled))
+      let plain = model [] in
+      agree ~sorted:true (Store_sig.box_hexastore h) plain
+      && agree ~sorted:false (covp Covp.Covp1) plain
+      && agree ~sorted:false (covp Covp.Covp2) plain
+      && agree ~sorted:false (Store_sig.box_partial partial) plain
+      && agree ~sorted:true (Store_sig.box_delta d) (model [ writes ])
+      && agree ~sorted:true (Store_sig.box_delta leveled) (model [ writes; List.rev writes ]))
 
 let qt = QCheck_alcotest.to_alcotest
 

@@ -740,28 +740,32 @@ let test_sparql_error_line () =
 (* Path                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* §4.3's fixed property chain p1/.../pn: a right-nested [Ppath.Seq] of
+   [Pred]s, as the parser builds it. *)
+let chain names =
+  match List.rev_map (fun n -> Ppath.Pred ("http://example.org/" ^ n)) names with
+  | [] -> invalid_arg "chain: no property"
+  | last :: rest -> List.fold_left (fun acc p -> Ppath.Seq (p, acc)) last rest
+
 let test_path_follow () =
   let h = make_store () in
   let d = Hexa.Hexastore.dict h in
-  let pid name = Option.get (Dict.Term_dict.find_term d (ex name)) in
   let id name = Option.get (Dict.Term_dict.find_term d (ex name)) in
   (* advisor/worksFor: ID3 -> ID2 -> MIT. *)
-  let pairs = Path.follow h [ pid "advisor"; pid "worksFor" ] in
-  Alcotest.(check (list (pair int int))) "two-hop" [ (id "ID3", id "MIT") ] pairs;
+  Alcotest.(check (list (pair int int))) "two-hop" [ (id "ID3", id "MIT") ]
+    (Ppath.pairs h (chain [ "advisor"; "worksFor" ]));
   (* advisor alone: two pairs. *)
-  check_int "one-hop pairs" 2 (Path.count_pairs h [ pid "advisor" ]);
-  check_int "empty path" 0 (Path.count_pairs h []);
-  check_int "join steps" 1 (Path.join_steps [ pid "advisor"; pid "worksFor" ])
+  check_int "one-hop pairs" 2 (List.length (Ppath.pairs h (chain [ "advisor" ])));
+  check_int "unknown property" 0 (List.length (Ppath.pairs h (chain [ "advisor"; "nosuch" ])))
 
 let test_path_follow_from () =
   let h = make_store () in
   let d = Hexa.Hexastore.dict h in
-  let pid name = Option.get (Dict.Term_dict.find_term d (ex name)) in
   let id name = Option.get (Dict.Term_dict.find_term d (ex name)) in
-  let reached = Path.follow_from h ~start:(id "ID4") [ pid "advisor"; pid "phdFrom" ] in
+  let reached = Ppath.eval_from h ~start:(id "ID4") (chain [ "advisor"; "phdFrom" ]) in
   Alcotest.(check (list int)) "ID4 -> ID1 -> Yale" [ id "Yale" ]
     (Vectors.Sorted_ivec.to_list reached);
-  let nowhere = Path.follow_from h ~start:(id "MIT") [ pid "advisor" ] in
+  let nowhere = Ppath.eval_from h ~start:(id "MIT") (chain [ "advisor" ]) in
   check_int "dead end" 0 (Vectors.Sorted_ivec.length nowhere)
 
 (* ------------------------------------------------------------------ *)
@@ -1071,7 +1075,8 @@ let rec ordered_root = function
 
 let model_of store =
   let m = Check.Model.create () in
-  Seq.iter (fun tr -> ignore (Check.Model.add m tr)) (Hexa.Store_sig.lookup store Hexa.Pattern.wildcard);
+  Hexa.Store_sig.iter store Hexa.Pattern.wildcard (fun s p o ->
+      ignore (Check.Model.add m { Dict.Term_dict.s; p; o }));
   m
 
 let prop_algebra_matches_reference =

@@ -183,7 +183,9 @@ let test_sivec_iter_from () =
   let acc = ref [] in
   Sorted_ivec.iter_from (fun x -> acc := x :: !acc) v 5;
   check_int_list "iter_from 5" [ 6; 8 ] (List.rev !acc);
-  check_int_list "to_seq_from 4" [ 4; 6; 8 ] (List.of_seq (Sorted_ivec.to_seq_from v 4))
+  acc := [];
+  Sorted_ivec.iter_from (fun x -> acc := x :: !acc) v 4;
+  check_int_list "iter_from 4" [ 4; 6; 8 ] (List.rev !acc)
 
 let test_sivec_subset () =
   let a = Sorted_ivec.of_list [ 2; 4 ] and b = Sorted_ivec.of_list [ 1; 2; 3; 4 ] in
@@ -226,8 +228,8 @@ let test_sivec_search_bounds_audit () =
   let acc = ref [] in
   Sorted_ivec.iter_from (fun x -> acc := x :: !acc) v 41;
   check_int_list "iter_from beyond max" [] !acc;
-  check_int_list "to_seq_from below min" [ 10; 20; 30; 40 ]
-    (List.of_seq (Sorted_ivec.to_seq_from v min_int));
+  Sorted_ivec.iter_from (fun x -> acc := x :: !acc) v min_int;
+  check_int_list "iter_from below min" [ 10; 20; 30; 40 ] (List.rev !acc);
   check_bool "remove below min" false (Sorted_ivec.remove (Sorted_ivec.of_list [ 1; 2 ]) 0);
   check_bool "remove above max" false (Sorted_ivec.remove (Sorted_ivec.of_list [ 1; 2 ]) 3)
 
@@ -619,8 +621,13 @@ let prop_codec_search_oracle =
           && Sorted_ivec.search_from c ~from x = Sorted_ivec.search_from raw ~from x
           && Sorted_ivec.find_geq c x = Sorted_ivec.find_geq raw x
           && Sorted_ivec.mem c x = Sorted_ivec.mem raw x
-          && Sorted_ivec.to_seq_from c x |> List.of_seq
-             = (Sorted_ivec.to_seq_from raw x |> List.of_seq))
+          &&
+          let suffix v =
+            let acc = ref [] in
+            Sorted_ivec.iter_from (fun y -> acc := y :: !acc) v x;
+            !acc
+          in
+          suffix c = suffix raw)
         compressed_kinds)
 
 (* ------------------------------------------------------------------ *)
