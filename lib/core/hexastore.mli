@@ -137,6 +137,10 @@ val seek_sorted :
     only when [pos] is itself bound.  Counts as one probe of the
     serving ordering. *)
 
+val serving_ordering : Pattern.t -> Pattern.position -> Ordering.t option
+(** The ordering {!seek_sorted} would serve from, found without a
+    cursor or a probe: [None] exactly when [seek_sorted] is [None]. *)
+
 val scan_bounds : t -> Pattern.t -> Pattern.position -> parts:int -> int array
 (** [scan_bounds t pat pos ~parts] is the interior boundary keys that
     carve [seek_sorted t pat pos]'s whole scan into [parts] contiguous,
@@ -192,8 +196,7 @@ val find_via :
   ?s:Rdf.Term.t -> ?p:Rdf.Term.t -> ?o:Rdf.Term.t -> unit -> Rdf.Triple.t Seq.t
 (** [find_via dict iter] is the term-level lookup of any store whose
     push read is [iter]: the matches of {!pattern_of_terms}, decoded in
-    [iter]'s order.  Shared by {!find}, [Delta.find] and
-    [Store_sig.find]. *)
+    [iter]'s order.  Shared by {!find} and [Delta.find]. *)
 
 val find : t -> ?s:Rdf.Term.t -> ?p:Rdf.Term.t -> ?o:Rdf.Term.t -> unit -> Rdf.Triple.t Seq.t
 (** [find_via] over {!iter}.  A term unknown to the dictionary yields

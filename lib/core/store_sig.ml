@@ -41,6 +41,10 @@ module type S = sig
       serve the matches in that order — the planner then falls back to
       hash or nested-loop joins and the executor does not split. *)
 
+  val seek_ordering : t -> Pattern.t -> Pattern.position -> Ordering.t option
+  (** The ordering {!seek_sorted} would serve from, found without a
+      cursor or a probe: [None] exactly when [seek_sorted] is [None]. *)
+
   val scan_bounds : t -> Pattern.t -> Pattern.position -> parts:int -> int array
   (** Interior boundary keys carving [seek_sorted]'s whole scan into up
       to [parts] contiguous ranges (see {!Hexastore.scan_bounds});
@@ -69,6 +73,7 @@ module Hexastore_store : S with type t = Hexastore.t = struct
   let iter = Hexastore.iter
   let count = Hexastore.count
   let seek_sorted = Hexastore.seek_sorted
+  let seek_ordering _ = Hexastore.serving_ordering
   let scan_bounds = Hexastore.scan_bounds
 
   (* Queries never mutate, so with one writer paused there is nothing to
@@ -91,6 +96,7 @@ module Covp1_store : S with type t = Covp.t = struct
   (* The COVP baselines keep only per-property tables; they cannot
      stream an arbitrary pattern sorted on a chosen position. *)
   let seek_sorted _ _ _ = None
+  let seek_ordering _ _ _ = None
   let scan_bounds _ _ _ ~parts:_ = [||]
   let pin _ = None
   let repr_name _ = "raw"
@@ -116,6 +122,7 @@ module Partial_store : S with type t = Partial.t = struct
   (* A partial store may be missing the ordering a sorted scan needs;
      stay conservative and let the planner fall back. *)
   let seek_sorted _ _ _ = None
+  let seek_ordering _ _ _ = None
   let scan_bounds _ _ _ ~parts:_ = [||]
   let pin _ = None
   let repr_name _ = "raw"
@@ -132,6 +139,7 @@ module Delta_store : S with type t = Delta.t = struct
   let iter = Delta.iter
   let count = Delta.count
   let seek_sorted = Delta.seek_sorted
+  let seek_ordering _ = Hexastore.serving_ordering
   let scan_bounds = Delta.scan_bounds
   let pin d = Some (Delta.pin d)
   let repr_name d = Hexastore.repr_name (Delta.base d)
@@ -158,6 +166,7 @@ let add_bulk_ids (Boxed ((module M), store)) trs = M.add_bulk_ids store trs
 let iter (Boxed ((module M), store)) pat f = M.iter store pat f
 let count (Boxed ((module M), store)) pat = M.count store pat
 let seek_sorted (Boxed ((module M), store)) pat pos = M.seek_sorted store pat pos
+let seek_ordering (Boxed ((module M), store)) pat pos = M.seek_ordering store pat pos
 let scan_bounds (Boxed ((module M), store)) pat pos ~parts = M.scan_bounds store pat pos ~parts
 
 let pin (Boxed ((module M), store) as b) =
@@ -167,9 +176,3 @@ let pin (Boxed ((module M), store) as b) =
 
 let repr_name (Boxed ((module M), store)) = M.repr_name store
 let memory_words (Boxed ((module M), store)) = M.memory_words store
-
-let load_triples b triples =
-  let ids = Array.of_list (List.map (Dict.Term_dict.encode_triple (dict b)) triples) in
-  add_bulk_ids b ids
-
-let find b = Hexastore.find_via (dict b) (iter b)

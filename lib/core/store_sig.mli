@@ -41,6 +41,10 @@ module type S = sig
       serve the matches in that order — the planner then falls back to
       hash or nested-loop joins and the executor does not split. *)
 
+  val seek_ordering : t -> Pattern.t -> Pattern.position -> Ordering.t option
+  (** The ordering {!seek_sorted} would serve from, found without a
+      cursor or a probe: [None] exactly when [seek_sorted] is [None]. *)
+
   val scan_bounds : t -> Pattern.t -> Pattern.position -> parts:int -> int array
   (** Interior boundary keys carving [seek_sorted]'s whole scan into up
       to [parts] contiguous ranges (see {!Hexastore.scan_bounds});
@@ -97,6 +101,8 @@ val seek_sorted :
   boxed -> Pattern.t -> Pattern.position ->
   (Ordering.t * (int -> int -> (int -> int -> int -> unit) -> unit)) option
 
+val seek_ordering : boxed -> Pattern.t -> Pattern.position -> Ordering.t option
+
 val scan_bounds : boxed -> Pattern.t -> Pattern.position -> parts:int -> int array
 
 val pin : boxed -> boxed * (unit -> unit)
@@ -107,9 +113,3 @@ val pin : boxed -> boxed * (unit -> unit)
 val repr_name : boxed -> string
 
 val memory_words : boxed -> int
-
-val load_triples : boxed -> Rdf.Triple.t list -> int
-(** Bulk-encode and bulk-load; returns the number of new triples. *)
-
-val find : boxed -> ?s:Rdf.Term.t -> ?p:Rdf.Term.t -> ?o:Rdf.Term.t -> unit -> Rdf.Triple.t Seq.t
-(** Term-level pattern lookup; unknown terms yield the empty sequence. *)

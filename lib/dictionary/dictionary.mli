@@ -8,7 +8,8 @@
     Ids are allocated densely from 0 in first-seen order, so they double as
     array indices throughout the store.  The dictionary is append-only:
     RDF stores never garbage-collect the mapping table (a removed triple's
-    terms may be re-added, and id stability keeps the indices valid). *)
+    terms may be re-added, and id stability keeps the indices valid).
+    The table's layout is in DESIGN.md, "The mapping table". *)
 
 type t
 
@@ -16,6 +17,8 @@ val max_ids : int
 (** The id space: 2{^31} ids, [0 .. max_ids - 1]. *)
 
 val create : ?initial_size:int -> unit -> t
+(** [initial_size] (default 1024) strings fit before the table first
+    grows. *)
 
 val encode : t -> string -> int
 (** [encode d s] is the id of [s], allocating a fresh one on first sight.
@@ -40,4 +43,4 @@ val iter : (int -> string -> unit) -> t -> unit
 val fold : (int -> string -> 'a -> 'a) -> t -> 'a -> 'a
 
 val memory_words : t -> int
-(** Approximate heap words used by the table and the stored strings. *)
+(** Exact heap words of the table and the stored strings. *)

@@ -25,8 +25,14 @@ let spelling d id = Dictionary.decode d id
 (* Canonical spellings parse: the error cannot happen. *)
 let decode_term d id = Rdf.Ntriples.parse_term (spelling d id)
 
+(* Object, then predicate, then subject: a fresh dictionary numbers a
+   triple's new terms in that order, and every snapshot's ids follow
+   it. *)
 let encode_triple d (t : Rdf.Triple.t) =
-  { s = encode_term d t.s; p = encode_term d t.p; o = encode_term d t.o }
+  let o = encode_term d t.o in
+  let p = encode_term d t.p in
+  let s = encode_term d t.s in
+  { s; p; o }
 
 let find_triple d (t : Rdf.Triple.t) =
   match (find_term d t.s, find_term d t.p, find_term d t.o) with
@@ -39,7 +45,3 @@ let decode_triple d { s; p; o } =
 let size = Dictionary.size
 
 let memory_words = Dictionary.memory_words
-
-let pp_id d ppf id =
-  if id >= 0 && id < size d then Format.pp_print_string ppf (spelling d id)
-  else Format.fprintf ppf "?%d" id

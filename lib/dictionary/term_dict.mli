@@ -20,7 +20,7 @@ type id_triple = {
 val create : ?initial_size:int -> unit -> t
 (** [initial_size] (default 1024) is the number of terms the mapping
     table is sized for before it first grows; a snapshot load passes
-    its term count. *)
+    its term count, so its table never grows. *)
 
 val encode_term : t -> Rdf.Term.t -> int
 (** Id of the term, allocated on first sight. *)
@@ -47,6 +47,8 @@ val spelling : t -> int -> string
     @raise Invalid_argument on an unallocated id. *)
 
 val encode_triple : t -> Rdf.Triple.t -> id_triple
+(** Encodes the object, then the predicate, then the subject: a
+    triple's new terms take ids in that order. *)
 
 val find_triple : t -> Rdf.Triple.t -> id_triple option
 (** [None] when any of the three terms is unknown. *)
@@ -56,6 +58,3 @@ val decode_triple : t -> id_triple -> Rdf.Triple.t
 val size : t -> int
 
 val memory_words : t -> int
-
-val pp_id : t -> Format.formatter -> int -> unit
-(** Prints the term behind an id (or [?id] when unallocated); debug aid. *)

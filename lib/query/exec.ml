@@ -251,9 +251,9 @@ let rec pipeline store bound choices k =
 
 (* The interior boundaries that split [pat]'s sorted scan on [pos] of
    the pinned [view] into at most [parts] ranges ([Store_sig.scan_bounds]);
-   [None] when the store serves no sorted scan there. *)
+   [None] when the store serves no sorted scan.  No cursor is opened. *)
 let split_bounds view pat pos parts =
-  match Hexa.Store_sig.seek_sorted view pat pos with
+  match Hexa.Store_sig.seek_ordering view pat pos with
   | None -> None
   | Some _ -> Some (Hexa.Store_sig.scan_bounds view pat pos ~parts)
 

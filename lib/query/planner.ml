@@ -129,7 +129,7 @@ let par_hint_for store ord (ctp : Compile.tp) est =
     | None -> None
     | Some v -> (
         match (sole_position_of v ctp, ctp.pattern) with
-        | Some pos, Some pat when Hexa.Store_sig.seek_sorted store pat pos <> None ->
+        | Some pos, Some pat when Hexa.Store_sig.seek_ordering store pat pos <> None ->
             Some { par_parts = parts; par_pos = pos }
         | _ -> None)
 
@@ -186,8 +186,8 @@ let plan_compiled store ctps =
                        header bucket — the nested loop's probe pattern
                        with seek overhead on top — so merge never wins
                        there. *)
-                    match Hexa.Store_sig.seek_sorted store pat pos with
-                    | Some (ord, _) -> (Merge_join { var = name_of ctp v; pos }, ord)
+                    match Hexa.Store_sig.seek_ordering store pat pos with
+                    | Some ord -> (Merge_join { var = name_of ctp v; pos }, ord)
                     | None -> hash_or_nested [ v ])
                 | _ -> hash_or_nested [ v ])
             | shared -> hash_or_nested shared
@@ -218,7 +218,7 @@ let sorted_slot store = function
       | None -> None
       | Some v -> (
           match (sole_position_of v first.compiled, first.compiled.pattern) with
-          | Some pos, Some pat when Hexa.Store_sig.seek_sorted store pat pos <> None -> Some v
+          | Some pos, Some pat when Hexa.Store_sig.seek_ordering store pat pos <> None -> Some v
           | _ -> None))
 
 let plan store tps = plan_compiled store (Compile.bgp (Hexa.Store_sig.dict store) tps)

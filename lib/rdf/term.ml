@@ -15,37 +15,52 @@ let xsd_integer = "http://www.w3.org/2001/XMLSchema#integer"
    [Ntriples.parse_term (to_string t) = t], which is what lets the
    dictionary store spellings alone.  An IRI therefore carries no raw
    backslash (the parser would read it as an escape), and a language
-   tag is stored lowercased, as the parsers store it. *)
+   tag is stored lowercased, as the parsers store it.  Ntriples cuts
+   terms with these character-class loops. *)
+let rec iri_end s i n =
+  if i >= n then n
+  else
+    match String.unsafe_get s i with
+    | ' ' | '\t' | '\n' | '\r' | '<' | '>' | '\\' -> i
+    | _ -> iri_end s (i + 1) n
+
+let rec label_end s i n =
+  if i >= n then n
+  else
+    match String.unsafe_get s i with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> label_end s (i + 1) n
+    | _ -> i
+
+let rec tag_end s i n =
+  if i >= n then n
+  else
+    match String.unsafe_get s i with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' -> tag_end s (i + 1) n
+    | _ -> i
+
 let check_iri what s =
-  if s = "" then invalid_arg (what ^ ": empty");
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '\t' | '\n' | '\r' | '<' | '>' | '\\' ->
-          invalid_arg (Printf.sprintf "%s: illegal character %C in %S" what c s)
-      | _ -> ())
-    s
+  let n = String.length s in
+  if n = 0 then invalid_arg (what ^ ": empty");
+  let i = iri_end s 0 n in
+  if i < n then invalid_arg (Printf.sprintf "%s: illegal character %C in %S" what s.[i] s)
 
 let iri s =
   check_iri "Term.iri" s;
   Iri s
 
-let is_label_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  || c = '_' || c = '-' || c = '.'
+let cut_iri s lo stop =
+  let i = iri_end s lo stop in
+  if i = lo || i >= stop || String.unsafe_get s i <> '>' then raise Not_found;
+  Iri (String.sub s lo (i - lo))
 
 let blank s =
   if s = "" then invalid_arg "Term.blank: empty label";
-  String.iter
-    (fun c -> if not (is_label_char c) then invalid_arg "Term.blank: illegal label character")
-    s;
+  if label_end s 0 (String.length s) < String.length s then
+    invalid_arg "Term.blank: illegal label character";
   Blank s
 
-let is_lang_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '-'
-
 let lang_tag l =
-  if l = "" || not (String.for_all is_lang_char l) then
+  if l = "" || tag_end l 0 (String.length l) < String.length l then
     invalid_arg (Printf.sprintf "Term.literal: illegal language tag %S" l);
   String.lowercase_ascii l
 
@@ -92,8 +107,6 @@ let compare a b =
         if c <> 0 then c else compare_option String.compare x.datatype y.datatype
 
 let equal a b = compare a b = 0
-
-let hash = Hashtbl.hash
 
 (* N-Triples string escaping for literal values. *)
 let escape_literal s =

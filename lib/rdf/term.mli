@@ -24,6 +24,12 @@ val iri : string -> t
 (** @raise Invalid_argument on the empty string, embedded whitespace,
     [<], [>] or a backslash (which a parser would read as an escape). *)
 
+val cut_iri : string -> int -> int -> t
+(** [cut_iri s lo stop] is the IRI [s.[lo .. i - 1]], where [s.[i]] is
+    the first character in [[lo, stop)] that {!iri} rejects: one pass
+    finds and checks an N-Triples IRI up to its closing ['>'].
+    @raise Not_found unless [s.[i]] is that ['>'] and [i > lo]. *)
+
 val blank : string -> t
 (** @raise Invalid_argument on an empty or non [A-Za-z0-9_.-] label. *)
 
@@ -42,6 +48,15 @@ val typed_literal : string -> datatype:string -> t
 val int_literal : int -> t
 (** Literal typed [xsd:integer]. *)
 
+(** The constructors' character checks, which the N-Triples scanner
+    cuts terms with: [iri_end s i n] is the first index in [[i, n)]
+    holding a character {!iri} rejects, or [n]; [label_end] and
+    [tag_end] stop outside [[A-Za-z0-9_.-]] and [[A-Za-z0-9-]]. *)
+
+val iri_end : string -> int -> int -> int
+val label_end : string -> int -> int -> int
+val tag_end : string -> int -> int -> int
+
 val is_iri : t -> bool
 val is_blank : t -> bool
 val is_literal : t -> bool
@@ -55,8 +70,6 @@ val compare : t -> t -> int
 (** Total order: IRIs < blanks < literals, then lexicographic. *)
 
 val equal : t -> t -> bool
-
-val hash : t -> int
 
 val to_string : t -> string
 (** N-Triples surface syntax: [<iri>], [_:label], ["value"@lang],

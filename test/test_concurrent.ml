@@ -185,6 +185,45 @@ let test_parallel_query_observability () =
               check_bool "EXPLAIN --analyze reports achieved fan-out" true
                 (contains txt "achieved="))))
 
+(* A fanned-out scan opens exactly one sorted cursor (one probe of the
+   serving ordering) per range it runs: the split itself is carved by
+   [scan_bounds], which opens none. *)
+let test_split_one_probe_per_range () =
+  let opened = Atomic.make 0 in
+  let module Counting = struct
+    include Hexa.Store_sig.Hexastore_store
+
+    let seek_sorted t pat pos =
+      Atomic.incr opened;
+      seek_sorted t pat pos
+  end in
+  let saved_min = !Query.Planner.parallel_min_rows in
+  Query.Planner.parallel_min_rows := 0;
+  Fun.protect
+    ~finally:(fun () ->
+      Query.Planner.parallel_min_rows := saved_min;
+      Telemetry.Trace.clear ())
+    (fun () ->
+      Telemetry.with_enabled true (fun () ->
+          Telemetry.Trace.clear ();
+          Query.Par.with_domains 2 (fun () ->
+              let store = Hexa.Store_sig.Boxed ((module Counting), make_hexastore ()) in
+              let var v = Query.Algebra.Var v in
+              ignore (Query.Exec.run store (Query.Algebra.Bgp [ Query.Algebra.tp (var "s") (var "p") (var "o") ]));
+              let achieved =
+                List.find_map
+                  (fun (e : Telemetry.Trace.entry) ->
+                    match e.kind with
+                    | Telemetry.Trace.Par_fanout { achieved; _ } -> Some achieved
+                    | _ -> None)
+                  (Telemetry.Trace.events ())
+              in
+              match achieved with
+              | None -> Alcotest.fail "no par.fanout event emitted"
+              | Some achieved ->
+                  check_bool "the scan was split" true (achieved > 1);
+                  check_int "one cursor per range" achieved (Atomic.get opened))))
+
 let test_with_domains_restores () =
   let before = Query.Par.domains () in
   Query.Par.with_domains 3 (fun () -> check_int "inside" 3 (Query.Par.domains ()));
@@ -482,6 +521,7 @@ let () =
           Alcotest.test_case "stats hammer balances exactly" `Quick test_par_stats_hammer;
           Alcotest.test_case "fanned query is fully observable" `Quick
             test_parallel_query_observability;
+          Alcotest.test_case "split scan: one probe per range" `Quick test_split_one_probe_per_range;
           Alcotest.test_case "with_domains restores" `Quick test_with_domains_restores;
         ] );
       ("split", [ qt prop_split_concat ]);

@@ -58,6 +58,30 @@ let test_dict_growth () =
   check_string "early decode survives growth" "0" (Dictionary.decode d 0);
   check_string "late decode" "9999" (Dictionary.decode d 9999)
 
+(* [memory_words] is the table's exact size: within 0.5% of the words
+   reachable from it, whether it grew from the default size or was
+   sized up front (as a snapshot load sizes it). *)
+let test_dict_memory_exact () =
+  let n = 20_000 in
+  let spell i = Printf.sprintf "<http://example.org/resource/%d>" i in
+  let within what d =
+    let reported = Dictionary.memory_words d and actual = Obj.reachable_words (Obj.repr d) in
+    if abs (reported - actual) * 200 > actual then
+      Alcotest.failf "%s: memory_words %d, reachable %d" what reported actual
+  in
+  let grown = Dictionary.create () in
+  for i = 0 to n - 1 do
+    ignore (Dictionary.encode grown (spell i))
+  done;
+  within "after growth" grown;
+  let sized = Dictionary.create ~initial_size:n () in
+  for i = 0 to n - 1 do
+    ignore (Dictionary.encode sized (spell i))
+  done;
+  within "sized" sized;
+  check_bool "a sized table is no larger" true
+    (Dictionary.memory_words sized <= Dictionary.memory_words grown)
+
 let test_dict_iter_fold () =
   let d = Dictionary.create () in
   List.iter (fun s -> ignore (Dictionary.encode d s)) [ "a"; "b"; "c" ];
@@ -139,6 +163,25 @@ let test_term_dict_triples () =
   check_bool "find_triple misses unknown" true (Term_dict.find_triple d unknown = None);
   check_int "find did not allocate" 3 (Term_dict.size d)
 
+(* A triple's new terms are numbered object, predicate, subject: the
+   order every existing snapshot's ids follow. *)
+let test_term_dict_triple_order () =
+  let d = Term_dict.create () in
+  let enc =
+    Term_dict.encode_triple d
+      (Triple.make (Term.iri "http://x/s") (Term.iri "http://x/p") (Term.string_literal "o"))
+  in
+  check_int "object first" 0 enc.o;
+  check_int "then predicate" 1 enc.p;
+  check_int "then subject" 2 enc.s;
+  let enc =
+    Term_dict.encode_triple d
+      (Triple.make (Term.blank "b") (Term.iri "http://x/p") (Term.iri "http://x/s"))
+  in
+  check_int "known object keeps its id" 2 enc.o;
+  check_int "known predicate keeps its id" 1 enc.p;
+  check_int "new subject next" 3 enc.s
+
 let test_term_dict_find () =
   let d = Term_dict.create () in
   Alcotest.(check (option int)) "find before" None (Term_dict.find_term d (Term.iri "http://x/a"));
@@ -184,6 +227,7 @@ let () =
           Alcotest.test_case "growth" `Quick test_dict_growth;
           Alcotest.test_case "iter_fold" `Quick test_dict_iter_fold;
           Alcotest.test_case "id limit" `Quick test_dict_id_limit;
+          Alcotest.test_case "memory_words exact" `Quick test_dict_memory_exact;
           qt prop_dict_roundtrip;
           qt prop_dict_injective;
         ] );
@@ -193,6 +237,7 @@ let () =
           Alcotest.test_case "initial_size" `Quick test_term_dict_initial_size;
           Alcotest.test_case "kinds" `Quick test_term_dict_distinguishes_kinds;
           Alcotest.test_case "triples" `Quick test_term_dict_triples;
+          Alcotest.test_case "triple id order" `Quick test_term_dict_triple_order;
           Alcotest.test_case "find" `Quick test_term_dict_find;
           qt prop_term_dict_roundtrip;
           qt prop_term_dict_stable;

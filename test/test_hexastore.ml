@@ -905,8 +905,9 @@ let prop_lookup_sorted =
         triples)
 
 (* The push reads the executor drives ([iter], the ranged
-   [seek_sorted]) against [Check.Model], order included, and [count]
-   against what [iter] pushes: on a bulk-built store, on both COVP
+   [seek_sorted]) against [Check.Model], order included, [count]
+   against what [iter] pushes, and [seek_ordering] against the
+   ordering [seek_sorted] opens: on a bulk-built store, on both COVP
    baselines and a partial store (whose [iter] order is their own, so
    only the set is compared, and which serve no sorted cursor), on a
    delta with pending writes, and on a delta whose writes sit in its
@@ -959,6 +960,9 @@ let prop_push_cursors =
             && Store_sig.count store pat = List.length pushed
             && List.for_all
                  (fun pos ->
+                   Store_sig.seek_ordering store pat pos
+                   = Option.map fst (Store_sig.seek_sorted store pat pos)
+                   &&
                    match Store_sig.seek_sorted store pat pos with
                    | None -> not sorted || Pattern.value_at pat pos <> None
                    | Some (ord, run) ->

@@ -199,6 +199,42 @@ let test_nt_error_line_numbers () =
   | exception Ntriples.Parse_error (line, _) -> check_int "line number" 2 line
   | _ -> Alcotest.fail "no error"
 
+(* "\r\n", "\n" and a lone "\r" each end one line, in every entry
+   point and in the line numbers of its errors. *)
+let test_nt_line_ends () =
+  let t = "<http://a> <http://b> <http://c> ." in
+  let abc = Triple.make (Term.iri "http://a") (Term.iri "http://b") (Term.iri "http://c") in
+  List.iter
+    (fun eol ->
+      let doc = t ^ eol ^ "# c" ^ eol ^ eol ^ t ^ " # c" ^ eol in
+      Alcotest.(check (list triple_t)) (Printf.sprintf "parse_string %S" eol) [ abc; abc ] (Ntriples.parse_string doc);
+      Alcotest.(check (option triple_t)) (Printf.sprintf "parse_line %S" eol) (Some abc)
+        (Ntriples.parse_line (t ^ eol));
+      let path = Filename.temp_file "hexastore_eol" ".nt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc doc);
+          Alcotest.(check (list triple_t)) (Printf.sprintf "load_file %S" eol) [ abc; abc ] (Ntriples.load_file path)))
+    [ "\n"; "\r\n"; "\r" ];
+  List.iter
+    (fun (doc, line) ->
+      match Ntriples.parse_string doc with
+      | exception Ntriples.Parse_error (l, _) -> check_int (Printf.sprintf "error line in %S" doc) line l
+      | _ -> Alcotest.failf "accepted %S" doc)
+    [
+      (t ^ "\r\nbroken\r\n", 2);
+      (t ^ "\r" ^ t ^ "\rbroken", 3);
+      ("\r\n\r\nbroken", 3);
+      ("\n\rbroken", 3);
+      ("\r\rbroken", 3);
+      (t ^ "\n\r\n\rbroken", 4);
+      ({|<http://a> <http://b> "split|} ^ "\r" ^ {|line" .|}, 1);
+    ];
+  match Ntriples.parse_line (t ^ "\n" ^ t) with
+  | exception Ntriples.Parse_error _ -> ()
+  | _ -> Alcotest.fail "parse_line accepted two lines"
+
 let test_nt_roundtrip_doc () =
   let doc =
     "# a comment\n\
@@ -223,12 +259,13 @@ let test_nt_file_io () =
 
 (* Literal values drawn to stress the escaping path: every character the
    N-Triples grammar forces an escape for (quote, backslash, newline, CR,
-   tab), plain printables, and raw multi-byte UTF-8 (passed through
-   unescaped by the serializers). *)
+   tab), the other one-letter escapes' characters (backspace, form feed,
+   apostrophe), plain printables, and raw multi-byte UTF-8 (passed
+   through unescaped by the serializers). *)
 let gen_literal_value =
   let open QCheck.Gen in
   let nasty =
-    oneofl [ "\""; "\\"; "\n"; "\r"; "\t"; "\\n"; "a\"b\\c"; "é"; "𝄞"; "mixé\td"; "" ]
+    oneofl [ "\""; "\\"; "\n"; "\r"; "\t"; "\b"; "\012"; "'"; "\\n"; "a\"b\\c"; "é"; "𝄞"; "mixé\td"; "" ]
   in
   frequency
     [
@@ -360,6 +397,169 @@ let prop_nt_roundtrip =
       let reparsed = Ntriples.parse_string printed in
       List.length reparsed = List.length triples
       && List.for_all2 Triple.equal triples reparsed)
+
+(* Documents as another writer might lay them out.  Each term is
+   spelled with random escapes (any character of an IRI or a literal
+   as \u or \U, a literal's characters also with their one-letter
+   escapes) and random-case language tags; statements sit among
+   comments and blank lines, with spaces and tabs between the terms and
+   LF, CRLF or lone-CR line ends.  [bad] puts a malformed statement on
+   one line.  Returns the lines (content, line end) and their text. *)
+let spell_term st (t : Term.t) =
+  let buf = Buffer.create 32 in
+  let pick n = Random.State.int st n in
+  let chars ~literal s =
+    let i = ref 0 in
+    while !i < String.length s do
+      let d = String.get_utf_8_uchar s !i in
+      let len = Uchar.utf_decode_length d and u = Uchar.to_int (Uchar.utf_decode_uchar d) in
+      let short =
+        match Char.unsafe_chr (if u < 128 then u else 0) with
+        | '\t' -> Some 't' | '\b' -> Some 'b' | '\n' -> Some 'n' | '\r' -> Some 'r'
+        | '\012' -> Some 'f' | ('"' | '\'' | '\\') as c -> Some c | _ -> None
+      in
+      let must = literal && List.mem u [ 0x22; 0x5C; 0x0A; 0x0D ] in
+      (match (pick 6, short) with
+      | r, _ when (r < 3 && not must) || not (Uchar.utf_decode_is_valid d) ->
+          Buffer.add_string buf (String.sub s !i len)
+      | 3, Some c when literal -> Printf.bprintf buf "\\%c" c
+      | 4, _ when u <= 0xFFFF -> Printf.bprintf buf "\\u%04X" u
+      | _ -> Printf.bprintf buf "\\U%08X" u);
+      i := !i + len
+    done
+  in
+  let recase s = String.map (fun c -> if pick 2 = 0 then Char.uppercase_ascii c else c) s in
+  (match t with
+  | Iri s ->
+      Buffer.add_char buf '<';
+      chars ~literal:false s;
+      Buffer.add_char buf '>'
+  | Blank l -> Buffer.add_string buf ("_:" ^ l)
+  | Literal { value; lang; datatype } -> (
+      Buffer.add_char buf '"';
+      chars ~literal:true value;
+      Buffer.add_char buf '"';
+      match (lang, datatype) with
+      | Some l, _ -> Buffer.add_string buf ("@" ^ recase l)
+      | None, Some dt ->
+          Buffer.add_string buf "^^<";
+          chars ~literal:false dt;
+          Buffer.add_char buf '>'
+      | None, None -> ()));
+  Buffer.contents buf
+
+let bad_statements =
+  [|
+    "<http://x/s> <http://x/p> .";
+    {|<http://x/s> "lit" <http://x/o> .|};
+    "<http://x/s <http://x/p> <http://x/o> .";
+    {|<http://x/s> <http://x/p> "bad\qescape" .|};
+    "<http://x/s> <http://x/p> <http://x/o> . extra";
+    {|_:b <http://x/p> "open|};
+  |]
+
+let layout ~seed ?bad triples =
+  let st = Random.State.make [| seed |] in
+  let pick n = Random.State.int st n in
+  let ws () = [| ""; " "; "\t"; " \t " |].(pick 4) in
+  let filler () =
+    match pick 4 with
+    | 0 -> [ ws () ^ "# <not> \"a\" _:statement ." ]
+    | 1 -> [ ws () ]
+    | _ -> []
+  in
+  let statement (t : Triple.t) =
+    let after_object = match t.o with Blank _ -> " " ^ ws () | _ -> ws () in
+    ws () ^ spell_term st t.s ^ ws () ^ spell_term st t.p ^ ws () ^ spell_term st t.o
+    ^ after_object ^ "." ^ ws () ^ if pick 3 = 0 then "# trailing" else ""
+  in
+  let contents =
+    List.concat_map (fun t -> filler () @ [ statement t ]) triples @ filler ()
+  in
+  let contents =
+    match bad with
+    | Some k when contents <> [] ->
+        let k = k mod List.length contents in
+        List.mapi (fun i c -> if i = k then bad_statements.(pick (Array.length bad_statements)) else c) contents
+    | _ -> contents
+  in
+  (* A blank line that ends in "\n" right after a lone "\r" would make
+     one CRLF of the two line ends: give it a CRLF of its own. *)
+  let _, rev =
+    List.fold_left
+      (fun (prev, acc) content ->
+        let eol = [| "\n"; "\r\n"; "\r" |].(pick 3) in
+        let eol = if prev = "\r" && content = "" && eol = "\n" then "\r\n" else eol in
+        (eol, (content, eol) :: acc))
+      ("", []) contents
+  in
+  let lines =
+    match rev with
+    | (content, _) :: rest when pick 2 = 0 -> List.rev ((content, "") :: rest)
+    | _ -> List.rev rev
+  in
+  (lines, String.concat "" (List.map (fun (c, e) -> c ^ e) lines))
+
+let gen_doc = QCheck.Gen.(pair (list_size (int_bound 25) gen_triple) int)
+
+let print_doc (triples, seed) = String.escaped (snd (layout ~seed triples))
+
+let prop_nt_layout_roundtrip =
+  QCheck.Test.make ~name:"parse_string of laid-out, escaped triples gives them back" ~count:500
+    (QCheck.make ~print:print_doc gen_doc)
+    (fun (triples, seed) ->
+      let reparsed = Ntriples.parse_string (snd (layout ~seed triples)) in
+      List.equal Triple.equal triples reparsed)
+
+(* Every entry point reads a document the same way: parse_string,
+   parse_line over its lines, of_channel over a file and parse_seq over
+   [input_line]-style lines give the same triples, or the same
+   [Parse_error] line on the seeded bad line. *)
+let prop_nt_entry_points =
+  let result f = match f () with ts -> Ok ts | exception Ntriples.Parse_error (l, _) -> Error l in
+  let same a b =
+    match (a, b) with
+    | Ok x, Ok y -> List.equal Triple.equal x y
+    | Error x, Error y -> x = y
+    | _ -> false
+  in
+  QCheck.Test.make ~name:"parse_string = parse_line per line = of_channel = parse_seq" ~count:300
+    (QCheck.make
+       ~print:(fun (doc, bad) -> Printf.sprintf "%s bad=%s" (print_doc doc) (Option.fold ~none:"-" ~some:string_of_int bad))
+       QCheck.Gen.(pair gen_doc (opt nat)))
+    (fun ((triples, seed), bad) ->
+      let lines, text = layout ~seed ?bad triples in
+      let expected =
+        match List.find_index (fun (c, _) -> Array.mem c bad_statements) lines with
+        | Some i -> Error (i + 1)
+        | None -> Ok triples
+      in
+      let by_line () =
+        List.concat
+          (List.mapi
+             (fun i (c, e) -> Option.to_list (Ntriples.parse_line ~line:(i + 1) (c ^ e)))
+             lines)
+      in
+      let by_channel () =
+        let path = Filename.temp_file "hexastore_layout" ".nt" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Out_channel.with_open_bin path (fun oc -> output_string oc text);
+            In_channel.with_open_bin path Ntriples.of_channel)
+      in
+      let by_seq () = List.of_seq (Ntriples.parse_seq (List.to_seq (String.split_on_char '\n' text))) in
+      List.for_all
+        (fun (name, got) ->
+          same expected got
+          || QCheck.Test.fail_reportf "%s disagrees (%s)" name
+               (match got with Ok ts -> Printf.sprintf "%d triples" (List.length ts) | Error l -> Printf.sprintf "line %d" l))
+        [
+          ("parse_string", result (fun () -> Ntriples.parse_string text));
+          ("parse_line", result by_line);
+          ("of_channel", result by_channel);
+          ("parse_seq", result by_seq);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Turtle                                                              *)
@@ -601,6 +801,7 @@ let () =
           Alcotest.test_case "escapes" `Quick test_nt_escapes;
           Alcotest.test_case "errors" `Quick test_nt_errors;
           Alcotest.test_case "error_lines" `Quick test_nt_error_line_numbers;
+          Alcotest.test_case "line_ends" `Quick test_nt_line_ends;
           Alcotest.test_case "doc_roundtrip" `Quick test_nt_roundtrip_doc;
           Alcotest.test_case "file_io" `Quick test_nt_file_io;
           Alcotest.test_case "parse_term" `Quick test_ntriples_parse_term;
@@ -608,6 +809,8 @@ let () =
           qt prop_is_term_spelling;
           qt prop_constructed_roundtrip;
           qt prop_nt_roundtrip;
+          qt prop_nt_layout_roundtrip;
+          qt prop_nt_entry_points;
           qt prop_ntriples_fuzz;
         ] );
       ( "turtle",
