@@ -383,10 +383,7 @@ let abl_join_kernel env =
   match List.rev (Lazy.force env.barton) with
   | [] -> ()
   | { Harness.stores; dict; n_triples } :: _ -> (
-      let hexa =
-        List.find_map (function Stores.Hexa h -> Some h | Stores.Covp _ -> None) stores
-      in
-      match (hexa, Queries_barton.resolve_ids dict) with
+      match (Harness.hexastore stores, Queries_barton.resolve_ids dict) with
       | Some h, Some ids ->
           let list_of p o =
             match Hexa.Hexastore.subjects_of_po h ~p ~o with
@@ -476,10 +473,7 @@ let join_results env =
         match List.rev (Lazy.force env.barton) with
         | [] -> []
         | { Harness.stores; dict; n_triples } :: _ -> (
-            let hexa =
-              List.find_map (function Stores.Hexa h -> Some h | Stores.Covp _ -> None) stores
-            in
-            match (hexa, Queries_barton.resolve_ids dict) with
+            match (Harness.hexastore stores, Queries_barton.resolve_ids dict) with
             | Some h, Some _ ->
                 let store = Hexa.Store_sig.box_hexastore h in
                 List.map
@@ -555,10 +549,7 @@ let abl_dict env =
   match List.rev (Lazy.force env.barton) with
   | [] -> ()
   | { Harness.stores; dict; n_triples } :: _ -> (
-      let hexa =
-        List.find_map (function Stores.Hexa h -> Some h | Stores.Covp _ -> None) stores
-      in
-      match (hexa, Queries_barton.resolve_ids dict) with
+      match (Harness.hexastore stores, Queries_barton.resolve_ids dict) with
       | Some h, Some ids ->
           let type_term = Rdf.Term.iri Barton.type_p in
           let text_term = Rdf.Term.iri Barton.text_type in
@@ -613,7 +604,7 @@ let abl_share env =
                     seconds = Harness.words_to_mb (shared + extra);
                   };
                 ]
-            | Stores.Covp _ -> [])
+            | Stores.Partial _ -> [])
           stores)
       (Lazy.force env.barton)
   in
@@ -627,10 +618,7 @@ let abl_star env =
   match List.rev (Lazy.force env.barton) with
   | [] -> ()
   | { Harness.stores; dict; n_triples } :: _ -> (
-      let hexa =
-        List.find_map (function Stores.Hexa h -> Some h | Stores.Covp _ -> None) stores
-      in
-      match (hexa, Queries_barton.resolve_ids dict) with
+      match (Harness.hexastore stores, Queries_barton.resolve_ids dict) with
       | Some h, Some ids ->
           let constraints =
             [
@@ -690,10 +678,7 @@ let abl_partial env =
   match List.rev (Lazy.force env.lubm) with
   | [] -> ()
   | { Harness.stores; dict; n_triples } :: _ -> (
-      let hexa =
-        List.find_map (function Stores.Hexa h -> Some h | Stores.Covp _ -> None) stores
-      in
-      match (hexa, Queries_lubm.resolve_ids dict) with
+      match (Harness.hexastore stores, Queries_lubm.resolve_ids dict) with
       | Some full, Some ids ->
           (* The LUBM benchmark workload's shapes. *)
           let workload =
@@ -752,10 +737,7 @@ let abl_cyclic env =
   match List.rev (Lazy.force env.lubm) with
   | [] -> ()
   | { Harness.stores; dict; n_triples } :: _ -> (
-      let hexa =
-        List.find_map (function Stores.Hexa h -> Some h | Stores.Covp _ -> None) stores
-      in
-      match (hexa, Queries_lubm.resolve_ids dict) with
+      match (Harness.hexastore stores, Queries_lubm.resolve_ids dict) with
       | Some full, Some ids ->
           let cyclic =
             Hexa.Partial.create ~dict
@@ -919,10 +901,7 @@ let profiling_json ~mode env =
   match List.rev (Lazy.force env.barton) with
   | [] -> Telemetry.Json.Null
   | { Harness.stores; dict; n_triples } :: _ -> (
-      let hexa =
-        List.find_map (function Stores.Hexa h -> Some h | Stores.Covp _ -> None) stores
-      in
-      match (hexa, Queries_barton.resolve_ids dict) with
+      match (Harness.hexastore stores, Queries_barton.resolve_ids dict) with
       | Some h, Some _ ->
           let store = Hexa.Store_sig.box_hexastore h in
           let q = Query.Algebra.Bgp (List.assoc "BQ4J" join_queries) in
@@ -1073,9 +1052,7 @@ let parallel_results env =
         match List.rev (Lazy.force env.lubm) with
         | [] -> (0, [])
         | { Harness.stores; n_triples; dict = _ } :: _ -> (
-            match
-              List.find_map (function Stores.Hexa h -> Some h | Stores.Covp _ -> None) stores
-            with
+            match Harness.hexastore stores with
             | None -> (0, [])
             | Some h ->
                 let boxed = Hexa.Store_sig.box_hexastore h in
@@ -1347,10 +1324,10 @@ let workload_summary sized queries_of =
   match List.rev sized with
   | [] -> Telemetry.Json.Null
   | { Harness.n_triples; stores; dict } :: _ -> (
-      let hexa = List.find_opt (function Stores.Hexa _ -> true | Stores.Covp _ -> false) stores in
-      match hexa with
+      match Harness.hexastore stores with
       | None -> Telemetry.Json.Null
-      | Some store ->
+      | Some h ->
+          let store = Stores.Hexa h in
           Telemetry.Json.Obj
             [
               ("triples", Telemetry.Json.Int n_triples);
@@ -1424,9 +1401,6 @@ let repr_kinds = Vectors.Sorted_ivec.[ Raw; Packed ]
 
 let repr_cache : repr_sweep option ref = ref None
 
-let hexa_of stores =
-  List.find_map (function Stores.Hexa h -> Some h | Stores.Covp _ -> None) stores
-
 let rebuild_as kind h =
   let triples =
     Array.of_list (List.rev (Hexa.Hexastore.fold (fun tr acc -> tr :: acc) h []))
@@ -1470,13 +1444,13 @@ let repr_results env =
                     repr_kinds
                 in
                 { rw_name; rw_triples = n_triples; rw_arms = arms })
-              (hexa_of stores)
+              (Harness.hexastore stores)
       in
       let rs_join_triples, rs_join =
         match List.rev (Lazy.force env.barton) with
         | [] -> (0, [])
         | { Harness.stores; dict; n_triples } :: _ -> (
-            match (hexa_of stores, Queries_barton.resolve_ids dict) with
+            match (Harness.hexastore stores, Queries_barton.resolve_ids dict) with
             | Some h, Some _ ->
                 ( n_triples,
                   List.map

@@ -59,20 +59,16 @@ let () =
      Compare the Hexastore's osp access with COVP1's scan over every
      property table (LQ2's plans, §5.2.2). *)
   Format.printf "--- Everything related to University0, Hexastore vs COVP1@.";
-  let covp1 = Hexa.Covp.of_triples Hexa.Covp.Covp1 triples in
-  (match
-     ( Queries_lubm.resolve_ids dict,
-       Queries_lubm.resolve_ids (Hexa.Covp.dict covp1) )
-   with
-  | Some ids_h, Some ids_c ->
+  let covp1 = Stores.create ~dict Stores.K_covp1 in
+  ignore (Stores.load covp1 (Array.of_list (Hexa.Hexastore.fold List.cons store [])));
+  (match Queries_lubm.resolve_ids dict with
+  | Some ids ->
       let hexa_s, answers =
-        Harness.time ~repeats:5 (fun () -> Queries_lubm.lq2 (Stores.Hexa store) ids_h)
+        Harness.time ~repeats:5 (fun () -> Queries_lubm.lq2 (Stores.Hexa store) ids)
       in
-      let covp_s, _ =
-        Harness.time ~repeats:5 (fun () -> Queries_lubm.lq2 (Stores.Covp covp1) ids_c)
-      in
+      let covp_s, _ = Harness.time ~repeats:5 (fun () -> Queries_lubm.lq2 covp1 ids) in
       Format.printf "%d related resources.@." (List.length answers);
       Format.printf "Hexastore (one osp lookup):        %8.3f ms@." (hexa_s *. 1000.);
       Format.printf "COVP1 (scan all property tables):  %8.3f ms  (%.0fx)@." (covp_s *. 1000.)
         (covp_s /. Float.max hexa_s 1e-9)
-  | _ -> Format.printf "vocabulary not resolved@.")
+  | None -> Format.printf "vocabulary not resolved@.")

@@ -76,19 +76,35 @@ let mem_ids t tr =
   | None -> false
   | Some l -> Sorted_ivec.mem l (get_role tr r3)
 
-(* One merge and one fill per family, in its lead ordering. *)
-let add_bulk_ids t triples =
-  let fresh = Ordering.sort_distinct Spo triples in
-  let fresh = Array.of_list (List.filter (fun tr -> not (mem_ids t tr)) (Array.to_list fresh)) in
-  if Array.length fresh > 0 then begin
-    t.families <-
-      List.map (fun f -> family t.kept f.lead (Index.refill f.index f.lead ~add:fresh ~remove:[||])) t.families;
+(* Each family is static (Compressed Vertical Partitioning): a write
+   rebuilds it with one merge and one fill in its lead ordering, with
+   [add] absent and [remove] present, both sorted on (s, p, o). *)
+let rebuild t ~add ~remove =
+  if Array.length add > 0 || Array.length remove > 0 then begin
+    t.families <- List.map (fun f -> family t.kept f.lead (Index.refill f.index f.lead ~add ~remove)) t.families;
     t.indices <- indices_of t.families;
-    t.size <- t.size + Array.length fresh
-  end;
+    t.size <- t.size + Array.length add - Array.length remove
+  end
+
+(* The distinct triples of [triples], sorted on (s, p, o), that the
+   store holds ([keep]) or lacks. *)
+let select t keep triples =
+  let a = Ordering.sort_distinct Spo triples in
+  Array.of_list (List.filter (fun tr -> mem_ids t tr = keep) (Array.to_list a))
+
+let add_bulk_ids t triples =
+  let fresh = select t false triples in
+  rebuild t ~add:fresh ~remove:[||];
   Array.length fresh
 
 let add_ids t tr = add_bulk_ids t [| tr |] = 1
+
+let remove_ids t tr =
+  let gone = select t true [| tr |] in
+  rebuild t ~add:[||] ~remove:gone;
+  Array.length gone = 1
+
+let index t ord = List.assoc_opt ord t.indices
 
 (* --- lookup ------------------------------------------------------------ *)
 
@@ -97,8 +113,10 @@ let pattern_role (pat : Pattern.t) = function
   | Rp -> pat.p
   | Ro -> pat.o
 
-(* How useful an ordering is for a pattern: length of its bound prefix,
-   with a tie-break bonus for the shape's native ordering. *)
+(* How useful an ordering is for a pattern: length of its bound prefix;
+   among orderings whose first position is free, one whose second is
+   bound (a probe per header instead of a walk of every list); then a
+   tie-break bonus for the shape's native ordering. *)
 let score pat ord =
   let r1, r2, r3 = roles ord in
   let bound r = pattern_role pat r <> None in
@@ -108,7 +126,9 @@ let score pat ord =
     else if not (bound r3) then 2
     else 3
   in
-  (2 * prefix) + if Ordering.equal ord (Ordering.for_shape (Pattern.shape pat)) then 1 else 0
+  (4 * prefix)
+  + (if bound r2 then 2 else 0)
+  + if Ordering.equal ord (Ordering.for_shape (Pattern.shape pat)) then 1 else 0
 
 let best_ordering t pat =
   List.fold_left
@@ -119,6 +139,8 @@ let best_ordering t pat =
     None t.indices
   |> Option.get
 
+let serving_ordering t pat = fst (best_ordering t pat)
+
 let is_native t shape =
   Ordering.Set.mem (Ordering.for_shape shape) t.kept
   ||
@@ -128,23 +150,23 @@ let is_native t shape =
   | Pattern.All | Pattern.Sp -> Ordering.Set.mem (Ordering.twin (Ordering.for_shape shape)) t.kept
   | _ -> false
 
-(* The kept ordering with the longest bound prefix, walked in its
-   order; a bound position past the prefix filters. *)
+(* The ordering [best_ordering] picks, walked in its order: a bound
+   first position is one probe, a bound second one a probe per header,
+   and a bound third position filters. *)
 let iter t (pat : Pattern.t) f =
   let ord, idx = best_ordering t pat in
   let r1, r2, r3 = roles ord in
   let v2 = pattern_role pat r2 and v3 = pattern_role pat r3 in
-  let emit = Ordering.emit ord f in
+  let emit = Ordering.emit ord in
   let entry x1 x2 l =
     match v3 with
-    | Some x3 -> if Sorted_ivec.mem l x3 then emit x1 x2 x3
-    | None -> Sorted_ivec.iter (fun x3 -> emit x1 x2 x3) l
+    | Some x3 -> if Sorted_ivec.mem l x3 then emit f x1 x2 x3
+    | None -> Sorted_ivec.iter (fun x3 -> emit f x1 x2 x3) l
   in
   let header x1 =
-    match (Index.find_vector idx x1, v2) with
-    | None, _ -> ()
-    | Some v, Some x2 -> Option.iter (entry x1 x2) (Pair_vector.find v x2)
-    | Some v, None -> Pair_vector.iter (entry x1) v
+    match v2 with
+    | Some x2 -> Option.iter (entry x1 x2) (Index.find_list idx x1 x2)
+    | None -> Option.iter (Pair_vector.iter (entry x1)) (Index.find_vector idx x1)
   in
   match pattern_role pat r1 with
   | Some x1 -> header x1

@@ -2,9 +2,10 @@
 
     The query engine, the harness and parts of the test suite are generic
     over "something that can answer triple patterns".  The Hexastore, the
-    COVP baselines, the partial store and the delta layer implement this
-    signature; first-class modules ({!boxed}) let callers hold a
-    heterogeneous store without functorising the world.
+    partial store (the COVP baselines among its configurations) and the
+    delta layer implement this signature; first-class modules ({!boxed})
+    let callers hold a heterogeneous store without functorising the
+    world.
 
     Reads are pushed, never pulled: a store is read through {!S.iter}
     (every match), {!S.count}, and the sorted range cursor
@@ -15,8 +16,9 @@
 module type S = sig
   type t
 
-  val name : string
-  (** Display name ("Hexastore", "COVP1", "COVP2"). *)
+  val name : t -> string
+  (** Display name ("Hexastore", "COVP1", "COVP2", "Partial",
+      "Hexastore+delta"). *)
 
   val dict : t -> Dict.Term_dict.t
 
@@ -66,7 +68,7 @@ end
 module Hexastore_store : S with type t = Hexastore.t = struct
   type t = Hexastore.t
 
-  let name = "Hexastore"
+  let name _ = "Hexastore"
   let dict = Hexastore.dict
   let size = Hexastore.size
   let add_bulk_ids = Hexastore.add_bulk_ids
@@ -83,36 +85,16 @@ module Hexastore_store : S with type t = Hexastore.t = struct
   let memory_words = Hexastore.memory_words
 end
 
-module Covp1_store : S with type t = Covp.t = struct
-  type t = Covp.t
-
-  let name = "COVP1"
-  let dict = Covp.dict
-  let size = Covp.size
-  let add_bulk_ids = Covp.add_bulk_ids
-  let iter = Covp.iter
-  let count = Covp.count
-
-  (* The COVP baselines keep only per-property tables; they cannot
-     stream an arbitrary pattern sorted on a chosen position. *)
-  let seek_sorted _ _ _ = None
-  let seek_ordering _ _ _ = None
-  let scan_bounds _ _ _ ~parts:_ = [||]
-  let pin _ = None
-  let repr_name _ = "raw"
-  let memory_words = Covp.memory_words
-end
-
-module Covp2_store : S with type t = Covp.t = struct
-  include Covp1_store
-
-  let name = "COVP2"
-end
-
 module Partial_store : S with type t = Partial.t = struct
   type t = Partial.t
 
-  let name = "Partial"
+  (* §5's names for the two subsets it benchmarks. *)
+  let name t =
+    match Ordering.Set.elements (Partial.orderings t) with
+    | [ Ordering.Pso ] -> "COVP1"
+    | [ Ordering.Pso; Ordering.Pos ] -> "COVP2"
+    | _ -> "Partial"
+
   let dict = Partial.dict
   let size = Partial.size
   let add_bulk_ids = Partial.add_bulk_ids
@@ -132,7 +114,7 @@ end
 module Delta_store : S with type t = Delta.t = struct
   type t = Delta.t
 
-  let name = "Hexastore+delta"
+  let name _ = "Hexastore+delta"
   let dict = Delta.dict
   let size = Delta.size
   let add_bulk_ids = Delta.add_bulk_ids
@@ -154,12 +136,7 @@ let box_delta d = Boxed ((module Delta_store), d)
 
 let box_partial p = Boxed ((module Partial_store), p)
 
-let box_covp c =
-  match Covp.kind c with
-  | Covp.Covp1 -> Boxed ((module Covp1_store), c)
-  | Covp.Covp2 -> Boxed ((module Covp2_store), c)
-
-let name (Boxed ((module M), _)) = M.name
+let name (Boxed ((module M), store)) = M.name store
 let dict (Boxed ((module M), store)) = M.dict store
 let size (Boxed ((module M), store)) = M.size store
 let add_bulk_ids (Boxed ((module M), store)) trs = M.add_bulk_ids store trs

@@ -2,9 +2,10 @@
 
     The query engine, the harness and parts of the test suite are generic
     over "something that can answer triple patterns".  The Hexastore, the
-    COVP baselines, the partial store and the delta layer implement this
-    signature; first-class modules ({!boxed}) let callers hold a
-    heterogeneous store without functorising the world.
+    partial store (the COVP baselines among its configurations) and the
+    delta layer implement this signature; first-class modules ({!boxed})
+    let callers hold a heterogeneous store without functorising the
+    world.
 
     Reads are pushed, never pulled: a store is read through {!S.iter}
     (every match), {!S.count}, and the sorted range cursor
@@ -15,8 +16,9 @@
 module type S = sig
   type t
 
-  val name : string
-  (** Display name ("Hexastore", "COVP1", "COVP2"). *)
+  val name : t -> string
+  (** Display name ("Hexastore", "COVP1", "COVP2", "Partial",
+      "Hexastore+delta"). *)
 
   val dict : t -> Dict.Term_dict.t
 
@@ -65,10 +67,6 @@ end
 
 module Hexastore_store : S with type t = Hexastore.t
 
-module Covp1_store : S with type t = Covp.t
-
-module Covp2_store : S with type t = Covp.t
-
 module Partial_store : S with type t = Partial.t
 
 module Delta_store : S with type t = Delta.t
@@ -84,9 +82,6 @@ val box_hexastore : Hexastore.t -> boxed
 val box_delta : Delta.t -> boxed
 
 val box_partial : Partial.t -> boxed
-
-val box_covp : Covp.t -> boxed
-(** Picks the COVP1 or COVP2 vtable from {!Covp.kind}. *)
 
 (** Convenience wrappers dispatching through the box. *)
 

@@ -51,6 +51,8 @@ let build_prefixes ~kinds ~sizes triples =
       { n_triples = n; stores; dict })
     sizes
 
+let hexastore stores = List.find_map (function Stores.Hexa h -> Some h | Stores.Partial _ -> None) stores
+
 type point = {
   size : int;
   method_ : string;

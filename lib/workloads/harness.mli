@@ -23,6 +23,9 @@ val build_prefixes :
     requested prefix size into fresh stores.  Sizes beyond the data set's
     length are clamped (duplicates collapse). *)
 
+val hexastore : Stores.t list -> Hexa.Hexastore.t option
+(** The Hexastore among a sweep point's stores, if one was built. *)
+
 (** One measured point of a figure. *)
 type point = {
   size : int;

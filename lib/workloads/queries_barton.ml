@@ -38,20 +38,26 @@ let empty_sv = SV.create ~capacity:1 ()
 
 (* --- shared access helpers -------------------------------------------- *)
 
-(* Sorted subjects matching (p, o).  COVP1's implementation of
-   [subjects_of_po] scans the property table, which is exactly the cost
-   §5.2 prescribes for it. *)
+(* Sorted subjects matching (p, o): one pos list on the Hexastore and
+   COVP2.  COVP1 has no pos, so [Partial.iter] scans the property's
+   subject table, probing each subject's o-list — exactly the cost
+   §5.2 prescribes. *)
 let subjects_po store ~p ~o =
+  let list = function Some l -> l | None -> empty_sv in
   match store with
-  | Stores.Hexa h -> (
-      match Hexastore.subjects_of_po h ~p ~o with Some l -> l | None -> empty_sv)
-  | Stores.Covp c -> (
-      match Covp.subjects_of_po c ~p ~o with Some l -> l | None -> empty_sv)
+  | Stores.Hexa h -> list (Hexastore.subjects_of_po h ~p ~o)
+  | Stores.Partial c -> (
+      match Partial.index c Ordering.Pos with
+      | Some pos -> list (Index.find_list pos p o)
+      | None ->
+          let out = SV.create () in
+          Partial.iter c (Pattern.make ~p ~o ()) (fun s _ _ -> ignore (SV.add out s));
+          out)
 
-(* The property set a COVP property-unbound step iterates: the full table
-   list, or the pre-selected restriction. *)
-let covp_scan_props c restrict =
-  match restrict with Some l -> l | None -> Covp.properties c
+(* The property set a property-unbound step iterates: every pso table,
+   or the pre-selected restriction. *)
+let scan_props pso restrict =
+  match restrict with Some l -> l | None -> Index.headers_view pso
 
 (* Restrictions are normalised to sorted vectors once per query so the
    per-property phases can iterate them directly in sorted order. *)
@@ -95,37 +101,31 @@ let table_intersects v t =
 (* --- BQ1: counts of each Type object ---------------------------------- *)
 
 let bq1 store ids =
-  match store with
-  | Stores.Hexa h -> (
-      (* pos index of Type: each object entry's s-list length is the count. *)
-      match Index.find_vector (Hexastore.pos h) ids.type_p with
+  match Stores.pos store with
+  | Some pos -> (
+      (* Hexastore and COVP2: pos index of Type, where each object
+         entry's s-list length is the count. *)
+      match Index.find_vector pos ids.type_p with
       | None -> []
       | Some v ->
           let out = ref [] in
           Pair_vector.iter (fun o sl -> out := (o, SV.length sl) :: !out) v;
           List.rev !out)
-  | Stores.Covp c -> (
-      match Covp.object_vector c ids.type_p with
+  | None -> (
+      (* COVP1: self-join aggregation on object value over pso. *)
+      match Index.find_vector (Stores.pso store) ids.type_p with
+      | None -> []
       | Some v ->
-          (* COVP2: same access as the Hexastore. *)
-          let out = ref [] in
-          Pair_vector.iter (fun o sl -> out := (o, SV.length sl) :: !out) v;
-          List.rev !out
-      | None -> (
-          (* COVP1: self-join aggregation on object value over pso. *)
-          match Covp.subject_vector c ids.type_p with
-          | None -> []
-          | Some v ->
-              let counts = Hashtbl.create 64 in
-              Pair_vector.iter
-                (fun _s ol ->
-                  SV.iter
-                    (fun o ->
-                      Hashtbl.replace counts o (1 + Option.value ~default:0 (Hashtbl.find_opt counts o)))
-                    ol)
-                v;
-              Hashtbl.fold (fun o n acc -> (o, n) :: acc) counts []
-              |> List.sort (fun (a, _) (b, _) -> compare a b)))
+          let counts = Hashtbl.create 64 in
+          Pair_vector.iter
+            (fun _s ol ->
+              SV.iter
+                (fun o ->
+                  Hashtbl.replace counts o (1 + Option.value ~default:0 (Hashtbl.find_opt counts o)))
+                ol)
+            v;
+          Hashtbl.fold (fun o n acc -> (o, n) :: acc) counts []
+          |> List.sort (fun (a, _) (b, _) -> compare a b))
 
 (* --- the Type:Text pre-selection --------------------------------------- *)
 
@@ -133,31 +133,15 @@ let text_subjects store ids = subjects_po store ~p:ids.type_p ~o:ids.text
 
 (* --- BQ2: property frequencies over Text subjects ---------------------- *)
 
-(* COVP phase 2 (both variants): join t against every property's subject
-   vector, summing matched o-list lengths. *)
-let covp_property_frequencies c restrict t =
-  let out = ref [] in
-  SV.iter
-    (fun p ->
-      match Covp.subject_vector c p with
-      | None -> ()
-      | Some v ->
-          let freq = ref 0 in
-          iter_table_join v t (fun _s ol -> freq := !freq + SV.length ol);
-          if !freq > 0 then out := (p, !freq) :: !out)
-    (covp_scan_props c restrict);
-  List.rev !out
-
-(* Hexastore phase 2, merge-join formulation: one probe of the pso
-   index, then for each property (its sorted header view, or the
-   restriction) gallop-intersect the property's subject vector with the
-   sorted [t], summing matched o-list lengths.  The earlier spo
+(* Phase 2, the same for every competitor: one probe of the pso index,
+   then for each property (its sorted header view, or the restriction)
+   gallop-intersect the property's subject vector with the sorted [t],
+   summing matched o-list lengths.  The Hexastore's earlier spo
    formulation probed the subject index once per Text subject — 12,674
    point probes at full Barton scale — where this one's probe count is
    independent of |t|. *)
-let hexa_property_frequencies h restrict t =
-  let pso = Hexastore.pso h in
-  let props = match restrict with Some l -> l | None -> Index.headers_view pso in
+let property_frequencies store restrict t =
+  let pso = Stores.pso store in
   let out = ref [] in
   SV.iter
     (fun p ->
@@ -167,15 +151,11 @@ let hexa_property_frequencies h restrict t =
           let freq = ref 0 in
           iter_table_join v t (fun _s ol -> freq := !freq + SV.length ol);
           if !freq > 0 then out := (p, !freq) :: !out)
-    props;
+    (scan_props pso restrict);
   List.rev !out
 
 let bq2 ?restrict store ids =
-  let restrict = restrict_sv restrict in
-  let t = text_subjects store ids in
-  match store with
-  | Stores.Hexa h -> hexa_property_frequencies h restrict t
-  | Stores.Covp c -> covp_property_frequencies c restrict t
+  property_frequencies store (restrict_sv restrict) (text_subjects store ids)
 
 (* --- BQ3: popular objects per property over Text subjects -------------- *)
 
@@ -186,14 +166,13 @@ let bq2 ?restrict store ids =
    walk. *)
 let hexa_relevant_properties h restrict t =
   let pso = Hexastore.pso h in
-  let props = match restrict with Some l -> l | None -> Index.headers_view pso in
   let out = ref [] in
   SV.iter
     (fun p ->
       match Index.find_vector pso p with
       | None -> ()
       | Some v -> if table_intersects v t then out := p :: !out)
-    props;
+    (scan_props pso restrict);
   List.rev !out
 
 let popular_via_pos find_object_vector props t =
@@ -211,11 +190,11 @@ let popular_via_pos find_object_vector props t =
           if !objs = [] then None else Some (p, List.rev !objs))
     props
 
-let covp1_popular c restrict t =
+let covp1_popular pso restrict t =
   let out = ref [] in
   SV.iter
     (fun p ->
-      match Covp.subject_vector c p with
+      match Index.find_vector pso p with
       | None -> ()
       | Some v ->
           let counts = Hashtbl.create 16 in
@@ -230,21 +209,19 @@ let covp1_popular c restrict t =
             |> List.sort (fun (a, _) (b, _) -> compare a b)
           in
           if objs <> [] then out := (p, objs) :: !out)
-    (covp_scan_props c restrict);
+    (scan_props pso restrict);
   List.rev !out
 
 let bq3_over restrict store t =
-  match store with
-  | Stores.Hexa h ->
+  match (store, Stores.pos store) with
+  | Stores.Hexa h, Some pos ->
       let props = hexa_relevant_properties h restrict t in
-      let pos = Hexastore.pos h in
       popular_via_pos (fun p -> Index.find_vector pos p) props t
-  | Stores.Covp c -> (
-      match Covp.kind c with
-      | Covp.Covp2 ->
-          let props = SV.to_list (covp_scan_props c restrict) in
-          popular_via_pos (fun p -> Covp.object_vector c p) props t
-      | Covp.Covp1 -> covp1_popular c restrict t)
+  | _, Some pos ->
+      (* COVP2: every property table's pos copy. *)
+      let props = SV.to_list (scan_props (Stores.pso store) restrict) in
+      popular_via_pos (fun p -> Index.find_vector pos p) props t
+  | _, None -> covp1_popular (Stores.pso store) restrict t
 
 let bq3 ?restrict store ids =
   bq3_over (restrict_sv restrict) store (text_subjects store ids)
@@ -306,16 +283,16 @@ let infer_via_pos ~records_v ~type_v ~s_dlc ~keep =
     table;
   List.rev !out
 
-let covp1_infer c ids ~s_dlc ~keep =
+let covp1_infer pso ids ~s_dlc ~keep =
   (* Join s_dlc with the Records subject vector to get recorded objects
      (unsorted by object), sort them, then sort-merge with Type. *)
-  match Covp.subject_vector c ids.records with
+  match Index.find_vector pso ids.records with
   | None -> []
   | Some v ->
       let pairs = ref [] in
       iter_table_join v s_dlc (fun s ol -> SV.iter (fun o -> pairs := (o, s) :: !pairs) ol);
       let pairs = List.sort compare !pairs in
-      (match Covp.subject_vector c ids.type_p with
+      (match Index.find_vector pso ids.type_p with
       | None -> []
       | Some tv ->
           let out = ref [] in
@@ -337,21 +314,14 @@ let dlc_subjects store ids = subjects_po store ~p:ids.origin ~o:ids.dlc
 
 let bq5_generic store ids ~keep =
   let s_dlc = dlc_subjects store ids in
-  let via_pos records_v type_v =
-    match (records_v, type_v) with
-    | Some records_v, Some type_v -> infer_via_pos ~records_v ~type_v ~s_dlc ~keep
-    | _ -> []
-  in
-  match store with
-  | Stores.Hexa h ->
-      via_pos
-        (Index.find_vector (Hexastore.pos h) ids.records)
-        (Index.find_vector (Hexastore.pso h) ids.type_p)
-  | Stores.Covp c -> (
-      match Covp.kind c with
-      | Covp.Covp2 ->
-          via_pos (Covp.object_vector c ids.records) (Covp.subject_vector c ids.type_p)
-      | Covp.Covp1 -> covp1_infer c ids ~s_dlc ~keep)
+  let pso = Stores.pso store in
+  match Stores.pos store with
+  | Some pos -> (
+      (* Hexastore and COVP2. *)
+      match (Index.find_vector pos ids.records, Index.find_vector pso ids.type_p) with
+      | Some records_v, Some type_v -> infer_via_pos ~records_v ~type_v ~s_dlc ~keep
+      | _ -> [])
+  | None -> covp1_infer pso ids ~s_dlc ~keep
 
 let bq5 store ids = bq5_generic store ids ~keep:(fun ty -> ty <> ids.text)
 
@@ -362,10 +332,7 @@ let bq6 ?restrict store ids =
   let known = text_subjects store ids in
   let inferred = bq5_generic store ids ~keep:(fun ty -> ty = ids.text) in
   let inferred_subjects = SV.of_list (List.map fst inferred) in
-  let t = Merge.union known inferred_subjects in
-  match store with
-  | Stores.Hexa h -> hexa_property_frequencies h restrict t
-  | Stores.Covp c -> covp_property_frequencies c restrict t
+  property_frequencies store restrict (Merge.union known inferred_subjects)
 
 (* --- BQ7: Point "end" → Encoding and Type ------------------------------ *)
 
@@ -375,11 +342,7 @@ let bq7 store ids =
      Encoding and Type (§5.2: COVP2/Hexastore differ only in how t was
      obtained). *)
   let joined p =
-    let table =
-      match store with
-      | Stores.Hexa h -> Index.find_vector (Hexastore.pso h) p
-      | Stores.Covp c -> Covp.subject_vector c p
-    in
+    let table = Index.find_vector (Stores.pso store) p in
     let results = Hashtbl.create 64 in
     (match table with
     | None -> ()

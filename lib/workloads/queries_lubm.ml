@@ -36,38 +36,38 @@ let resolve_ids dict =
 
 let empty_sv = SV.create ~capacity:1 ()
 
+(* Sorted subjects matching (p, o): one pos list on the Hexastore and
+   COVP2.  COVP1 has no pos, so [Partial.iter] scans the property's
+   subject table, probing each subject's o-list — exactly the cost
+   §5.2 prescribes. *)
+let subjects_po store ~p ~o =
+  let list = function Some l -> l | None -> empty_sv in
+  match store with
+  | Stores.Hexa h -> list (Hexastore.subjects_of_po h ~p ~o)
+  | Stores.Partial c -> (
+      match Partial.index c Ordering.Pos with
+      | Some pos -> list (Index.find_list pos p o)
+      | None ->
+          let out = SV.create () in
+          Partial.iter c (Pattern.make ~p ~o ()) (fun s _ _ -> ignore (SV.add out s));
+          out)
+
 (* --- object-bound retrieval: who relates to [o]? ----------------------- *)
 
 (* (subject, property) pairs for every triple with object [o], using each
    competitor's native access path. *)
 let related_to store o =
-  match store with
+  let out = ref [] in
+  (match store with
   | Stores.Hexa h ->
       (* Direct osp lookup: subject vector with property lists. *)
-      let out = ref [] in
-      ignore (Index.iter_header (Hexastore.osp h) o (fun s p -> out := (s, p) :: !out));
-      List.sort compare !out
-  | Stores.Covp c ->
-      let out = ref [] in
-      SV.iter
-        (fun p ->
-          match Covp.object_vector c p with
-          | Some v -> (
-              (* COVP2: one pos probe per property table. *)
-              match Pair_vector.find v o with
-              | None -> ()
-              | Some sl -> SV.iter (fun s -> out := (s, p) :: !out) sl)
-          | None -> (
-              (* COVP1: scan the property's subject table, probing each
-                 subject's o-list. *)
-              match Covp.subject_vector c p with
-              | None -> ()
-              | Some v ->
-                  Pair_vector.iter
-                    (fun s ol -> if SV.mem ol o then out := (s, p) :: !out)
-                    v))
-        (Covp.properties c);
-      List.sort compare !out
+      ignore (Index.iter_header (Hexastore.osp h) o (fun s p -> out := (s, p) :: !out))
+  | Stores.Partial c ->
+      (* Every property table: COVP2 probes its pos table once per
+         property; COVP1 scans each subject table, probing every
+         subject's o-list. *)
+      Partial.iter c (Pattern.make ~o ()) (fun s p _ -> out := (s, p) :: !out));
+  List.sort compare !out
 
 let lq1 store ids = related_to store ids.course10
 
@@ -84,15 +84,10 @@ let lq3 store ids =
         let out = ref [] in
         ignore (Index.iter_header (Hexastore.spo h) x (fun p o -> out := (p, o) :: !out));
         List.sort compare !out
-    | Stores.Covp c ->
+    | Stores.Partial c ->
         (* Both COVP variants: probe every property table by subject. *)
         let out = ref [] in
-        SV.iter
-          (fun p ->
-            match Covp.objects_of_sp c ~s:x ~p with
-            | None -> ()
-            | Some ol -> SV.iter (fun o -> out := (p, o) :: !out) ol)
-          (Covp.properties c);
+        Partial.iter c (Pattern.make ~s:x ()) (fun _ p o -> out := (p, o) :: !out);
         List.sort compare !out
   in
   let incoming = related_to store x in
@@ -104,8 +99,8 @@ let objects_sp store ~s ~p =
   match store with
   | Stores.Hexa h -> (
       match Hexastore.objects_of_sp h ~s ~p with Some l -> l | None -> empty_sv)
-  | Stores.Covp c -> (
-      match Covp.objects_of_sp c ~s ~p with Some l -> l | None -> empty_sv)
+  | Stores.Partial _ -> (
+      match Index.find_list (Stores.pso store) p s with Some l -> l | None -> empty_sv)
 
 let lq4 store ids =
   let courses = objects_sp store ~s:ids.assoc_prof10 ~p:ids.teacher_of in
@@ -129,65 +124,44 @@ let lq5 store ids =
         match Index.find_vector (Hexastore.sop h) ids.assoc_prof10 with
         | None -> empty_sv
         | Some v -> Pair_vector.keys v)
-    | Stores.Covp c ->
+    | Stores.Partial c ->
         (* Scan all pso property tables for AP10's objects. *)
         let objs = ref [] in
-        SV.iter
-          (fun p ->
-            match Covp.objects_of_sp c ~s:ids.assoc_prof10 ~p with
-            | None -> ()
-            | Some ol -> SV.iter (fun o -> objs := o :: !objs) ol)
-          (Covp.properties c);
+        Partial.iter c (Pattern.make ~s:ids.assoc_prof10 ()) (fun _ _ o -> objs := o :: !objs);
         SV.of_list !objs
   in
   (* Step 2: refine t to universities. *)
   let universities =
     match store with
-    | Stores.Hexa h -> (
-        match Hexastore.subjects_of_po h ~p:ids.type_p ~o:ids.university_class with
+    | Stores.Partial c when Option.is_none (Partial.index c Ordering.Pos) -> (
+        match Index.find_vector (Stores.pso store) ids.type_p with
         | None -> empty_sv
-        | Some unis -> Merge.intersect t unis)
-    | Stores.Covp c -> (
-        match Covp.kind c with
-        | Covp.Covp2 -> (
-            match Covp.subjects_of_po c ~p:ids.type_p ~o:ids.university_class with
-            | None -> empty_sv
-            | Some unis -> Merge.intersect t unis)
-        | Covp.Covp1 -> (
-            (* Join t with the Type subject vector, filtering on the
+        | Some v ->
+            (* COVP1: join t with the Type subject vector, filtering on the
                University object. *)
-            match Covp.subject_vector c ids.type_p with
-            | None -> empty_sv
-            | Some v ->
-                let out = SV.create () in
-                let nv = Pair_vector.length v and nt = SV.length t in
-                let i = ref 0 and j = ref 0 in
-                while !i < nv && !j < nt do
-                  let s = Pair_vector.key_at v !i and x = SV.get t !j in
-                  if s = x then begin
-                    if SV.mem (Pair_vector.payload_at v !i) ids.university_class then
-                      ignore (SV.add out s);
-                    incr i;
-                    incr j
-                  end
-                  else if s < x then incr i
-                  else incr j
-                done;
-                out))
+            let out = SV.create () in
+            let nv = Pair_vector.length v and nt = SV.length t in
+            let i = ref 0 and j = ref 0 in
+            while !i < nv && !j < nt do
+              let s = Pair_vector.key_at v !i and x = SV.get t !j in
+              if s = x then begin
+                if SV.mem (Pair_vector.payload_at v !i) ids.university_class then
+                  ignore (SV.add out s);
+                incr i;
+                incr j
+              end
+              else if s < x then incr i
+              else incr j
+            done;
+            out)
+    | _ -> Merge.intersect t (subjects_po store ~p:ids.type_p ~o:ids.university_class)
   in
   (* Step 3: degree-holders per university. *)
-  let subjects_po p o =
-    match store with
-    | Stores.Hexa h -> (
-        match Hexastore.subjects_of_po h ~p ~o with Some l -> l | None -> empty_sv)
-    | Stores.Covp c -> (
-        match Covp.subjects_of_po c ~p ~o with Some l -> l | None -> empty_sv)
-  in
   SV.fold
     (fun acc u ->
       let people =
         List.fold_left
-          (fun acc p -> Merge.union acc (subjects_po p u))
+          (fun acc p -> Merge.union acc (subjects_po store ~p ~o:u))
           (SV.create ()) ids.degree_props
       in
       (u, SV.to_list people) :: acc)

@@ -1,6 +1,8 @@
+open Hexa
+
 type t =
-  | Hexa of Hexa.Hexastore.t
-  | Covp of Hexa.Covp.t
+  | Hexa of Hexastore.t
+  | Partial of Partial.t
 
 type kind =
   | K_hexastore
@@ -14,29 +16,28 @@ let kind_name = function
   | K_covp1 -> "COVP1"
   | K_covp2 -> "COVP2"
 
-let create ?dict kind =
-  match kind with
-  | K_hexastore -> Hexa (Hexa.Hexastore.create ?dict ())
-  | K_covp1 -> Covp (Hexa.Covp.create ?dict Hexa.Covp.Covp1)
-  | K_covp2 -> Covp (Hexa.Covp.create ?dict Hexa.Covp.Covp2)
+let create ?dict = function
+  | K_hexastore -> Hexa (Hexastore.create ?dict ())
+  | K_covp1 -> Partial (Partial.create ?dict ~orderings:[ Ordering.Pso ] ())
+  | K_covp2 -> Partial (Partial.create ?dict ~orderings:[ Ordering.Pso; Ordering.Pos ] ())
 
-let name = function
-  | Hexa _ -> "Hexastore"
-  | Covp c -> ( match Hexa.Covp.kind c with Hexa.Covp.Covp1 -> "COVP1" | Hexa.Covp.Covp2 -> "COVP2")
+let pso = function
+  | Hexa h -> Hexastore.pso h
+  | Partial p -> (
+      match Partial.index p Ordering.Pso with
+      | Some idx -> idx
+      | None -> invalid_arg "Stores.pso: the partial store does not keep pso")
 
-let dict = function Hexa h -> Hexa.Hexastore.dict h | Covp c -> Hexa.Covp.dict c
-
-let size = function Hexa h -> Hexa.Hexastore.size h | Covp c -> Hexa.Covp.size c
-
-let load t triples =
-  match t with
-  | Hexa h -> Hexa.Hexastore.add_bulk_ids h triples
-  | Covp c -> Hexa.Covp.add_bulk_ids c triples
-
-let memory_words = function
-  | Hexa h -> Hexa.Hexastore.memory_words h
-  | Covp c -> Hexa.Covp.memory_words c
+let pos = function
+  | Hexa h -> Some (Hexastore.pos h)
+  | Partial p -> Partial.index p Ordering.Pos
 
 let boxed = function
-  | Hexa h -> Hexa.Store_sig.box_hexastore h
-  | Covp c -> Hexa.Store_sig.box_covp c
+  | Hexa h -> Store_sig.box_hexastore h
+  | Partial p -> Store_sig.box_partial p
+
+let name t = Store_sig.name (boxed t)
+let dict t = Store_sig.dict (boxed t)
+let size t = Store_sig.size (boxed t)
+let load t triples = Store_sig.add_bulk_ids (boxed t) triples
+let memory_words t = Store_sig.memory_words (boxed t)

@@ -53,11 +53,18 @@ let make_delta () =
   assert (Hexa.Delta.pending_inserts d > 0 && Hexa.Delta.pending_deletes d > 0);
   d
 
+(* COVP1 ([pso]) or COVP2 ([pso; pos]) over [triples]. *)
+let covp orderings triples =
+  let p = Hexa.Partial.create ~orderings () in
+  let encode = Dict.Term_dict.encode_triple (Hexa.Partial.dict p) in
+  ignore (Hexa.Partial.add_bulk_ids p (Array.of_list (List.map encode triples)));
+  Hexa.Store_sig.box_partial p
+
 let all_boxed () =
   [
     Hexa.Store_sig.box_hexastore (make_hexastore ());
-    Hexa.Store_sig.box_covp (Hexa.Covp.of_triples Hexa.Covp.Covp1 fixture_triples);
-    Hexa.Store_sig.box_covp (Hexa.Covp.of_triples Hexa.Covp.Covp2 fixture_triples);
+    covp [ Hexa.Ordering.Pso ] fixture_triples;
+    covp [ Hexa.Ordering.Pso; Hexa.Ordering.Pos ] fixture_triples;
     Hexa.Store_sig.box_delta (make_delta ());
   ]
 

@@ -1,7 +1,7 @@
 (* Tests for the [hexa] core: patterns, pair vectors, the Hexastore's six
-   indices with shared terminal lists, the COVP baselines, bulk loading,
-   deletion, counting and the 5x space bound.  The reference model is a
-   plain set of id-triples. *)
+   indices with shared terminal lists, the COVP baselines (partial stores
+   keeping pso, and pso + pos), bulk loading, deletion, counting and the
+   5x space bound.  The reference model is a plain set of id-triples. *)
 
 open Hexa
 module Sorted_ivec = Vectors.Sorted_ivec
@@ -344,78 +344,81 @@ let test_stats () =
   check_bool "selectivity p=2" true (abs_float (Stats.selectivity h (Pattern.make ~p:2 ()) -. 0.75) < 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* COVP baselines                                                      *)
+(* COVP baselines: the partial stores keeping pso, and pso + pos       *)
 (* ------------------------------------------------------------------ *)
 
-let covp_kinds = [ (Covp.Covp1, "covp1"); (Covp.Covp2, "covp2") ]
+let covp_configs = [ ([ Ordering.Pso ], "covp1"); ([ Ordering.Pso; Ordering.Pos ], "covp2") ]
+
+(* A COVP store and [Check.Model] agree on every read of every pattern
+   over ids below [max_id], and on size, membership and invariants. *)
+let agrees_with_model label c m max_id =
+  Partial.check_invariant c;
+  check_int (label ^ " size") (Check.Model.size m) (Partial.size c);
+  List.iter
+    (fun pat ->
+      let want = Check.Model.lookup m pat in
+      Alcotest.check triple_list
+        (Format.asprintf "%s iter %a" label Pattern.pp pat)
+        want (sorted_triples (Partial.iter c pat));
+      check_int (Format.asprintf "%s count %a" label Pattern.pp pat) (List.length want) (Partial.count c pat))
+    (all_patterns max_id)
 
 let test_covp_basics () =
   List.iter
-    (fun (kind, label) ->
-      let c = Covp.create kind in
-      check_bool (label ^ " add") true (Covp.add_ids c (t3 1 2 3));
-      check_bool (label ^ " dup") false (Covp.add_ids c (t3 1 2 3));
-      check_bool (label ^ " mem") true (Covp.mem_ids c (t3 1 2 3));
-      check_int (label ^ " size") 1 (Covp.size c);
-      check_bool (label ^ " remove") true (Covp.remove_ids c (t3 1 2 3));
-      check_int (label ^ " empty") 0 (Covp.size c);
-      Covp.check_invariant c)
-    covp_kinds
+    (fun (orderings, label) ->
+      let c = Partial.create ~orderings () and m = Check.Model.create () in
+      check_bool (label ^ " add") true (Partial.add_ids c (t3 1 2 3));
+      check_bool (label ^ " dup") false (Partial.add_ids c (t3 1 2 3));
+      check_bool (label ^ " add other") true (Partial.add_ids c (t3 1 4 3));
+      check_bool (label ^ " mem") true (Partial.mem_ids c (t3 1 2 3));
+      check_bool (label ^ " remove") true (Partial.remove_ids c (t3 1 2 3));
+      check_bool (label ^ " remove absent") false (Partial.remove_ids c (t3 1 2 3));
+      check_bool (label ^ " not mem") false (Partial.mem_ids c (t3 1 2 3));
+      ignore (Check.Model.add m (t3 1 4 3));
+      agrees_with_model label c m 6;
+      check_bool (label ^ " remove last") true (Partial.remove_ids c (t3 1 4 3));
+      agrees_with_model (label ^ " emptied") c (Check.Model.create ()) 6)
+    covp_configs
 
 let test_covp_matches_hexastore () =
-  (* All three stores must give identical answers on every pattern. *)
+  (* COVP1, COVP2, the Hexastore and the model give identical answers
+     on every pattern. *)
   let data = List.init 300 (fun i -> t3 (i mod 9) (i mod 4) (i mod 13)) in
-  let h = Hexastore.create () in
-  List.iter (fun tr -> ignore (Hexastore.add_ids h tr)) data;
+  let h = Hexastore.create () and m = Check.Model.create () in
+  List.iter (fun tr -> ignore (Hexastore.add_ids h tr); ignore (Check.Model.add m tr)) data;
   List.iter
-    (fun (kind, label) ->
-      let c = Covp.create kind in
-      List.iter (fun tr -> ignore (Covp.add_ids c tr)) data;
-      check_int (label ^ " size") (Hexastore.size h) (Covp.size c);
+    (fun (orderings, label) ->
+      let c = Partial.create ~orderings () in
+      List.iter (fun tr -> ignore (Partial.add_ids c tr)) data;
+      agrees_with_model label c m 14;
       List.iter
         (fun pat ->
           Alcotest.check triple_list
-            (Format.asprintf "%s lookup %a" label Pattern.pp pat)
+            (Format.asprintf "%s = hexastore %a" label Pattern.pp pat)
             (sorted_triples (Hexastore.iter h pat))
-            (sorted_triples (Covp.iter c pat));
-          check_int
-            (Format.asprintf "%s count %a" label Pattern.pp pat)
-            (Hexastore.count h pat) (Covp.count c pat))
+            (sorted_triples (Partial.iter c pat)))
         (all_patterns 14))
-    covp_kinds
+    covp_configs
 
 let test_covp_bulk () =
   let data = Array.init 200 (fun i -> t3 (i mod 7) (i mod 5) (i mod 11)) in
+  let m = Check.Model.create () in
+  Array.iter (fun tr -> ignore (Check.Model.add m tr)) data;
   List.iter
-    (fun (kind, label) ->
-      let c1 = Covp.create kind in
-      Array.iter (fun tr -> ignore (Covp.add_ids c1 tr)) data;
-      let c2 = Covp.create kind in
-      let added = Covp.add_bulk_ids c2 data in
-      check_int (label ^ " bulk size") (Covp.size c1) (Covp.size c2);
-      check_int (label ^ " bulk count") (Covp.size c1) added;
-      Covp.check_invariant c2;
-      Alcotest.check triple_list (label ^ " same contents")
-        (sorted_triples (Covp.iter c1 Pattern.wildcard))
-        (sorted_triples (Covp.iter c2 Pattern.wildcard)))
-    covp_kinds
-
-let test_covp_restriction () =
-  let c = Covp.create Covp.Covp2 in
-  List.iter (fun tr -> ignore (Covp.add_ids c tr)) [ t3 1 2 3; t3 1 4 3; t3 1 5 6 ];
-  check_int "unrestricted S scan" 3 (Covp.count c (Pattern.make ~s:1 ()));
-  Covp.restrict_properties c (Some [ 2; 5 ]);
-  check_int "restricted S scan" 2 (Covp.count c (Pattern.make ~s:1 ()));
-  check_int "restricted O scan" 1 (Covp.count c (Pattern.make ~o:3 ()));
-  (* Property-bound lookups ignore the restriction. *)
-  check_int "bound-p lookup unaffected" 1 (Covp.count c (Pattern.make ~p:4 ()));
-  Covp.restrict_properties c None;
-  check_int "cleared" 3 (Covp.count c (Pattern.make ~s:1 ()))
+    (fun (orderings, label) ->
+      let c1 = Partial.create ~orderings () in
+      Array.iter (fun tr -> ignore (Partial.add_ids c1 tr)) data;
+      let c2 = Partial.create ~orderings () in
+      let added = Partial.add_bulk_ids c2 data in
+      check_int (label ^ " bulk count") (Check.Model.size m) added;
+      agrees_with_model (label ^ " point") c1 m 12;
+      agrees_with_model (label ^ " bulk") c2 m 12)
+    covp_configs
 
 (* [memory_words] is exact: on LUBM 2x2 each store agrees with the
    words actually reachable from it (minus its dictionary) to within
-   0.5% — the COVP and partial stores, and Hexastores bulk-loaded (raw
-   and packed) and then point-written. *)
+   0.5% — COVP1 and COVP2, and Hexastores bulk-loaded (raw and packed)
+   and then point-written. *)
 let test_memory_matches_reachable () =
   let dict = Dict.Term_dict.create () in
   let cfg = Workloads.Lubm.config ~universities:2 ~departments_per_university:2 () in
@@ -432,14 +435,11 @@ let test_memory_matches_reachable () =
       (Float.abs (ratio -. 1.) <= 0.005)
   in
   List.iter
-    (fun (kind, label) ->
-      let c = Covp.create ~dict kind in
-      ignore (Covp.add_bulk_ids c ids);
-      agrees label c (Covp.memory_words c))
-    covp_kinds;
-  let p = Partial.create ~dict ~orderings:[ Ordering.Pso ] () in
-  ignore (Partial.add_bulk_ids p ids);
-  agrees "partial{pso}" p (Partial.memory_words p);
+    (fun (orderings, label) ->
+      let c = Partial.create ~dict ~orderings () in
+      ignore (Partial.add_bulk_ids c ids);
+      agrees label c (Partial.memory_words c))
+    covp_configs;
   List.iter
     (fun (repr, label) ->
       let h = Hexastore.create ~dict ~repr () in
@@ -450,17 +450,21 @@ let test_memory_matches_reachable () =
     [ (Sorted_ivec.Raw, "hexastore raw"); (Sorted_ivec.Packed, "hexastore packed") ]
 
 let test_covp1_po_scan () =
-  (* Covp1's subjects_of_po must fall back to scanning the table. *)
-  let c = Covp.create Covp.Covp1 in
-  List.iter (fun tr -> ignore (Covp.add_ids c tr)) [ t3 1 2 3; t3 5 2 3; t3 7 2 4 ];
-  (match Covp.subjects_of_po c ~p:2 ~o:3 with
-  | Some l -> Alcotest.(check (list int)) "scan result" [ 1; 5 ] (Sorted_ivec.to_list l)
-  | None -> Alcotest.fail "missing");
-  check_bool "no match" true (Covp.subjects_of_po c ~p:2 ~o:9 = None);
-  check_bool "covp1 has no object_vector" true (Covp.object_vector c 2 = None);
-  let c2 = Covp.create Covp.Covp2 in
-  ignore (Covp.add_ids c2 (t3 1 2 3));
-  check_bool "covp2 has object_vector" true (Covp.object_vector c2 2 <> None)
+  (* COVP1 has no pos: a Po read scans the property's pso table,
+     probing each subject's o-list; COVP2 probes pos. *)
+  List.iter
+    (fun (orderings, label) ->
+      let c = Partial.create ~orderings () in
+      ignore (Partial.add_bulk_ids c [| t3 1 2 3; t3 5 2 3; t3 7 2 4 |]);
+      let po = Pattern.make ~p:2 ~o:3 () in
+      let serving = Partial.serving_ordering c po in
+      check_bool (label ^ " serving ordering") true
+        (Ordering.equal serving (if List.mem Ordering.Pos orderings then Ordering.Pos else Ordering.Pso));
+      check_bool (label ^ " pos kept") (List.mem Ordering.Pos orderings) (Partial.index c Ordering.Pos <> None);
+      Alcotest.check triple_list (label ^ " scan result") [ t3 1 2 3; t3 5 2 3 ]
+        (Check.Model.pushed (Partial.iter c po));
+      check_int (label ^ " no match") 0 (Partial.count c (Pattern.make ~p:2 ~o:9 ())))
+    covp_configs
 
 (* ------------------------------------------------------------------ *)
 (* Store_sig boxing                                                    *)
@@ -474,10 +478,12 @@ let test_store_sig () =
   check_int "size" 1 (Store_sig.size b);
   check_int "iter" 1 (List.length (Check.Model.pushed (Store_sig.iter b Pattern.wildcard)));
   check_int "count" 1 (Store_sig.count b (Pattern.make ~s:1 ()));
-  let c = Covp.create Covp.Covp1 in
-  Alcotest.(check string) "covp1 name" "COVP1" (Store_sig.name (Store_sig.box_covp c));
-  let c2 = Covp.create Covp.Covp2 in
-  Alcotest.(check string) "covp2 name" "COVP2" (Store_sig.name (Store_sig.box_covp c2))
+  List.iter
+    (fun (orderings, label) ->
+      Alcotest.(check string)
+        (label ^ " name") (String.uppercase_ascii label)
+        (Store_sig.name (Store_sig.box_partial (Partial.create ~orderings ()))))
+    covp_configs
 
 (* ------------------------------------------------------------------ *)
 (* Property tests: model-based across all three stores                 *)
@@ -521,30 +527,30 @@ let prop_hexa_model =
              && Hexastore.count h pat = List.length expected)
            (all_patterns 11))
 
-let prop_covp_equiv kind name =
+let prop_covp_equiv orderings name =
   QCheck.Test.make ~name ~count:150 arbitrary_ops (fun ops ->
-      let h = Hexastore.create () and c = Covp.create kind in
+      let h = Hexastore.create () and c = Partial.create ~orderings () in
       List.iter
         (fun (add, tr) ->
           if add then begin
             ignore (Hexastore.add_ids h tr);
-            ignore (Covp.add_ids c tr)
+            ignore (Partial.add_ids c tr)
           end
           else begin
             ignore (Hexastore.remove_ids h tr);
-            ignore (Covp.remove_ids c tr)
+            ignore (Partial.remove_ids c tr)
           end)
         ops;
-      Covp.check_invariant c;
-      Covp.size c = Hexastore.size h
+      Partial.check_invariant c;
+      Partial.size c = Hexastore.size h
       && List.for_all
            (fun pat ->
-             sorted_triples (Covp.iter c pat) = sorted_triples (Hexastore.iter h pat)
-             && Covp.count c pat = Hexastore.count h pat)
+             sorted_triples (Partial.iter c pat) = sorted_triples (Hexastore.iter h pat)
+             && Partial.count c pat = Hexastore.count h pat)
            (all_patterns 11))
 
-let prop_covp1_equiv = prop_covp_equiv Covp.Covp1 "covp1 = hexastore on all patterns"
-let prop_covp2_equiv = prop_covp_equiv Covp.Covp2 "covp2 = hexastore on all patterns"
+let prop_covp1_equiv = prop_covp_equiv [ Ordering.Pso ] "covp1 = hexastore on all patterns"
+let prop_covp2_equiv = prop_covp_equiv [ Ordering.Pso; Ordering.Pos ] "covp2 = hexastore on all patterns"
 
 let prop_bulk_equiv =
   QCheck.Test.make ~name:"bulk load = incremental load" ~count:150
@@ -608,9 +614,6 @@ let orderings_match indices model =
       = List.sort (Ordering.compare_triples ord) (Check.Model.to_list model))
     indices
 
-(* [remove = None] (the partial store has no delete): the removed
-   triples are simply left out of the base, so their headers are absent
-   rather than pruned. *)
 let prop_bulk_merge ?(gen = gen_merge_case) name ~make ~add ~remove ~bulk ~indices ~size ~check =
   QCheck.Test.make ~name ~count:200 (QCheck.make ~print:print_merge_case gen)
     (fun (base, extra, ords) ->
@@ -618,21 +621,16 @@ let prop_bulk_merge ?(gen = gen_merge_case) name ~make ~add ~remove ~bulk ~indic
       let batch = t3 1 1 1 :: t3 21 21 21 :: t3 39 39 39 :: (removed @ extra) in
       let prepare () =
         let t = make ords in
-        List.iter
-          (fun (drop, tr) -> if not (drop && Option.is_none remove) then ignore (add t tr))
-          base;
-        Option.iter (fun rm -> List.iter (fun tr -> ignore (rm t tr)) removed) remove;
+        List.iter (fun (_, tr) -> ignore (add t tr)) base;
+        List.iter (fun tr -> ignore (remove t tr)) removed;
         t
       in
       let bulk_t = prepare () and point_t = prepare () in
       ignore (bulk bulk_t (Array.of_list batch));
       List.iter (fun tr -> ignore (add point_t tr)) batch;
       let model = Check.Model.create () in
-      List.iter
-        (fun (drop, tr) ->
-          if not (drop && Option.is_none remove) then ignore (Check.Model.add model tr))
-        base;
-      if Option.is_some remove then List.iter (fun tr -> ignore (Check.Model.remove model tr)) removed;
+      List.iter (fun (_, tr) -> ignore (Check.Model.add model tr)) base;
+      List.iter (fun tr -> ignore (Check.Model.remove model tr)) removed;
       List.iter (fun tr -> ignore (Check.Model.add model tr)) batch;
       check bulk_t;
       size bulk_t = size point_t
@@ -667,71 +665,64 @@ let hexa_indices h =
 let prop_bulk_merge_hexa =
   prop_bulk_merge "bulk header merge = point inserts (hexastore)"
     ~make:(fun _ -> Hexastore.create ())
-    ~add:Hexastore.add_ids ~remove:(Some Hexastore.remove_ids) ~bulk:Hexastore.add_bulk_ids
+    ~add:Hexastore.add_ids ~remove:Hexastore.remove_ids ~bulk:Hexastore.add_bulk_ids
     ~indices:hexa_indices ~size:Hexastore.size ~check:Hexastore.check_invariant
 
 let prop_bulk_merge_covp =
   prop_bulk_merge "bulk header merge = point inserts (covp2)"
-    ~make:(fun _ -> Covp.create Covp.Covp2)
-    ~add:Covp.add_ids ~remove:(Some Covp.remove_ids) ~bulk:Covp.add_bulk_ids
-    ~indices:Covp.indices ~size:Covp.size ~check:Covp.check_invariant
+    ~make:(fun _ -> Partial.create ~orderings:[ Ordering.Pso; Ordering.Pos ] ())
+    ~add:Partial.add_ids ~remove:Partial.remove_ids ~bulk:Partial.add_bulk_ids
+    ~indices:Partial.indices ~size:Partial.size ~check:Partial.check_invariant
 
 let prop_bulk_merge_partial =
   prop_bulk_merge "bulk header merge = point inserts (partial)"
     ~make:(fun ords -> Partial.create ~orderings:ords ())
-    ~add:Partial.add_ids ~remove:None ~bulk:Partial.add_bulk_ids ~indices:Partial.indices
+    ~add:Partial.add_ids ~remove:Partial.remove_ids ~bulk:Partial.add_bulk_ids ~indices:Partial.indices
     ~size:Partial.size ~check:Partial.check_invariant
 
 let prop_bulk_add_populated_hexa =
   prop_bulk_merge ~gen:gen_populated_case
     "bulk add into a populated store = point inserts (hexastore)"
     ~make:(fun _ -> Hexastore.create ())
-    ~add:Hexastore.add_ids ~remove:(Some Hexastore.remove_ids) ~bulk:Hexastore.add_bulk_ids
+    ~add:Hexastore.add_ids ~remove:Hexastore.remove_ids ~bulk:Hexastore.add_bulk_ids
     ~indices:hexa_indices ~size:Hexastore.size ~check:Hexastore.check_invariant
 
 let prop_bulk_add_populated_covp =
   prop_bulk_merge ~gen:gen_populated_case "bulk add into a populated store = point inserts (covp2)"
-    ~make:(fun _ -> Covp.create Covp.Covp2)
-    ~add:Covp.add_ids ~remove:(Some Covp.remove_ids) ~bulk:Covp.add_bulk_ids
-    ~indices:Covp.indices ~size:Covp.size ~check:Covp.check_invariant
+    ~make:(fun _ -> Partial.create ~orderings:[ Ordering.Pso; Ordering.Pos ] ())
+    ~add:Partial.add_ids ~remove:Partial.remove_ids ~bulk:Partial.add_bulk_ids
+    ~indices:Partial.indices ~size:Partial.size ~check:Partial.check_invariant
 
 let prop_bulk_add_populated_partial =
   prop_bulk_merge ~gen:gen_populated_case
     "bulk add into a populated store = point inserts (partial)"
     ~make:(fun ords -> Partial.create ~orderings:ords ())
-    ~add:Partial.add_ids ~remove:None ~bulk:Partial.add_bulk_ids ~indices:Partial.indices
+    ~add:Partial.add_ids ~remove:Partial.remove_ids ~bulk:Partial.add_bulk_ids ~indices:Partial.indices
     ~size:Partial.size ~check:Partial.check_invariant
 
 (* A second bulk batch merges with what the first one built: COVP1,
-   COVP2 and partial stores loaded in two batches (overlapping, with
-   repeats) hold the same indices as when loaded in one. *)
+   COVP2 and other partial stores loaded in two batches (overlapping,
+   with repeats) hold the same indices as when loaded in one, and every
+   kept ordering holds the model's triples. *)
 let test_two_batches () =
   let data = Array.init 400 (fun i -> t3 (i * 7 mod 23) (i mod 6) (i * 5 mod 31)) in
   let first = Array.sub data 0 250 and second = Array.sub data 150 250 in
-  let case label ~make ~bulk ~indices ~size ~check =
-    let once = make () and twice = make () in
-    let n = bulk once data in
-    let n1 = bulk twice first in
-    let n2 = bulk twice second in
-    check twice;
-    check_int (label ^ " new triples") n (n1 + n2);
-    check_int (label ^ " size") (size once) (size twice);
-    check_bool (label ^ " same indices") true (dump (indices once) = dump (indices twice))
-  in
+  let model = Check.Model.create () in
+  Array.iter (fun tr -> ignore (Check.Model.add model tr)) data;
   List.iter
-    (fun (kind, label) ->
-      case label
-        ~make:(fun () -> Covp.create kind)
-        ~bulk:Covp.add_bulk_ids ~indices:Covp.indices ~size:Covp.size ~check:Covp.check_invariant)
-    covp_kinds;
-  List.iter
-    (fun ords ->
-      case
-        ("partial " ^ String.concat "," (List.map Ordering.name ords))
-        ~make:(fun () -> Partial.create ~orderings:ords ())
-        ~bulk:Partial.add_bulk_ids ~indices:Partial.indices ~size:Partial.size
-        ~check:Partial.check_invariant)
-    [ [ Ordering.Pso ]; [ Ordering.Spo; Ordering.Pso; Ordering.Ops ]; Ordering.all ]
+    (fun orderings ->
+      let label = "partial " ^ String.concat "," (List.map Ordering.name orderings) in
+      let once = Partial.create ~orderings () and twice = Partial.create ~orderings () in
+      let n = Partial.add_bulk_ids once data in
+      let n1 = Partial.add_bulk_ids twice first in
+      let n2 = Partial.add_bulk_ids twice second in
+      Partial.check_invariant twice;
+      check_int (label ^ " new triples") n (n1 + n2);
+      check_int (label ^ " size") (Check.Model.size model) (Partial.size twice);
+      check_bool (label ^ " same indices") true
+        (dump (Partial.indices once) = dump (Partial.indices twice));
+      check_bool (label ^ " = model") true (orderings_match (Partial.indices twice) model))
+    (List.map fst covp_configs @ [ [ Ordering.Spo; Ordering.Pso; Ordering.Ops ]; Ordering.all ])
 
 (* A store bulk-loaded from empty is filled from columns
    ([Index.of_sorted_columns]), not merged ([Index.refill]).  The reference is point [add_ids] only.
@@ -943,10 +934,10 @@ let prop_push_cursors =
           rounds;
         m
       in
-      let covp kind =
-        let c = Covp.create kind in
-        ignore (Covp.add_bulk_ids c (Array.of_list base));
-        Store_sig.box_covp c
+      let covp orderings =
+        let c = Partial.create ~orderings () in
+        ignore (Partial.add_bulk_ids c (Array.of_list base));
+        Store_sig.box_partial c
       in
       let partial = Partial.create ~orderings:[ Ordering.Pos; Ordering.Osp ] () in
       ignore (Partial.add_bulk_ids partial (Array.of_list base));
@@ -984,8 +975,7 @@ let prop_push_cursors =
       in
       let plain = model [] in
       agree ~sorted:true (Store_sig.box_hexastore h) plain
-      && agree ~sorted:false (covp Covp.Covp1) plain
-      && agree ~sorted:false (covp Covp.Covp2) plain
+      && List.for_all (fun (orderings, _) -> agree ~sorted:false (covp orderings) plain) covp_configs
       && agree ~sorted:false (Store_sig.box_partial partial) plain
       && agree ~sorted:true (Store_sig.box_delta d) (model [ writes ])
       && agree ~sorted:true (Store_sig.box_delta leveled) (model [ writes; List.rev writes ]))
@@ -1026,7 +1016,6 @@ let () =
           Alcotest.test_case "matches_hexastore" `Quick test_covp_matches_hexastore;
           Alcotest.test_case "bulk" `Quick test_covp_bulk;
           Alcotest.test_case "two bulk batches = one" `Quick test_two_batches;
-          Alcotest.test_case "restriction" `Quick test_covp_restriction;
           Alcotest.test_case "covp1_po_scan" `Quick test_covp1_po_scan;
           Alcotest.test_case "memory matches reachable words" `Quick
             test_memory_matches_reachable;

@@ -130,6 +130,45 @@ let test_partial_bulk () =
       check_int "re-bulk adds none" 0 (Partial.add_bulk_ids p2 (Array.of_list data)))
     subsets
 
+(* The ordering a read is served from, for every subset and every
+   shape, against a brute-force rule over the kept orderings: the
+   longest bound prefix first; on a tie one whose second position is
+   bound (a probe per header, not a walk of every list); then the
+   shape's native ordering; then the earliest.  So an O-bound read on
+   {pso, pos} probes pos once per property instead of walking pso. *)
+let test_partial_serving_ordering () =
+  let shapes =
+    List.concat_map
+      (fun s ->
+        List.concat_map
+          (fun p -> List.map (fun o -> { Pattern.s; p; o }) [ None; Some 5 ])
+          [ None; Some 2 ])
+      [ None; Some 1 ]
+  in
+  let key pat ord =
+    let bound = List.map (fun pos -> Pattern.value_at pat pos <> None) (Ordering.positions ord) in
+    let rec prefix = function true :: rest -> 1 + prefix rest | _ -> 0 in
+    ( prefix bound,
+      List.nth bound 1,
+      Ordering.equal ord (Ordering.for_shape (Pattern.shape pat)) )
+  in
+  List.iter
+    (fun orderings ->
+      let p = Partial.create ~orderings () in
+      List.iter
+        (fun pat ->
+          let kept = List.sort_uniq Ordering.compare orderings in
+          let best = List.fold_left (fun acc ord -> max acc (key pat ord)) (key pat (List.hd kept)) kept in
+          let want = List.find (fun ord -> key pat ord = best) kept in
+          check_bool
+            (Format.asprintf "{%s} %a served from %s"
+               (String.concat "," (List.map Ordering.name orderings))
+               Pattern.pp pat (Ordering.name want))
+            true
+            (Ordering.equal want (Partial.serving_ordering p pat)))
+        shapes)
+    ([ Ordering.Pso; Ordering.Pos ] :: subsets)
+
 let test_partial_native () =
   let p = Partial.create ~orderings:[ Ordering.Pso ] () in
   check_bool "P native" true (Partial.is_native p Pattern.P);
@@ -294,6 +333,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_partial_basics;
           Alcotest.test_case "equals_full" `Quick test_partial_equals_full_on_all_patterns;
           Alcotest.test_case "bulk" `Quick test_partial_bulk;
+          Alcotest.test_case "serving_ordering" `Quick test_partial_serving_ordering;
           Alcotest.test_case "native" `Quick test_partial_native;
           Alcotest.test_case "memory" `Quick test_partial_memory_less_than_full;
           Alcotest.test_case "boxed_sparql" `Quick test_partial_boxed_sparql;

@@ -61,14 +61,18 @@ let make_delta_store () =
   assert (Hexa.Delta.pending_inserts d > 0 && Hexa.Delta.pending_deletes d > 0);
   d
 
+(* COVP1 ([pso]) or COVP2 ([pso; pos]) over [triples]. *)
+let covp orderings triples =
+  let p = Hexa.Partial.create ~orderings () in
+  let encode = Dict.Term_dict.encode_triple (Hexa.Partial.dict p) in
+  ignore (Hexa.Partial.add_bulk_ids p (Array.of_list (List.map encode triples)));
+  Hexa.Store_sig.box_partial p
+
 let all_boxed () =
-  let h = make_store () in
-  let c1 = Hexa.Covp.of_triples Hexa.Covp.Covp1 fig1_triples in
-  let c2 = Hexa.Covp.of_triples Hexa.Covp.Covp2 fig1_triples in
   [
-    Hexa.Store_sig.box_hexastore h;
-    Hexa.Store_sig.box_covp c1;
-    Hexa.Store_sig.box_covp c2;
+    Hexa.Store_sig.box_hexastore (make_store ());
+    covp [ Hexa.Ordering.Pso ] fig1_triples;
+    covp [ Hexa.Ordering.Pso; Hexa.Ordering.Pos ] fig1_triples;
     Hexa.Store_sig.box_delta (make_delta_store ());
   ]
 
@@ -952,8 +956,8 @@ let algebra_stores () =
     seq (Hexa.Store_sig.box_delta (delta Vectors.Sorted_ivec.Packed));
     seq (Hexa.Store_sig.box_delta (leveled Vectors.Sorted_ivec.Raw));
     (Hexa.Store_sig.box_delta (leveled Vectors.Sorted_ivec.Packed), 2);
-    seq (Hexa.Store_sig.box_covp (Hexa.Covp.of_triples Hexa.Covp.Covp1 algebra_triples));
-    seq (Hexa.Store_sig.box_covp (Hexa.Covp.of_triples Hexa.Covp.Covp2 algebra_triples));
+    seq (covp [ Hexa.Ordering.Pso ] algebra_triples);
+    seq (covp [ Hexa.Ordering.Pso; Hexa.Ordering.Pos ] algebra_triples);
     seq (Hexa.Store_sig.box_partial partial);
     (Hexa.Store_sig.box_hexastore (hexa Vectors.Sorted_ivec.Packed), 2);
     (Hexa.Store_sig.box_delta (delta Vectors.Sorted_ivec.Raw), 4);

@@ -341,11 +341,7 @@ let test_bq1_sums_match_store () =
     (fun store ->
       let counts = Queries_barton.bq1 store ids in
       let total = List.fold_left (fun acc (_, n) -> acc + n) 0 counts in
-      let expected =
-        match store with
-        | Stores.Hexa h -> Hexa.Hexastore.count h (Hexa.Pattern.make ~p:ids.type_p ())
-        | Stores.Covp c -> Hexa.Covp.count c (Hexa.Pattern.make ~p:ids.type_p ())
-      in
+      let expected = Hexa.Store_sig.count (Stores.boxed store) (Hexa.Pattern.make ~p:ids.type_p ()) in
       check_int (Stores.name store ^ " bq1 total") expected total)
     stores
 
