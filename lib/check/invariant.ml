@@ -57,6 +57,11 @@ let pair_vector ?(path = "pair_vector") v =
 
 let index_acc acc ~path idx =
   let open Hexa in
+  (* The columns first: offsets that leave their streams would make the
+     views below read out of bounds. *)
+  match Index.violations idx with
+  | _ :: _ as errs -> List.iter (fun msg -> add acc (V.v V.Index ~path "columns: %s" msg)) errs
+  | [] ->
   Index.iter
     (fun h v ->
       let vpath = Printf.sprintf "%s[%d]" path h in
@@ -87,6 +92,9 @@ let expect_shared acc ~path ~twin canonical = function
    twin's entries a bijection onto the owner's. *)
 let twins_acc acc ~path ~owner ~twin =
   let open Hexa in
+  match Index.violations twin with
+  | _ :: _ as errs -> List.iter (fun msg -> add acc (V.v V.Store ~path "twin columns: %s" msg)) errs
+  | [] ->
   let entries idx =
     let n = ref 0 in
     Index.iter (fun _ v -> n := !n + Pair_vector.length v) idx;
@@ -111,6 +119,18 @@ let twins_acc acc ~path ~owner ~twin =
 let twins ?(path = "twin") ~owner ~twin () =
   let acc = ref [] in
   twins_acc acc ~path ~owner ~twin;
+  finish acc
+
+(* Sibling orderings (the same first position) read one header level,
+   physically: a value-equal copy answers every read alike but stores
+   the headers, their rank and their totals twice. *)
+let siblings_acc acc ~path a b =
+  if not (Hexa.Index.shares_level a b) then
+    add acc (V.v V.Store ~path "sibling header level is a distinct copy, not shared")
+
+let siblings ?(path = "siblings") a b =
+  let acc = ref [] in
+  siblings_acc acc ~path a b;
   finish acc
 
 let expect_member acc ~path ~twin elt = function
@@ -142,6 +162,9 @@ let store_acc acc h =
   twins_acc acc ~path:"pso" ~owner:(Hexastore.spo h) ~twin:(Hexastore.pso h);
   twins_acc acc ~path:"osp" ~owner:(Hexastore.sop h) ~twin:(Hexastore.osp h);
   twins_acc acc ~path:"ops" ~owner:(Hexastore.pos h) ~twin:(Hexastore.ops h);
+  siblings_acc acc ~path:"spo/sop" (Hexastore.spo h) (Hexastore.sop h);
+  siblings_acc acc ~path:"pso/pos" (Hexastore.pso h) (Hexastore.pos h);
+  siblings_acc acc ~path:"osp/ops" (Hexastore.osp h) (Hexastore.ops h);
   (* Walk spo once; every triple must be reachable through the owners of
      the two other list families, and the three terminal lists must be
      the ones the direct accessor tables hand out. *)

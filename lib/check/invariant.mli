@@ -32,16 +32,22 @@ val pair_vector : ?path:string -> Hexa.Pair_vector.t -> Violation.t list
     [total] equal to the sum of payload lengths. *)
 
 val index : ?path:string -> Hexa.Index.t -> Violation.t list
-(** Every header's pair vector valid and non-empty. *)
+(** The columns' own audit ({!Hexa.Index.violations}: codecs, offsets,
+    rank bitmap), then every header's pair vector valid and non-empty. *)
 
 val twins : ?path:string -> owner:Hexa.Index.t -> twin:Hexa.Index.t -> unit -> Violation.t list
 (** The sharing check of one twin pair: both hold as many entries, and
     each twin entry (first, second) reaches the owner's terminal list for
     (second, first) at the same offsets of the same stream. *)
 
+val siblings : ?path:string -> Hexa.Index.t -> Hexa.Index.t -> Violation.t list
+(** The sharing check of two sibling orderings (the same first
+    position): they read one header level, physically. *)
+
 val store : Hexa.Hexastore.t -> Violation.t list
 (** The full Hexastore invariant: the six per-index checks, six-way
-    triple-set agreement, {!twins} on the three twin pairs, the direct
+    triple-set agreement, {!twins} on the three twin pairs, {!siblings}
+    on the three sibling pairs, the direct
     accessor tables handing out the owners' lists, per-index totals
     equal to the store size, and dictionary bijectivity. *)
 

@@ -32,7 +32,10 @@ val recommend : workload -> recommendation
 val estimate_memory_words : Hexastore.t -> Ordering.t list -> int
 (** Structural words a {!Partial} store keeping exactly these orderings
     would use for this store's data: each kept family's owner, which
-    holds its terminal stream once, plus its twin when kept. *)
+    holds its terminal stream once, plus its twin when kept.  A header
+    level counts where the Hexastore builds it, so a subset that keeps
+    an adopting sibling without the sibling that built the level is
+    estimated a level short. *)
 
 val savings_fraction : Hexastore.t -> Ordering.t list -> float
 (** [1 - estimate/full]; 0 when everything is kept. *)

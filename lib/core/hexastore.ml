@@ -42,7 +42,9 @@ let note_mutation family n =
    at the same [t].  The three shared terminal-list families are reached
    through the orderings that own them: o-lists (s,p) through [spo]
    (and its twin [pso]), p-lists (s,o) through [sop] (and [osp]),
-   s-lists (p,o) through [pos] (and [ops]). *)
+   s-lists (p,o) through [pos] (and [ops]).  Sibling orderings share
+   one header level: [spo]/[sop] on s, [pso]/[pos] on p, [osp]/[ops] on
+   o. *)
 type t = {
   dict : Dict.Term_dict.t;
   mutable spo : Index.t;
@@ -65,14 +67,45 @@ let repr_of_env () =
       | Some k -> k
       | None -> invalid_arg (Printf.sprintf "HEXASTORE_REPR: unknown representation %S" s))
 
-(* One list family: its owner and the owner's twin. *)
-let family (owner, twin) = (owner, Lazy.force twin)
+(* The six orderings from the three list families' fills: [fill owner
+   level] builds [spo], [sop] or [pos] with the sibling header [level]
+   and returns it with the function that builds its twin.  Siblings share one header
+   level: sop adopts spo's (s), pso pos's (p), and ops osp's (o). *)
+let orderings (fill : Ordering.t -> Index.t option -> Index.t * (?level:Index.t -> unit -> Index.t)) =
+  let spo, pso = fill Ordering.Spo None in
+  let sop, osp = fill Ordering.Sop (Some spo) in
+  let pos, ops = fill Ordering.Pos None in
+  let osp = osp () in
+  (spo, sop, pso ~level:pos (), pos, osp, ops ~level:osp ())
+
+(* The fill from columns sorted on (s, p, o): each list family is one
+   fill of its owner ({!Index.of_sorted_columns}).  The (s, o, p) and
+   (p, o, s) families are two stable counting-sort passes away from
+   (s, p, o), and they share the first one, on o. *)
+let fill_orderings kind ~s ~p ~o =
+  let by_o = Radix.sort o (Array.init (Array.length o) Fun.id) in
+  let sop = Radix.sort s (Array.copy by_o) and pos = Radix.sort p by_o in
+  orderings (fun ord level ->
+      let fill perm firsts seconds thirds =
+        let gather a =
+          let g = Array.make (Array.length perm) 0 in
+          for j = 0 to Array.length perm - 1 do
+            Array.unsafe_set g j a.(Array.unsafe_get perm j)
+          done;
+          g
+        in
+        Index.of_sorted_columns ~kind ?level ~firsts:(gather firsts) ~seconds:(gather seconds)
+          ~thirds:(gather thirds) ()
+      in
+      match ord with
+      | Ordering.Sop -> fill sop s o p
+      | Pos -> fill pos p o s
+      | _ -> Index.of_sorted_columns ~kind ?level ~firsts:s ~seconds:p ~thirds:o ())
 
 let create ?dict ?repr () =
   let dict = match dict with Some d -> d | None -> Dict.Term_dict.create () in
   let repr = match repr with Some r -> r | None -> repr_of_env () in
-  let empty () = family (Index.empty ~kind:repr ()) in
-  let spo, pso = empty () and sop, osp = empty () and pos, ops = empty () in
+  let spo, sop, pso, pos, osp, ops = fill_orderings repr ~s:[||] ~p:[||] ~o:[||] in
   { dict; spo; sop; pso; pos; osp; ops; size = 0; repr }
 
 let dict t = t.dict
@@ -93,12 +126,20 @@ let pos t = note_ord Ordering.Pos; t.pos
 let osp t = note_ord Ordering.Osp; t.osp
 let ops t = note_ord Ordering.Ops; t.ops
 
+let index_of t = function
+  | Ordering.Spo -> t.spo
+  | Ordering.Sop -> t.sop
+  | Ordering.Pso -> t.pso
+  | Ordering.Pos -> t.pos
+  | Ordering.Osp -> t.osp
+  | Ordering.Ops -> t.ops
+
 let mem_ids t { s; p; o } =
   match Index.find_list t.spo s p with None -> false | Some l -> Sorted_ivec.mem l o
 
 (* --- bulk builds ------------------------------------------------------ *)
 
-let install t (spo, pso) (sop, osp) (pos, ops) n =
+let install t (spo, sop, pso, pos, osp, ops) n =
   t.spo <- spo;
   t.sop <- sop;
   t.pso <- pso;
@@ -107,22 +148,7 @@ let install t (spo, pso) (sop, osp) (pos, ops) n =
   t.ops <- ops;
   t.size <- n
 
-(* The fill from empty: three distinct columns sorted on (s, p, o)
-   become the six orderings, each list family one fill of its owner and
-   twin ({!Index.of_sorted_columns}).  The (s, o, p) and
-   (p, o, s) families are two stable counting-sort passes away from
-   (s, p, o). *)
-let fill_columns t ~s ~p ~o =
-  let kind = t.repr and n = Array.length o in
-  let fill order firsts seconds thirds =
-    let perm = List.fold_left (fun perm key -> Radix.sort key perm) (Array.init n Fun.id) order in
-    let gather a = Array.map (fun i -> a.(i)) perm in
-    family
-      (Index.of_sorted_columns ~kind ~firsts:(gather firsts) ~seconds:(gather seconds)
-         ~thirds:(gather thirds) ())
-  in
-  let sop = fill [ o; s ] s o p and pos = fill [ o; p ] p o s in
-  install t (family (Index.of_sorted_columns ~kind ~firsts:s ~seconds:p ~thirds:o ())) sop pos n
+let fill_columns t ~s ~p ~o = install t (fill_orderings t.repr ~s ~p ~o) (Array.length o)
 
 let of_sorted_columns ?dict ?repr ~s ~p ~o () =
   let t = create ?dict ?repr () in
@@ -141,8 +167,8 @@ let rebuild t ~add ~remove =
       ~p:(Array.map (fun tr -> tr.p) add)
       ~o:(Array.map (fun tr -> tr.o) add)
   else
-    let refill owner ord = family (Index.refill owner ord ~add ~remove) in
-    install t (refill t.spo Spo) (refill t.sop Sop) (refill t.pos Pos)
+    install t
+      (orderings (fun ord level -> Index.refill ?level (index_of t ord) ord ~add ~remove))
       (t.size + Array.length add - Array.length remove)
 
 (* The batches' effect is decided up front by membership: a triple of
@@ -220,14 +246,6 @@ let fold f t acc =
   !acc
 
 (* --- sorted merge scans ---------------------------------------------- *)
-
-let index_of t = function
-  | Ordering.Spo -> t.spo
-  | Ordering.Sop -> t.sop
-  | Ordering.Pso -> t.pso
-  | Ordering.Pos -> t.pos
-  | Ordering.Osp -> t.osp
-  | Ordering.Ops -> t.ops
 
 (* The ordering that lists [pat]'s bound positions first (in some
    order), then [pos], then only free positions — i.e. the ordering
@@ -462,6 +480,10 @@ let check_invariant t =
   Index.check_invariant t.pos;
   Index.check_invariant t.osp;
   Index.check_invariant t.ops;
+  (* Siblings read one header level. *)
+  assert (Index.shares_level t.spo t.sop);
+  assert (Index.shares_level t.pso t.pos);
+  assert (Index.shares_level t.osp t.ops);
   (* The six indices must agree on the triple set and on its size. *)
   assert (Index.total t.spo = t.size);
   assert (Index.total t.sop = t.size);

@@ -13,8 +13,11 @@
     query needs is a linear merge-join (§4.2).
 
     The six orderings are immutable CSRs ({!Index.of_sorted_columns})
-    whose streams are [int array]s ([Raw]) or bit-packed ([Packed]),
-    and each twin reads its terminal lists from its owner's stream.
+    whose payload streams are [int array]s ([Raw]) or bit-packed
+    ([Packed]) and whose pointer columns are always bit-packed; each
+    twin reads its terminal lists from its owner's stream, and each
+    sibling pair ([spo]/[sop], [pso]/[pos], [osp]/[ops]) reads one
+    header level.
     Every write ({!apply_bulk_ids} and the functions built on it, a
     snapshot load, a {!Delta} migration) builds new orderings in one
     fill per list family; a point write is a one-triple bulk write, a

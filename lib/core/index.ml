@@ -1,58 +1,73 @@
 (* An ordering is a flat CSR (compressed sparse row) layout: one sorted
-   header stream, a row-pointer stream into one concatenated key
+   header level, a row-pointer stream into one concatenated key
    stream, and, per second-level entry, a run of one terminal stream.
    The layout is flat because the store's memory and the GC's marking
    are dominated by the per-object overhead of hundreds of thousands of
    tiny lists and vectors, not by element widths: flattening removes
-   the objects, and the packed codec then shrinks the payload.  Twin
-   orderings share terminal runs as the paper's §4.1 lists do: the
-   owner (spo, sop, pos) keeps the run offsets and the terminal stream,
-   and its twin keeps, per entry, the owner's entry number.  All reads
-   go through [Sorted_ivec] slices and [Pair_vector] views, or push
-   straight from the columns; an index never changes once built, and a
-   store writes by building new ones ({!refill}). *)
+   the objects, and the packed codec then shrinks the payload.
+
+   Sharing keeps each column once.  Twin orderings share terminal runs
+   as the paper's §4.1 lists do: the owner (spo, sop, pos) keeps the
+   terminal stream and its run offsets, and its twin keeps, per entry,
+   where its run starts in the owner's stream and how long it is — read
+   in the twin's own order, so a twin's header reads its runs' bounds
+   from consecutive cells, not scattered over the owner's offsets.
+   Sibling orderings (the two with the same
+   first position: spo/sop, pso/pos, osp/ops) share one header level —
+   the headers, their rank and their triple totals — one level up: the
+   sibling built first owns it, the other adopts it.
+
+   The payload (headers, keys, terms) is in the store's codec; the
+   pointer columns (the offsets and a twin's run lengths) are narrow
+   and always bit-packed, apart from the payload as in
+   Perego et al.'s trie layouts.  All reads go through [Sorted_ivec]
+   slices and [Pair_vector] views, or push straight from the columns;
+   an index never changes once built, and a store writes by building
+   new ones ({!refill}). *)
 
 module Sv = Vectors.Sorted_ivec
 
-type t = {
+(* The header level, shared by sibling orderings. *)
+type level = {
   n_headers : int;
   hdr_s : Sv.stream; (* h sorted header ids *)
   fheaders : Sv.t; (* whole-stream slice of hdr_s *)
-  rank_of : Sv.stream option;
-      (* Dense header ids: rank + 1 by id (0 for an id that is no
-         header), so a header lookup is one cell read, not a binary
-         search.  [None] when the ids are too sparse to pay for it. *)
-  key_off : Sv.stream; (* h+1 offsets into keys *)
-  keys : Sv.stream; (* E second-level keys, one sorted run per header *)
-  list_off : Sv.stream; (* the owner's E+1 run offsets into terms *)
-  terms : Sv.stream; (* the owner's N terminal ids, one sorted run per entry *)
-  twin : twin option; (* [None] on an owner *)
+  rank : int array;
+      (* A Jacobson rank over the header ids, so a header lookup is one
+         cell read: cell [i] holds the membership bits of ids
+         [32i, 32i + 32) in its low 32 bits and the number of headers
+         below [32i] above them.  Empty when the ids are too sparse to
+         pay for it: a binary search of the headers instead. *)
+  tot_off : Sv.stream; (* h+1 cumulative triple counts per header *)
 }
 
-(* A twin ordering's own columns: [list_off] and [terms] above are its
-   owner's streams, physically. *)
-and twin = {
-  entry : Sv.stream; (* E owner entry numbers, one per entry *)
-  tot_off : Sv.stream; (* h+1 cumulative triple counts per header *)
+type t = {
+  level : level;
+  owns_level : bool; (* false on the sibling that adopted [level] *)
+  key_off : Sv.stream; (* h+1 offsets into keys *)
+  keys : Sv.stream; (* E second-level keys, one sorted run per header *)
+  list_off : Sv.stream;
+      (* Where each entry's run starts in [terms]: on an owner E+1
+         ascending offsets, run [k] ending where run [k+1] starts; on a
+         twin E offsets into its owner's stream. *)
+  lens : Sv.stream option; (* a twin's E run lengths; [None] on an owner *)
+  terms : Sv.stream;
+      (* The owner's N terminal ids, one sorted run per entry; a twin's
+         is its owner's, physically. *)
 }
 
 (* --- reads ---------------------------------------------------------------- *)
 
 let get = Sv.stream_get
 
-(* The owner entry whose terminal run the [k]-th entry reads: itself on
-   an owner, the one it names on a twin. *)
-let owner_entry f k = match f.twin with None -> k | Some tw -> get tw.entry k
+(* The length of the [k]-th entry's terminal run, which starts at
+   [list_off]'s cell [k]. *)
+let run_length f k =
+  match f.lens with None -> get f.list_off (k + 1) - get f.list_off k | Some l -> get l k
 
-let list_at f k =
-  let e = owner_entry f k in
-  let a = get f.list_off e in
-  Sv.slice f.terms ~off:a ~len:(get f.list_off (e + 1) - a)
+let list_at f k = Sv.slice f.terms ~off:(get f.list_off k) ~len:(run_length f k)
 
-let header_total f r =
-  match f.twin with
-  | None -> get f.list_off (get f.key_off (r + 1)) - get f.list_off (get f.key_off r)
-  | Some tw -> get tw.tot_off (r + 1) - get tw.tot_off r
+let header_total f r = get f.level.tot_off (r + 1) - get f.level.tot_off r
 
 (* The r-th header's pair vector, as a view over the streams. *)
 let vector_at f r =
@@ -62,13 +77,26 @@ let vector_at f r =
     ~total:(header_total f r)
     ~payload:(fun j -> list_at f (k0 + j))
 
+(* The set bits of [x < 2^32]: OCaml has no popcount primitive, so a
+   SWAR sum of bit pairs, nibbles and bytes. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+  ((x * 0x01010101) lsr 24) land 0xff
+
 (* The rank of header [h], or -1. *)
 let rank f h =
-  match f.rank_of with
-  | Some d -> if h >= 0 && h < Sv.stream_length d then get d h - 1 else -1
-  | None ->
-      let r = Sv.index_geq f.fheaders h in
-      if r < f.n_headers && Sv.get f.fheaders r = h then r else -1
+  let lv = f.level in
+  let cells = lv.rank in
+  if Array.length cells > 0 then
+    if h < 0 || h lsr 5 >= Array.length cells then -1
+    else
+      let c = Array.unsafe_get cells (h lsr 5) and b = h land 31 in
+      if (c lsr b) land 1 = 0 then -1 else (c lsr 32) + popcount (c land ((1 lsl b) - 1))
+  else
+    let r = Sv.index_geq lv.fheaders h in
+    if r < lv.n_headers && Sv.get lv.fheaders r = h then r else -1
 
 let find_vector f h =
   let r = rank f h in
@@ -89,115 +117,162 @@ let find_list f first second =
   if k < 0 then None else Some (list_at f k)
 
 (* The pushes read the columns, as {!iter_triples} does: no view,
-   slice, option or closure per probe or per entry. *)
+   slice or option per probe or entry.  A terminal run is one stream
+   iteration. *)
 let iter_list f first second g =
   let k = entry_of f first second in
   if k < 0 then 0
   else begin
-    let e = owner_entry f k in
-    let a = get f.list_off e and b = get f.list_off (e + 1) in
-    for i = a to b - 1 do
-      g (get f.terms i)
-    done;
-    b - a
+    let a = get f.list_off k and n = run_length f k in
+    Sv.stream_iter g f.terms ~lo:a ~hi:(a + n);
+    n
   end
+
+(* [g second third] for every triple under the [r]-th header, and
+   their number. *)
+let push_header f r g =
+  Sv.stream_push_runs g ~keys:f.keys ~starts:f.list_off ?lens:f.lens f.terms ~lo:(get f.key_off r)
+    ~hi:(get f.key_off (r + 1))
 
 let iter_header f h g =
   let r = rank f h in
-  if r < 0 then 0
-  else begin
-    for k = get f.key_off r to get f.key_off (r + 1) - 1 do
-      let second = get f.keys k in
-      let e = owner_entry f k in
-      for i = get f.list_off e to get f.list_off (e + 1) - 1 do
-        g second (get f.terms i)
-      done
-    done;
-    header_total f r
+  if r < 0 then 0 else push_header f r g
+
+let iter_lengths f h g =
+  let r = rank f h in
+  if r >= 0 then begin
+    let k0 = get f.key_off r and k1 = get f.key_off (r + 1) in
+    let k = ref k0 in
+    match f.lens with
+    | None ->
+        let a = ref (get f.list_off k0) in
+        Sv.stream_iter
+          (fun b ->
+            g (get f.keys !k) (b - !a);
+            a := b;
+            incr k)
+          f.list_off ~lo:(k0 + 1) ~hi:(k1 + 1)
+    | Some l ->
+        Sv.stream_iter
+          (fun n ->
+            g (get f.keys !k) n;
+            incr k)
+          l ~lo:k0 ~hi:k1
   end
 
 let list_length f first second =
   let k = entry_of f first second in
-  if k < 0 then 0
-  else
-    let e = owner_entry f k in
-    get f.list_off (e + 1) - get f.list_off e
+  if k < 0 then 0 else run_length f k
 
 let header_triples f h =
   let r = rank f h in
   if r < 0 then 0 else header_total f r
 
 let iter g f =
-  for r = 0 to f.n_headers - 1 do
-    g (Sv.get f.fheaders r) (vector_at f r)
+  for r = 0 to f.level.n_headers - 1 do
+    g (Sv.get f.level.fheaders r) (vector_at f r)
   done
 
+(* An owner's scan is one pass over its run offsets, moving to the next
+   header as the entries pass its key offset. *)
 let iter_triples f g =
-  for r = 0 to f.n_headers - 1 do
-    let first = get f.hdr_s r in
-    for k = get f.key_off r to get f.key_off (r + 1) - 1 do
-      let second = get f.keys k in
-      let e = owner_entry f k in
-      for i = get f.list_off e to get f.list_off (e + 1) - 1 do
-        g first second (get f.terms i)
+  match f.lens with
+  | None ->
+      if f.level.n_headers > 0 then begin
+        let r = ref 0 and k = ref 0 and a = ref 0 in
+        let first = ref (get f.level.hdr_s 0) and next = ref (get f.key_off 1) in
+        Sv.stream_iter
+          (fun b ->
+            while !k >= !next do
+              incr r;
+              first := get f.level.hdr_s !r;
+              next := get f.key_off (!r + 1)
+            done;
+            let second = get f.keys !k in
+            for i = !a to b - 1 do
+              g !first second (get f.terms i)
+            done;
+            a := b;
+            incr k)
+          f.list_off ~lo:1 ~hi:(Sv.stream_length f.list_off)
+      end
+  | Some _ ->
+      for r = 0 to f.level.n_headers - 1 do
+        let first = get f.level.hdr_s r in
+        ignore (push_header f r (fun second third -> g first second third))
       done
-    done
-  done
 
-let headers f = Sv.copy f.fheaders
+let headers f = Sv.copy f.level.fheaders
 
-let headers_view f = f.fheaders
+let headers_view f = f.level.fheaders
 
 let total f = Sv.stream_length f.terms
 
+let shares_level a b = a.level == b.level
+
 (* --- the build ---------------------------------------------------------- *)
 
-(* The headers of [e] entries sorted on their first element [first k]:
-   the distinct firsts in order, and the offset of each one's first
-   entry followed by [e]. *)
-let header_runs e first =
+let packed a = Sv.stream_of_array ~kind:Sv.Packed a
+
+(* The rank cells of ascending header ids [hdrs] over [e] entries: built
+   when the bitmap costs at most a word per 8 entries (ids up to [4e])
+   and its counts fit their 30 bits; otherwise none. *)
+let rank_cells hdrs e =
+  let h = Array.length hdrs in
+  if h = 0 || hdrs.(0) < 0 || hdrs.(h - 1) > 4 * e || h >= 1 lsl 30 then [||]
+  else begin
+    let cells = Array.make ((hdrs.(h - 1) lsr 5) + 1) 0 in
+    Array.iter (fun x -> cells.(x lsr 5) <- cells.(x lsr 5) lor (1 lsl (x land 31))) hdrs;
+    let below = ref 0 in
+    Array.iteri
+      (fun i c ->
+        cells.(i) <- c lor (!below lsl 32);
+        below := !below + popcount c)
+      cells;
+    cells
+  end
+
+(* The ordering over entries sorted on (first, second): entry [k] has
+   first element [firsts.(k)], second element [keys.(k)] and [cum.(k)]
+   triples ahead of it ([cum] has one more cell, the total).  Its
+   header level is built here, or adopted from the sibling [level]. *)
+let build kind ?level ~firsts ~cum ~keys ~list_off ~lens ~terms () =
+  let e = Array.length firsts in
   let h = ref 0 in
   for k = 0 to e - 1 do
-    if k = 0 || first k <> first (k - 1) then incr h
+    if k = 0 || firsts.(k) <> firsts.(k - 1) then incr h
   done;
-  let hdrs = Array.make !h 0 and key_off = Array.make (!h + 1) e in
+  let h = !h in
+  let hdrs = Array.make h 0 and key_off = Array.make (h + 1) e and tot_off = Array.make (h + 1) cum.(e) in
   let r = ref 0 in
   for k = 0 to e - 1 do
-    let x = first k in
-    if k = 0 || x <> hdrs.(!r - 1) then begin
+    let x = firsts.(k) in
+    if k = 0 || x <> firsts.(k - 1) then begin
       hdrs.(!r) <- x;
       key_off.(!r) <- k;
+      tot_off.(!r) <- cum.(k);
       incr r
     end
   done;
-  (hdrs, key_off)
-
-let csr kind ~hdrs ~key_off ~keys ~list_off ~terms ~twin =
-  let h = Array.length hdrs in
-  let stream a = Sv.stream_of_array ~kind a in
-  let hdr_s = stream hdrs in
-  (* Dense when the id range is no longer than the key stream. *)
-  let rank_of =
-    if h = 0 || hdrs.(h - 1) >= Array.length keys then None
-    else begin
-      let d = Array.make (hdrs.(h - 1) + 1) 0 in
-      Array.iteri (fun r x -> d.(x) <- r + 1) hdrs;
-      Some (stream d)
-    end
+  let level, owns_level =
+    match level with
+    | Some sibling ->
+        if sibling.level.n_headers <> h then invalid_arg "Index: a sibling's header level differs";
+        (sibling.level, false)
+    | None ->
+        let hdr_s = Sv.stream_of_array ~kind hdrs in
+        ( {
+            n_headers = h;
+            hdr_s;
+            fheaders = Sv.slice hdr_s ~off:0 ~len:h;
+            rank = rank_cells hdrs e;
+            tot_off = packed tot_off;
+          },
+          true )
   in
-  {
-    n_headers = h;
-    hdr_s;
-    fheaders = Sv.slice hdr_s ~off:0 ~len:h;
-    rank_of;
-    key_off = stream key_off;
-    keys = stream keys;
-    list_off;
-    terms;
-    twin;
-  }
+  { level; owns_level; key_off = packed key_off; keys = Sv.stream_of_array ~kind keys; list_off; lens; terms }
 
-let of_sorted_columns ?(kind = Sv.Raw) ~firsts ~seconds ~thirds () =
+let of_sorted_columns ?(kind = Sv.Raw) ?level ~firsts ~seconds ~thirds () =
   let n = Array.length thirds in
   if Array.length firsts <> n || Array.length seconds <> n then
     invalid_arg "Index.of_sorted_columns: columns differ in length";
@@ -227,37 +302,31 @@ let of_sorted_columns ?(kind = Sv.Raw) ~firsts ~seconds ~thirds () =
       incr k
     end
   done;
-  let list_off = Sv.stream_of_array ~kind starts and terms = Sv.stream_of_array ~kind thirds in
-  let hdrs, key_off = header_runs e (fun k -> ef.(k)) in
-  let owner = csr kind ~hdrs ~key_off ~keys:es ~list_off ~terms ~twin:None in
+  let owner =
+    build kind ?level ~firsts:ef ~cum:starts ~keys:es ~list_off:(packed starts) ~lens:None
+      ~terms:(Sv.stream_of_array ~kind thirds) ()
+  in
   (* The entries are sorted on (first, second); a stable sort on second
-     alone sorts them on (second, first), the twin's order.  The sorted
-     permutation is the twin's entry column. *)
-  let twin =
-    lazy
-      (let perm = Vectors.Radix.sort es (Array.init e Fun.id) in
-       let thdrs, tkey_off = header_runs e (fun j -> es.(perm.(j))) in
-       let keys = Array.make e 0 and tot_off = Array.make (Array.length thdrs + 1) n in
-       let cum = ref 0 and r = ref 0 in
-       for j = 0 to e - 1 do
-         let k = perm.(j) in
-         keys.(j) <- ef.(k);
-         if j = tkey_off.(!r) then begin
-           tot_off.(!r) <- !cum;
-           incr r
-         end;
-         cum := !cum + starts.(k + 1) - starts.(k)
-       done;
-       let twin =
-         { entry = Sv.stream_of_array ~kind perm; tot_off = Sv.stream_of_array ~kind tot_off }
-       in
-       csr kind ~hdrs:thdrs ~key_off:tkey_off ~keys ~list_off ~terms ~twin:(Some twin))
+     alone sorts them on (second, first), the twin's order, and carries
+     each entry's run bounds along. *)
+  let twin ?level () =
+    let perm = Vectors.Radix.sort es (Array.init e Fun.id) in
+    let firsts = Array.make e 0 and keys = Array.make e 0 and cum = Array.make (e + 1) 0 in
+    let at = Array.make e 0 and lens = Array.make e 0 in
+    for j = 0 to e - 1 do
+      let k = perm.(j) in
+      firsts.(j) <- es.(k);
+      keys.(j) <- ef.(k);
+      at.(j) <- starts.(k);
+      lens.(j) <- starts.(k + 1) - starts.(k);
+      cum.(j + 1) <- cum.(j) + lens.(j)
+    done;
+    build kind ?level ~firsts ~cum ~keys ~list_off:(packed at) ~lens:(Some (packed lens)) ~terms:owner.terms
+      ()
   in
   (owner, twin)
 
-let empty ?kind () = of_sorted_columns ?kind ~firsts:[||] ~seconds:[||] ~thirds:[||] ()
-
-let refill o ord ~add ~remove =
+let refill ?level o ord ~add ~remove =
   let at = function
     | Pattern.Subj -> fun (tr : Dict.Term_dict.id_triple) -> tr.s
     | Pattern.Pred -> fun tr -> tr.p
@@ -300,57 +369,107 @@ let refill o ord ~add ~remove =
     emit_add ()
   done;
   if !w <> m || !k <> nr then invalid_arg "Index.refill: a batch triple is misplaced";
-  of_sorted_columns ~kind:(Sv.kind_of o.fheaders) ~firsts:a ~seconds:b ~thirds:c ()
+  of_sorted_columns ~kind:(Sv.stream_kind o.terms) ?level ~firsts:a ~seconds:b ~thirds:c ()
 
 (* --- accounting and audits ------------------------------------------------ *)
 
-(* Exact: the record, the header slice and the streams the index owns —
-   a twin's run offsets and terminal stream are its owner's. *)
+let array_words a = if Array.length a = 0 then 0 else Array.length a + 1
+
+(* Exact: the record and the streams the index owns — a twin's terminal
+   stream is its owner's, and a sibling's header level is counted by the
+   one that owns it. *)
 let memory_words f =
-  let own =
-    match f.twin with
-    | None -> Sv.stream_memory_words f.list_off + Sv.stream_memory_words f.terms
-    | Some tw ->
-        2 (* Some *) + 3 (* twin record *) + Sv.stream_memory_words tw.entry
-        + Sv.stream_memory_words tw.tot_off
+  let lv = f.level in
+  let level =
+    if not f.owns_level then 0
+    else
+      6 (* level record *) + Sv.memory_words lv.fheaders + Sv.stream_memory_words lv.hdr_s
+      + array_words lv.rank + Sv.stream_memory_words lv.tot_off
   in
-  let rank = match f.rank_of with None -> 0 | Some d -> 2 (* Some *) + Sv.stream_memory_words d in
-  10 (* record *) + rank + Sv.memory_words f.fheaders + Sv.stream_memory_words f.hdr_s
-  + Sv.stream_memory_words f.key_off + Sv.stream_memory_words f.keys + own
+  let own =
+    match f.lens with
+    | None -> Sv.stream_memory_words f.terms
+    | Some l -> 2 (* Some *) + Sv.stream_memory_words l
+  in
+  8 (* record *) + level + Sv.stream_memory_words f.key_off + Sv.stream_memory_words f.keys
+  + Sv.stream_memory_words f.list_off + own
 
 let map_streams g f =
-  let kind = Sv.kind_of f.fheaders in
-  let map name s = Sv.stream_of_array ~kind (g name (Array.init (Sv.stream_length s) (get s))) in
-  let hdr_s = map "headers" f.hdr_s in
+  let map name s =
+    Sv.stream_of_array ~kind:(Sv.stream_kind s) (g name (Array.init (Sv.stream_length s) (get s)))
+  in
+  let lv = f.level in
+  let hdr_s = map "headers" lv.hdr_s in
   let n_headers = Sv.stream_length hdr_s in
-  let owned = Option.is_none f.twin in
   {
-    n_headers;
-    hdr_s;
-    fheaders = Sv.slice hdr_s ~off:0 ~len:n_headers;
-    rank_of = Option.map (map "rank_of") f.rank_of;
+    level =
+      {
+        n_headers;
+        hdr_s;
+        fheaders = Sv.slice hdr_s ~off:0 ~len:n_headers;
+        rank = g "rank" (Array.copy lv.rank);
+        tot_off = map "tot_off" lv.tot_off;
+      };
+    owns_level = true;
     key_off = map "key_off" f.key_off;
     keys = map "keys" f.keys;
-    list_off = (if owned then map "list_off" f.list_off else f.list_off);
-    terms = (if owned then map "terms" f.terms else f.terms);
-    twin =
-      Option.map (fun tw -> { entry = map "entry" tw.entry; tot_off = map "tot_off" tw.tot_off }) f.twin;
+    list_off = map "list_off" f.list_off;
+    lens = Option.map (map "lens") f.lens;
+    terms = (if f.lens = None then map "terms" f.terms else f.terms);
   }
 
-let block_violations f =
-  let own =
-    match f.twin with
-    | None -> [ ("list_off", f.list_off); ("terms", f.terms) ]
-    | Some tw -> [ ("entry", tw.entry); ("tot_off", tw.tot_off) ]
+(* Each offset column runs from 0 to the length of what it indexes,
+   ascending: strictly where every run is non-empty.  A twin's runs are
+   non-empty windows of its owner's stream. *)
+let violations f =
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  let lv = f.level in
+  let streams =
+    [ ("headers", lv.hdr_s); ("tot_off", lv.tot_off); ("key_off", f.key_off); ("keys", f.keys) ]
+    @
+    ("list_off", f.list_off)
+    :: (match f.lens with None -> [ ("terms", f.terms) ] | Some l -> [ ("lens", l) ])
   in
-  List.concat_map
-    (fun (name, s) -> List.map (fun e -> name ^ ": " ^ e) (Sv.stream_validate s))
-    ([ ("headers", f.hdr_s); ("key_off", f.key_off); ("keys", f.keys) ]
-    @ Option.fold ~none:[] ~some:(fun d -> [ ("rank_of", d) ]) f.rank_of
-    @ own)
+  List.iter (fun (name, s) -> List.iter (err "%s: %s" name) (Sv.stream_validate s)) streams;
+  let offsets name s ~strict ~last =
+    let n = Sv.stream_length s in
+    if n = 0 || get s 0 <> 0 || get s (n - 1) <> last then
+      err "%s: does not run from 0 to %d" name last;
+    for i = 1 to n - 1 do
+      let d = get s i - get s (i - 1) in
+      if d < 0 || (strict && d = 0) then err "%s: cell %d steps by %d" name i d
+    done
+  in
+  offsets "key_off" f.key_off ~strict:true ~last:(Sv.stream_length f.keys);
+  offsets "tot_off" lv.tot_off ~strict:true ~last:(total f);
+  (match f.lens with
+  | None -> offsets "list_off" f.list_off ~strict:true ~last:(total f)
+  | Some l ->
+      if Sv.stream_length l <> Sv.stream_length f.list_off then err "lens: not one cell per entry";
+      for k = 0 to min (Sv.stream_length l) (Sv.stream_length f.list_off) - 1 do
+        let a = get f.list_off k and n = get l k in
+        if a < 0 || n < 1 || a + n > total f then err "list_off/lens: run %d is [%d, %d + %d)" k a a n
+      done);
+  if Sv.stream_length f.key_off <> lv.n_headers + 1 || Sv.stream_length lv.tot_off <> lv.n_headers + 1
+  then err "key_off/tot_off: not one cell per header plus one";
+  if Array.length lv.rank > 0 then begin
+    let below = ref 0 in
+    Array.iteri
+      (fun i c ->
+        if c lsr 32 <> !below then err "rank: block %d counts %d headers below it, not %d" i (c lsr 32) !below;
+        below := !below + popcount (c land 0xffffffff))
+      lv.rank;
+    if !below <> lv.n_headers then err "rank: %d bits set for %d headers" !below lv.n_headers;
+    for r = 0 to lv.n_headers - 1 do
+      let x = get lv.hdr_s r in
+      if rank f x <> r then err "rank: header %d at %d ranks %d" x r (rank f x)
+    done
+  end;
+  List.rev !errs
 
 let check_invariant f =
-  Sv.check_invariant f.fheaders;
-  assert (Sv.length f.fheaders = f.n_headers);
-  assert (block_violations f = []);
+  Sv.check_invariant f.level.fheaders;
+  assert (Sv.length f.level.fheaders = f.level.n_headers);
+  assert (violations f = []);
   iter (fun _ v -> Pair_vector.check_invariant v) f

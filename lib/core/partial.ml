@@ -29,10 +29,28 @@ type t = {
   mutable size : int;
 }
 
-(* A family around its lead's fill, with the twin built when the store
-   keeps it. *)
-let family kept lead (index, twin) =
-  { lead; index; twin = (if Ordering.Set.mem (Ordering.twin lead) kept then Some (Lazy.force twin) else None) }
+(* The families led by [leads], in order, around [fill lead level]:
+   the lead's fill with the sibling header [level], returned with the
+   function that builds its twin.  Each kept index adopts the header level of an
+   already built one with the same first position, as a Hexastore's
+   siblings do. *)
+let build kept leads fill =
+  let built = ref [] in
+  let sibling ord =
+    let first o = List.hd (Ordering.positions o) in
+    Option.map snd (List.find_opt (fun (o, _) -> first o = first ord) !built)
+  in
+  let keep ord idx =
+    built := (ord, idx) :: !built;
+    idx
+  in
+  List.map
+    (fun lead ->
+      let index, twin = fill lead (sibling lead) in
+      let index = keep lead index and tw = Ordering.twin lead in
+      let twin = if Ordering.Set.mem tw kept then Some (keep tw (twin ?level:(sibling tw) ())) else None in
+      { lead; index; twin })
+    leads
 
 let indices_of families =
   List.sort
@@ -47,13 +65,13 @@ let create ?dict ~orderings () =
   let dict = match dict with Some d -> d | None -> Dict.Term_dict.create () in
   let kept = Ordering.Set.of_list orderings in
   (* Of two kept twins, the smaller one leads the family. *)
-  let families =
-    List.filter_map
-      (fun ord ->
-        let twin = Ordering.twin ord in
-        if Ordering.Set.mem twin kept && Ordering.compare twin ord < 0 then None
-        else Some (family kept ord (Index.empty ())))
+  let leads =
+    List.filter
+      (fun ord -> not (Ordering.Set.mem (Ordering.twin ord) kept && Ordering.compare (Ordering.twin ord) ord < 0))
       (Ordering.Set.elements kept)
+  in
+  let families =
+    build kept leads (fun _ level -> Index.of_sorted_columns ?level ~firsts:[||] ~seconds:[||] ~thirds:[||] ())
   in
   { dict; kept; families; indices = indices_of families; size = 0 }
 
@@ -81,7 +99,10 @@ let mem_ids t tr =
    [add] absent and [remove] present, both sorted on (s, p, o). *)
 let rebuild t ~add ~remove =
   if Array.length add > 0 || Array.length remove > 0 then begin
-    t.families <- List.map (fun f -> family t.kept f.lead (Index.refill f.index f.lead ~add ~remove)) t.families;
+    t.families <-
+      build t.kept
+        (List.map (fun f -> f.lead) t.families)
+        (fun lead level -> Index.refill ?level (List.assoc lead t.indices) lead ~add ~remove);
     t.indices <- indices_of t.families;
     t.size <- t.size + Array.length add - Array.length remove
   end
@@ -193,7 +214,13 @@ let memory_words t = List.fold_left (fun acc (_, idx) -> acc + Index.memory_word
 
 let check_invariant t =
   List.iter
-    (fun (_, idx) ->
+    (fun (ord, idx) ->
       Index.check_invariant idx;
-      assert (Index.total idx = t.size))
+      assert (Index.total idx = t.size);
+      (* Siblings read one header level. *)
+      List.iter
+        (fun (ord', idx') ->
+          if List.hd (Ordering.positions ord) = List.hd (Ordering.positions ord') then
+            assert (Index.shares_level idx idx'))
+        t.indices)
     t.indices

@@ -6,7 +6,9 @@
     selection of the most suitable indices for a given RDF data set based
     on the query workload at hand."  This module is that store: it
     materialises any non-empty subset of {spo, sop, pso, pos, osp, ops}
-    (terminal lists still shared within a twin pair when both are kept)
+    (terminal lists still shared within a twin pair when both are kept,
+    and one header level between kept orderings with the same first
+    position, as COVP2's [pso] and [pos])
     and answers {e every} pattern shape regardless — natively when the
     shape's ordering is present, otherwise through the cheapest present
     ordering (filtered traversal, falling back to a full scan only when
@@ -71,4 +73,5 @@ val is_native : t -> Pattern.shape -> bool
 val memory_words : t -> int
 
 val check_invariant : t -> unit
-(** Present orderings are mutually consistent and sorted. *)
+(** Present orderings are mutually consistent and sorted, and kept
+    siblings read one header level. *)

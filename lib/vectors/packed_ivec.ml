@@ -23,11 +23,6 @@ type t = {
   data : Bytes.t; (* packed cells + 8 padding bytes *)
 }
 
-(* domain-safety: immutable-after-init — per-width extraction masks,
-   filled once at module initialisation and only read afterwards. *)
-let masks : int64 array =
-  Array.init 57 (fun w -> if w = 0 then 0L else Int64.sub (Int64.shift_left 1L w) 1L)
-
 let bits_needed r =
   let rec go w v = if v = 0 then w else go (w + 1) (v lsr 1) in
   go 0 r
@@ -46,8 +41,9 @@ let of_array a =
     let hi = min n (lo + block_size) in
     let mn = ref a.(lo) and mx = ref a.(lo) in
     for i = lo + 1 to hi - 1 do
-      if a.(i) < !mn then mn := a.(i);
-      if a.(i) > !mx then mx := a.(i)
+      let x = Array.unsafe_get a i in
+      if x < !mn then mn := x;
+      if x > !mx then mx := x
     done;
     let range = !mx - !mn in
     (* range < 0 means max - min overflowed the 63-bit int: raw cells. *)
@@ -66,30 +62,43 @@ let of_array a =
       for i = lo to hi - 1 do
         Bytes.set_int64_le data (boffs.(b) + ((i - lo) * 8)) (Int64.of_int a.(i))
       done
-    else if w > 0 then
+    else if w > 0 then begin
+      (* The cells gather in a register, each 8-byte window stored
+         once: a store flushes the whole bytes and keeps the rest.  A
+         window's bytes past the block are rewritten by the next block
+         (or land in the padding). *)
+      let mn = mins.(b) and pos = ref boffs.(b) and acc = ref 0 and nbits = ref 0 in
       for i = lo to hi - 1 do
-        let cell = Int64.of_int (a.(i) - mins.(b)) in
-        let bit = (i - lo) * w in
-        let off = boffs.(b) + (bit lsr 3) in
-        let word = Bytes.get_int64_le data off in
-        Bytes.set_int64_le data off (Int64.logor word (Int64.shift_left cell (bit land 7)))
-      done
+        if !nbits + w > 62 then begin
+          Bytes.set_int64_le data !pos (Int64.of_int !acc);
+          let whole = !nbits lsr 3 in
+          pos := !pos + whole;
+          acc := !acc lsr (whole * 8);
+          nbits := !nbits land 7
+        end;
+        acc := !acc lor ((Array.unsafe_get a i - mn) lsl !nbits);
+        nbits := !nbits + w
+      done;
+      Bytes.set_int64_le data !pos (Int64.of_int !acc)
+    end
   done;
   { n; mins; widths; boffs; data }
 
 let length t = t.n
 
+(* The window read as an [int] keeps its low 63 bits, and a cell ends
+   by bit 62 (offset <= 7, width <= 56), so the extraction needs no
+   [Int64] arithmetic. *)
 let unsafe_get t i =
   let b = i lsr 7 in
-  let j = i land 127 in
   let w = Char.code (Bytes.unsafe_get t.widths b) in
   if w = 0 then Array.unsafe_get t.mins b
-  else if w = 64 then Int64.to_int (Bytes.get_int64_le t.data (Array.unsafe_get t.boffs b + (j * 8)))
+  else if w = 64 then
+    Int64.to_int (Bytes.get_int64_le t.data (Array.unsafe_get t.boffs b + ((i land 127) * 8)))
   else
-    let bit = j * w in
-    let word = Bytes.get_int64_le t.data (Array.unsafe_get t.boffs b + (bit lsr 3)) in
-    Array.unsafe_get t.mins b
-    + Int64.to_int (Int64.logand (Int64.shift_right_logical word (bit land 7)) (Array.unsafe_get masks w))
+    let bit = (i land 127) * w in
+    let word = Int64.to_int (Bytes.get_int64_le t.data (Array.unsafe_get t.boffs b + (bit lsr 3))) in
+    Array.unsafe_get t.mins b + ((word lsr (bit land 7)) land ((1 lsl w) - 1))
 
 let get t i =
   if i < 0 || i >= t.n then

@@ -318,8 +318,54 @@ let stream_of_array ?(kind = Packed) a =
 
 let stream_length = function Ints a -> Array.length a | Bits b -> Packed_ivec.length b
 
+let stream_kind = function Ints _ -> Raw | Bits _ -> Packed
+
 let stream_get s i =
   match s with Ints a -> a.(i) | Bits b -> Packed_ivec.get b i
+
+let stream_iter f s ~lo ~hi =
+  if lo < 0 || hi > stream_length s then
+    invalid_arg (Printf.sprintf "Sorted_ivec.stream_iter: [%d,%d) outside [0,%d)" lo hi (stream_length s));
+  match s with
+  | Ints a ->
+      for i = lo to hi - 1 do
+        f (Array.unsafe_get a i)
+      done
+  | Bits b -> Packed_ivec.iter_range f b ~lo ~hi
+
+(* The CSR walk in one call: within this module [stream_get] on a raw
+   stream is an inline array read, so a raw payload costs no call per
+   cell and a packed one a single decode call. *)
+let stream_push_runs f ~keys ~starts ?lens s ~lo ~hi =
+  let n = ref 0 in
+  let push key a b =
+    if a < 0 || a > b || b > stream_length s then
+      invalid_arg (Printf.sprintf "Sorted_ivec.stream_push_runs: [%d,%d) outside [0,%d)" a b (stream_length s));
+    (match s with
+    | Ints arr ->
+        for i = a to b - 1 do
+          f key (Array.unsafe_get arr i)
+        done
+    | Bits p ->
+        for i = a to b - 1 do
+          f key (Packed_ivec.get p i)
+        done);
+    n := !n + b - a
+  in
+  (match lens with
+  | None ->
+      let a = ref (if lo < hi then stream_get starts lo else 0) in
+      for k = lo to hi - 1 do
+        let b = stream_get starts (k + 1) in
+        push (stream_get keys k) !a b;
+        a := b
+      done
+  | Some l ->
+      for k = lo to hi - 1 do
+        let a = stream_get starts k in
+        push (stream_get keys k) a (a + stream_get l k)
+      done);
+  !n
 
 let slice s ~off ~len =
   let n = stream_length s in

@@ -166,8 +166,34 @@ val stream_of_array : ?kind:kind -> int array -> stream
 
 val stream_length : stream -> int
 
+val stream_kind : stream -> kind
+(** The codec [stream] was encoded in. *)
+
 val stream_get : stream -> int -> int
 (** @raise Invalid_argument out of bounds. *)
+
+val stream_iter : (int -> unit) -> stream -> lo:int -> hi:int -> unit
+(** [stream_iter f s ~lo ~hi] applies [f] to the cells at positions
+    [lo, hi) in order, matching the codec once, not per cell.
+    @raise Invalid_argument out of bounds. *)
+
+val stream_push_runs :
+  (int -> int -> unit) ->
+  keys:stream ->
+  starts:stream ->
+  ?lens:stream ->
+  stream ->
+  lo:int ->
+  hi:int ->
+  int
+(** The walk of a CSR's entries [[lo, hi)]: [stream_push_runs f ~keys
+    ~starts ~lens s ~lo ~hi] calls [f keys.(k) c], in order, for each
+    entry [k] and each cell [c] of [s]'s run [k], and returns the number
+    of cells pushed.  Run [k] starts at [starts.(k)] and ends at
+    [starts.(k) + lens.(k)], or, without [lens], where run [k + 1]
+    starts.  One call that reads raw streams inline, where reading every
+    offset and cell through {!stream_get} would cost a call each.
+    @raise Invalid_argument out of bounds. *)
 
 val stream_index_geq : stream -> lo:int -> hi:int -> int -> int
 (** [stream_index_geq s ~lo ~hi x] is {!index_geq} over positions

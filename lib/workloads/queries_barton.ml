@@ -102,15 +102,12 @@ let table_intersects v t =
 
 let bq1 store ids =
   match Stores.pos store with
-  | Some pos -> (
+  | Some pos ->
       (* Hexastore and COVP2: pos index of Type, where each object
          entry's s-list length is the count. *)
-      match Index.find_vector pos ids.type_p with
-      | None -> []
-      | Some v ->
-          let out = ref [] in
-          Pair_vector.iter (fun o sl -> out := (o, SV.length sl) :: !out) v;
-          List.rev !out)
+      let out = ref [] in
+      Index.iter_lengths pos ids.type_p (fun o n -> out := (o, n) :: !out);
+      List.rev !out
   | None -> (
       (* COVP1: self-join aggregation on object value over pso. *)
       match Index.find_vector (Stores.pso store) ids.type_p with

@@ -117,11 +117,11 @@ let test_detects_unshared_list () =
   let copy = Index.map_streams (fun _ a -> a) owner in
   some_violation "twin reading another copy of the lists" (C.Invariant.twins ~owner:copy ~twin ())
 
-(* Flat twins share their owner's runs by entry number: seeded
-   corruptions of a bulk-loaded store's columns, on both codecs.  A
-   twin entry shifted onto the neighbouring owner entry (its offsets
-   move off its own run), a twin entry pointing at another header's
-   run, and an unsorted owner run must each be reported. *)
+(* Flat twins share their owner's runs by where each run starts in the
+   owner's stream: seeded corruptions of a bulk-loaded store's columns,
+   on both codecs.  A twin run start shifted by one cell (its window
+   moves off its own run), a twin run start at another entry's run, and
+   an unsorted owner run must each be reported. *)
 let test_detects_flat_twin_corruption () =
   let triples =
     Array.of_list
@@ -138,7 +138,7 @@ let test_detects_flat_twin_corruption () =
       let owner = Hexastore.spo h and twin = Hexastore.pso h in
       no_violations (name ^ " flat twin") (C.Invariant.twins ~owner ~twin ());
       let corrupt_entry f =
-        Index.map_streams (fun what a -> if what = "entry" then f a else a) twin
+        Index.map_streams (fun what a -> if what = "list_off" then f a else a) twin
       in
       let shifted =
         corrupt_entry (fun a ->
@@ -184,6 +184,53 @@ let test_detects_flat_twin_corruption () =
           owner
       in
       some_violation (name ^ " unsorted owner run") (C.Invariant.index unsorted))
+    [ Sorted_ivec.Raw; Sorted_ivec.Packed ]
+
+(* The columns the lean layout added, each corrupted on its own: the
+   rank bitmap (a bit for a non-header, a wrong block count), a
+   bit-packed offset cell, and a sibling reading its own copy of the
+   header level. *)
+let test_detects_lean_column_corruption () =
+  let h = small_store () in
+  let spo = Hexastore.spo h and sop = Hexastore.sop h in
+  no_violations "spo" (C.Invariant.index spo);
+  let cells = ref [||] in
+  ignore (corrupt "rank" (fun a -> cells := a; a) spo);
+  check_bool "small dense store keeps a rank bitmap" true (Array.length !cells > 0);
+  (* Ids 0..3 are headers; 31 is not. *)
+  some_violation "rank bit set for a non-header"
+    (C.Invariant.index (corrupt "rank" (fun a -> a.(0) <- a.(0) lxor (1 lsl 31); a) spo));
+  some_violation "rank bit cleared for a header"
+    (C.Invariant.index (corrupt "rank" (fun a -> a.(0) <- a.(0) land lnot 1; a) spo));
+  some_violation "wrong block count"
+    (C.Invariant.index (corrupt "rank" (fun a -> a.(0) <- a.(0) + (1 lsl 32); a) spo));
+  some_violation "packed run offset made an empty run"
+    (C.Invariant.index (corrupt "list_off" (fun a -> a.(1) <- a.(0); a) spo));
+  some_violation "packed run offset past the terminal stream"
+    (C.Invariant.index
+       (corrupt "list_off" (fun a -> a.(Array.length a - 1) <- a.(Array.length a - 1) + 1; a) spo));
+  no_violations "spo/sop" (C.Invariant.siblings spo sop);
+  some_violation "sibling with its own header level"
+    (C.Invariant.siblings spo (Index.map_streams (fun _ a -> a) sop))
+
+(* [map_streams] re-encodes each column in its own codec: the identity
+   map of an ordering that owns its header level keeps every stream's
+   size, on both codecs (a raw store's offsets stay packed, its payload
+   raw). *)
+let test_map_streams_keeps_codecs () =
+  let cfg = Workloads.Lubm.config ~universities:1 ~departments_per_university:1 () in
+  let triples = Workloads.Lubm.generate cfg in
+  List.iter
+    (fun repr ->
+      let h = Hexastore.create ~repr () in
+      ignore (Hexastore.add_list h triples);
+      List.iter
+        (fun (name, idx) ->
+          check_int
+            (Printf.sprintf "%s %s words" (Sorted_ivec.kind_name repr) name)
+            (Index.memory_words idx)
+            (Index.memory_words (Index.map_streams (fun _ a -> a) idx)))
+        [ ("spo", Hexastore.spo h); ("pos", Hexastore.pos h); ("osp", Hexastore.osp h) ])
     [ Sorted_ivec.Raw; Sorted_ivec.Packed ]
 
 let test_dictionary_bijective () =
@@ -1047,6 +1094,8 @@ let () =
           Alcotest.test_case "detects bogus header" `Quick test_detects_bogus_header;
           Alcotest.test_case "detects unshared list" `Quick test_detects_unshared_list;
           Alcotest.test_case "detects flat twin corruption" `Quick test_detects_flat_twin_corruption;
+          Alcotest.test_case "detects lean column corruption" `Quick test_detects_lean_column_corruption;
+          Alcotest.test_case "map_streams keeps codecs" `Quick test_map_streams_keeps_codecs;
           Alcotest.test_case "dictionary bijectivity" `Quick test_dictionary_bijective;
           Alcotest.test_case "dataset coherence" `Quick test_dataset_coherent;
           Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;

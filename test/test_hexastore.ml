@@ -662,6 +662,55 @@ let hexa_indices h =
       (Ordering.Ops, ops h);
     ]
 
+(* Ids near the dictionary's ceiling (2^31) are too sparse for a rank
+   bitmap, which would cost 2^26 words an ordering: every ordering keeps
+   no rank cells and finds its headers by binary search, and the reads
+   still answer. *)
+let test_sparse_ids_no_bitmap () =
+  let top = Dict.Dictionary.max_ids - 1 in
+  let batch = [ t3 top 5 (top - 1); t3 (top - 7) 5 top; t3 3 (top - 2) 4; t3 top (top - 2) 9 ] in
+  List.iter
+    (fun repr ->
+      let h = Hexastore.create ~repr () in
+      check_int "added" 4 (Hexastore.add_bulk_ids h (Array.of_list batch));
+      List.iter
+        (fun (ord, idx) ->
+          let cells = ref (-1) in
+          ignore (Index.map_streams (fun col a -> if col = "rank" then cells := Array.length a; a) idx);
+          check_int (Ordering.name ord ^ " rank cells") 0 !cells)
+        (hexa_indices h);
+      check_bool "no bitmap-sized store" true (Hexastore.memory_words h < 10_000);
+      List.iter (fun tr -> check_bool "member" true (Hexastore.mem_ids h tr)) batch;
+      check_int "s = top" 2 (Hexastore.count h (Pattern.make ~s:top ()));
+      check_int "p = top - 2" 2 (Hexastore.count h (Pattern.make ~p:(top - 2) ()));
+      check_int "o = top" 1 (Hexastore.count h (Pattern.make ~o:top ()));
+      check_int "o absent" 0 (Hexastore.count h (Pattern.make ~o:(top - 3) ())))
+    [ Sorted_ivec.Raw; Sorted_ivec.Packed ]
+
+(* [Index.iter_lengths] reads the offset columns only: under every
+   header of every ordering, owners (consecutive runs) and twins
+   (scattered ones) alike, it lists the pair vector's keys with their
+   terminal lists' lengths. *)
+let test_iter_lengths () =
+  let cfg = Workloads.Lubm.config ~universities:1 ~departments_per_university:1 () in
+  let triples = Workloads.Lubm.generate cfg in
+  List.iter
+    (fun repr ->
+      let h = Hexastore.create ~repr () in
+      ignore (Hexastore.add_list h triples);
+      List.iter
+        (fun (ord, idx) ->
+          Index.iter
+            (fun hd v ->
+              let got = ref [] and want = ref [] in
+              Index.iter_lengths idx hd (fun k n -> got := (k, n) :: !got);
+              Pair_vector.iter (fun k l -> want := (k, Sorted_ivec.length l) :: !want) v;
+              if !got <> !want then Alcotest.failf "%s header %d" (Ordering.name ord) hd)
+            idx;
+          Index.iter_lengths idx (-1) (fun _ _ -> Alcotest.fail "no header -1"))
+        (hexa_indices h))
+    [ Sorted_ivec.Raw; Sorted_ivec.Packed ]
+
 let prop_bulk_merge_hexa =
   prop_bulk_merge "bulk header merge = point inserts (hexastore)"
     ~make:(fun _ -> Hexastore.create ())
@@ -1019,6 +1068,8 @@ let () =
           Alcotest.test_case "covp1_po_scan" `Quick test_covp1_po_scan;
           Alcotest.test_case "memory matches reachable words" `Quick
             test_memory_matches_reachable;
+          Alcotest.test_case "sparse ids build no rank bitmap" `Quick test_sparse_ids_no_bitmap;
+          Alcotest.test_case "iter_lengths = pair vector lengths" `Quick test_iter_lengths;
         ] );
       ("store_sig", [ Alcotest.test_case "boxing" `Quick test_store_sig ]);
       ( "properties",

@@ -498,7 +498,9 @@ let check_string_list = Alcotest.(check (list string))
 
 (* Hand-picked encodings that stress the block format: all-equal deltas
    (constant-gap runs pack to tiny widths), exact 128-block boundaries,
-   2^30-range outliers that force the wide-cell path, and spans so large
+   the widest packed cell (56 bits, which the encoder's register holds
+   next to a partial byte), 2^30-range outliers that force the
+   wide-cell path, and spans so large
    the frame-of-reference subtraction is the whole word. *)
 let adversarial_cases =
   [
@@ -508,6 +510,7 @@ let adversarial_cases =
     ("dense run", List.init 400 (fun i -> i));
     ("one block exactly", List.init 128 (fun i -> (i * 3) + 1));
     ("one block plus one", List.init 129 (fun i -> (i * 3) + 1));
+    ("56-bit cells", List.init 200 (fun i -> (i * (1 lsl 49)) + (i land 3)));
     ("2^30 outlier", [ 0; 1; 2; 1 lsl 30; (1 lsl 30) + 1; 1 lsl 61 ]);
     ("huge span", [ 0; max_int ]);
     ("full word incl. min_int", [ min_int; -1; 0; max_int ]);
