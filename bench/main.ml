@@ -764,9 +764,7 @@ let abl_cyclic env =
              cyclic store must collect subjects from pos[p]'s s-lists and
              sort them. *)
           let sorted_subjects_full () =
-            match Hexa.Index.find_vector (Hexa.Hexastore.pso full) type_p with
-            | None -> 0
-            | Some v -> Vectors.Sorted_ivec.length (Hexa.Pair_vector.keys v)
+            Vectors.Sorted_ivec.(length (copy (Hexa.Index.key_slice (Hexa.Hexastore.pso full) type_p)))
           in
           let sorted_subjects_cyclic () =
             let acc = Vectors.Dynarray_int.create () in

@@ -26,49 +26,13 @@ let sorted_ivec ?(path = "sorted_ivec") v =
   sorted_ivec_acc acc ~path v;
   finish acc
 
-let pair_vector_acc acc ~path v =
-  let open Hexa in
-  let n = Pair_vector.length v in
-  for i = 1 to n - 1 do
-    let a = Pair_vector.key_at v (i - 1) and b = Pair_vector.key_at v i in
-    if a >= b then
-      add acc (V.v V.Pair_vector ~path "keys out of order at %d: %d >= %d" i a b)
-  done;
-  let sum = ref 0 in
-  for i = 0 to n - 1 do
-    let key = Pair_vector.key_at v i in
-    let l = Pair_vector.payload_at v i in
-    sum := !sum + Sorted_ivec.length l;
-    if Sorted_ivec.is_empty l then
-      add acc (V.v V.Pair_vector ~path "empty terminal list under key %d (should be pruned)" key);
-    sorted_ivec_acc acc ~path:(Printf.sprintf "%s[%d].list" path key) l
-  done;
-  if !sum <> Pair_vector.total v then
-    add acc
-      (V.v V.Pair_vector ~path "total %d disagrees with sum of list lengths %d"
-         (Pair_vector.total v) !sum)
-
-let pair_vector ?(path = "pair_vector") v =
-  let acc = ref [] in
-  pair_vector_acc acc ~path v;
-  finish acc
-
 (* --- one ordering ------------------------------------------------------ *)
 
+(* The index's own audit ({!Hexa.Index.violations}): the columns first,
+   then, once they are sound, every header read by entry — keys and runs
+   ascending, runs non-empty, totals equal to the runs' lengths. *)
 let index_acc acc ~path idx =
-  let open Hexa in
-  (* The columns first: offsets that leave their streams would make the
-     views below read out of bounds. *)
-  match Index.violations idx with
-  | _ :: _ as errs -> List.iter (fun msg -> add acc (V.v V.Index ~path "columns: %s" msg)) errs
-  | [] ->
-  Index.iter
-    (fun h v ->
-      let vpath = Printf.sprintf "%s[%d]" path h in
-      if Pair_vector.length v = 0 then
-        add acc (V.v V.Index ~path:vpath "empty vector under header (should be pruned)");
-      pair_vector_acc acc ~path:vpath v)
-    idx
+  List.iter (fun msg -> add acc (V.v V.Index ~path "%s" msg)) (Hexa.Index.violations idx)
 
 let index ?(path = "index") idx =
   let acc = ref [] in
@@ -95,26 +59,22 @@ let twins_acc acc ~path ~owner ~twin =
   match Index.violations twin with
   | _ :: _ as errs -> List.iter (fun msg -> add acc (V.v V.Store ~path "twin columns: %s" msg)) errs
   | [] ->
-  let entries idx =
-    let n = ref 0 in
-    Index.iter (fun _ v -> n := !n + Pair_vector.length v) idx;
-    !n
-  in
+  let entries idx = Index.entry_off idx (Index.header_count idx) in
   let no = entries owner and nt = entries twin in
   if no <> nt then add acc (V.v V.Store ~path "owner has %d entries, twin %d" no nt);
-  Index.iter
-    (fun h v ->
-      Pair_vector.iter
-        (fun k l ->
-          let path = Printf.sprintf "%s[%d][%d]" path h k in
-          match Index.find_list owner k h with
-          | None -> add acc (V.v V.Store ~path "twin entry has no owner run (%d, %d)" k h)
-          | Some l' ->
-              if not (Sorted_ivec.shares l l') then
-                add acc
-                  (V.v V.Store ~path "twin entry does not slice the owner's run for (%d, %d)" k h))
-        v)
-    twin
+  let hs = Index.headers_view twin in
+  for r = 0 to Sorted_ivec.length hs - 1 do
+    let h = Sorted_ivec.get hs r in
+    for j = Index.entry_off twin r to Index.entry_off twin (r + 1) - 1 do
+      let k = Index.key twin j in
+      let path = Printf.sprintf "%s[%d][%d]" path h k in
+      match Index.find_list owner k h with
+      | None -> add acc (V.v V.Store ~path "twin entry has no owner run (%d, %d)" k h)
+      | Some l' ->
+          if not (Sorted_ivec.shares (Index.run twin j) l') then
+            add acc (V.v V.Store ~path "twin entry does not slice the owner's run for (%d, %d)" k h)
+    done
+  done
 
 let twins ?(path = "twin") ~owner ~twin () =
   let acc = ref [] in
@@ -169,31 +129,33 @@ let store_acc acc h =
      the two other list families, and the three terminal lists must be
      the ones the direct accessor tables hand out. *)
   let seen = ref 0 in
-  Index.iter
-    (fun s v ->
-      Pair_vector.iter
-        (fun p o_list ->
-          let path = Printf.sprintf "spo[%d][%d]" s p in
-          expect_shared acc ~path ~twin:"objects_of_sp" o_list (Hexastore.objects_of_sp h ~s ~p);
-          Sorted_ivec.iter
-            (fun o ->
-              incr seen;
-              let path = Printf.sprintf "spo triple (%d,%d,%d)" s p o in
-              let p_list = Index.find_list (Hexastore.sop h) s o in
-              expect_member acc ~path ~twin:"sop" p p_list;
-              (match p_list with
-              | Some pl ->
-                  expect_shared acc ~path ~twin:"properties_of_so" pl (Hexastore.properties_of_so h ~s ~o)
-              | None -> ());
-              let s_list = Index.find_list (Hexastore.pos h) p o in
-              expect_member acc ~path ~twin:"pos" s s_list;
-              match s_list with
-              | Some sl ->
-                  expect_shared acc ~path ~twin:"subjects_of_po" sl (Hexastore.subjects_of_po h ~p ~o)
-              | None -> ())
-            o_list)
-        v)
-    (Hexastore.spo h);
+  let spo = Hexastore.spo h in
+  let hs = Index.headers_view spo in
+  for r = 0 to Sorted_ivec.length hs - 1 do
+    let s = Sorted_ivec.get hs r in
+    for k = Index.entry_off spo r to Index.entry_off spo (r + 1) - 1 do
+      let p = Index.key spo k and o_list = Index.run spo k in
+      let path = Printf.sprintf "spo[%d][%d]" s p in
+      expect_shared acc ~path ~twin:"objects_of_sp" o_list (Hexastore.objects_of_sp h ~s ~p);
+      Sorted_ivec.iter
+        (fun o ->
+          incr seen;
+          let path = Printf.sprintf "spo triple (%d,%d,%d)" s p o in
+          let p_list = Index.find_list (Hexastore.sop h) s o in
+          expect_member acc ~path ~twin:"sop" p p_list;
+          (match p_list with
+          | Some pl ->
+              expect_shared acc ~path ~twin:"properties_of_so" pl (Hexastore.properties_of_so h ~s ~o)
+          | None -> ());
+          let s_list = Index.find_list (Hexastore.pos h) p o in
+          expect_member acc ~path ~twin:"pos" s s_list;
+          match s_list with
+          | Some sl ->
+              expect_shared acc ~path ~twin:"subjects_of_po" sl (Hexastore.subjects_of_po h ~p ~o)
+          | None -> ())
+        o_list
+    done
+  done;
   if !seen <> size then
     add acc (V.v V.Store ~path:"spo" "spo reaches %d triples but store size is %d" !seen size)
 

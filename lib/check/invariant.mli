@@ -2,11 +2,11 @@
 
     The invariant catalogue the paper relies on, machine-checked:
 
-    - {b Sortedness} (§4.1): every vector and terminal list is strictly
-      increasing — {!sorted_ivec}, {!pair_vector}.
-    - {b Accounting}: every pair vector's maintained [total] equals the sum
-      of its payload-list lengths, and every ordering's total equals the
-      store size — {!pair_vector}, {!index}, {!store}.
+    - {b Sortedness} (§4.1): every vector, every header's keys and every
+      terminal list is strictly increasing — {!sorted_ivec}, {!index}.
+    - {b Accounting}: every header's stored triple total equals the sum
+      of its terminal-run lengths, and every ordering's total equals the
+      store size — {!index}, {!store}.
     - {b Pruning}: no empty terminal list, vector, or header survives a
       deletion — {!index}, {!store}.
     - {b Six-way agreement} (§4): the same triple set is reachable from
@@ -27,13 +27,12 @@
 val sorted_ivec : ?path:string -> Vectors.Sorted_ivec.t -> Violation.t list
 (** Strict ascending order. *)
 
-val pair_vector : ?path:string -> Hexa.Pair_vector.t -> Violation.t list
-(** Keys strictly ascending, every payload list sorted and non-empty, and
-    [total] equal to the sum of payload lengths. *)
-
 val index : ?path:string -> Hexa.Index.t -> Violation.t list
-(** The columns' own audit ({!Hexa.Index.violations}: codecs, offsets,
-    rank bitmap), then every header's pair vector valid and non-empty. *)
+(** The index's own audit ({!Hexa.Index.violations}): the columns
+    (codecs, offsets, rank bitmap), then every header read by entry —
+    headers and each header's keys strictly ascending, every terminal
+    run non-empty and strictly ascending, and the header's total equal
+    to the sum of its run lengths. *)
 
 val twins : ?path:string -> owner:Hexa.Index.t -> twin:Hexa.Index.t -> unit -> Violation.t list
 (** The sharing check of one twin pair: both hold as many entries, and

@@ -1,6 +1,5 @@
 type layer =
   | Vector
-  | Pair_vector
   | Index
   | Store
   | Delta
@@ -18,7 +17,6 @@ type t = {
 
 let layer_name = function
   | Vector -> "vector"
-  | Pair_vector -> "pair-vector"
   | Index -> "index"
   | Store -> "store"
   | Delta -> "delta"

@@ -8,7 +8,6 @@
 (** Which layer of the system the violated invariant belongs to. *)
 type layer =
   | Vector  (** {!Vectors.Sorted_ivec} strict sortedness. *)
-  | Pair_vector  (** Key ordering / total accounting of a pair vector. *)
   | Index  (** One of the six orderings. *)
   | Store  (** Cross-index Hexastore consistency. *)
   | Delta  (** Delta-layer buffer coherence and merged-view fidelity. *)

@@ -215,11 +215,18 @@ let iter t (pat : Pattern.t) f =
   note_probe shape;
   (* A scan observes its length only when it found something. *)
   let scanned n = if n > 0 then Telemetry.Metrics.observe m_scan_len n in
+  let list idx first second g =
+    let k = Index.entry idx first second in
+    if k >= 0 then begin
+      Index.iter_run idx k g;
+      if !Telemetry.Config.enabled then scanned (Index.run_length idx k)
+    end
+  in
   match (shape, pat.s, pat.p, pat.o) with
   | Pattern.All, Some s, Some p, Some o -> if mem_ids t { s; p; o } then f s p o
-  | Pattern.Sp, Some s, Some p, _ -> scanned (Index.iter_list t.spo s p (fun o -> f s p o))
-  | Pattern.So, Some s, _, Some o -> scanned (Index.iter_list t.sop s o (fun p -> f s p o))
-  | Pattern.Po, _, Some p, Some o -> scanned (Index.iter_list t.pos p o (fun s -> f s p o))
+  | Pattern.Sp, Some s, Some p, _ -> list t.spo s p (fun o -> f s p o)
+  | Pattern.So, Some s, _, Some o -> list t.sop s o (fun p -> f s p o)
+  | Pattern.Po, _, Some p, Some o -> list t.pos p o (fun s -> f s p o)
   | Pattern.S, Some s, _, _ -> scanned (Index.iter_header t.spo s (fun p o -> f s p o))
   | Pattern.P, _, Some p, _ -> scanned (Index.iter_header t.pso p (fun s o -> f s p o))
   | Pattern.O, _, _, Some o -> scanned (Index.iter_header t.osp o (fun s p -> f s p o))
@@ -265,12 +272,12 @@ let serving_ordering (pat : Pattern.t) (pos : Pattern.position) =
         check (Ordering.positions ord))
       Ordering.all
 
-(* A galloping cursor over ascending probes: resumes from the last hit,
-   restarting when a probe goes backwards. *)
-let cursor search =
-  let last_k = ref min_int and last_i = ref 0 in
+(* A galloping cursor over ascending probes from position [start]:
+   resumes from the last hit, restarting when a probe goes backwards. *)
+let cursor start search =
+  let last_k = ref min_int and last_i = ref start in
   fun k ->
-    let from = if k < !last_k then 0 else !last_i in
+    let from = if k < !last_k then start else !last_i in
     let i = search ~from k in
     last_k := k;
     last_i := i;
@@ -280,7 +287,8 @@ let cursor search =
    gallop to [lo] from the previous run's start, then a walk of the
    serving structure up to [hi].  The walk reads each key once and stops
    after key [hi - 1] (keys ascend strictly), so a merge-join probe
-   [run k (k + 1)] reads no key past its hit and allocates nothing. *)
+   [run k (k + 1)] reads no key past its hit and allocates nothing per
+   entry. *)
 let seek_sorted t (pat : Pattern.t) (pos : Pattern.position) =
   match serving_ordering pat pos with
   | None -> None
@@ -298,7 +306,7 @@ let seek_sorted t (pat : Pattern.t) (pos : Pattern.position) =
             | None -> fun _ _ _ -> ()
             | Some l ->
                 Telemetry.Metrics.observe m_scan_len (Sorted_ivec.length l);
-                let n = Sorted_ivec.length l and seek = cursor (Sorted_ivec.search_from l) in
+                let n = Sorted_ivec.length l and seek = cursor 0 (Sorted_ivec.search_from l) in
                 fun lo hi f ->
                   let i = ref (seek lo) in
                   while !i < n do
@@ -309,31 +317,34 @@ let seek_sorted t (pat : Pattern.t) (pos : Pattern.position) =
                     end
                     else i := n
                   done)
-        | [ Some first; None; None ] -> (
-            (* One bound level: the header's pair-vector keys, each with
-               its whole terminal list. *)
-            match Index.find_vector index first with
-            | None -> fun _ _ _ -> ()
-            | Some v ->
-                Telemetry.Metrics.observe m_scan_len (Pair_vector.total v);
-                let n = Pair_vector.length v and seek = cursor (Pair_vector.search_from v) in
-                fun lo hi f ->
-                  let i = ref (seek lo) in
-                  while !i < n do
-                    let second = Pair_vector.key_at v !i in
-                    if second < hi then begin
-                      Sorted_ivec.iter
-                        (fun third -> emit f first second third)
-                        (Pair_vector.payload_at v !i);
-                      i := if second >= hi - 1 then n else !i + 1
-                    end
-                    else i := n
-                  done)
+        | [ Some first; None; None ] ->
+            (* One bound level: the header's entries, each key with its
+               whole terminal run. *)
+            let r = Index.rank index first in
+            if r < 0 then fun _ _ _ -> ()
+            else begin
+              if !Telemetry.Config.enabled then
+                Telemetry.Metrics.observe m_scan_len (Index.header_triples index first);
+              let k1 = Index.entry_off index (r + 1) in
+              let seek = cursor (Index.entry_off index r) (Index.next_geq index ~hi:k1) in
+              fun lo hi f ->
+                let k = seek lo in
+                if k < k1 then begin
+                  let key = Index.key index k in
+                  if key < hi then
+                    let stop =
+                      if key >= hi - 1 then k + 1 else Index.next_geq index ~from:(k + 1) ~hi:k1 hi
+                    in
+                    ignore
+                      (Index.iter_entries index ~lo:k ~hi:stop (fun second third ->
+                           emit f first second third))
+                end
+            end
         | [ None; None; None ] ->
             (* Fully free: the sorted headers, each with its whole
                subtree.  A single key is one header lookup. *)
             let hs = Index.headers_view index in
-            let n = Sorted_ivec.length hs and seek = cursor (Sorted_ivec.search_from hs) in
+            let n = Sorted_ivec.length hs and seek = cursor 0 (Sorted_ivec.search_from hs) in
             let header f first =
               ignore (Index.iter_header index first (fun second third -> emit f first second third))
             in
@@ -360,8 +371,8 @@ let seek_sorted t (pat : Pattern.t) (pos : Pattern.position) =
 
 (* Interior boundary keys that carve [pat]'s sorted scan on [pos] into
    [parts] contiguous key ranges.  Boundaries are taken at quantile
-   indices of the serving structure (terminal-list elements, pair-vector
-   keys or headers), so parts are balanced by structural size, not exact
+   indices of the serving structure (terminal-list elements, a header's
+   entry keys or headers), so parts are balanced by structural size, not exact
    triple count — a skewed payload can unbalance the one-bound shape,
    which costs speedup, never correctness.  The result is non-decreasing
    with at most [parts - 1] entries; duplicate or degenerate boundaries
@@ -381,10 +392,12 @@ let scan_bounds t (pat : Pattern.t) (pos : Pattern.position) ~parts =
           match Index.find_list index first second with
           | None -> [||]
           | Some l -> boundaries (Sorted_ivec.length l) (Sorted_ivec.get l))
-      | [ Some first; None; None ] -> (
-          match Index.find_vector index first with
-          | None -> [||]
-          | Some v -> boundaries (Pair_vector.length v) (Pair_vector.key_at v))
+      | [ Some first; None; None ] ->
+          let r = Index.rank index first in
+          if r < 0 then [||]
+          else
+            let k0 = Index.entry_off index r in
+            boundaries (Index.entry_off index (r + 1) - k0) (fun j -> Index.key index (k0 + j))
       | [ None; None; None ] ->
           let hs = Index.headers_view index in
           boundaries (Sorted_ivec.length hs) (Sorted_ivec.get hs)
@@ -492,30 +505,31 @@ let check_invariant t =
   assert (Index.total t.osp = t.size);
   assert (Index.total t.ops = t.size);
   (* Terminal lists must be physically shared between twin orderings. *)
-  Index.iter
-    (fun s v ->
-      Pair_vector.iter
-        (fun p l ->
-          (match Index.find_list t.pso p s with
-          | Some l' -> assert (same_list l l')
-          | None -> assert false);
-          Sorted_ivec.iter
-            (fun o ->
-              (* Every spo triple is visible through sop/osp and pos/ops. *)
-              (match Index.find_list t.sop s o with
-              | Some pl ->
-                  assert (Sorted_ivec.mem pl p);
-                  (match Index.find_list t.osp o s with
-                  | Some pl' -> assert (same_list pl pl')
-                  | None -> assert false)
-              | None -> assert false);
-              match Index.find_list t.pos p o with
-              | Some sl ->
-                  assert (Sorted_ivec.mem sl s);
-                  (match Index.find_list t.ops o p with
-                  | Some sl' -> assert (same_list sl sl')
-                  | None -> assert false)
+  let hs = Index.headers_view t.spo in
+  for r = 0 to Sorted_ivec.length hs - 1 do
+    let s = Sorted_ivec.get hs r in
+    for k = Index.entry_off t.spo r to Index.entry_off t.spo (r + 1) - 1 do
+      let p = Index.key t.spo k and l = Index.run t.spo k in
+      (match Index.find_list t.pso p s with
+      | Some l' -> assert (same_list l l')
+      | None -> assert false);
+      Sorted_ivec.iter
+        (fun o ->
+          (* Every spo triple is visible through sop/osp and pos/ops. *)
+          (match Index.find_list t.sop s o with
+          | Some pl ->
+              assert (Sorted_ivec.mem pl p);
+              (match Index.find_list t.osp o s with
+              | Some pl' -> assert (same_list pl pl')
               | None -> assert false)
-            l)
-        v)
-    t.spo
+          | None -> assert false);
+          match Index.find_list t.pos p o with
+          | Some sl ->
+              assert (Sorted_ivec.mem sl s);
+              (match Index.find_list t.ops o p with
+              | Some sl' -> assert (same_list sl sl')
+              | None -> assert false)
+          | None -> assert false)
+        l
+    done
+  done

@@ -20,10 +20,10 @@
    The payload (headers, keys, terms) is in the store's codec; the
    pointer columns (the offsets and a twin's run lengths) are narrow
    and always bit-packed, apart from the payload as in
-   Perego et al.'s trie layouts.  All reads go through [Sorted_ivec]
-   slices and [Pair_vector] views, or push straight from the columns;
-   an index never changes once built, and a store writes by building
-   new ones ({!refill}). *)
+   Perego et al.'s trie layouts.  Reads go by entry number (a header's
+   rank, its entries' range, each entry's key and run) and push straight
+   from the columns; an index never changes once built, and a store
+   writes by building new ones ({!refill}). *)
 
 module Sv = Vectors.Sorted_ivec
 
@@ -58,24 +58,12 @@ type t = {
 
 (* --- reads ---------------------------------------------------------------- *)
 
+(* Reads go by number: a header's rank, then its entries' range in the
+   key stream, then each entry's run in the terminal stream.  Nothing
+   is allocated per entry; a run is pushed with one stream iteration,
+   and a slice is built only for a caller that asks for one. *)
+
 let get = Sv.stream_get
-
-(* The length of the [k]-th entry's terminal run, which starts at
-   [list_off]'s cell [k]. *)
-let run_length f k =
-  match f.lens with None -> get f.list_off (k + 1) - get f.list_off k | Some l -> get l k
-
-let list_at f k = Sv.slice f.terms ~off:(get f.list_off k) ~len:(run_length f k)
-
-let header_total f r = get f.level.tot_off (r + 1) - get f.level.tot_off r
-
-(* The r-th header's pair vector, as a view over the streams. *)
-let vector_at f r =
-  let k0 = get f.key_off r and k1 = get f.key_off (r + 1) in
-  Pair_vector.view
-    ~keys:(Sv.slice f.keys ~off:k0 ~len:(k1 - k0))
-    ~total:(header_total f r)
-    ~payload:(fun j -> list_at f (k0 + j))
 
 (* The set bits of [x < 2^32]: OCaml has no popcount primitive, so a
    SWAR sum of bit pairs, nibbles and bytes. *)
@@ -85,7 +73,6 @@ let popcount x =
   let x = (x + (x lsr 4)) land 0x0f0f0f0f in
   ((x * 0x01010101) lsr 24) land 0xff
 
-(* The rank of header [h], or -1. *)
 let rank f h =
   let lv = f.level in
   let cells = lv.rank in
@@ -98,13 +85,15 @@ let rank f h =
     let r = Sv.index_geq lv.fheaders h in
     if r < lv.n_headers && Sv.get lv.fheaders r = h then r else -1
 
-let find_vector f h =
-  let r = rank f h in
-  if r >= 0 then Some (vector_at f r) else None
+let header_count f = f.level.n_headers
 
-(* The entry number of (first, second), or -1: offset reads around
-   one binary search of the header's key run, nothing allocated. *)
-let entry_of f first second =
+let entry_off f r = get f.key_off r
+
+let key f k = get f.keys k
+
+let next_geq f ~from ~hi x = Sv.stream_search_from f.keys ~from ~hi x
+
+let entry f first second =
   let r = rank f first in
   if r < 0 then -1
   else
@@ -112,32 +101,35 @@ let entry_of f first second =
     let k = Sv.stream_index_geq f.keys ~lo:(get f.key_off r) ~hi:k1 second in
     if k < k1 && get f.keys k = second then k else -1
 
-let find_list f first second =
-  let k = entry_of f first second in
-  if k < 0 then None else Some (list_at f k)
-
-(* The pushes read the columns, as {!iter_triples} does: no view,
-   slice or option per probe or entry.  A terminal run is one stream
-   iteration. *)
-let iter_list f first second g =
-  let k = entry_of f first second in
-  if k < 0 then 0
-  else begin
-    let a = get f.list_off k and n = run_length f k in
-    Sv.stream_iter g f.terms ~lo:a ~hi:(a + n);
-    n
-  end
-
-(* [g second third] for every triple under the [r]-th header, and
-   their number. *)
-let push_header f r g =
-  Sv.stream_push_runs g ~keys:f.keys ~starts:f.list_off ?lens:f.lens f.terms ~lo:(get f.key_off r)
-    ~hi:(get f.key_off (r + 1))
-
-let iter_header f h g =
+let key_slice f h =
   let r = rank f h in
-  if r < 0 then 0 else push_header f r g
+  if r < 0 then Sv.slice f.keys ~off:0 ~len:0
+  else
+    let k0 = get f.key_off r in
+    Sv.slice f.keys ~off:k0 ~len:(get f.key_off (r + 1) - k0)
 
+(* Where run [k], which starts at [a], ends: an owner's runs tile
+   [terms], so at the start of run [k + 1]; a twin reads its runs'
+   lengths from [lens]. *)
+let run_end f k a = match f.lens with None -> get f.list_off (k + 1) | Some l -> a + get l k
+
+let run_length f k =
+  let a = get f.list_off k in
+  run_end f k a - a
+
+let run f k =
+  let a = get f.list_off k in
+  Sv.slice f.terms ~off:a ~len:(run_end f k a - a)
+
+let iter_run f k g =
+  let a = get f.list_off k in
+  Sv.stream_iter g f.terms ~lo:a ~hi:(run_end f k a)
+
+let iter_entries f ~lo ~hi g =
+  Sv.stream_push_runs g ~keys:f.keys ~starts:f.list_off ?lens:f.lens f.terms ~lo ~hi
+
+(* One stream iteration over the run offsets (an owner's) or lengths (a
+   twin's), not two offset reads per entry. *)
 let iter_lengths f h g =
   let r = rank f h in
   if r >= 0 then begin
@@ -160,18 +152,21 @@ let iter_lengths f h g =
           l ~lo:k0 ~hi:k1
   end
 
+let find_list f first second =
+  let k = entry f first second in
+  if k < 0 then None else Some (run f k)
+
 let list_length f first second =
-  let k = entry_of f first second in
+  let k = entry f first second in
   if k < 0 then 0 else run_length f k
 
 let header_triples f h =
   let r = rank f h in
-  if r < 0 then 0 else header_total f r
+  if r < 0 then 0 else get f.level.tot_off (r + 1) - get f.level.tot_off r
 
-let iter g f =
-  for r = 0 to f.level.n_headers - 1 do
-    g (Sv.get f.level.fheaders r) (vector_at f r)
-  done
+let iter_header f h g =
+  let r = rank f h in
+  if r < 0 then 0 else iter_entries f ~lo:(get f.key_off r) ~hi:(get f.key_off (r + 1)) g
 
 (* An owner's scan is one pass over its run offsets, moving to the next
    header as the entries pass its key offset. *)
@@ -199,7 +194,9 @@ let iter_triples f g =
   | Some _ ->
       for r = 0 to f.level.n_headers - 1 do
         let first = get f.level.hdr_s r in
-        ignore (push_header f r (fun second third -> g first second third))
+        ignore
+          (iter_entries f ~lo:(get f.key_off r) ~hi:(get f.key_off (r + 1)) (fun second third ->
+               g first second third))
       done
 
 let headers f = Sv.copy f.level.fheaders
@@ -420,16 +417,17 @@ let map_streams g f =
 
 (* Each offset column runs from 0 to the length of what it indexes,
    ascending: strictly where every run is non-empty.  A twin's runs are
-   non-empty windows of its owner's stream. *)
+   non-empty windows of its owner's stream.  Once the columns are sound,
+   each header is read by entry: its keys ascend, its runs ascend, and
+   their lengths add up to its total. *)
 let violations f =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   let lv = f.level in
   let streams =
     [ ("headers", lv.hdr_s); ("tot_off", lv.tot_off); ("key_off", f.key_off); ("keys", f.keys) ]
-    @
-    ("list_off", f.list_off)
-    :: (match f.lens with None -> [ ("terms", f.terms) ] | Some l -> [ ("lens", l) ])
+    @ [ ("list_off", f.list_off); ("terms", f.terms) ]
+    @ match f.lens with None -> [] | Some l -> [ ("lens", l) ]
   in
   List.iter (fun (name, s) -> List.iter (err "%s: %s" name) (Sv.stream_validate s)) streams;
   let offsets name s ~strict ~last =
@@ -443,10 +441,14 @@ let violations f =
   in
   offsets "key_off" f.key_off ~strict:true ~last:(Sv.stream_length f.keys);
   offsets "tot_off" lv.tot_off ~strict:true ~last:(total f);
+  let e = Sv.stream_length f.keys in
   (match f.lens with
-  | None -> offsets "list_off" f.list_off ~strict:true ~last:(total f)
+  | None ->
+      if Sv.stream_length f.list_off <> e + 1 then err "list_off: not one cell per entry plus one";
+      offsets "list_off" f.list_off ~strict:true ~last:(total f)
   | Some l ->
-      if Sv.stream_length l <> Sv.stream_length f.list_off then err "lens: not one cell per entry";
+      if Sv.stream_length l <> e || Sv.stream_length f.list_off <> e then
+        err "list_off/lens: not one cell per entry";
       for k = 0 to min (Sv.stream_length l) (Sv.stream_length f.list_off) - 1 do
         let a = get f.list_off k and n = get l k in
         if a < 0 || n < 1 || a + n > total f then err "list_off/lens: run %d is [%d, %d + %d)" k a a n
@@ -466,10 +468,24 @@ let violations f =
       if rank f x <> r then err "rank: header %d at %d ranks %d" x r (rank f x)
     done
   end;
+  if !errs = [] then
+    for r = 0 to lv.n_headers - 1 do
+      let h = get lv.hdr_s r in
+      if r > 0 && get lv.hdr_s (r - 1) >= h then err "headers: %d out of order at %d" h r;
+      let k0 = get f.key_off r and k1 = get f.key_off (r + 1) and sum = ref 0 in
+      for k = k0 to k1 - 1 do
+        if k > k0 && get f.keys (k - 1) >= get f.keys k then
+          err "header %d: key %d out of order at entry %d" h (get f.keys k) k;
+        let a = get f.list_off k and n = run_length f k in
+        for i = a + 1 to a + n - 1 do
+          if get f.terms (i - 1) >= get f.terms i then
+            err "header %d, key %d: run out of order at %d" h (get f.keys k) (i - a)
+        done;
+        sum := !sum + n
+      done;
+      let tot = get lv.tot_off (r + 1) - get lv.tot_off r in
+      if tot <> !sum then err "header %d: total %d, its runs hold %d" h tot !sum
+    done;
   List.rev !errs
 
-let check_invariant f =
-  Sv.check_invariant f.level.fheaders;
-  assert (Sv.length f.level.fheaders = f.level.n_headers);
-  assert (violations f = []);
-  iter (fun _ v -> Pair_vector.check_invariant v) f
+let check_invariant f = assert (violations f = [])

@@ -1,9 +1,10 @@
 (** One of the six Hexastore orderings.
 
     An index maps a header resource (the first element of the ordering) to
-    a {!Pair_vector.t} of second elements whose payloads are the shared
-    terminal lists of third elements.  [Hexastore] instantiates six of
-    these and decides which roles the three levels play.
+    a sorted run of second elements, its {e entries}, each of which
+    carries a shared terminal list of third elements (Figure 2 of the
+    paper).  [Hexastore] instantiates six of these and decides which
+    roles the three levels play.
 
     An index is immutable: a CSR of streams ({!Vectors.Sorted_ivec.stream})
     built in one fill from sorted columns ({!of_sorted_columns}).  Its
@@ -29,12 +30,15 @@
     ([spo]/[sop], [pso]/[pos], [osp]/[ops]), share one header level: the
     one built first owns it ([spo], [pos], [osp] in a Hexastore) and the
     other adopts it ([?level]).  Stores write by building a new owner
-    ({!refill}) and, where they keep them, its twin and siblings. *)
+    ({!refill}) and, where they keep them, its twin and siblings.
+
+    Reads go by number.  The header of rank [r] owns the entries
+    [[entry_off r, entry_off (r + 1))] of the key stream; entry [k] has
+    a {!key} and a terminal run ({!run_length}, {!iter_run}, {!run}).
+    A walk allocates nothing per entry; only {!run} and {!key_slice}
+    build a slice, for a caller that asks for one. *)
 
 type t
-
-val find_vector : t -> int -> Pair_vector.t option
-(** Pair vector under a header: a view over the streams. *)
 
 val of_sorted_columns :
   ?kind:Vectors.Sorted_ivec.kind ->
@@ -78,40 +82,86 @@ val refill :
     Hexastore, COVP or [Partial] — is one call per kept list family.
     @raise Invalid_argument if a batch breaks its precondition. *)
 
+(** {1 Reading by entry number} *)
+
+val rank : t -> int -> int
+(** [rank idx h] is header [h]'s rank among the headers (its position
+    in {!headers_view}), or [-1] when [h] is no header.  One cell read
+    of the rank bitmap, or a binary search when the ids are sparse. *)
+
+val header_count : t -> int
+(** Number of headers. *)
+
+val entry_off : t -> int -> int
+(** [entry_off idx r], for [0 <= r <= header_count idx], is the first
+    entry of the header of rank [r]: that header's entries are
+    [[entry_off idx r, entry_off idx (r + 1))], and
+    [entry_off idx (header_count idx)] is the number of entries. *)
+
+val key : t -> int -> int
+(** [key idx k] is entry [k]'s key, the second element of its triples.
+    Keys ascend strictly within a header's entries. *)
+
+val next_geq : t -> from:int -> hi:int -> int -> int
+(** [next_geq idx ~from ~hi x] is the first entry in [[from, hi)] whose
+    key is [>= x], or [hi]: a galloping search
+    ({!Vectors.Sorted_ivec.stream_search_from}) in O(log gap), for
+    [[from, hi)] within one header's entries.  The resumable cursor of
+    sorted merge scans. *)
+
+val entry : t -> int -> int -> int
+(** [entry idx first second] is the entry of (first, second), or [-1]
+    when either level is absent: a rank and one binary search. *)
+
+val key_slice : t -> int -> Vectors.Sorted_ivec.t
+(** [key_slice idx h] is the keys under header [h] as a zero-copy slice
+    of the key stream (empty when [h] is no header), for a caller that
+    needs them as a sorted set.  Slices raise on mutation. *)
+
+val run_length : t -> int -> int
+(** Length of entry [k]'s terminal run; never 0. *)
+
+val iter_run : t -> int -> (int -> unit) -> unit
+(** [iter_run idx k g] pushes entry [k]'s terminal run through [g],
+    ascending: one stream iteration, the codec matched once. *)
+
+val run : t -> int -> Vectors.Sorted_ivec.t
+(** Entry [k]'s terminal run as a zero-copy slice, for the merge
+    kernels.  Twin orderings hand out the same window of one stream
+    ({!Vectors.Sorted_ivec.shares}). *)
+
+val iter_entries : t -> lo:int -> hi:int -> (int -> int -> unit) -> int
+(** [iter_entries idx ~lo ~hi g] calls [g (key idx k) third] for every
+    third of every entry [k] in [[lo, hi)], in order, and returns their
+    number: one call over the columns, nothing built per entry. *)
+
+(** {1 Reading by value} *)
+
 val find_list : t -> int -> int -> Vectors.Sorted_ivec.t option
 (** [find_list idx first second] is the terminal list under
-    (first, second), if both levels exist.  The one way a store reaches
-    a terminal list: it asks the ordering that owns it (a Hexastore's
-    [spo], [sop] or [pos], a COVP's [pso] or [pos]), or its twin. *)
-
-val iter_list : t -> int -> int -> (int -> unit) -> int
-(** [iter_list idx first second g] pushes the terminal list under
-    (first, second) through [g], ascending, and returns its length (0
-    when absent).  A loop over the columns: no slice, option or closure
-    is built. *)
+    (first, second), if both levels exist: {!run} of {!entry}.  The one
+    way a store reaches a terminal list: it asks the ordering that owns
+    it (a Hexastore's [spo], [sop] or [pos], a COVP's [pso] or [pos]),
+    or its twin. *)
 
 val iter_header : t -> int -> (int -> int -> unit) -> int
 (** [iter_header idx h g] calls [g second third] for every triple under
     header [h], ascending, and returns their number (0 when [h] is no
-    header).  A loop over the columns, like {!iter_triples}: no view,
-    slice or closure per entry. *)
+    header): {!iter_entries} over the header's entries. *)
 
 val iter_lengths : t -> int -> (int -> int -> unit) -> unit
-(** [iter_lengths idx h g] calls [g second n] for every entry under
-    header [h], ascending on second, with [n] the length of its terminal
-    list (nothing when [h] is no header).  A loop over the offset
-    columns: no terminal is read. *)
+(** [iter_lengths idx h g] calls [g (key idx k) (run_length idx k)] for
+    every entry [k] under header [h], ascending (nothing when [h] is no
+    header): one pass over the offset columns, no terminal read.  The
+    aggregation of §5.2's BQ1. *)
 
 val list_length : t -> int -> int -> int
 (** Length of the terminal list under (first, second); 0 when absent.
     Allocates nothing. *)
 
 val header_triples : t -> int -> int
-(** Triples under header [h] ({!Pair_vector.total}); 0 when [h] is no
-    header.  Allocates nothing. *)
-
-val iter : (int -> Pair_vector.t -> unit) -> t -> unit
-(** Over headers in ascending id order, each with its pair vector. *)
+(** Triples under header [h], read from the per-header totals; 0 when
+    [h] is no header.  Allocates nothing. *)
 
 val iter_triples : t -> (int -> int -> int -> unit) -> unit
 (** [iter_triples idx f] calls [f first second third] for every triple
@@ -148,10 +198,13 @@ val map_streams : (string -> int array -> int array) -> t -> t
     reach an index's columns. *)
 
 val violations : t -> string list
-(** The columns' own audit: every stream sound in its codec, every
-    offset column running from 0 to the length of what it indexes, one
-    step per non-empty run, and the rank bitmap's bits and block counts
-    agreeing with the headers.  Empty means sound. *)
+(** The index's audit: every stream sound in its codec, every offset
+    column running from 0 to the length of what it indexes, one step per
+    non-empty run, and the rank bitmap's bits and block counts agreeing
+    with the headers; then, once the columns are sound, every header by
+    entry: headers and each header's keys strictly ascending, every run
+    non-empty and strictly ascending, and the header's total equal to
+    the sum of its run lengths.  Empty means sound. *)
 
 val check_invariant : t -> unit
-(** Sorted headers, no {!violations}, and every vector sound. *)
+(** No {!violations}. *)

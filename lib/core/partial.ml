@@ -179,15 +179,23 @@ let iter t (pat : Pattern.t) f =
   let r1, r2, r3 = roles ord in
   let v2 = pattern_role pat r2 and v3 = pattern_role pat r3 in
   let emit = Ordering.emit ord in
-  let entry x1 x2 l =
+  (* The entries [[lo, hi)] under header [x1]. *)
+  let entries x1 lo hi =
     match v3 with
-    | Some x3 -> if Sorted_ivec.mem l x3 then emit f x1 x2 x3
-    | None -> Sorted_ivec.iter (fun x3 -> emit f x1 x2 x3) l
+    | None -> ignore (Index.iter_entries idx ~lo ~hi (fun x2 x3 -> emit f x1 x2 x3))
+    | Some x3 ->
+        for k = lo to hi - 1 do
+          if Sorted_ivec.mem (Index.run idx k) x3 then emit f x1 (Index.key idx k) x3
+        done
   in
   let header x1 =
     match v2 with
-    | Some x2 -> Option.iter (entry x1 x2) (Index.find_list idx x1 x2)
-    | None -> Option.iter (Pair_vector.iter (entry x1)) (Index.find_vector idx x1)
+    | Some x2 ->
+        let k = Index.entry idx x1 x2 in
+        if k >= 0 then entries x1 k (k + 1)
+    | None ->
+        let r = Index.rank idx x1 in
+        if r >= 0 then entries x1 (Index.entry_off idx r) (Index.entry_off idx (r + 1))
   in
   match pattern_role pat r1 with
   | Some x1 -> header x1
@@ -200,10 +208,8 @@ let count t pat =
   let r1, r2, r3 = roles ord in
   let v1 = pattern_role pat r1 and v2 = pattern_role pat r2 and v3 = pattern_role pat r3 in
   match (v1, v2, v3) with
-  | Some x1, Some x2, None -> (
-      match Index.find_list idx x1 x2 with None -> 0 | Some l -> Sorted_ivec.length l)
-  | Some x1, None, None -> (
-      match Index.find_vector idx x1 with None -> 0 | Some v -> Pair_vector.total v)
+  | Some x1, Some x2, None -> Index.list_length idx x1 x2
+  | Some x1, None, None -> Index.header_triples idx x1
   | None, None, None -> t.size
   | _ ->
       let n = ref 0 in

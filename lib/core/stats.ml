@@ -34,11 +34,9 @@ let summary h =
   }
 
 let property_histogram h =
-  let acc = ref [] in
-  Index.iter
-    (fun p v -> acc := (p, Pair_vector.total v) :: !acc)
-    (Hexastore.pso h);
-  List.sort (fun (_, a) (_, b) -> compare b a) !acc
+  let pso = Hexastore.pso h in
+  List.rev_map (fun p -> (p, Index.header_triples pso p)) (Sorted_ivec.to_list (Index.headers_view pso))
+  |> List.sort (fun (_, a) (_, b) -> compare b a)
 
 type entry_counts = {
   header_entries : int;
@@ -46,24 +44,21 @@ type entry_counts = {
   list_entries : int;
 }
 
+(* Read from the offset columns: an ordering's entries are its key
+   offsets' last cell.  Each shared terminal list is referenced by two
+   orderings but its entries exist once; count them via one ordering per
+   family. *)
 let entry_counts h =
-  let headers = ref 0 and vectors = ref 0 in
-  List.iter
-    (fun idx ->
-      Index.iter
-        (fun _ v ->
-          incr headers;
-          vectors := !vectors + Pair_vector.length v)
-        idx)
+  let sum f l = List.fold_left (fun acc idx -> acc + f idx) 0 l in
+  let all =
     [ Hexastore.spo h; Hexastore.sop h; Hexastore.pso h; Hexastore.pos h;
-      Hexastore.osp h; Hexastore.ops h ];
-  (* Each shared terminal list is referenced by two orderings but its
-     entries exist once; count them via one ordering per family. *)
-  let lists = ref 0 in
-  List.iter
-    (fun idx -> Index.iter (fun _ v -> Pair_vector.iter (fun _ l -> lists := !lists + Sorted_ivec.length l) v) idx)
-    [ Hexastore.spo h; Hexastore.sop h; Hexastore.pos h ];
-  { header_entries = !headers; vector_entries = !vectors; list_entries = !lists }
+      Hexastore.osp h; Hexastore.ops h ]
+  in
+  {
+    header_entries = sum Index.header_count all;
+    vector_entries = sum (fun idx -> Index.entry_off idx (Index.header_count idx)) all;
+    list_entries = sum Index.total [ Hexastore.spo h; Hexastore.sop h; Hexastore.pos h ];
+  }
 
 let entries_per_triple h =
   let n = Hexastore.size h in

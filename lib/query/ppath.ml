@@ -218,10 +218,7 @@ let rec sources h = function
   | Pred p -> (
       match pid h p with
       | None -> Sorted_ivec.create ()
-      | Some p -> (
-          match Hexa.Index.find_vector (Hexa.Hexastore.pso h) p with
-          | None -> Sorted_ivec.create ()
-          | Some v -> Hexa.Pair_vector.keys v))
+      | Some p -> Hexa.Index.key_slice (Hexa.Hexastore.pso h) p)
   | Inv inner -> targets h inner
   | Seq (a, _) -> sources h a
   | Alt (a, b) -> Merge.union (sources h a) (sources h b)
@@ -234,10 +231,7 @@ and targets h = function
   | Pred p -> (
       match pid h p with
       | None -> Sorted_ivec.create ()
-      | Some p -> (
-          match Hexa.Index.find_vector (Hexa.Hexastore.pos h) p with
-          | None -> Sorted_ivec.create ()
-          | Some v -> Hexa.Pair_vector.keys v))
+      | Some p -> Hexa.Index.key_slice (Hexa.Hexastore.pos h) p)
   | Inv inner -> sources h inner
   | Seq (_, b) -> targets h b
   | Alt (a, b) -> Merge.union (targets h a) (targets h b)

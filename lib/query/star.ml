@@ -5,19 +5,17 @@ type constraint_ = {
   o : int option;
 }
 
-(* A sorted source of subject ids: either a terminal s-list or the key
-   column of a pso pair-vector — accessed in place, never copied. *)
+(* A sorted source of subject ids: either a terminal s-list or the keys
+   of a pso header — accessed in place, never copied. *)
 let source_of h { p; o } =
-  let found =
-    if p < 0 then None
-    else
-      match o with
-      | Some o -> Hexa.Hexastore.subjects_of_po h ~p ~o
-      | None ->
-          Option.map Hexa.Pair_vector.key_vector
-            (Hexa.Index.find_vector (Hexa.Hexastore.pso h) p)
-  in
-  match found with Some v -> v | None -> Sorted_ivec.create ~capacity:1 ()
+  if p < 0 then Sorted_ivec.create ~capacity:1 ()
+  else
+    match o with
+    | Some o -> (
+        match Hexa.Hexastore.subjects_of_po h ~p ~o with
+        | Some v -> v
+        | None -> Sorted_ivec.create ~capacity:1 ())
+    | None -> Hexa.Index.key_slice (Hexa.Hexastore.pso h) p
 
 (* Leapfrog-style k-way intersection: drive from the smallest source and
    seek the others forward; every cursor is monotone. *)

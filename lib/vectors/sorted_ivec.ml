@@ -88,8 +88,11 @@ let stream_index_geq s ~lo ~hi x =
    O(log(skip)) steps, then a binary search pins it down inside the
    bracket, so resuming from the previous hit makes a whole ascending
    probe sequence cost O(n_probes · log(gap)) instead of
-   O(n_probes · log n).  This is the one galloping seek in the library:
-   pair vectors and star joins seek through it too. *)
+   O(n_probes · log n).  {!stream_search_from} is the same search over
+   a window of a stream.  The two are not one loop over a [get]
+   function: that indirect call per probe made [search_from] 2.2x
+   slower (OCaml 5.1 without flambda, dune's dev profile, a 2-vCPU
+   x86-64 VM). *)
 let search_from v ~from x =
   let n = length v in
   let from = if from < 0 then 0 else from in
@@ -322,6 +325,31 @@ let stream_kind = function Ints _ -> Raw | Bits _ -> Packed
 
 let stream_get s i =
   match s with Ints a -> a.(i) | Bits b -> Packed_ivec.get b i
+
+let stream_unsafe_get s i = match s with Ints a -> Array.unsafe_get a i | Bits b -> Packed_ivec.get b i
+
+let stream_search_from s ~from ~hi x =
+  if from < 0 || hi > stream_length s then
+    invalid_arg
+      (Printf.sprintf "Sorted_ivec.stream_search_from: [%d,%d) outside [0,%d)" from hi (stream_length s));
+  if from >= hi then hi
+  else if stream_unsafe_get s from >= x then from
+  else begin
+    let step = ref 1 in
+    let lo = ref from in
+    while !lo + !step < hi && stream_unsafe_get s (!lo + !step) < x do
+      lo := !lo + !step;
+      step := !step * 2
+    done;
+    let hi = ref (min hi (!lo + !step + 1)) in
+    incr lo;
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if stream_unsafe_get s mid < x then lo := mid + 1 else hi := mid
+    done;
+    if !Telemetry.Config.enabled then Telemetry.Metrics.observe m_gallop_skip (!lo - from);
+    !lo
+  end
 
 let stream_iter f s ~lo ~hi =
   if lo < 0 || hi > stream_length s then

@@ -91,8 +91,8 @@ val search_from : t -> from:int -> int -> int
     the distance advanced from [from].  Repeated ascending probes that
     resume from the previous hit therefore pay for the distance they
     cover, not for [log n] each: the resumable cursor behind the
-    executor's merge joins, and the only galloping seek in the library
-    ({!Hexa.Pair_vector} and the star joins seek through it).  Observes
+    executor's merge joins and the star joins; {!stream_search_from} is
+    the same seek over a stream window.  Observes
     the [vectors.gallop.skip] histogram with the distance skipped. *)
 
 val add : t -> int -> bool
@@ -201,6 +201,13 @@ val stream_index_geq : stream -> lo:int -> hi:int -> int -> int
     first element [>= x], or [hi].  No slice is built; it counts as one
     binary search.
     @raise Invalid_argument when a probed position is out of bounds. *)
+
+val stream_search_from : stream -> from:int -> hi:int -> int -> int
+(** [stream_search_from s ~from ~hi x] is {!search_from} over positions
+    [from, hi) of [s], which must be ascending there: the first position
+    whose element is [>= x], or [hi].  No slice is built: this is the
+    galloping [next_geq] of an index's key runs.
+    @raise Invalid_argument when [[from, hi)] leaves [s]. *)
 
 val slice : stream -> off:int -> len:int -> t
 (** A zero-copy view of positions [off, off+len), which must be

@@ -63,40 +63,51 @@ let scan_props pso restrict =
    per-property phases can iterate them directly in sorted order. *)
 let restrict_sv restrict = Option.map SV.of_list restrict
 
-(* Iterate a property's subject-sorted table restricted to subjects in
-   [t], merge-join style (both sides sorted): a double-galloping merge
-   in which whichever side is behind seeks forward with a resumable
-   exponential search.  Degenerates to a linear merge when the sides
-   interleave densely and to O(min log max) when one side is sparse, so
-   it replaces the old fixed density-ratio heuristic. *)
-let iter_table_join v t f =
-  let nv = Pair_vector.length v and nt = SV.length t in
-  let rec loop i j =
-    if i < nv && j < nt then begin
-      let s = Pair_vector.key_at v i and x = SV.get t j in
-      if s = x then begin
-        f s (Pair_vector.payload_at v i);
-        loop (i + 1) (j + 1)
+(* Iterate a property's subject-sorted table — the entries of header [p]
+   in [pso] — restricted to subjects in [t], merge-join style (both
+   sides sorted): a double-galloping merge in which whichever side is
+   behind seeks forward with a resumable exponential search.
+   Degenerates to a linear merge when the sides interleave densely and
+   to O(min log max) when one side is sparse, so it replaces the old
+   fixed density-ratio heuristic.  [f s k] gets each shared subject
+   with its entry [k], whose run is the subject's o-list. *)
+let iter_table_join pso p t f =
+  let r = Index.rank pso p in
+  if r >= 0 then begin
+    let k1 = Index.entry_off pso (r + 1) and nt = SV.length t in
+    let rec loop k j =
+      if k < k1 && j < nt then begin
+        let s = Index.key pso k and x = SV.get t j in
+        if s = x then begin
+          f s k;
+          loop (k + 1) (j + 1)
+        end
+        else if s < x then loop (Index.next_geq pso ~from:(k + 1) ~hi:k1 x) j
+        else loop k (SV.search_from t ~from:(j + 1) s)
       end
-      else if s < x then loop (Pair_vector.search_from v ~from:(i + 1) x) j
-      else loop i (SV.search_from t ~from:(j + 1) s)
-    end
-  in
-  loop 0 0
+    in
+    loop (Index.entry_off pso r) 0
+  end
 
 (* Does the table share at least one subject with [t]?  The same
    double-galloping walk, stopping at the first hit. *)
-let table_intersects v t =
-  let nv = Pair_vector.length v and nt = SV.length t in
-  let rec loop i j =
-    i < nv && j < nt
+let table_intersects pso p t =
+  let r = Index.rank pso p in
+  r >= 0
+  &&
+  let k1 = Index.entry_off pso (r + 1) and nt = SV.length t in
+  let rec loop k j =
+    k < k1 && j < nt
     &&
-    let s = Pair_vector.key_at v i and x = SV.get t j in
+    let s = Index.key pso k and x = SV.get t j in
     if s = x then true
-    else if s < x then loop (Pair_vector.search_from v ~from:(i + 1) x) j
-    else loop i (SV.search_from t ~from:(j + 1) s)
+    else if s < x then loop (Index.next_geq pso ~from:(k + 1) ~hi:k1 x) j
+    else loop k (SV.search_from t ~from:(j + 1) s)
   in
-  loop 0 0
+  loop (Index.entry_off pso r) 0
+
+(* A count per object: [bump counts o] adds one to [o]'s. *)
+let bump counts o = Hashtbl.replace counts o (1 + Option.value ~default:0 (Hashtbl.find_opt counts o))
 
 (* --- BQ1: counts of each Type object ---------------------------------- *)
 
@@ -108,21 +119,12 @@ let bq1 store ids =
       let out = ref [] in
       Index.iter_lengths pos ids.type_p (fun o n -> out := (o, n) :: !out);
       List.rev !out
-  | None -> (
+  | None ->
       (* COVP1: self-join aggregation on object value over pso. *)
-      match Index.find_vector (Stores.pso store) ids.type_p with
-      | None -> []
-      | Some v ->
-          let counts = Hashtbl.create 64 in
-          Pair_vector.iter
-            (fun _s ol ->
-              SV.iter
-                (fun o ->
-                  Hashtbl.replace counts o (1 + Option.value ~default:0 (Hashtbl.find_opt counts o)))
-                ol)
-            v;
-          Hashtbl.fold (fun o n acc -> (o, n) :: acc) counts []
-          |> List.sort (fun (a, _) (b, _) -> compare a b))
+      let counts = Hashtbl.create 64 in
+      ignore (Index.iter_header (Stores.pso store) ids.type_p (fun _s o -> bump counts o));
+      Hashtbl.fold (fun o n acc -> (o, n) :: acc) counts []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* --- the Type:Text pre-selection --------------------------------------- *)
 
@@ -132,7 +134,7 @@ let text_subjects store ids = subjects_po store ~p:ids.type_p ~o:ids.text
 
 (* Phase 2, the same for every competitor: one probe of the pso index,
    then for each property (its sorted header view, or the restriction)
-   gallop-intersect the property's subject vector with the sorted [t],
+   gallop-intersect the property's subject entries with the sorted [t],
    summing matched o-list lengths.  The Hexastore's earlier spo
    formulation probed the subject index once per Text subject — 12,674
    point probes at full Barton scale — where this one's probe count is
@@ -142,12 +144,9 @@ let property_frequencies store restrict t =
   let out = ref [] in
   SV.iter
     (fun p ->
-      match Index.find_vector pso p with
-      | None -> ()
-      | Some v ->
-          let freq = ref 0 in
-          iter_table_join v t (fun _s ol -> freq := !freq + SV.length ol);
-          if !freq > 0 then out := (p, !freq) :: !out)
+      let freq = ref 0 in
+      iter_table_join pso p t (fun _s k -> freq := !freq + Index.run_length pso k);
+      if !freq > 0 then out := (p, !freq) :: !out)
     (scan_props pso restrict);
   List.rev !out
 
@@ -158,54 +157,41 @@ let bq2 ?restrict store ids =
 
 (* Hexastore: find the relevant property set, then use pos for the
    per-object counts (as §5.2 says it must for this aggregation).  A
-   property is relevant when its pso subject vector intersects [t] —
+   property is relevant when its pso subject entries intersect [t] —
    decided by an early-exit galloping probe, not a per-subject spo
    walk. *)
 let hexa_relevant_properties h restrict t =
   let pso = Hexastore.pso h in
   let out = ref [] in
-  SV.iter
-    (fun p ->
-      match Index.find_vector pso p with
-      | None -> ()
-      | Some v -> if table_intersects v t then out := p :: !out)
-    (scan_props pso restrict);
+  SV.iter (fun p -> if table_intersects pso p t then out := p :: !out) (scan_props pso restrict);
   List.rev !out
 
-let popular_via_pos find_object_vector props t =
+let popular_via_pos pos props t =
   List.filter_map
     (fun p ->
-      match find_object_vector p with
-      | None -> None
-      | Some v ->
-          let objs = ref [] in
-          Pair_vector.iter
-            (fun o sl ->
-              let c = Merge.intersect_count_adaptive sl t in
-              if c > 1 then objs := (o, c) :: !objs)
-            v;
-          if !objs = [] then None else Some (p, List.rev !objs))
+      let r = Index.rank pos p in
+      if r < 0 then None
+      else begin
+        let objs = ref [] in
+        for k = Index.entry_off pos r to Index.entry_off pos (r + 1) - 1 do
+          let c = Merge.intersect_count_adaptive (Index.run pos k) t in
+          if c > 1 then objs := (Index.key pos k, c) :: !objs
+        done;
+        if !objs = [] then None else Some (p, List.rev !objs)
+      end)
     props
 
 let covp1_popular pso restrict t =
   let out = ref [] in
   SV.iter
     (fun p ->
-      match Index.find_vector pso p with
-      | None -> ()
-      | Some v ->
-          let counts = Hashtbl.create 16 in
-          iter_table_join v t (fun _s ol ->
-              SV.iter
-                (fun o ->
-                  Hashtbl.replace counts o
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt counts o)))
-                ol);
-          let objs =
-            Hashtbl.fold (fun o c acc -> if c > 1 then (o, c) :: acc else acc) counts []
-            |> List.sort (fun (a, _) (b, _) -> compare a b)
-          in
-          if objs <> [] then out := (p, objs) :: !out)
+      let counts = Hashtbl.create 16 in
+      iter_table_join pso p t (fun _s k -> Index.iter_run pso k (bump counts));
+      let objs =
+        Hashtbl.fold (fun o c acc -> if c > 1 then (o, c) :: acc else acc) counts []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      if objs <> [] then out := (p, objs) :: !out)
     (scan_props pso restrict);
   List.rev !out
 
@@ -213,11 +199,11 @@ let bq3_over restrict store t =
   match (store, Stores.pos store) with
   | Stores.Hexa h, Some pos ->
       let props = hexa_relevant_properties h restrict t in
-      popular_via_pos (fun p -> Index.find_vector pos p) props t
+      popular_via_pos pos props t
   | _, Some pos ->
       (* COVP2: every property table's pos copy. *)
       let props = SV.to_list (scan_props (Stores.pso store) restrict) in
-      popular_via_pos (fun p -> Index.find_vector pos p) props t
+      popular_via_pos pos props t
   | _, None -> covp1_popular (Stores.pso store) restrict t
 
 let bq3 ?restrict store ids =
@@ -239,35 +225,11 @@ let bq4 ?restrict store ids =
 
 (* --- BQ5: inference ----------------------------------------------------- *)
 
-(* §5.2's BQ5 plan for Hexastore/COVP2: merge-join the (sorted) object
-   vector of Records with the (sorted) subject vector of Type — walked
-   in place, since the Records entries carry the recorder s-lists and
-   the Type entries carry the type o-lists — keeping objects whose type
-   passes [keep]; fan out through the recording subjects into a small
-   table T of (subject, inferred type); then sort-merge T once against
-   the (small) list s_dlc. *)
-let infer_via_pos ~records_v ~type_v ~s_dlc ~keep =
-  let table = ref [] in
-  let nr = Pair_vector.length records_v and nt = Pair_vector.length type_v in
-  let i = ref 0 and j = ref 0 in
-  while !i < nr && !j < nt do
-    let o = Pair_vector.key_at records_v !i and s = Pair_vector.key_at type_v !j in
-    if o = s then begin
-      let tys = Pair_vector.payload_at type_v !j in
-      let recorders = Pair_vector.payload_at records_v !i in
-      SV.iter
-        (fun ty ->
-          if keep ty then SV.iter (fun subj -> table := (subj, ty) :: !table) recorders)
-        tys;
-      incr i;
-      incr j
-    end
-    else if o < s then incr i
-    else incr j
-  done;
-  (* Sort T by subject (the per-step sort of a sort-merge join), then a
-     single merge against s_dlc. *)
-  let table = List.sort_uniq compare !table in
+(* Sort the table T of (subject, inferred type) by subject (the per-step
+   sort of a sort-merge join), then one merge against the (small) list
+   s_dlc. *)
+let merge_dlc table s_dlc =
+  let table = List.sort_uniq compare table in
   let nd = SV.length s_dlc in
   let out = ref [] in
   let j = ref 0 in
@@ -280,32 +242,55 @@ let infer_via_pos ~records_v ~type_v ~s_dlc ~keep =
     table;
   List.rev !out
 
+(* §5.2's BQ5 plan for Hexastore/COVP2: merge-join the (sorted) object
+   entries of Records in pos with the (sorted) subject entries of Type
+   in pso — walked in place, since the Records entries carry the
+   recorder s-lists and the Type entries carry the type o-lists —
+   keeping objects whose type passes [keep]; fan out through the
+   recording subjects into a small table T of (subject, inferred type);
+   then sort-merge T once against s_dlc. *)
+let infer_via_pos ~pos ~pso ids ~s_dlc ~keep =
+  let table = ref [] in
+  let rr = Index.rank pos ids.records and rt = Index.rank pso ids.type_p in
+  if rr >= 0 && rt >= 0 then begin
+    let i1 = Index.entry_off pos (rr + 1) and j1 = Index.entry_off pso (rt + 1) in
+    let i = ref (Index.entry_off pos rr) and j = ref (Index.entry_off pso rt) in
+    while !i < i1 && !j < j1 do
+      let o = Index.key pos !i and s = Index.key pso !j in
+      if o = s then begin
+        let recorders = !i in
+        Index.iter_run pso !j (fun ty ->
+            if keep ty then Index.iter_run pos recorders (fun subj -> table := (subj, ty) :: !table));
+        incr i;
+        incr j
+      end
+      else if o < s then incr i
+      else incr j
+    done
+  end;
+  merge_dlc !table s_dlc
+
 let covp1_infer pso ids ~s_dlc ~keep =
-  (* Join s_dlc with the Records subject vector to get recorded objects
+  (* Join s_dlc with the Records subject entries to get recorded objects
      (unsorted by object), sort them, then sort-merge with Type. *)
-  match Index.find_vector pso ids.records with
-  | None -> []
-  | Some v ->
-      let pairs = ref [] in
-      iter_table_join v s_dlc (fun s ol -> SV.iter (fun o -> pairs := (o, s) :: !pairs) ol);
-      let pairs = List.sort compare !pairs in
-      (match Index.find_vector pso ids.type_p with
-      | None -> []
-      | Some tv ->
-          let out = ref [] in
-          let ntv = Pair_vector.length tv in
-          let j = ref 0 in
-          List.iter
-            (fun (o, s) ->
-              while !j < ntv && Pair_vector.key_at tv !j < o do
-                incr j
-              done;
-              if !j < ntv && Pair_vector.key_at tv !j = o then
-                SV.iter
-                  (fun ty -> if keep ty then out := (s, ty) :: !out)
-                  (Pair_vector.payload_at tv !j))
-            pairs;
-          List.sort_uniq compare !out)
+  let pairs = ref [] in
+  iter_table_join pso ids.records s_dlc (fun s k -> Index.iter_run pso k (fun o -> pairs := (o, s) :: !pairs));
+  let pairs = List.sort compare !pairs in
+  let rt = Index.rank pso ids.type_p in
+  if rt < 0 then []
+  else begin
+    let j1 = Index.entry_off pso (rt + 1) and j = ref (Index.entry_off pso rt) in
+    let out = ref [] in
+    List.iter
+      (fun (o, s) ->
+        while !j < j1 && Index.key pso !j < o do
+          incr j
+        done;
+        if !j < j1 && Index.key pso !j = o then
+          Index.iter_run pso !j (fun ty -> if keep ty then out := (s, ty) :: !out))
+      pairs;
+    List.sort_uniq compare !out
+  end
 
 let dlc_subjects store ids = subjects_po store ~p:ids.origin ~o:ids.dlc
 
@@ -313,11 +298,7 @@ let bq5_generic store ids ~keep =
   let s_dlc = dlc_subjects store ids in
   let pso = Stores.pso store in
   match Stores.pos store with
-  | Some pos -> (
-      (* Hexastore and COVP2. *)
-      match (Index.find_vector pos ids.records, Index.find_vector pso ids.type_p) with
-      | Some records_v, Some type_v -> infer_via_pos ~records_v ~type_v ~s_dlc ~keep
-      | _ -> [])
+  | Some pos -> (* Hexastore and COVP2. *) infer_via_pos ~pos ~pso ids ~s_dlc ~keep
   | None -> covp1_infer pso ids ~s_dlc ~keep
 
 let bq5 store ids = bq5_generic store ids ~keep:(fun ty -> ty <> ids.text)
@@ -339,11 +320,9 @@ let bq7 store ids =
      Encoding and Type (§5.2: COVP2/Hexastore differ only in how t was
      obtained). *)
   let joined p =
-    let table = Index.find_vector (Stores.pso store) p in
+    let pso = Stores.pso store in
     let results = Hashtbl.create 64 in
-    (match table with
-    | None -> ()
-    | Some v -> iter_table_join v t (fun s ol -> Hashtbl.replace results s (SV.to_list ol)));
+    iter_table_join pso p t (fun s k -> Hashtbl.replace results s (SV.to_list (Index.run pso k)));
     results
   in
   let encodings = joined ids.encoding in

@@ -119,11 +119,9 @@ let lq5 store ids =
   (* Step 1: the objects AP10 is related to. *)
   let t =
     match store with
-    | Stores.Hexa h -> (
-        (* Directly the object vector of AP10 in sop indexing. *)
-        match Index.find_vector (Hexastore.sop h) ids.assoc_prof10 with
-        | None -> empty_sv
-        | Some v -> Pair_vector.keys v)
+    | Stores.Hexa h ->
+        (* Directly the object keys of AP10 in sop indexing. *)
+        Index.key_slice (Hexastore.sop h) ids.assoc_prof10
     | Stores.Partial c ->
         (* Scan all pso property tables for AP10's objects. *)
         let objs = ref [] in
@@ -133,27 +131,27 @@ let lq5 store ids =
   (* Step 2: refine t to universities. *)
   let universities =
     match store with
-    | Stores.Partial c when Option.is_none (Partial.index c Ordering.Pos) -> (
-        match Index.find_vector (Stores.pso store) ids.type_p with
-        | None -> empty_sv
-        | Some v ->
-            (* COVP1: join t with the Type subject vector, filtering on the
-               University object. *)
-            let out = SV.create () in
-            let nv = Pair_vector.length v and nt = SV.length t in
-            let i = ref 0 and j = ref 0 in
-            while !i < nv && !j < nt do
-              let s = Pair_vector.key_at v !i and x = SV.get t !j in
-              if s = x then begin
-                if SV.mem (Pair_vector.payload_at v !i) ids.university_class then
-                  ignore (SV.add out s);
-                incr i;
-                incr j
-              end
-              else if s < x then incr i
-              else incr j
-            done;
-            out)
+    | Stores.Partial c when Option.is_none (Partial.index c Ordering.Pos) ->
+        (* COVP1: join t with the Type subject entries, filtering on the
+           University object. *)
+        let pso = Stores.pso store in
+        let out = SV.create () in
+        let r = Index.rank pso ids.type_p in
+        if r >= 0 then begin
+          let k1 = Index.entry_off pso (r + 1) and nt = SV.length t in
+          let k = ref (Index.entry_off pso r) and j = ref 0 in
+          while !k < k1 && !j < nt do
+            let s = Index.key pso !k and x = SV.get t !j in
+            if s = x then begin
+              if SV.mem (Index.run pso !k) ids.university_class then ignore (SV.add out s);
+              incr k;
+              incr j
+            end
+            else if s < x then incr k
+            else incr j
+          done
+        end;
+        out
     | _ -> Merge.intersect t (subjects_po store ~p:ids.type_p ~o:ids.university_class)
   in
   (* Step 3: degree-holders per university. *)

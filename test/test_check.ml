@@ -63,19 +63,21 @@ let test_store_lubm_bulk () =
      [Hexastore.check_invariant]. *)
   let same_list = Sorted_ivec.shares in
   let shared = ref 0 in
-  Index.iter
-    (fun s v ->
-      Pair_vector.iter
-        (fun p ol ->
-          (match Index.find_list (Hexastore.pso h) p s with
-          | Some ol' -> check_bool "o-list shared spo/pso" true (same_list ol ol')
-          | None -> Alcotest.fail "pso missing twin list");
-          (match Hexastore.objects_of_sp h ~s ~p with
-          | Some ol' -> check_bool "o-list shared with accessor table" true (same_list ol ol')
-          | None -> Alcotest.fail "accessor table missing list");
-          incr shared)
-        v)
-    (Hexastore.spo h);
+  let spo = Hexastore.spo h in
+  let hs = Index.headers_view spo in
+  for r = 0 to Sorted_ivec.length hs - 1 do
+    let s = Sorted_ivec.get hs r in
+    for k = Index.entry_off spo r to Index.entry_off spo (r + 1) - 1 do
+      let p = Index.key spo k and ol = Index.run spo k in
+      (match Index.find_list (Hexastore.pso h) p s with
+      | Some ol' -> check_bool "o-list shared spo/pso" true (same_list ol ol')
+      | None -> Alcotest.fail "pso missing twin list");
+      (match Hexastore.objects_of_sp h ~s ~p with
+      | Some ol' -> check_bool "o-list shared with accessor table" true (same_list ol ol')
+      | None -> Alcotest.fail "accessor table missing list");
+      incr shared
+    done
+  done;
   check_bool "visited many shared lists" true (!shared > 100)
 
 (* The seeded corruptions below rewrite one column of an ordering
@@ -162,14 +164,11 @@ let test_detects_flat_twin_corruption () =
       (* The first owner run of two or more elements, found by its
          offset in the terminal stream; then two of its elements swap. *)
       let off = ref (-1) and seen = ref 0 in
-      Index.iter
-        (fun _ v ->
-          Pair_vector.iter
-            (fun _ l ->
-              if !off < 0 && Sorted_ivec.length l >= 2 then off := !seen;
-              seen := !seen + Sorted_ivec.length l)
-            v)
-        owner;
+      for k = 0 to Index.entry_off owner (Index.header_count owner) - 1 do
+        let n = Index.run_length owner k in
+        if !off < 0 && n >= 2 then off := !seen;
+        seen := !seen + n
+      done;
       let unsorted =
         Index.map_streams
           (fun what a ->

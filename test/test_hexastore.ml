@@ -71,59 +71,65 @@ let test_pattern_matches () =
   check_bool "of_triple" true (Pattern.matches (Pattern.of_triple tr) tr)
 
 (* ------------------------------------------------------------------ *)
-(* Pair_vector                                                         *)
+(* Entries: an index read by entry number                              *)
 (* ------------------------------------------------------------------ *)
 
-(* A pair vector is a view of an index's columns: keys [ks] under one
-   header, key [k]'s list [[10 k; 10 k + 1]]. *)
-let view_of ?(kind = Sorted_ivec.Raw) ks =
+(* An index with one header, 0, over keys [ks]: key [k]'s run is
+   [[10 k; 10 k + 1]]. *)
+let index_of ?(kind = Sorted_ivec.Raw) ks =
   let keys = Array.of_list (List.concat_map (fun k -> [ k; k ]) ks) in
-  let idx, _ =
-    Index.of_sorted_columns ~kind ~firsts:(Array.map (fun _ -> 0) keys) ~seconds:keys
-      ~thirds:(Array.mapi (fun i k -> (10 * k) + (i mod 2)) keys)
-      ()
-  in
-  Index.find_vector idx 0
+  fst
+    (Index.of_sorted_columns ~kind ~firsts:(Array.map (fun _ -> 0) keys) ~seconds:keys
+       ~thirds:(Array.mapi (fun i k -> (10 * k) + (i mod 2)) keys)
+       ())
 
-let test_pair_vector_basic () =
-  let v = Option.get (view_of [ 1; 5; 9 ]) in
-  check_int "three keys" 3 (Pair_vector.length v);
-  check_int "sorted key order" 1 (Pair_vector.key_at v 0);
-  check_int "sorted key order" 5 (Pair_vector.key_at v 1);
-  check_int "sorted key order" 9 (Pair_vector.key_at v 2);
-  check_bool "find" true
-    (Option.map Sorted_ivec.to_list (Pair_vector.find v 1) = Some [ 10; 11 ]);
-  check_bool "find miss" true (Pair_vector.find v 7 = None);
-  Alcotest.(check (list int)) "payload_at" [ 90; 91 ] (Sorted_ivec.to_list (Pair_vector.payload_at v 2));
-  Pair_vector.check_invariant v;
-  check_bool "no header, no view" true (view_of [] = None)
+(* Entry [k]'s run, or [None] for [k = -1]. *)
+let run_of idx k = if k < 0 then None else Some (Sorted_ivec.to_list (Index.run idx k))
 
-let test_pair_vector_totals () =
-  let v = Option.get (view_of [ 1; 2 ]) in
-  check_int "total" 4 (Pair_vector.total v);
-  Pair_vector.check_invariant v
+let test_entries_basic () =
+  let idx = index_of [ 1; 5; 9 ] in
+  let r = Index.rank idx 0 in
+  let k0 = Index.entry_off idx r in
+  check_int "three keys" 3 (Index.entry_off idx (r + 1) - k0);
+  check_int "sorted key order" 1 (Index.key idx k0);
+  check_int "sorted key order" 5 (Index.key idx (k0 + 1));
+  check_int "sorted key order" 9 (Index.key idx (k0 + 2));
+  check_bool "find" true (run_of idx (Index.entry idx 0 1) = Some [ 10; 11 ]);
+  check_bool "find miss" true (run_of idx (Index.entry idx 0 7) = None);
+  Alcotest.(check (list int)) "run" [ 90; 91 ] (Option.get (run_of idx (k0 + 2)));
+  Index.check_invariant idx;
+  check_int "no header, no entries" (-1) (Index.rank (index_of []) 0)
 
-(* Every key search of a pair vector — [search_from] (with [from] below
-   0 and past the end too), [index_geq], [key_at], [find] — against a
-   sorted key list.  Key [k]'s payload is [[10 k]]. *)
-let pair_vector_matches v keys probes =
+let test_entries_totals () =
+  let idx = index_of [ 1; 2 ] in
+  check_int "total" 4 (Index.header_triples idx 0);
+  check_int "run lengths add up" 4 (Index.run_length idx 0 + Index.run_length idx 1);
+  Index.check_invariant idx
+
+(* Every key search of a header's entries — [next_geq] (with [from]
+   below the header's first entry and past its end too), [key],
+   [entry], [key_slice] — against a sorted key list.  Key [k]'s run is
+   [[10 k]]. *)
+let entries_match idx keys probes =
   let a = Array.of_list keys in
   let n = Array.length a in
   let rec geq i x = if i >= n then n else if a.(i) >= x then i else geq (i + 1) x in
-  Pair_vector.length v = n
-  && List.for_all (fun i -> Pair_vector.key_at v i = a.(i)) (List.init n Fun.id)
-  && Sorted_ivec.to_list (Pair_vector.key_vector v) = keys
+  let r = Index.rank idx 0 in
+  let k0 = if r < 0 then 0 else Index.entry_off idx r in
+  let k1 = if r < 0 then 0 else Index.entry_off idx (r + 1) in
+  k1 - k0 = n
+  && List.for_all (fun i -> Index.key idx (k0 + i) = a.(i)) (List.init n Fun.id)
+  && Sorted_ivec.to_list (Index.key_slice idx 0) = keys
   && List.for_all
        (fun (x, from) ->
          let from = from - 2 in
-         Pair_vector.index_geq v x = geq 0 x
-         && Pair_vector.search_from v ~from x = geq (max from 0) x
-         && Option.map Sorted_ivec.to_list (Pair_vector.find v x)
-            = if List.mem x keys then Some [ 10 * x ] else None)
+         Index.next_geq idx ~from:k0 ~hi:k1 x - k0 = geq 0 x
+         && Index.next_geq idx ~from:(k0 + max from 0) ~hi:k1 x - k0 = geq (max from 0) x
+         && run_of idx (Index.entry idx 0 x) = if List.mem x keys then Some [ 10 * x ] else None)
        probes
 
-let prop_pair_vector_search_oracle =
-  QCheck.Test.make ~name:"pair vector searches = sorted-list oracle, raw and packed views"
+let prop_entries_search_oracle =
+  QCheck.Test.make ~name:"entry searches = sorted-list oracle, raw and packed"
     ~count:300
     QCheck.(
       pair
@@ -133,17 +139,14 @@ let prop_pair_vector_search_oracle =
       let keys = List.sort_uniq compare keys in
       List.for_all
         (fun kind ->
-          let flat, _ =
+          let idx, _ =
             let keys = Array.of_list keys in
             Index.of_sorted_columns ~kind
               ~firsts:(Array.map (fun _ -> 0) keys)
               ~seconds:keys ~thirds:(Array.map (fun k -> 10 * k) keys) ()
           in
-          match Index.find_vector flat 0 with
-          | None -> keys = []
-          | Some view ->
-              Sorted_ivec.kind_of (Pair_vector.key_vector view) = kind
-              && pair_vector_matches view keys probes)
+          (keys = [] || Sorted_ivec.kind_of (Index.key_slice idx 0) = kind)
+          && entries_match idx keys probes)
         [ Sorted_ivec.Raw; Sorted_ivec.Packed ])
 
 (* ------------------------------------------------------------------ *)
@@ -589,19 +592,19 @@ let print_merge_case (base, extra, ords) =
     (String.concat "; " (List.map tr extra))
     (String.concat "; " (List.map Ordering.name ords))
 
-(* Every ordering's sorted headers, each header's vector total, keys
-   and terminal lists: the whole structure two stores must agree on. *)
+(* Every ordering's sorted headers, each header's total, keys and
+   terminal runs: the whole structure two stores must agree on. *)
 let dump indices =
   List.map
     (fun (ord, idx) ->
       ( ord,
-        List.map
-          (fun h ->
-            let v = Option.get (Index.find_vector idx h) in
-            let entries = ref [] in
-            Pair_vector.iter (fun k l -> entries := (k, Sorted_ivec.to_list l) :: !entries) v;
-            (h, Pair_vector.total v, List.rev !entries))
-          (Sorted_ivec.to_list (Index.headers_view idx)) ))
+        List.init (Index.header_count idx) (fun r ->
+            let k0 = Index.entry_off idx r and h = Sorted_ivec.get (Index.headers_view idx) r in
+            ( h,
+              Index.header_triples idx h,
+              List.init
+                (Index.entry_off idx (r + 1) - k0)
+                (fun j -> (Index.key idx (k0 + j), Sorted_ivec.to_list (Index.run idx (k0 + j)))) )) ))
     indices
 
 (* Every kept ordering, read back in its own order, holds exactly the
@@ -689,8 +692,8 @@ let test_sparse_ids_no_bitmap () =
 
 (* [Index.iter_lengths] reads the offset columns only: under every
    header of every ordering, owners (consecutive runs) and twins
-   (scattered ones) alike, it lists the pair vector's keys with their
-   terminal lists' lengths. *)
+   (scattered ones) alike, it lists the header's entry keys with their
+   run lengths, and each run length is its terminal list's length. *)
 let test_iter_lengths () =
   let cfg = Workloads.Lubm.config ~universities:1 ~departments_per_university:1 () in
   let triples = Workloads.Lubm.generate cfg in
@@ -700,16 +703,91 @@ let test_iter_lengths () =
       ignore (Hexastore.add_list h triples);
       List.iter
         (fun (ord, idx) ->
-          Index.iter
-            (fun hd v ->
-              let got = ref [] and want = ref [] in
-              Index.iter_lengths idx hd (fun k n -> got := (k, n) :: !got);
-              Pair_vector.iter (fun k l -> want := (k, Sorted_ivec.length l) :: !want) v;
-              if !got <> !want then Alcotest.failf "%s header %d" (Ordering.name ord) hd)
-            idx;
+          let hs = Index.headers_view idx in
+          for r = 0 to Index.header_count idx - 1 do
+            let hd = Sorted_ivec.get hs r in
+            let got = ref [] and want = ref [] in
+            Index.iter_lengths idx hd (fun k n -> got := (k, n) :: !got);
+            for k = Index.entry_off idx r to Index.entry_off idx (r + 1) - 1 do
+              let l = Option.get (Index.find_list idx hd (Index.key idx k)) in
+              if Index.run_length idx k <> Sorted_ivec.length l then
+                Alcotest.failf "%s header %d: run length" (Ordering.name ord) hd;
+              want := (Index.key idx k, Sorted_ivec.length l) :: !want
+            done;
+            if !got <> !want then Alcotest.failf "%s header %d" (Ordering.name ord) hd
+          done;
           Index.iter_lengths idx (-1) (fun _ _ -> Alcotest.fail "no header -1"))
         (hexa_indices h))
     [ Sorted_ivec.Raw; Sorted_ivec.Packed ]
+
+(* Every header of every kept ordering read by entry — each key with
+   its run, pushed ([iter_run]), sliced ([run]) and walked in one call
+   ([iter_entries]) — against the model's triples under that header
+   grouped by second element: an oracle that shares no code with
+   [Index]. *)
+let read_by_entry idx =
+  let hs = Index.headers_view idx in
+  List.init (Index.header_count idx) (fun r ->
+      let h = Sorted_ivec.get hs r in
+      let k0 = Index.entry_off idx r and k1 = Index.entry_off idx (r + 1) in
+      let entries =
+        List.init (k1 - k0) (fun j ->
+            let k = k0 + j in
+            let run = ref [] in
+            Index.iter_run idx k (fun x -> run := x :: !run);
+            let run = List.rev !run in
+            if Sorted_ivec.to_list (Index.run idx k) <> run || Index.run_length idx k <> List.length run
+            then Alcotest.failf "header %d entry %d: run reads disagree" h k;
+            (Index.key idx k, run))
+      in
+      let walked = ref [] in
+      let n = Index.iter_entries idx ~lo:k0 ~hi:k1 (fun y z -> walked := (y, z) :: !walked) in
+      if
+        List.rev !walked <> List.concat_map (fun (y, zs) -> List.map (fun z -> (y, z)) zs) entries
+        || n <> Index.header_triples idx h
+        || Sorted_ivec.to_list (Index.key_slice idx h) <> List.map fst entries
+      then Alcotest.failf "header %d: entry walk disagrees" h;
+      (h, entries))
+
+let model_by_header ord model =
+  let at (t : id3) = function Pattern.Subj -> t.s | Pattern.Pred -> t.p | Pattern.Obj -> t.o in
+  let group pairs =
+    List.fold_right
+      (fun (k, v) acc ->
+        match acc with (k', vs) :: rest when k' = k -> (k, v :: vs) :: rest | _ -> (k, [ v ]) :: acc)
+      pairs []
+  in
+  Check.Model.to_list model
+  |> List.map (fun t ->
+         match List.map (at t) (Ordering.positions ord) with
+         | [ a; b; c ] -> (a, (b, c))
+         | _ -> assert false)
+  |> List.sort compare |> group
+  |> List.map (fun (a, bcs) -> (a, group bcs))
+
+let prop_entries_model =
+  QCheck.Test.make ~name:"entry-range reads = Check.Model by header (raw, packed, covp2)" ~count:150
+    QCheck.(make Gen.(list_size (int_bound 80) gen_triple))
+    (fun triples ->
+      let model = Check.Model.create () in
+      List.iter (fun tr -> ignore (Check.Model.add model tr)) triples;
+      let batch = Array.of_list triples in
+      let stores =
+        List.map
+          (fun repr ->
+            let h = Hexastore.create ~repr () in
+            ignore (Hexastore.add_bulk_ids h batch);
+            hexa_indices h)
+          [ Sorted_ivec.Raw; Sorted_ivec.Packed ]
+        @ [
+            (let c = Partial.create ~orderings:[ Ordering.Pso; Ordering.Pos ] () in
+             ignore (Partial.add_bulk_ids c batch);
+             Partial.indices c);
+          ]
+      in
+      List.for_all
+        (List.for_all (fun (ord, idx) -> read_by_entry idx = model_by_header ord model))
+        stores)
 
 let prop_bulk_merge_hexa =
   prop_bulk_merge "bulk header merge = point inserts (hexastore)"
@@ -1039,11 +1117,11 @@ let () =
           Alcotest.test_case "shapes" `Quick test_pattern_shapes;
           Alcotest.test_case "matches" `Quick test_pattern_matches;
         ] );
-      ( "pair_vector",
+      ( "index_entry",
         [
-          Alcotest.test_case "basic" `Quick test_pair_vector_basic;
-          Alcotest.test_case "totals" `Quick test_pair_vector_totals;
-          qt prop_pair_vector_search_oracle;
+          Alcotest.test_case "basic" `Quick test_entries_basic;
+          Alcotest.test_case "totals" `Quick test_entries_totals;
+          qt prop_entries_search_oracle;
         ] );
       ( "hexastore",
         [
@@ -1069,7 +1147,7 @@ let () =
           Alcotest.test_case "memory matches reachable words" `Quick
             test_memory_matches_reachable;
           Alcotest.test_case "sparse ids build no rank bitmap" `Quick test_sparse_ids_no_bitmap;
-          Alcotest.test_case "iter_lengths = pair vector lengths" `Quick test_iter_lengths;
+          Alcotest.test_case "iter_lengths = entry run lengths" `Quick test_iter_lengths;
         ] );
       ("store_sig", [ Alcotest.test_case "boxing" `Quick test_store_sig ]);
       ( "properties",
@@ -1090,5 +1168,6 @@ let () =
           qt prop_space_bound;
           qt prop_lookup_sorted;
           qt prop_push_cursors;
+          qt prop_entries_model;
         ] );
     ]
