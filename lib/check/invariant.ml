@@ -30,13 +30,16 @@ let sorted_ivec ?(path = "sorted_ivec") v =
 
 (* The index's own audit ({!Hexa.Index.violations}): the columns first,
    then, once they are sound, every header read by entry — keys and runs
-   ascending, runs non-empty, totals equal to the runs' lengths. *)
+   ascending, runs non-empty, totals equal to the runs' lengths.
+   [true] when it found nothing. *)
 let index_acc acc ~path idx =
-  List.iter (fun msg -> add acc (V.v V.Index ~path "%s" msg)) (Hexa.Index.violations idx)
+  let errs = Hexa.Index.violations idx in
+  List.iter (fun msg -> add acc (V.v V.Index ~path "%s" msg)) errs;
+  errs = []
 
 let index ?(path = "index") idx =
   let acc = ref [] in
-  index_acc acc ~path idx;
+  ignore (index_acc acc ~path idx);
   finish acc
 
 (* --- the Hexastore ----------------------------------------------------- *)
@@ -53,12 +56,10 @@ let expect_shared acc ~path ~twin canonical = function
 
 (* Every entry of [twin] must reach, at the same offsets, the owner's
    run for the same (first, second); equal entry counts then make the
-   twin's entries a bijection onto the owner's. *)
-let twins_acc acc ~path ~owner ~twin =
+   twin's entries a bijection onto the owner's.  The walk reads the
+   twin's columns, so it runs only on a twin its own audit passed. *)
+let twin_walk_acc acc ~path ~owner ~twin =
   let open Hexa in
-  match Index.violations twin with
-  | _ :: _ as errs -> List.iter (fun msg -> add acc (V.v V.Store ~path "twin columns: %s" msg)) errs
-  | [] ->
   let entries idx = Index.entry_off idx (Index.header_count idx) in
   let no = entries owner and nt = entries twin in
   if no <> nt then add acc (V.v V.Store ~path "owner has %d entries, twin %d" no nt);
@@ -75,6 +76,11 @@ let twins_acc acc ~path ~owner ~twin =
             add acc (V.v V.Store ~path "twin entry does not slice the owner's run for (%d, %d)" k h)
     done
   done
+
+let twins_acc acc ~path ~owner ~twin =
+  match Hexa.Index.violations twin with
+  | _ :: _ as errs -> List.iter (fun msg -> add acc (V.v V.Store ~path "twin columns: %s" msg)) errs
+  | [] -> twin_walk_acc acc ~path ~owner ~twin
 
 let twins ?(path = "twin") ~owner ~twin () =
   let acc = ref [] in
@@ -112,16 +118,22 @@ let store_acc acc h =
       ("ops", Hexastore.ops h);
     ]
   in
-  List.iter
-    (fun (name, idx) ->
-      index_acc acc ~path:name idx;
-      let total = Index.total idx in
-      if total <> size then
-        add acc (V.v V.Store ~path:name "index total %d disagrees with store size %d" total size))
-    orderings;
-  twins_acc acc ~path:"pso" ~owner:(Hexastore.spo h) ~twin:(Hexastore.pso h);
-  twins_acc acc ~path:"osp" ~owner:(Hexastore.sop h) ~twin:(Hexastore.osp h);
-  twins_acc acc ~path:"ops" ~owner:(Hexastore.pos h) ~twin:(Hexastore.ops h);
+  (* Each ordering is audited once; a twin whose audit failed is not
+     walked for sharing. *)
+  let sound =
+    List.filter_map
+      (fun (name, idx) ->
+        let audited = index_acc acc ~path:name idx in
+        let total = Index.total idx in
+        if total <> size then
+          add acc (V.v V.Store ~path:name "index total %d disagrees with store size %d" total size);
+        if audited then Some name else None)
+      orderings
+  in
+  let twin name ~owner ~twin = if List.mem name sound then twin_walk_acc acc ~path:name ~owner ~twin in
+  twin "pso" ~owner:(Hexastore.spo h) ~twin:(Hexastore.pso h);
+  twin "osp" ~owner:(Hexastore.sop h) ~twin:(Hexastore.osp h);
+  twin "ops" ~owner:(Hexastore.pos h) ~twin:(Hexastore.ops h);
   siblings_acc acc ~path:"spo/sop" (Hexastore.spo h) (Hexastore.sop h);
   siblings_acc acc ~path:"pso/pos" (Hexastore.pso h) (Hexastore.pos h);
   siblings_acc acc ~path:"osp/ops" (Hexastore.osp h) (Hexastore.ops h);

@@ -328,20 +328,19 @@ let bgp_parallel store width (first : Planner.choice) rest parts pos k =
           Array.iter (List.iter k) runs;
           true)
 
+(* The plan's per-step strategies for [plan.choice], two bits each,
+   the first step lowest: immediates only, so the recorder keeps no
+   part of the plan. *)
+let rec step_codes i acc = function
+  | [] -> acc
+  | (c : Planner.choice) :: rest ->
+      let code = Planner.strategy_code c.Planner.strategy in
+      let acc = if i < Telemetry.Trace.max_plan_steps then acc lor (code lsl (2 * i)) else acc in
+      step_codes (i + 1) acc rest
+
 let eval_bgp store width choices k =
-  (* The detail is a thunk: the recorder renders it only when the entry
-     is printed or exported, never on the query path.  It holds just the
-     strategies, not the choices, so the ring keeps the plan's patterns
-     (and their terms) out of the major heap. *)
-  let strategies = List.map (fun (c : Planner.choice) -> c.Planner.strategy) choices in
   Telemetry.Trace.emit
-    (Telemetry.Trace.Plan_choice
-       {
-         patterns = List.length choices;
-         detail =
-           (fun () ->
-             String.concat ";" (List.map (Format.asprintf "%a" Planner.pp_strategy) strategies));
-       });
+    (Telemetry.Trace.Plan_choice { patterns = List.length choices; steps = step_codes 0 0 choices });
   let k = counted m_rows_bgp k in
   let sequential () = pipeline store [] choices k (Array.make width unbound) in
   match choices with

@@ -64,11 +64,9 @@ let parallel_min_rows = ref 512
    output-sensitive nested loop is the safer default. *)
 let hash_build_limit = 65536
 
-let strategy_name = function
-  | Scan -> "scan"
-  | Nested_loop -> "nested-loop"
-  | Merge_join _ -> "merge"
-  | Hash_join _ -> "hash"
+let strategy_code = function Scan -> 0 | Nested_loop -> 1 | Merge_join _ -> 2 | Hash_join _ -> 3
+
+let strategy_name s = Telemetry.Trace.step_names.(strategy_code s)
 
 let pp_strategy ppf = function
   | Scan -> Format.pp_print_string ppf "scan"

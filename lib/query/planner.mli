@@ -86,8 +86,13 @@ val parallel_min_rows : int ref
 val hash_build_limit : int
 (** Largest independent right-side estimate a {!Hash_join} will buffer. *)
 
+val strategy_code : strategy -> int
+(** 0 scan, 1 nested loop, 2 merge, 3 hash: the code a
+    [Telemetry.Trace.Plan_choice] records per step. *)
+
 val strategy_name : strategy -> string
-(** ["scan"], ["nested-loop"], ["merge"] or ["hash"]. *)
+(** ["scan"], ["nested-loop"], ["merge"] or ["hash"]
+    ([Telemetry.Trace.step_names] of its code). *)
 
 val pp_strategy : Format.formatter -> strategy -> unit
 (** Compact form with join variables: [merge(?x)], [hash(?x,?y)]. *)

@@ -2,12 +2,20 @@ exception Parse_error of int * string
 
 let fail line fmt = Printf.ksprintf (fun msg -> raise (Parse_error (line, msg))) fmt
 
-(* --- lexer ----------------------------------------------------------- *)
+(* --- scanner --------------------------------------------------------- *)
+
+(* One cursor over the text, as in [Rdf.Ntriples]: the parser pulls one
+   token at a time and keeps one of lookahead.  Keywords are matched
+   case-insensitively where they stand, an IRI is cut and checked in
+   one pass ([Rdf.Term.cut_iri]), and only a string holding an escape
+   or an IRI the fast cut refuses takes a slower path.  The cursor
+   moves past a token only once the token is whole, so a scanning error
+   leaves it on the offending token. *)
 
 type token =
-  | Kw of string            (* uppercased keyword *)
-  | Var of string           (* without the sigil *)
-  | Iriref of string
+  | Var of string  (* without the sigil *)
+  | Iri of Rdf.Term.t  (* an [Rdf.Term.Iri], cut and checked in one pass *)
+  | Iriref of string  (* the slow path's raw text, checked where it is used *)
   | Pname of string
   | Str of string
   | Langtag of string
@@ -16,314 +24,356 @@ type token =
   | Decimal of string
   | Boolean of bool
   | Tok_a
-  | Lbrace
-  | Rbrace
-  | Lparen
-  | Rparen
-  | Dot
-  | Semi
-  | Comma
-  | Star
-  | Op of string            (* = != < <= > >= && || ! *)
+  | Lbrace | Rbrace | Lparen | Rparen | Dot | Semi | Comma | Star
+  | Eq | Neq | Lt | Le | Gt | Ge | And | Or | Not  (* = != < <= > >= && || ! *)
+  (* keywords, matched in any case *)
+  | K_select | K_ask | K_construct | K_where | K_prefix | K_base | K_distinct | K_count | K_as
+  | K_filter | K_bound | K_optional | K_union | K_values | K_undef
+  | K_group | K_order | K_by | K_asc | K_desc | K_limit | K_offset
+  | Eof
 
-type lexed = { tok : token; tline : int }
+(* The keywords of each length, for the scanner to match a word against. *)
+let keywords = function
+  | 2 -> [ ("AS", K_as); ("BY", K_by) ]
+  | 3 -> [ ("ASK", K_ask); ("ASC", K_asc) ]
+  | 4 -> [ ("BASE", K_base); ("DESC", K_desc) ]
+  | 5 ->
+      [ ("WHERE", K_where); ("UNION", K_union); ("GROUP", K_group); ("ORDER", K_order);
+        ("LIMIT", K_limit); ("COUNT", K_count); ("BOUND", K_bound); ("UNDEF", K_undef) ]
+  | 6 ->
+      [ ("SELECT", K_select); ("FILTER", K_filter); ("OFFSET", K_offset); ("PREFIX", K_prefix);
+        ("VALUES", K_values) ]
+  | 8 -> [ ("DISTINCT", K_distinct); ("OPTIONAL", K_optional) ]
+  | 9 -> [ ("CONSTRUCT", K_construct) ]
+  | _ -> []
 
-let keywords =
-  [ "SELECT"; "ASK"; "WHERE"; "FILTER"; "UNION"; "DISTINCT"; "GROUP"; "BY"; "ORDER";
-    "LIMIT"; "OFFSET"; "COUNT"; "AS"; "PREFIX"; "BASE"; "DESC"; "ASC"; "BOUND"; "OPTIONAL";
-    "CONSTRUCT"; "VALUES"; "UNDEF" ]
+type state = {
+  text : string;
+  mutable pos : int;
+  mutable line : int;  (* the cursor's line; a token's line ends are not counted *)
+  mutable tok : token;  (* the lookahead *)
+  mutable tline : int;  (* its line *)
+  mutable last_line : int;  (* the line of the last token taken *)
+  given : Rdf.Namespace.table option;  (* the caller's prefixes, read in place *)
+  mutable ns : Rdf.Namespace.table option;  (* a copy, made by the first PREFIX *)
+  mutable base : string;
+}
+
+(* The character at [i], or NUL past the end: no test below accepts NUL. *)
+let peek s i = if i < String.length s then String.unsafe_get s i else '\000'
+
+let is_digit c = c >= '0' && c <= '9'
 
 let is_pname_char c =
   match c with
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' | ':' -> true
   | _ -> false
 
-let is_var_char c =
-  match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
+let is_var_char c = match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
 
-let tokenize text =
-  let n = String.length text in
-  let line = ref 1 in
-  let toks = ref [] in
-  let push tok = toks := { tok; tline = !line } :: !toks in
-  let i = ref 0 in
-  let peek k = if !i + k < n then Some text.[!i + k] else None in
-  while !i < n do
-    (match text.[!i] with
+(* One-character names, the usual [?x], are shared rather than cut.
+   domain-safety: immutable-after-init — filled at module init, only
+   read after. *)
+let short_names = Array.init 256 (fun c -> String.make 1 (Char.chr c))
+
+let var_name s lo len = if len = 1 then short_names.(Char.code s.[lo]) else String.sub s lo len
+
+(* The first index from [i] whose character is not in the class [is]. *)
+let rec class_end is s i =
+  if i < String.length s && is (String.unsafe_get s i) then class_end is s (i + 1) else i
+
+(* Past blanks, line ends and comments.  "\r\n", "\n" and a lone "\r"
+   each end one line, as in [Rdf.Ntriples]. *)
+let rec skip_blank st =
+  let s = st.text in
+  if st.pos < String.length s then
+    match String.unsafe_get s st.pos with
+    | ' ' | '\t' ->
+        st.pos <- st.pos + 1;
+        skip_blank st
     | '\n' ->
-        incr line;
-        incr i
-    | ' ' | '\t' | '\r' -> incr i
+        st.pos <- st.pos + 1;
+        st.line <- st.line + 1;
+        skip_blank st
+    | '\r' ->
+        st.pos <- st.pos + 1;
+        if peek s st.pos <> '\n' then st.line <- st.line + 1;
+        skip_blank st
     | '#' ->
-        while !i < n && text.[!i] <> '\n' do
-          incr i
-        done
-    | '{' -> push Lbrace; incr i
-    | '}' -> push Rbrace; incr i
-    | '(' -> push Lparen; incr i
-    | ')' -> push Rparen; incr i
-    | ';' -> push Semi; incr i
-    | ',' -> push Comma; incr i
-    | '*' -> push Star; incr i
-    | '=' -> push (Op "="); incr i
-    | '!' when peek 1 = Some '=' -> push (Op "!="); i := !i + 2
-    | '!' -> push (Op "!"); incr i
-    | '<' when peek 1 = Some '=' -> push (Op "<="); i := !i + 2
-    | '>' when peek 1 = Some '=' -> push (Op ">="); i := !i + 2
-    | '>' -> push (Op ">"); incr i
-    | '&' when peek 1 = Some '&' -> push (Op "&&"); i := !i + 2
-    | '|' when peek 1 = Some '|' -> push (Op "||"); i := !i + 2
-    | '<' -> (
-        (* IRI or less-than: an IRI has no whitespace before '>'. *)
-        let j = ref (!i + 1) in
-        let ok = ref true in
-        while !ok && !j < n && text.[!j] <> '>' do
-          (match text.[!j] with ' ' | '\t' | '\n' -> ok := false | _ -> incr j)
-        done;
-        if !ok && !j < n && text.[!j] = '>' then begin
-          push (Iriref (String.sub text (!i + 1) (!j - !i - 1)));
-          i := !j + 1
-        end
-        else begin
-          push (Op "<");
-          incr i
-        end)
-    | '?' | '$' ->
-        let start = !i + 1 in
-        let j = ref start in
-        while !j < n && is_var_char text.[!j] do
-          incr j
-        done;
-        if !j = start then fail !line "empty variable name";
-        push (Var (String.sub text start (!j - start)));
-        i := !j
-    | '"' ->
-        let buf = Buffer.create 16 in
-        let j = ref (!i + 1) in
-        let fin = ref false in
-        while not !fin do
-          if !j >= n then fail !line "unterminated string";
-          (match text.[!j] with
-          | '"' ->
-              fin := true;
-              incr j
-          | '\\' ->
-              if !j + 1 >= n then fail !line "dangling backslash";
-              Buffer.add_char buf '\\';
-              Buffer.add_char buf text.[!j + 1];
-              j := !j + 2
-          | c ->
-              Buffer.add_char buf c;
-              incr j)
-        done;
-        (try push (Str (Rdf.Ntriples.unescape (Buffer.contents buf)))
-         with Rdf.Ntriples.Parse_error (_, m) -> fail !line "%s" m);
-        i := !j
-    | '@' ->
-        let start = !i + 1 in
-        let j = ref start in
-        while
-          !j < n
-          && match text.[!j] with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' -> true | _ -> false
-        do
-          incr j
-        done;
-        if !j = start then fail !line "empty language tag";
-        push (Langtag (String.lowercase_ascii (String.sub text start (!j - start))));
-        i := !j
-    | '^' when peek 1 = Some '^' ->
-        push Hathat;
-        i := !i + 2
-    | '.' when (match peek 1 with Some ('0' .. '9') -> false | _ -> true) ->
-        push Dot;
-        incr i
-    | '0' .. '9' | '+' | '-' | '.' ->
-        let start = !i in
-        let j = ref !i in
-        if !j < n && (text.[!j] = '+' || text.[!j] = '-') then incr j;
-        while !j < n && text.[!j] >= '0' && text.[!j] <= '9' do
-          incr j
-        done;
-        if !j < n && text.[!j] = '.' && !j + 1 < n && text.[!j + 1] >= '0' && text.[!j + 1] <= '9'
-        then begin
-          incr j;
-          while !j < n && text.[!j] >= '0' && text.[!j] <= '9' do
-            incr j
-          done;
-          push (Decimal (String.sub text start (!j - start)))
-        end
-        else if !j = start + (if text.[start] = '+' || text.[start] = '-' then 1 else 0) then
-          fail !line "malformed number"
-        else push (Integer (String.sub text start (!j - start)));
-        i := !j
-    | 'a' when (match peek 1 with Some c when is_pname_char c -> false | _ -> true) ->
-        push Tok_a;
-        incr i
-    | c when is_pname_char c ->
-        let start = !i in
-        let j = ref !i in
-        while !j < n && is_pname_char text.[!j] do
-          incr j
-        done;
-        while !j > start && text.[!j - 1] = '.' do
-          decr j
-        done;
-        let word = String.sub text start (!j - start) in
-        let upper = String.uppercase_ascii word in
-        if word = "true" then push (Boolean true)
-        else if word = "false" then push (Boolean false)
-        else if List.mem upper keywords && not (String.contains word ':') then push (Kw upper)
-        else if String.contains word ':' then push (Pname word)
-        else fail !line "bare word %S" word;
-        i := !j
-    | c -> fail !line "unexpected character %C" c)
+        st.pos <- class_end (fun c -> c <> '\n' && c <> '\r') s st.pos;
+        skip_blank st
+    | _ -> ()
+
+(* [s.[lo ..]] spells keyword [k] (upper case) in any case. *)
+let rec same_upper s lo k i =
+  i = String.length k
+  || (Char.uppercase_ascii (String.unsafe_get s (lo + i)) = String.unsafe_get k i
+     && same_upper s lo k (i + 1))
+
+let rec find_keyword s lo = function
+  | [] -> Eof
+  | (k, tok) :: rest -> if same_upper s lo k 0 then tok else find_keyword s lo rest
+
+(* The keyword spelled at [s.[lo .. lo + len - 1]], or [Eof] for none. *)
+let keyword s lo len = find_keyword s lo (keywords len)
+
+let take st len tok =
+  st.pos <- st.pos + len;
+  tok
+
+(* At '<' (not "<="): an IRI, or less-than.  The fast cut stops at the
+   first character [Rdf.Term.iri] refuses; unless that is the closing
+   '>', the text up to '>' is cut as it stands and judged where it is
+   used — but an IRI has no blank or line end before its '>', so a '<'
+   followed by one is less-than. *)
+let scan_iri st =
+  let s = st.text and i = st.pos in
+  match Rdf.Term.cut_iri s (i + 1) (String.length s) with
+  | Rdf.Term.Iri raw as t -> take st (String.length raw + 2) (Iri t)
+  | Rdf.Term.Blank _ | Rdf.Term.Literal _ -> assert false
+  | exception Not_found ->
+      let j = class_end (fun c -> c <> '>' && c <> ' ' && c <> '\t' && c <> '\n' && c <> '\r') s (i + 1) in
+      if peek s j = '>' then take st (j - i + 1) (Iriref (String.sub s (i + 1) (j - i - 1)))
+      else take st 1 Lt
+
+(* A string without escapes is cut as it stands; one with escapes is
+   cut to its closing quote and unescaped.  Line ends inside a string
+   are not counted. *)
+let scan_string st =
+  let s = st.text and n = String.length st.text in
+  let lo = st.pos + 1 in
+  let i = class_end (fun c -> c <> '"' && c <> '\\') s lo in
+  if i < n && s.[i] = '"' then take st (i + 1 - st.pos) (Str (String.sub s lo (i - lo)))
+  else begin
+    let rec close j =
+      if j >= n then fail st.line "unterminated string"
+      else
+        match s.[j] with
+        | '"' -> j
+        | '\\' -> if j + 1 >= n then fail st.line "dangling backslash" else close (j + 2)
+        | _ -> close (j + 1)
+    in
+    let j = close i in
+    match Rdf.Ntriples.unescape (String.sub s lo (j - lo)) with
+    | v -> take st (j + 1 - st.pos) (Str v)
+    | exception Rdf.Ntriples.Parse_error (_, m) -> fail st.line "%s" m
+  end
+
+let scan_number st =
+  let s = st.text and start = st.pos in
+  let signed = s.[start] = '+' || s.[start] = '-' in
+  let j = class_end is_digit s (if signed then start + 1 else start) in
+  if peek s j = '.' && is_digit (peek s (j + 1)) then begin
+    let j = class_end is_digit s (j + 1) in
+    take st (j - start) (Decimal (String.sub s start (j - start)))
+  end
+  else if j = start + Bool.to_int signed then fail st.line "malformed number"
+  else take st (j - start) (Integer (String.sub s start (j - start)))
+
+let rec has_colon s i j = i < j && (String.unsafe_get s i = ':' || has_colon s (i + 1) j)
+
+(* [s.[lo ..]] starts with [w], case and all. *)
+let rec spells s lo w i = i = String.length w || (peek s (lo + i) = w.[i] && spells s lo w (i + 1))
+
+(* A word: a keyword in any case, [true]/[false], or a prefixed name.
+   The dots that end a word end the triple instead. *)
+let scan_word st =
+  let s = st.text and lo = st.pos in
+  let j = ref (class_end is_pname_char s lo) in
+  while !j > lo && s.[!j - 1] = '.' do
+    decr j
   done;
-  List.rev !toks
+  let len = !j - lo in
+  match keyword s lo len with
+  | Eof ->
+      if len = 4 && spells s lo "true" 0 then take st len (Boolean true)
+      else if len = 5 && spells s lo "false" 0 then take st len (Boolean false)
+      else if has_colon s lo !j then take st len (Pname (String.sub s lo len))
+      else fail st.line "bare word %S" (String.sub s lo len)
+  | tok -> take st len tok
+
+let scan st =
+  skip_blank st;
+  st.tline <- st.line;
+  let s = st.text and i = st.pos in
+  if i >= String.length s then Eof
+  else
+    match String.unsafe_get s i with
+    | '{' -> take st 1 Lbrace
+    | '}' -> take st 1 Rbrace
+    | '(' -> take st 1 Lparen
+    | ')' -> take st 1 Rparen
+    | ';' -> take st 1 Semi
+    | ',' -> take st 1 Comma
+    | '*' -> take st 1 Star
+    | '=' -> take st 1 Eq
+    | '!' -> if peek s (i + 1) = '=' then take st 2 Neq else take st 1 Not
+    | '<' -> if peek s (i + 1) = '=' then take st 2 Le else scan_iri st
+    | '>' -> if peek s (i + 1) = '=' then take st 2 Ge else take st 1 Gt
+    | '&' when peek s (i + 1) = '&' -> take st 2 And
+    | '|' when peek s (i + 1) = '|' -> take st 2 Or
+    | '?' | '$' ->
+        let j = class_end is_var_char s (i + 1) in
+        if j = i + 1 then fail st.line "empty variable name";
+        take st (j - i) (Var (var_name s (i + 1) (j - i - 1)))
+    | '"' -> scan_string st
+    | '@' ->
+        let j = Rdf.Term.tag_end s (i + 1) (String.length s) in
+        if j = i + 1 then fail st.line "empty language tag";
+        take st (j - i) (Langtag (String.lowercase_ascii (String.sub s (i + 1) (j - i - 1))))
+    | '^' when peek s (i + 1) = '^' -> take st 2 Hathat
+    | '.' when not (is_digit (peek s (i + 1))) -> take st 1 Dot
+    | '0' .. '9' | '+' | '-' | '.' -> scan_number st
+    | 'a' when not (is_pname_char (peek s (i + 1))) -> take st 1 Tok_a
+    | c when is_pname_char c -> scan_word st
+    | c -> fail st.line "unexpected character %C" c
+
+let advance st = st.tok <- scan st
 
 (* --- parser ---------------------------------------------------------- *)
 
-type state = {
-  mutable toks : lexed list;
-  mutable last_line : int;
-  ns : Rdf.Namespace.table;
-  mutable base : string;
-}
-
-let peek_tok st = match st.toks with [] -> None | t :: _ -> Some t.tok
-
-
 let next st =
-  match st.toks with
-  | [] -> fail st.last_line "unexpected end of query"
-  | t :: rest ->
-      st.toks <- rest;
-      st.last_line <- t.tline;
-      t
+  match st.tok with
+  | Eof -> fail st.last_line "unexpected end of query"
+  | tok ->
+      st.last_line <- st.tline;
+      advance st;
+      tok
 
-let cur_line st = match st.toks with { tline; _ } :: _ -> tline | [] -> st.last_line
+(* Take the lookahead, known to be there. *)
+let skip st = ignore (next st)
 
-let expect st tok what =
-  let { tok = got; tline } = next st in
-  if got <> tok then fail tline "expected %s" what
+let cur_line st = match st.tok with Eof -> st.last_line | _ -> st.tline
+
+(* [tok] is a constant constructor, so [==] is equality. *)
+let expect st tok what = if next st != tok then fail st.last_line "expected %s" what
 
 let expand_pname st line pname =
-  match Rdf.Namespace.expand st.ns pname with
-  | iri -> iri
-  | exception Not_found -> fail line "unbound prefix in %S" pname
-  | exception Invalid_argument _ -> fail line "malformed prefixed name %S" pname
+  match (match st.ns with Some _ as t -> t | None -> st.given) with
+  | None -> fail line "unbound prefix in %S" pname
+  | Some ns -> (
+      match Rdf.Namespace.expand ns pname with
+      | iri -> iri
+      | exception Not_found -> fail line "unbound prefix in %S" pname
+      | exception Invalid_argument _ -> fail line "malformed prefixed name %S" pname)
 
-let resolve_iri st raw =
-  let has_scheme =
-    match String.index_opt raw ':' with
-    | Some i ->
-        i > 0
-        && String.for_all
-             (fun c ->
-               match c with
-               | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '+' | '-' | '.' -> true
-               | _ -> false)
-             (String.sub raw 0 i)
-    | None -> false
-  in
-  if has_scheme || st.base = "" then raw else st.base ^ raw
+(* The caller's table is copied only when the query binds a prefix. *)
+let own_ns st =
+  match st.ns with
+  | Some t -> t
+  | None ->
+      let t = Rdf.Namespace.create () in
+      let copy g = List.iter (fun (prefix, iri) -> Rdf.Namespace.add t ~prefix ~iri) (Rdf.Namespace.prefixes g) in
+      Option.iter copy st.given;
+      st.ns <- Some t;
+      t
 
-let parse_prologue st =
-  let rec loop () =
-    match peek_tok st with
-    | Some (Kw "PREFIX") -> (
-        ignore (next st);
-        let { tok; tline } = next st in
-        match tok with
-        | Pname p when String.length p > 0 && p.[String.length p - 1] = ':' -> (
-            let prefix = String.sub p 0 (String.length p - 1) in
-            let { tok; tline } = next st in
-            match tok with
-            | Iriref iri ->
-                Rdf.Namespace.add st.ns ~prefix ~iri:(resolve_iri st iri);
-                loop ()
-            | _ -> fail tline "expected IRI in PREFIX")
-        | _ -> fail tline "expected \"prefix:\" in PREFIX")
-    | Some (Kw "BASE") -> (
-        ignore (next st);
-        let { tok; tline } = next st in
-        match tok with
-        | Iriref iri ->
-            st.base <- iri;
-            loop ()
-        | _ -> fail tline "expected IRI in BASE")
-    | _ -> ()
-  in
-  loop ()
+let has_scheme raw =
+  match String.index_opt raw ':' with
+  | Some i ->
+      i > 0
+      && String.for_all
+           (fun c -> match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '+' | '-' | '.' -> true | _ -> false)
+           (String.sub raw 0 i)
+  | None -> false
+
+let resolve_iri st raw = if st.base = "" || has_scheme raw then raw else st.base ^ raw
+
+let iri_text = function Iri (Rdf.Term.Iri s) | Iriref s -> s | _ -> assert false
+
+let rec parse_prologue st =
+  match st.tok with
+  | K_prefix -> (
+      skip st;
+      match next st with
+      | Pname p when String.length p > 0 && p.[String.length p - 1] = ':' -> (
+          let prefix = String.sub p 0 (String.length p - 1) in
+          match next st with
+          | (Iri _ | Iriref _) as tok ->
+              Rdf.Namespace.add (own_ns st) ~prefix ~iri:(resolve_iri st (iri_text tok));
+              parse_prologue st
+          | _ -> fail st.last_line "expected IRI in PREFIX")
+      | _ -> fail st.last_line "expected \"prefix:\" in PREFIX")
+  | K_base -> (
+      skip st;
+      match next st with
+      | (Iri _ | Iriref _) as tok ->
+          st.base <- iri_text tok;
+          parse_prologue st
+      | _ -> fail st.last_line "expected IRI in BASE")
+  | _ -> ()
 
 (* [Rdf.Term.iri] rejects illegal characters with [Invalid_argument];
    in query text that is a syntax error. *)
 let iri line s =
   match Rdf.Term.iri s with t -> Algebra.Term t | exception Invalid_argument m -> fail line "%s" m
 
+(* A checked IRI stands as cut unless a BASE may prefix it. *)
+let iri_atom st line tok =
+  match tok with
+  | Iri t when st.base = "" -> Algebra.Term t
+  | _ -> iri line (resolve_iri st (iri_text tok))
+
 let typed_literal line value dt =
   match Rdf.Term.literal ~datatype:dt value with
   | t -> Algebra.Term t
   | exception Invalid_argument m -> fail line "%s" m
 
+let rdf_type = Algebra.Term (Rdf.Term.iri Rdf.Namespace.rdf_type)
+let xsd_integer = Rdf.Namespace.xsd "integer"
+let xsd_decimal = Rdf.Namespace.xsd "decimal"
+let xsd_boolean = Rdf.Namespace.xsd "boolean"
+
 let parse_term_atom st =
-  let { tok; tline } = next st in
+  let tok = next st in
+  let tline = st.last_line in
   match tok with
   | Var v -> Algebra.Var v
-  | Iriref raw -> iri tline (resolve_iri st raw)
+  | Iri _ | Iriref _ -> iri_atom st tline tok
   | Pname p -> iri tline (expand_pname st tline p)
-  | Tok_a -> Algebra.Term (Rdf.Term.iri Rdf.Namespace.rdf_type)
-  | Integer s -> Algebra.Term (Rdf.Term.typed_literal s ~datatype:(Rdf.Namespace.xsd "integer"))
-  | Decimal s -> Algebra.Term (Rdf.Term.typed_literal s ~datatype:(Rdf.Namespace.xsd "decimal"))
-  | Boolean b ->
-      Algebra.Term (Rdf.Term.typed_literal (string_of_bool b) ~datatype:(Rdf.Namespace.xsd "boolean"))
+  | Tok_a -> rdf_type
+  | Integer s -> Algebra.Term (Rdf.Term.typed_literal s ~datatype:xsd_integer)
+  | Decimal s -> Algebra.Term (Rdf.Term.typed_literal s ~datatype:xsd_decimal)
+  | Boolean b -> Algebra.Term (Rdf.Term.typed_literal (string_of_bool b) ~datatype:xsd_boolean)
   | Str value -> (
-      match peek_tok st with
-      | Some (Langtag lang) ->
-          ignore (next st);
+      match st.tok with
+      | Langtag lang ->
+          skip st;
           Algebra.Term (Rdf.Term.literal ~lang value)
-      | Some Hathat -> (
-          ignore (next st);
-          let { tok; tline } = next st in
-          match tok with
-          | Iriref raw -> typed_literal tline value (resolve_iri st raw)
-          | Pname p -> typed_literal tline value (expand_pname st tline p)
-          | _ -> fail tline "expected datatype IRI")
+      | Hathat -> (
+          skip st;
+          match next st with
+          | (Iri _ | Iriref _) as tok -> typed_literal st.last_line value (resolve_iri st (iri_text tok))
+          | Pname p -> typed_literal st.last_line value (expand_pname st st.last_line p)
+          | _ -> fail st.last_line "expected datatype IRI")
       | _ -> Algebra.Term (Rdf.Term.string_literal value))
   | _ -> fail tline "expected a term or variable"
 
-(* triples block: subject, then semicolon-separated predicates each
-   with comma-separated objects *)
-let parse_triples_block st =
-  let out = ref [] in
-  let subject = parse_term_atom st in
-  let rec predicates () =
-    let p = parse_term_atom st in
-    let rec objects () =
-      let o = parse_term_atom st in
-      out := Algebra.tp subject p o :: !out;
-      match peek_tok st with
-      | Some Comma ->
-          ignore (next st);
-          objects ()
-      | _ -> ()
-    in
-    objects ();
-    match peek_tok st with
-    | Some Semi -> (
-        ignore (next st);
-        match peek_tok st with
-        | Some (Dot | Rbrace) | None -> ()
-        | _ -> predicates ())
-    | _ -> ()
-  in
-  predicates ();
-  List.rev !out
+(* A triples block — a subject, then ';'-separated predicates, each
+   with ','-separated objects — consed onto [acc], newest first. *)
+let rec objects st s p acc =
+  let acc = Algebra.tp s p (parse_term_atom st) :: acc in
+  match st.tok with
+  | Comma ->
+      skip st;
+      objects st s p acc
+  | _ -> acc
+
+let rec predicates st s acc =
+  let acc = objects st s (parse_term_atom st) acc in
+  match st.tok with
+  | Semi -> (
+      skip st;
+      match st.tok with Dot | Rbrace | Eof -> acc | _ -> predicates st s acc)
+  | _ -> acc
+
+let triples st acc = predicates st (parse_term_atom st) acc
 
 (* VALUES ?x { t1 t2 }  or  VALUES (?x ?y) { (t1 t2) (t3 t4) } *)
 let parse_values_term st =
-  match peek_tok st with
-  | Some (Kw "UNDEF") ->
-      ignore (next st);
+  match st.tok with
+  | K_undef ->
+      skip st;
       None
   | _ -> (
       match parse_term_atom st with
@@ -332,19 +382,19 @@ let parse_values_term st =
 
 let parse_values st =
   let vars =
-    match peek_tok st with
-    | Some (Var v) ->
-        ignore (next st);
+    match st.tok with
+    | Var v ->
+        skip st;
         [ v ]
-    | Some Lparen ->
-        ignore (next st);
+    | Lparen ->
+        skip st;
         let rec vars acc =
-          match peek_tok st with
-          | Some (Var v) ->
-              ignore (next st);
+          match st.tok with
+          | Var v ->
+              skip st;
               vars (v :: acc)
-          | Some Rparen ->
-              ignore (next st);
+          | Rparen ->
+              skip st;
               List.rev acc
           | _ -> fail (cur_line st) "expected variable or ')' in VALUES header"
         in
@@ -355,15 +405,16 @@ let parse_values st =
   expect st Lbrace "'{' opening VALUES data";
   let rows = ref [] in
   let rec loop () =
-    match peek_tok st with
-    | Some Rbrace -> ignore (next st)
-    | Some Lparen when List.length vars > 1 || peek_tok st = Some Lparen ->
-        ignore (next st);
+    match st.tok with
+    | Rbrace -> skip st
+    | Lparen ->
+        skip st;
         let row = List.map (fun _ -> parse_values_term st) vars in
         expect st Rparen "')' closing a VALUES row";
         rows := row :: !rows;
         loop ()
-    | Some _ when List.length vars = 1 ->
+    | Eof -> fail (cur_line st) "malformed VALUES data"
+    | _ when List.length vars = 1 ->
         rows := [ parse_values_term st ] :: !rows;
         loop ()
     | _ -> fail (cur_line st) "malformed VALUES data"
@@ -376,52 +427,50 @@ let rec parse_expr st = parse_or st
 
 and parse_or st =
   let left = parse_and st in
-  match peek_tok st with
-  | Some (Op "||") ->
-      ignore (next st);
+  match st.tok with
+  | Or ->
+      skip st;
       Algebra.E_or (left, parse_or st)
   | _ -> left
 
 and parse_and st =
   let left = parse_cmp st in
-  match peek_tok st with
-  | Some (Op "&&") ->
-      ignore (next st);
+  match st.tok with
+  | And ->
+      skip st;
       Algebra.E_and (left, parse_and st)
   | _ -> left
 
 and parse_cmp st =
   let left = parse_unary st in
-  match peek_tok st with
-  | Some (Op (("=" | "!=" | "<" | "<=" | ">" | ">=") as op)) ->
-      ignore (next st);
+  match st.tok with
+  | (Eq | Neq | Lt | Le | Gt | Ge) as op -> (
+      skip st;
       let right = parse_unary st in
-      (match op with
-      | "=" -> Algebra.E_eq (left, right)
-      | "!=" -> Algebra.E_neq (left, right)
-      | "<" -> Algebra.E_lt (left, right)
-      | "<=" -> Algebra.E_le (left, right)
-      | ">" -> Algebra.E_gt (left, right)
-      | ">=" -> Algebra.E_ge (left, right)
-      | _ -> assert false)
+      match op with
+      | Eq -> Algebra.E_eq (left, right)
+      | Neq -> Algebra.E_neq (left, right)
+      | Lt -> Algebra.E_lt (left, right)
+      | Le -> Algebra.E_le (left, right)
+      | Gt -> Algebra.E_gt (left, right)
+      | _ -> Algebra.E_ge (left, right))
   | _ -> left
 
 and parse_unary st =
-  match peek_tok st with
-  | Some (Op "!") ->
-      ignore (next st);
+  match st.tok with
+  | Not ->
+      skip st;
       Algebra.E_not (parse_unary st)
-  | Some (Kw "BOUND") -> (
-      ignore (next st);
+  | K_bound -> (
+      skip st;
       expect st Lparen "'(' after BOUND";
-      let { tok; tline } = next st in
-      match tok with
+      match next st with
       | Var v ->
           expect st Rparen "')'";
           Algebra.E_bound v
-      | _ -> fail tline "expected variable in BOUND")
-  | Some Lparen ->
-      ignore (next st);
+      | _ -> fail st.last_line "expected variable in BOUND")
+  | Lparen ->
+      skip st;
       let e = parse_expr st in
       expect st Rparen "')'";
       e
@@ -431,141 +480,129 @@ and parse_unary st =
    OPTIONAL left-joins everything before it, and what follows joins the
    result.  Between two OPTIONALs join is associative and commutative,
    so a segment's triple blocks gather into one BGP, which its VALUES
-   and nested groups then join.  FILTERs scope over the whole group. *)
+   and nested groups then join.  FILTERs scope over the whole group.
+   The lists of a group being read are newest first. *)
+type group = {
+  mutable before : Algebra.t option;  (* the group up to its last OPTIONAL *)
+  mutable tps : Algebra.tp list;  (* the segment's triple patterns *)
+  mutable extra : Algebra.t list;  (* the segment's VALUES and nested groups *)
+  mutable filters : Algebra.expr list;
+}
+
+let join a b = Algebra.Join (a, b)
+
+let close_segment g =
+  let segment =
+    match (g.tps, List.rev g.extra) with
+    | [], [] -> None
+    | [], e :: es -> Some (List.fold_left join e es)
+    | tps, extras -> Some (List.fold_left join (Algebra.Bgp (List.rev tps)) extras)
+  in
+  g.tps <- [];
+  g.extra <- [];
+  match (g.before, segment) with
+  | Some a, Some s -> Some (join a s)
+  | a, None | None, a -> a
+
+let filter_expr st =
+  match st.tok with
+  | Lparen ->
+      skip st;
+      let e = parse_expr st in
+      expect st Rparen "')'";
+      e
+  | _ -> parse_expr st
+
 let rec parse_group st =
   expect st Lbrace "'{'";
-  let before = ref None in
-  let tps = ref [] in
-  let extra = ref [] in
-  let filters = ref [] in
-  let join a b = Algebra.Join (a, b) in
-  let close_segment () =
-    let segment =
-      match (!tps, List.rev !extra) with
-      | [], [] -> None
-      | [], g :: gs -> Some (List.fold_left join g gs)
-      | tps, extras -> Some (List.fold_left join (Algebra.Bgp tps) extras)
-    in
-    tps := [];
-    extra := [];
-    match (!before, segment) with
-    | Some g, Some s -> Some (join g s)
-    | g, None | None, g -> g
-  in
-  let rec loop () =
-    match peek_tok st with
-    | Some Rbrace -> ignore (next st)
-    | Some Dot ->
-        ignore (next st);
-        loop ()
-    | Some (Kw "FILTER") ->
-        ignore (next st);
-        let e =
-          match peek_tok st with
-          | Some Lparen ->
-              ignore (next st);
-              let e = parse_expr st in
-              expect st Rparen "')'";
-              e
-          | _ -> parse_expr st
-        in
-        filters := e :: !filters;
-        loop ()
-    | Some (Kw "VALUES") ->
-        ignore (next st);
-        extra := parse_values st :: !extra;
-        loop ()
-    | Some (Kw "OPTIONAL") ->
-        ignore (next st);
-        let left = Option.value (close_segment ()) ~default:(Algebra.Bgp []) in
-        before := Some (Algebra.Left_join (left, parse_group st));
-        loop ()
-    | Some Lbrace ->
-        (* nested group, possibly a UNION chain *)
-        let g = parse_union_chain st in
-        extra := g :: !extra;
-        loop ()
-    | Some _ ->
-        tps := !tps @ parse_triples_block st;
-        loop ()
-    | None -> fail st.last_line "unterminated group pattern"
-  in
-  loop ();
-  let base = Option.value (close_segment ()) ~default:(Algebra.Bgp []) in
-  List.fold_left (fun acc e -> Algebra.Filter (e, acc)) base (List.rev !filters)
+  let g = { before = None; tps = []; extra = []; filters = [] } in
+  group_items st g;
+  let base = Option.value (close_segment g) ~default:(Algebra.Bgp []) in
+  List.fold_left (fun acc e -> Algebra.Filter (e, acc)) base (List.rev g.filters)
 
-and parse_union_chain st =
-  let first = parse_group st in
-  let rec loop acc =
-    match peek_tok st with
-    | Some (Kw "UNION") ->
-        ignore (next st);
-        let g = parse_group st in
-        loop (Algebra.Union (acc, g))
-    | _ -> acc
-  in
-  loop first
+and group_items st g =
+  match st.tok with
+  | Rbrace -> skip st
+  | Dot ->
+      skip st;
+      group_items st g
+  | K_filter ->
+      skip st;
+      g.filters <- filter_expr st :: g.filters;
+      group_items st g
+  | K_values ->
+      skip st;
+      g.extra <- parse_values st :: g.extra;
+      group_items st g
+  | K_optional ->
+      skip st;
+      let left = Option.value (close_segment g) ~default:(Algebra.Bgp []) in
+      g.before <- Some (Algebra.Left_join (left, parse_group st));
+      group_items st g
+  | Lbrace ->
+      (* nested group, possibly a UNION chain *)
+      g.extra <- parse_union_chain st :: g.extra;
+      group_items st g
+  | Eof -> fail st.last_line "unterminated group pattern"
+  | _ ->
+      g.tps <- triples st g.tps;
+      group_items st g
 
-(* SELECT projection *)
-type proj_item =
-  | P_var of string
-  | P_agg of string * Algebra.aggregate  (* output var, aggregate *)
+and parse_union_chain st = union_rest st (parse_group st)
+
+and union_rest st acc =
+  match st.tok with
+  | K_union ->
+      skip st;
+      let g = parse_group st in
+      union_rest st (Algebra.Union (acc, g))
+  | _ -> acc
 
 let parse_count st =
   expect st Lparen "'(' after COUNT";
   let agg =
-    match peek_tok st with
-    | Some Star ->
-        ignore (next st);
+    match st.tok with
+    | Star ->
+        skip st;
         Algebra.Count_all
-    | Some (Kw "DISTINCT") -> (
-        ignore (next st);
-        let { tok; tline } = next st in
-        match tok with
+    | K_distinct -> (
+        skip st;
+        match next st with
         | Var v -> Algebra.Count_distinct v
-        | _ -> fail tline "expected variable after DISTINCT")
+        | _ -> fail st.last_line "expected variable after DISTINCT")
     | _ -> (
-        let { tok; tline } = next st in
-        match tok with Var v -> Algebra.Count_var v | _ -> fail tline "expected variable or * in COUNT")
+        match next st with
+        | Var v -> Algebra.Count_var v
+        | _ -> fail st.last_line "expected variable or * in COUNT")
   in
   expect st Rparen "')'";
   agg
 
-let parse_projection st =
-  let items = ref [] in
-  let star = ref false in
-  let rec loop () =
-    match peek_tok st with
-    | Some Star ->
-        ignore (next st);
-        star := true;
-        loop ()
-    | Some (Var v) ->
-        ignore (next st);
-        items := P_var v :: !items;
-        loop ()
-    | Some Lparen -> (
-        ignore (next st);
-        let { tok; tline } = next st in
-        match tok with
-        | Kw "COUNT" -> (
-            let agg = parse_count st in
-            let { tok; tline } = next st in
-            match tok with
-            | Kw "AS" -> (
-                let { tok; tline } = next st in
-                match tok with
-                | Var v ->
-                    expect st Rparen "')'";
-                    items := P_agg (v, agg) :: !items;
-                    loop ()
-                | _ -> fail tline "expected variable after AS")
-            | _ -> fail tline "expected AS in aggregate projection")
-        | _ -> fail tline "expected COUNT in projection")
-    | _ -> ()
-  in
-  loop ();
-  (!star, List.rev !items)
+(* The SELECT list: whether it holds [*], its variables (an aggregate's
+   included) and its COUNT aggregates, both newest first. *)
+let rec projection st star vars aggs =
+  match st.tok with
+  | Star ->
+      skip st;
+      projection st true vars aggs
+  | Var v ->
+      skip st;
+      projection st star (v :: vars) aggs
+  | Lparen -> (
+      skip st;
+      match next st with
+      | K_count -> (
+          let agg = parse_count st in
+          match next st with
+          | K_as -> (
+              match next st with
+              | Var v ->
+                  expect st Rparen "')'";
+                  projection st star (v :: vars) ((v, agg) :: aggs)
+              | _ -> fail st.last_line "expected variable after AS")
+          | _ -> fail st.last_line "expected AS in aggregate projection")
+      | _ -> fail st.last_line "expected COUNT in projection")
+  | _ -> (star, vars, aggs)
 
 type query = {
   algebra : Algebra.t;
@@ -579,151 +616,133 @@ let count_of line what n =
   | Some k when k >= 0 -> k
   | _ -> fail line "%s needs a non-negative integer, got %s" what n
 
-let parse_modifiers st body proj_vars =
-  (* GROUP BY / ORDER BY / LIMIT / OFFSET, in any sensible order. *)
-  let group = ref [] and orders = ref [] and limit = ref None and offset = ref None in
-  let rec loop () =
-    match peek_tok st with
-    | Some (Kw "GROUP") -> (
-        ignore (next st);
-        match next st with
-        | { tok = Kw "BY"; _ } ->
-            let rec vars () =
-              match peek_tok st with
-              | Some (Var v) ->
-                  ignore (next st);
-                  group := v :: !group;
-                  vars ()
-              | _ -> ()
-            in
-            vars ();
-            if !group = [] then fail (cur_line st) "empty GROUP BY";
-            loop ()
-        | { tline; _ } -> fail tline "expected BY after GROUP")
-    | Some (Kw "ORDER") -> (
-        ignore (next st);
-        match next st with
-        | { tok = Kw "BY"; _ } ->
-            let rec keys () =
-              match peek_tok st with
-              | Some (Var v) ->
-                  ignore (next st);
-                  orders := { Algebra.key = v; descending = false } :: !orders;
-                  keys ()
-              | Some (Kw (("ASC" | "DESC") as dir)) -> (
-                  ignore (next st);
-                  expect st Lparen "'('";
-                  let { tok; tline } = next st in
-                  match tok with
-                  | Var v ->
-                      expect st Rparen "')'";
-                      orders := { Algebra.key = v; descending = dir = "DESC" } :: !orders;
-                      keys ()
-                  | _ -> fail tline "expected variable")
-              | _ -> ()
-            in
-            keys ();
-            if !orders = [] then fail (cur_line st) "empty ORDER BY";
-            loop ()
-        | { tline; _ } -> fail tline "expected BY after ORDER")
-    | Some (Kw "LIMIT") -> (
-        ignore (next st);
-        match next st with
-        | { tok = Integer n; tline } ->
-            limit := Some (count_of tline "LIMIT" n);
-            loop ()
-        | { tline; _ } -> fail tline "expected integer after LIMIT")
-    | Some (Kw "OFFSET") -> (
-        ignore (next st);
-        match next st with
-        | { tok = Integer n; tline } ->
-            offset := Some (count_of tline "OFFSET" n);
-            loop ()
-        | { tline; _ } -> fail tline "expected integer after OFFSET")
-    | Some _ -> fail (cur_line st) "unexpected token after query body"
-    | None -> ()
-  in
-  loop ();
-  (body, List.rev !group, List.rev !orders, !limit, !offset, proj_vars)
+(* GROUP BY / ORDER BY / LIMIT / OFFSET, in any sensible order; the
+   keys are newest first. *)
+type modifiers = {
+  group : string list;
+  orders : Algebra.order list;
+  limit : int option;
+  offset : int option;
+}
 
-let parse ?namespaces text =
-  let ns = Rdf.Namespace.create () in
-  (match namespaces with
-  | Some t -> List.iter (fun (prefix, iri) -> Rdf.Namespace.add ns ~prefix ~iri) (Rdf.Namespace.prefixes t)
-  | None -> ());
-  let st = { toks = tokenize text; last_line = 1; ns; base = "" } in
+let no_modifiers = { group = []; orders = []; limit = None; offset = None }
+
+let rec group_vars st acc =
+  match st.tok with
+  | Var v ->
+      skip st;
+      group_vars st (v :: acc)
+  | _ -> acc
+
+let rec order_keys st acc =
+  match st.tok with
+  | Var v ->
+      skip st;
+      order_keys st ({ Algebra.key = v; descending = false } :: acc)
+  | (K_asc | K_desc) as dir -> (
+      skip st;
+      expect st Lparen "'('";
+      match next st with
+      | Var v ->
+          expect st Rparen "')'";
+          order_keys st ({ Algebra.key = v; descending = dir == K_desc } :: acc)
+      | _ -> fail st.last_line "expected variable")
+  | _ -> acc
+
+let rec modifiers st m =
+  match st.tok with
+  | K_group -> (
+      skip st;
+      match next st with
+      | K_by ->
+          let group = group_vars st m.group in
+          if group = [] then fail (cur_line st) "empty GROUP BY";
+          modifiers st { m with group }
+      | _ -> fail st.last_line "expected BY after GROUP")
+  | K_order -> (
+      skip st;
+      match next st with
+      | K_by ->
+          let orders = order_keys st m.orders in
+          if orders = [] then fail (cur_line st) "empty ORDER BY";
+          modifiers st { m with orders }
+      | _ -> fail st.last_line "expected BY after ORDER")
+  | K_limit -> (
+      skip st;
+      match next st with
+      | Integer n -> modifiers st { m with limit = Some (count_of st.last_line "LIMIT" n) }
+      | _ -> fail st.last_line "expected integer after LIMIT")
+  | K_offset -> (
+      skip st;
+      match next st with
+      | Integer n -> modifiers st { m with offset = Some (count_of st.last_line "OFFSET" n) }
+      | _ -> fail st.last_line "expected integer after OFFSET")
+  | Eof -> m
+  | _ -> fail (cur_line st) "unexpected token after query body"
+
+let slice offset limit body =
+  match (offset, limit) with None, None -> body | _ -> Algebra.Slice (offset, limit, body)
+
+let rec template st acc =
+  match st.tok with
+  | Rbrace ->
+      skip st;
+      List.rev acc
+  | Dot ->
+      skip st;
+      template st acc
+  | Eof -> fail st.last_line "unterminated CONSTRUCT template"
+  | _ -> template st (triples st acc)
+
+let parse_query st =
   parse_prologue st;
-  let { tok; tline } = next st in
-  match tok with
-  | Kw "ASK" ->
+  match next st with
+  | K_ask ->
       let body = parse_union_chain st in
-      (match peek_tok st with
-      | None -> ()
-      | Some _ -> fail (cur_line st) "unexpected token after ASK pattern");
+      if st.tok != Eof then fail (cur_line st) "unexpected token after ASK pattern";
       { algebra = body; projection = []; is_ask = true; template = None }
-  | Kw "SELECT" ->
-      let distinct =
-        match peek_tok st with
-        | Some (Kw "DISTINCT") ->
-            ignore (next st);
-            true
-        | _ -> false
-      in
-      let star, items = parse_projection st in
-      if (not star) && items = [] then fail (cur_line st) "empty SELECT projection";
-      (match peek_tok st with
-      | Some (Kw "WHERE") -> ignore (next st)
-      | _ -> ());
+  | K_select ->
+      let distinct = st.tok == K_distinct in
+      if distinct then skip st;
+      let star, vars, aggs = projection st false [] [] in
+      if (not star) && vars = [] then fail (cur_line st) "empty SELECT projection";
+      if st.tok == K_where then skip st;
       let body = parse_union_chain st in
-      let body, group, orders, limit, offset, () = parse_modifiers st body () in
-      let aggs = List.filter_map (function P_agg (v, a) -> Some (v, a) | P_var _ -> None) items in
-      let proj_vars =
-        if star then Algebra.vars_of body
-        else List.map (function P_var v -> v | P_agg (v, _) -> v) items
-      in
+      let m = modifiers st no_modifiers in
+      let group = List.rev m.group and orders = List.rev m.orders in
+      let proj_vars = if star then Algebra.vars_of body else List.rev vars in
       let body =
-        if aggs <> [] || group <> [] then Algebra.Extend_group (group, aggs, body) else body
+        if aggs <> [] || group <> [] then Algebra.Extend_group (group, List.rev aggs, body) else body
       in
       let body = if orders <> [] then Algebra.Order_by (orders, body) else body in
       let body = Algebra.Project (proj_vars, body) in
       let body = if distinct then Algebra.Distinct body else body in
-      let body =
-        match (offset, limit) with
-        | None, None -> body
-        | _ -> Algebra.Slice (offset, limit, body)
-      in
-      { algebra = body; projection = proj_vars; is_ask = false; template = None }
-  | Kw "CONSTRUCT" ->
+      { algebra = slice m.offset m.limit body; projection = proj_vars; is_ask = false; template = None }
+  | K_construct ->
       expect st Lbrace "'{' opening the template";
-      let template = ref [] in
-      let rec tmpl () =
-        match peek_tok st with
-        | Some Rbrace -> ignore (next st)
-        | Some Dot ->
-            ignore (next st);
-            tmpl ()
-        | Some _ ->
-            template := !template @ parse_triples_block st;
-            tmpl ()
-        | None -> fail st.last_line "unterminated CONSTRUCT template"
-      in
-      tmpl ();
-      (match peek_tok st with
-      | Some (Kw "WHERE") -> ignore (next st)
-      | _ -> ());
+      let template = template st [] in
+      if st.tok == K_where then skip st;
       let body = parse_union_chain st in
-      let body, group, orders, limit, offset, () = parse_modifiers st body () in
-      if group <> [] then fail (cur_line st) "GROUP BY is not allowed with CONSTRUCT";
-      let body = if orders <> [] then Algebra.Order_by (orders, body) else body in
-      let body =
-        match (offset, limit) with
-        | None, None -> body
-        | _ -> Algebra.Slice (offset, limit, body)
-      in
-      {
-        algebra = body;
-        projection = Algebra.vars_of body;
-        is_ask = false;
-        template = Some !template;
-      }
-  | _ -> fail tline "expected SELECT, ASK or CONSTRUCT"
+      let m = modifiers st no_modifiers in
+      if m.group <> [] then fail (cur_line st) "GROUP BY is not allowed with CONSTRUCT";
+      let body = if m.orders <> [] then Algebra.Order_by (List.rev m.orders, body) else body in
+      let body = slice m.offset m.limit body in
+      { algebra = body; projection = Algebra.vars_of body; is_ask = false; template = Some template }
+  | _ -> fail st.last_line "expected SELECT, ASK or CONSTRUCT"
+
+let parse ?namespaces text =
+  let st =
+    { text; pos = 0; line = 1; tok = Eof; tline = 1; last_line = 1; given = namespaces; ns = None; base = "" }
+  in
+  match
+    advance st;
+    parse_query st
+  with
+  | q -> q
+  | exception e ->
+      (* A character the scanner refuses anywhere in the text is the
+         error, whatever the parser made of the tokens before it. *)
+      while st.tok != Eof do
+        advance st
+      done;
+      raise e

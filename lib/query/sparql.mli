@@ -17,10 +17,24 @@
     are dropped (they could never join with stored data).
 
     Not covered: [DESCRIBE], property paths
-    (see {!Ppath} for the §4.3 evaluator), subqueries, [VALUES]. *)
+    (see {!Ppath} for the §4.3 evaluator), subqueries, and expressions
+    beyond the [FILTER] operators above.
+
+    The parser reads the text in one pass: a recursive descent that
+    pulls tokens from a cursor over the text with one token of
+    lookahead.  Keywords are matched in any case where they stand, an
+    IRI is cut and checked at once ([Rdf.Term.cut_iri]), and only a
+    string holding an escape, or an IRI that cut refuses, is read
+    again.  The prefix table is copied only when a [PREFIX] binds a
+    name.
+
+    ["\r\n"], ["\n"] and a lone ["\r"] each end one line, in blanks
+    and in [#] comments; a line end inside a string is not counted. *)
 
 exception Parse_error of int * string
-(** Line-numbered syntax error (1-based). *)
+(** Line-numbered syntax error (1-based).  A character the scanner
+    refuses is the error wherever it stands, before any error the
+    parser found earlier in the text. *)
 
 type query = {
   algebra : Algebra.t;

@@ -19,7 +19,7 @@ type kind =
     }
   | Plan_choice of {
       patterns : int;
-      detail : unit -> string;
+      steps : int;
     }
   | Delta_flush of {
       pending : int;
@@ -67,9 +67,17 @@ type entry = {
    optimisation rather than a correctness assumption.  A ring keeps the
    newest [capacity] entries of its shard; [recorded] counts every entry
    offered since the last clear, so [recorded - retained] are the
-   overwrites.  Ring storage is allocated on a shard's first record.
-   Dumps merge the shards by a global sequence number, reproducing the
-   exact order a single buffer would have recorded.
+   overwrites.  Dumps merge the shards by a global sequence number,
+   reproducing the exact order a single buffer would have recorded.
+
+   A ring is columns, allocated on a shard's first record: [stride] ints
+   per slot (the entry's header and its kind's tag and int fields),
+   two unboxed floats (start and duration), and one name (a span's
+   name, a query's root operator, a snapshot's path).  Recording writes
+   words into the columns and keeps no block of its own, so an event
+   whose payload is immediates and a constant string leaves nothing for
+   the minor collector to promote.  Only a [Slow_query] is kept whole,
+   in a fourth column.  [dump] rebuilds the entries.
 
    Span *identity* is not sharded: every span gets a process-unique id
    from a global atomic, and each domain tracks its innermost open span
@@ -82,16 +90,48 @@ let shard_count = 8
 
 let default_capacity = 8192
 
+(* The int fields of a slot, at [slot * stride + field]: the entry's
+   header (parent 0 = none), then the kind's tag and up to four ints. *)
+let f_seq = 0
+let f_dom = 1
+let f_id = 2
+let f_parent = 3
+let f_depth = 4
+let f_tag = 5
+let f_a = 6
+let f_b = 7
+let f_c = 8
+let f_d = 9
+let stride = 10
+
+(* The payload column's filler: a [Slow_query] slot is the only one
+   that holds a block of its own. *)
+let no_payload = Delta_compact { pending = 0 }
+
 type shard = {
   lock : Mutex.t;
-  mutable ring : entry array;  (* [||] until first use; else length = capacity *)
+  mutable slots : int;  (* 0 until first use; else the capacity the columns hold *)
+  mutable ints : int array;  (* [stride] per slot *)
+  mutable times : Float.Array.t;  (* [at], [duration] per slot *)
+  mutable names : string array;
+  mutable payloads : kind array;
   mutable recorded : int;
 }
 
 (* domain-safety: domain-sharded — one ring per domain (domain id mod
    shard_count), each read and written under its own mutex for the
    collision case; dumps merge all shards by seq. *)
-let shards = Array.init shard_count (fun _ -> { lock = Mutex.create (); ring = [||]; recorded = 0 })
+let shards =
+  Array.init shard_count (fun _ ->
+      {
+        lock = Mutex.create ();
+        slots = 0;
+        ints = [||];
+        times = Float.Array.create 0;
+        names = [||];
+        payloads = [||];
+        recorded = 0;
+      })
 
 (* domain-safety: atomic — ring slots per shard, read by every recorder
    and replaced by [set_capacity]; a recorder re-reads it under its
@@ -114,25 +154,104 @@ let next_id = Atomic.make 1
    own cell, written only by that domain, so nesting needs no lock. *)
 let current = Domain.DLS.new_key (fun () -> (0, 0))
 
-let dummy =
-  { seq = -1; at = 0.; dom = 0; id = 0; parent = None; depth = 0; duration = 0.; kind = Span "" }
+let size_columns sh cap =
+  sh.slots <- cap;
+  sh.ints <- Array.make (cap * stride) 0;
+  sh.times <- Float.Array.make (2 * cap) 0.;
+  sh.names <- Array.make cap "";
+  sh.payloads <- Array.make cap no_payload;
+  sh.recorded <- 0
+
+let bit b k = if b then 1 lsl k else 0
+
+(* A kind into slot [i] (its ints from [b]): the tag, up to four int
+   fields and the name.  A field a kind leaves unset keeps an older
+   entry's value, which [decode] does not read. *)
+let encode sh i b kind =
+  let ints = sh.ints in
+  if ints.(b + f_tag) = 8 then sh.payloads.(i) <- no_payload;
+  match kind with
+  | Span name ->
+      ints.(b + f_tag) <- 0;
+      sh.names.(i) <- name
+  | Query_start { op; patterns } ->
+      ints.(b + f_tag) <- 1;
+      ints.(b + f_a) <- patterns;
+      sh.names.(i) <- op
+  | Query_end { op; patterns; rows } ->
+      ints.(b + f_tag) <- 2;
+      ints.(b + f_a) <- patterns;
+      ints.(b + f_b) <- rows;
+      sh.names.(i) <- op
+  | Plan_choice { patterns; steps } ->
+      ints.(b + f_tag) <- 3;
+      ints.(b + f_a) <- patterns;
+      ints.(b + f_b) <- steps
+  | Delta_flush { pending; rebuild; auto; migrate } ->
+      ints.(b + f_tag) <- 4;
+      ints.(b + f_a) <- pending;
+      ints.(b + f_b) <- bit rebuild 0 lor bit auto 1 lor bit migrate 2
+  | Delta_compact { pending } ->
+      ints.(b + f_tag) <- 5;
+      ints.(b + f_a) <- pending
+  | Snapshot_save { path; triples } ->
+      ints.(b + f_tag) <- 6;
+      ints.(b + f_a) <- triples;
+      sh.names.(i) <- path
+  | Snapshot_load { path; triples } ->
+      ints.(b + f_tag) <- 7;
+      ints.(b + f_a) <- triples;
+      sh.names.(i) <- path
+  | Slow_query _ ->
+      ints.(b + f_tag) <- 8;
+      sh.payloads.(i) <- kind
+  | Par_fanout { patterns; planned; achieved; width } ->
+      ints.(b + f_tag) <- 9;
+      ints.(b + f_a) <- patterns;
+      ints.(b + f_b) <- planned;
+      ints.(b + f_c) <- achieved;
+      ints.(b + f_d) <- width
+
+let decode sh i b =
+  let ints = sh.ints in
+  let get f = ints.(b + f) and name = sh.names.(i) in
+  match get f_tag with
+  | 0 -> Span name
+  | 1 -> Query_start { op = name; patterns = get f_a }
+  | 2 -> Query_end { op = name; patterns = get f_a; rows = get f_b }
+  | 3 -> Plan_choice { patterns = get f_a; steps = get f_b }
+  | 4 ->
+      let flags = get f_b in
+      let flag k = flags land (1 lsl k) <> 0 in
+      Delta_flush { pending = get f_a; rebuild = flag 0; auto = flag 1; migrate = flag 2 }
+  | 5 -> Delta_compact { pending = get f_a }
+  | 6 -> Snapshot_save { path = name; triples = get f_a }
+  | 7 -> Snapshot_load { path = name; triples = get f_a }
+  | 8 -> sh.payloads.(i)
+  | _ -> Par_fanout { patterns = get f_a; planned = get f_b; achieved = get f_c; width = get f_d }
 
 (* The capacity is re-read under the shard lock, so a ring is always
    sized to the current setting.  The critical section cannot raise, so
    a bare lock/unlock pair is enough — no [Fun.protect] closure on the
-   recording path. *)
+   recording path.  [parent] 0 is no parent. *)
 let record ~at ~id ~parent ~depth ~duration kind =
   let dom = (Domain.self () :> int) in
   let sh = shards.(dom mod shard_count) in
   Mutex.lock sh.lock;
   let cap = Atomic.get capacity_cell in
   if cap > 0 then begin
-    if Array.length sh.ring <> cap then begin
-      sh.ring <- Array.make cap dummy;
-      sh.recorded <- 0
-    end;
-    let seq = Atomic.fetch_and_add next_seq 1 in
-    sh.ring.(sh.recorded mod cap) <- { seq; at; dom; id; parent; depth; duration; kind };
+    if sh.slots <> cap then size_columns sh cap;
+    let i = sh.recorded mod cap in
+    let b = i * stride in
+    let ints = sh.ints in
+    ints.(b + f_seq) <- Atomic.fetch_and_add next_seq 1;
+    ints.(b + f_dom) <- dom;
+    ints.(b + f_id) <- id;
+    ints.(b + f_parent) <- parent;
+    ints.(b + f_depth) <- depth;
+    Float.Array.set sh.times (2 * i) at;
+    Float.Array.set sh.times ((2 * i) + 1) duration;
+    encode sh i b kind;
     sh.recorded <- sh.recorded + 1
   end;
   Mutex.unlock sh.lock
@@ -140,10 +259,8 @@ let record ~at ~id ~parent ~depth ~duration kind =
 (* At capacity 0 an event costs one atomic read: no clock read, no lock. *)
 let emit kind =
   if Atomic.get capacity_cell > 0 then begin
-    let open_id, depth = Domain.DLS.get current in
-    record ~at:(Clock.now ()) ~id:0
-      ~parent:(if open_id = 0 then None else Some open_id)
-      ~depth ~duration:0. kind
+    let parent, depth = Domain.DLS.get current in
+    record ~at:(Clock.now ()) ~id:0 ~parent ~depth ~duration:0. kind
   end
 
 type handle = {
@@ -151,7 +268,7 @@ type handle = {
   h_start : float;
   h_depth : int;
   h_id : int;
-  h_parent : int option;
+  h_parent : int;  (* 0: none *)
   h_saved : int * int;  (* this domain's [current] before entry, restored at exit *)
   mutable h_closed : bool;
 }
@@ -164,7 +281,7 @@ let disabled_handle =
     h_start = 0.;
     h_depth = 0;
     h_id = 0;
-    h_parent = None;
+    h_parent = 0;
     h_saved = (0, 0);
     h_closed = true;
   }
@@ -190,7 +307,7 @@ let enter_span ?parent name =
       h_start = Clock.now ();
       h_depth = depth;
       h_id = id;
-      h_parent = (if parent_id = 0 then None else Some parent_id);
+      h_parent = parent_id;
       h_saved = saved;
       h_closed = false;
     }
@@ -226,15 +343,28 @@ let locked sh f =
   Mutex.lock sh.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock sh.lock) f
 
-let retained sh = min sh.recorded (Array.length sh.ring)
+let retained sh = min sh.recorded sh.slots
 
 let dump () =
   Array.fold_left
     (fun acc sh ->
       locked sh (fun () ->
-          let cap = Array.length sh.ring and kept = retained sh in
+          let cap = sh.slots and kept = retained sh in
           let first = sh.recorded - kept in
-          List.init kept (fun i -> sh.ring.((first + i) mod cap)))
+          List.init kept (fun k ->
+              let i = (first + k) mod cap in
+              let b = i * stride in
+              let get f = sh.ints.(b + f) in
+              {
+                seq = get f_seq;
+                at = Float.Array.get sh.times (2 * i);
+                dom = get f_dom;
+                id = get f_id;
+                parent = (match get f_parent with 0 -> None | p -> Some p);
+                depth = get f_depth;
+                duration = Float.Array.get sh.times ((2 * i) + 1);
+                kind = decode sh i b;
+              }))
       :: acc)
     [] shards
   |> List.concat
@@ -258,7 +388,11 @@ let reset_shards () =
   Array.iter
     (fun sh ->
       locked sh (fun () ->
-          sh.ring <- [||];
+          sh.slots <- 0;
+          sh.ints <- [||];
+          sh.times <- Float.Array.create 0;
+          sh.names <- [||];
+          sh.payloads <- [||];
           sh.recorded <- 0))
     shards;
   Atomic.set next_seq 0
@@ -290,6 +424,14 @@ let name e = match e.kind with Span n -> n | k -> kind_name k
 
 let bgp_label patterns = Printf.sprintf "bgp(%d)" patterns
 
+let step_names = [| "scan"; "nested-loop"; "merge"; "hash" |]
+
+let max_plan_steps = 31
+
+let plan_detail ~patterns ~steps =
+  let shown = List.init (min patterns max_plan_steps) (fun i -> step_names.((steps lsr (2 * i)) land 3)) in
+  String.concat ";" (if patterns > max_plan_steps then shown @ [ "..." ] else shown)
+
 let delta_to_json d =
   Json.Obj
     [
@@ -305,8 +447,8 @@ let kind_fields = function
   | Query_start { op; patterns } -> [ ("label", Json.String (query_label ~op ~patterns)) ]
   | Query_end { op; patterns; rows } ->
       [ ("label", Json.String (query_label ~op ~patterns)); ("rows", Json.Int rows) ]
-  | Plan_choice { patterns; detail } ->
-      [ ("label", Json.String (bgp_label patterns)); ("detail", Json.String (detail ())) ]
+  | Plan_choice { patterns; steps } ->
+      [ ("label", Json.String (bgp_label patterns)); ("detail", Json.String (plan_detail ~patterns ~steps)) ]
   | Delta_flush { pending; rebuild; auto; migrate } ->
       [ ("pending", Json.Int pending); ("rebuild", Json.Bool rebuild); ("auto", Json.Bool auto);
         ("migrate", Json.Bool migrate) ]
@@ -365,8 +507,8 @@ let pp_kind ppf e =
       Format.fprintf ppf "query.start    %s" (query_label ~op ~patterns)
   | Query_end { op; patterns; rows } ->
       Format.fprintf ppf "query.end      %s rows=%d" (query_label ~op ~patterns) rows
-  | Plan_choice { patterns; detail } ->
-      Format.fprintf ppf "plan.choice    %s: %s" (bgp_label patterns) (detail ())
+  | Plan_choice { patterns; steps } ->
+      Format.fprintf ppf "plan.choice    %s: %s" (bgp_label patterns) (plan_detail ~patterns ~steps)
   | Delta_flush { pending; rebuild; auto; migrate } ->
       Format.fprintf ppf "delta.flush    pending=%d rebuild=%b auto=%b migrate=%b" pending rebuild
         auto migrate

@@ -13,7 +13,11 @@
     Both go through one recording path: each domain records into its
     own ring shard of {!capacity} entries (allocated on first use),
     keeping the newest entries; an overwrite counts as a drop.  Dumps
-    merge the shards by a global sequence number.
+    merge the shards by a global sequence number.  A ring is
+    preallocated columns of ints, unboxed floats and names: recording
+    an entry writes words into them and keeps no block of its own
+    (only a {!Slow_query} is kept whole), and {!dump} rebuilds the
+    entries.
 
     Gating: spans are recorded only while [Telemetry.enabled] is on —
     off, {!with_span} is exactly the wrapped call: one flag read,
@@ -51,9 +55,12 @@ type kind =
     }
   | Plan_choice of {
       patterns : int;  (** patterns in the planned BGP *)
-      detail : unit -> string;
-          (** per-step join strategies, e.g. ["scan;merge(?y)"]; rendered
-              only when the entry is printed or exported *)
+      steps : int;
+          (** per-step join strategies, two bits per step, the first
+              step lowest: step [i] is [step_names.((steps lsr (2 * i))
+              land 3)].  Only the first {!max_plan_steps} are kept.
+              Rendered, e.g. ["scan;merge"], only when the entry is
+              printed or exported. *)
     }
   | Delta_flush of {
       pending : int;
@@ -129,6 +136,13 @@ val exit_span : handle -> unit
 
 val emit : kind -> unit
 (** Record one event, whatever the master gate says. *)
+
+val step_names : string array
+(** The join strategy of each {!Plan_choice} step code: ["scan"],
+    ["nested-loop"], ["merge"], ["hash"]. *)
+
+val max_plan_steps : int
+(** Steps a {!Plan_choice} records (31: two bits each in one int). *)
 
 val query_label : op:string -> patterns:int -> string
 (** ["project/2tp"]: how query-boundary entries name their query. *)

@@ -714,6 +714,111 @@ let prop_sparql_parse_total =
       | exception Sparql.Parse_error _ -> true
       | exception e -> QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e))
 
+(* Layout: any blanks, line ends ("\n", "\r\n" or a lone "\r") and
+   comments between tokens, and keywords in any case, give the same
+   query; a bad token gives the same error, on the line it stands on.
+   The corpus is [sparql_corpus]'s flat queries, one more FILTER and a
+   LUBM read, written with one space between tokens, so that splitting
+   on spaces gives the token boundaries. *)
+let spaced_corpus =
+  [
+    "SELECT ?x WHERE { ?x <http://e/p> ?y . OPTIONAL { ?x <http://e/q> ?z } FILTER ( ?y != 3 && ! \
+     BOUND ( ?z ) ) } ORDER BY DESC ( ?x ) ?y LIMIT 5 OFFSET 1";
+    "PREFIX ex: <http://e/> BASE <http://b/> SELECT DISTINCT ( COUNT ( DISTINCT ?x ) AS ?n ) ?y WHERE \
+     { { ?x a ex:C ; ex:p \"v\"@en , \"w\"^^ex:dt } UNION { ?x <rel> -1.5 } VALUES ( ?x ?y ) { ( \
+     ex:a UNDEF ) } } GROUP BY ?y";
+    "PREFIX ex: <http://e/> CONSTRUCT { ?x ex:q ?y . } WHERE { ?x ex:p ?y FILTER ( ?y >= true ) }";
+    "ASK { ?s ?p \"a\\\"b\\n\" . VALUES ?s { <http://e/s> } }";
+    "SELECT ?x WHERE { ?x ?p ?o FILTER ( ?o < 3 || ?o > 7 ) } ORDER BY ASC ( ?o )";
+    "SELECT ?c ?t WHERE { <http://www.Department0.University2.edu/UndergraduateStudent185> \
+     <http://www.lehigh.edu/~zhp2/2004/0401/univ-bench.owl#takesCourse> ?c . ?t \
+     <http://www.lehigh.edu/~zhp2/2004/0401/univ-bench.owl#teacherOf> ?c . }";
+  ]
+
+let sparql_keywords =
+  [ "SELECT"; "ASK"; "WHERE"; "FILTER"; "UNION"; "DISTINCT"; "GROUP"; "BY"; "ORDER"; "LIMIT";
+    "OFFSET"; "COUNT"; "AS"; "PREFIX"; "BASE"; "DESC"; "ASC"; "BOUND"; "OPTIONAL"; "CONSTRUCT";
+    "VALUES"; "UNDEF" ]
+
+let layout_pieces = [ " "; "\t"; "\n"; "\r\n"; "\r"; "# note { ?x\n"; "#\r\n"; "# x\r" ]
+
+(* The line of [text.[pos]]: "\r\n", "\n" and a lone "\r" each end one. *)
+let line_at text pos =
+  let line = ref 1 in
+  for i = 0 to pos - 1 do
+    if text.[i] = '\n' || (text.[i] = '\r' && (i + 1 >= String.length text || text.[i + 1] <> '\n')) then
+      incr line
+  done;
+  !line
+
+type layout = {
+  query : int;  (* index into [spaced_corpus] *)
+  seps : string list list;  (* one separator per boundary, reused cyclically *)
+  cases : int list;  (* per keyword, a bit per letter: lower it *)
+  bad_at : int;  (* the bad token goes before this token *)
+  bad : string;
+}
+
+let gen_layout =
+  let open QCheck.Gen in
+  let sep = list_size (int_range 1 3) (oneofl layout_pieces) in
+  let* query = int_bound (List.length spaced_corpus - 1) in
+  let* seps = list_size (int_range 1 16) sep in
+  let* cases = list_size (int_range 1 8) nat in
+  let* bad_at = int_bound 80 in
+  let* bad = oneofl [ "%"; "bogus"; "?"; "@"; "\"open" ] in
+  return { query; seps; cases; bad_at; bad }
+
+(* The text with one space between tokens, and laid out: each with the
+   bad token if [bad], and the laid-out text's line of the bad token. *)
+let render ~bad l =
+  let toks = String.split_on_char ' ' (List.nth spaced_corpus l.query) in
+  let at = l.bad_at mod (List.length toks + 1) in
+  let toks =
+    if bad then List.filteri (fun i _ -> i < at) toks @ (l.bad :: List.filteri (fun i _ -> i >= at) toks)
+    else toks
+  in
+  let nth_cyclic xs i = List.nth xs (i mod List.length xs) in
+  let recase i tok =
+    if not (List.mem tok sparql_keywords) then tok
+    else
+      let bits = nth_cyclic l.cases i in
+      String.mapi (fun j c -> if bits land (1 lsl j) <> 0 then Char.lowercase_ascii c else c) tok
+  in
+  let buf = Buffer.create 256 and bad_pos = ref 0 in
+  List.iteri
+    (fun i tok ->
+      if i > 0 then List.iter (Buffer.add_string buf) (nth_cyclic l.seps i);
+      if bad && i = at then bad_pos := Buffer.length buf;
+      Buffer.add_string buf (recase i tok))
+    toks;
+  let laid = Buffer.contents buf in
+  (String.concat " " toks, laid, line_at laid !bad_pos)
+
+let prop_sparql_layout =
+  let outcome text =
+    match parse_ex text with q -> Ok q | exception Sparql.Parse_error (line, msg) -> Error (line, msg)
+  in
+  QCheck.Test.make ~name:"Sparql.parse: layout and keyword case do not change the query" ~count:1000
+    (QCheck.make
+       ~print:(fun l ->
+         let _, laid, _ = render ~bad:false l and _, bad, line = render ~bad:true l in
+         Printf.sprintf "%S\nwith %S on line %d:\n%S" laid l.bad line bad)
+       gen_layout)
+    (fun l ->
+      let canonical, laid, _ = render ~bad:false l in
+      let canonical_bad, laid_bad, line = render ~bad:true l in
+      (match (outcome canonical, outcome laid) with
+      | Ok q, Ok q' when q = q' -> ()
+      | Ok _, _ -> QCheck.Test.fail_report "the laid-out query differs"
+      | Error (_, msg), _ -> QCheck.Test.fail_reportf "canonical text refused: %s" msg);
+      match (outcome canonical_bad, outcome laid_bad) with
+      | Error (1, msg), Error (line', msg') when line' = line && msg' = msg -> true
+      | Error (l1, m1), Error (l2, m2) ->
+          QCheck.Test.fail_reportf "canonical: line %d %S; laid out: line %d %S (expected line %d)" l1 m1
+            l2 m2 line
+      | _ -> QCheck.Test.fail_report "a bad token was accepted")
+
 let prop_ppath_parse_total =
   let h = make_store () in
   QCheck.Test.make ~name:"Ppath.parse: a path that evaluates, or Parse_error, on any text"
@@ -1199,6 +1304,7 @@ let () =
           Alcotest.test_case "error_line" `Quick test_sparql_error_line;
           Alcotest.test_case "illegal_iri" `Quick test_sparql_illegal_iri;
           qt prop_sparql_parse_total;
+          qt prop_sparql_layout;
           qt prop_ppath_parse_total;
         ] );
       ( "path",

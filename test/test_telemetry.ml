@@ -303,6 +303,30 @@ let test_events_disabled () =
       check_int "emit is a no-op at capacity 0" 0 (Telemetry.Trace.recorded ());
       check_int "nothing retained" 0 (List.length (Telemetry.Trace.dump ())))
 
+(* The recorder keeps no block per event: the events [Exec] emits on
+   every read, recorded past a full turn of the ring, leave nothing for
+   the minor collector to promote.  A ring holding each entry as its own
+   record (or a plan thunk) promotes every retained one. *)
+let test_events_keep_nothing () =
+  let cap = 256 in
+  with_capacity cap (fun () ->
+      let read rows =
+        Telemetry.Trace.emit (Telemetry.Trace.Query_start { op = "project"; patterns = 2 });
+        Telemetry.Trace.emit (Telemetry.Trace.Plan_choice { patterns = 2; steps = 0b1000 });
+        Telemetry.Trace.emit (Telemetry.Trace.Query_end { op = "project"; patterns = 2; rows })
+      in
+      read 0;
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.promoted_words in
+      for i = 1 to 2 * cap / 3 do
+        read i
+      done;
+      Gc.minor ();
+      let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+      check_int "ring full" cap (List.length (Telemetry.Trace.dump ()));
+      if promoted > 16. then
+        Alcotest.failf "%.0f words promoted by %d events (ring of %d)" promoted (2 * cap) cap)
+
 let test_events_always_on () =
   (* The recorder is the *always-on* layer: it records events even while
      the telemetry master gate is off (but no spans). *)
@@ -741,8 +765,8 @@ let gen_event_kind =
           (fun op patterns rows -> Telemetry.Trace.Query_end { op; patterns; rows })
           s small_nat small_nat;
         map2
-          (fun patterns detail -> Telemetry.Trace.Plan_choice { patterns; detail = (fun () -> detail) })
-          small_nat s;
+          (fun patterns steps -> Telemetry.Trace.Plan_choice { patterns; steps })
+          small_nat int;
         map4
           (fun pending rebuild auto migrate ->
             Telemetry.Trace.Delta_flush { pending; rebuild; auto; migrate })
@@ -1288,6 +1312,7 @@ let () =
         [
           Alcotest.test_case "ring wrap and drops" `Quick test_events_ring;
           Alcotest.test_case "disabled gate" `Quick test_events_disabled;
+          Alcotest.test_case "no block kept per event" `Quick test_events_keep_nothing;
           Alcotest.test_case "always-on" `Quick test_events_always_on;
           Alcotest.test_case "query and delta narration" `Quick test_events_instrumentation;
           Alcotest.test_case "json round-trip" `Quick test_events_json_roundtrip;
