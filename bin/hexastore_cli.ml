@@ -32,9 +32,12 @@ let load_data ~format path =
   | "snapshot" -> Hexa.Hexastore.to_triples (Hexa.Snapshot.load path)
   | f -> failwith (Printf.sprintf "unknown format %S (expected ntriples, turtle or snapshot)" f)
 
+(* N-Triples goes from text to ids and columns with no term between
+   ([Hexastore.load_ntriples]), reading the file in chunks. *)
 let load_store ~format path =
   match detect_format ~format path with
   | "snapshot" -> Hexa.Snapshot.load path
+  | "ntriples" -> In_channel.with_open_bin path (fun ic -> Hexa.Hexastore.load_ntriples (In_channel.input ic))
   | _ -> Hexa.Hexastore.of_triples (load_data ~format path)
 
 let handle_errors f =
@@ -425,15 +428,31 @@ let convert_cmd =
 
 (* --- snapshot ----------------------------------------------------------- *)
 
+(* The process's peak resident set ([VmHWM] in /proc/self/status), where
+   the system reports one. *)
+let peak_rss_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      List.find_map
+        (fun line ->
+          match String.split_on_char ':' line with
+          | [ "VmHWM"; v ] -> int_of_string_opt (List.hd (String.split_on_char ' ' (String.trim v)))
+          | _ -> None)
+        (String.split_on_char '\n' status)
+
 let snapshot_cmd =
   let out_arg =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"OUT" ~doc:"Snapshot file (.snap).")
   in
   let run data format out =
     handle_errors (fun () ->
+        let t0 = Unix.gettimeofday () in
         let store = load_store ~format data in
         Hexa.Snapshot.save store out;
-        Format.printf "wrote snapshot of %d triples to %s@." (Hexa.Hexastore.size store) out)
+        Format.printf "wrote snapshot of %d triples to %s in %.2f s%s@." (Hexa.Hexastore.size store) out
+          (Unix.gettimeofday () -. t0)
+          (match peak_rss_kb () with Some kb -> Printf.sprintf ", peak RSS %d kB" kb | None -> ""))
   in
   Cmd.v
     (Cmd.info "snapshot" ~doc:"Compile RDF data into a binary Hexastore snapshot.")

@@ -174,7 +174,7 @@ let store_acc acc h =
 (* --- dictionaries ------------------------------------------------------ *)
 
 let dictionary_acc acc d =
-  let open Dict in
+  let open Rdf in
   for id = 0 to Dictionary.size d - 1 do
     let s = Dictionary.decode d id in
     match Dictionary.find d s with

@@ -63,7 +63,7 @@ val delta : Hexa.Delta.t -> Violation.t list
     pattern cross-check runs the full wildcard plus all bound shapes of
     a capped sample of merged triples. *)
 
-val dictionary : Dict.Dictionary.t -> Violation.t list
+val dictionary : Rdf.Dictionary.t -> Violation.t list
 (** [decode] then [find] round-trips to the same id for every allocated
     id (string ↔ id bijection). *)
 

@@ -155,28 +155,58 @@ let of_sorted_columns ?dict ?repr ~s ~p ~o () =
   fill_columns t ~s ~p ~o;
   t
 
-(* The store (t \ remove) ∪ add, for [add] absent from [t] and [remove]
-   present, both sorted on (s, p, o): from empty, the counting sorts run
-   on columns, not on records; otherwise each list family is one merge
-   of its owner's scan with the batches and one fill
+(* From empty: the first [n] triples of the columns, in any order and
+   with repeats, sorted on (s, p, o) by three counting-sort passes of
+   one permutation (o, then p, then s) and filled without their
+   repeats.  Returns how many triples the store holds. *)
+let fill_unsorted t ~s ~p ~o n =
+  let perm = Radix.sort s (Radix.sort p (Radix.sort o (Array.init n Fun.id))) in
+  let s' = Array.make n 0 and p' = Array.make n 0 and o' = Array.make n 0 in
+  let k = ref 0 in
+  for j = 0 to n - 1 do
+    let i = Array.unsafe_get perm j in
+    let si = s.(i) and pi = p.(i) and oi = o.(i) in
+    let m = !k in
+    if m = 0 || oi <> o'.(m - 1) || pi <> p'.(m - 1) || si <> s'.(m - 1) then begin
+      s'.(m) <- si;
+      p'.(m) <- pi;
+      o'.(m) <- oi;
+      k := m + 1
+    end
+  done;
+  let trim a = if !k = n then a else Array.sub a 0 !k in
+  fill_columns t ~s:(trim s') ~p:(trim p') ~o:(trim o');
+  !k
+
+(* The store (t \ remove) ∪ add, for a populated [t], [add] absent from
+   it and [remove] present, both sorted on (s, p, o): each list family
+   is one merge of its owner's scan with the batches and one fill
    ({!Index.refill}). *)
 let rebuild t ~add ~remove =
-  if t.size = 0 then
-    fill_columns t
-      ~s:(Array.map (fun tr -> tr.s) add)
-      ~p:(Array.map (fun tr -> tr.p) add)
-      ~o:(Array.map (fun tr -> tr.o) add)
-  else
-    install t
-      (orderings (fun ord level -> Index.refill ?level (index_of t ord) ord ~add ~remove))
-      (t.size + Array.length add - Array.length remove)
+  install t
+    (orderings (fun ord level -> Index.refill ?level (index_of t ord) ord ~add ~remove))
+    (t.size + Array.length add - Array.length remove)
 
 (* The batches' effect is decided up front by membership: a triple of
    [remove] in the store leaves it (unless [add] has it too, then it
    counts as removed and added back), a triple of [add] not in the
-   store joins it.  Nothing is rebuilt when nothing changes. *)
+   store joins it.  Nothing is rebuilt when nothing changes.  An empty
+   store has nothing to remove, and [add] fills it as columns. *)
 let apply_bulk_ids t ~add ~remove =
-  if Array.length add = 0 && Array.length remove = 0 then (0, 0)
+  if t.size = 0 then begin
+    let added =
+      if Array.length add = 0 then 0
+      else
+        fill_unsorted t
+          ~s:(Array.map (fun tr -> tr.s) add)
+          ~p:(Array.map (fun tr -> tr.p) add)
+          ~o:(Array.map (fun tr -> tr.o) add)
+          (Array.length add)
+    in
+    note_mutation m_insert added;
+    (added, 0)
+  end
+  else if Array.length add = 0 && Array.length remove = 0 then (0, 0)
   else begin
     let add = Ordering.sort_distinct Spo add and remove = Ordering.sort_distinct Spo remove in
     let in_add tr =
@@ -444,6 +474,30 @@ let add_list t triples =
 let of_triples triples =
   let t = create () in
   ignore (add_list t triples);
+  t
+
+(* Text to id columns to store: the columns grow by doubling and are
+   sorted in place of triple records. *)
+let load_ntriples ?repr read =
+  let dict = Dict.Term_dict.create () in
+  let n = ref 0 and s = ref (Array.make 4096 0) and p = ref (Array.make 4096 0) and o = ref (Array.make 4096 0) in
+  let grow a =
+    let b = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  Dict.Term_dict.encode_ntriples dict read (fun si pi oi ->
+      if !n = Array.length !s then begin
+        s := grow !s;
+        p := grow !p;
+        o := grow !o
+      end;
+      Array.unsafe_set !s !n si;
+      Array.unsafe_set !p !n pi;
+      Array.unsafe_set !o !n oi;
+      incr n);
+  let t = create ~dict ?repr () in
+  ignore (fill_unsorted t ~s:!s ~p:!p ~o:!o !n);
   t
 
 let remove t triple =

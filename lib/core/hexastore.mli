@@ -94,7 +94,10 @@ val apply_bulk_ids : t -> add:id_triple array -> remove:id_triple array -> int *
     one rebuild: both batches are sorted in linear time
     ({!Ordering.sort_distinct}), and each list family merges its
     owner's scan with them in one linear pass and one fill
-    ({!Index.refill}; from empty, {!of_sorted_columns}'s fill).  Returns
+    ({!Index.refill}).  From empty, [add] is taken apart into three id
+    columns, which one permutation sorts on (s, p, o) by counting-sort
+    passes on o, then p, then s; the repeats are dropped and
+    {!of_sorted_columns}'s fill builds the store.  Returns
     how many triples were new and how many were removed (a triple in
     both batches and in [t] counts once in each).  Nothing is rebuilt
     when nothing changes.  A {!Delta} migration is one call.
@@ -185,6 +188,17 @@ val add_list : t -> Rdf.Triple.t list -> int
     triples. *)
 
 val of_triples : Rdf.Triple.t list -> t
+
+val load_ntriples : ?repr:Vectors.Sorted_ivec.kind -> (bytes -> int -> int -> int) -> t
+(** The store of the N-Triples text read through [read] (as
+    [In_channel.input]), in a fresh dictionary, with no term and no
+    triple record in between: {!Dict.Term_dict.encode_ntriples} hands
+    each statement's ids to three growing columns, which fill the store
+    as {!add_bulk_ids} fills an empty one.  Its ids, and so its
+    snapshot, are those of [of_triples (Rdf.Ntriples.parse_string
+    text)].  [repr] as in {!create}.
+    @raise Rdf.Ntriples.Parse_error on malformed text. *)
+
 val remove : t -> Rdf.Triple.t -> bool
 val mem : t -> Rdf.Triple.t -> bool
 

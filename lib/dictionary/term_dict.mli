@@ -50,6 +50,18 @@ val encode_triple : t -> Rdf.Triple.t -> id_triple
 (** Encodes the object, then the predicate, then the subject: a
     triple's new terms take ids in that order. *)
 
+val encode_ntriples : t -> (bytes -> int -> int -> int) -> (int -> int -> int -> unit) -> unit
+(** [encode_ntriples d read f] reads N-Triples text through [read] (as
+    [In_channel.input]: fill a range of the buffer, 0 at the end) and
+    calls [f s p o] with the ids of each statement, in text order.
+    Every term is encoded as {!encode_triple} would encode the parsed
+    triple — object, then predicate, then subject — so the ids are the
+    ones [Rdf.Ntriples.parse_string] and {!encode_triple} give; but no
+    term is built unless its text holds an escape
+    ({!Rdf.Ntriples.encode_input}).
+    @raise Rdf.Ntriples.Parse_error as [parse_string] would, with the
+    same line; the statements before it have been handed to [f]. *)
+
 val find_triple : t -> Rdf.Triple.t -> id_triple option
 (** [None] when any of the three terms is unknown. *)
 

@@ -24,13 +24,30 @@ val parse_line : ?line:int -> string -> Triple.t option
     lines and [#] comments.
     @raise Parse_error on malformed input or text past the line end. *)
 
-val parse_string : string -> Triple.t list
-(** Parse a whole document. *)
-
 val parse_seq : string Seq.t -> Triple.t Seq.t
 (** Lazily parse a sequence of lines, each without its ["\n"] (as
     [input_line] gives them; a trailing ["\r"] is a CRLF's, not a line
     of its own).  Errors surface when forced. *)
+
+val parse_string : string -> Triple.t list
+(** Parse a whole document.  Terms are shared: every occurrence of an
+    IRI spelled without escapes is the same [Term.t], so the list holds
+    one term per distinct IRI ({!Dictionary} numbers the spellings while
+    the call runs). *)
+
+val encode_input :
+  Dictionary.t -> (bytes -> int -> int -> int) -> (int -> int -> int -> unit) -> unit
+(** [encode_input d read f] reads a document through [read] (as
+    [In_channel.input]) and calls [f s p o] with its statements' ids in
+    [d], in text order: each statement's object, then its predicate,
+    then its subject is encoded by its canonical spelling
+    ([Term.to_string]).  Whole lines are scanned as each read lands, so
+    the text is never held whole.  A term whose text is its canonical
+    spelling is looked up where it lies ({!Dictionary.encode_sub}); only
+    one with an escape, a raw tab or an uppercase language tag is built
+    as a [Term.t] first.
+    @raise Parse_error as {!parse_string} on the same text, with the same
+    line. *)
 
 val of_channel : in_channel -> Triple.t list
 (** Reads the channel to its end, then {!parse_string}. *)

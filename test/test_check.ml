@@ -233,9 +233,9 @@ let test_map_streams_keeps_codecs () =
     [ Sorted_ivec.Raw; Sorted_ivec.Packed ]
 
 let test_dictionary_bijective () =
-  let d = Dict.Dictionary.create () in
+  let d = Rdf.Dictionary.create () in
   List.iter
-    (fun s -> ignore (Dict.Dictionary.encode d s))
+    (fun s -> ignore (Rdf.Dictionary.encode d s))
     [ "a"; "b"; "c"; "a"; "longer string"; "" ];
   no_violations "string dictionary" (C.Invariant.dictionary d);
   let td = Dict.Term_dict.create () in

@@ -1,7 +1,8 @@
-(* Tests for the [dictionary] library: string interning and term-level
-   encoding. *)
+(* Tests for the mapping table: string interning ([Rdf.Dictionary]) and
+   term-level encoding ([Dict.Term_dict]). *)
 
 open Dict
+module Dictionary = Rdf.Dictionary
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -107,6 +108,126 @@ let prop_dict_injective =
       let d = Dictionary.create () in
       let ia = Dictionary.encode d a and ib = Dictionary.encode d b in
       (a = b) = (ia = ib))
+
+(* A text to cut ranges from: printable bytes, NULs and high bytes, so
+   that ranges start and end anywhere, words straddle their edges, and
+   lengths run from 0 past several words. *)
+let gen_text =
+  QCheck.Gen.(
+    string_size
+      ~gen:(frequency [ (6, printable); (1, return '\000'); (1, map Char.chr (int_range 128 255)) ])
+      (int_range 0 80))
+
+let range text a b =
+  let n = String.length text in
+  let pos = a mod (n + 1) in
+  (pos, b mod (n - pos + 1))
+
+(* Every lookup by range, or of an IRI by its body, gives what the same
+   lookup of the copied spelling gives in a second table; both tables
+   start at one entry, so most runs resize part-way. *)
+let prop_range_probe =
+  QCheck.Test.make ~name:"find/encode by range = find/encode of the copy" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair (Printf.sprintf "%S") (list (triple int int int)))
+       QCheck.Gen.(pair gen_text (list_size (int_bound 60) (triple (int_bound 3) nat nat))))
+    (fun (text, ops) ->
+      let by_range = Dictionary.create ~initial_size:1 () and by_copy = Dictionary.create ~initial_size:1 () in
+      let found = function None -> -1 | Some id -> id in
+      List.for_all
+        (fun (op, a, b) ->
+          let pos, len = range text a b in
+          let sub = String.sub text pos len in
+          match op with
+          | 0 -> Dictionary.encode_sub by_range text pos len = Dictionary.encode by_copy sub
+          | 1 -> Dictionary.find_sub by_range text pos len = found (Dictionary.find by_copy sub)
+          | 2 -> Dictionary.encode_iri by_range sub = Dictionary.encode by_copy ("<" ^ sub ^ ">")
+          | _ -> Dictionary.find_iri by_range sub = found (Dictionary.find by_copy ("<" ^ sub ^ ">")))
+        ops
+      && Dictionary.size by_range = Dictionary.size by_copy
+      && List.for_all
+           (fun id -> Dictionary.decode by_range id = Dictionary.decode by_copy id)
+           (List.init (Dictionary.size by_copy) Fun.id))
+
+(* The hash fits the bits a slot keeps above the id (31 of them), and a
+   range hashes as its copy does. *)
+let prop_hash_bits =
+  QCheck.Test.make ~name:"hash below 2^31, the same in place and copied" ~count:1000
+    (QCheck.make QCheck.Gen.(triple gen_text nat nat))
+    (fun (text, a, b) ->
+      let pos, len = range text a b in
+      let h = Dictionary.hash_sub text pos len in
+      0 <= h && h < 1 lsl 31 && h = Dictionary.hash_sub (String.sub text pos len) 0 len)
+
+(* Spellings whose hashes share their low 12 bits all start from one
+   slot of any table up to 4,096 slots: one probe chain, walked from
+   inside a larger text, through the resizes of a table that starts at
+   one entry and in a table sized so it never resizes. *)
+let test_shared_low_bits () =
+  let spell i = Printf.sprintf "<http://example.org/r/%d>" i in
+  let low i = Dictionary.hash_sub (spell i) 0 (String.length (spell i)) land 4095 in
+  let target = low 0 in
+  let group = List.filter (fun i -> low i = target) (List.init 200_000 Fun.id) in
+  check_bool "a group shares its low bits" true (List.length group >= 20);
+  let members, others = List.partition (fun i -> i mod 2 = 0) group in
+  let text i = "xx" ^ spell i ^ "yy" in
+  let body i = let s = spell i in String.sub s 1 (String.length s - 2) in
+  List.iter
+    (fun initial_size ->
+      let d = Dictionary.create ~initial_size () in
+      List.iteri
+        (fun id i ->
+          check_int "fresh id" id (Dictionary.encode_sub d (text i) 2 (String.length (spell i)));
+          List.iteri
+            (fun id' i' ->
+              if id' <= id then check_int "found by range" id' (Dictionary.find_sub d (text i') 2 (String.length (spell i'))))
+            members)
+        members;
+      List.iteri (fun id i -> check_int "found as an IRI" id (Dictionary.encode_iri d (body i))) members;
+      List.iter
+        (fun i ->
+          check_int "absent by range" (-1) (Dictionary.find_sub d (text i) 2 (String.length (spell i)));
+          check_int "absent as an IRI" (-1) (Dictionary.find_iri d (body i)))
+        others;
+      check_int "no id added" (List.length members) (Dictionary.size d))
+    [ 1; 200 ]
+
+(* Two spellings with the same 31 hash bits, equal but for their body's
+   last word (the one read where the body ends): the probe reaches the
+   first one's slot and must still tell them apart by their bytes.
+   300,000 such spellings hold ~20 full collisions. *)
+let test_full_hash_collision () =
+  let spell i = Printf.sprintf "<http://e.org/r/x%08x>" i in
+  let hash i = Dictionary.hash_sub (spell i) 0 (String.length (spell i)) in
+  let seen = Hashtbl.create 1024 in
+  let rec pair i =
+    if i >= 300_000 then Alcotest.fail "no full hash collision"
+    else
+      match Hashtbl.find_opt seen (hash i) with
+      | Some j -> (j, i)
+      | None ->
+          Hashtbl.add seen (hash i) i;
+          pair (i + 1)
+  in
+  let a, b = pair 0 in
+  let d = Dictionary.create () in
+  check_int "first" 0 (Dictionary.encode d (spell a));
+  check_int "second absent by range" (-1) (Dictionary.find_sub d (spell b) 0 (String.length (spell b)));
+  check_int "second absent as an IRI" (-1)
+    (Dictionary.find_iri d (String.sub (spell b) 1 (String.length (spell b) - 2)));
+  check_int "second takes a fresh id" 1 (Dictionary.encode d (spell b));
+  check_int "first still found" 0 (Dictionary.encode_iri d (String.sub (spell a) 1 (String.length (spell a) - 2)))
+
+(* Every byte of a short spelling reaches the hash: the 17,576
+   three-letter spellings (a one-byte body) take distinct hash bits, bar
+   a chance collision or two among 2^31 values. *)
+let test_short_spellings_spread () =
+  let hashes = Hashtbl.create 32768 in
+  for i = 0 to (26 * 26 * 26) - 1 do
+    let s = String.init 3 (fun k -> Char.chr (Char.code 'a' + (i / [| 676; 26; 1 |].(k) mod 26))) in
+    Hashtbl.replace hashes (Dictionary.hash_sub s 0 3) ()
+  done;
+  check_bool "distinct hashes" true (Hashtbl.length hashes >= (26 * 26 * 26) - 2)
 
 (* ------------------------------------------------------------------ *)
 (* Term_dict                                                           *)
@@ -228,8 +349,13 @@ let () =
           Alcotest.test_case "iter_fold" `Quick test_dict_iter_fold;
           Alcotest.test_case "id limit" `Quick test_dict_id_limit;
           Alcotest.test_case "memory_words exact" `Quick test_dict_memory_exact;
+          Alcotest.test_case "shared low hash bits" `Quick test_shared_low_bits;
+          Alcotest.test_case "full hash collision" `Quick test_full_hash_collision;
+          Alcotest.test_case "short spellings spread" `Quick test_short_spellings_spread;
           qt prop_dict_roundtrip;
           qt prop_dict_injective;
+          qt prop_range_probe;
+          qt prop_hash_bits;
         ] );
       ( "term_dict",
         [

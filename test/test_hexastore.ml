@@ -665,12 +665,42 @@ let hexa_indices h =
       (Ordering.Ops, ops h);
     ]
 
+(* From empty, a bulk add sorts its batch as id columns and drops the
+   repeats before the fill: it counts each distinct triple once — as
+   many as the same batch adds to a populated store that holds none of
+   them — and every ordering holds the model's triples, raw and
+   packed. *)
+let prop_fill_repeats =
+  QCheck.Test.make ~name:"fill from empty drops repeats, counts as a populated load" ~count:200
+    (QCheck.make QCheck.Gen.(pair (list_size (int_bound 80) gen_triple) (list_size (int_bound 20) gen_triple)))
+    (fun (batch, base) ->
+      let batch = batch @ List.filteri (fun i _ -> i mod 3 = 0) batch in
+      let model = Check.Model.create () in
+      List.iter (fun tr -> ignore (Check.Model.add model tr)) batch;
+      let base = t3 100 100 100 :: List.filter (fun tr -> not (List.mem tr batch)) base in
+      List.for_all
+        (fun repr ->
+          let empty = Hexastore.create ~repr () and populated = Hexastore.create ~repr () in
+          let added = Hexastore.add_bulk_ids empty (Array.of_list batch) in
+          ignore (Hexastore.add_bulk_ids populated (Array.of_list base));
+          let added' = Hexastore.add_bulk_ids populated (Array.of_list batch) in
+          Hexastore.check_invariant empty;
+          List.iter (fun tr -> ignore (Check.Model.add model tr)) base;
+          let both = orderings_match (hexa_indices populated) model in
+          List.iter (fun tr -> ignore (Check.Model.remove model tr)) base;
+          added = Check.Model.size model
+          && added' = added
+          && Hexastore.size empty = added
+          && orderings_match (hexa_indices empty) model
+          && both)
+        [ Sorted_ivec.Raw; Sorted_ivec.Packed ])
+
 (* Ids near the dictionary's ceiling (2^31) are too sparse for a rank
    bitmap, which would cost 2^26 words an ordering: every ordering keeps
    no rank cells and finds its headers by binary search, and the reads
    still answer. *)
 let test_sparse_ids_no_bitmap () =
-  let top = Dict.Dictionary.max_ids - 1 in
+  let top = Rdf.Dictionary.max_ids - 1 in
   let batch = [ t3 top 5 (top - 1); t3 (top - 7) 5 top; t3 3 (top - 2) 4; t3 top (top - 2) 9 ] in
   List.iter
     (fun repr ->
@@ -859,7 +889,7 @@ let test_two_batches () =
 let gen_fill_case =
   QCheck.Gen.(
     let small = map3 t3 (int_bound 12) (int_bound 6) (int_bound 12) in
-    let top = Dict.Dictionary.max_ids - 1 in
+    let top = Rdf.Dictionary.max_ids - 1 in
     let sparse = map3 t3 (int_bound top) (int_bound top) (int_bound top) in
     pair
       (frequency
@@ -1156,6 +1186,7 @@ let () =
           qt prop_covp1_equiv;
           qt prop_covp2_equiv;
           qt prop_bulk_equiv;
+          qt prop_fill_repeats;
           qt prop_bulk_merge_hexa;
           qt prop_fill_build;
           qt prop_after_fill;

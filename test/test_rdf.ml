@@ -561,6 +561,93 @@ let prop_nt_entry_points =
           ("parse_seq", result by_seq);
         ])
 
+(* [parse_string] makes one term per distinct IRI spelling: every
+   occurrence of an IRI, as subject, predicate, object or datatype, is
+   the same block. *)
+let test_nt_shared_iris () =
+  let st = Random.State.make [| 7 |] in
+  let triples = QCheck.Gen.(generate ~rand:st ~n:400 gen_triple) in
+  let parsed = Ntriples.parse_string (Ntriples.print_string triples) in
+  let seen = Hashtbl.create 64 and occurrences = ref 0 in
+  let visit (t : Term.t) =
+    match t with
+    | Iri s ->
+        incr occurrences;
+        (match Hashtbl.find_opt seen s with
+        | None -> Hashtbl.add seen s t
+        | Some first -> if first != t then Alcotest.failf "two terms for <%s>" s)
+    | Blank _ | Literal _ -> ()
+  in
+  List.iter (fun (t : Triple.t) -> visit t.s; visit t.p; visit t.o) parsed;
+  check_bool "IRIs repeat" true (!occurrences > 2 * Hashtbl.length seen)
+
+(* A [read] that hands out the text a few bytes at a time, so reads end
+   anywhere: inside a term, between a "\r" and its "\n". *)
+let short_reads st text =
+  let pos = ref 0 in
+  fun b off len ->
+    let n = min (min len (1 + Random.State.int st 7)) (String.length text - !pos) in
+    Bytes.blit_string text !pos b off n;
+    pos := !pos + n;
+    n
+
+(* The text -> ids loader reads a laid-out document as [parse_string]
+   and [encode_triple] do: the same ids in the same order, the same
+   spellings, the same snapshot bytes, or the same [Parse_error] line. *)
+let prop_nt_loader =
+  let raw = Vectors.Sorted_ivec.Raw in
+  let snapshot h =
+    let path = Filename.temp_file "hexastore_loader" ".snap" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Hexa.Snapshot.save h path;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  QCheck.Test.make ~name:"text -> ids loader = parse_string + encode_triple" ~count:300
+    (QCheck.make
+       ~print:(fun (doc, bad) -> Printf.sprintf "%s bad=%s" (print_doc doc) (Option.fold ~none:"-" ~some:string_of_int bad))
+       QCheck.Gen.(pair gen_doc (opt nat)))
+    (fun ((triples, seed), bad) ->
+      let _, text = layout ~seed ?bad triples in
+      let st = Random.State.make [| seed |] in
+      let loaded = Dict.Term_dict.create () and ids = ref [] in
+      let load () = Dict.Term_dict.encode_ntriples loaded (short_reads st text) (fun s p o -> ids := (s, p, o) :: !ids) in
+      let result f = match f () with x -> Ok x | exception Ntriples.Parse_error (l, _) -> Error l in
+      match (result (fun () -> Ntriples.parse_string text), result load) with
+      | Error l, Error l' -> l = l' || QCheck.Test.fail_reportf "line %d, loader line %d" l l'
+      | Error l, Ok () -> QCheck.Test.fail_reportf "loader accepted a bad line %d" l
+      | Ok _, Error l -> QCheck.Test.fail_reportf "loader refused line %d" l
+      | Ok parsed, Ok () ->
+          let dict = Dict.Term_dict.create () in
+          let encoded = List.map (fun t -> let e = Dict.Term_dict.encode_triple dict t in (e.s, e.p, e.o)) parsed in
+          let spellings d = List.init (Dict.Term_dict.size d) (Dict.Term_dict.spelling d) in
+          let from_text = Hexa.Hexastore.load_ntriples ~repr:raw (short_reads st text) in
+          let from_terms = Hexa.Hexastore.create ~repr:raw () in
+          ignore (Hexa.Hexastore.add_list from_terms parsed);
+          (List.rev !ids = encoded || QCheck.Test.fail_report "ids differ")
+          && (spellings loaded = spellings dict || QCheck.Test.fail_report "spellings differ")
+          && (snapshot from_text = snapshot from_terms || QCheck.Test.fail_report "snapshots differ"))
+
+(* A line longer than the loader's read buffer makes it grow: the line
+   is read whole, with its neighbours. *)
+let test_nt_loader_long_line () =
+  let long = Term.string_literal (String.make 200_000 'x') in
+  let triples = [ t_abc; Triple.make (Term.iri "http://x/s") (Term.iri "http://x/p") long; t_abc ] in
+  let text = Ntriples.print_string triples in
+  let pos = ref 0 in
+  let read b off len =
+    let n = min len (String.length text - !pos) in
+    Bytes.blit_string text !pos b off n;
+    pos := !pos + n;
+    n
+  in
+  let d = Dict.Term_dict.create () and ids = ref [] in
+  Dict.Term_dict.encode_ntriples d read (fun s p o -> ids := (s, p, o) :: !ids);
+  check_int "three statements" 3 (List.length !ids);
+  let _, _, o = List.nth !ids 1 in
+  check_bool "the long literal" true (Term.equal long (Dict.Term_dict.decode_term d o))
+
 (* ------------------------------------------------------------------ *)
 (* Turtle                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -811,6 +898,9 @@ let () =
           qt prop_nt_roundtrip;
           qt prop_nt_layout_roundtrip;
           qt prop_nt_entry_points;
+          Alcotest.test_case "shared IRIs" `Quick test_nt_shared_iris;
+          qt prop_nt_loader;
+          Alcotest.test_case "loader long line" `Quick test_nt_loader_long_line;
           qt prop_ntriples_fuzz;
         ] );
       ( "turtle",

@@ -571,6 +571,45 @@ let test_codec_tag_in_checksum () =
       | exception Snapshot.Corrupt _ -> ()
       | _ -> Alcotest.fail "flipped codec tag accepted")
 
+(* Ingest keeps its bytes: on LUBM 10x4 and Barton (seed 1), the parsed
+   triples marshal (no sharing) to the digests these data sets have had
+   since the one-pass scanner, and a raw store built from the text —
+   through [parse_string] and [encode_triple], or through the text -> ids
+   loader reading a file — saves to the same pinned snapshot. *)
+let test_pinned_ingest () =
+  let hex s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (name, triples, parsed_digest, snapshot_digest) ->
+      let text = Rdf.Ntriples.print_string triples in
+      let parsed = Rdf.Ntriples.parse_string text in
+      Alcotest.(check string) (name ^ " parsed") parsed_digest (hex (Marshal.to_string parsed [ No_sharing ]));
+      let saved h =
+        with_tmp (fun path ->
+            Snapshot.save h path;
+            Digest.to_hex (Digest.file path))
+      in
+      let dict = Dict.Term_dict.create () in
+      let h = Hexastore.create ~dict ~repr:Vectors.Sorted_ivec.Raw () in
+      ignore (Hexastore.add_bulk_ids h (Array.of_list (List.map (Dict.Term_dict.encode_triple dict) parsed)));
+      Alcotest.(check string) (name ^ " parsed, encoded") snapshot_digest (saved h);
+      let loaded =
+        with_tmp (fun path ->
+            Out_channel.with_open_bin path (fun oc -> output_string oc text);
+            In_channel.with_open_bin path (fun ic ->
+                Hexastore.load_ntriples ~repr:Vectors.Sorted_ivec.Raw (In_channel.input ic)))
+      in
+      Alcotest.(check string) (name ^ " text -> ids") snapshot_digest (saved loaded))
+    [
+      ( "LUBM",
+        Workloads.Lubm.generate (Workloads.Lubm.config ~seed:1 ()),
+        "aa06cef82aa4d3782e31956b53d65381",
+        "a47390448c487c592740e883c220c626" );
+      ( "Barton",
+        Workloads.Barton.generate (Workloads.Barton.config ~seed:1 ()),
+        "444f2e295329ae38f6a99e8cfb8f23b8",
+        "14ac92e771ac39cc62bf1d761f316bdc" );
+    ]
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -606,4 +645,5 @@ let () =
             test_compressed_roundtrip_bytes;
           Alcotest.test_case "codec_tag_checksummed" `Quick test_codec_tag_in_checksum;
         ] );
+      ("ingest", [ Alcotest.test_case "pinned LUBM and Barton bytes" `Quick test_pinned_ingest ]);
     ]
